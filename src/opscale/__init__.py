@@ -12,9 +12,11 @@ __version__ = "0.1.0"
 
 from .linalg import (
     HermitianEigenDecomposition,
+    ParityEigenDecomposition,
     adjoint,
     hermitian_eig,
     matmul,
+    parity_eig,
     unitary_from_eig,
     unitary_function_of_hermitian,
 )
@@ -49,9 +51,11 @@ from .bench import (
 __all__ = [
     "__version__",
     "HermitianEigenDecomposition",
+    "ParityEigenDecomposition",
     "adjoint",
     "hermitian_eig",
     "matmul",
+    "parity_eig",
     "unitary_from_eig",
     "unitary_function_of_hermitian",
     "IndexScheme",

@@ -112,6 +112,12 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float, amplitude_factor: bo
     kernels); it is evaluated at ``u_k / M`` and multiplied by
     ``M**-0.5``.  With M = 1 the interpolation property makes this the
     identity.
+
+    Raises
+    ------
+    ValueError
+        If ``m_factor`` is not positive and finite, or the signal does not
+        match the grid or has a NaN or infinite sample.
     """
     m_factor = float(m_factor)
     if m_factor <= 0 or not np.isfinite(m_factor):
@@ -121,6 +127,8 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float, amplitude_factor: bo
         raise ValueError(
             f"signal shape {vec.shape} does not match grid (N={grid.n_samples})"
         )
+    if not np.isfinite(vec).all():
+        raise ValueError("signal contains non-finite samples")
     n = grid.n_samples
     coeffs = dft_matrix(n, grid.scheme) @ vec
     period = n * grid.spacing

@@ -11,13 +11,15 @@ scale
     result on the same grid.
 bench
     Run the benchmark sweep and emit the NMSE table as CSV or markdown.
+    A failed cell reads NaN in the table; its diagnostic goes to stderr
+    as ``function,method,m,n,scheme: note``.
 basis
     Write the CDDHF basis for (N, M), eigenvalues in the header.
 
 File formats (all plain text, comma-separated, ``#``-prefixed metadata):
 
 * signal file: ``index,re,im`` header, one row per sample, indices
-  matching the declared scheme's grid exactly.
+  matching the declared scheme's grid exactly; every value finite.
 * matrix file: ``row_index,col_index,re,im`` header, N^2 rows in
   row-major order.
 * basis file: ``row_index,h0,...,h{N-1}`` header, eigenvalues in a
@@ -35,6 +37,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -166,6 +169,8 @@ def _parse_signal_file(path: str):
             idx, re_part, im_part = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: non-numeric value") from exc
+        if not all(map(math.isfinite, (idx, re_part, im_part))):
+            raise UsageError(f"{path}:{lineno}: non-finite value")
         indices.append(idx)
         values.append(complex(re_part, im_part))
     if not header_seen:
@@ -240,6 +245,11 @@ def cmd_bench(args) -> int:
         amplitude_factor=not args.no_amplitude_factor,
     )
     _write_text(emit_table(table, args.format), args.out)
+    for r in table.records:
+        if r.note:
+            cell = (r.function.value, r.method.value, _fmt(r.m_factor), str(r.n_samples),
+                    r.scheme.value)
+            print(f"{','.join(cell)}: {r.note}", file=sys.stderr)
     return 0
 
 

@@ -15,11 +15,21 @@ with the scheme's labels in the exponent,
     F[m, n] = exp(-2j*pi*m*n/N) / sqrt(N),
 
 by O(N^2) evaluation.  No FFT factorization is attempted: half-integer
-label products do not map onto a standard FFT, and at the matrix sizes
-this package targets (N <= 2048) construction time is irrelevant next to
-the eigendecompositions downstream.  Fractional powers of the N-th root
-of unity are always evaluated in principal-value form ``exp(-2j*pi*m*n/N)``
-rather than by repeated multiplication, eliminating branch-cut ambiguity.
+label products do not map onto a standard FFT.  Fractional powers of the
+N-th root of unity are always evaluated in principal-value form
+``exp(-2j*pi*m*n/N)`` rather than by repeated multiplication, eliminating
+branch-cut ambiguity.
+
+Construction is not free: the evaluation is O(N^2), but the unitarity
+check below is a dense O(N^3) product, paid once per ``(N, scheme)``
+and cached with the matrix.  Because the labels are unit-spaced, each
+column of F is the previous one times the fixed unit-modulus vector
+``exp(-2j*pi*n_k/N)``; :mod:`opscale.operators` relies on that to build
+the differentiation matrix as a Toeplitz matrix in O(N^2), and checks it
+before doing so.  The CDDHF comparison method in
+:mod:`opscale.pei` draws its centered DFT from :func:`dft_matrix` too:
+its labels ``m - (N-1)/2`` are this module's centered labels for even N
+and its ordinary labels for odd N.
 
 For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so

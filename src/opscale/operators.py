@@ -18,11 +18,31 @@ is then an exact differentiation-operator analogue by construction: U
 and D are precisely Fourier duals of each other, in both directions, to
 machine precision.
 
+D is built from its structure rather than by two dense products.  The
+grid labels are unit-spaced, so each column of F is the previous one
+times the fixed unit-modulus vector ``exp(-2j*pi*n_k/N)``; then
+``D[i, j]`` depends only on ``i - j`` and D is Hermitian Toeplitz,
+determined by its first column.  That column costs O(N^2): the value of
+each diagonal is the product ``F[:, i]^H (u * F[:, j])`` of one column
+pair on it, the pair nearest the middle of the grid, where the stored
+F's phase rounding (which grows with the label product) is smallest.
+:func:`diff_matrix` checks the column structure in O(N^2) before
+relying on it, alongside its unitarity and diagonal-U checks.
+
 The discrete scaling generator is the symmetrized product
-``(U D + D U)/2``.  Algebraically this is Hermitian whenever U and D
-are; numerically it is re-Hermitized as ``(G + G^H)/2`` to scrub the
-last ulp of rounding asymmetry, keeping downstream unitarity guarantees
+``(U D + D U)/2``.  With U diagonal it collapses entrywise to
+``G[m, n] = (u_m + u_n)/2 * D[m, n]``, which is how it is formed, in
+O(N^2).  Algebraically this is Hermitian whenever U and D are;
+numerically it is re-Hermitized as ``(G + G^H)/2`` to scrub the last
+ulp of rounding asymmetry, keeping downstream unitarity guarantees
 tight.
+
+On symmetric grids (index set closed under negation: centered with even
+N, ordinary with odd N) U is odd and D is odd under index reversal, so
+G commutes with reversal.  :attr:`OperatorSet.generator_eig` then
+decomposes G by :func:`opscale.linalg.parity_eig`, which checks that
+symmetry and eigendecomposes the even and odd half-size blocks; on the
+other grids it decomposes G whole.
 
 The asymmetric forward-difference alternative (which is *not* symmetric,
 hence not Hermitian, hence useless as a generator) is deliberately not
@@ -42,7 +62,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
-from .linalg import HermitianEigenDecomposition, hermitian_eig
+from .linalg import (
+    HermitianEigenDecomposition,
+    ParityEigenDecomposition,
+    hermitian_eig,
+    parity_eig,
+)
 
 __all__ = [
     "coord_matrix",
@@ -66,20 +91,31 @@ def coord_matrix(grid: SampleGrid) -> np.ndarray:
     return np.diag(diag)
 
 
+def _diagonal(u: np.ndarray) -> np.ndarray:
+    """The diagonal of ``u``, which must be a diagonal matrix."""
+    diag = np.diag(u)
+    if np.any(u - np.diag(diag) != 0):
+        raise ValueError("coordinate matrix must be diagonal")
+    return diag
+
+
 def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Differentiation matrix ``D = F^-1 U F`` dual to the coordinate matrix.
 
     Parameters
     ----------
     ops_f : numpy.ndarray
-        Unitary DFT matrix (unitarity checked to 1e-10).
+        Unitary DFT matrix (unitarity checked to 1e-10) on unit-spaced
+        labels: each column must be the previous one times one fixed
+        unit-modulus vector (checked to 1e-10).
     u : numpy.ndarray
         Real diagonal coordinate matrix, conformable with ``ops_f``.
 
     Returns
     -------
     numpy.ndarray
-        Hermitian matrix ``F^H U F`` (``F^-1 = F^H`` for unitary F).
+        Hermitian Toeplitz matrix ``F^H U F`` (``F^-1 = F^H`` for unitary
+        F), filled from one column pair per diagonal.
     """
     f = np.asarray(ops_f)
     u = np.asarray(u)
@@ -93,25 +129,54 @@ def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"diff_matrix requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
         )
-    offdiag = u - np.diag(np.diag(u))
-    if np.any(offdiag != 0):
-        raise ValueError("coordinate matrix must be diagonal")
-    if np.iscomplexobj(u) and np.any(np.diag(u).imag != 0):
+    u_diag = _diagonal(u)
+    if np.iscomplexobj(u_diag) and np.any(u_diag.imag != 0):
         raise ValueError("coordinate matrix must be real")
-    return f.conj().T @ u @ f
+    # F[:, j] = F[:, 0] * w**j with |w| = 1 makes D[i, j] a function of
+    # i - j alone; without it the Toeplitz fill below would be wrong.
+    # A zero in F[:, 0] makes w non-finite, and the check fails.
+    if n > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f[:, 1] / f[:, 0]
+            step_resid = max(
+                abs(f[:, 1:] - f[:, :-1] * step[:, None]).max(),
+                abs(abs(step) - 1.0).max(),
+            )
+        if not step_resid < 1e-10:
+            raise ValueError(
+                "diff_matrix requires a DFT on unit-spaced labels (each column of F "
+                f"the previous one times a fixed unit-modulus vector): residual "
+                f"{step_resid:.3e}"
+            )
+    # col[t] = D[i, j] for any i - j = t >= 0.  The stored F's phase
+    # rounding grows with the label product, so each diagonal is read off
+    # the column pair (i, j) nearest the middle of the grid, i + j = N-1
+    # or N-2; reading them all against column 0 would copy that column's
+    # rounding along every diagonal.
+    col = np.empty(n, dtype=complex)
+    for m in (n - 1, n - 2):
+        if m >= 0:
+            lo = (m + 1) // 2  # columns i = lo..m pair with j = m - i
+            pairs = f[:, lo:m + 1].conj() * f[:, :m - lo + 1][:, ::-1]
+            col[2 * lo - m::2] = u_diag.real @ pairs
+    col[0] = col[0].real
+    # ramp[N-1 + j - i] = D[i, j], with conj(col[j - i]) above the diagonal.
+    ramp = np.concatenate([col[::-1], col[1:].conj()])
+    return np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1].copy()
 
 
 def scaling_generator(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Hermitian scaling generator ``(U D + D U)/2``.
+    """Hermitian scaling generator ``(U D + D U)/2`` for a diagonal U.
 
-    The anticommutator is formed exactly as written and then explicitly
-    re-Hermitized with ``(G + G^H)/2``.
+    Formed entrywise as ``G[m, n] = (u_m + u_n)/2 * D[m, n]`` and then
+    explicitly re-Hermitized with ``(G + G^H)/2``.
     """
     u = np.asarray(u)
     d = np.asarray(d)
     if u.shape != d.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"size mismatch: U is {u.shape}, D is {d.shape}")
-    g = (u @ d + d @ u) / 2.0
+    u_diag = _diagonal(u)
+    g = np.add.outer(u_diag, u_diag) / 2.0 * d
     return (g + g.conj().T) / 2.0
 
 
@@ -153,8 +218,16 @@ class OperatorSet:
         )
 
     @cached_property
-    def generator_eig(self) -> HermitianEigenDecomposition:
-        """Spectral decomposition of the generator (computed once, cached)."""
+    def generator_eig(self) -> HermitianEigenDecomposition | ParityEigenDecomposition:
+        """Spectral decomposition of the generator (computed once, cached).
+
+        On symmetric grids the generator commutes with index reversal and
+        is decomposed as its even and odd blocks by
+        :func:`~opscale.linalg.parity_eig`; elsewhere it is decomposed
+        whole by :func:`~opscale.linalg.hermitian_eig`.
+        """
+        if self.grid_symmetric:
+            return parity_eig(self.generator)
         return hermitian_eig(self.generator)
 
     def __repr__(self) -> str:

@@ -46,7 +46,8 @@ metadata):
   pairing-by-position is the one place where they could matter.
 
 Bases are memoized per (N, M) under the same read-mostly cache contract
-as the scaling matrices.
+as the scaling matrices.  ``D^2`` does not depend on M, so it is built
+once per N and shared by the bases of every M.  Signals must be finite.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .dft import IndexScheme, dft_matrix
 
 __all__ = [
     "CddhfBasis",
@@ -85,19 +88,17 @@ def pei_u_squared(n_samples: int) -> np.ndarray:
     return np.diag(m * m)
 
 
-@lru_cache(maxsize=None)
 def pei_centered_dft(n_samples: int) -> np.ndarray:
     """Standard centered DFT matrix on 0-based rows/columns.
 
-    ``F[m, n] = exp(-2j*pi*(m-(N-1)/2)*(n-(N-1)/2)/N)/sqrt(N)``.
+    ``F[m, n] = exp(-2j*pi*(m-(N-1)/2)*(n-(N-1)/2)/N)/sqrt(N)``.  The
+    labels ``m - (N-1)/2`` are the centered scheme's for even N and the
+    ordinary scheme's for odd N, so this is the cached, read-only
+    :func:`~opscale.dft.dft_matrix` of that scheme.
     """
     n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    c = np.arange(n_samples, dtype=float) - (n_samples - 1) / 2.0
-    f = np.exp((-2j * np.pi / n_samples) * np.outer(c, c)) / math.sqrt(n_samples)
-    f.setflags(write=False)
-    return f
+    scheme = IndexScheme.CENTERED if n_samples % 2 == 0 else IndexScheme.ORDINARY
+    return dft_matrix(n_samples, scheme)
 
 
 def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
@@ -113,6 +114,15 @@ def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
             f"pei_d_squared requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
         )
     return f @ u2 @ f.conj().T
+
+
+@lru_cache(maxsize=None)
+def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
+    """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
+    d2 = pei_d_squared(pei_u_squared(n_samples), pei_centered_dft(n_samples))
+    d2_real = d2.real.copy()
+    d2_real.setflags(write=False)
+    return d2_real, float(abs(d2.imag).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +153,20 @@ def _fix_sign_largest_entry(v: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cddhf_basis_cached(n_samples: int, m_factor: float) -> CddhfBasis:
-    u2 = pei_u_squared(n_samples)
-    f = pei_centered_dft(n_samples)
-    d2 = pei_d_squared(u2, f)
-    s = (m_factor ** 4) * d2 + u2
-    # The imaginary part must be pure rounding residue.  The bound scales
-    # with the matrix magnitude: at large N and M the entries reach ~1e6
-    # and their roundoff legitimately exceeds any absolute threshold.
-    imag_resid = abs(s.imag).max()
-    if imag_resid >= 1e-10 * (1.0 + abs(s.real).max()):
+    d2_real, d2_imag_max = _d_squared(n_samples)
+    m4 = m_factor ** 4
+    s = m4 * d2_real + pei_u_squared(n_samples)
+    # The imaginary part of S is M^4 Im(D^2) and must be pure rounding
+    # residue.  The bound scales with the matrix magnitude: at large N and
+    # M the entries reach ~1e6 and their roundoff legitimately exceeds any
+    # absolute threshold.  Rounding is monotonic, so M^4 max|Im D^2| is
+    # exactly max|Im S|, and the real part above is exactly Re S.
+    imag_resid = m4 * d2_imag_max
+    if imag_resid >= 1e-10 * (1.0 + abs(s).max()):
         raise ArithmeticError(
             f"CDDHF matrix is not numerically real: max|Im| = {imag_resid:.3e}"
         )
-    s = (s.real + s.real.T) / 2.0
+    s = (s + s.T) / 2.0
     eigenvalues, vectors = np.linalg.eigh(s)
 
     gaps = np.diff(eigenvalues)
@@ -205,10 +216,18 @@ def pei_scale(signal, m_factor: float) -> np.ndarray:
     Computes ``f_M = sum_p <H_{p,1}, f> H_{p,M}``.  For M = 1 this is the
     identity (expansion and resynthesis in the same orthonormal basis);
     for any M it preserves the norm to 1e-8 relative.
+
+    Raises
+    ------
+    ValueError
+        If the signal is not one-dimensional or has a NaN or infinite
+        sample, or ``m_factor`` is not positive and finite.
     """
     vec = np.asarray(signal, dtype=complex)
     if vec.ndim != 1:
         raise ValueError(f"signal must be one-dimensional, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError("signal contains non-finite samples")
     n_samples = vec.shape[0]
     base = cddhf_basis(n_samples, 1.0)
     target = cddhf_basis(n_samples, float(m_factor))

@@ -13,7 +13,13 @@ Because the generator is Hermitian, the exponential is computed
 spectrally (eigendecompose once, exponentiate the eigenvalues), which
 makes M_M unitary by construction up to eigenvector orthonormality —
 the structural property that distinguishes this scaling method from
-interpolation-based resampling.
+interpolation-based resampling.  Every assembly goes through
+:func:`opscale.linalg.unitary_from_eig`, which checks unitarity to
+1e-10.  On symmetric grids (centered with even N, ordinary with odd N)
+the generator's decomposition comes as two half-size reversal-even and
+reversal-odd blocks, and the matrix is assembled and checked block by
+block before being scattered into one dense N x N array; see
+:mod:`opscale.operators`.
 
 ``ln(M)`` is the natural logarithm.  Only ``M > 0`` is accepted: the
 amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
@@ -21,9 +27,13 @@ could be defined, but nothing in this construction pins down its
 semantics, so rejecting it is safer than inventing them.
 
 Scaling matrices are memoized per ``(M, N, scheme)`` within a process:
-benchmark sweeps revisit the same matrix many times and the O(N^3)
-eigendecomposition dominates the cost.  The cache is the usual
-read-mostly ``lru_cache`` (safe for concurrent readers).
+benchmark sweeps revisit the same matrix many times, and each assembly
+is an O(N^3) product on top of the O(N^3) eigendecomposition it shares
+with every other M on that grid.  The cache is the usual read-mostly
+``lru_cache`` (safe for concurrent readers).
+
+Signals must be finite: NaN or infinite samples are rejected with
+``ValueError`` instead of turning the whole output into NaN.
 """
 
 from __future__ import annotations
@@ -116,7 +126,8 @@ def scale_signal(signal, spec: ScalingSpec, ops: OperatorSet | None = None) -> n
     Raises
     ------
     ValueError
-        If ``len(signal) != spec.n_samples``.
+        If ``len(signal) != spec.n_samples`` or the signal has a NaN or
+        infinite sample.
     """
     vec = np.asarray(signal, dtype=complex)
     if vec.ndim != 1:
@@ -125,4 +136,6 @@ def scale_signal(signal, spec: ScalingSpec, ops: OperatorSet | None = None) -> n
         raise ValueError(
             f"signal length {vec.shape[0]} does not match spec.n_samples {spec.n_samples}"
         )
+    if not np.isfinite(vec).all():
+        raise ValueError("signal contains non-finite samples")
     return scaling_matrix(spec, ops) @ vec

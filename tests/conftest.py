@@ -18,6 +18,23 @@ import numpy as np
 FIXTURES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
+def package_env() -> dict:
+    """Environment for a subprocess that must import the opscale under test.
+
+    ``pythonpath = ["src"]`` in pyproject.toml reaches only the pytest
+    process, so the directory of the package this session imported is put
+    first on the child's ``PYTHONPATH``.
+    """
+    import opscale
+
+    package_root = os.path.dirname(os.path.dirname(opscale.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def load_fixture(name: str) -> dict:
     with open(os.path.join(FIXTURES_DIR, name)) as fh:
         return json.load(fh)

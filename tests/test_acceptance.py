@@ -18,6 +18,7 @@ from conftest import (
     explicit_summation_dual,
     fixture_matrix,
     load_fixture,
+    package_env,
     record_criterion,
     taylor_expm,
 )
@@ -336,7 +337,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for out in (out_a, out_b):
         proc = subprocess.run(
             [sys.executable, "-m", "opscale", "bench", "--out", str(out)],
-            capture_output=True, text=True, timeout=600,
+            capture_output=True, text=True, timeout=600, env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
     identical = out_a.read_bytes() == out_b.read_bytes()

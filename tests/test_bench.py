@@ -85,6 +85,14 @@ class TestInterpScale:
         with pytest.raises(ValueError):
             interp_scale(np.ones(8), grid, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(math.inf, 0)])
+    def test_rejects_non_finite_samples(self, bad):
+        grid = index_grid(8, IndexScheme.CENTERED)
+        x = np.ones(8, dtype=complex)
+        x[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            interp_scale(x, grid, 2.0)
+
     def test_rejects_wrong_length(self):
         grid = index_grid(8, IndexScheme.ORDINARY)
         with pytest.raises(ValueError):

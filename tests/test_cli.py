@@ -14,9 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import count_sign_changes
+from conftest import count_sign_changes, package_env
 
-import opscale
 from opscale.cli import main
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.scaling import ScalingSpec, scale_signal
@@ -223,6 +222,18 @@ class TestScale:
         code, _, err = run_cli(capsys, "scale", "--in", str(path), "--m", "2")
         assert code == 2 and f"{path}:2:" in err
 
+    @pytest.mark.parametrize("row", ["nan,1,0", "-0.5,nan,0", "-0.5,1,inf", "-0.5,-inf,0"])
+    def test_non_finite_value_is_usage_error(self, capsys, tmp_path, row):
+        # float() parses "nan" and "inf"; the sample must still be refused.
+        path = tmp_path / "non_finite.csv"
+        path.write_text(f"index,re,im\n{row}\n0.5,1,0\n")
+        target = tmp_path / "out.csv"
+        code, _, err = run_cli(
+            capsys, "scale", "--in", str(path), "--m", "2", "--out", str(target)
+        )
+        assert code == 2 and f"{path}:2: non-finite value" in err
+        assert not target.exists()
+
     def test_declared_n_mismatch_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "wrong_n.csv"
         write_signal_file(path, [-0.5, 0.5], np.ones(2), scheme="centered", n=3)
@@ -279,6 +290,27 @@ class TestBench:
         assert run_cli(capsys, "bench", "--function", "chirp", "--out", str(a))[0] == 0
         assert run_cli(capsys, "bench", "--function", "chirp", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_cells_are_reported_on_stderr(self, capsys, monkeypatch, tmp_path):
+        def broken(signal, m_factor):
+            raise ArithmeticError(f"no basis for M={m_factor:g}")
+
+        clean, noted = tmp_path / "clean.csv", tmp_path / "noted.csv"
+        args = ("bench", "--function", "chirp", "--methods", "operator,cddhf")
+        assert run_cli(capsys, *args, "--out", str(clean)) == (0, "", "")
+        monkeypatch.setattr("opscale.bench.pei_scale", broken)
+        code, _, err = run_cli(capsys, *args, "--out", str(noted))
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 18
+        assert lines[0] == "chirp,cddhf,0.5,128,centered: ArithmeticError: no basis for M=0.5"
+        assert all(line.startswith("chirp,cddhf,") for line in lines)
+        # The table is unchanged apart from the failed cells, which read nan.
+        for before, after in zip(clean.read_text().splitlines(), noted.read_text().splitlines()):
+            if ",cddhf," in before:
+                assert after == before.rsplit(",", 1)[0] + ",nan"
+            else:
+                assert after == before
 
     def test_unknown_method_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--methods", "operator,turbo")
@@ -353,7 +385,7 @@ class TestEntryPoints:
     def test_python_dash_m_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opscale", "gen", "--kind", "u", "--n", "4"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=package_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("# opscale-matrix")
@@ -370,15 +402,10 @@ class TestEntryPoints:
         assert callable(getattr(importlib.import_module(module_name), attr))
 
         # Run the code from the package this process imported.
-        package_root = os.path.dirname(os.path.dirname(opscale.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
         wrapper = f"import sys; from {module_name} import {attr}; sys.exit({attr}())"
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, "--version"],
-            capture_output=True, text=True, timeout=120, env=env,
+            capture_output=True, text=True, timeout=120, env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert "opscale" in proc.stdout

@@ -5,14 +5,18 @@ import pytest
 
 from conftest import load_fixture, matmul_triple_loop, taylor_expm
 
+from opscale.dft import IndexScheme
 from opscale.linalg import (
     HermitianEigenDecomposition,
+    ParityEigenDecomposition,
     adjoint,
     hermitian_eig,
     matmul,
+    parity_eig,
     unitary_from_eig,
     unitary_function_of_hermitian,
 )
+from opscale.operators import OperatorSet, operator_set
 
 
 def _random_complex(rng, n):
@@ -138,3 +142,51 @@ def test_unitary_function_matches_taylor_series():
     expected = taylor_expm(-1j * theta * a, terms=30)
     got = unitary_function_of_hermitian(a, theta)
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+class TestParityEig:
+    @staticmethod
+    def _generator(n, scheme):
+        return np.array(operator_set(n, scheme).generator)
+
+    @pytest.mark.parametrize(
+        "n, scheme", [(1, IndexScheme.ORDINARY), (2, IndexScheme.CENTERED),
+                      (7, IndexScheme.ORDINARY), (8, IndexScheme.CENTERED)],
+    )
+    def test_blocks_have_the_spectrum_of_the_matrix(self, n, scheme):
+        g = self._generator(n, scheme)
+        eig = parity_eig(g)
+        assert isinstance(eig, ParityEigenDecomposition)
+        assert len(eig.even.eigenvalues) == (n + 1) // 2
+        assert len(eig.odd.eigenvalues) == n // 2
+        blocks = np.sort(np.concatenate([eig.even.eigenvalues, eig.odd.eigenvalues]))
+        assert np.max(np.abs(blocks - np.linalg.eigvalsh(g))) < 1e-12
+
+    @pytest.mark.parametrize("n, scheme", [(8, IndexScheme.CENTERED), (7, IndexScheme.ORDINARY)])
+    def test_rejects_one_perturbed_entry(self, n, scheme):
+        g = self._generator(n, scheme)
+        g[1, 2] += 1e-6
+        with pytest.raises(ArithmeticError, match="index reversal"):
+            parity_eig(g)
+        # The operator set of a symmetric grid runs the same check.
+        ops = operator_set(n, scheme)
+        tampered = OperatorSet(ops.grid, ops.f, ops.u, ops.d, g)
+        assert tampered.grid_symmetric
+        with pytest.raises(ArithmeticError, match="index reversal"):
+            tampered.generator_eig
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            parity_eig(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_assembly_matches_dense_assembly(self, n):
+        # A random Hermitian matrix made reversal-symmetric: (A + J A J)/2.
+        rng = np.random.default_rng(n)
+        a = _random_complex(rng, n)
+        a = a + a.conj().T
+        a = (a + a[::-1, ::-1]) / 2
+        got = unitary_from_eig(parity_eig(a), 0.7)
+        expected = unitary_from_eig(hermitian_eig(a), 0.7)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert np.max(np.abs(got - expected)) < 1e-13

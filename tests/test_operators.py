@@ -91,9 +91,40 @@ class TestDiffMatrix:
         back = ops.f @ ops.d @ ops.f.conj().T
         assert np.max(np.abs(back - ops.u)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_toeplitz_fill_matches_explicit_summation(self, n, scheme):
+        # D is filled from its first column; the oracle sums every entry
+        # of F^-1 U F on its own, so a wrong fill shows off the diagonal.
+        grid = index_grid(n, scheme)
+        f = dft_matrix(n, scheme)
+        u = coord_matrix(grid)
+        expected = explicit_summation_dual(f, np.diag(u))
+        got = diff_matrix(f, u)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert np.max(np.abs(got - expected)) < 1e-13
+
     def test_rejects_non_unitary_f(self):
         with pytest.raises(ValueError):
             diff_matrix(np.eye(4) * 2.0, np.eye(4))
+
+    @pytest.mark.parametrize("kind", ["identity", "permuted_dft", "random_unitary"])
+    def test_rejects_unitary_non_dft_f(self, kind):
+        # Unitary, so F^H U F is Hermitian, but its columns are not a
+        # geometric progression, so D is not Toeplitz and the fill from
+        # the first column would be wrong.
+        n = 8
+        if kind == "identity":
+            f = np.eye(n, dtype=complex)
+        elif kind == "permuted_dft":
+            f = dft_matrix(n, IndexScheme.ORDINARY)[:, [0, 2, 1, 3, 4, 5, 6, 7]]
+        else:
+            rng = np.random.default_rng(11)
+            f, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        assert np.max(np.abs(f @ f.conj().T - np.eye(n))) < 1e-12
+        u = coord_matrix(index_grid(n, IndexScheme.ORDINARY))
+        with pytest.raises(ValueError, match="unit-spaced labels"):
+            diff_matrix(f, u)
 
     def test_rejects_non_diagonal_u(self):
         f = dft_matrix(4, IndexScheme.ORDINARY)
@@ -126,6 +157,11 @@ class TestGenerator:
     def test_scaling_generator_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             scaling_generator(np.eye(3), np.eye(4))
+
+    def test_scaling_generator_rejects_non_diagonal_u(self):
+        # The entrywise form (u_m + u_n)/2 * D holds only for diagonal U.
+        with pytest.raises(ValueError, match="diagonal"):
+            scaling_generator(np.ones((4, 4)), np.eye(4))
 
     def test_generator_eig_reconstructs(self):
         ops = operator_set(32, IndexScheme.ORDINARY)

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import count_sign_changes
 
+from opscale.dft import IndexScheme, dft_matrix
 from opscale.pei import (
     CddhfBasis,
     cddhf_basis,
@@ -29,6 +30,19 @@ class TestBuildingBlocks:
     def test_centered_dft_entries_match_scalar_formula(self):
         n = 6
         f = pei_centered_dft(n)
+        shift = (n - 1) / 2
+        for a in range(n):
+            for b in range(n):
+                expected = cmath.exp(-2j * cmath.pi * (a - shift) * (b - shift) / n) / math.sqrt(n)
+                assert abs(f[a, b] - expected) < 1e-14
+
+    @pytest.mark.parametrize("n", [1, 5, 6])
+    def test_centered_dft_is_the_shared_dft_matrix(self, n):
+        # Labels m - (N-1)/2 are the centered scheme's for even N and the
+        # ordinary scheme's for odd N: one builder, one cache.
+        scheme = IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY
+        f = pei_centered_dft(n)
+        assert f is dft_matrix(n, scheme)
         shift = (n - 1) / 2
         for a in range(n):
             for b in range(n):
@@ -66,6 +80,20 @@ class TestCddhfBasis:
         basis = cddhf_basis(n, m)
         gram = basis.vectors.T @ basis.vectors
         assert np.max(np.abs(gram - np.eye(n))) < 1e-9
+
+    @pytest.mark.parametrize("n", [7, 16])
+    @pytest.mark.parametrize("m", [0.5, 3.0])
+    def test_matches_eigensolve_of_the_complex_s(self, n, m):
+        # D^2 is cached once per N as its real part; S = M^4 D^2 + U^2 and
+        # its eigensolve must come out bit for bit as when S is formed
+        # from the complex D^2 and its real part taken.
+        u2 = pei_u_squared(n)
+        s = (m ** 4) * pei_d_squared(u2, pei_centered_dft(n)) + u2
+        eigenvalues, vectors = np.linalg.eigh((s.real + s.real.T) / 2.0)
+        basis = cddhf_basis(n, m)
+        assert np.array_equal(basis.eigenvalues, eigenvalues)
+        signs = np.where(np.sign(basis.vectors[0]) == np.sign(vectors[0]), 1.0, -1.0)
+        assert np.array_equal(basis.vectors, vectors * signs)
 
     def test_vectors_are_real(self):
         basis = cddhf_basis(16, 3.0)
@@ -181,6 +209,13 @@ class TestPeiScale:
         deviation = np.linalg.norm(back - x)
         print(f"pei round-trip deviation at N=32, M=2: {deviation:.4f}")
         assert deviation > 0.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.ones(8, dtype=complex)
+        x[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            pei_scale(x, 2.0)
 
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture, taylor_expm
 
 from opscale.dft import IndexScheme, index_grid
+from opscale.linalg import ParityEigenDecomposition, hermitian_eig, unitary_from_eig
 from opscale.operators import OperatorSet, coord_matrix, diff_matrix, operator_set, scaling_generator
 from opscale.dft import dft_matrix
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
@@ -95,6 +98,23 @@ class TestScalingMatrix:
         assert np.max(np.abs(got - scaling_matrix(spec))) < 1e-12
         assert got is not scaling_matrix(spec)
 
+    @pytest.mark.parametrize(
+        "n, scheme",
+        [(n, IndexScheme.CENTERED) for n in (2, 4, 16, 64)]
+        + [(n, IndexScheme.ORDINARY) for n in (1, 3, 17, 63)],
+    )
+    @pytest.mark.parametrize("m", [0.5, 2.0, 7.3])
+    def test_parity_blocks_match_dense_decomposition(self, n, scheme, m):
+        # Symmetric grids assemble from the even/odd blocks; the reference
+        # decomposes the whole generator and assembles it densely.
+        ops = operator_set(n, scheme)
+        assert isinstance(ops.generator_eig, ParityEigenDecomposition)
+        theta = 2.0 * math.pi * math.log(m)
+        expected = unitary_from_eig(hermitian_eig(ops.generator), theta)
+        got = scaling_matrix(ScalingSpec(m, n, scheme))
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert np.max(np.abs(got - expected)) < 1e-12
+
     def test_mismatched_operator_set_is_rejected(self):
         spec = ScalingSpec(2.0, 8, IndexScheme.ORDINARY)
         wrong = operator_set(16, IndexScheme.ORDINARY)
@@ -141,3 +161,31 @@ class TestScaleSignal:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             scale_signal(np.zeros((8, 8)), ScalingSpec(2.0, 8, IndexScheme.ORDINARY))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.ones(8, dtype=complex)
+        x[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            scale_signal(x, ScalingSpec(2.0, 8, IndexScheme.CENTERED))
+
+
+class TestProperties:
+    """The paper's invariants over random grids and log-uniform factors."""
+
+    ln_m = st.floats(min_value=-3.0, max_value=3.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_a=ln_m,
+        ln_b=ln_m,
+    )
+    def test_unitarity_and_group_law(self, n, scheme, ln_a, ln_b):
+        a, b = math.exp(ln_a), math.exp(ln_b)
+        m_a = scaling_matrix(ScalingSpec(a, n, scheme))
+        m_b = scaling_matrix(ScalingSpec(b, n, scheme))
+        m_ab = scaling_matrix(ScalingSpec(a * b, n, scheme))
+        assert np.max(np.abs(m_a.conj().T @ m_a - np.eye(n))) < 1e-13
+        assert np.max(np.abs(m_a @ m_b - m_ab)) < 1e-12
