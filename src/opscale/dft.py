@@ -46,6 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import identity_residual
+
 __all__ = ["IndexScheme", "SampleGrid", "index_grid", "dft_matrix"]
 
 
@@ -123,7 +125,7 @@ def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     # Verify unitarity instead of assuming it; this is the load-bearing
     # property for everything downstream, and for odd-N centered grids it
     # is not a textbook fact.
-    resid = abs(f @ f.conj().T - np.eye(n_samples)).max()
+    resid = identity_residual(f @ f.conj().T)
     if resid >= 1e-12 * n_samples:
         raise ArithmeticError(
             f"DFT matrix failed unitarity check: max|F F^H - I| = {resid:.3e} "

@@ -24,8 +24,9 @@ block at a time, checks each block's unitarity, and scatters the blocks
 back onto the original index order.  Two half-size blocks cost about a
 quarter of the dense eigensolve and assembly.
 
-All functions are pure and operate on immutable inputs, so they are safe
-to call concurrently from multiple threads.
+Every function except :func:`identity_residual`, which overwrites the
+product it is given, is pure and operates on immutable inputs, so they
+are safe to call concurrently from multiple threads.
 """
 
 from __future__ import annotations
@@ -60,6 +61,16 @@ REVERSAL_RTOL = 1e-10
 
 #: Max-abs tolerance for the unitarity ``M^H M - I`` of an assembled block.
 UNITARITY_TOL = 1e-10
+
+
+def identity_residual(p: np.ndarray) -> float:
+    """``max|P - I|`` of a square product ``P`` that the caller owns.
+
+    One is subtracted from P's diagonal in place, so P is overwritten,
+    and no identity matrix is allocated.
+    """
+    p.flat[::p.shape[0] + 1] -= 1
+    return float(abs(p).max(initial=0.0))
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -133,17 +144,13 @@ class ParityEigenDecomposition:
     odd: HermitianEigenDecomposition
 
 
-def hermitian_eig(a, tol: float = 1e-12) -> HermitianEigenDecomposition:
+def hermitian_eig(a) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, with pre/post validation.
 
     Parameters
     ----------
     a : array_like
         Square matrix, Hermitian within ``1e-10 * (1 + max|a|)``.
-    tol : float
-        Floor for the accepted reconstruction residual, relative to
-        ``1 + max|a|``.  Retained from the sweep-based solver interface;
-        the effective acceptance threshold is ``max(tol, 1e-9)``.
 
     Returns
     -------
@@ -153,17 +160,16 @@ def hermitian_eig(a, tol: float = 1e-12) -> HermitianEigenDecomposition:
     Raises
     ------
     ValueError
-        If ``a`` is not square, not finite, not Hermitian within
-        tolerance, or ``tol`` is not positive.
+        If ``a`` is not square, not finite, or not Hermitian within
+        tolerance.
     ArithmeticError
-        If the solver fails to converge or the decomposition does not
-        reproduce ``a`` within tolerance.
+        If the solver fails to converge, the eigenvectors are not
+        orthonormal to 1e-10, or the decomposition does not reproduce
+        ``a`` within ``1e-9 * (1 + max|a|)``.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"hermitian_eig requires a square matrix, got {a.shape}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     scale = 1.0 + abs(a).max(initial=0.0)
     herm_resid = abs(a - a.conj().T).max(initial=0.0)
     if herm_resid >= HERMITICITY_RTOL * scale:
@@ -177,14 +183,13 @@ def hermitian_eig(a, tol: float = 1e-12) -> HermitianEigenDecomposition:
         raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
 
     # Contract checks: orthonormal columns and a small reconstruction residual.
-    n = a.shape[0]
-    gram_resid = abs(eigenvectors.conj().T @ eigenvectors - np.eye(n)).max(initial=0.0)
+    gram_resid = identity_residual(eigenvectors.conj().T @ eigenvectors)
     if gram_resid >= ORTHONORMALITY_TOL:
         raise ArithmeticError(
             f"eigenvector columns not orthonormal: max|V^H V - I| = {gram_resid:.3e}"
         )
     recon_resid = abs(a @ eigenvectors - eigenvectors * eigenvalues).max(initial=0.0)
-    if recon_resid >= max(tol, RESIDUAL_RTOL) * scale:
+    if recon_resid >= RESIDUAL_RTOL * scale:
         raise ArithmeticError(
             f"eigendecomposition residual {recon_resid:.3e} exceeds tolerance"
         )
@@ -244,7 +249,7 @@ def parity_eig(a) -> ParityEigenDecomposition:
 def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray:
     phases = np.exp(-1j * theta * eig.eigenvalues)
     out = (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
-    unit_resid = abs(out.conj().T @ out - np.eye(out.shape[0])).max(initial=0.0)
+    unit_resid = identity_residual(out.conj().T @ out)
     if unit_resid >= UNITARITY_TOL:
         raise ArithmeticError(
             f"matrix function lost unitarity: max|M^H M - I| = {unit_resid:.3e}"

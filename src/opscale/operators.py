@@ -66,6 +66,7 @@ from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
     hermitian_eig,
+    identity_residual,
     parity_eig,
 )
 
@@ -124,7 +125,7 @@ def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
     if u.shape != f.shape:
         raise ValueError(f"shape mismatch: F is {f.shape}, U is {u.shape}")
     n = f.shape[0]
-    unit_resid = abs(f @ f.conj().T - np.eye(n)).max()
+    unit_resid = identity_residual(f @ f.conj().T)
     if unit_resid >= 1e-10:
         raise ValueError(
             f"diff_matrix requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"

@@ -45,9 +45,14 @@ metadata):
   M = 1 and M != 1 bases.  Near-degeneracies (gap < 1e-8) are logged, as
   pairing-by-position is the one place where they could matter.
 
-Bases are memoized per (N, M) under the same read-mostly cache contract
-as the scaling matrices.  ``D^2`` does not depend on M, so it is built
-once per N and shared by the bases of every M.  Signals must be finite.
+``D^2`` does not depend on M, so it is built once per N (an
+``lru_cache`` keyed on N) and shared by the bases of every M.  The bases
+themselves are kept, read-only, in the byte-bounded LRU cache
+:data:`opscale.cache.shared` that also holds the scaling matrices, keyed
+on ``(N, M)`` and charged for their vectors plus eigenvalues.  An
+evicted basis is rebuilt by the same ``eigh`` and sign fixing and comes
+back bit-identical.  The cache's lock guards only its bookkeeping, so
+concurrent callers are safe.  Signals must be finite.
 """
 
 from __future__ import annotations
@@ -59,7 +64,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cache import shared
 from .dft import IndexScheme, dft_matrix
+from .linalg import identity_residual
 
 __all__ = [
     "CddhfBasis",
@@ -102,18 +109,24 @@ def pei_centered_dft(n_samples: int) -> np.ndarray:
 
 
 def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
-    """Squared-differentiation matrix by duality: ``D^2 = F U^2 F^-1``."""
+    """Squared-differentiation matrix by duality: ``D^2 = F U^2 F^-1``.
+
+    ``U^2`` must be diagonal; ``F U^2`` is then F with its columns scaled,
+    which leaves one dense product.
+    """
     u2 = np.asarray(u2)
     f = np.asarray(f_centered)
     if u2.shape != f.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError(f"dimension mismatch: U^2 is {u2.shape}, F is {f.shape}")
-    n = f.shape[0]
-    unit_resid = abs(f @ f.conj().T - np.eye(n)).max()
+    u2_diag = np.diag(u2)
+    if np.any(u2 != np.diag(u2_diag)):
+        raise ValueError("U^2 must be diagonal")
+    unit_resid = identity_residual(f @ f.conj().T)
     if unit_resid >= 1e-10:
         raise ValueError(
             f"pei_d_squared requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
         )
-    return f @ u2 @ f.conj().T
+    return (f * u2_diag) @ f.conj().T
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +164,7 @@ def _fix_sign_largest_entry(v: np.ndarray) -> np.ndarray:
     return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
 
 
-@lru_cache(maxsize=None)
+@shared.memoize(nbytes=lambda basis: basis.vectors.nbytes + basis.eigenvalues.nbytes)
 def _cddhf_basis_cached(n_samples: int, m_factor: float) -> CddhfBasis:
     d2_real, d2_imag_max = _d_squared(n_samples)
     m4 = m_factor ** 4

@@ -26,11 +26,16 @@ amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
 could be defined, but nothing in this construction pins down its
 semantics, so rejecting it is safer than inventing them.
 
-Scaling matrices are memoized per ``(M, N, scheme)`` within a process:
-benchmark sweeps revisit the same matrix many times, and each assembly
-is an O(N^3) product on top of the O(N^3) eigendecomposition it shares
-with every other M on that grid.  The cache is the usual read-mostly
-``lru_cache`` (safe for concurrent readers).
+The generator's decomposition is computed once per grid and kept with
+its :class:`~opscale.operators.OperatorSet`; each factor M then costs
+one O(N^3) assembly.  Assembled matrices are kept, read-only, in the
+byte-bounded LRU cache :data:`opscale.cache.shared`, keyed on
+``(M, N, scheme)``: benchmark sweeps revisit the same matrix many times,
+while a process that sees a stream of new factors keeps only the most
+recently used ones.  An evicted matrix is assembled again through
+:func:`~opscale.linalg.unitary_from_eig`, with its unitarity check, and
+comes back bit-identical.  The cache's lock guards only its
+bookkeeping, so concurrent callers are safe.
 
 Signals must be finite: NaN or infinite samples are rejected with
 ``ValueError`` instead of turning the whole output into NaN.
@@ -40,13 +45,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .cache import shared
 from .dft import IndexScheme
 from .linalg import unitary_from_eig
-from .operators import OperatorSet, operator_set
+from .operators import operator_set
 
 __all__ = ["ScalingSpec", "scaling_matrix", "scale_signal"]
 
@@ -73,7 +78,7 @@ class ScalingSpec:
         object.__setattr__(self, "scheme", IndexScheme(self.scheme))
 
 
-@lru_cache(maxsize=None)
+@shared.memoize(nbytes=lambda matrix: matrix.nbytes)
 def _scaling_matrix_cached(m_factor: float, n_samples: int, scheme: IndexScheme) -> np.ndarray:
     ops = operator_set(n_samples, scheme)
     theta = 2.0 * np.pi * math.log(m_factor)
@@ -82,41 +87,21 @@ def _scaling_matrix_cached(m_factor: float, n_samples: int, scheme: IndexScheme)
     return out
 
 
-def scaling_matrix(spec: ScalingSpec, ops: OperatorSet | None = None) -> np.ndarray:
+def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
     """Unitary discrete scaling matrix for ``spec``.
-
-    Parameters
-    ----------
-    spec : ScalingSpec
-        Scaling factor and grid.
-    ops : OperatorSet, optional
-        Operator set to draw the generator from; must match
-        ``spec.n_samples`` and ``spec.scheme``.  Defaults to the shared
-        memoized set for that grid.
 
     Returns
     -------
     numpy.ndarray
-        N x N unitary matrix (``max|M^H M - I| < 1e-9``; the spectral
-        construction typically achieves far better).  Cached per
-        ``(M, N, scheme)`` and read-only when the default operator set is
-        used.
+        N x N complex128, C-contiguous, read-only unitary matrix
+        (``max|M^H M - I| < 1e-9``; the spectral construction typically
+        achieves far better), shared with every caller of the same
+        ``(M, N, scheme)`` while it stays in the cache.
     """
-    if ops is None:
-        ops = operator_set(spec.n_samples, spec.scheme)
-    elif (ops.n_samples, ops.scheme) != (spec.n_samples, spec.scheme):
-        raise ValueError(
-            f"operator set (N={ops.n_samples}, {ops.scheme.value}) does not match "
-            f"spec (N={spec.n_samples}, {spec.scheme.value})"
-        )
-    if ops is operator_set(spec.n_samples, spec.scheme):
-        return _scaling_matrix_cached(spec.m_factor, spec.n_samples, spec.scheme)
-    # Caller supplied a custom operator set: compute without touching the cache.
-    theta = 2.0 * np.pi * math.log(spec.m_factor)
-    return unitary_from_eig(ops.generator_eig, theta)
+    return _scaling_matrix_cached(spec.m_factor, spec.n_samples, spec.scheme)
 
 
-def scale_signal(signal, spec: ScalingSpec, ops: OperatorSet | None = None) -> np.ndarray:
+def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:
     """Apply the discrete scaling matrix to a signal vector.
 
     The signal is written as a column vector and multiplied by
@@ -138,4 +123,4 @@ def scale_signal(signal, spec: ScalingSpec, ops: OperatorSet | None = None) -> n
         )
     if not np.isfinite(vec).all():
         raise ValueError("signal contains non-finite samples")
-    return scaling_matrix(spec, ops) @ vec
+    return scaling_matrix(spec) @ vec

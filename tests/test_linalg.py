@@ -11,6 +11,7 @@ from opscale.linalg import (
     ParityEigenDecomposition,
     adjoint,
     hermitian_eig,
+    identity_residual,
     matmul,
     parity_eig,
     unitary_from_eig,
@@ -46,6 +47,15 @@ def test_adjoint_is_conjugate_transpose_entrywise():
     for i in range(4):
         for j in range(4):
             assert got[i, j] == complex(a[j, i]).conjugate()
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 128])
+def test_identity_residual_matches_subtracting_an_identity_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(_random_complex(rng, n))
+    for p in (q.conj().T @ q, _random_complex(rng, n)):
+        expected = abs(p - np.eye(n)).max(initial=0.0)
+        assert identity_residual(p.copy()) == expected
 
 
 class TestHermitianEig:

@@ -68,6 +68,20 @@ class TestBuildingBlocks:
         with pytest.raises(ValueError):
             pei_d_squared(pei_u_squared(n), np.eye(n) * 2.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 127, 128, 256, 512])
+    def test_d_squared_matches_the_two_product_form_bit_for_bit(self, n):
+        # Scaling F's columns by the diagonal of U^2 is what F @ U^2
+        # computes when U^2 is diagonal, so one product is saved exactly.
+        u2, f = pei_u_squared(n), pei_centered_dft(n)
+        expected = f @ u2 @ f.conj().T
+        assert pei_d_squared(u2, f).tobytes() == expected.tobytes()
+
+    def test_d_squared_rejects_non_diagonal_u_squared(self):
+        u2 = pei_u_squared(4)
+        u2[0, 1] = 0.5
+        with pytest.raises(ValueError, match="diagonal"):
+            pei_d_squared(u2, pei_centered_dft(4))
+
     def test_d_squared_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             pei_d_squared(pei_u_squared(4), pei_centered_dft(6))

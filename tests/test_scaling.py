@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture, taylor_expm
 
-from opscale.dft import IndexScheme, index_grid
+from opscale.dft import IndexScheme
 from opscale.linalg import ParityEigenDecomposition, hermitian_eig, unitary_from_eig
-from opscale.operators import OperatorSet, coord_matrix, diff_matrix, operator_set, scaling_generator
-from opscale.dft import dft_matrix
+from opscale.operators import operator_set
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
 
 
@@ -86,18 +85,6 @@ class TestScalingMatrix:
         with pytest.raises(ValueError):
             a[0, 0] = 0
 
-    def test_custom_operator_set_bypasses_cache(self):
-        n, scheme = 8, IndexScheme.CENTERED
-        grid = index_grid(n, scheme)
-        f = dft_matrix(n, scheme)
-        u = coord_matrix(grid)
-        d = diff_matrix(f, u)
-        custom = OperatorSet(grid, f, u, d, scaling_generator(u, d))
-        spec = ScalingSpec(2.0, n, scheme)
-        got = scaling_matrix(spec, custom)
-        assert np.max(np.abs(got - scaling_matrix(spec))) < 1e-12
-        assert got is not scaling_matrix(spec)
-
     @pytest.mark.parametrize(
         "n, scheme",
         [(n, IndexScheme.CENTERED) for n in (2, 4, 16, 64)]
@@ -114,12 +101,6 @@ class TestScalingMatrix:
         got = scaling_matrix(ScalingSpec(m, n, scheme))
         assert got.dtype == np.complex128 and got.flags.c_contiguous
         assert np.max(np.abs(got - expected)) < 1e-12
-
-    def test_mismatched_operator_set_is_rejected(self):
-        spec = ScalingSpec(2.0, 8, IndexScheme.ORDINARY)
-        wrong = operator_set(16, IndexScheme.ORDINARY)
-        with pytest.raises(ValueError):
-            scaling_matrix(spec, wrong)
 
 
 class TestScaleSignal:
@@ -189,3 +170,20 @@ class TestProperties:
         m_ab = scaling_matrix(ScalingSpec(a * b, n, scheme))
         assert np.max(np.abs(m_a.conj().T @ m_a - np.eye(n))) < 1e-13
         assert np.max(np.abs(m_a @ m_b - m_ab)) < 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=128),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_a=ln_m,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_norm_preservation_and_inverse(self, n, scheme, ln_a, seed):
+        a = math.exp(ln_a)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = scale_signal(x, ScalingSpec(a, n, scheme))
+        assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-13 * np.linalg.norm(x)
+        m_a = scaling_matrix(ScalingSpec(a, n, scheme))
+        m_inv = scaling_matrix(ScalingSpec(1.0 / a, n, scheme))
+        assert np.max(np.abs(m_inv - m_a.conj().T)) < 1e-12
