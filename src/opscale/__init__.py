@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    adjoint,
+    ParityUnitary,
     hermitian_eig,
-    matmul,
     parity_eig,
     unitary_from_eig,
-    unitary_function_of_hermitian,
 )
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
 from .operators import (
@@ -52,12 +50,10 @@ __all__ = [
     "__version__",
     "HermitianEigenDecomposition",
     "ParityEigenDecomposition",
-    "adjoint",
+    "ParityUnitary",
     "hermitian_eig",
-    "matmul",
     "parity_eig",
     "unitary_from_eig",
-    "unitary_function_of_hermitian",
     "IndexScheme",
     "SampleGrid",
     "dft_matrix",

@@ -49,6 +49,7 @@ __all__ = [
     "BenchTable",
     "nmse_percent",
     "interp_scale",
+    "scale_with",
     "run_bench",
     "emit_table",
     "DEFAULT_M_FACTORS",
@@ -138,7 +139,8 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float, amplitude_factor: bo
     return amplitude * (synth @ coeffs)
 
 
-def _scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
+def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
+    """Scale ``signal`` on ``grid`` by ``m_factor`` with ``method``."""
     if method is Method.OPERATOR:
         spec = ScalingSpec(m_factor, grid.n_samples, grid.scheme)
         return scale_signal(signal, spec)
@@ -186,7 +188,7 @@ def run_bench(
                             reference = scaled_reference(
                                 function, grid, m_factor, amplitude_factor
                             )
-                            out = _scale_with(method, signal, grid, m_factor)
+                            out = scale_with(method, signal, grid, m_factor)
                             score = nmse_percent(reference, out)
                             note = ""
                         except Exception as exc:  # record the cell, keep sweeping

@@ -1,14 +1,19 @@
 """One least-recently-used cache, bounded by bytes, for results keyed on M.
 
-The paper's construction yields one N x N matrix per scaling factor M,
-and the CDDHF comparison method one eigenbasis per ``(N, M)``.  A process
-that sees a stream of new factors would keep every one of them resident
-under an unbounded cache (4 MiB per M at N = 512).  :data:`shared` holds
-both kinds instead: each entry is charged the bytes of its arrays, and
-once the total passes :data:`BUDGET_BYTES` the least recently used
-entries are dropped.  The newest entry is always kept, even when it
-alone is over the budget, so repeated calls at a very large N are still
-served from the cache.
+The paper's construction yields one unitary scaling operator per factor
+M, and the CDDHF comparison method one eigenbasis per ``(N, M)``.  A
+process that sees a stream of new factors would keep every one of them
+resident under an unbounded cache.  :data:`shared` holds both kinds
+instead: each entry is charged the bytes of its arrays, and once the
+total passes :data:`BUDGET_BYTES` the least recently used entries are
+dropped.  The newest entry is always kept, even when it alone is over
+the budget, so repeated calls at a very large N are still served from
+the cache.
+
+A scaling operator is the dense N x N matrix (16 N^2 bytes, 4 MiB at
+N = 512) or, on a symmetric grid from ``scaling.BLOCKWISE_MIN_N`` up,
+its two parity blocks (8 N^2 bytes for even N, 2 MiB at N = 512); a
+CDDHF basis is its real vectors plus its eigenvalues (8 N^2 + 8 N bytes).
 
 An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.
@@ -34,8 +39,9 @@ from typing import Callable, NamedTuple
 __all__ = ["BUDGET_BYTES", "CacheInfo", "ByteBoundedLRU", "shared"]
 
 #: Bytes the shared cache may hold.  The 108-cell reference sweep's 18
-#: scaling matrices and 12 CDDHF bases (42 MiB) fit without eviction, and
-#: so do four scaling matrices at N = 1024 with four at N = 128 (65 MiB).
+#: scaling operators and 12 CDDHF bases (35 MiB) fit without eviction,
+#: and so do four scaling operators at N = 1024 with four at N = 128
+#: (49 MiB).
 BUDGET_BYTES = 128 * 2**20
 
 

@@ -43,11 +43,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bench import Method, emit_table, interp_scale, run_bench
+from .bench import Method, emit_table, run_bench, scale_with
 from .dft import IndexScheme, index_grid
 from .operators import operator_set
-from .pei import cddhf_basis, pei_centered_dft, pei_d_squared, pei_scale, pei_u_squared
-from .scaling import ScalingSpec, scale_signal, scaling_matrix
+from .pei import cddhf_basis, pei_centered_dft, pei_d_squared, pei_u_squared
+from .scaling import ScalingSpec, scaling_matrix
 from .signals import TestFunction
 
 __all__ = ["main", "build_parser", "UsageError"]
@@ -211,13 +211,7 @@ def cmd_scale(args) -> int:
             f"{_fmt(grid.indices[k])})"
         )
 
-    method = Method(args.method)
-    if method is Method.OPERATOR:
-        out = scale_signal(vec, ScalingSpec(args.m, n, scheme))
-    elif method is Method.CDDHF:
-        out = pei_scale(vec, args.m)
-    else:
-        out = interp_scale(vec, grid, args.m)
+    out = scale_with(Method(args.method), vec, grid, args.m)
 
     lines = ["# opscale-signal", f"# n,{n}", f"# scheme,{scheme.value}", "index,re,im"]
     for idx, z in zip(grid.indices, out):

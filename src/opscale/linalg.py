@@ -1,8 +1,8 @@
 """Dense complex linear algebra helpers.
 
-This module is the numerical engine for the rest of the package: matrix
-arithmetic with shape checking, validated Hermitian eigendecompositions,
-and unitary matrix functions ``exp(-i*theta*G)`` of Hermitian generators.
+This module is the numerical engine for the rest of the package:
+validated Hermitian eigendecompositions and unitary matrix functions
+``exp(-i*theta*G)`` of Hermitian generators.
 
 The heavy lifting is delegated to LAPACK through :func:`numpy.linalg.eigh`;
 what this module adds is the contract enforcement the callers rely on:
@@ -20,9 +20,12 @@ the symmetry in O(N^2), folds the matrix into its even block of size
 ``ceil(N/2)`` and odd block of size ``floor(N/2)``, and decomposes each
 through :func:`hermitian_eig` with its full checks.  From such a
 decomposition :func:`unitary_from_eig` assembles ``exp(-i*theta*A)`` one
-block at a time, checks each block's unitarity, and scatters the blocks
-back onto the original index order.  Two half-size blocks cost about a
-quarter of the dense eigensolve and assembly.
+block at a time, checks each block's unitarity, and returns the two
+blocks as a :class:`ParityUnitary`.  Two half-size blocks cost about a
+quarter of the dense eigensolve and assembly, and half of its memory.
+A :class:`ParityUnitary` is applied to a vector blockwise, reading half
+the bytes of the dense matrix, and :meth:`ParityUnitary.dense` scatters
+the blocks back into the N x N matrix in the original index order.
 
 Every function except :func:`identity_residual`, which overwrites the
 product it is given, is pure and operates on immutable inputs, so they
@@ -39,12 +42,10 @@ import numpy as np
 __all__ = [
     "HermitianEigenDecomposition",
     "ParityEigenDecomposition",
-    "matmul",
-    "adjoint",
+    "ParityUnitary",
     "hermitian_eig",
     "parity_eig",
     "unitary_from_eig",
-    "unitary_function_of_hermitian",
 ]
 
 #: Relative max-abs tolerance for accepting a matrix as Hermitian.
@@ -80,33 +81,6 @@ def _as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
         raise ValueError("matrix contains non-finite entries")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit conformability checking.
-
-    Parameters
-    ----------
-    a, b : array_like
-        Matrices with ``a.shape[1] == b.shape[0]``.
-
-    Returns
-    -------
-    numpy.ndarray
-        The standard product, shape ``(a.rows, b.cols)``.
-    """
-    a = _as_matrix(a)
-    b = _as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ ({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose of ``a``."""
-    return _as_matrix(a).conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,68 +221,101 @@ def parity_eig(a) -> ParityEigenDecomposition:
 
 
 def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray:
+    # The result is allocated before the temporaries, so that an assembly
+    # that is kept does not sit between freed temporaries in the heap.
+    v = eig.eigenvectors
+    out = np.empty(v.shape, dtype=complex)
     phases = np.exp(-1j * theta * eig.eigenvalues)
-    out = (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
+    np.matmul(v * phases, v.conj().T, out=out)
     unit_resid = identity_residual(out.conj().T @ out)
     if unit_resid >= UNITARITY_TOL:
         raise ArithmeticError(
             f"matrix function lost unitarity: max|M^H M - I| = {unit_resid:.3e}"
         )
+    out.setflags(write=False)
     return out
 
 
-def _unfold_parity(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """Map a block-diagonal operator on the parity basis back to index order."""
-    h = odd.shape[0]
-    n = even.shape[0] + h
-    out = np.empty((n, n), dtype=complex)
-    plus = (even[:h, :h] + odd) / 2.0
-    minus = (even[:h, :h] - odd) / 2.0
-    out[:h, :h] = plus
-    out[:h, n - h:] = minus[:, ::-1]
-    out[n - h:, :h] = minus[::-1, :]
-    out[n - h:, n - h:] = plus[::-1, ::-1]
-    if n % 2:
-        col = even[:h, h] / math.sqrt(2.0)
-        row = even[h, :h] / math.sqrt(2.0)
-        out[:h, h] = col
-        out[n - h:, h] = col[::-1]
-        out[h, :h] = row
-        out[h, n - h:] = row[::-1]
-        out[h, h] = even[h, h]
-    return out
+_SQRT2 = math.sqrt(2.0)
+
+
+@dataclass(frozen=True, eq=False)
+class ParityUnitary:
+    """A unitary that commutes with index reversal, kept as its two blocks.
+
+    Attributes
+    ----------
+    even : numpy.ndarray
+        Read-only ``ceil(N/2)`` square block on the reversal-even basis of
+        :class:`ParityEigenDecomposition`.
+    odd : numpy.ndarray
+        Read-only ``floor(N/2)`` square block on the reversal-odd basis.
+    """
+
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the two blocks, about half of the dense matrix."""
+        return self.even.nbytes + self.odd.nbytes
+
+    def __matmul__(self, x) -> np.ndarray:
+        """``U @ x`` for an N-vector or an (N, K) block, without forming U.
+
+        ``x`` is folded onto the parity bases (``head + reversed tail``,
+        the middle sample, ``head - reversed tail``), each fold is
+        multiplied by its block, and the two products are unfolded.  Both
+        folds carry a factor sqrt(2), which the final halving removes.
+        """
+        x = np.asarray(x)
+        h = self.odd.shape[0]
+        n = self.even.shape[0] + h
+        if x.shape[:1] != (n,):
+            raise ValueError(f"operand has shape {x.shape}, expected ({n}, ...)")
+        head, middle, tail = x[:h], x[h:n - h], x[n - h:][::-1]  # middle: odd N only
+        u = self.even @ np.concatenate((head + tail, _SQRT2 * middle))
+        v = self.odd @ (head - tail)
+        out = np.concatenate((u[:h] + v, _SQRT2 * u[h:], (u[:h] - v)[::-1]))
+        out *= 0.5
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The N x N matrix in the original index order, as a new read-only array."""
+        even, odd = self.even, self.odd
+        h = odd.shape[0]
+        n = even.shape[0] + h
+        out = np.empty((n, n), dtype=complex)
+        plus = (even[:h, :h] + odd) / 2.0
+        minus = (even[:h, :h] - odd) / 2.0
+        out[:h, :h] = plus
+        out[:h, n - h:] = minus[:, ::-1]
+        out[n - h:, :h] = minus[::-1, :]
+        out[n - h:, n - h:] = plus[::-1, ::-1]
+        if n % 2:
+            col = even[:h, h] / _SQRT2
+            row = even[h, :h] / _SQRT2
+            out[:h, h] = col
+            out[n - h:, h] = col[::-1]
+            out[h, :h] = row
+            out[h, n - h:] = row[::-1]
+            out[h, h] = even[h, h]
+        out.setflags(write=False)
+        return out
 
 
 def unitary_from_eig(
     eig: HermitianEigenDecomposition | ParityEigenDecomposition, theta: float
-) -> np.ndarray:
+) -> np.ndarray | ParityUnitary:
     """Assemble ``exp(-i*theta*G)`` from a precomputed decomposition of G.
 
-    A :class:`ParityEigenDecomposition` is assembled block by block, each
-    block checked for unitarity to 1e-10, and scattered back into one
-    N x N matrix in the original index order.
+    A :class:`HermitianEigenDecomposition` gives a read-only N x N array.
+    A :class:`ParityEigenDecomposition` is assembled block by block and
+    gives a :class:`ParityUnitary` of the two read-only blocks.  Every
+    assembled block is checked for unitarity to 1e-10.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if isinstance(eig, ParityEigenDecomposition):
-        return _unfold_parity(
-            _unitary_block(eig.even, theta), _unitary_block(eig.odd, theta)
-        )
+        return ParityUnitary(_unitary_block(eig.even, theta), _unitary_block(eig.odd, theta))
     return _unitary_block(eig, theta)
-
-
-def unitary_function_of_hermitian(g, theta: float) -> np.ndarray:
-    """Unitary matrix function ``exp(-i*theta*g)`` of a Hermitian ``g``.
-
-    Computed spectrally: ``V diag(exp(-i*theta*lam_k)) V^H``.  The spectral
-    route keeps the result unitary up to eigenvector orthonormality, which
-    is verified to 1e-10 before returning.
-
-    Parameters
-    ----------
-    g : array_like
-        Hermitian matrix (validated as in :func:`hermitian_eig`).
-    theta : float
-        Real, finite exponent scale.
-    """
-    return unitary_from_eig(hermitian_eig(g), theta)

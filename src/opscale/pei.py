@@ -48,7 +48,7 @@ metadata):
 ``D^2`` does not depend on M, so it is built once per N (an
 ``lru_cache`` keyed on N) and shared by the bases of every M.  The bases
 themselves are kept, read-only, in the byte-bounded LRU cache
-:data:`opscale.cache.shared` that also holds the scaling matrices, keyed
+:data:`opscale.cache.shared` that also holds the scaling operators, keyed
 on ``(N, M)`` and charged for their vectors plus eigenvalues.  An
 evicted basis is rebuilt by the same ``eigh`` and sign fixing and comes
 back bit-identical.  The cache's lock guards only its bookkeeping, so

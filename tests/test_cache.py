@@ -1,23 +1,67 @@
-"""Tests for the byte-bounded LRU cache shared by scaling matrices and CDDHF bases."""
+"""Tests for the byte-bounded LRU cache shared by scaling operators and CDDHF bases.
+
+The scaling tests run on three grids.  The centered grid of N = 256 is
+symmetric and large enough for the cache to hold the two 128 x 128
+parity blocks (8 N^2 bytes); the centered grid of N = 16 is symmetric
+but below ``BLOCKWISE_MIN_N``, and the ordinary grid of N = 16 is not
+symmetric, so both hold the dense matrix (16 N^2 bytes).  The tests
+reach the cached operator through the memoized builder, whose result is
+the cached object itself, or through ``scale_signal``.
+"""
 
 import sys
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from opscale import cache
 from opscale.dft import IndexScheme
+from opscale.linalg import ParityUnitary
 from opscale.pei import cddhf_basis
-from opscale.scaling import ScalingSpec, scaling_matrix
+from opscale.scaling import (
+    BLOCKWISE_MIN_N,
+    ScalingSpec,
+    _scaling_operator,
+    scale_signal,
+    scaling_matrix,
+)
 
-N = 16
-MATRIX_BYTES = 16 * N * N  # one complex128 N x N scaling matrix
+N = 16  # the CDDHF bases' grid
 BASIS_BYTES = 8 * N * N + 8 * N  # real vectors plus eigenvalues
 
 
-def spec(m: float) -> ScalingSpec:
-    return ScalingSpec(m, N, IndexScheme.CENTERED)
+class Grid(NamedTuple):
+    n: int
+    scheme: IndexScheme
+    charge: int  # bytes one scaling operator on this grid is charged
+
+    def spec(self, m: float) -> ScalingSpec:
+        return ScalingSpec(m, self.n, self.scheme)
+
+    def operator(self, m: float):
+        """The cached scaling operator for factor ``m``."""
+        return _scaling_operator(float(m), self.n, self.scheme)
+
+    def signal(self, seed: int = 0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
+
+
+BLOCKS = Grid(256, IndexScheme.CENTERED, 8 * 256 * 256)
+
+
+@pytest.fixture(
+    params=[
+        BLOCKS,
+        Grid(16, IndexScheme.CENTERED, 16 * 16 * 16),
+        Grid(16, IndexScheme.ORDINARY, 16 * 16 * 16),
+    ],
+    ids=["symmetric-blocks", "symmetric-dense", "asymmetric"],
+)
+def grid(request) -> Grid:
+    return request.param
 
 
 @pytest.fixture
@@ -32,58 +76,94 @@ def budget(monkeypatch):
     cache.shared.clear()
 
 
-def test_bytes_held_stay_within_budget_over_many_new_factors(budget):
-    budget(5 * MATRIX_BYTES)
+def test_operator_is_charged_its_bytes(budget, grid):
+    op = grid.operator(2.0)
+    if grid is BLOCKS:
+        assert grid.n >= BLOCKWISE_MIN_N
+        assert isinstance(op, ParityUnitary)
+        assert op.even.shape == op.odd.shape == (grid.n // 2, grid.n // 2)
+    else:
+        assert grid.n < BLOCKWISE_MIN_N or grid.scheme is IndexScheme.ORDINARY
+        assert isinstance(op, np.ndarray) and op.shape == (grid.n, grid.n)
+    assert op.nbytes == grid.charge
+    assert cache.shared.info().nbytes == grid.charge
+
+
+def test_scale_signal_applies_the_cached_operator(budget, grid):
+    x = grid.signal(2)
+    y = scale_signal(x, grid.spec(1.7))
+    assert y.tobytes() == (grid.operator(1.7) @ x).tobytes()
+    assert cache.shared.info().misses == 1
+
+
+def test_bytes_held_stay_within_budget_over_many_new_factors(budget, grid):
+    budget(5 * grid.charge)
+    x = grid.signal()
     for k in range(40):
-        scaling_matrix(spec(1.0 + 0.05 * k))
-        assert cache.shared.info().nbytes <= 5 * MATRIX_BYTES
+        scale_signal(x, grid.spec(1.0 + 0.05 * k))
+        assert cache.shared.info().nbytes <= 5 * grid.charge
     info = cache.shared.info()
     assert (info.entries, info.nbytes, info.misses, info.evictions) == (
-        5, 5 * MATRIX_BYTES, 40, 35,
+        5, 5 * grid.charge, 40, 35,
     )
 
 
-def test_least_recently_used_entry_is_evicted_first(budget):
-    budget(3 * MATRIX_BYTES)
-    first = scaling_matrix(spec(2.0))
-    second = scaling_matrix(spec(3.0))
-    scaling_matrix(spec(4.0))
-    assert scaling_matrix(spec(2.0)) is first  # now the most recently used
-    scaling_matrix(spec(5.0))  # evicts 3.0, the oldest
-    assert scaling_matrix(spec(2.0)) is first
-    assert scaling_matrix(spec(3.0)) is not second
+def test_least_recently_used_entry_is_evicted_first(budget, grid):
+    budget(3 * grid.charge)
+    first = grid.operator(2.0)
+    second = grid.operator(3.0)
+    grid.operator(4.0)
+    assert grid.operator(2.0) is first  # now the most recently used
+    grid.operator(5.0)  # evicts 3.0, the oldest
+    assert grid.operator(2.0) is first
+    assert grid.operator(3.0) is not second
     assert cache.shared.info().evictions == 2
 
 
-def test_oversized_newest_entry_is_kept_alone(budget):
-    budget(MATRIX_BYTES // 2)
-    scaling_matrix(spec(2.0))
-    big = scaling_matrix(spec(3.0))
+def test_oversized_newest_entry_is_kept_alone(budget, grid):
+    budget(grid.charge // 2)
+    grid.operator(2.0)
+    big = grid.operator(3.0)
     info = cache.shared.info()
-    assert (info.entries, info.nbytes, info.evictions) == (1, MATRIX_BYTES, 1)
-    assert scaling_matrix(spec(3.0)) is big
+    assert (info.entries, info.nbytes, info.evictions) == (1, grid.charge, 1)
+    assert grid.operator(3.0) is big
     assert cache.shared.info().hits == 1
 
 
-def test_hit_returns_the_same_read_only_object(budget):
-    a = scaling_matrix(spec(2.5))
-    assert scaling_matrix(spec(2.5)) is a
-    assert not a.flags.writeable
+def test_hit_returns_the_same_read_only_object(budget, grid):
+    a = grid.operator(2.5)
+    assert grid.operator(2.5) is a
+    arrays = (a.even, a.odd) if isinstance(a, ParityUnitary) else (a,)
+    assert not any(arr.flags.writeable for arr in arrays)
+    scale_signal(grid.signal(), grid.spec(2.5))  # a hit through the public call
+    assert grid.operator(2.5) is a
+    assert cache.shared.info().hits == 3
     basis = cddhf_basis(N, 2.5)
     assert cddhf_basis(N, 2.5) is basis
     assert not basis.vectors.flags.writeable and not basis.eigenvalues.flags.writeable
 
 
-def test_evicted_scaling_matrix_is_rebuilt_bit_identical(budget):
-    budget(MATRIX_BYTES)
-    first = scaling_matrix(spec(0.7))
-    kept = first.tobytes()
-    scaling_matrix(spec(1.3))  # evicts 0.7
-    again = scaling_matrix(spec(0.7))
-    assert again is not first
+def test_evicted_scaling_matrix_is_rebuilt_bit_identical(budget, grid):
+    budget(grid.charge)
+    first = grid.operator(0.7)
+    kept = scaling_matrix(grid.spec(0.7)).tobytes()
+    grid.operator(1.3)  # evicts 0.7
+    again = scaling_matrix(grid.spec(0.7))
+    assert grid.operator(0.7) is not first
+    assert cache.shared.info().evictions == 2
     assert again.tobytes() == kept
     assert again.dtype == np.complex128 and again.flags.c_contiguous
     assert not again.flags.writeable
+
+
+def test_scale_signal_is_bit_identical_after_eviction_and_rebuild(budget, grid):
+    budget(grid.charge)
+    x = grid.signal(1)
+    before = scale_signal(x, grid.spec(0.7))
+    scale_signal(x, grid.spec(1.3))  # evicts 0.7
+    after = scale_signal(x, grid.spec(0.7))  # rebuilds it, evicting 1.3
+    assert cache.shared.info().evictions == 2
+    assert after.tobytes() == before.tobytes()
 
 
 def test_evicted_cddhf_basis_is_rebuilt_bit_identical(budget):
@@ -96,21 +176,21 @@ def test_evicted_cddhf_basis_is_rebuilt_bit_identical(budget):
     assert (again.vectors.tobytes(), again.eigenvalues.tobytes()) == kept
 
 
-def test_scaling_matrices_and_bases_share_one_budget(budget):
-    budget(MATRIX_BYTES)
-    scaling_matrix(spec(2.0))
+def test_scaling_matrices_and_bases_share_one_budget(budget, grid):
+    budget(grid.charge)
+    grid.operator(2.0)
     cddhf_basis(N, 1.0)  # pushes the total over the budget
     info = cache.shared.info()
     assert (info.entries, info.nbytes, info.evictions) == (1, BASIS_BYTES, 1)
 
 
-def test_info_counts_hits_misses_and_evictions_exactly(budget):
-    budget(2 * MATRIX_BYTES)
+def test_info_counts_hits_misses_and_evictions_exactly(budget, grid):
+    budget(2 * grid.charge)
     for m in (2.0, 2.0, 3.0, 2.0, 4.0, 3.0, 3.0):
-        scaling_matrix(spec(m))
+        grid.operator(m)
     # misses: 2.0, 3.0, 4.0 (evicts 3.0), 3.0 (evicts 2.0); hits: the other three
     assert cache.shared.info() == cache.CacheInfo(
-        hits=3, misses=4, evictions=2, entries=2, nbytes=2 * MATRIX_BYTES,
+        hits=3, misses=4, evictions=2, entries=2, nbytes=2 * grid.charge,
     )
     cache.shared.clear()
     assert cache.shared.info() == cache.CacheInfo(0, 0, 0, 0, 0)

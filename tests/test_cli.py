@@ -16,6 +16,7 @@ import pytest
 
 from conftest import count_sign_changes, package_env
 
+from opscale.bench import Method, scale_with
 from opscale.cli import main
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.scaling import ScalingSpec, scale_signal
@@ -165,6 +166,17 @@ class TestScale:
         expected = scale_signal(vec, ScalingSpec(2.0, 128, IndexScheme.CENTERED))
         assert np.array_equal(indices, grid.indices)
         assert np.array_equal(values, expected)
+
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("scheme", ["centered", "ordinary"])
+    def test_each_method_matches_the_library_dispatch(self, capsys, tmp_path, method, scheme):
+        path, grid, vec = self._chirp_file(tmp_path, n=32, scheme=scheme)
+        code, out, _ = run_cli(
+            capsys, "scale", "--in", str(path), "--m", "2", "--method", method.value
+        )
+        assert code == 0
+        _, values = parse_signal_text(out)
+        assert np.array_equal(values, scale_with(method, vec, grid, 2.0))
 
     def test_scheme_defaults_to_header_then_centered(self, capsys, tmp_path):
         n = 8

@@ -3,50 +3,23 @@
 import numpy as np
 import pytest
 
-from conftest import load_fixture, matmul_triple_loop, taylor_expm
+from conftest import load_fixture, taylor_expm
 
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    adjoint,
+    ParityUnitary,
     hermitian_eig,
     identity_residual,
-    matmul,
     parity_eig,
     unitary_from_eig,
-    unitary_function_of_hermitian,
 )
 from opscale.operators import OperatorSet, operator_set
 
 
 def _random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(42)
-    a = _random_complex(rng, 5)
-    b = _random_complex(rng, 5)
-    expected = matmul_triple_loop(a, b)
-    got = matmul(a, b)
-    assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_matmul_rejects_nonconformable():
-    a = np.zeros((3, 4))
-    b = np.zeros((3, 4))
-    with pytest.raises(ValueError):
-        matmul(a, b)
-
-
-def test_adjoint_is_conjugate_transpose_entrywise():
-    rng = np.random.default_rng(7)
-    a = _random_complex(rng, 4)
-    got = adjoint(a)
-    for i in range(4):
-        for j in range(4):
-            assert got[i, j] == complex(a[j, i]).conjugate()
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 128])
@@ -150,7 +123,7 @@ def test_unitary_function_matches_taylor_series():
     a = (raw + raw.conj().T) / 2
     theta = 0.05
     expected = taylor_expm(-1j * theta * a, terms=30)
-    got = unitary_function_of_hermitian(a, theta)
+    got = unitary_from_eig(hermitian_eig(a), theta)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -189,14 +162,66 @@ class TestParityEig:
         with pytest.raises(ValueError):
             parity_eig(np.zeros((3, 4)))
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 6])
-    def test_assembly_matches_dense_assembly(self, n):
+    @staticmethod
+    def _symmetric(n):
         # A random Hermitian matrix made reversal-symmetric: (A + J A J)/2.
         rng = np.random.default_rng(n)
         a = _random_complex(rng, n)
         a = a + a.conj().T
-        a = (a + a[::-1, ::-1]) / 2
+        return (a + a[::-1, ::-1]) / 2
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_assembly_matches_dense_assembly(self, n):
+        a = self._symmetric(n)
         got = unitary_from_eig(parity_eig(a), 0.7)
+        assert isinstance(got, ParityUnitary)
+        assert got.even.shape == ((n + 1) // 2,) * 2 and got.odd.shape == (n // 2,) * 2
+        assert not got.even.flags.writeable and not got.odd.flags.writeable
+        assert got.nbytes == got.even.nbytes + got.odd.nbytes
+        dense = got.dense()
+        assert dense.dtype == np.complex128 and dense.flags.c_contiguous
         expected = unitary_from_eig(hermitian_eig(a), 0.7)
-        assert got.dtype == np.complex128 and got.flags.c_contiguous
-        assert np.max(np.abs(got - expected)) < 1e-13
+        assert np.max(np.abs(dense - expected)) < 1e-13
+
+
+class TestParityUnitary:
+    @staticmethod
+    def _unitary(n):
+        return unitary_from_eig(parity_eig(TestParityEig._symmetric(n)), 0.7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 32, 33])
+    def test_blockwise_product_matches_dense_product(self, n):
+        u = self._unitary(n)
+        dense = u.dense()
+        rng = np.random.default_rng(100 + n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = u @ x
+        assert y.shape == (n,) and y.dtype == np.complex128
+        assert np.max(np.abs(y - dense @ x)) < 1e-14 * np.linalg.norm(x)
+        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        assert np.max(np.abs(u @ block - dense @ block)) < 1e-14 * np.linalg.norm(block)
+        # A real operand is promoted, as with the dense matrix.
+        assert np.max(np.abs(u @ x.real - dense @ x.real)) < 1e-14 * np.linalg.norm(x)
+
+    def test_blockwise_product_leaves_its_operand_alone(self):
+        u = self._unitary(6)
+        x = np.arange(6, dtype=complex)
+        x.setflags(write=False)
+        u @ x
+        assert np.array_equal(x, np.arange(6))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (5, 2), ()])
+    def test_rejects_operand_of_the_wrong_length(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            self._unitary(6) @ np.zeros(shape)
+
+    def test_dense_is_a_new_read_only_array_each_call(self):
+        u = self._unitary(5)
+        first = u.dense()
+        assert not first.flags.writeable
+        assert u.dense() is not first
+        assert u.dense().tobytes() == first.tobytes()
+
+    def test_dense_of_theta_zero_is_the_identity(self):
+        u = unitary_from_eig(parity_eig(TestParityEig._symmetric(7)), 0.0)
+        assert np.max(np.abs(u.dense() - np.eye(7))) < 1e-13

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from conftest import load_fixture, taylor_expm
 
 from opscale.dft import IndexScheme
-from opscale.linalg import ParityEigenDecomposition, hermitian_eig, unitary_from_eig
+from opscale.linalg import (
+    ParityEigenDecomposition,
+    ParityUnitary,
+    hermitian_eig,
+    unitary_from_eig,
+)
 from opscale.operators import operator_set
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
 
@@ -76,6 +81,41 @@ class TestScalingMatrix:
         expected = taylor_expm(-1j * theta * np.asarray(ops.generator), terms=30)
         got = scaling_matrix(ScalingSpec(m, n, scheme))
         assert np.max(np.abs(got - expected)) < 1e-10
+
+    @staticmethod
+    def _assembled_densely(eig, theta):
+        """Each block as (V * phases) @ V^H, scattered into the N x N matrix."""
+        def block(e):
+            return (e.eigenvectors * np.exp(-1j * theta * e.eigenvalues)) @ e.eigenvectors.conj().T
+
+        if not isinstance(eig, ParityEigenDecomposition):
+            return block(eig)
+        even, odd = block(eig.even), block(eig.odd)
+        h = odd.shape[0]
+        n = even.shape[0] + h
+        out = np.empty((n, n), dtype=complex)
+        plus, minus = (even[:h, :h] + odd) / 2.0, (even[:h, :h] - odd) / 2.0
+        out[:h, :h], out[n - h:, n - h:] = plus, plus[::-1, ::-1]
+        out[:h, n - h:], out[n - h:, :h] = minus[:, ::-1], minus[::-1, :]
+        if n % 2:
+            col, row = even[:h, h] / math.sqrt(2.0), even[h, :h] / math.sqrt(2.0)
+            out[:h, h], out[n - h:, h] = col, col[::-1]
+            out[h, :h], out[h, n - h:] = row, row[::-1]
+            out[h, h] = even[h, h]
+        return out
+
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 256, 512])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_bit_identical_to_the_dense_assembly(self, n, scheme):
+        # Keeping the blocks and assembling into a preallocated array must
+        # not move a bit of the matrix that scaling_matrix returns.
+        eig = operator_set(n, scheme).generator_eig
+        for m in (0.37, 2.0, 7.3):
+            expected = self._assembled_densely(eig, 2.0 * math.pi * math.log(m))
+            got = scaling_matrix(ScalingSpec(m, n, scheme))
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
 
     def test_cached_and_read_only(self):
         spec = ScalingSpec(3.0, 8, IndexScheme.ORDINARY)
@@ -187,3 +227,41 @@ class TestProperties:
         m_a = scaling_matrix(ScalingSpec(a, n, scheme))
         m_inv = scaling_matrix(ScalingSpec(1.0 / a, n, scheme))
         assert np.max(np.abs(m_inv - m_a.conj().T)) < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_a=ln_m,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_scale_signal_matches_the_matrix_product(self, n, scheme, ln_a, seed):
+        # Symmetric grids apply the parity blocks; the reference is the
+        # dense matrix that scaling_matrix scatters from them.
+        spec = ScalingSpec(math.exp(ln_a), n, scheme)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm_x = np.linalg.norm(x)
+        y = scale_signal(x, spec)
+        assert np.max(np.abs(y - scaling_matrix(spec) @ x)) < 1e-13 * norm_x
+        assert abs(np.linalg.norm(y) - norm_x) < 1e-13 * norm_x
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        ln_a=ln_m,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_parity_blocks_apply_like_the_dense_matrix(self, n, ln_a, seed):
+        # Every symmetric grid, also those below BLOCKWISE_MIN_N, where the
+        # cache keeps the matrix scattered from the blocks instead.
+        scheme = IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY
+        eig = operator_set(n, scheme).generator_eig
+        op = unitary_from_eig(eig, 2.0 * math.pi * ln_a)
+        assert isinstance(op, ParityUnitary)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        norm_x = np.linalg.norm(x)
+        y = op @ x
+        assert np.max(np.abs(y - op.dense() @ x)) < 1e-13 * norm_x
+        assert abs(np.linalg.norm(y) - norm_x) < 1e-13 * norm_x
