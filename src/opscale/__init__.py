@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    ParityUnitary,
     hermitian_eig,
     parity_eig,
     unitary_from_eig,
@@ -50,7 +49,6 @@ __all__ = [
     "__version__",
     "HermitianEigenDecomposition",
     "ParityEigenDecomposition",
-    "ParityUnitary",
     "hermitian_eig",
     "parity_eig",
     "unitary_from_eig",

@@ -11,9 +11,9 @@ the budget, so repeated calls at a very large N are still served from
 the cache.
 
 A scaling operator is the dense N x N matrix (16 N^2 bytes, 4 MiB at
-N = 512) or, on a symmetric grid from ``scaling.BLOCKWISE_MIN_N`` up,
-its two parity blocks (8 N^2 bytes for even N, 2 MiB at N = 512); a
-CDDHF basis is its real vectors plus its eigenvalues (8 N^2 + 8 N bytes).
+N = 512) or, on a symmetric grid, its two parity blocks (8 N^2 bytes
+for even N, 2 MiB at N = 512); a CDDHF basis is its real vectors plus
+its eigenvalues (8 N^2 + 8 N bytes).
 
 An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 __all__ = ["BUDGET_BYTES", "CacheInfo", "ByteBoundedLRU", "shared"]
 
 #: Bytes the shared cache may hold.  The 108-cell reference sweep's 18
-#: scaling operators and 12 CDDHF bases (35 MiB) fit without eviction,
+#: scaling operators and 12 CDDHF bases (34 MiB) fit without eviction,
 #: and so do four scaling operators at N = 1024 with four at N = 128
 #: (49 MiB).
 BUDGET_BYTES = 128 * 2**20

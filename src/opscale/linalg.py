@@ -261,22 +261,35 @@ class ParityUnitary:
         return self.even.nbytes + self.odd.nbytes
 
     def __matmul__(self, x) -> np.ndarray:
-        """``U @ x`` for an N-vector or an (N, K) block, without forming U.
+        """``U @ x`` for an N-vector, without forming U.
 
         ``x`` is folded onto the parity bases (``head + reversed tail``,
-        the middle sample, ``head - reversed tail``), each fold is
-        multiplied by its block, and the two products are unfolded.  Both
-        folds carry a factor sqrt(2), which the final halving removes.
+        with sqrt(2) times the middle sample for odd N, and ``head -
+        reversed tail``), each fold is multiplied by its block, and the
+        two products are unfolded.  Both folds carry a factor sqrt(2),
+        which the final halving removes.
         """
         x = np.asarray(x)
-        h = self.odd.shape[0]
-        n = self.even.shape[0] + h
-        if x.shape[:1] != (n,):
-            raise ValueError(f"operand has shape {x.shape}, expected ({n}, ...)")
-        head, middle, tail = x[:h], x[h:n - h], x[n - h:][::-1]  # middle: odd N only
-        u = self.even @ np.concatenate((head + tail, _SQRT2 * middle))
-        v = self.odd @ (head - tail)
-        out = np.concatenate((u[:h] + v, _SQRT2 * u[h:], (u[:h] - v)[::-1]))
+        even, odd = self.even, self.odd
+        h = odd.shape[0]
+        n = even.shape[0] + h
+        if x.shape != (n,):
+            raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
+        head, tail = x[:h], x[:n - h - 1:-1]  # tail: the last h samples, reversed
+        if n % 2:
+            s = np.empty(h + 1, dtype=complex)
+            np.add(head, tail, out=s[:h])
+            s[h] = _SQRT2 * x[h]
+        else:
+            s = head + tail
+        # np.dot: the same BLAS product as @, with less call overhead
+        u = np.dot(even, s)
+        v = np.dot(odd, head - tail)
+        out = np.empty(n, dtype=u.dtype)
+        np.add(u[:h], v, out=out[:h])
+        np.subtract(u[:h], v, out=out[:n - h - 1:-1])
+        if n % 2:
+            out[h] = _SQRT2 * u[h]
         out *= 0.5
         return out
 

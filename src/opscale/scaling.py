@@ -19,12 +19,9 @@ interpolation-based resampling.  Every assembly goes through
 the generator commutes with index reversal, its decomposition comes as
 two half-size reversal-even and reversal-odd blocks (see
 :mod:`opscale.operators`), and so does the scaling operator, which is
-assembled and checked block by block.  From N = :data:`BLOCKWISE_MIN_N`
-up it is kept as a :class:`~opscale.linalg.ParityUnitary` of the two
-blocks, and :func:`scale_signal` applies the blocks directly, reading
-half the bytes of the dense matrix; smaller symmetric grids keep the
-dense matrix scattered from the blocks, whose one product is cheaper
-there.
+assembled, checked and kept block by block, as a
+:class:`~opscale.linalg.ParityUnitary`; :func:`scale_signal` applies the
+blocks directly, reading half the bytes of the dense matrix.
 
 ``ln(M)`` is the natural logarithm.  Only ``M > 0`` is accepted: the
 amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
@@ -35,19 +32,19 @@ The generator's decomposition is computed once per grid and kept with
 its :class:`~opscale.operators.OperatorSet`; each factor M then costs
 one O(N^3) assembly.  Assembled operators are kept, read-only, in the
 byte-bounded LRU cache :data:`opscale.cache.shared`, keyed on
-``(M, N, scheme)``: the two blocks on symmetric grids from
-:data:`BLOCKWISE_MIN_N` up (8 N^2 bytes for even N), the dense matrix
-elsewhere (16 N^2 bytes).  Benchmark sweeps revisit the same operator
-many times, while a process that sees a stream of new factors keeps
-only the most recently used ones.  An evicted operator is assembled
-again through :func:`~opscale.linalg.unitary_from_eig`, with its
-unitarity checks, and comes back bit-identical.  The cache's lock
-guards only its bookkeeping, so concurrent callers are safe.
+``(M, N, scheme)``: the two blocks on symmetric grids (8 N^2 bytes for
+even N), the dense matrix elsewhere (16 N^2 bytes).  Benchmark sweeps
+revisit the same operator many times, while a process that sees a
+stream of new factors keeps only the most recently used ones.  An
+evicted operator is assembled again through
+:func:`~opscale.linalg.unitary_from_eig`, with its unitarity checks, and
+comes back bit-identical.  The cache's lock guards only its
+bookkeeping, so concurrent callers are safe.
 
-:func:`scaling_matrix` returns the cached array itself where the dense
-matrix is kept.  Where the blocks are kept, it scatters them into a new
-read-only N x N array on every call, bit-identical from call to call;
-callers that only apply the matrix should call :func:`scale_signal`.
+:func:`scaling_matrix` returns the cached array itself on asymmetric
+grids.  On symmetric grids it scatters the blocks into a new read-only
+N x N array on every call, bit-identical from call to call; callers
+that only apply the matrix should call :func:`scale_signal`.
 
 Signals must be finite: NaN or infinite samples are rejected with
 ``ValueError`` instead of turning the whole output into NaN.
@@ -66,15 +63,6 @@ from .linalg import ParityUnitary, unitary_from_eig
 from .operators import operator_set
 
 __all__ = ["ScalingSpec", "scaling_matrix", "scale_signal"]
-
-#: Symmetric grids from this N up keep their scaling operators as the two
-#: parity blocks.  Below it the dense matrix is kept: it fits in a core's
-#: cache, and one product with it costs less than folding the signal,
-#: two half-size products and unfolding.  At N = 128 (one BLAS thread,
-#: 2-core Xeon) the blockwise product took 7-17 us against 5-9 us dense;
-#: at N = 256 the two were level, and at N = 384 it took 50 against 91 us.
-BLOCKWISE_MIN_N = 256
-
 
 @dataclass(frozen=True)
 class ScalingSpec:
@@ -104,10 +92,7 @@ def _scaling_operator(
 ) -> np.ndarray | ParityUnitary:
     ops = operator_set(n_samples, scheme)
     theta = 2.0 * np.pi * math.log(m_factor)
-    operator = unitary_from_eig(ops.generator_eig, theta)
-    if isinstance(operator, ParityUnitary) and n_samples < BLOCKWISE_MIN_N:
-        return operator.dense()
-    return operator
+    return unitary_from_eig(ops.generator_eig, theta)
 
 
 def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
@@ -118,10 +103,10 @@ def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
     numpy.ndarray
         N x N complex128, C-contiguous, read-only unitary matrix
         (``max|M^H M - I| < 1e-9``; the spectral construction typically
-        achieves far better).  Where the cache keeps the dense matrix it
-        is the cached array, shared with every caller of the same
-        ``(M, N, scheme)`` while it stays in the cache; where it keeps the
-        parity blocks it is a new array scattered from them.
+        achieves far better).  On asymmetric grids it is the cached
+        array, shared with every caller of the same ``(M, N, scheme)``
+        while it stays in the cache; on symmetric grids it is a new array
+        scattered from the cached parity blocks.
     """
     operator = _scaling_operator(spec.m_factor, spec.n_samples, spec.scheme)
     return operator.dense() if isinstance(operator, ParityUnitary) else operator
@@ -131,8 +116,7 @@ def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:
     """Apply the discrete scaling matrix to a signal vector.
 
     The signal is written as a column vector and multiplied by the cached
-    scaling operator, blockwise where the cache keeps the parity blocks
-    (symmetric grids from :data:`BLOCKWISE_MIN_N` up); the result equals
+    scaling operator, blockwise on symmetric grids; the result equals
     ``scaling_matrix(spec) @ signal`` up to rounding, and the output norm
     equals the input norm to within 1e-8 relative (unitarity).
 

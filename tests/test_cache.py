@@ -1,11 +1,9 @@
 """Tests for the byte-bounded LRU cache shared by scaling operators and CDDHF bases.
 
-The scaling tests run on three grids.  The centered grid of N = 256 is
-symmetric and large enough for the cache to hold the two 128 x 128
-parity blocks (8 N^2 bytes); the centered grid of N = 16 is symmetric
-but below ``BLOCKWISE_MIN_N``, and the ordinary grid of N = 16 is not
-symmetric, so both hold the dense matrix (16 N^2 bytes).  The tests
-reach the cached operator through the memoized builder, whose result is
+The scaling tests run on two grids of N = 16.  The centered grid is
+symmetric, so the cache holds the two 8 x 8 parity blocks (8 N^2
+bytes); the ordinary grid is not, so it holds the dense matrix
+(16 N^2 bytes).  The tests reach the cached operator through the memoized builder, whose result is
 the cached object itself, or through ``scale_signal``.
 """
 
@@ -20,15 +18,9 @@ from opscale import cache
 from opscale.dft import IndexScheme
 from opscale.linalg import ParityUnitary
 from opscale.pei import cddhf_basis
-from opscale.scaling import (
-    BLOCKWISE_MIN_N,
-    ScalingSpec,
-    _scaling_operator,
-    scale_signal,
-    scaling_matrix,
-)
+from opscale.scaling import ScalingSpec, _scaling_operator, scale_signal, scaling_matrix
 
-N = 16  # the CDDHF bases' grid
+N = 16  # the grid of every test here
 BASIS_BYTES = 8 * N * N + 8 * N  # real vectors plus eigenvalues
 
 
@@ -49,16 +41,12 @@ class Grid(NamedTuple):
         return rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
 
 
-BLOCKS = Grid(256, IndexScheme.CENTERED, 8 * 256 * 256)
+BLOCKS = Grid(N, IndexScheme.CENTERED, 8 * N * N)
 
 
 @pytest.fixture(
-    params=[
-        BLOCKS,
-        Grid(16, IndexScheme.CENTERED, 16 * 16 * 16),
-        Grid(16, IndexScheme.ORDINARY, 16 * 16 * 16),
-    ],
-    ids=["symmetric-blocks", "symmetric-dense", "asymmetric"],
+    params=[BLOCKS, Grid(N, IndexScheme.ORDINARY, 16 * N * N)],
+    ids=["symmetric", "asymmetric"],
 )
 def grid(request) -> Grid:
     return request.param
@@ -79,11 +67,9 @@ def budget(monkeypatch):
 def test_operator_is_charged_its_bytes(budget, grid):
     op = grid.operator(2.0)
     if grid is BLOCKS:
-        assert grid.n >= BLOCKWISE_MIN_N
         assert isinstance(op, ParityUnitary)
         assert op.even.shape == op.odd.shape == (grid.n // 2, grid.n // 2)
     else:
-        assert grid.n < BLOCKWISE_MIN_N or grid.scheme is IndexScheme.ORDINARY
         assert isinstance(op, np.ndarray) and op.shape == (grid.n, grid.n)
     assert op.nbytes == grid.charge
     assert cache.shared.info().nbytes == grid.charge

@@ -198,8 +198,6 @@ class TestParityUnitary:
         y = u @ x
         assert y.shape == (n,) and y.dtype == np.complex128
         assert np.max(np.abs(y - dense @ x)) < 1e-14 * np.linalg.norm(x)
-        block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-        assert np.max(np.abs(u @ block - dense @ block)) < 1e-14 * np.linalg.norm(block)
         # A real operand is promoted, as with the dense matrix.
         assert np.max(np.abs(u @ x.real - dense @ x.real)) < 1e-14 * np.linalg.norm(x)
 
@@ -210,8 +208,8 @@ class TestParityUnitary:
         u @ x
         assert np.array_equal(x, np.arange(6))
 
-    @pytest.mark.parametrize("shape", [(5,), (7,), (5, 2), ()])
-    def test_rejects_operand_of_the_wrong_length(self, shape):
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 2), ()])
+    def test_rejects_operand_that_is_not_an_n_vector(self, shape):
         with pytest.raises(ValueError, match="expected"):
             self._unitary(6) @ np.zeros(shape)
 

@@ -12,7 +12,6 @@ from conftest import load_fixture, taylor_expm
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     ParityEigenDecomposition,
-    ParityUnitary,
     hermitian_eig,
     unitary_from_eig,
 )
@@ -246,22 +245,14 @@ class TestProperties:
         assert np.max(np.abs(y - scaling_matrix(spec) @ x)) < 1e-13 * norm_x
         assert abs(np.linalg.norm(y) - norm_x) < 1e-13 * norm_x
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        n=st.integers(min_value=1, max_value=256),
-        ln_a=ln_m,
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_parity_blocks_apply_like_the_dense_matrix(self, n, ln_a, seed):
-        # Every symmetric grid, also those below BLOCKWISE_MIN_N, where the
-        # cache keeps the matrix scattered from the blocks instead.
-        scheme = IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY
-        eig = operator_set(n, scheme).generator_eig
-        op = unitary_from_eig(eig, 2.0 * math.pi * ln_a)
-        assert isinstance(op, ParityUnitary)
-        rng = np.random.default_rng(seed)
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    @pytest.mark.parametrize("n", [256, 257, 513, 1024])
+    def test_scale_signal_matches_the_matrix_product_on_large_grids(self, n, scheme):
+        # Past the property test's range: even and odd N, blocks and dense.
+        spec = ScalingSpec(1.7, n, scheme)
+        rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         norm_x = np.linalg.norm(x)
-        y = op @ x
-        assert np.max(np.abs(y - op.dense() @ x)) < 1e-13 * norm_x
+        y = scale_signal(x, spec)
+        assert np.max(np.abs(y - scaling_matrix(spec) @ x)) < 1e-13 * norm_x
         assert abs(np.linalg.norm(y) - norm_x) < 1e-13 * norm_x
