@@ -22,14 +22,14 @@ branch-cut ambiguity.
 
 Construction is not free: the evaluation is O(N^2), but the unitarity
 check below is a dense O(N^3) product, paid once per ``(N, scheme)``
-and cached with the matrix.  Because the labels are unit-spaced, each
-column of F is the previous one times the fixed unit-modulus vector
-``exp(-2j*pi*n_k/N)``; :mod:`opscale.operators` relies on that to build
-the differentiation matrix as a Toeplitz matrix in O(N^2), and checks it
-before doing so.  The CDDHF comparison method in
-:mod:`opscale.pei` draws its centered DFT from :func:`dft_matrix` too:
-its labels ``m - (N-1)/2`` are this module's centered labels for even N
-and its ordinary labels for odd N.
+and cached with the matrix.  The scaling construction does not need F:
+:mod:`opscale.operators` builds the differentiation matrix from an FFT
+of the coordinate diagonal, relying only on the labels being
+unit-spaced, and returns this cached matrix as ``OperatorSet.f`` when it
+is asked for.  F is built by the interpolation baseline in
+:mod:`opscale.bench` and by the CDDHF comparison method in
+:mod:`opscale.pei`, whose labels ``m - (N-1)/2`` are this module's
+centered labels for even N and its ordinary labels for odd N.
 
 For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so

@@ -1,4 +1,4 @@
-"""DFT-consistent coordinate and differentiation matrices.
+"""DFT-consistent coordinate and differentiation operators.
 
 The coordinate-multiplication matrix built here is not the naive
 ``diag(u_k)``: multiplying samples by their raw coordinate values is the
@@ -18,24 +18,35 @@ is then an exact differentiation-operator analogue by construction: U
 and D are precisely Fourier duals of each other, in both directions, to
 machine precision.
 
-D is built from its structure rather than by two dense products.  The
-grid labels are unit-spaced, so each column of F is the previous one
-times the fixed unit-modulus vector ``exp(-2j*pi*n_k/N)``; then
-``D[i, j]`` depends only on ``i - j`` and D is Hermitian Toeplitz,
-determined by its first column.  That column costs O(N^2): the value of
-each diagonal is the product ``F[:, i]^H (u * F[:, j])`` of one column
-pair on it, the pair nearest the middle of the grid, where the stored
-F's phase rounding (which grows with the label product) is smallest.
-:func:`diff_matrix` checks the column structure in O(N^2) before
-relying on it, alongside its unitarity and diagonal-U checks.
+D is built from its structure, without F.  ``D[i, j] = (1/N) sum_k u_k
+exp(2j*pi*n_k*(n_i - n_j)/N)`` depends only on ``t = i - j`` because the
+grid labels are unit-spaced, so D is Hermitian Toeplitz and determined
+by its first column.  With ``n_k = n_0 + k`` that column is an inverse
+FFT of the diagonal u times a label phase,
+
+    col[t] = exp(2j*pi*fmod(n_0*t, N)/N) * ifft(u)[t],
+
+in O(N log N).  ``n_0*t`` is a multiple of 1/2, so the ``fmod``
+reduction is exact and the phase carries no rounding that grows with
+the label product.  :func:`operator_set` transforms the column back
+onto the labels, from the other end of the label range, and requires it
+to return u.  :func:`diff_matrix` stays the dense reference ``F^H (U F)``
+for a given F.
 
 The discrete scaling generator is the symmetrized product
 ``(U D + D U)/2``.  With U diagonal it collapses entrywise to
 ``G[m, n] = (u_m + u_n)/2 * D[m, n]``, which is how it is formed, in
-O(N^2).  Algebraically this is Hermitian whenever U and D are;
-numerically it is re-Hermitized as ``(G + G^H)/2`` to scrub the last
-ulp of rounding asymmetry, keeping downstream unitarity guarantees
-tight.
+O(N^2).  D filled from its column is exactly Hermitian and ``u_m + u_n``
+is exactly symmetric, so G is exactly Hermitian as formed.
+:func:`scaling_generator`, which takes a D from elsewhere, re-Hermitizes
+its result as ``(G + G^H)/2`` to scrub the last ulp of rounding
+asymmetry, keeping downstream unitarity guarantees tight.
+
+An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
+each) and, once asked for, the generator's eigendecomposition.  Its
+dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
+kept; G is formed inside :attr:`OperatorSet.generator_eig` and dropped
+after the decomposition.
 
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
@@ -79,6 +90,12 @@ __all__ = [
 ]
 
 
+def _coord_diagonal(grid: SampleGrid) -> np.ndarray:
+    n = grid.indices
+    big_n = grid.n_samples
+    return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)
+
+
 def coord_matrix(grid: SampleGrid) -> np.ndarray:
     """Sinc-corrected coordinate-multiplication matrix for ``grid``.
 
@@ -86,10 +103,7 @@ def coord_matrix(grid: SampleGrid) -> np.ndarray:
     ``U[n, n] = (sqrt(N)/pi) * sin(pi*n/N)`` for each index label n of the
     grid; off-diagonal entries are exactly zero.
     """
-    n = grid.indices
-    big_n = grid.n_samples
-    diag = (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)
-    return np.diag(diag)
+    return np.diag(_coord_diagonal(grid))
 
 
 def _diagonal(u: np.ndarray) -> np.ndarray:
@@ -103,20 +117,20 @@ def _diagonal(u: np.ndarray) -> np.ndarray:
 def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Differentiation matrix ``D = F^-1 U F`` dual to the coordinate matrix.
 
+    The dense reference ``F^H (U F)`` for a given F.  :func:`operator_set`
+    builds D without F, and its tests compare it with this.
+
     Parameters
     ----------
     ops_f : numpy.ndarray
-        Unitary DFT matrix (unitarity checked to 1e-10) on unit-spaced
-        labels: each column must be the previous one times one fixed
-        unit-modulus vector (checked to 1e-10).
+        Unitary matrix (unitarity checked to 1e-10), normally the DFT.
     u : numpy.ndarray
         Real diagonal coordinate matrix, conformable with ``ops_f``.
 
     Returns
     -------
     numpy.ndarray
-        Hermitian Toeplitz matrix ``F^H U F`` (``F^-1 = F^H`` for unitary
-        F), filled from one column pair per diagonal.
+        ``F^H (U F)`` (``F^-1 = F^H`` for unitary F).
     """
     f = np.asarray(ops_f)
     u = np.asarray(u)
@@ -124,7 +138,6 @@ def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"DFT matrix must be square, got {f.shape}")
     if u.shape != f.shape:
         raise ValueError(f"shape mismatch: F is {f.shape}, U is {u.shape}")
-    n = f.shape[0]
     unit_resid = identity_residual(f @ f.conj().T)
     if unit_resid >= 1e-10:
         raise ValueError(
@@ -133,37 +146,30 @@ def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
     u_diag = _diagonal(u)
     if np.iscomplexobj(u_diag) and np.any(u_diag.imag != 0):
         raise ValueError("coordinate matrix must be real")
-    # F[:, j] = F[:, 0] * w**j with |w| = 1 makes D[i, j] a function of
-    # i - j alone; without it the Toeplitz fill below would be wrong.
-    # A zero in F[:, 0] makes w non-finite, and the check fails.
-    if n > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f[:, 1] / f[:, 0]
-            step_resid = max(
-                abs(f[:, 1:] - f[:, :-1] * step[:, None]).max(),
-                abs(abs(step) - 1.0).max(),
-            )
-        if not step_resid < 1e-10:
-            raise ValueError(
-                "diff_matrix requires a DFT on unit-spaced labels (each column of F "
-                f"the previous one times a fixed unit-modulus vector): residual "
-                f"{step_resid:.3e}"
-            )
-    # col[t] = D[i, j] for any i - j = t >= 0.  The stored F's phase
-    # rounding grows with the label product, so each diagonal is read off
-    # the column pair (i, j) nearest the middle of the grid, i + j = N-1
-    # or N-2; reading them all against column 0 would copy that column's
-    # rounding along every diagonal.
-    col = np.empty(n, dtype=complex)
-    for m in (n - 1, n - 2):
-        if m >= 0:
-            lo = (m + 1) // 2  # columns i = lo..m pair with j = m - i
-            pairs = f[:, lo:m + 1].conj() * f[:, :m - lo + 1][:, ::-1]
-            col[2 * lo - m::2] = u_diag.real @ pairs
+    return f.conj().T @ (u_diag.real[:, None] * f)
+
+
+def _label_phase(label: float, n: int) -> np.ndarray:
+    """``exp(2j*pi*label*t/N)`` for t = 0..N-1, the product reduced exactly mod N."""
+    return np.exp((2j * np.pi / n) * np.fmod(label * np.arange(n), n))
+
+
+def _diff_column(grid: SampleGrid, u: np.ndarray) -> np.ndarray:
+    """First column of ``D = F^H U F``, from an FFT of the diagonal ``u``."""
+    n = grid.n_samples
+    col = _label_phase(grid.indices[0], n) * np.fft.ifft(u)
     col[0] = col[0].real
-    # ramp[N-1 + j - i] = D[i, j], with conj(col[j - i]) above the diagonal.
-    ramp = np.concatenate([col[::-1], col[1:].conj()])
-    return np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1].copy()
+    # Back onto the labels: u_k = sum_t col[t] exp(-2j*pi*n_k*t/N).  Taken
+    # from the last label, n_k = n_{N-1} - (N-1-k), so a phase built from
+    # a wrong first label does not cancel out.
+    back = n * np.fft.ifft(col * _label_phase(-grid.indices[-1], n))[::-1]
+    resid = abs(back - u).max()
+    if not resid < 1e-10 * (1.0 + abs(u).max()):
+        raise ArithmeticError(
+            f"column of D does not transform back to U: max residual {resid:.3e} "
+            f"(N={n}, scheme={grid.scheme.value})"
+        )
+    return col
 
 
 def scaling_generator(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -182,10 +188,12 @@ def scaling_generator(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class OperatorSet:
-    """The matrix family ``(F, U, D, generator)`` for one ``(N, scheme)``.
+    """The operators ``(F, U, D, generator)`` for one ``(N, scheme)``.
 
     Instances are built through :func:`operator_set`, which memoizes them
-    per ``(n_samples, scheme)``; all held arrays are read-only.
+    per ``(n_samples, scheme)``.  An instance keeps O(N) arrays and the
+    generator's decomposition; the dense matrices are built on request,
+    as new read-only arrays that are bit-identical from call to call.
 
     Attributes
     ----------
@@ -193,30 +201,56 @@ class OperatorSet:
     scheme : IndexScheme
     grid : SampleGrid
         The sampling grid the operators act on.
-    f : numpy.ndarray
-        Unitary DFT matrix.
-    u : numpy.ndarray
-        Real diagonal coordinate matrix.
-    d : numpy.ndarray
-        Differentiation matrix ``F^-1 U F``.
-    generator : numpy.ndarray
-        Hermitian scaling generator ``(U D + D U)/2``.
+    u_diagonal : numpy.ndarray
+        Read-only diagonal of U.
+    d_column : numpy.ndarray
+        Read-only first column of the Hermitian Toeplitz matrix D.
     grid_symmetric : bool
         True when the index set is closed under negation (symmetry-based
         identities apply); False for odd-N centered grids.
     """
 
-    def __init__(self, grid: SampleGrid, f, u, d, generator):
+    def __init__(self, grid: SampleGrid, u_diagonal: np.ndarray, d_column: np.ndarray):
         self.grid = grid
         self.n_samples = grid.n_samples
         self.scheme = grid.scheme
-        self.f = f
-        self.u = u
-        self.d = d
-        self.generator = generator
+        self.u_diagonal = u_diagonal
+        self.d_column = d_column
         self.grid_symmetric = bool(
             np.array_equal(np.sort(-grid.indices), grid.indices)
         )
+
+    @property
+    def f(self) -> np.ndarray:
+        """Unitary DFT matrix, the cached array of :func:`~opscale.dft.dft_matrix`."""
+        return dft_matrix(self.n_samples, self.scheme)
+
+    @property
+    def u(self) -> np.ndarray:
+        """Real diagonal coordinate matrix."""
+        u = np.diag(self.u_diagonal)
+        u.setflags(write=False)
+        return u
+
+    @property
+    def d(self) -> np.ndarray:
+        """Differentiation matrix ``F^-1 U F``, filled from :attr:`d_column`."""
+        col = self.d_column
+        n = col.shape[0]
+        # ramp[N-1 + j - i] = D[i, j], with conj(col[j - i]) above the diagonal.
+        ramp = np.concatenate([col[::-1], col[1:].conj()])
+        d = np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1].copy()
+        d.setflags(write=False)
+        return d
+
+    @property
+    def generator(self) -> np.ndarray:
+        """Hermitian scaling generator ``(U D + D U)/2``."""
+        u = self.u_diagonal
+        # D is exactly Hermitian and (u_m + u_n) symmetric, so G is too.
+        g = np.add.outer(u, u) / 2.0 * self.d
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def generator_eig(self) -> HermitianEigenDecomposition | ParityEigenDecomposition:
@@ -225,7 +259,8 @@ class OperatorSet:
         On symmetric grids the generator commutes with index reversal and
         is decomposed as its even and odd blocks by
         :func:`~opscale.linalg.parity_eig`; elsewhere it is decomposed
-        whole by :func:`~opscale.linalg.hermitian_eig`.
+        whole by :func:`~opscale.linalg.hermitian_eig`.  The generator
+        itself is not kept.
         """
         if self.grid_symmetric:
             return parity_eig(self.generator)
@@ -240,12 +275,14 @@ class OperatorSet:
 
 @lru_cache(maxsize=None)
 def operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
-    """Build (or fetch the cached) :class:`OperatorSet` for ``(N, scheme)``."""
+    """Build (or fetch the cached) :class:`OperatorSet` for ``(N, scheme)``.
+
+    Raises ``ArithmeticError`` if the column of D, transformed back onto
+    the labels, misses the diagonal of U by ``1e-10 * (1 + max|u|)``.
+    """
     grid = index_grid(n_samples, IndexScheme(scheme))
-    f = dft_matrix(grid.n_samples, grid.scheme)
-    u = coord_matrix(grid)
-    d = diff_matrix(f, u)
-    g = scaling_generator(u, d)
-    for arr in (u, d, g):
-        arr.setflags(write=False)
-    return OperatorSet(grid, f, u, d, g)
+    u = _coord_diagonal(grid)
+    col = _diff_column(grid, u)
+    u.setflags(write=False)
+    col.setflags(write=False)
+    return OperatorSet(grid, u, col)

@@ -8,7 +8,6 @@ the library is evidence rather than tautology.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import os
@@ -45,43 +44,6 @@ def fixture_matrix(payload: dict) -> np.ndarray:
 
 
 # --------------------------------------------------------------- oracles --
-
-def matmul_triple_loop(a, b) -> np.ndarray:
-    """Entry-by-entry triple-loop matrix product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0j
-            for k in range(inner):
-                acc += complex(a[i, k]) * complex(b[k, j])
-            out[i, j] = acc
-    return out
-
-
-def det_by_permutation_expansion(a) -> complex:
-    """Leibniz-formula determinant; fine for the small N it is used at."""
-    a = np.asarray(a)
-    n = a.shape[0]
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = list(perm)
-        # count inversions for the signature
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        sign = -1 if inversions % 2 else 1
-        prod = complex(sign)
-        for i in range(n):
-            prod *= complex(a[i, perm[i]])
-        total += prod
-    return total
-
 
 def taylor_expm(a, terms: int = 30) -> np.ndarray:
     """Plain truncated Taylor series for exp(a); valid for modest ||a||."""

@@ -151,10 +151,15 @@ class TestParityEig:
         g[1, 2] += 1e-6
         with pytest.raises(ArithmeticError, match="index reversal"):
             parity_eig(g)
-        # The operator set of a symmetric grid runs the same check.
+        # The operator set of a symmetric grid runs the same check on the
+        # generator it forms.  A real part on one diagonal of D keeps D
+        # Hermitian Toeplitz but makes it not odd under index reversal.
         ops = operator_set(n, scheme)
-        tampered = OperatorSet(ops.grid, ops.f, ops.u, ops.d, g)
+        column = ops.d_column.copy()
+        column[1] += 1e-6
+        tampered = OperatorSet(ops.grid, ops.u_diagonal, column)
         assert tampered.grid_symmetric
+        assert abs(tampered.generator - tampered.generator[::-1, ::-1]).max() > 1e-7
         with pytest.raises(ArithmeticError, match="index reversal"):
             tampered.generator_eig
 
