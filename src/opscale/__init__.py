@@ -23,7 +23,6 @@ from .operators import (
     coord_matrix,
     diff_matrix,
     operator_set,
-    scaling_generator,
 )
 from .scaling import ScalingSpec, scale_signal, scaling_matrix
 from .pei import (
@@ -60,7 +59,6 @@ __all__ = [
     "coord_matrix",
     "diff_matrix",
     "operator_set",
-    "scaling_generator",
     "ScalingSpec",
     "scale_signal",
     "scaling_matrix",

@@ -40,6 +40,7 @@ raises rather than silently returning a defective transform.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -56,6 +57,29 @@ class IndexScheme(Enum):
 
     ORDINARY = "ordinary"
     CENTERED = "centered"
+
+
+def as_sample_count(n_samples) -> int:
+    """``n_samples`` as a positive Python int.
+
+    Integers, numpy integers included, are accepted as they are; floats
+    (even integral ones), ``bool`` and strings are rejected instead of
+    being truncated.
+
+    Raises
+    ------
+    ValueError
+        If ``n_samples`` is not an integer, or is below 1.
+    """
+    if isinstance(n_samples, bool):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    try:
+        n = operator.index(n_samples)
+    except TypeError as exc:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from exc
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n}")
+    return n
 
 
 def _scheme_indices(n_samples: int, scheme: IndexScheme) -> np.ndarray:
@@ -104,11 +128,10 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
     Raises
     ------
     ValueError
-        If ``n_samples`` is not a positive integer.
+        If ``n_samples`` is not a positive integer (see
+        :func:`as_sample_count`).
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = as_sample_count(n_samples)
     scheme = IndexScheme(scheme)
     indices = _scheme_indices(n_samples, scheme)
     spacing = 1.0 / math.sqrt(n_samples)
@@ -145,7 +168,4 @@ def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     The returned array is cached per ``(n_samples, scheme)`` and marked
     read-only; copy before mutating.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    return _dft_matrix_cached(n_samples, IndexScheme(scheme))
+    return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))

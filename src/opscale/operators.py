@@ -38,9 +38,6 @@ The discrete scaling generator is the symmetrized product
 ``G[m, n] = (u_m + u_n)/2 * D[m, n]``, which is how it is formed, in
 O(N^2).  D filled from its column is exactly Hermitian and ``u_m + u_n``
 is exactly symmetric, so G is exactly Hermitian as formed.
-:func:`scaling_generator`, which takes a D from elsewhere, re-Hermitizes
-its result as ``(G + G^H)/2`` to scrub the last ulp of rounding
-asymmetry, keeping downstream unitarity guarantees tight.
 
 An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition.  Its
@@ -72,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
+from .dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_grid
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
@@ -84,7 +81,6 @@ from .linalg import (
 __all__ = [
     "coord_matrix",
     "diff_matrix",
-    "scaling_generator",
     "OperatorSet",
     "operator_set",
 ]
@@ -170,21 +166,6 @@ def _diff_column(grid: SampleGrid, u: np.ndarray) -> np.ndarray:
             f"(N={n}, scheme={grid.scheme.value})"
         )
     return col
-
-
-def scaling_generator(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Hermitian scaling generator ``(U D + D U)/2`` for a diagonal U.
-
-    Formed entrywise as ``G[m, n] = (u_m + u_n)/2 * D[m, n]`` and then
-    explicitly re-Hermitized with ``(G + G^H)/2``.
-    """
-    u = np.asarray(u)
-    d = np.asarray(d)
-    if u.shape != d.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"size mismatch: U is {u.shape}, D is {d.shape}")
-    u_diag = _diagonal(u)
-    g = np.add.outer(u_diag, u_diag) / 2.0 * d
-    return (g + g.conj().T) / 2.0
 
 
 class OperatorSet:
@@ -273,16 +254,29 @@ class OperatorSet:
         )
 
 
-@lru_cache(maxsize=None)
 def operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
     """Build (or fetch the cached) :class:`OperatorSet` for ``(N, scheme)``.
 
-    Raises ``ArithmeticError`` if the column of D, transformed back onto
-    the labels, misses the diagonal of U by ``1e-10 * (1 + max|u|)``.
+    The arguments are validated and normalized before the cache lookup,
+    so ``True`` or ``8.0`` cannot hit a cached grid, and equal grids given
+    as a string or a numpy integer share one set.
+
+    Raises ``ValueError`` if ``n_samples`` is not a positive integer, and
+    ``ArithmeticError`` if the column of D, transformed back onto the
+    labels, misses the diagonal of U by ``1e-10 * (1 + max|u|)``.
     """
-    grid = index_grid(n_samples, IndexScheme(scheme))
+    return _operator_set(as_sample_count(n_samples), IndexScheme(scheme))
+
+
+@lru_cache(maxsize=None)
+def _operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
+    grid = index_grid(n_samples, scheme)
     u = _coord_diagonal(grid)
     col = _diff_column(grid, u)
     u.setflags(write=False)
     col.setflags(write=False)
     return OperatorSet(grid, u, col)
+
+
+# Build counts stay readable as ``operator_set.cache_info()``.
+operator_set.cache_info = _operator_set.cache_info

@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cache import shared
-from .dft import IndexScheme, dft_matrix
+from .dft import IndexScheme, as_sample_count, dft_matrix
 from .linalg import identity_residual
 
 __all__ = [
@@ -88,9 +88,7 @@ def pei_u_squared(n_samples: int) -> np.ndarray:
 
     ``U^2[m, m] = (m - (N-1)/2)^2`` for m = 0..N-1.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = as_sample_count(n_samples)
     m = np.arange(n_samples, dtype=float) - (n_samples - 1) / 2.0
     return np.diag(m * m)
 
@@ -103,7 +101,7 @@ def pei_centered_dft(n_samples: int) -> np.ndarray:
     ordinary scheme's for odd N, so this is the cached, read-only
     :func:`~opscale.dft.dft_matrix` of that scheme.
     """
-    n_samples = int(n_samples)
+    n_samples = as_sample_count(n_samples)
     scheme = IndexScheme.CENTERED if n_samples % 2 == 0 else IndexScheme.ORDINARY
     return dft_matrix(n_samples, scheme)
 
@@ -214,9 +212,7 @@ def cddhf_basis(n_samples: int, m_factor: float) -> CddhfBasis:
     and sign-fixed deterministically; see the module docstring for the
     conventions.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = as_sample_count(n_samples)
     m_factor = float(m_factor)
     if not math.isfinite(m_factor) or m_factor <= 0:
         raise ValueError(f"m_factor must be positive and finite, got {m_factor}")

@@ -14,14 +14,19 @@ spectrally (eigendecompose once, exponentiate the eigenvalues), which
 makes M_M unitary by construction up to eigenvector orthonormality —
 the structural property that distinguishes this scaling method from
 interpolation-based resampling.  Every assembly goes through
-:func:`opscale.linalg.unitary_from_eig`, which checks unitarity to
-1e-10.  On symmetric grids (centered with even N, ordinary with odd N)
-the generator commutes with index reversal, its decomposition comes as
-two half-size reversal-even and reversal-odd blocks (see
-:mod:`opscale.operators`), and so does the scaling operator, which is
-assembled, checked and kept block by block, as a
-:class:`~opscale.linalg.ParityUnitary`; :func:`scale_signal` applies the
-blocks directly, reading half the bytes of the dense matrix.
+:func:`opscale.linalg.unitary_from_eig` and is unitary to 1e-10: each
+decomposed block carries a bound on the unitarity residual of anything
+assembled from it, derived once from its eigenvectors' measured
+orthonormality, and only a block whose bound is not below 1e-10 is
+re-checked with a dense product (dense blocks from about N = 640,
+parity blocks from about N = 1280).  On symmetric grids (centered with
+even N, ordinary with odd N) the generator commutes with index
+reversal, its decomposition comes as two half-size reversal-even and
+reversal-odd blocks (see :mod:`opscale.operators`), and so does the
+scaling operator, which is assembled, certified and kept block by
+block, as a :class:`~opscale.linalg.ParityUnitary`;
+:func:`scale_signal` applies the blocks directly, reading half the
+bytes of the dense matrix.
 
 ``ln(M)`` is the natural logarithm.  Only ``M > 0`` is accepted: the
 amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
@@ -30,15 +35,17 @@ semantics, so rejecting it is safer than inventing them.
 
 The generator's decomposition is computed once per grid and kept with
 its :class:`~opscale.operators.OperatorSet`; each factor M then costs
-one O(N^3) assembly.  Assembled operators are kept, read-only, in the
-byte-bounded LRU cache :data:`opscale.cache.shared`, keyed on
-``(M, N, scheme)``: the two blocks on symmetric grids (8 N^2 bytes for
-even N), the dense matrix elsewhere (16 N^2 bytes).  Benchmark sweeps
-revisit the same operator many times, while a process that sees a
-stream of new factors keeps only the most recently used ones.  An
+one O(N^3) product per block, the assembly, plus a second one for the
+check where the block's bound leaves it uncertified.  Assembled
+operators are kept, read-only, in the byte-bounded LRU cache
+:data:`opscale.cache.shared`, keyed on ``(M, N, scheme)``: the two
+blocks on symmetric grids (8 N^2 bytes for even N), the dense matrix
+elsewhere (16 N^2 bytes).  Benchmark sweeps revisit the same operator
+many times, while a process that sees a stream of new factors keeps
+only the most recently used ones.  An
 evicted operator is assembled again through
-:func:`~opscale.linalg.unitary_from_eig`, with its unitarity checks, and
-comes back bit-identical.  The cache's lock guards only its
+:func:`~opscale.linalg.unitary_from_eig`, certified or checked as
+before, and comes back bit-identical.  The cache's lock guards only its
 bookkeeping, so concurrent callers are safe.
 
 :func:`scaling_matrix` returns the cached array itself on asymmetric
@@ -58,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import shared
-from .dft import IndexScheme
+from .dft import IndexScheme, as_sample_count
 from .linalg import ParityUnitary, unitary_from_eig
 from .operators import operator_set
 
@@ -79,10 +86,8 @@ class ScalingSpec:
             raise ValueError(f"m_factor must be a real number, got {self.m_factor!r}") from exc
         if not math.isfinite(m_factor) or m_factor <= 0:
             raise ValueError(f"m_factor must be positive and finite, got {self.m_factor!r}")
-        if int(self.n_samples) < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         object.__setattr__(self, "m_factor", m_factor)
-        object.__setattr__(self, "n_samples", int(self.n_samples))
+        object.__setattr__(self, "n_samples", as_sample_count(self.n_samples))
         object.__setattr__(self, "scheme", IndexScheme(self.scheme))
 
 

@@ -6,7 +6,33 @@ import math
 import numpy as np
 import pytest
 
-from opscale.dft import IndexScheme, SampleGrid, dft_matrix, index_grid
+from opscale.dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_grid
+
+#: Sample counts that ``int()`` used to truncate or convert; all are rejected.
+NON_INTEGRAL_COUNTS = [3.7, 8.0, True, "5"]
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("n", [1, 8, np.int64(8), np.int32(3), np.uint16(5)])
+    def test_accepts_integers(self, n):
+        got = as_sample_count(n)
+        assert type(got) is int and got == n
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL_COUNTS + [None, np.float64(4.0)])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            as_sample_count(bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, np.int64(0)])
+    def test_rejects_counts_below_one(self, bad):
+        with pytest.raises(ValueError, match=">= 1"):
+            as_sample_count(bad)
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL_COUNTS)
+    @pytest.mark.parametrize("build", [index_grid, dft_matrix])
+    def test_grid_and_dft_reject_non_integers(self, build, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build(bad, IndexScheme.CENTERED)
 
 
 class TestIndexGrid:

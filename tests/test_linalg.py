@@ -1,12 +1,18 @@
 """Tests for the dense linear-algebra kernel."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_fixture, taylor_expm
 
+from opscale import linalg
 from opscale.dft import IndexScheme
 from opscale.linalg import (
+    UNITARITY_TOL,
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
     ParityUnitary,
@@ -74,6 +80,20 @@ class TestHermitianEig:
         a = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError):
             hermitian_eig(a)
+
+    def test_keeps_the_residuals_it_checked(self):
+        rng = np.random.default_rng(19)
+        raw = _random_complex(rng, 9)
+        a = (raw + raw.conj().T) / 2
+        a[0, 1] += 1e-13  # a Hermiticity residual the check still accepts
+        eig = hermitian_eig(a)
+        v, lam = eig.eigenvectors, eig.eigenvalues
+        assert eig.hermiticity_residual == abs(a - a.conj().T).max() > 0
+        assert eig.gram_residual == identity_residual(v.conj().T @ v)
+        assert eig.reconstruction_residual == abs(a @ v - v * lam).max()
+        for resid in (eig.hermiticity_residual, eig.gram_residual,
+                      eig.reconstruction_residual, eig.unitarity_bound):
+            assert type(resid) is float
 
     def test_decomposition_is_frozen(self):
         a = np.diag([1.0, 2.0])
@@ -167,6 +187,13 @@ class TestParityEig:
         with pytest.raises(ValueError):
             parity_eig(np.zeros((3, 4)))
 
+    def test_keeps_the_reversal_residual(self):
+        a = self._symmetric(6)
+        a[0, 0] += 1e-13  # a reversal residual the check still accepts
+        eig = parity_eig(a)
+        assert type(eig.reversal_residual) is float
+        assert eig.reversal_residual == abs(a - a[::-1, ::-1]).max() > 0
+
     @staticmethod
     def _symmetric(n):
         # A random Hermitian matrix made reversal-symmetric: (A + J A J)/2.
@@ -228,3 +255,108 @@ class TestParityUnitary:
     def test_dense_of_theta_zero_is_the_identity(self):
         u = unitary_from_eig(parity_eig(TestParityEig._symmetric(7)), 0.0)
         assert np.max(np.abs(u.dense() - np.eye(7))) < 1e-13
+
+
+def _blocks(eig):
+    if isinstance(eig, ParityEigenDecomposition):
+        return [eig.even, eig.odd]
+    return [eig]
+
+
+def _assembled(eig, theta):
+    out = unitary_from_eig(eig, theta)
+    return [out.even, out.odd] if isinstance(out, ParityUnitary) else [out]
+
+
+def _unitarity_residual(block):
+    return identity_residual(block.conj().T @ block)
+
+
+def _hand_built(v, eigenvalues):
+    """A decomposition of an arbitrary V, carrying V's measured gram residual."""
+    v.setflags(write=False)
+    gram = identity_residual(v.conj().T @ v)
+    return HermitianEigenDecomposition(eigenvalues, v, 0.0, gram, 0.0)
+
+
+def _concentrated(k, eps):
+    """``V = F (I + eps*ones)``, F the unitary DFT.
+
+    ``V^H V - I`` is about ``2 eps`` in every entry, and F gathers its
+    k-fold 2-norm into the (0, 0) entry of ``V V^H - I``, so at theta = 0
+    the block's unitarity residual comes within a few per cent of the
+    bound's leading term ``2 k delta``.
+    """
+    f = np.fft.fft(np.eye(k)) / math.sqrt(k)
+    return _hand_built(f @ (np.eye(k) + eps * np.ones((k, k))), np.linspace(-3, 3, k))
+
+
+class TestUnitarityCertificate:
+    """``unitarity_bound`` against measured residuals, and where it lets the check be skipped."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_m=st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_bound_covers_the_measured_residual(self, n, scheme, ln_m):
+        eig = operator_set(n, scheme).generator_eig
+        for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * ln_m)):
+            assert block.unitarity_bound >= _unitarity_residual(m)
+            assert block.unitarity_bound < UNITARITY_TOL
+
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_bound_covers_the_measured_residual_on_large_grids(self, n, scheme):
+        eig = operator_set(n, scheme).generator_eig
+        for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * math.log(1.7))):
+            assert block.unitarity_bound >= _unitarity_residual(m)
+            if n == 512:  # certified on both schemes; N = 1024 ordinary is not
+                assert block.unitarity_bound < UNITARITY_TOL
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_bound_covers_eigenvectors_far_from_orthonormal(self, theta):
+        eig = _concentrated(64, 1e-13)
+        assert eig.unitarity_bound < UNITARITY_TOL
+        (m,) = _assembled(eig, theta)
+        assert eig.unitarity_bound >= _unitarity_residual(m) > 50 * eig.gram_residual
+
+    def test_bound_covers_the_rounding_of_the_gram_residual(self):
+        # Even a measured residual of 0 leaves the exact one up to gamma_{k+2}.
+        k = 512
+        u = np.finfo(float).eps / 2
+        gamma = (k + 2) * u / (1 - (k + 2) * u)
+        eig = HermitianEigenDecomposition(np.zeros(k), np.eye(k), 0.0, 0.0, 0.0)
+        assert eig.unitarity_bound >= (1 + k * gamma) ** 2 - 1
+
+    def test_empty_block_has_a_zero_bound(self):
+        eig = operator_set(1, IndexScheme.ORDINARY).generator_eig
+        assert eig.odd.unitarity_bound == 0.0
+
+    def test_uncertified_block_runs_the_full_check_and_raises(self):
+        eig = _concentrated(64, 1e-12)
+        assert eig.unitarity_bound >= UNITARITY_TOL
+        with pytest.raises(ArithmeticError, match="lost unitarity"):
+            unitary_from_eig(eig, 0.0)
+
+    def test_full_check_runs_only_on_uncertified_blocks(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(_random_complex(rng, 64))
+        # Columns scaled by 1 +- 1e-12: a gram residual that the bound
+        # does not certify, on a block that is unitary to about 4e-12.
+        uncertified = _hand_built(q * (1 + 1e-12 * rng.choice([-1, 1], 64)), np.arange(64.0))
+        assert uncertified.unitarity_bound >= UNITARITY_TOL
+        certified = operator_set(64, IndexScheme.ORDINARY).generator_eig
+        assert certified.unitarity_bound < UNITARITY_TOL
+        calls = []
+
+        def counting(p):
+            calls.append(p.shape)
+            return identity_residual(p)
+
+        monkeypatch.setattr(linalg, "identity_residual", counting)
+        unitary_from_eig(certified, 0.7)
+        assert calls == []
+        unitary_from_eig(uncertified, 0.7)
+        assert calls == [(64, 64)]

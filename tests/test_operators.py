@@ -16,7 +16,6 @@ from opscale.operators import (
     coord_matrix,
     diff_matrix,
     operator_set,
-    scaling_generator,
 )
 
 
@@ -172,21 +171,12 @@ class TestGenerator:
 
     @pytest.mark.parametrize("n", [1, 7, 24, 65])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
-    def test_equals_scaling_generator_exactly(self, n, scheme):
-        # The operator set forms G without re-Hermitizing; with D exactly
-        # Hermitian that step changes no value (only the sign of some zero
-        # imaginary parts on the diagonal).
+    def test_equals_the_symmetrized_product(self, n, scheme):
+        # The entrywise G against the anticommutator formed by dense products.
         ops = operator_set(n, scheme)
-        assert np.array_equal(ops.generator, scaling_generator(ops.u, ops.d))
-
-    def test_scaling_generator_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            scaling_generator(np.eye(3), np.eye(4))
-
-    def test_scaling_generator_rejects_non_diagonal_u(self):
-        # The entrywise form (u_m + u_n)/2 * D holds only for diagonal U.
-        with pytest.raises(ValueError, match="diagonal"):
-            scaling_generator(np.ones((4, 4)), np.eye(4))
+        g = ops.generator
+        expected = (ops.u @ ops.d + ops.d @ ops.u) / 2.0
+        assert np.max(np.abs(g - expected)) <= 1e-14 * (1.0 + np.max(np.abs(g)))
 
     def test_generator_eig_reconstructs(self):
         ops = operator_set(32, IndexScheme.ORDINARY)
@@ -204,6 +194,19 @@ class TestOperatorSet:
         a = operator_set(16, IndexScheme.CENTERED)
         b = operator_set(16, IndexScheme.CENTERED)
         assert a is b
+
+    def test_equal_grids_share_one_set(self):
+        builds = operator_set.cache_info().misses
+        a = operator_set(48, IndexScheme.CENTERED)
+        assert operator_set(np.int64(48), "centered") is a
+        assert operator_set.cache_info().misses <= builds + 1
+
+    @pytest.mark.parametrize("bad", [4.5, 8.0, True, "5"])
+    def test_rejects_non_integral_sample_counts(self, bad):
+        # 8.0 and True equal sample counts whose sets are cached here.
+        operator_set(8, IndexScheme.CENTERED), operator_set(1, IndexScheme.CENTERED)
+        with pytest.raises(ValueError, match="must be an integer"):
+            operator_set(bad, IndexScheme.CENTERED)
 
     def test_arrays_are_read_only(self):
         ops = operator_set(8, IndexScheme.ORDINARY)

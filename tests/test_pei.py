@@ -179,6 +179,12 @@ class TestCddhfBasis:
         with pytest.raises(AttributeError):
             basis.m_factor = 5.0
 
+    @pytest.mark.parametrize("bad", [3.7, 4.9, True, "5"])
+    def test_rejects_non_integral_sample_counts(self, bad):
+        for build in (pei_u_squared, pei_centered_dft, lambda n: cddhf_basis(n, 2.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                build(bad)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             cddhf_basis(0, 1.0)

@@ -36,6 +36,16 @@ class TestScalingSpec:
         with pytest.raises(ValueError):
             ScalingSpec(2.0, 0, IndexScheme.ORDINARY)
 
+    @pytest.mark.parametrize("bad", [3.7, True, "5"])
+    def test_rejects_non_integral_n(self, bad):
+        # These used to become N = 3, N = 1 and N = 5.
+        with pytest.raises(ValueError, match="must be an integer"):
+            ScalingSpec(2.0, bad, IndexScheme.CENTERED)
+
+    def test_accepts_numpy_integer_n(self):
+        spec = ScalingSpec(2.0, np.int64(16), IndexScheme.CENTERED)
+        assert type(spec.n_samples) is int and spec.n_samples == 16
+
     def test_is_frozen(self):
         spec = ScalingSpec(2.0, 8, IndexScheme.ORDINARY)
         with pytest.raises(AttributeError):
