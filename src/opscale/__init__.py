@@ -10,13 +10,6 @@ a benchmark harness that scores all of them.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    HermitianEigenDecomposition,
-    ParityEigenDecomposition,
-    hermitian_eig,
-    parity_eig,
-    unitary_from_eig,
-)
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
 from .operators import (
     OperatorSet,
@@ -46,11 +39,6 @@ from .bench import (
 
 __all__ = [
     "__version__",
-    "HermitianEigenDecomposition",
-    "ParityEigenDecomposition",
-    "hermitian_eig",
-    "parity_eig",
-    "unitary_from_eig",
     "IndexScheme",
     "SampleGrid",
     "dft_matrix",

@@ -24,8 +24,9 @@ Methods:
 ``run_bench`` sweeps the Cartesian product of its parameter lists and is
 deterministic: records are produced in the canonical sort order
 (function, method, M, N, scheme) and two identical runs emit identical
-bytes.  Failures of individual cells are recorded as NaN entries with a
-note rather than aborting the sweep.  Numbers are serialized with 17
+bytes.  Its N and M lists are checked up front by :mod:`opscale.dft`'s
+helpers; failures of individual cells are recorded as NaN entries with
+a note rather than aborting the sweep.  Numbers are serialized with 17
 significant digits — exact round-trip for IEEE doubles.
 """
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from . import __version__
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
+from .dft import as_sample_count, as_scaling_factor, as_signal
 from .pei import pei_scale
 from .scaling import ScalingSpec, scale_signal
 from .signals import TestFunction, sample, scaled_reference
@@ -105,7 +107,7 @@ def nmse_percent(reference, candidate) -> float:
     return float(100.0 * np.linalg.norm(ref - cand) ** 2 / denom)
 
 
-def interp_scale(signal, grid: SampleGrid, m_factor: float, amplitude_factor: bool = True) -> np.ndarray:
+def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
     """Scale by resampling the periodic band-limited interpolant.
 
     The samples determine a unique interpolant in the span of the grid's
@@ -120,23 +122,14 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float, amplitude_factor: bo
         If ``m_factor`` is not positive and finite, or the signal does not
         match the grid or has a NaN or infinite sample.
     """
-    m_factor = float(m_factor)
-    if m_factor <= 0 or not np.isfinite(m_factor):
-        raise ValueError(f"m_factor must be positive and finite, got {m_factor}")
-    vec = np.asarray(signal, dtype=complex)
-    if vec.ndim != 1 or vec.shape[0] != grid.n_samples:
-        raise ValueError(
-            f"signal shape {vec.shape} does not match grid (N={grid.n_samples})"
-        )
-    if not np.isfinite(vec).all():
-        raise ValueError("signal contains non-finite samples")
+    m_factor = as_scaling_factor(m_factor)
+    vec = as_signal(signal, grid.n_samples)
     n = grid.n_samples
     coeffs = dft_matrix(n, grid.scheme) @ vec
     period = n * grid.spacing
     targets = grid.coordinates / m_factor
     synth = np.exp((2j * np.pi / period) * np.outer(targets, grid.indices)) / np.sqrt(n)
-    amplitude = m_factor ** -0.5 if amplitude_factor else 1.0
-    return amplitude * (synth @ coeffs)
+    return m_factor ** -0.5 * (synth @ coeffs)
 
 
 def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
@@ -162,7 +155,8 @@ def run_bench(
     Defaults reproduce the reference experiment: both test functions,
     the OPERATOR method, M in {0.5, 2, 3}, N in {128, 256, 512}, both
     index schemes.  One record per parameter tuple, in canonical order;
-    per-cell failures become NaN records and the sweep continues.
+    per-cell failures become NaN records and the sweep continues.  An
+    invalid N or M in the lists raises ``ValueError`` before any cell runs.
     """
     functions = sorted(
         {TestFunction(f) for f in (functions or TestFunction)}, key=lambda f: f.value
@@ -170,8 +164,10 @@ def run_bench(
     methods = sorted(
         {Method(m) for m in (methods or [Method.OPERATOR])}, key=lambda m: m.value
     )
-    m_factors = sorted({float(m) for m in (DEFAULT_M_FACTORS if m_factors is None else m_factors)})
-    n_values = sorted({int(n) for n in (DEFAULT_N_VALUES if n_values is None else n_values)})
+    m_factors = DEFAULT_M_FACTORS if m_factors is None else m_factors
+    n_values = DEFAULT_N_VALUES if n_values is None else n_values
+    m_factors = sorted({as_scaling_factor(m) for m in m_factors})
+    n_values = sorted({as_sample_count(n) for n in n_values})
     schemes = sorted(
         {IndexScheme(s) for s in (schemes or IndexScheme)}, key=lambda s: s.value
     )

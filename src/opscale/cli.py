@@ -31,7 +31,8 @@ in-memory matrix bit for bit, and identical invocations produce
 identical bytes (no timestamps, no environment lookups — flags are the
 only configuration).
 
-Exit codes: 0 success, 1 computational failure, 2 usage or input error.
+Exit codes: 0 success, 1 computational failure, 2 usage or input error
+(``--n`` and ``--m`` are checked by the library's :mod:`opscale.dft` helpers).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .bench import Method, emit_table, run_bench, scale_with
-from .dft import IndexScheme, index_grid
+from .dft import IndexScheme, as_sample_count, as_scaling_factor, index_grid
 from .operators import operator_set
 from .pei import cddhf_basis, pei_centered_dft, pei_d_squared, pei_u_squared
 from .scaling import ScalingSpec, scaling_matrix
@@ -98,14 +99,10 @@ def _build_matrix(kind: str, n: int, scheme: IndexScheme, m: float | None) -> np
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     if args.kind == "scaling" and args.m is None:
         raise UsageError("--m is required for --kind scaling")
     if args.kind != "scaling" and args.m is not None:
         raise UsageError(f"--m is only meaningful for --kind scaling, not {args.kind!r}")
-    if args.m is not None and args.m <= 0:
-        raise UsageError(f"--m must be positive, got {args.m}")
     scheme = IndexScheme(args.scheme)
     matrix = np.atleast_2d(np.asarray(_build_matrix(args.kind, args.n, scheme, args.m)))
     labels = _matrix_labels(args.kind, args.n, scheme)
@@ -185,8 +182,6 @@ def _parse_signal_file(path: str):
 
 
 def cmd_scale(args) -> int:
-    if args.m is None or args.m <= 0:
-        raise UsageError(f"--m must be positive, got {args.m}")
     indices, vec, declared_scheme, _ = _parse_signal_file(args.infile)
 
     if args.scheme is not None and declared_scheme is not None:
@@ -250,10 +245,6 @@ def cmd_bench(args) -> int:
 # -------------------------------------------------------------- basis ----
 
 def cmd_basis(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
-    if args.m <= 0:
-        raise UsageError(f"--m must be positive, got {args.m}")
     basis = cddhf_basis(args.n, args.m)
     lines = [
         "# opscale-basis",
@@ -319,9 +310,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Normalize ``--n`` and ``--m``; a rejection is a usage error naming the flag."""
+    for flag, check in (("n", as_sample_count), ("m", as_scaling_factor)):
+        value = getattr(args, flag, None)
+        if value is not None:
+            try:
+                setattr(args, flag, check(value))
+            except ValueError as exc:  # "<parameter> must ..." -> "--<flag> must ..."
+                raise UsageError(f"--{flag} {str(exc).split(' ', 1)[1]}") from exc
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"opscale: error: {exc}", file=sys.stderr)

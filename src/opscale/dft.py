@@ -35,11 +35,16 @@ For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so
 ``dft_matrix`` verifies it numerically for every constructed matrix and
 raises rather than silently returning a defective transform.
+
+The package's input checks live here too: :func:`as_sample_count`,
+:func:`as_scaling_factor` and :func:`as_signal` define a valid N, M and
+signal for every entry point and the command line.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -80,6 +85,36 @@ def as_sample_count(n_samples) -> int:
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n}")
     return n
+
+
+def as_scaling_factor(m_factor) -> float:
+    """``m_factor`` as a positive, finite Python float.
+
+    Python and numpy real scalars are accepted.  ``bool``, strings,
+    ``None``, complex numbers, NaN, infinities and values <= 0 raise
+    ``ValueError`` instead of being converted.
+    """
+    real = isinstance(m_factor, numbers.Real) and not isinstance(m_factor, bool)
+    m = float(m_factor) if real else math.nan
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"m_factor must be positive and finite, got {m_factor!r}")
+    return m
+
+
+def as_signal(signal, n_samples: int | None = None) -> np.ndarray:
+    """``signal`` as a 1-D complex array; a complex128 vector is not copied.
+
+    ``ValueError`` if it is not one-dimensional, has a length other than
+    ``n_samples`` (when given), or has a NaN or infinite sample.
+    """
+    vec = np.asarray(signal, dtype=complex)
+    if vec.ndim != 1:
+        raise ValueError(f"signal must be one-dimensional, got shape {vec.shape}")
+    if n_samples is not None and vec.shape[0] != n_samples:
+        raise ValueError(f"signal length {vec.shape[0]} does not match n_samples {n_samples}")
+    if not np.isfinite(vec).all():
+        raise ValueError("signal contains non-finite samples")
+    return vec
 
 
 def _scheme_indices(n_samples: int, scheme: IndexScheme) -> np.ndarray:

@@ -52,20 +52,20 @@ themselves are kept, read-only, in the byte-bounded LRU cache
 on ``(N, M)`` and charged for their vectors plus eigenvalues.  An
 evicted basis is rebuilt by the same ``eigh`` and sign fixing and comes
 back bit-identical.  The cache's lock guards only its bookkeeping, so
-concurrent callers are safe.  Signals must be finite.
+concurrent callers are safe.  N, M and the signal are checked by the
+helpers of :mod:`opscale.dft`; signals must be finite.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .cache import shared
-from .dft import IndexScheme, as_sample_count, dft_matrix
+from .dft import IndexScheme, as_sample_count, as_scaling_factor, as_signal, dft_matrix
 from .linalg import identity_residual
 
 __all__ = [
@@ -212,11 +212,7 @@ def cddhf_basis(n_samples: int, m_factor: float) -> CddhfBasis:
     and sign-fixed deterministically; see the module docstring for the
     conventions.
     """
-    n_samples = as_sample_count(n_samples)
-    m_factor = float(m_factor)
-    if not math.isfinite(m_factor) or m_factor <= 0:
-        raise ValueError(f"m_factor must be positive and finite, got {m_factor}")
-    return _cddhf_basis_cached(n_samples, m_factor)
+    return _cddhf_basis_cached(as_sample_count(n_samples), as_scaling_factor(m_factor))
 
 
 def pei_scale(signal, m_factor: float) -> np.ndarray:
@@ -232,13 +228,9 @@ def pei_scale(signal, m_factor: float) -> np.ndarray:
         If the signal is not one-dimensional or has a NaN or infinite
         sample, or ``m_factor`` is not positive and finite.
     """
-    vec = np.asarray(signal, dtype=complex)
-    if vec.ndim != 1:
-        raise ValueError(f"signal must be one-dimensional, got shape {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValueError("signal contains non-finite samples")
-    n_samples = vec.shape[0]
-    base = cddhf_basis(n_samples, 1.0)
-    target = cddhf_basis(n_samples, float(m_factor))
+    vec = as_signal(signal)
+    m_factor = as_scaling_factor(m_factor)
+    base = cddhf_basis(vec.shape[0], 1.0)
+    target = cddhf_basis(vec.shape[0], m_factor)
     coefficients = base.vectors.T @ vec
     return target.vectors @ coefficients

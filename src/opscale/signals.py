@@ -23,12 +23,11 @@ for sensitivity analysis, mirroring the bench harness flag.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
-from .dft import SampleGrid
+from .dft import SampleGrid, as_scaling_factor
 
 __all__ = ["TestFunction", "tri", "evaluate", "sample", "scaled_reference"]
 
@@ -80,10 +79,9 @@ def scaled_reference(
 
     ``ref[k] = M**-0.5 * fn(u_k / M)`` (the factor drops out when
     ``amplitude_factor`` is False).  With M = 1 this returns exactly the
-    same values as :func:`sample`.
+    same values as :func:`sample`.  ``m_factor`` is checked by
+    :func:`~opscale.dft.as_scaling_factor`.
     """
-    m_factor = float(m_factor)
-    if not math.isfinite(m_factor) or m_factor <= 0:
-        raise ValueError(f"m_factor must be positive and finite, got {m_factor}")
+    m_factor = as_scaling_factor(m_factor)
     amplitude = m_factor ** -0.5 if amplitude_factor else 1.0
     return amplitude * evaluate(fn, grid.coordinates / m_factor)

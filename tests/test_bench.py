@@ -73,13 +73,6 @@ class TestInterpScale:
         got = interp_scale(x, grid, m)
         assert np.max(np.abs(got - expected)) < 1e-12
 
-    def test_amplitude_factor_flag(self):
-        grid = index_grid(8, IndexScheme.CENTERED)
-        x = np.ones(8)
-        with_factor = interp_scale(x, grid, 4.0)
-        without = interp_scale(x, grid, 4.0, amplitude_factor=False)
-        assert np.max(np.abs(with_factor * 2.0 - without)) < 1e-13
-
     def test_rejects_bad_m(self):
         grid = index_grid(8, IndexScheme.ORDINARY)
         with pytest.raises(ValueError):
@@ -133,6 +126,28 @@ class TestRunBench:
         for record in table.records:
             assert math.isnan(record.nmse_percent)
             assert "zero norm" in record.note
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_values": [16.7]}, "n_samples must be an integer"),
+            ({"n_values": [16, 0]}, "n_samples must be >= 1"),
+            ({"m_factors": [-1.0]}, "m_factor must be positive and finite"),
+            ({"m_factors": [2.0, math.nan]}, "m_factor must be positive and finite"),
+        ],
+    )
+    def test_invalid_lists_raise_before_any_cell_runs(self, monkeypatch, kwargs, message):
+        sampled = []
+        monkeypatch.setattr("opscale.bench.sample", lambda *args: sampled.append(args))
+        with pytest.raises(ValueError, match=message):
+            run_bench(**{"m_factors": [2.0], "n_values": [16], **kwargs})
+        assert sampled == []
+
+    def test_numpy_integer_n_runs(self):
+        table = run_bench(m_factors=[2.0], n_values=[np.int64(16)])
+        assert [type(r.n_samples) for r in table.records] == [int] * 4
+        assert {r.n_samples for r in table.records} == {16}
+        assert all(math.isfinite(r.nmse_percent) for r in table.records)
 
     def test_metadata_describes_the_sweep(self):
         table = run_bench(m_factors=[2.0], n_values=[16], methods=[Method.CDDHF])

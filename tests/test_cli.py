@@ -140,6 +140,21 @@ class TestGen:
         assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "-inf", "0", "-2"])
+@pytest.mark.parametrize("command", ["gen", "scale", "basis"])
+def test_bad_m_is_a_usage_error(capsys, tmp_path, command, m):
+    signal = tmp_path / "ones.csv"
+    write_signal_file(signal, index_grid(4, IndexScheme.CENTERED).indices, np.ones(4))
+    argv = {
+        "gen": ["gen", "--kind", "scaling", "--n", "4"],
+        "scale": ["scale", "--in", str(signal)],
+        "basis": ["basis", "--n", "4"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, f"--m={m}")
+    assert code == 2 and out == ""
+    assert f"opscale: error: --m must be positive and finite, got {float(m)!r}" in err
+
+
 class TestScale:
     def _chirp_file(self, tmp_path, n=16, scheme="centered"):
         grid = index_grid(n, IndexScheme(scheme))

@@ -2,11 +2,24 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from opscale.dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_grid
+from opscale.bench import interp_scale, run_bench
+from opscale.dft import (
+    IndexScheme,
+    SampleGrid,
+    as_sample_count,
+    as_scaling_factor,
+    as_signal,
+    dft_matrix,
+    index_grid,
+)
+from opscale.pei import cddhf_basis, pei_scale
+from opscale.scaling import ScalingSpec
+from opscale.signals import TestFunction, scaled_reference
 
 #: Sample counts that ``int()`` used to truncate or convert; all are rejected.
 NON_INTEGRAL_COUNTS = [3.7, 8.0, True, "5"]
@@ -33,6 +46,104 @@ class TestSampleCount:
     def test_grid_and_dft_reject_non_integers(self, build, bad):
         with pytest.raises(ValueError, match="must be an integer"):
             build(bad, IndexScheme.CENTERED)
+
+
+#: Invalid scaling factors, each rejected with one error by every entry point.
+BAD_FACTORS = [None, True, "2", math.nan, math.inf, 0, -1]
+
+
+class TestScalingFactor:
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (2, 2.0),
+            (0.5, 0.5),
+            (1e-300, 1e-300),
+            (1e300, 1e300),
+            (np.float64(3.7), 3.7),
+            (np.float32(0.5), 0.5),
+            (np.int64(3), 3.0),
+            (np.uint8(4), 4.0),
+            (Fraction(1, 4), 0.25),
+        ],
+    )
+    def test_accepts_positive_finite_reals(self, m, expected):
+        got = as_scaling_factor(m)
+        assert type(got) is float and got == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        BAD_FACTORS
+        + [
+            False,
+            np.bool_(True),
+            b"2",
+            2 + 0j,
+            np.complex128(2.0),
+            -math.inf,
+            np.float64(math.nan),
+            0.0,
+            -0.0,
+            -1e-300,
+            np.array(2.0),
+            [2.0],
+        ],
+    )
+    def test_rejects_everything_else(self, bad):
+        with pytest.raises(ValueError, match="m_factor must be positive and finite"):
+            as_scaling_factor(bad)
+
+
+class TestSignal:
+    def test_complex128_vector_is_returned_without_a_copy(self):
+        x = np.arange(4, dtype=complex)
+        assert as_signal(x, 4) is x
+
+    @pytest.mark.parametrize("signal", [[1, 2, 3], (1.0, 2j, 3.0), np.arange(3, dtype=np.float32)])
+    def test_converts_sequences_and_real_arrays(self, signal):
+        got = as_signal(signal)
+        assert got.dtype == complex and got.shape == (3,)
+        assert np.array_equal(got, np.asarray(signal, dtype=complex))
+
+    def test_length_is_checked_only_when_given(self):
+        assert as_signal(np.ones(5)).shape == (5,)
+        with pytest.raises(ValueError, match="signal length 5 does not match n_samples 4"):
+            as_signal(np.ones(5), 4)
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2)), np.ones((4, 1)), 1.0, np.array(1.0)])
+    def test_rejects_non_vectors(self, bad):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            as_signal(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+    def test_rejects_non_finite_samples(self, bad):
+        x = np.ones(4, dtype=complex)
+        x[2] = bad
+        with pytest.raises(ValueError, match="non-finite samples"):
+            as_signal(x, 4)
+
+
+class TestOneRuleForM:
+    """Every entry point taking an M rejects the same values with the same error."""
+
+    GRID = index_grid(8, IndexScheme.CENTERED)
+    ENTRY_POINTS = {
+        "ScalingSpec": lambda m: ScalingSpec(m, 8, IndexScheme.CENTERED),
+        "cddhf_basis": lambda m: cddhf_basis(8, m),
+        "pei_scale": lambda m: pei_scale(np.ones(8), m),
+        "interp_scale": lambda m: interp_scale(np.ones(8), TestOneRuleForM.GRID, m),
+        "scaled_reference": lambda m: scaled_reference(
+            TestFunction.CHIRPED_PULSE, TestOneRuleForM.GRID, m
+        ),
+        "run_bench": lambda m: run_bench(m_factors=[m], n_values=[8]),
+    }
+
+    @pytest.mark.parametrize("bad", BAD_FACTORS, ids=repr)
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_same_value_error(self, entry, bad):
+        with pytest.raises(ValueError) as excinfo:
+            self.ENTRY_POINTS[entry](bad)
+        assert str(excinfo.value) == f"m_factor must be positive and finite, got {bad!r}"
 
 
 class TestIndexGrid:
