@@ -21,7 +21,6 @@ from .scaling import ScalingSpec, scale_signal, scaling_matrix
 from .pei import (
     CddhfBasis,
     cddhf_basis,
-    pei_centered_dft,
     pei_d_squared,
     pei_scale,
     pei_u_squared,
@@ -52,7 +51,6 @@ __all__ = [
     "scaling_matrix",
     "CddhfBasis",
     "cddhf_basis",
-    "pei_centered_dft",
     "pei_d_squared",
     "pei_scale",
     "pei_u_squared",

@@ -142,6 +142,16 @@ def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.
     return interp_scale(signal, grid, m_factor)
 
 
+def _chosen(name: str, values, default) -> list:
+    """``values`` as a list, or ``default`` for ``None``; empty raises ``ValueError``."""
+    if values is None:
+        return list(default)
+    values = list(values)
+    if not values:
+        raise ValueError(f"{name} must not be empty (None selects the default)")
+    return values
+
+
 def run_bench(
     functions: Iterable[TestFunction] | None = None,
     methods: Iterable[Method] | None = None,
@@ -154,22 +164,28 @@ def run_bench(
 
     Defaults reproduce the reference experiment: both test functions,
     the OPERATOR method, M in {0.5, 2, 3}, N in {128, 256, 512}, both
-    index schemes.  One record per parameter tuple, in canonical order;
-    per-cell failures become NaN records and the sweep continues.  An
-    invalid N or M in the lists raises ``ValueError`` before any cell runs.
+    index schemes.  ``None`` picks a list's default.  One record per
+    parameter tuple, in canonical order; per-cell failures become NaN
+    records and the sweep continues.  An empty list, or an invalid N or M
+    in the lists, raises ``ValueError`` before any cell runs.
     """
     functions = sorted(
-        {TestFunction(f) for f in (functions or TestFunction)}, key=lambda f: f.value
+        {TestFunction(f) for f in _chosen("functions", functions, TestFunction)},
+        key=lambda f: f.value,
     )
     methods = sorted(
-        {Method(m) for m in (methods or [Method.OPERATOR])}, key=lambda m: m.value
+        {Method(m) for m in _chosen("methods", methods, [Method.OPERATOR])},
+        key=lambda m: m.value,
     )
-    m_factors = DEFAULT_M_FACTORS if m_factors is None else m_factors
-    n_values = DEFAULT_N_VALUES if n_values is None else n_values
-    m_factors = sorted({as_scaling_factor(m) for m in m_factors})
-    n_values = sorted({as_sample_count(n) for n in n_values})
+    m_factors = sorted(
+        {as_scaling_factor(m) for m in _chosen("m_factors", m_factors, DEFAULT_M_FACTORS)}
+    )
+    n_values = sorted(
+        {as_sample_count(n) for n in _chosen("n_values", n_values, DEFAULT_N_VALUES)}
+    )
     schemes = sorted(
-        {IndexScheme(s) for s in (schemes or IndexScheme)}, key=lambda s: s.value
+        {IndexScheme(s) for s in _chosen("schemes", schemes, IndexScheme)},
+        key=lambda s: s.value,
     )
 
     records = []

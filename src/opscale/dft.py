@@ -91,11 +91,16 @@ def as_scaling_factor(m_factor) -> float:
     """``m_factor`` as a positive, finite Python float.
 
     Python and numpy real scalars are accepted.  ``bool``, strings,
-    ``None``, complex numbers, NaN, infinities and values <= 0 raise
+    ``None``, complex numbers, NaN, infinities, values <= 0 and values
+    too large for a float (a huge int or ``Fraction``) raise
     ``ValueError`` instead of being converted.
     """
-    real = isinstance(m_factor, numbers.Real) and not isinstance(m_factor, bool)
-    m = float(m_factor) if real else math.nan
+    m = math.nan
+    if isinstance(m_factor, numbers.Real) and not isinstance(m_factor, bool):
+        try:
+            m = float(m_factor)
+        except OverflowError:
+            m = math.inf
     if not 0.0 < m < math.inf:
         raise ValueError(f"m_factor must be positive and finite, got {m_factor!r}")
     return m

@@ -21,7 +21,11 @@ grid labels used elsewhere.  Concretely,
 
 with F the standard centered DFT matrix
 
-    F[m, n] = exp(-2j*pi*(m-(N-1)/2)*(n-(N-1)/2)/N) / sqrt(N).
+    F[m, n] = exp(-2j*pi*(m-(N-1)/2)*(n-(N-1)/2)/N) / sqrt(N),
+
+the cached :func:`~opscale.dft.dft_matrix` of :func:`pei_scheme` (its
+labels ``m - (N-1)/2`` are the centered scheme's for even N and the
+ordinary scheme's for odd N).
 
 Both S-terms are positive semidefinite and, for this F, D^2 comes out
 real symmetric (verified numerically; the imaginary rounding residue is
@@ -70,7 +74,7 @@ from .linalg import identity_residual
 
 __all__ = [
     "CddhfBasis",
-    "pei_centered_dft",
+    "pei_scheme",
     "pei_u_squared",
     "pei_d_squared",
     "cddhf_basis",
@@ -93,17 +97,13 @@ def pei_u_squared(n_samples: int) -> np.ndarray:
     return np.diag(m * m)
 
 
-def pei_centered_dft(n_samples: int) -> np.ndarray:
-    """Standard centered DFT matrix on 0-based rows/columns.
+def pei_scheme(n_samples: int) -> IndexScheme:
+    """The scheme whose labels are ``m - (N-1)/2``: centered for even N, ordinary for odd N.
 
-    ``F[m, n] = exp(-2j*pi*(m-(N-1)/2)*(n-(N-1)/2)/N)/sqrt(N)``.  The
-    labels ``m - (N-1)/2`` are the centered scheme's for even N and the
-    ordinary scheme's for odd N, so this is the cached, read-only
-    :func:`~opscale.dft.dft_matrix` of that scheme.
+    The standard centered DFT of this method is ``dft_matrix(N,
+    pei_scheme(N))``.
     """
-    n_samples = as_sample_count(n_samples)
-    scheme = IndexScheme.CENTERED if n_samples % 2 == 0 else IndexScheme.ORDINARY
-    return dft_matrix(n_samples, scheme)
+    return IndexScheme.CENTERED if as_sample_count(n_samples) % 2 == 0 else IndexScheme.ORDINARY
 
 
 def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
@@ -130,7 +130,8 @@ def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
     """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
-    d2 = pei_d_squared(pei_u_squared(n_samples), pei_centered_dft(n_samples))
+    f = dft_matrix(n_samples, pei_scheme(n_samples))
+    d2 = pei_d_squared(pei_u_squared(n_samples), f)
     d2_real = d2.real.copy()
     d2_real.setflags(write=False)
     return d2_real, float(abs(d2.imag).max())

@@ -143,6 +143,21 @@ class TestRunBench:
             run_bench(**{"m_factors": [2.0], "n_values": [16], **kwargs})
         assert sampled == []
 
+    @pytest.mark.parametrize("name", ["functions", "methods", "m_factors", "n_values", "schemes"])
+    def test_empty_list_raises_before_any_cell_runs(self, monkeypatch, name):
+        sampled = []
+        monkeypatch.setattr("opscale.bench.sample", lambda *args: sampled.append(args))
+        with pytest.raises(ValueError, match=f"{name} must not be empty"):
+            run_bench(**{"m_factors": [2.0], "n_values": [16], name: []})
+        assert sampled == []
+
+    @pytest.mark.parametrize("name", ["functions", "methods", "schemes"])
+    def test_none_selects_the_default(self, name):
+        default = run_bench(m_factors=[2.0], n_values=[16])
+        chosen = run_bench(m_factors=[2.0], n_values=[16], **{name: None})
+        assert emit_table(chosen) == emit_table(default)
+        assert len(default.records) == 4
+
     def test_numpy_integer_n_runs(self):
         table = run_bench(m_factors=[2.0], n_values=[np.int64(16)])
         assert [type(r.n_samples) for r in table.records] == [int] * 4

@@ -87,6 +87,9 @@ class TestScalingFactor:
             -1e-300,
             np.array(2.0),
             [2.0],
+            10**400,
+            -10**400,
+            Fraction(10**400, 3),
         ],
     )
     def test_rejects_everything_else(self, bad):

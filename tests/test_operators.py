@@ -12,7 +12,9 @@ from conftest import explicit_summation_dual, fixture_matrix, load_fixture
 
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.operators import (
+    OperatorSet,
     _diff_column,
+    _HalfDft,
     coord_matrix,
     diff_matrix,
     operator_set,
@@ -187,6 +189,100 @@ class TestGenerator:
     def test_generator_eig_is_cached(self):
         ops = operator_set(32, IndexScheme.ORDINARY)
         assert ops.generator_eig is ops.generator_eig
+
+
+def _dense_half_dft(grid):
+    """Z as a dense matrix: the transform applied to the identity."""
+    n = grid.n_samples
+    return _HalfDft(grid).apply(np.eye(n, dtype=complex), np.empty((n, n), dtype=complex), 0)
+
+
+def _parity_basis(n):
+    """Columns: the reversal-even basis vectors, then the reversal-odd ones."""
+    h, k = n // 2, n - n // 2
+    b = np.zeros((n, n))
+    for j in range(h):
+        b[j, j] = b[n - 1 - j, j] = 1 / math.sqrt(2)
+        b[j, k + j], b[n - 1 - j, k + j] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    if n % 2:
+        b[h, h] = 1.0
+    return b
+
+
+class TestHalfDft:
+    """``Z = (F^H)^(1/2)``, the transform that makes the generator real."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(min_value=1, max_value=256), scheme=st.sampled_from(list(IndexScheme)))
+    def test_is_a_symmetric_unitary_square_root_that_makes_g_real(self, n, scheme):
+        z = _dense_half_dft(index_grid(n, scheme))
+        f = dft_matrix(n, scheme)
+        assert np.max(np.abs(z @ z - f.conj().T)) < 1e-13
+        assert np.max(np.abs(z - z.T)) < 1e-13
+        assert np.max(np.abs(z.conj().T @ z - np.eye(n))) < 1e-13
+        g = operator_set(n, scheme).generator
+        assert np.max(np.abs((z.conj().T @ g @ z).imag)) <= 1e-12 * (1 + np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("n", [127, 128, 255, 256])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_phases_are_reduced_exactly(self, n, scheme):
+        # Against F with its label products reduced exactly mod N: phases
+        # left unreduced put an error of about 1e-12/sqrt(N) into Z^2.
+        grid = index_grid(n, scheme)
+        labels = grid.indices
+        f = np.exp((-2j * np.pi / n) * np.fmod(np.outer(labels, labels), n)) / math.sqrt(n)
+        z = _dense_half_dft(grid)
+        assert np.max(np.abs(z @ z - f.conj().T)) * math.sqrt(n) < 1e-13
+
+    @pytest.mark.parametrize("n, scheme", [(7, IndexScheme.CENTERED), (8, IndexScheme.ORDINARY),
+                                           (9, IndexScheme.ORDINARY), (8, IndexScheme.CENTERED)])
+    def test_applies_along_either_axis(self, n, scheme):
+        grid = index_grid(n, scheme)
+        z = _dense_half_dft(grid)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out = np.empty_like(x)
+        assert np.max(np.abs(_HalfDft(grid).apply(x.copy(), out, 1) - x @ z)) < 1e-13
+        assert np.max(np.abs(_HalfDft(grid).apply(x.copy(), out, 0) - z @ x)) < 1e-13
+
+    @pytest.mark.parametrize("n, scheme", [(1, IndexScheme.ORDINARY), (2, IndexScheme.CENTERED),
+                                           (7, IndexScheme.ORDINARY), (8, IndexScheme.CENTERED),
+                                           (63, IndexScheme.ORDINARY), (64, IndexScheme.CENTERED)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_block_transform_is_z_on_the_parity_bases(self, n, scheme, axis):
+        grid = index_grid(n, scheme)
+        b = _parity_basis(n)
+        blocks = b.T @ _dense_half_dft(grid) @ b
+        k = n - n // 2
+        off_diagonal = np.concatenate([blocks[:k, k:].ravel(), blocks[k:, :k].ravel()])
+        assert np.max(np.abs(off_diagonal), initial=0.0) < 1e-13
+        z = _HalfDft(grid)
+        for odd, expected in ((False, blocks[:k, :k]), (True, blocks[k:, k:])):
+            size = expected.shape[0]
+            eye = np.eye(size, dtype=complex)
+            got = z.apply_block(eye, np.empty_like(eye), axis, odd=odd)
+            assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
+
+    @pytest.mark.parametrize(
+        "n, scheme, delta",
+        [(8, IndexScheme.ORDINARY, 1e-6), (7, IndexScheme.CENTERED, 1e-6),
+         (8, IndexScheme.CENTERED, 1e-6j), (7, IndexScheme.ORDINARY, 1e-6j)],
+    )
+    def test_generator_without_the_fourier_symmetry_is_rejected(self, n, scheme, delta):
+        # One diagonal of D changed: still Hermitian Toeplitz, and on the
+        # symmetric grids (imaginary change) still odd under reversal, but
+        # G = F^H conj(G) F no longer holds, so Z^H G Z is not real.
+        ops = operator_set(n, scheme)
+        column = ops.d_column.copy()
+        column[1] += delta
+        tampered = OperatorSet(ops.grid, ops.u_diagonal, column)
+        g, f = tampered.generator, ops.f
+        assert np.array_equal(g, g.conj().T)
+        if tampered.grid_symmetric:
+            assert np.max(np.abs(g - g[::-1, ::-1])) < 1e-15
+        assert np.max(np.abs(f.conj().T @ g.conj() @ f - g)) > 1e-7
+        with pytest.raises(ArithmeticError, match="real form is not real"):
+            tampered.generator_eig
 
 
 class TestOperatorSet:

@@ -12,11 +12,16 @@ from opscale.dft import IndexScheme, dft_matrix
 from opscale.pei import (
     CddhfBasis,
     cddhf_basis,
-    pei_centered_dft,
     pei_d_squared,
     pei_scale,
+    pei_scheme,
     pei_u_squared,
 )
+
+
+def pei_centered_dft(n):
+    """The standard centered DFT of the CDDHF method."""
+    return dft_matrix(n, pei_scheme(n))
 
 
 class TestBuildingBlocks:
@@ -41,6 +46,8 @@ class TestBuildingBlocks:
         # Labels m - (N-1)/2 are the centered scheme's for even N and the
         # ordinary scheme's for odd N: one builder, one cache.
         scheme = IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY
+        assert pei_scheme(n) is scheme
+        assert pei_scheme(np.int64(n)) is scheme
         f = pei_centered_dft(n)
         assert f is dft_matrix(n, scheme)
         shift = (n - 1) / 2
@@ -181,7 +188,7 @@ class TestCddhfBasis:
 
     @pytest.mark.parametrize("bad", [3.7, 4.9, True, "5"])
     def test_rejects_non_integral_sample_counts(self, bad):
-        for build in (pei_u_squared, pei_centered_dft, lambda n: cddhf_basis(n, 2.0)):
+        for build in (pei_u_squared, pei_scheme, lambda n: cddhf_basis(n, 2.0)):
             with pytest.raises(ValueError, match="must be an integer"):
                 build(bad)
 

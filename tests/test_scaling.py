@@ -136,6 +136,22 @@ class TestScalingMatrix:
 
     @pytest.mark.parametrize(
         "n, scheme",
+        [(n, IndexScheme.ORDINARY) for n in (2, 4, 16, 64, 128)]
+        + [(n, IndexScheme.CENTERED) for n in (1, 3, 17, 63, 127)],
+    )
+    @pytest.mark.parametrize("m", [0.5, 2.0, 7.3])
+    def test_real_form_matches_dense_decomposition(self, n, scheme, m):
+        # Asymmetric grids decompose G whole through its real form; the
+        # reference decomposes G itself in complex arithmetic.
+        ops = operator_set(n, scheme)
+        assert not ops.grid_symmetric
+        theta = 2.0 * math.pi * math.log(m)
+        expected = unitary_from_eig(hermitian_eig(ops.generator), theta)
+        got = scaling_matrix(ScalingSpec(m, n, scheme))
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "n, scheme",
         [(n, IndexScheme.CENTERED) for n in (2, 4, 16, 64)]
         + [(n, IndexScheme.ORDINARY) for n in (1, 3, 17, 63)],
     )
