@@ -7,9 +7,9 @@ validated Hermitian eigendecompositions and unitary matrix functions
 The heavy lifting is delegated to LAPACK through :func:`numpy.linalg.eigh`;
 what this module adds is the contract enforcement the callers rely on:
 inputs are checked for Hermiticity before the solve
-(:func:`hermiticity_residual`), and every decomposition is verified
+(:func:`_hermiticity_residual`), and every decomposition is verified
 (orthonormal eigenvectors, small reconstruction residual) before it is
-handed back.  Those checks live in one place, :func:`checked_eig`, which
+handed back.  Those checks live in one place, :func:`_checked_eig`, which
 :func:`hermitian_eig` calls after its complex ``eigh`` and which the
 scaling generator's decomposition calls after its real one.  A generator
 that fails these checks indicates a construction bug upstream, and
@@ -25,14 +25,14 @@ generator G, ``G = F^H conj(G) F`` with F the unitary DFT; ``F^4 = I``,
 so ``Z = (F^H)^(1/2)`` is a cubic polynomial in F, symmetric with ``Z F =
 Z^H``, and ``conj(S) = Z conj(G) Z^H = (Z F) G (Z F)^H = S``
 (:mod:`opscale.operators` has the coefficients and the transform).
-:func:`real_part` checks that the computed S is real to rounding,
+:func:`_real_part` checks that the computed S is real to rounding,
 ``max|Im S| < 1e-10 * (1 + max|A|)``, before its real part is solved.
 
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
 A[N-1-i, N-1-j]``) splits exactly into two blocks in the orthonormal
 basis of reversal-even vectors ``(e_k + e_{N-1-k})/sqrt(2)`` (plus the
 middle unit vector when N is odd) and reversal-odd vectors
-``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2``.  :func:`reversal_fold`
+``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2``.  :func:`_reversal_fold`
 checks the symmetry in O(N^2) and folds the matrix into its even block
 of size ``ceil(N/2)`` and odd block of size ``floor(N/2)``;
 :func:`parity_eig` decomposes each through :func:`hermitian_eig` with
@@ -93,7 +93,7 @@ decomposition must carry the measured ``max|V^H V - I|`` of its
 eigenvectors.
 
 Every function except :func:`identity_residual`, which overwrites the
-product it is given, and :func:`checked_eig`, which marks the arrays it
+product it is given, and :func:`_checked_eig`, which marks the arrays it
 certifies read-only, is pure and operates on immutable inputs, so they
 are safe to call concurrently from multiple threads.
 """
@@ -109,12 +109,8 @@ __all__ = [
     "HermitianEigenDecomposition",
     "ParityEigenDecomposition",
     "ParityUnitary",
-    "checked_eig",
     "hermitian_eig",
-    "hermiticity_residual",
     "parity_eig",
-    "real_part",
-    "reversal_fold",
     "unitary_from_eig",
 ]
 
@@ -195,7 +191,7 @@ class HermitianEigenDecomposition:
         ``max|A V - V diag(eigenvalues)|``.
     realness_residual : float or None
         ``max|Im(Z^H A Z)|`` of the real form the eigenvalues were solved
-        from (see :func:`real_part`); None for a complex solve.
+        from (see :func:`_real_part`); None for a complex solve.
     unitarity_bound : float
         Derived from ``gram_residual``: an upper bound on ``max|M^H M - I|``
         of every block :func:`unitary_from_eig` assembles from this
@@ -237,7 +233,7 @@ class ParityEigenDecomposition:
     reversal_residual: float
 
 
-def hermiticity_residual(a) -> tuple[float, float]:
+def _hermiticity_residual(a) -> tuple[float, float]:
     """``(1 + max|a|, max|a - a^H|)`` of a square matrix, checked.
 
     The first value is the scale every relative tolerance of this module
@@ -257,7 +253,7 @@ def hermiticity_residual(a) -> tuple[float, float]:
     return scale, herm_resid
 
 
-def real_part(s: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
+def _real_part(s: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """The real part of a form ``Z^H A Z`` that should be real, checked.
 
     ``s`` is that form, or its conjugate, computed in complex arithmetic
@@ -276,7 +272,7 @@ def real_part(s: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     return s.real, imag_resid
 
 
-def checked_eig(
+def _checked_eig(
     a: np.ndarray, scale: float, herm_resid: float,
     eigenvalues: np.ndarray, eigenvectors: np.ndarray,
     realness_resid: float | None = None,
@@ -284,8 +280,8 @@ def checked_eig(
     """The checks every decomposition passes, and the decomposition they certify.
 
     ``a`` is the decomposed matrix and ``(scale, herm_resid)`` what
-    :func:`hermiticity_residual` measured on it; ``realness_resid`` is
-    what :func:`real_part` measured, when the solve went through a real
+    :func:`_hermiticity_residual` measured on it; ``realness_resid`` is
+    what :func:`_real_part` measured, when the solve went through a real
     form.  Raises
     ``ArithmeticError`` unless the eigenvectors are orthonormal to 1e-10
     and ``max|A V - V diag(eigenvalues)|`` is below ``1e-9 * scale``.
@@ -334,15 +330,15 @@ def hermitian_eig(a) -> HermitianEigenDecomposition:
         ``a`` within ``1e-9 * (1 + max|a|)``.
     """
     a = np.asarray(a)
-    scale, herm_resid = hermiticity_residual(a)
+    scale, herm_resid = _hermiticity_residual(a)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
-    return checked_eig(a, scale, herm_resid, eigenvalues, eigenvectors)
+    return _checked_eig(a, scale, herm_resid, eigenvalues, eigenvectors)
 
 
-def reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
+def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     """The even and odd blocks of a matrix that commutes with index reversal.
 
     Returns ``(even, odd, max|A - J A J|)``; the blocks are new arrays on
@@ -388,7 +384,7 @@ def parity_eig(a) -> ParityEigenDecomposition:
     Returns
     -------
     ParityEigenDecomposition
-        The even and odd blocks of :func:`reversal_fold`, each decomposed
+        The even and odd blocks of :func:`_reversal_fold`, each decomposed
         by :func:`hermitian_eig`.
 
     Raises
@@ -400,7 +396,7 @@ def parity_eig(a) -> ParityEigenDecomposition:
         If ``a`` does not commute with index reversal within tolerance,
         or a block decomposition fails its checks.
     """
-    even, odd, reversal_resid = reversal_fold(a)
+    even, odd, reversal_resid = _reversal_fold(a)
     return ParityEigenDecomposition(hermitian_eig(even), hermitian_eig(odd), reversal_resid)
 
 

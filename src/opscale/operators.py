@@ -72,7 +72,7 @@ An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition.  Its
 dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
 kept.  :attr:`OperatorSet.generator_eig` forms G, transforms it, and
-forms it again for the checks of :func:`opscale.linalg.checked_eig`
+forms it again for the checks of :func:`opscale.linalg._checked_eig`
 rather than hold it beside the transforms.
 
 On symmetric grids (index set closed under negation: centered with even
@@ -80,7 +80,7 @@ N, ordinary with odd N) U is odd and D is odd under index reversal, so
 G commutes with reversal, and ``F^2`` is the reversal itself, so Z
 commutes with it too.  :attr:`OperatorSet.generator_eig` then checks
 the symmetry, folds G into its even and odd half-size blocks by
-:func:`opscale.linalg.reversal_fold`, keeps them for the checks, and
+:func:`opscale.linalg._reversal_fold`, keeps them for the checks, and
 forms and decomposes the matching blocks of S, on which Z is ``(c0 +-
 c2) I + (c3 +- c1) F``.  On the other grids it decomposes G whole.
 
@@ -106,11 +106,11 @@ from .dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_gri
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    checked_eig,
-    hermiticity_residual,
+    _checked_eig,
+    _hermiticity_residual,
     identity_residual,
-    real_part,
-    reversal_fold,
+    _real_part,
+    _reversal_fold,
 )
 
 __all__ = [
@@ -330,7 +330,7 @@ def _real_form_eig(form, apply, kept=None) -> HermitianEigenDecomposition:
     between them.
     """
     a = form()
-    scale, herm_resid = hermiticity_residual(a)
+    scale, herm_resid = _hermiticity_residual(a)
     work = np.empty((2,) + a.shape, dtype=complex)
     x, y = work
     x[...] = a
@@ -339,14 +339,14 @@ def _real_form_eig(form, apply, kept=None) -> HermitianEigenDecomposition:
     apply(x, y, axis=1)  # A Z
     np.conjugate(y, out=x)
     apply(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
-    s, realness_resid = real_part(y, scale)
+    s, realness_resid = _real_part(y, scale)
     lam, q = np.linalg.eigh(s)
     eigenvalues[...] = lam
     x[...] = q
     del s, lam, q
     apply(x, v, axis=0)
     del work, x, y
-    return checked_eig(form(), scale, herm_resid, eigenvalues, v, realness_resid)
+    return _checked_eig(form(), scale, herm_resid, eigenvalues, v, realness_resid)
 
 
 class OperatorSet:
@@ -433,11 +433,11 @@ class OperatorSet:
         ``eigh`` gives ``S = Q diag(lam) Q^T``, and ``V = Z Q``.  On
         symmetric grids G is first checked to commute with index reversal
         and folded into its even and odd blocks by
-        :func:`~opscale.linalg.reversal_fold`; Z commutes with reversal
+        :func:`~opscale.linalg._reversal_fold`; Z commutes with reversal
         too, so the blocks of S are ``Z_b^H G_b Z_b``, formed from the
         blocks of G at half the transform cost, and each is decomposed on
         its own.  Every block passes the checks of
-        :func:`~opscale.linalg.checked_eig` against its block of G.  The
+        :func:`~opscale.linalg._checked_eig` against its block of G.  The
         generator itself is not kept.
 
         Raises ``ValueError`` if G is not Hermitian, and
@@ -448,7 +448,7 @@ class OperatorSet:
         z = _HalfDft(self.grid)
         if self.grid_symmetric:
             # The blocks of G are what the checks read; G itself is dropped.
-            even, odd, reversal_resid = reversal_fold(self._formed_generator())
+            even, odd, reversal_resid = _reversal_fold(self._formed_generator())
             kept = [(np.empty(k), np.empty((k, k), dtype=complex)) for k in (len(even), len(odd))]
             return ParityEigenDecomposition(
                 _real_form_eig(lambda: even, partial(z.apply_block, odd=False), kept[0]),
