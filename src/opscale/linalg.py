@@ -132,6 +132,9 @@ REALNESS_RTOL = 1e-10
 #: Max-abs tolerance for the unitarity ``M^H M - I`` of an assembled block.
 UNITARITY_TOL = 1e-10
 
+#: Columns per product when a block is assembled and checked.
+_COLUMN_BLOCK = 128
+
 #: Unit roundoff ``u`` of float64.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
@@ -404,12 +407,25 @@ def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray
     # The result is allocated before the temporaries, so that an assembly
     # that is kept does not sit between freed temporaries in the heap.
     v = eig.eigenvectors
+    k = v.shape[0]
     out = np.empty(v.shape, dtype=complex)
-    phases = np.exp(-1j * theta * eig.eigenvalues)
-    np.matmul(v * phases, v.conj().T, out=out)
+    vp = v * np.exp(-1j * theta * eig.eigenvalues)
+    # v p v^H a block of columns at a time, and below the check's M^H M a
+    # block of rows at a time: the same products, without an N x N copy of
+    # v^H or M^H among the temporaries.  A last block of one column joins
+    # the one before; BLAS would take it as a matrix-vector product, which
+    # rounds differently.
+    blocks = [slice(j, j + _COLUMN_BLOCK if j + _COLUMN_BLOCK < k - 1 else k)
+              for j in range(0, max(k - 1, 1), _COLUMN_BLOCK)]
+    for cols in blocks:
+        np.matmul(vp, v[cols].conj().T, out=out[:, cols])
+    del vp
     # A certified block needs no dense re-check (module docstring).
     if eig.unitarity_bound >= UNITARITY_TOL:
-        unit_resid = identity_residual(out.conj().T @ out)
+        gram = np.empty(v.shape, dtype=complex)
+        for rows in blocks:
+            np.matmul(out[:, rows].conj().T, out, out=gram[rows])
+        unit_resid = identity_residual(gram)
         if unit_resid >= UNITARITY_TOL:
             raise ArithmeticError(
                 f"matrix function lost unitarity: max|M^H M - I| = {unit_resid:.3e}"

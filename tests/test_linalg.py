@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,3 +361,20 @@ class TestUnitarityCertificate:
         assert calls == []
         unitary_from_eig(uncertified, 0.7)
         assert calls == [(64, 64)]
+
+    def test_assembly_and_its_check_keep_one_temporary_beside_the_block(self):
+        # The block, then v p or the check's gram beside it, and half a
+        # block for |gram - I|: no k x k copy of v^H or M^H on top.
+        k = 512
+        rng = np.random.default_rng(k)
+        q, _ = np.linalg.qr(_random_complex(rng, k))
+        eig = _hand_built(q * (1 + 1e-12 * rng.choice([-1, 1], k)), np.linspace(-1.0, 1.0, k))
+        assert eig.unitarity_bound >= UNITARITY_TOL  # the dense check runs
+        tracemalloc.start()
+        try:
+            m = unitary_from_eig(eig, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _unitarity_residual(m) < UNITARITY_TOL
+        assert peak < 2.75 * m.nbytes

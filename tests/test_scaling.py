@@ -113,7 +113,7 @@ class TestScalingMatrix:
             out[h, h] = even[h, h]
         return out
 
-    @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 256, 512])
+    @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 129, 256, 257, 512])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     def test_bit_identical_to_the_dense_assembly(self, n, scheme):
         # Keeping the blocks and assembling into a preallocated array must
