@@ -44,6 +44,9 @@ quarter of the dense eigensolve and assembly, and half of its memory.
 A :class:`ParityUnitary` is applied to a vector blockwise, reading half
 the bytes of the dense matrix, and :meth:`ParityUnitary.dense` scatters
 the blocks back into the N x N matrix in the original index order.
+A block ``V P V^H`` and its dense check ``M^H M`` are formed 128
+columns of the right factor at a time: the same products, without an
+N x N copy of ``V^H`` or ``M^H`` among the temporaries.
 
 Each decomposition keeps the residuals its checks measured, as plain
 floats: :class:`HermitianEigenDecomposition` the Hermiticity, gram and
