@@ -108,9 +108,9 @@ from .linalg import (
     ParityEigenDecomposition,
     _checked_eig,
     _hermiticity_residual,
-    identity_residual,
     _real_part,
     _reversal_fold,
+    identity_residual,
 )
 
 __all__ = [
