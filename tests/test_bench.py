@@ -184,6 +184,19 @@ class TestRunBench:
         second = emit_table(run_bench(**kwargs))
         assert first == second
 
+    def test_earlier_scale_signal_calls_do_not_change_the_table(self):
+        # scale_signal assembles a factor after K requests; the sweep must
+        # not see that, whatever requests came before it.
+        kwargs = dict(m_factors=[0.5, 2.0], n_values=[16, 17])
+        before = emit_table(run_bench(**kwargs))
+        x = np.ones(17, dtype=complex)
+        for m in kwargs["m_factors"]:
+            for n in kwargs["n_values"]:
+                for scheme in IndexScheme:
+                    for _ in range(n + 1):  # past K, a quarter of the largest block
+                        opscale.scale_signal(x[:n], opscale.ScalingSpec(m, n, scheme))
+        assert emit_table(run_bench(**kwargs)) == before
+
 
 class TestEmitTable:
     @staticmethod

@@ -4,7 +4,11 @@ The scaling tests run on two grids of N = 16.  The centered grid is
 symmetric, so the cache holds the two 8 x 8 parity blocks (8 N^2
 bytes); the ordinary grid is not, so it holds the dense matrix
 (16 N^2 bytes).  The tests reach the cached operator through the memoized builder, whose result is
-the cached object itself, or through ``scale_signal``.
+the cached object itself, or through ``scale_signal``.  ``scale_signal``
+applies the first K requests of a factor in factored form, K a quarter
+of the largest block size (2 on the symmetric grid, 4 on the other), and
+assembles and caches the operator from request K + 1 on; the tests that
+reach the cache through it make K + 1 requests of each factor.
 """
 
 import sys
@@ -14,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from opscale import cache
+from opscale import cache, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import ParityUnitary
 from opscale.pei import cddhf_basis
@@ -28,24 +32,31 @@ class Grid(NamedTuple):
     n: int
     scheme: IndexScheme
     charge: int  # bytes one scaling operator on this grid is charged
+    k: int  # K, the requests scale_signal applies in factored form
 
     def spec(self, m: float) -> ScalingSpec:
         return ScalingSpec(m, self.n, self.scheme)
 
     def operator(self, m: float):
         """The cached scaling operator for factor ``m``."""
-        return _scaling_operator(float(m), self.n, self.scheme)
+        return _scaling_operator(float(m), self.n, self.scheme.value)
+
+    def assembled(self, x, m: float) -> np.ndarray:
+        """``scale_signal`` past the factored requests: the first assembled result."""
+        for _ in range(self.k + 1):
+            y = scale_signal(x, self.spec(m))
+        return y
 
     def signal(self, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
 
 
-BLOCKS = Grid(N, IndexScheme.CENTERED, 8 * N * N)
+BLOCKS = Grid(N, IndexScheme.CENTERED, 8 * N * N, N // 8)
 
 
 @pytest.fixture(
-    params=[BLOCKS, Grid(N, IndexScheme.ORDINARY, 16 * N * N)],
+    params=[BLOCKS, Grid(N, IndexScheme.ORDINARY, 16 * N * N, N // 4)],
     ids=["symmetric", "asymmetric"],
 )
 def grid(request) -> Grid:
@@ -54,14 +65,20 @@ def grid(request) -> Grid:
 
 @pytest.fixture
 def budget(monkeypatch):
-    """Empties the shared cache and sets its budget; empties it again afterwards."""
+    """Empties the shared cache and sets its budget; empties it again afterwards.
+
+    The request table of ``scale_signal`` is emptied too, so that every
+    test starts its factors at request one.
+    """
     cache.shared.clear()
+    scaling._requests.clear()
 
     def set_budget(nbytes: int) -> None:
         monkeypatch.setattr(cache, "BUDGET_BYTES", nbytes)
 
     yield set_budget
     cache.shared.clear()
+    scaling._requests.clear()
 
 
 def test_operator_is_charged_its_bytes(budget, grid):
@@ -76,7 +93,12 @@ def test_operator_is_charged_its_bytes(budget, grid):
 
 
 def test_scale_signal_applies_the_cached_operator(budget, grid):
+    # The first K requests assemble nothing; request K + 1 assembles the
+    # operator, caches it and applies it.
     x = grid.signal(2)
+    for _ in range(grid.k):
+        scale_signal(x, grid.spec(1.7))
+    assert cache.shared.info() == cache.CacheInfo(0, 0, 0, 0, 0)
     y = scale_signal(x, grid.spec(1.7))
     assert y.tobytes() == (grid.operator(1.7) @ x).tobytes()
     assert cache.shared.info().misses == 1
@@ -86,7 +108,7 @@ def test_bytes_held_stay_within_budget_over_many_new_factors(budget, grid):
     budget(5 * grid.charge)
     x = grid.signal()
     for k in range(40):
-        scale_signal(x, grid.spec(1.0 + 0.05 * k))
+        grid.assembled(x, 1.0 + 0.05 * k)
         assert cache.shared.info().nbytes <= 5 * grid.charge
     info = cache.shared.info()
     assert (info.entries, info.nbytes, info.misses, info.evictions) == (
@@ -121,7 +143,7 @@ def test_hit_returns_the_same_read_only_object(budget, grid):
     assert grid.operator(2.5) is a
     arrays = (a.even, a.odd) if isinstance(a, ParityUnitary) else (a,)
     assert not any(arr.flags.writeable for arr in arrays)
-    scale_signal(grid.signal(), grid.spec(2.5))  # a hit through the public call
+    grid.assembled(grid.signal(), 2.5)  # a hit through the public call, after K factored
     assert grid.operator(2.5) is a
     assert cache.shared.info().hits == 3
     basis = cddhf_basis(N, 2.5)
@@ -145,11 +167,30 @@ def test_evicted_scaling_matrix_is_rebuilt_bit_identical(budget, grid):
 def test_scale_signal_is_bit_identical_after_eviction_and_rebuild(budget, grid):
     budget(grid.charge)
     x = grid.signal(1)
-    before = scale_signal(x, grid.spec(0.7))
-    scale_signal(x, grid.spec(1.3))  # evicts 0.7
+    before = grid.assembled(x, 0.7)
+    grid.assembled(x, 1.3)  # evicts 0.7
     after = scale_signal(x, grid.spec(0.7))  # rebuilds it, evicting 1.3
     assert cache.shared.info().evictions == 2
     assert after.tobytes() == before.tobytes()
+
+
+def test_scale_signal_results_do_not_depend_on_the_budget(budget, grid):
+    # One request sequence, crossing K on some factors and not on others,
+    # under a budget that evicts on almost every assembly and under one
+    # that never evicts: the same bytes, call for call.
+    k = grid.k
+    factors = [0.6] * (k + 3) + [1.3] * (k + 2) + [2.2] * (k + 1) + [3.1] * k
+    factors = np.random.default_rng(5).permutation(factors).tolist()
+    x = grid.signal(3)
+    runs, evictions = [], []
+    for nbytes in (grid.charge, 100 * grid.charge):
+        cache.shared.clear()
+        scaling._requests.clear()
+        budget(nbytes)
+        runs.append([scale_signal(x, grid.spec(m)).tobytes() for m in factors])
+        evictions.append(cache.shared.info().evictions)
+    assert runs[0] == runs[1]
+    assert evictions[0] >= 2 and evictions[1] == 0
 
 
 def test_evicted_cddhf_basis_is_rebuilt_bit_identical(budget):

@@ -16,7 +16,7 @@ DEMOS = sorted(glob.glob(os.path.join(
 
 def test_demos_are_found():
     # An empty glob would leave the parametrized test below skipped.
-    assert len(DEMOS) == 6
+    assert len(DEMOS) == 7
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)

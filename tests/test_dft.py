@@ -118,12 +118,21 @@ class TestSignal:
         with pytest.raises(ValueError, match="one-dimensional"):
             as_signal(bad)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.inf, -math.inf)]
+    )
     def test_rejects_non_finite_samples(self, bad):
         x = np.ones(4, dtype=complex)
         x[2] = bad
         with pytest.raises(ValueError, match="non-finite samples"):
             as_signal(x, 4)
+        x[0] = 1e300  # with a sum of squares that overflows as well
+        with pytest.raises(ValueError, match="non-finite samples"):
+            as_signal(x, 4)
+
+    def test_accepts_finite_samples_whose_squares_overflow(self):
+        x = np.array([1e300, -1e300j, 1.0, np.finfo(float).max], dtype=complex)
+        assert as_signal(x, 4) is x
 
 
 class TestOneRuleForM:

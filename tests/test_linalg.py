@@ -17,9 +17,9 @@ from opscale.linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
     ParityUnitary,
+    apply_from_eig,
     hermitian_eig,
     identity_residual,
-    parity_eig,
     unitary_from_eig,
 )
 from opscale.operators import OperatorSet, operator_set
@@ -150,6 +150,12 @@ def test_unitary_function_matches_taylor_series():
 
 class TestParityEig:
     @staticmethod
+    def _parity_eig(a):
+        """The reversal fold of ``a``, each block decomposed with every check."""
+        even, odd, reversal_resid = linalg._reversal_fold(a)
+        return ParityEigenDecomposition(hermitian_eig(even), hermitian_eig(odd), reversal_resid)
+
+    @staticmethod
     def _generator(n, scheme):
         return np.array(operator_set(n, scheme).generator)
 
@@ -159,7 +165,7 @@ class TestParityEig:
     )
     def test_blocks_have_the_spectrum_of_the_matrix(self, n, scheme):
         g = self._generator(n, scheme)
-        eig = parity_eig(g)
+        eig = self._parity_eig(g)
         assert isinstance(eig, ParityEigenDecomposition)
         assert len(eig.even.eigenvalues) == (n + 1) // 2
         assert len(eig.odd.eigenvalues) == n // 2
@@ -171,7 +177,7 @@ class TestParityEig:
         g = self._generator(n, scheme)
         g[1, 2] += 1e-6
         with pytest.raises(ArithmeticError, match="index reversal"):
-            parity_eig(g)
+            self._parity_eig(g)
         # The operator set of a symmetric grid runs the same check on the
         # generator it forms.  A real part on one diagonal of D keeps D
         # Hermitian Toeplitz but makes it not odd under index reversal.
@@ -186,12 +192,12 @@ class TestParityEig:
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            parity_eig(np.zeros((3, 4)))
+            self._parity_eig(np.zeros((3, 4)))
 
     def test_keeps_the_reversal_residual(self):
         a = self._symmetric(6)
         a[0, 0] += 1e-13  # a reversal residual the check still accepts
-        eig = parity_eig(a)
+        eig = self._parity_eig(a)
         assert type(eig.reversal_residual) is float
         assert eig.reversal_residual == abs(a - a[::-1, ::-1]).max() > 0
 
@@ -206,7 +212,7 @@ class TestParityEig:
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     def test_assembly_matches_dense_assembly(self, n):
         a = self._symmetric(n)
-        got = unitary_from_eig(parity_eig(a), 0.7)
+        got = unitary_from_eig(self._parity_eig(a), 0.7)
         assert isinstance(got, ParityUnitary)
         assert got.even.shape == ((n + 1) // 2,) * 2 and got.odd.shape == (n // 2,) * 2
         assert not got.even.flags.writeable and not got.odd.flags.writeable
@@ -220,7 +226,7 @@ class TestParityEig:
 class TestParityUnitary:
     @staticmethod
     def _unitary(n):
-        return unitary_from_eig(parity_eig(TestParityEig._symmetric(n)), 0.7)
+        return unitary_from_eig(TestParityEig._parity_eig(TestParityEig._symmetric(n)), 0.7)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 32, 33])
     def test_blockwise_product_matches_dense_product(self, n):
@@ -254,7 +260,7 @@ class TestParityUnitary:
         assert u.dense().tobytes() == first.tobytes()
 
     def test_dense_of_theta_zero_is_the_identity(self):
-        u = unitary_from_eig(parity_eig(TestParityEig._symmetric(7)), 0.0)
+        u = unitary_from_eig(TestParityEig._parity_eig(TestParityEig._symmetric(7)), 0.0)
         assert np.max(np.abs(u.dense() - np.eye(7))) < 1e-13
 
 
@@ -378,3 +384,90 @@ class TestUnitarityCertificate:
             tracemalloc.stop()
         assert _unitarity_residual(m) < UNITARITY_TOL
         assert peak < 2.75 * m.nbytes
+
+
+def _norm_error(y, x):
+    """``| ||y||^2 / ||x||^2 - 1 |``, what ``factored_bound`` bounds."""
+    return abs(np.vdot(y, y).real / np.vdot(x, x).real - 1.0)
+
+
+class TestFactoredApply:
+    """``apply_from_eig``: the operator applied as ``V (p * V^H x)``, and its certificate."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=256),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_m=st.floats(min_value=-3.0, max_value=3.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bound_covers_the_measured_norm_error(self, n, scheme, ln_m, seed):
+        eig = operator_set(n, scheme).generator_eig
+        assert eig.factored_certified
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y = apply_from_eig(eig, 2 * math.pi * ln_m, x)
+        assert max(b.factored_bound for b in _blocks(eig)) >= _norm_error(y, x)
+        assert all(b.factored_bound < UNITARITY_TOL for b in _blocks(eig))
+
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_certifies_the_blocks_the_assembly_certifies(self, n, scheme):
+        eig = operator_set(n, scheme).generator_eig
+        blocks = _blocks(eig)
+        assert eig.block_size == blocks[0].block_size == max(b.block_size for b in blocks)
+        assert eig.factored_certified == all(b.unitarity_bound < UNITARITY_TOL for b in blocks)
+        # N = 1024 ordinary is one dense block of 1024: neither bound certifies it.
+        assert eig.factored_certified == (n == 512 or scheme is IndexScheme.CENTERED)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
+    def test_matches_the_assembled_product(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for eig in (hermitian_eig(TestParityEig._symmetric(n)),
+                    TestParityEig._parity_eig(TestParityEig._symmetric(n))):
+            y = apply_from_eig(eig, 0.7, x)
+            assert y.shape == (n,) and y.dtype == np.complex128
+            assert np.max(np.abs(y - unitary_from_eig(eig, 0.7) @ x)) < 1e-14 * np.linalg.norm(x)
+            # A real operand is promoted, as with the assembled operator.
+            got = apply_from_eig(eig, 0.7, x.real)
+            assert np.max(np.abs(got - unitary_from_eig(eig, 0.7) @ x.real)) < 1e-14 * n
+
+    def test_leaves_its_operand_alone(self):
+        eig = TestParityEig._parity_eig(TestParityEig._symmetric(6))
+        x = np.arange(6, dtype=complex)
+        x.setflags(write=False)
+        apply_from_eig(eig, 0.7, x)
+        assert np.array_equal(x, np.arange(6))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 2), ()])
+    def test_rejects_operand_that_is_not_an_n_vector(self, shape):
+        for eig in (hermitian_eig(TestParityEig._symmetric(6)),
+                    TestParityEig._parity_eig(TestParityEig._symmetric(6))):
+            with pytest.raises(ValueError, match="expected"):
+                apply_from_eig(eig, 0.7, np.zeros(shape))
+
+    def test_rejects_non_finite_theta(self):
+        with pytest.raises(ValueError, match="finite"):
+            apply_from_eig(hermitian_eig(np.eye(2)), math.inf, np.ones(2))
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_bound_covers_eigenvectors_far_from_orthonormal(self, theta):
+        eig = _concentrated(64, 1e-13)
+        assert eig.factored_certified
+        # x along the column of V V^H - I that F gathers the error into.
+        x = np.zeros(64, dtype=complex)
+        x[0] = 1.0
+        y = apply_from_eig(eig, theta, x)
+        assert eig.factored_bound >= _norm_error(y, x) > 50 * eig.gram_residual
+
+    def test_uncertified_block_is_refused(self):
+        eig = _concentrated(64, 1e-12)
+        assert eig.factored_bound >= UNITARITY_TOL and not eig.factored_certified
+        with pytest.raises(ArithmeticError, match="not certified"):
+            apply_from_eig(eig, 0.7, np.ones(64))
+        parity = ParityEigenDecomposition(eig, hermitian_eig(np.eye(63)), 0.0)
+        assert not parity.factored_certified
+        with pytest.raises(ArithmeticError, match="not certified"):
+            apply_from_eig(parity, 0.7, np.ones(127))
+

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture, taylor_expm
 
+from opscale import cache, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     ParityEigenDecomposition,
+    apply_from_eig,
     hermitian_eig,
     unitary_from_eig,
 )
@@ -216,6 +218,85 @@ class TestScaleSignal:
             scale_signal(x, ScalingSpec(2.0, 8, IndexScheme.CENTERED))
 
 
+def _factored(spec, x):
+    eig = operator_set(spec.n_samples, spec.scheme).generator_eig
+    return apply_from_eig(eig, 2.0 * math.pi * math.log(spec.m_factor), x)
+
+
+def _assembled(spec, x):
+    return scaling._scaling_operator(spec.m_factor, spec.n_samples, spec.scheme.value) @ x
+
+
+@pytest.fixture
+def fresh_requests():
+    """An empty request table and cache, emptied again afterwards."""
+    scaling._requests.clear()
+    cache.shared.clear()
+    yield
+    scaling._requests.clear()
+    cache.shared.clear()
+
+
+class TestRequestTable:
+    """Which path ``scale_signal`` takes: factored for a key's first K requests.
+
+    K is ``ceil(k/4)``, k the size of the grid's largest block.
+    """
+
+    @pytest.mark.parametrize(
+        "n, scheme, k, first_k",
+        [(16, IndexScheme.CENTERED, 8, 2), (16, IndexScheme.ORDINARY, 16, 4),
+         (17, IndexScheme.CENTERED, 17, 5), (17, IndexScheme.ORDINARY, 9, 3),
+         (1, IndexScheme.ORDINARY, 1, 1), (64, IndexScheme.ORDINARY, 64, 16)],
+    )
+    def test_first_k_requests_are_factored_and_later_ones_assembled(
+        self, fresh_requests, n, scheme, k, first_k
+    ):
+        eig = operator_set(n, scheme).generator_eig
+        assert eig.factored_certified and eig.block_size == k
+        spec = ScalingSpec(1.9, n, scheme)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for _ in range(first_k):
+            assert scale_signal(x, spec).tobytes() == _factored(spec, x).tobytes()
+        assert cache.shared.info().misses == 0
+        for _ in range(3):
+            assert scale_signal(x, spec).tobytes() == _assembled(spec, x).tobytes()
+        assert cache.shared.info().misses == 1
+        if n > 1:  # the two paths round differently
+            assert _factored(spec, x).tobytes() != _assembled(spec, x).tobytes()
+
+    def test_uncertified_grid_is_assembled_from_the_first_request(self, fresh_requests):
+        eig = operator_set(1024, IndexScheme.ORDINARY).generator_eig
+        assert not eig.factored_certified
+        spec = ScalingSpec(1.7, 1024, IndexScheme.ORDINARY)
+        x = np.random.default_rng(4).standard_normal(1024) + 0j
+        assert scale_signal(x, spec).tobytes() == _assembled(spec, x).tobytes()
+        assert cache.shared.info().misses == 1
+        with pytest.raises(ArithmeticError, match="not certified"):
+            _factored(spec, x)
+
+    def test_table_stays_bounded_after_many_distinct_factors(self, fresh_requests):
+        x = np.ones(4, dtype=complex)
+        hot = ScalingSpec(1.5, 4, IndexScheme.CENTERED)  # k = 2, so K = 1
+        for _ in range(2):
+            scale_signal(x, hot)  # factored, then assembled
+        factors = np.exp(np.linspace(-2.0, 2.0, 10_000)).tolist()
+        for i, m in enumerate(factors):
+            scale_signal(x, ScalingSpec(m, 4, IndexScheme.CENTERED))
+            if i % 500 == 0:
+                scale_signal(x, hot)
+        assert len(scaling._requests) == scaling._REQUEST_KEYS
+        # The least recently requested keys are forgotten, the latest kept;
+        # a key requested within the last 1024 keys is kept, and so stays
+        # on the assembled path.
+        kept = [key[0] for key in scaling._requests]
+        after_hot = factors[9_501:]  # the hot factor was last requested after factors[9_500]
+        before_hot = factors[:9_501][-(scaling._REQUEST_KEYS - 1 - len(after_hot)):]
+        assert kept == before_hot + [1.5] + after_hot
+        assert cache.shared.info().misses == 1  # only the hot factor was assembled
+
+
 class TestProperties:
     """The paper's invariants over random grids and log-uniform factors."""
 
@@ -270,6 +351,20 @@ class TestProperties:
         y = scale_signal(x, spec)
         assert np.max(np.abs(y - scaling_matrix(spec) @ x)) < 1e-13 * norm_x
         assert abs(np.linalg.norm(y) - norm_x) < 1e-13 * norm_x
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_a=ln_m,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_factored_and_assembled_paths_agree(self, n, scheme, ln_a, seed):
+        spec = ScalingSpec(math.exp(ln_a), n, scheme)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        gap = np.linalg.norm(_factored(spec, x) - _assembled(spec, x))
+        assert gap < 1e-13 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     @pytest.mark.parametrize("n", [256, 257, 513, 1024])
