@@ -14,22 +14,28 @@ with the scheme's labels in the exponent,
 
     F[m, n] = exp(-2j*pi*m*n/N) / sqrt(N),
 
-by O(N^2) evaluation.  No FFT factorization is attempted: half-integer
-label products do not map onto a standard FFT.  Fractional powers of the
-N-th root of unity are always evaluated in principal-value form
-``exp(-2j*pi*m*n/N)`` rather than by repeated multiplication, eliminating
-branch-cut ambiguity.
+by O(N^2) evaluation.  Fractional powers of the N-th root of unity are
+always evaluated in principal-value form ``exp(-2j*pi*m*n/N)`` rather
+than by repeated multiplication, eliminating branch-cut ambiguity.  The
+dense matrix is evaluated only for the callers that need F itself, the
+CDDHF method and the interpolation baseline.  Applying F to vectors does
+not need it: half-integer labels split ``n_m n_k`` into a constant, two
+label phases and the integer product ``m k``, so F is one standard FFT
+between two phase multiplications, which is how
+:mod:`opscale.operators` applies it (``_diff_column`` and ``_HalfDft``,
+each phase reduced exactly with ``fmod``).
 
 Construction is not free: the evaluation is O(N^2), but the unitarity
-check below is a dense O(N^3) product, paid once per ``(N, scheme)``
-and cached with the matrix.  The scaling construction does not need F:
-:mod:`opscale.operators` builds the differentiation matrix from an FFT
-of the coordinate diagonal, relying only on the labels being
-unit-spaced, and returns this cached matrix as ``OperatorSet.f`` when it
-is asked for.  F is built by the interpolation baseline in
-:mod:`opscale.bench` and by the CDDHF comparison method in
-:mod:`opscale.pei`, whose labels ``m - (N-1)/2`` are this module's
-centered labels for even N and its ordinary labels for odd N.
+check below is a dense O(N^3) product, paid once per ``(N, scheme)`` and
+cached with the matrix, together with the residual it measured.  The
+scaling construction does not need F: :mod:`opscale.operators` builds
+the differentiation matrix from an FFT of the coordinate diagonal,
+relying only on the labels being unit-spaced, and returns this cached
+matrix as ``OperatorSet.f`` when it is asked for.  F is built by the
+interpolation baseline in :mod:`opscale.bench` and by the CDDHF
+comparison method in :mod:`opscale.pei`, whose labels ``m - (N-1)/2``
+are this module's centered labels for even N and its ordinary labels for
+odd N.
 
 For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so
@@ -183,7 +189,8 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
 
 
 @lru_cache(maxsize=None)
-def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> np.ndarray:
+def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
+    """F and the ``max|F F^H - I|`` it was checked with, kept for callers that re-check F."""
     n = _scheme_indices(n_samples, scheme)
     f = np.exp((-2j * np.pi / n_samples) * np.outer(n, n)) / math.sqrt(n_samples)
     # Verify unitarity instead of assuming it; this is the load-bearing
@@ -196,7 +203,7 @@ def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> np.ndarray:
             f"(N={n_samples}, scheme={scheme.value})"
         )
     f.setflags(write=False)
-    return f
+    return f, resid
 
 
 def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
@@ -209,4 +216,4 @@ def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     The returned array is cached per ``(n_samples, scheme)`` and marked
     read-only; copy before mutating.
     """
-    return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))
+    return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))[0]

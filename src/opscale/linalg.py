@@ -9,24 +9,25 @@ what this module adds is the contract enforcement the callers rely on:
 inputs are checked for Hermiticity before the solve
 (:func:`_hermiticity_residual`), and every decomposition is verified
 (orthonormal eigenvectors, small reconstruction residual) before it is
-handed back.  Those checks live in one place, :func:`_checked_eig`, which
-:func:`hermitian_eig` calls after its complex ``eigh`` and which the
-scaling generator's decomposition calls after its real one.  A generator
-that fails these checks indicates a construction bug upstream, and
-raising here localizes it.
+handed back.  :func:`hermitian_eig` measures both on ``(A, V)`` with
+complex products.  A generator that fails these checks indicates a
+construction bug upstream, and raising here localizes it.
 
 The scaling generator is decomposed through a real form.  For a
 Hermitian A and a unitary Z with ``Z^H A Z`` real, that form ``S`` is
 real symmetric, a real ``eigh`` gives ``S = Q diag(lam) Q^T``, and ``A =
 V diag(lam) V^H`` with ``V = Z Q``: a real solve, a fifth to a quarter
-of the complex one's cost at N = 512-1024, and the same checks on ``(A,
-V)``.  For the
+of the complex one's cost at N = 512-1024.  For the
 generator G, ``G = F^H conj(G) F`` with F the unitary DFT; ``F^4 = I``,
 so ``Z = (F^H)^(1/2)`` is a cubic polynomial in F, symmetric with ``Z F =
 Z^H``, and ``conj(S) = Z conj(G) Z^H = (Z F) G (Z F)^H = S``
 (:mod:`opscale.operators` has the coefficients and the transform).
 :func:`_real_part` checks that the computed S is real to rounding,
 ``max|Im S| < 1e-10 * (1 + max|A|)``, before its real part is solved.
+:func:`_solve_real_form` solves it and certifies ``(A, V)`` from ``(S, Q)``
+in real arithmetic, with an a priori bound on the transform Z (steps 6-8
+below), so neither A nor a complex N x N product is needed for the
+checks.
 
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
 A[N-1-i, N-1-j]``) splits exactly into two blocks in the orthonormal
@@ -60,10 +61,11 @@ on a decomposition whose every block ``factored_bound`` certifies; it
 raises ``ArithmeticError`` elsewhere, where the assembled block and its
 dense check are the only path.
 
-Each decomposition keeps the residuals its checks measured, as plain
-floats: :class:`HermitianEigenDecomposition` the Hermiticity, gram and
-reconstruction residuals, :class:`ParityEigenDecomposition` the reversal
-residual.  From the gram residual it also keeps ``unitarity_bound``, an
+Each decomposition keeps the residuals its checks measured (or, for a
+real form, bounded), as plain floats: :class:`HermitianEigenDecomposition`
+the Hermiticity, gram and reconstruction residuals,
+:class:`ParityEigenDecomposition` the reversal residual.  From a bound
+on ``||V^H V - I||_2`` it also keeps ``unitarity_bound``, an
 upper bound on ``max|M^H M - I|`` for every block ``M`` that
 :func:`unitary_from_eig` can assemble from it, whatever theta.  Where
 that bound is below ``UNITARITY_TOL`` the block is certified unitary
@@ -123,16 +125,99 @@ and 2.5e-10 at k = 1024, where the dense check runs.
 
 That last quantity is ``factored_bound``, the factored apply's
 counterpart of ``unitarity_bound``: to first order ``2 k delta + 4
-sqrt(k) gamma_{k+2} + 2 beta``.  It stops certifying at k of about 635,
-a dozen sizes before ``unitarity_bound`` does; both certify every block
-up to k = 512 and neither the dense k = 1024.  Neither bound is sounder
+sqrt(k) gamma_{k+2} + 2 beta``.  From a measured gram residual of a few
+1e-15 it stops certifying at k of about 635, a dozen sizes before
+``unitarity_bound`` does (the real form's bounds stop a little earlier,
+see below); both certify every block up to k = 512 and neither the
+dense k = 1024.  Neither bound is sounder
 than the gram residual it is given, so a hand-built decomposition must
 carry the measured ``max|V^H V - I|`` of its eigenvectors.
 
+Steps 2-5 use ``delta`` only through ``k delta``, a bound on ``||V^H V -
+I||_2``.  A decomposition keeps that bound as ``gram_bound``; from a
+measured gram residual it is ``k delta`` of step 1.  A real-form
+decomposition bounds it without forming ``V^H V``:
+
+6. The transform (an a priori bound).  numpy (>= 2.0) computes
+   ``fft`` with pocketfft, whose accuracy this module assumes as
+   follows (Higham, ch. 24; ``mu = 4u`` bounds the error of each
+   twiddle and chirp factor).  Below length 50, or when the largest
+   prime factor p of n has ``p^2 <= n``, or when pocketfft's cost rule
+   prefers it, the plan is mixed-radix Cooley-Tukey: one pass per prime
+   factor r of n (its radix-4 and radix-8 passes count as two and three
+   radix-2 passes).  A pass is ``sqrt(r)`` times a unitary map; its
+   length-r sums of r products err by ``sqrt(r) (gamma_{r+2} + mu)``
+   relative in the 2-norm, and its twiddle products by ``mu + sqrt(2)
+   gamma_2``, so ``eta_r = (1 + sqrt(r) (gamma_{r+2} + mu)) (1 + mu +
+   sqrt(2) gamma_2) - 1`` and ``eta_ct(n) = prod_r (1 + eta_r) - 1``.
+   Otherwise the plan is Bluestein's: ``y = conj(b) * C (conj(b) *
+   x)``, b the chirp, C a circular convolution of smooth length ``n2 >=
+   2n - 1`` applied by two Cooley-Tukey FFTs around a product with the
+   precomputed spectrum of the chirp.  With ``kappa = max|spectrum| /
+   sqrt(n) <= 2.25`` (the largest over n = 50..4096 is 2.18, at n = 52),
+   each FFT error and each rounding inside C is amplified by at most
+   kappa relative to ``||y|| = sqrt(n) ||x||``.  The spectrum is assumed
+   accurate to ``eta_ct(n2) + 2u`` times its largest entry in every entry
+   (the normwise bound spread evenly; a worst case may gather it into
+   one entry, sqrt(n2) times larger).  To first order, ``eta_bs(n) =
+   kappa (3 eta_ct(n2) + 12u) + 7u``.  :func:`fft_error` evaluates
+   ``eta_fft(n)``.  The transform Z of :mod:`opscale.operators`, one FFT
+   and about ten pointwise products with its coefficients and label
+   phases, errs by at most ``eta = eta_fft(N) + 100u`` relative on every
+   vector.  So the computed ``V = Z Q + E`` with ``||E e_j|| <= eta
+   ||q_j||`` for each column, Z the exact unitary transform.
+7. The gram of V.  The measured ``d_Q = max|Q^T Q - I|`` (a real product)
+   bounds ``delta_Q = max|Q^T Q - I|`` as in step 1, and ``||q_j||^2 <= 1
+   + delta_Q``.  ``V^H V - I = (Q^T Q - I) + Q^T Z^H E + E^H Z Q + E^H E``,
+   so each entry is within ``delta_V = delta_Q + (2 eta + eta^2) (1 +
+   delta_Q)`` (``gram_residual``) and, with ``||E||_F <= eta sqrt(k (1 +
+   delta_Q))`` and ``||Z Q||_2 = ||Q||_2``, ``||V^H V - I||_2 <= k delta_Q
+   + 2 sqrt(1 + k delta_Q) e + e^2``, ``e = eta sqrt(k (1 + delta_Q))``
+   (``gram_bound``).  The transform enters as ``sqrt(k) eta``, not ``k
+   eta``.  Eta is assumed, not measured, so two runtime checks test what
+   it rests on.  The computed column norms ``||v_j||^2`` must equal
+   ``||q_j||^2`` to ``(1 + eta)^2 (1 + gamma_{2k}) / (1 - gamma_k) - 1``
+   relative: that catches a transform that is not unitary, such as one
+   that scales its output.  And the derivation uses that Z is symmetric:
+   the form is computed as ``conj(Z conj(A Z^T)) = (Z^T)^H A Z^T`` (the
+   row transforms apply Z^T), and ``V = Z Q`` diagonalizes A only if
+   ``Z^T Q = Z Q``.  A probe pair checks it, ``|r^T Z p - p^T Z r| <= (2
+   eta + 2 gamma_{k+2} (1 + eta)) ||p|| ||r||``, which catches a
+   transform that is unitary but not symmetric, such as one that flips
+   the signs of some outputs.
+8. The reconstruction.  Let ``S = Z^H A Z`` exactly (Hermitian; real
+   only to the extent that A has the Fourier symmetry), ``s`` the real
+   part of the computed form, ``rho`` its measured ``max|Im|`` and ``r =
+   max|s Q - Q diag(lam)|`` measured in real arithmetic.  The form is two
+   transforms of the rows and columns of A, so it is within ``(2 eta +
+   eta^2) ||A||_F`` of S in the Frobenius norm, and ``||S - s||_2 <= (2
+   eta + eta^2) ||A||_F + k rho``; ``||A||_F = ||S||_F <= m_A = (||s||_F +
+   k rho) / (1 - 2 eta - eta^2)``.  ``A V - V diag(lam) = Z (S Q - Q
+   diag(lam)) + A E - E diag(lam)``, and ``S Q - Q diag(lam) = (s Q - Q
+   diag(lam)) + (S - s) Q``; the product ``s Q`` errs by ``gamma_k |s|
+   |Q|``, whose columns have norm ``<= gamma_k ||s||_F ||q_j||``.  Every
+   entry of a column is at most its norm, so ``max|A V - V diag(lam)| <=
+   sqrt(k) r / (1 - u) + sqrt(1 + delta_Q) (gamma_{k+2} ||s||_F + (3 eta
+   + eta^2) m_A + k rho + (gamma_2 + eta) max|lam|)``
+   (``reconstruction_residual``), held to the same ``1e-9 * (1 +
+   max|A|)`` as a measured one.
+
+With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
+N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q``.
+Against the bounds from a measured complex gram, that term dominates on
+small blocks, whose bounds stay far below 1e-10 (1.2-3.9 times as large
+for k = 65-128, up to 18 times below), and adds 1.3-26 % from k = 513
+on.  Every block up to k = 512 stays certified, and k = 1024 stays
+uncertified; near the edge, ``factored_bound`` now certifies every
+whole grid up to N = 590 (some to 625; 632 before) and
+``unitarity_bound`` every one up to 600 (some to 637; 645 before).  The
+checks cost two real k x k products, ``Q^T Q`` (a symmetric rank-k
+update) and ``s Q``, instead of two complex ones.
+
 Every function except :func:`identity_residual`, which overwrites the
-product it is given, and :func:`_checked_eig`, which marks the arrays it
-certifies read-only, is pure and operates on immutable inputs, so they
-are safe to call concurrently from multiple threads.
+product it is given, and :func:`_solve_real_form`, which fills and marks
+read-only the arrays it is given, is pure and operates on immutable
+inputs, so they are safe to call concurrently from multiple threads.
 """
 
 from __future__ import annotations
@@ -182,21 +267,84 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
-def _bounds(gram_residual: float, k: int) -> tuple[float, float]:
+def _entry_bound(gram_residual: float, k: int) -> float:
+    """Step 1: a bound on the exact ``max|V^H V - I|`` from the computed one."""
+    g = _gamma(k + 2)
+    return (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
+
+
+def _bounds(gram_bound: float, k: int) -> tuple[float, float]:
     """``unitarity_bound`` and ``factored_bound`` of a block of k eigenvectors.
 
-    ``gram_residual`` is the computed ``max|V^H V - I|``; the derivation
-    is in the module docstring (steps 1-4, then 5).
+    ``gram_bound`` bounds ``||V^H V - I||_2``; the derivation is in the
+    module docstring (steps 2-4, then 5).
     """
     g = _gamma(k + 2)
-    delta = (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
     beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
     g_prime = g + beta * (1 + g)
-    unitarity = ((1 + k * delta) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
-    nu = math.sqrt(1 + k * delta)
+    unitarity = ((1 + gram_bound) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
+    nu = math.sqrt(1 + gram_bound)
     a = math.sqrt(k) * nu * g
     eps = nu * a + (nu + a) * (nu * beta + a * (1 + beta))
-    return unitarity, (1 + k * delta + eps) ** 2 - 1
+    return unitarity, (1 + gram_bound + eps) ** 2 - 1
+
+
+#: Assumed error of an FFT twiddle or chirp factor (step 6).
+_TWIDDLE_ERROR = 4 * _UNIT_ROUNDOFF
+
+#: Assumed bound on ``max|chirp spectrum| / sqrt(n)`` in Bluestein's plan (step 6).
+_CHIRP_SPECTRUM = 2.25
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n, with multiplicity, in ascending order."""
+    factors, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors + [n] if n > 1 else factors
+
+
+def _good_size(n: int) -> int:
+    """The smallest product of 2, 3, 5, 7 and 11 that is at least n."""
+    while max(_prime_factors(n), default=1) > 11:
+        n += 1
+    return n
+
+
+def _cost_guess(n: int) -> float:
+    """pocketfft's operation-count estimate for one FFT of length n."""
+    factors = _prime_factors(n)
+    twos = factors.count(2)
+    cost = 2 * (twos // 2) + 1.1 * (twos % 2)  # a factor 4 costs 2, a last factor 2 1.1
+    cost += sum(r if r <= 5 else 1.1 * r for r in factors if r > 2)
+    return cost * n
+
+
+def _cooley_tukey_error(n: int) -> float:
+    """``eta_ct(n)`` of step 6: one pass per prime factor."""
+    eta = 1.0
+    for r in _prime_factors(n):
+        eta *= ((1 + math.sqrt(r) * (_gamma(r + 2) + _TWIDDLE_ERROR))
+                * (1 + _TWIDDLE_ERROR + math.sqrt(2.0) * _gamma(2)))
+    return eta - 1
+
+
+def fft_error(n: int) -> float:
+    """A bound on ``||fl(fft(x)) - fft(x)|| / ||fft(x)||`` at length n.
+
+    ``eta_fft(n)`` of the module docstring's step 6, under its model of
+    numpy's pocketfft: the plan pocketfft picks for n, Cooley-Tukey or
+    Bluestein's, and that plan's error bound.
+    """
+    largest = max(_prime_factors(n), default=1)
+    smooth = _good_size(2 * n - 1)
+    if n < 50 or largest * largest <= n or 3 * _cost_guess(smooth) >= _cost_guess(n):
+        return _cooley_tukey_error(n)
+    return (_CHIRP_SPECTRUM * (3 * _cooley_tukey_error(smooth) + 12 * _UNIT_ROUNDOFF)
+            + 7 * _UNIT_ROUNDOFF)
 
 
 def identity_residual(p: np.ndarray) -> float:
@@ -231,18 +379,24 @@ class HermitianEigenDecomposition:
     hermiticity_residual : float
         ``max|A - A^H|`` of the decomposed matrix.
     gram_residual : float
-        ``max|V^H V - I|`` of the eigenvectors, as computed.
+        ``max|V^H V - I|`` of the eigenvectors, as computed; for a
+        real-form decomposition, a bound on it (module docstring, step 7).
     reconstruction_residual : float
-        ``max|A V - V diag(eigenvalues)|``.
+        ``max|A V - V diag(eigenvalues)|``, as computed; for a real-form
+        decomposition, a bound on it (step 8).
     realness_residual : float or None
         ``max|Im(Z^H A Z)|`` of the real form the eigenvalues were solved
         from (see :func:`_real_part`); None for a complex solve.
+    gram_bound : float
+        A bound on ``||V^H V - I||_2``: ``k`` times step 1's bound on the
+        exact ``max|V^H V - I|`` when not given (or None); a real-form
+        decomposition gives step 7's.
     unitarity_bound : float
-        Derived from ``gram_residual``: an upper bound on ``max|M^H M - I|``
+        Derived from ``gram_bound``: an upper bound on ``max|M^H M - I|``
         of every block :func:`unitary_from_eig` assembles from this
         decomposition (see the module docstring).
     factored_bound : float
-        Derived from ``gram_residual``: an upper bound on ``| ||y||^2 /
+        Derived from ``gram_bound``: an upper bound on ``| ||y||^2 /
         ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
         computes from an ``x`` with this decomposition.
     block_size : int
@@ -258,6 +412,7 @@ class HermitianEigenDecomposition:
     gram_residual: float
     reconstruction_residual: float
     realness_residual: float | None = None
+    gram_bound: float | None = None
     unitarity_bound: float = field(init=False)
     factored_bound: float = field(init=False)
     block_size: int = field(init=False)
@@ -265,7 +420,9 @@ class HermitianEigenDecomposition:
 
     def __post_init__(self):
         k = self.eigenvectors.shape[0]
-        unitarity, factored = _bounds(self.gram_residual, k)
+        if self.gram_bound is None:
+            object.__setattr__(self, "gram_bound", k * _entry_bound(self.gram_residual, k))
+        unitarity, factored = _bounds(self.gram_bound, k)
         object.__setattr__(self, "unitarity_bound", unitarity)
         object.__setattr__(self, "factored_bound", factored)
         object.__setattr__(self, "block_size", k)
@@ -344,37 +501,92 @@ def _real_part(s: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     return s.real, imag_resid
 
 
-def _checked_eig(
-    a: np.ndarray, scale: float, herm_resid: float,
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray,
-    realness_resid: float | None = None,
-) -> HermitianEigenDecomposition:
-    """The checks every decomposition passes, and the decomposition they certify.
+def _check_symmetric(transform, k: int, error: float) -> None:
+    """Raise ``ArithmeticError`` unless ``r^T Z p = p^T Z r`` on a probe pair.
 
-    ``a`` is the decomposed matrix and ``(scale, herm_resid)`` what
-    :func:`_hermiticity_residual` measured on it; ``realness_resid`` is
-    what :func:`_real_part` measured, when the solve went through a real
-    form.  Raises
-    ``ArithmeticError`` unless the eigenvectors are orthonormal to 1e-10
-    and ``max|A V - V diag(eigenvalues)|`` is below ``1e-9 * scale``.
+    ``transform(x)`` returns ``Z x`` for a k x 1 matrix x, within
+    ``error * ||x||`` of exact.  Two fixed real chirps are transformed
+    (no random generator: ``numpy.random`` costs 6 MiB to import); for a
+    symmetric Z the two bilinear forms differ only by rounding, ``(2
+    error + 2 gamma_{k+2} (1 + error)) ||p|| ||r||`` (module docstring,
+    step 7).
     """
-    gram_resid = identity_residual(eigenvectors.conj().T @ eigenvectors)
-    if gram_resid >= ORTHONORMALITY_TOL:
+    t = np.arange(k, dtype=float).reshape(k, 1)
+    p, r = np.cos(0.7 * t * t + t), np.sin(0.3 * t * t + 2.0 * t + 1.0)
+    asym = abs(complex(r[:, 0] @ transform(p.astype(complex))[:, 0]
+                       - p[:, 0] @ transform(r.astype(complex))[:, 0]))
+    tol = 2 * (error + _gamma(k + 2) * (1 + error)) * float(np.linalg.norm(p) * np.linalg.norm(r))
+    if not asym <= tol:
         raise ArithmeticError(
-            f"eigenvector columns not orthonormal: max|V^H V - I| = {gram_resid:.3e}"
+            f"transform is not symmetric: |r^T Z p - p^T Z r| = {asym:.3e} exceeds {tol:.3e}"
         )
-    recon = a @ eigenvectors
-    recon -= eigenvectors * eigenvalues
-    recon_resid = float(abs(recon).max(initial=0.0))
+
+
+def _solve_real_form(
+    s: np.ndarray, eigenvalues: np.ndarray, transform, transform_error: float,
+    scale: float, herm_resid: float, realness_resid: float,
+) -> HermitianEigenDecomposition:
+    """Solve a real form ``s`` of a Hermitian A, and certify ``A = V diag(lam) V^H``.
+
+    ``s`` is the real part of the computed ``Z^H A Z``, ``(scale,
+    herm_resid)`` what :func:`_hermiticity_residual` measured on A and
+    ``realness_resid`` what :func:`_real_part` measured on the form.  A
+    real ``eigh`` gives ``s = Q diag(lam) Q^T``; lam is written into
+    ``eigenvalues``, and ``transform(q)`` returns ``V = Z Q``, each column
+    within ``transform_error * ||q_j||`` of ``Z q_j``, and may overwrite
+    s.  The checks use only s, Q and the column norms of V, in
+    real arithmetic (module docstring, steps 6-8).  Raises
+    ``ArithmeticError`` unless the bound on ``max|V^H V - I|`` is below
+    1e-10, the bound on ``max|A V - V diag(lam)|`` below ``1e-9 * scale``,
+    and the column norms of V those of Q within the transform's error.
+    """
+    k = s.shape[0]
+    eta = transform_error
+    try:
+        lam, q = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
+    gram = q.T @ q
+    q_norms = gram.diagonal().copy()
+    delta_q = _entry_bound(identity_residual(gram), k)
+    del gram
+    gram_resid = delta_q + (2 * eta + eta * eta) * (1 + delta_q)
+    if not gram_resid < ORTHONORMALITY_TOL:
+        raise ArithmeticError(
+            f"eigenvector columns not orthonormal: max|V^H V - I| <= {gram_resid:.3e}"
+        )
+    recon = s @ q
+    recon -= q * lam
+    s_resid = float(abs(recon).max(initial=0.0))
     del recon
-    if recon_resid >= RESIDUAL_RTOL * scale:
+    s_norm = float(np.linalg.norm(s)) * (1 + _gamma(k * k + 2))
+    a_norm = (s_norm + k * realness_resid) / (1 - 2 * eta - eta * eta)
+    recon_resid = math.sqrt(k) * s_resid / (1 - _UNIT_ROUNDOFF) + math.sqrt(1 + delta_q) * (
+        _gamma(k + 2) * s_norm + (3 * eta + eta * eta) * a_norm + k * realness_resid
+        + (_gamma(2) + eta) * float(abs(lam).max(initial=0.0))
+    )
+    if not recon_resid < RESIDUAL_RTOL * scale:
         raise ArithmeticError(
-            f"eigendecomposition residual {recon_resid:.3e} exceeds tolerance"
+            f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
         )
+    eigenvalues[...] = lam
+    v = transform(q)
+    del q
+    parts = v.view(float).reshape(k, k, 2)
+    v_norms = np.einsum("ijc,ijc->j", parts, parts)
+    drift = float(abs(v_norms - q_norms).max(initial=0.0))
+    norm_tol = (1 + eta) ** 2 * (1 + _gamma(2 * k)) / (1 - _gamma(k)) - 1
+    if not drift <= norm_tol * float(q_norms.max(initial=0.0)):
+        raise ArithmeticError(
+            f"transform is not unitary: the squared column norms of Z Q and Q differ "
+            f"by {drift:.3e}"
+        )
+    e = eta * math.sqrt(k * (1 + delta_q))
+    gram_bound = k * delta_q + 2 * math.sqrt(1 + k * delta_q) * e + e * e
     eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
+    v.setflags(write=False)
     return HermitianEigenDecomposition(
-        eigenvalues, eigenvectors, herm_resid, gram_resid, recon_resid, realness_resid
+        eigenvalues, v, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound
     )
 
 
@@ -407,7 +619,22 @@ def hermitian_eig(a) -> HermitianEigenDecomposition:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
-    return _checked_eig(a, scale, herm_resid, eigenvalues, eigenvectors)
+    gram_resid = identity_residual(eigenvectors.conj().T @ eigenvectors)
+    if gram_resid >= ORTHONORMALITY_TOL:
+        raise ArithmeticError(
+            f"eigenvector columns not orthonormal: max|V^H V - I| = {gram_resid:.3e}"
+        )
+    recon = a @ eigenvectors
+    recon -= eigenvectors * eigenvalues
+    recon_resid = float(abs(recon).max(initial=0.0))
+    del recon
+    if recon_resid >= RESIDUAL_RTOL * scale:
+        raise ArithmeticError(
+            f"eigendecomposition residual {recon_resid:.3e} exceeds tolerance"
+        )
+    eigenvalues.setflags(write=False)
+    eigenvectors.setflags(write=False)
+    return HermitianEigenDecomposition(eigenvalues, eigenvectors, herm_resid, gram_resid, recon_resid)
 
 
 def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:

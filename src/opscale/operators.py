@@ -66,23 +66,24 @@ with one FFT and a signed permutation, ``Z x = c0 x + c2 F^2 x + F (c3
 x + c1 F^2 x)``, F with the label phases of the column above, reduced
 by ``fmod``; no dense F is built.  The imaginary part of the computed S
 must be rounding, below ``1e-10 * (1 + max|G|)``: a generator that
-breaks ``G = F^H conj(G) F`` is rejected there.
+breaks ``G = F^H conj(G) F`` is rejected there.  The decomposition is
+certified from S and Q in real arithmetic, with an a priori bound on the
+computed Z (:mod:`opscale.linalg`, steps 6-8).
 
 An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition.  Its
 dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
-kept.  :attr:`OperatorSet.generator_eig` forms G, transforms it, and
-forms it again for the checks of :func:`opscale.linalg._checked_eig`
-rather than hold it beside the transforms.
+kept.  :attr:`OperatorSet.generator_eig` forms G once and drops it as
+soon as it is copied into the buffer of its transforms.
 
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
 G commutes with reversal, and ``F^2`` is the reversal itself, so Z
 commutes with it too.  :attr:`OperatorSet.generator_eig` then checks
 the symmetry, folds G into its even and odd half-size blocks by
-:func:`opscale.linalg._reversal_fold`, keeps them for the checks, and
-forms and decomposes the matching blocks of S, on which Z is ``(c0 +-
-c2) I + (c3 +- c1) F``.  On the other grids it decomposes G whole.
+:func:`opscale.linalg._reversal_fold`, and forms and decomposes the
+matching blocks of S, on which Z is ``(c0 +- c2) I + (c3 +- c1) F``.
+On the other grids it decomposes G whole.
 
 The asymmetric forward-difference alternative (which is *not* symmetric,
 hence not Hermitian, hence useless as a generator) is deliberately not
@@ -106,10 +107,12 @@ from .dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_gri
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    _checked_eig,
+    _check_symmetric,
     _hermiticity_residual,
     _real_part,
     _reversal_fold,
+    _solve_real_form,
+    fft_error,
     identity_residual,
 )
 
@@ -205,6 +208,12 @@ def _diff_column(grid: SampleGrid, u: np.ndarray) -> np.ndarray:
 
 _ROOT2 = math.sqrt(2.0)
 
+#: What the pointwise roundings of :meth:`_HalfDft.apply` and
+#: :meth:`_HalfDft.apply_block` add to the FFT's relative error: about 80u
+#: and 60u to first order, counting the label phases' own rounding
+#: (:mod:`opscale.linalg`, step 6).
+_POINTWISE_ERROR = 100 * np.finfo(float).eps / 2
+
 #: ``(c0, c1, c2, c3)`` of ``Z = c0 I + c1 F^H + c2 F^2 + c3 F = (F^H)^(1/2)``.
 _HALF_DFT = (
     (1 + _ROOT2) / 4 + 0.25j,
@@ -234,10 +243,14 @@ class _HalfDft:
     either basis is ``(c0 +- c2) I + (c3 +- c1) F``.  :meth:`apply_block`
     unfolds each vector into an N-vector, transforms it by F and folds it
     back, in one N-long buffer shared by every call.
+
+    ``error`` bounds the relative error of either on any vector: the
+    FFT's (:func:`~opscale.linalg.fft_error`) plus the pointwise roundings.
     """
 
     def __init__(self, grid: SampleGrid):
         n = grid.n_samples
+        self.error = fft_error(n) + _POINTWISE_ERROR
         self.first = grid.indices[0]
         self.pre = _label_phase(-self.first, n)
         self.post = self.pre * (
@@ -313,15 +326,18 @@ class _HalfDft:
         return out
 
 
-def _real_form_eig(form, apply, kept=None) -> HermitianEigenDecomposition:
+def _real_form_eig(form, apply, error: float, kept=None) -> HermitianEigenDecomposition:
     """Decompose the Hermitian matrix ``A = form()`` through its real form.
 
     ``apply(x, out, axis)`` writes ``Z x`` along ``axis`` into ``out`` and
-    may overwrite x.  ``S = Z^H A Z`` is formed as the conjugate of ``Z
-    conj(A Z)`` in two buffers allocated once, and checked to be real;
-    its real part is decomposed by a real ``eigh`` into ``S = Q diag(lam)
-    Q^T``, and ``V = Z Q`` are the eigenvectors of A.  ``form`` is called
-    again for the checks, so A need not be held beside its transforms.
+    may overwrite x, with relative error at most ``error`` on any vector.
+    ``S = Z^H A Z`` is formed as the conjugate of ``Z conj(A Z)`` in two
+    buffers allocated once, after A is copied into the first and dropped,
+    and checked to be real.  Its real part is copied into the buffer V
+    will take, and the two buffers are freed.  Z is checked to be
+    symmetric on a probe pair (:func:`opscale.linalg._check_symmetric`),
+    and :func:`opscale.linalg._solve_real_form` solves S, certifies it in
+    real arithmetic, and forms ``V = Z Q`` over it.
 
     The eigenvalues and V are written into ``kept = (eigenvalues, v)``,
     allocated here once A is dropped when not given.  Either way they are
@@ -331,22 +347,31 @@ def _real_form_eig(form, apply, kept=None) -> HermitianEigenDecomposition:
     """
     a = form()
     scale, herm_resid = _hermiticity_residual(a)
-    work = np.empty((2,) + a.shape, dtype=complex)
+    k = a.shape[0]
+    work = np.empty((2, k, k), dtype=complex)
     x, y = work
     x[...] = a
     del a
-    eigenvalues, v = kept or (np.empty(x.shape[0]), np.empty_like(x))
+    eigenvalues, v = kept or (np.empty(k), np.empty((k, k), dtype=complex))
     apply(x, y, axis=1)  # A Z
     np.conjugate(y, out=x)
     apply(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
     s, realness_resid = _real_part(y, scale)
-    lam, q = np.linalg.eigh(s)
-    eigenvalues[...] = lam
-    x[...] = q
-    del s, lam, q
-    apply(x, v, axis=0)
-    del work, x, y
-    return _checked_eig(form(), scale, herm_resid, eigenvalues, v, realness_resid)
+    compact = v.view(float).reshape(-1)[:k * k].reshape(k, k)  # the first half of V's bytes
+    compact[...] = s
+    del work, x, y, s
+    # After the transforms above, so that the probe allocates no buffer of
+    # the transform's before the work buffers.
+    _check_symmetric(lambda x: apply(x, np.empty_like(x), axis=0), k, error)
+
+    def eigenvectors(q):
+        zq = np.empty((k, k), dtype=complex)
+        zq[...] = q
+        return apply(zq, v, axis=0)
+
+    return _solve_real_form(
+        compact, eigenvalues, eigenvectors, error, scale, herm_resid, realness_resid
+    )
 
 
 class OperatorSet:
@@ -437,8 +462,8 @@ class OperatorSet:
         too, so the blocks of S are ``Z_b^H G_b Z_b``, formed from the
         blocks of G at half the transform cost, and each is decomposed on
         its own.  Every block passes the checks of
-        :func:`~opscale.linalg._checked_eig` against its block of G.  The
-        generator itself is not kept.
+        :func:`~opscale.linalg._solve_real_form`, which read its S and Q,
+        not G.  Neither the generator nor its blocks are kept.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if it does not commute with reversal on a
@@ -447,16 +472,16 @@ class OperatorSet:
         """
         z = _HalfDft(self.grid)
         if self.grid_symmetric:
-            # The blocks of G are what the checks read; G itself is dropped.
-            even, odd, reversal_resid = _reversal_fold(self._formed_generator())
-            kept = [(np.empty(k), np.empty((k, k), dtype=complex)) for k in (len(even), len(odd))]
+            *blocks, reversal_resid = _reversal_fold(self._formed_generator())
+            kept = [(np.empty(len(b)), np.empty((len(b),) * 2, dtype=complex)) for b in blocks]
+            # Each block of G is handed over, and dropped once its transforms have a copy.
+            take = partial(blocks.pop, 0)
             return ParityEigenDecomposition(
-                _real_form_eig(lambda: even, partial(z.apply_block, odd=False), kept[0]),
-                _real_form_eig(lambda: odd, partial(z.apply_block, odd=True), kept[1]),
+                _real_form_eig(take, partial(z.apply_block, odd=False), z.error, kept[0]),
+                _real_form_eig(take, partial(z.apply_block, odd=True), z.error, kept[1]),
                 reversal_resid,
             )
-        # G is formed again for the checks, rather than held beside its transforms.
-        return _real_form_eig(self._formed_generator, z.apply)
+        return _real_form_eig(self._formed_generator, z.apply, z.error)
 
     def __repr__(self) -> str:
         return (

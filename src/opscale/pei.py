@@ -36,10 +36,14 @@ Conventions the eigenproblem itself does not fix (and which are
 therefore implementation decisions, recorded here and in basis
 metadata):
 
-* Ordering: ascending eigenvalue, which matches Hermite order p — both
-  terms of S are positive semidefinite and the continuous eigenvalue
-  grows with p.  A zero-crossing count oracle in the test suite checks
-  this identification at desk scale.
+* Ordering: ascending eigenvalue.  This is not Hermite order p
+  throughout.  Column p has p sign changes, as a Hermite function of
+  order p does, except near the top of the spectrum, where ascending
+  order interleaves the even and odd vectors out of sequence and
+  adjacent columns swap: columns 6-7 at N = 8 have 7 and 6 sign changes,
+  columns 12-15 at N = 16 have 13, 12, 15 and 14 (acceptance criterion
+  7 fails on them).  The fix, interleaving the two parity classes, moves
+  pinned benchmark cells and is ROADMAP Direction 1.
 * Sign: for M = 1, each vector is flipped so its largest-magnitude entry
   is positive (ties broken by lowest index); for M != 1, so that
   <H_{p,M}, H_{p,1}> >= 0, falling back to the M = 1 rule when that
@@ -69,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cache import shared
-from .dft import IndexScheme, as_sample_count, as_scaling_factor, as_signal, dft_matrix
+from .dft import IndexScheme, _dft_matrix_cached, as_sample_count, as_scaling_factor, as_signal
 from .linalg import identity_residual
 
 __all__ = [
@@ -110,7 +114,8 @@ def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
     """Squared-differentiation matrix by duality: ``D^2 = F U^2 F^-1``.
 
     ``U^2`` must be diagonal; ``F U^2`` is then F with its columns scaled,
-    which leaves one dense product.
+    which leaves one dense product.  F comes from the caller, so its
+    unitarity is checked here, to 1e-10.
     """
     u2 = np.asarray(u2)
     f = np.asarray(f_centered)
@@ -119,7 +124,11 @@ def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
     u2_diag = np.diag(u2)
     if np.any(u2 != np.diag(u2_diag)):
         raise ValueError("U^2 must be diagonal")
-    unit_resid = identity_residual(f @ f.conj().T)
+    return _dual_product(u2_diag, f, identity_residual(f @ f.conj().T))
+
+
+def _dual_product(u2_diag: np.ndarray, f: np.ndarray, unit_resid: float) -> np.ndarray:
+    """``F U^2 F^H``, for an F whose ``max|F F^H - I|`` is ``unit_resid`` (below 1e-10)."""
     if unit_resid >= 1e-10:
         raise ValueError(
             f"pei_d_squared requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
@@ -129,9 +138,14 @@ def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
-    """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
-    f = dft_matrix(n_samples, pei_scheme(n_samples))
-    d2 = pei_d_squared(pei_u_squared(n_samples), f)
+    """Real part of ``D^2`` and the largest magnitude of its imaginary part.
+
+    F is the cached DFT, whose unitarity residual :mod:`opscale.dft`
+    measured when it built it; that residual is held to this module's
+    1e-10 here instead of being measured again.
+    """
+    f, unit_resid = _dft_matrix_cached(n_samples, pei_scheme(n_samples))
+    d2 = _dual_product(np.diag(pei_u_squared(n_samples)), f, unit_resid)
     d2_real = d2.real.copy()
     d2_real.setflags(write=False)
     return d2_real, float(abs(d2.imag).max())
@@ -209,9 +223,9 @@ def _cddhf_basis_cached(n_samples: int, m_factor: float) -> CddhfBasis:
 def cddhf_basis(n_samples: int, m_factor: float) -> CddhfBasis:
     """Build (or fetch the cached) CDDHF basis of ``M^4 D^2 + U^2``.
 
-    Eigenvectors are ordered by ascending eigenvalue (Hermite order p)
-    and sign-fixed deterministically; see the module docstring for the
-    conventions.
+    Eigenvectors are ordered by ascending eigenvalue, which departs from
+    Hermite order p at the top of the spectrum, and sign-fixed
+    deterministically; see the module docstring for the conventions.
     """
     return _cddhf_basis_cached(as_sample_count(n_samples), as_scaling_factor(m_factor))
 

@@ -16,10 +16,10 @@ the structural property that distinguishes this scaling method from
 interpolation-based resampling.  Every assembly goes through
 :func:`opscale.linalg.unitary_from_eig` and is unitary to 1e-10: each
 decomposed block carries a bound on the unitarity residual of anything
-assembled from it, derived once from its eigenvectors' measured
+assembled from it, derived once from its eigenvectors' certified
 orthonormality, and only a block whose bound is not below 1e-10 is
-re-checked with a dense product (dense blocks from about N = 640,
-parity blocks from about N = 1280).  On symmetric grids (centered with
+re-checked with a dense product (dense blocks from about N = 600,
+parity blocks from about N = 1200).  On symmetric grids (centered with
 even N, ordinary with odd N) the generator commutes with index
 reversal, its decomposition comes as two half-size reversal-even and
 reversal-odd blocks (see :mod:`opscale.operators`), and so does the
@@ -64,8 +64,8 @@ a break-even B), where K = k would cost up to 11 times.  A process that
 streams new factors never assembles, and one that repeats a few factors
 assembles each of them once.  The factored path runs only where the
 decomposition's ``factored_bound`` certifies it (blocks up to k of about
-635: asymmetric grids to about N = 635, symmetric ones to about N =
-1270); elsewhere K = 0, and every request is assembled.  The request
+590: asymmetric grids to about N = 590, symmetric ones to about N =
+1180); elsewhere K = 0, and every request is assembled.  The request
 counts live in a table of at most 1024 keys, guarded by a lock; the
 least recently requested key is forgotten first, and a forgotten key
 starts again at request one.

@@ -13,10 +13,12 @@ from opscale.dft import (
     SampleGrid,
     as_sample_count,
     as_scaling_factor,
+    _dft_matrix_cached,
     as_signal,
     dft_matrix,
     index_grid,
 )
+from opscale.linalg import identity_residual
 from opscale.pei import cddhf_basis, pei_scale
 from opscale.scaling import ScalingSpec
 from opscale.signals import TestFunction, scaled_reference
@@ -261,3 +263,10 @@ class TestDftMatrix:
         a = dft_matrix(32, IndexScheme.CENTERED)
         b = dft_matrix(32, IndexScheme.CENTERED)
         assert a is b
+
+    @pytest.mark.parametrize("n", [1, 7, 100, 101])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_cache_keeps_the_unitarity_residual_it_checked(self, n, scheme):
+        f, resid = _dft_matrix_cached(n, scheme)
+        assert f is dft_matrix(n, scheme)
+        assert resid == identity_residual(f @ f.conj().T)

@@ -314,13 +314,15 @@ class TestUnitarityCertificate:
             assert block.unitarity_bound < UNITARITY_TOL
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
-    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("n", [509, 512, 1021, 1024])
     def test_bound_covers_the_measured_residual_on_large_grids(self, n, scheme):
+        # The primes run their FFTs through Bluestein's plan, whose bound
+        # the real form's transform error carries.
         eig = operator_set(n, scheme).generator_eig
         for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * math.log(1.7))):
             assert block.unitarity_bound >= _unitarity_residual(m)
-            if n == 512:  # certified on both schemes; N = 1024 ordinary is not
-                assert block.unitarity_bound < UNITARITY_TOL
+            # Blocks up to 512 are certified; the whole 1021 and 1024 are not.
+            assert (block.unitarity_bound < UNITARITY_TOL) == (eig.block_size <= 512)
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_bound_covers_eigenvectors_far_from_orthonormal(self, theta):
@@ -471,3 +473,43 @@ class TestFactoredApply:
         with pytest.raises(ArithmeticError, match="not certified"):
             apply_from_eig(parity, 0.7, np.ones(127))
 
+
+
+class TestFftErrorModel:
+    """``fft_error``: the bound the real-form certificate assumes for numpy's FFT."""
+
+    SIZES = list(range(1, 130)) + [211, 256, 331, 509, 512, 614, 640, 1000, 1013, 1019, 1021,
+                                   1024, 2039, 2048]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bound_covers_the_measured_error(self, n):
+        # Against the same transform in long double, on Cooley-Tukey sizes
+        # and on the primes and large-factor sizes pocketfft runs through
+        # Bluestein's algorithm.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+        exact = np.fft.fft(x.astype(np.clongdouble))
+        err = np.linalg.norm((np.fft.fft(x) - exact).astype(complex), axis=1)
+        assert np.all(err <= linalg.fft_error(n) * np.linalg.norm(exact.astype(complex), axis=1))
+
+    def test_chirp_spectrum_stays_below_its_assumed_bound(self):
+        # kappa of Bluestein's plan: the padded chirp's spectrum over sqrt(n).
+        worst = 0.0
+        for n in range(50, 4097):
+            n2 = linalg._good_size(2 * n - 1)
+            m = np.arange(n)
+            chirp = np.exp(1j * np.pi * ((m * m) % (2 * n)) / n)
+            padded = np.zeros(n2, dtype=complex)
+            padded[:n] = chirp
+            padded[n2 - n + 1:] = chirp[:0:-1]
+            worst = max(worst, float(np.abs(np.fft.fft(padded)).max()) / math.sqrt(n))
+        assert 2.0 < worst <= linalg._CHIRP_SPECTRUM
+
+    @pytest.mark.parametrize("n, expected", [(1, 1), (1017, 1024), (1227, 1232), (2041, 2048)])
+    def test_good_size_is_the_next_11_smooth_length(self, n, expected):
+        assert linalg._good_size(n) == expected
+
+    def test_the_bound_grows_with_the_largest_prime_factor(self):
+        # Cooley-Tukey on a power of two; Bluestein on a large prime costs more.
+        assert linalg.fft_error(1) == 0.0
+        assert linalg.fft_error(1024) < linalg.fft_error(1021) < 20 * linalg.fft_error(1024)

@@ -2,15 +2,19 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_summation_dual, fixture_matrix, load_fixture
+from conftest import explicit_summation_dual, fixture_matrix, load_fixture, package_env
 
 from opscale.dft import IndexScheme, dft_matrix, index_grid
+from opscale.linalg import ParityEigenDecomposition, _reversal_fold, hermitian_eig
 from opscale.operators import (
     OperatorSet,
     _diff_column,
@@ -283,6 +287,168 @@ class TestHalfDft:
         assert np.max(np.abs(f.conj().T @ g.conj() @ f - g)) > 1e-7
         with pytest.raises(ArithmeticError, match="real form is not real"):
             tampered.generator_eig
+
+
+def _long_double_half_dft(grid, x):
+    """``Z x`` along axis 0 in long double: F as one FFT between exactly reduced label phases."""
+    n = grid.n_samples
+    pi = 4 * np.arctan(np.longdouble(1))
+    first = np.longdouble(grid.indices[0])
+    pre = np.exp(-2j * pi * np.fmod(first * np.arange(n, dtype=np.longdouble), n) / n)
+    post = pre * np.exp(-2j * pi * np.fmod(first * first, n) / n) / np.sqrt(np.longdouble(n))
+
+    def f(y):
+        return post[:, None] * np.fft.fft(pre[:, None] * y, axis=0)
+
+    root2 = np.sqrt(np.longdouble(2))
+    c0, c1, c2, c3 = ((1 + root2) / 4 + 0.25j, (1 + root2) / 4 - 0.25j,
+                      (1 - root2) / 4 + 0.25j, (1 - root2) / 4 - 0.25j)
+    x = x.astype(np.clongdouble)
+    fx = f(x)
+    return c0 * x + c1 * np.conj(f(np.conj(x))) + c2 * f(fx) + c3 * fx
+
+
+class TestHalfDftErrorBound:
+    """``_HalfDft.error``, the a priori bound the real-form certificate carries."""
+
+    @pytest.mark.parametrize("n, scheme", [
+        (1, IndexScheme.ORDINARY), (7, IndexScheme.CENTERED), (53, IndexScheme.ORDINARY),
+        (64, IndexScheme.CENTERED), (71, IndexScheme.CENTERED), (127, IndexScheme.ORDINARY),
+        (509, IndexScheme.ORDINARY), (509, IndexScheme.CENTERED), (512, IndexScheme.CENTERED),
+        (1021, IndexScheme.ORDINARY), (1021, IndexScheme.CENTERED), (1024, IndexScheme.ORDINARY),
+    ])
+    def test_bound_covers_the_computed_transform(self, n, scheme):
+        # Each column of Z x, and of Z_b x on the parity bases of a
+        # symmetric grid, against Z in long double.
+        grid = index_grid(n, scheme)
+        z = _HalfDft(grid)
+        assert z.error < 1e-12
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
+        err = np.abs(z.apply(x.copy(), np.empty_like(x), 0) - _long_double_half_dft(grid, x))
+        assert np.all(np.linalg.norm(err.astype(float), axis=0) <= z.error * np.linalg.norm(x, axis=0))
+        if not operator_set(n, scheme).grid_symmetric:
+            return
+        basis = _parity_basis(n).astype(np.longdouble)
+        k = n - n // 2
+        for odd, b in ((False, basis[:, :k]), (True, basis[:, k:])):
+            xb = x[:b.shape[1], :k]  # the transform's buffer holds at most k columns
+            exact = b.T @ _long_double_half_dft(grid, b @ xb)
+            got = z.apply_block(xb.copy(), np.empty_like(xb), 0, odd=odd)
+            err = np.linalg.norm(np.abs(got - exact).astype(float), axis=0)
+            assert np.all(err <= z.error * np.linalg.norm(xb, axis=0))
+
+
+def _fresh(n, scheme):
+    """An operator set over a cached grid whose decomposition is computed anew."""
+    cached = operator_set(n, scheme)
+    return OperatorSet(cached.grid, cached.u_diagonal, cached.d_column)
+
+
+def _eig_blocks(ops):
+    """``(block of G, its decomposition)`` pairs: the folded blocks on symmetric grids."""
+    eig = ops.generator_eig
+    if isinstance(eig, ParityEigenDecomposition):
+        even, odd, _ = _reversal_fold(ops.generator)
+        return [(even, eig.even), (odd, eig.odd)]
+    return [(np.array(ops.generator), eig)]
+
+
+class TestRealFormCertificate:
+    """The decomposition certified from ``(S, Q)`` in real arithmetic, not from ``(G, V)``."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(min_value=1, max_value=64), scheme=st.sampled_from(list(IndexScheme)))
+    def test_eigenvalues_match_the_complex_solve(self, n, scheme):
+        ops = operator_set(n, scheme)
+        g = ops.generator
+        got = np.sort(np.concatenate([eig.eigenvalues for _, eig in _eig_blocks(ops)]))
+        expected = hermitian_eig(g).eigenvalues
+        assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("n, scheme", [
+        (1, IndexScheme.ORDINARY), (2, IndexScheme.CENTERED), (64, IndexScheme.ORDINARY),
+        (65, IndexScheme.CENTERED), (256, IndexScheme.CENTERED), (509, IndexScheme.ORDINARY),
+        (509, IndexScheme.CENTERED), (512, IndexScheme.ORDINARY), (1021, IndexScheme.ORDINARY),
+        (1021, IndexScheme.CENTERED), (1024, IndexScheme.ORDINARY), (1024, IndexScheme.CENTERED),
+    ])
+    def test_bounds_cover_the_measured_residuals(self, n, scheme):
+        # What the complex checks measured before, measured here against
+        # the bounds that replace them.
+        for a, eig in _eig_blocks(operator_set(n, scheme)):
+            v = eig.eigenvectors
+            k = v.shape[0]
+            gram = v.conj().T @ v - np.eye(k)
+            assert np.max(np.abs(gram), initial=0.0) <= eig.gram_residual < 1e-10
+            assert np.linalg.norm(gram) <= eig.gram_bound  # Frobenius, above the 2-norm
+            recon = np.max(np.abs(a @ v - v * eig.eigenvalues), initial=0.0)
+            assert recon <= eig.reconstruction_residual < 1e-9 * (1 + np.max(np.abs(a), initial=0.0))
+
+    @pytest.mark.parametrize("n, scheme", [(64, IndexScheme.ORDINARY), (65, IndexScheme.ORDINARY)])
+    def test_perturbed_eigenvectors_of_s_are_rejected(self, monkeypatch, n, scheme):
+        real_eigh = np.linalg.eigh
+
+        def perturbed(s):
+            lam, q = real_eigh(s)
+            q[:, 3] *= 1 + 1e-9
+            return lam, q
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(ArithmeticError, match="not orthonormal"):
+            _fresh(n, scheme).generator_eig
+
+    @pytest.mark.parametrize("n, scheme", [(64, IndexScheme.ORDINARY), (65, IndexScheme.ORDINARY)])
+    @pytest.mark.parametrize("diagonal, message", [
+        # c Z: symmetric, and S becomes c^2 S, still real and solved by the
+        # same Q; only the column norms of c Z Q show that c is not 1.
+        (lambda k: np.full(k, 1 + 1e-9), "transform is not unitary"),
+        # D Z, D = diag(1 + 1e-9 (1 + t/k)): S becomes D S D, still real.
+        (lambda k: 1 + 1e-9 * (1 + np.arange(k) / k), "transform is not"),
+        # Signs flipped: unitary, S = D S D real, the column norms kept,
+        # but D Z is not symmetric, so D Z Q does not diagonalize G.
+        (lambda k: np.where(np.arange(k) % 3, 1.0, -1.0), "transform is not symmetric"),
+    ])
+    def test_transform_times_a_real_diagonal_is_rejected(self, monkeypatch, n, scheme,
+                                                         diagonal, message):
+        def scaled(apply):
+            def wrong(self, x, out, axis, **kwargs):
+                out = apply(self, x, out, axis, **kwargs)
+                out *= diagonal(out.shape[axis]).reshape((-1, 1) if axis == 0 else (-1,))
+                return out
+            return wrong
+
+        monkeypatch.setattr(_HalfDft, "apply", scaled(_HalfDft.apply))
+        monkeypatch.setattr(_HalfDft, "apply_block", scaled(_HalfDft.apply_block))
+        with pytest.raises(ArithmeticError, match=message):
+            _fresh(n, scheme).generator_eig
+
+    def test_decompositions_leave_numpy_random_unimported(self):
+        # numpy loads numpy.random on first use, which adds about 6 MiB of
+        # resident memory to a process, such as the cold sweep, that
+        # needs no random numbers.
+        code = ("import sys\n"
+                "from opscale.dft import IndexScheme\n"
+                "from opscale.operators import operator_set\n"
+                "for n in (64, 65):\n"
+                "    for scheme in IndexScheme:\n"
+                "        operator_set(n, scheme).generator_eig\n"
+                "print('numpy.random' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=package_env())
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_cold_decomposition_peaks_no_higher_than_with_the_complex_checks(self):
+        # The complex checks on (G, V) peaked at 16 961 050 traced bytes
+        # (64.7 N^2) here; S is kept in V's buffer and the work buffers
+        # freed before the checks, so holding S through them would show.
+        ops = _fresh(512, IndexScheme.ORDINARY)
+        tracemalloc.start()
+        try:
+            ops.generator_eig
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17_000_000
 
 
 class TestOperatorSet:

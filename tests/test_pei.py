@@ -8,7 +8,9 @@ import pytest
 
 from conftest import count_sign_changes
 
+from opscale import pei
 from opscale.dft import IndexScheme, dft_matrix
+from opscale.linalg import identity_residual
 from opscale.pei import (
     CddhfBasis,
     cddhf_basis,
@@ -82,6 +84,30 @@ class TestBuildingBlocks:
         u2, f = pei_u_squared(n), pei_centered_dft(n)
         expected = f @ u2 @ f.conj().T
         assert pei_d_squared(u2, f).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 8, 101])
+    def test_cached_d_squared_reuses_the_residual_the_dft_measured(self, monkeypatch, n):
+        # The cached F was checked when it was built; only the public
+        # pei_d_squared, whose F comes from its caller, checks F again.
+        calls = []
+
+        def counting(p):
+            calls.append(p.shape)
+            return identity_residual(p)
+
+        monkeypatch.setattr(pei, "identity_residual", counting)
+        d2_real, d2_imag_max = pei._d_squared.__wrapped__(n)
+        assert calls == []
+        d2 = pei_d_squared(pei_u_squared(n), pei_centered_dft(n))
+        assert calls == [(n, n)]
+        assert d2_real.tobytes() == d2.real.copy().tobytes()
+        assert d2_imag_max == float(abs(d2.imag).max())
+
+    def test_cached_d_squared_holds_the_kept_residual_to_its_limit(self, monkeypatch):
+        f = pei_centered_dft(8)
+        monkeypatch.setattr(pei, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
+        with pytest.raises(ValueError, match="requires a unitary F"):
+            pei._d_squared.__wrapped__(8)
 
     def test_d_squared_rejects_non_diagonal_u_squared(self):
         u2 = pei_u_squared(4)
