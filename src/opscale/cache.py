@@ -10,10 +10,10 @@ dropped.  The newest entry is always kept, even when it alone is over
 the budget, so repeated calls at a very large N are still served from
 the cache.
 
-A scaling operator is the dense N x N matrix (16 N^2 bytes, 4 MiB at
-N = 512) or, on a symmetric grid, its two parity blocks (8 N^2 bytes
-for even N, 2 MiB at N = 512); a CDDHF basis is its real vectors plus
-its eigenvalues (8 N^2 + 8 N bytes).  A scaling operator is cached only
+A scaling operator is the dense complex N x N matrix (16 N^2 bytes, 4
+MiB at N = 512) or, on a symmetric grid, its two real parity blocks (4
+N^2 bytes for even N, 1 MiB at N = 512); a CDDHF basis is its real
+vectors plus its eigenvalues (8 N^2 + 8 N bytes).  A scaling operator is cached only
 once it repeats: :func:`opscale.scaling.scale_signal` applies a factor's
 first K requests (a quarter of the grid's largest block) in factored form,
 without assembling it, and a benchmark sweep never assembles a certified
@@ -48,7 +48,7 @@ __all__ = ["BUDGET_BYTES", "CacheInfo", "ByteBoundedLRU", "shared"]
 #: Bytes the shared cache may hold.  The 108-cell reference sweep's 12
 #: CDDHF bases fit without eviction (its scaling operators are applied in
 #: factored form, uncached), and so do four scaling operators at N = 1024
-#: with four at N = 128 (49 MiB).
+#: with four at N = 128, two of each on a symmetric grid (41 MiB).
 BUDGET_BYTES = 128 * 2**20
 
 

@@ -36,18 +36,35 @@ middle unit vector when N is odd) and reversal-odd vectors
 ``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2``.  :func:`_reversal_fold`
 checks the symmetry in O(N^2) and folds the matrix into its even block
 of size ``ceil(N/2)`` and odd block of size ``floor(N/2)``, which are
-decomposed separately into a :class:`ParityEigenDecomposition`.  From
-such a decomposition :func:`unitary_from_eig` assembles
-``exp(-i*theta*A)`` one block at a time, certifies or checks each
-block's unitarity, and returns the two blocks as a
-:class:`ParityUnitary`.  Two half-size blocks cost about a quarter of
-the dense eigensolve and assembly, and half of its memory.  A
-:class:`ParityUnitary` is applied to a vector blockwise, reading half
-the bytes of the dense matrix, and :meth:`ParityUnitary.dense` scatters
-the blocks back into the N x N matrix in the original index order.
-A block ``V P V^H`` and its dense check ``M^H M`` are formed 128
-columns of the right factor at a time: the same products, without an
-N x N copy of ``V^H`` or ``M^H`` among the temporaries.
+decomposed separately into a :class:`ParityEigenDecomposition`.  The
+fold also checks that A is purely imaginary, ``max|Re A| < 1e-10 * (1 +
+max|A|)``, as the scaling generator is on a symmetric grid: then ``A =
+i B`` with B real antisymmetric, and ``exp(-i*theta*A) = exp(theta*B)``
+is real orthogonal.  From such a decomposition :func:`unitary_from_eig`
+assembles ``exp(-i*theta*A)`` one block at a time, keeps the real part
+of each (step 9 below), certifies or checks each block's unitarity, and
+returns the two real blocks as a :class:`ParityUnitary`.  Two half-size
+blocks cost about a quarter of the dense eigensolve and assembly, and
+the two real blocks a quarter of the dense complex matrix's memory.  A
+:class:`ParityUnitary` is applied to a vector blockwise, each block as
+one real product on the (k, 2) float view of the folded vector
+(:func:`_real_dot`): a quarter of the bytes of the dense complex
+matrix, read once.  :meth:`ParityUnitary.dense` scatters the blocks back
+into the complex N x N matrix in the original index order.
+
+A block is assembled straight into its final array, 64 rows at a time:
+row block r of ``M = V P V^H`` is ``conj(conj(V[r] p) V^T)``.  ``V^T``
+is a view, so no copy of ``V^H`` is made; the temporaries are two
+buffers of 65 rows, for the rows of ``V[r] p`` and, on a real block,
+their complex product before its real part is kept (about a quarter
+of a complex block at k = 512, an eighth at k = 1024).  BLAS sums each entry
+in the same order however the rows are split, so the block is the one
+product ``conj(conj(V p) V^T)``, bit for bit; a last block of one row
+joins the one before, as BLAS would take it as a vector-matrix product,
+which rounds differently.  Where the dense check runs, it forms only the
+upper triangle of the Hermitian ``M^H M``, ``M[:, r]^H M[:, a:]`` for
+each row block r from its first row a, in the same two buffers: half the
+flops of the whole product, and no k x k gram.
 
 :func:`apply_from_eig` applies ``exp(-i*theta*A)`` to one vector
 without assembling it, in factored form ``V (p * (V^H x))``: two
@@ -104,7 +121,8 @@ u)``).  Let V be the k x k eigenvector matrix, ``E = V^H V - I`` with
 That last quantity is ``unitarity_bound``, evaluated once per
 decomposed block.  With gram residuals of a few 1e-15 it is about
 ``2 k^2 u``: 1.7e-11 at k = 256 and 6.4e-11 at k = 512, which certify,
-and 2.5e-10 at k = 1024, where the dense check runs.
+and 2.5e-10 at k = 1024, where the dense check runs.  (Step 9 adds a
+term for a block that is kept real.)
 
 5. The factored product ``y^ = fl(V fl(p^ * fl(V^H x)))`` of
    :func:`apply_from_eig`.  Let ``nu = sqrt(1 + k delta) >= ||V||_2``
@@ -202,6 +220,18 @@ decomposition bounds it without forming ``V^H V``:
    (``reconstruction_residual``), held to the same ``1e-9 * (1 +
    max|A|)`` as a measured one.
 
+9. The real blocks of a purely imaginary A.  The computed block ``M^ =
+   R + i J`` of a :class:`ParityEigenDecomposition` is exp(theta B) up
+   to rounding, so J is rounding; the assembly keeps R, the exact real
+   part of M^, and measures ``max|J|``, which must be below 1e-10
+   (``IMAGINARY_TOL``).  ``M^^H M^ = R^T R + J^T J + i (R^T J - J^T R)``,
+   so ``R^T R - I = Re(M^^H M^ - I) - J^T J``, and ``max|J^T J| <= k
+   max|J|^2``.  Hence ``max|R^T R - I| <= unitarity_bound + k
+   max|J|^2``: R is certified where that sum is below 1e-10, and checked
+   densely, ``R^T R`` in real arithmetic, elsewhere.  Measured, ``max|J|``
+   stays below about 1e-13 on symmetric grids up to N = 1024 for M from
+   1/4 to 20, which adds less than 1e-23 to the bound.
+
 With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
 N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q``.
 Against the bounds from a measured complex gram, that term dominates on
@@ -249,14 +279,19 @@ ORTHONORMALITY_TOL = 1e-10
 #: Relative max-abs tolerance for accepting ``A == J A J`` (J: index reversal).
 REVERSAL_RTOL = 1e-10
 
-#: Relative max-abs tolerance for the imaginary part of a real form ``Z^H A Z``.
+#: Relative max-abs tolerance for the part of a matrix that must vanish: the
+#: imaginary part of a real form ``Z^H A Z``, the real part of a purely
+#: imaginary matrix folded by reversal.
 REALNESS_RTOL = 1e-10
 
 #: Max-abs tolerance for the unitarity ``M^H M - I`` of an assembled block.
 UNITARITY_TOL = 1e-10
 
-#: Columns per product when a block is assembled and checked.
-_COLUMN_BLOCK = 128
+#: Max-abs tolerance for the imaginary part dropped from a block that must be real.
+IMAGINARY_TOL = 1e-10
+
+#: Rows per product when a block is assembled or checked.
+_ROW_BLOCK = 64
 
 #: Unit roundoff ``u`` of float64.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -393,8 +428,9 @@ class HermitianEigenDecomposition:
         decomposition gives step 7's.
     unitarity_bound : float
         Derived from ``gram_bound``: an upper bound on ``max|M^H M - I|``
-        of every block :func:`unitary_from_eig` assembles from this
-        decomposition (see the module docstring).
+        of every complex block :func:`unitary_from_eig` assembles from
+        this decomposition (see the module docstring); a block kept real
+        adds ``k max|Im M|^2`` to it (step 9).
     factored_bound : float
         Derived from ``gram_bound``: an upper bound on ``| ||y||^2 /
         ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
@@ -431,7 +467,9 @@ class HermitianEigenDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class ParityEigenDecomposition:
-    """Validated block decomposition of a reversal-symmetric Hermitian matrix.
+    """Validated block decomposition of a reversal-symmetric, purely imaginary Hermitian matrix.
+
+    Every block that :func:`unitary_from_eig` assembles from it is real.
 
     Attributes
     ----------
@@ -643,8 +681,8 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     Returns ``(even, odd, max|A - J A J|)``; the blocks are new arrays on
     the bases of :class:`ParityEigenDecomposition`.  Raises
     ``ValueError`` if ``a`` is not square or not finite, and
-    ``ArithmeticError`` if it does not commute with reversal within
-    ``1e-10 * (1 + max|a|)``.
+    ``ArithmeticError`` if it does not commute with reversal, or is not
+    purely imaginary, within ``1e-10 * (1 + max|a|)``.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -655,6 +693,12 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
         raise ArithmeticError(
             f"matrix does not commute with index reversal: max|A - J A J| = "
             f"{reversal_resid:.3e} exceeds {REVERSAL_RTOL * scale:.3e}"
+        )
+    real_resid = float(abs(a.real).max(initial=0.0))
+    if real_resid >= REALNESS_RTOL * scale:
+        raise ArithmeticError(
+            f"matrix is not purely imaginary: max|Re A| = {real_resid:.3e} "
+            f"exceeds {REALNESS_RTOL * scale:.3e}"
         )
     n = a.shape[0]
     h = n // 2
@@ -670,35 +714,82 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     return even, p - q, float(reversal_resid)
 
 
-def _unitary_block(eig: HermitianEigenDecomposition, theta: float) -> np.ndarray:
+def _row_blocks(k: int) -> list[slice]:
+    """The row blocks of a k x k product; a last block of one row joins the one before.
+
+    BLAS would take a one-row block as a vector-matrix product, which
+    rounds differently.
+    """
+    return [slice(j, j + _ROW_BLOCK if j + _ROW_BLOCK < k - 1 else k)
+            for j in range(0, max(k - 1, 1), _ROW_BLOCK)]
+
+
+def _unitarity_residual(m: np.ndarray, work: np.ndarray) -> float:
+    """``max|M^H M - I|`` of a square block, from the upper triangle of ``M^H M``.
+
+    ``M^H M`` is Hermitian, so row block r is formed only from its
+    diagonal on, ``M[:, r]^H M[:, a:]`` with a the first row of r, in
+    ``work``, two complex buffers of ``(_ROW_BLOCK + 1) k`` entries.
+    """
+    k = m.shape[0]
+    resid = 0.0
+    for rows in _row_blocks(k):
+        a, n = rows.start, rows.stop - rows.start
+        left = m[:, rows].T
+        if m.dtype.kind == "c":
+            left = np.conjugate(left, out=work[0, :n * k].reshape(n, k))
+        gram = np.matmul(left, m[:, a:], out=work[1].view(m.dtype)[:n * (k - a)].reshape(n, k - a))
+        gram.reshape(-1)[:n * (k - a + 1):k - a + 1] -= 1
+        mag = np.abs(gram, out=work[0].view(float)[:gram.size].reshape(gram.shape))
+        resid = max(resid, float(mag.max(initial=0.0)))
+    return resid
+
+
+def _unitary_block(
+    eig: HermitianEigenDecomposition, theta: float, real: bool
+) -> tuple[np.ndarray, float, float | None]:
+    """``M = V diag(p) V^H``, ``p = exp(-i theta lam)``, certified or checked.
+
+    Returns the read-only block, the largest imaginary entry dropped from
+    it (0.0 unless ``real``) and its measured ``max|M^H M - I|``, None
+    where the block is certified (module docstring, step 9).
+    """
     # The result is allocated before the temporaries, so that an assembly
     # that is kept does not sit between freed temporaries in the heap.
     v = eig.eigenvectors
     k = v.shape[0]
-    out = np.empty(v.shape, dtype=complex)
-    vp = v * np.exp(-1j * theta * eig.eigenvalues)
-    # v p v^H a block of columns at a time, and below the check's M^H M a
-    # block of rows at a time: the same products, without an N x N copy of
-    # v^H or M^H among the temporaries.  A last block of one column joins
-    # the one before; BLAS would take it as a matrix-vector product, which
-    # rounds differently.
-    blocks = [slice(j, j + _COLUMN_BLOCK if j + _COLUMN_BLOCK < k - 1 else k)
-              for j in range(0, max(k - 1, 1), _COLUMN_BLOCK)]
-    for cols in blocks:
-        np.matmul(vp, v[cols].conj().T, out=out[:, cols])
-    del vp
+    out = np.empty((k, k), dtype=float if real else complex)
+    work = np.empty((2, (_ROW_BLOCK + 1) * k), dtype=complex)
+    phases = np.exp(-1j * theta * eig.eigenvalues)
+    dropped = 0.0
+    for rows in _row_blocks(k):
+        shape = (rows.stop - rows.start, k)
+        # Row block r is conj(conj(V[r] p) V^T): V^T is a view, so no copy
+        # of V^H is made.
+        w = np.multiply(v[rows], phases, out=work[0, :shape[0] * k].reshape(shape))
+        np.conjugate(w, out=w)
+        if real:
+            conj_rows = np.matmul(w, v.T, out=work[1, :w.size].reshape(shape))
+            out[rows] = conj_rows.real
+            imag = np.abs(conj_rows.imag, out=conj_rows.imag)
+            dropped = max(dropped, float(imag.max(initial=0.0)))
+        else:
+            np.matmul(w, v.T, out=out[rows])
+            np.conjugate(out[rows], out=out[rows])
+    if not dropped < IMAGINARY_TOL:
+        raise ArithmeticError(
+            f"block of a purely imaginary generator is not real: max|Im M| = {dropped:.3e}"
+        )
+    resid = None
     # A certified block needs no dense re-check (module docstring).
-    if eig.unitarity_bound >= UNITARITY_TOL:
-        gram = np.empty(v.shape, dtype=complex)
-        for rows in blocks:
-            np.matmul(out[:, rows].conj().T, out, out=gram[rows])
-        unit_resid = identity_residual(gram)
-        if unit_resid >= UNITARITY_TOL:
+    if eig.unitarity_bound + k * dropped * dropped >= UNITARITY_TOL:
+        resid = _unitarity_residual(out, work)
+        if resid >= UNITARITY_TOL:
             raise ArithmeticError(
-                f"matrix function lost unitarity: max|M^H M - I| = {unit_resid:.3e}"
+                f"matrix function lost unitarity: max|M^H M - I| = {resid:.3e}"
             )
     out.setflags(write=False)
-    return out
+    return out, dropped, resid
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -733,37 +824,74 @@ def _parity_apply(x: np.ndarray, h: int, even, odd) -> np.ndarray:
     return out
 
 
+#: A complex128 vector viewed as the (n, 2) float matrix of its real and imaginary parts.
+_PAIRS = np.dtype((np.float64, (2,)))
+
+
+def _real_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a real matrix a and a C-contiguous complex128 vector x.
+
+    The real and imaginary parts of x are the two columns of its (n, 2)
+    float view, so the product is one real product with two columns,
+    viewed back as a complex vector: no complex copy of a is made, and a
+    vector with a zero imaginary part comes back with a zero imaginary
+    part.
+    """
+    return a.dot(x.view(_PAIRS)).view(complex).reshape(-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ParityUnitary:
-    """A unitary that commutes with index reversal, kept as its two blocks.
+    """A real orthogonal matrix that commutes with index reversal, kept as its two blocks.
+
+    :func:`unitary_from_eig` assembles it from a
+    :class:`ParityEigenDecomposition`, whose generator is purely
+    imaginary, so ``exp(-i*theta*A)`` is real: each block is kept as the
+    real part of its assembly, and what was dropped is kept beside it.
 
     Attributes
     ----------
     even : numpy.ndarray
-        Read-only ``ceil(N/2)`` square block on the reversal-even basis of
-        :class:`ParityEigenDecomposition`.
+        Read-only float64 ``ceil(N/2)`` square block on the reversal-even
+        basis of :class:`ParityEigenDecomposition`.
     odd : numpy.ndarray
-        Read-only ``floor(N/2)`` square block on the reversal-odd basis.
+        Read-only float64 ``floor(N/2)`` square block on the reversal-odd
+        basis.
+    dropped_imaginary : tuple of float
+        ``(even, odd)``: the largest imaginary entry dropped from each
+        assembled block, below 1e-10.
+    unitarity_residual : tuple of (float or None)
+        ``(even, odd)``: ``max|R^T R - I|`` of each block where the dense
+        check ran, None where the block was certified.
     """
 
     even: np.ndarray
     odd: np.ndarray
+    dropped_imaginary: tuple[float, float]
+    unitarity_residual: tuple[float | None, float | None]
+
+    def __post_init__(self):
+        # The block products, bound once: the apply runs per vector.
+        object.__setattr__(self, "_products", (partial(_real_dot, self.even),
+                                                partial(_real_dot, self.odd)))
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the two blocks, about half of the dense matrix."""
+        """Bytes held by the two blocks, about a quarter of the dense complex matrix."""
         return self.even.nbytes + self.odd.nbytes
 
     def __matmul__(self, x) -> np.ndarray:
-        """``U @ x`` for an N-vector, without forming U (:func:`_parity_apply`)."""
-        x = np.asarray(x)
-        even, odd = self.even, self.odd
-        h = odd.shape[0]
-        n = even.shape[0] + h
+        """``U @ x`` for an N-vector, without forming U (:func:`_parity_apply`).
+
+        Each block is applied as one real product (:func:`_real_dot`); a
+        real operand is promoted to complex, as with the dense matrix.
+        """
+        x = np.asarray(x, dtype=complex)
+        h = self.odd.shape[0]
+        n = self.even.shape[0] + h
         if x.shape != (n,):
             raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-        # ndarray.dot: the same BLAS product as @, with less call overhead
-        return _parity_apply(x, h, even.dot, odd.dot)
+        return _parity_apply(x, h, *self._products)
 
     dot = __matmul__  # the name scale_signal calls on either kind of operator
 
@@ -796,18 +924,23 @@ def unitary_from_eig(
 ) -> np.ndarray | ParityUnitary:
     """Assemble ``exp(-i*theta*G)`` from a precomputed decomposition of G.
 
-    A :class:`HermitianEigenDecomposition` gives a read-only N x N array.
-    A :class:`ParityEigenDecomposition` is assembled block by block and
-    gives a :class:`ParityUnitary` of the two read-only blocks.  Every
-    assembled block is unitary to 1e-10: certified by its decomposition's
-    ``unitarity_bound``, or else checked with a dense product, which
-    raises ``ArithmeticError`` if it fails.
+    A :class:`HermitianEigenDecomposition` gives a read-only complex N x N
+    array.  A :class:`ParityEigenDecomposition` is assembled block by
+    block and gives a :class:`ParityUnitary` of the two read-only real
+    blocks; ``ArithmeticError`` is raised if the imaginary part a block
+    drops is not below 1e-10.  Every assembled block is unitary to 1e-10:
+    certified by its decomposition's ``unitarity_bound`` (plus ``k
+    max|Im|^2`` on a real block), or else checked with a dense product,
+    which raises ``ArithmeticError`` if it fails.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if isinstance(eig, ParityEigenDecomposition):
-        return ParityUnitary(_unitary_block(eig.even, theta), _unitary_block(eig.odd, theta))
-    return _unitary_block(eig, theta)
+        (even, odd), dropped, resid = zip(
+            *(_unitary_block(block, theta, real=True) for block in (eig.even, eig.odd))
+        )
+        return ParityUnitary(even, odd, dropped, resid)
+    return _unitary_block(eig, theta, real=False)[0]
 
 
 def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarray) -> np.ndarray:

@@ -79,9 +79,12 @@ soon as it is copied into the buffer of its transforms.
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
 G commutes with reversal, and ``F^2`` is the reversal itself, so Z
-commutes with it too.  :attr:`OperatorSet.generator_eig` then checks
-the symmetry, folds G into its even and odd half-size blocks by
-:func:`opscale.linalg._reversal_fold`, and forms and decomposes the
+commutes with it too.  U real and D purely imaginary there (D is
+Hermitian Toeplitz and odd under reversal, so its column is imaginary),
+G is purely imaginary, ``G = i B`` with B real antisymmetric, and every
+``exp(-i theta G)`` is real.  :attr:`OperatorSet.generator_eig` then
+checks both properties, folds G into its even and odd half-size blocks
+by :func:`opscale.linalg._reversal_fold`, and forms and decomposes the
 matching blocks of S, on which Z is ``(c0 +- c2) I + (c3 +- c1) F``.
 On the other grids it decomposes G whole.
 
@@ -288,7 +291,7 @@ class _HalfDft:
         """``out = Z x`` along ``axis`` of the complex matrix x, which is overwritten."""
         perm, scaled_sign, ratio, post3 = self._whole
         shape = (-1, 1) if axis == 0 else (-1,)
-        np.take(x, perm, axis=axis, out=out)
+        np.take(x, perm, axis=axis, out=out, mode="wrap")  # every index is valid: no buffer
         out *= scaled_sign.reshape(shape)  # s F^2 x
         x += out
         out *= ratio
@@ -466,8 +469,9 @@ class OperatorSet:
         not G.  Neither the generator nor its blocks are kept.
 
         Raises ``ValueError`` if G is not Hermitian, and
-        ``ArithmeticError`` if it does not commute with reversal on a
-        symmetric grid, its real form has an imaginary part beyond
+        ``ArithmeticError`` if on a symmetric grid it does not commute
+        with reversal or is not purely imaginary (``max|Re G| < 1e-10 *
+        (1 + max|G|)``), its real form has an imaginary part beyond
         rounding, or a decomposition fails its checks.
         """
         z = _HalfDft(self.grid)

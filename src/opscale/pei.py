@@ -74,7 +74,7 @@ import numpy as np
 
 from .cache import shared
 from .dft import IndexScheme, _dft_matrix_cached, as_sample_count, as_scaling_factor, as_signal
-from .linalg import identity_residual
+from .linalg import _real_dot, identity_residual
 
 __all__ = [
     "CddhfBasis",
@@ -243,9 +243,9 @@ def pei_scale(signal, m_factor: float) -> np.ndarray:
         If the signal is not one-dimensional or has a NaN or infinite
         sample, or ``m_factor`` is not positive and finite.
     """
-    vec = as_signal(signal)
+    vec = np.ascontiguousarray(as_signal(signal))
     m_factor = as_scaling_factor(m_factor)
     base = cddhf_basis(vec.shape[0], 1.0)
     target = cddhf_basis(vec.shape[0], m_factor)
-    coefficients = base.vectors.T @ vec
-    return target.vectors @ coefficients
+    # Real bases on the signal's real and imaginary parts: no complex copy of either.
+    return _real_dot(target.vectors, _real_dot(base.vectors.T, vec))

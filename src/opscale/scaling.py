@@ -23,9 +23,10 @@ parity blocks from about N = 1200).  On symmetric grids (centered with
 even N, ordinary with odd N) the generator commutes with index
 reversal, its decomposition comes as two half-size reversal-even and
 reversal-odd blocks (see :mod:`opscale.operators`), and so does the
-scaling operator, which is assembled, certified and kept block by
-block, as a :class:`~opscale.linalg.ParityUnitary`, or applied block by
-block in factored form.
+scaling operator.  The generator is purely imaginary there, so the
+operator is real orthogonal: it is assembled, certified and kept block
+by block as two real blocks, a :class:`~opscale.linalg.ParityUnitary`,
+or applied block by block in factored form.
 
 ``ln(M)`` is the natural logarithm.  Only ``M > 0`` is accepted: the
 amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
@@ -50,17 +51,20 @@ apply about k^2 more than an assembled one, so in flops a factor pays
 for its assembly after about k requests.  In time it pays sooner: the
 assembly is a matrix-matrix product, several times faster per flop than
 the matrix-vector products of a factored apply, which read V twice.
-Measured (1 BLAS thread), a factor pays for its assembly after 6-7
-requests at N = 128 centered (k = 64), 22-25 at 128 ordinary (k = 128),
-69-70 at 512 centered (k = 256), 157-176 at 512 ordinary (k = 512) and
-242-249 at 1024 centered (k = 512): 0.10 k to 0.49 k.  The rule is the
-ski-rental one (Karlin, Manasse, Rudolph & Sleator, *Algorithmica* 3,
-1988): the first K = ceil(k/4) requests of an ``(M, N, scheme)``, k the
-grid's largest block (ceil(N/2) on symmetric grids, N on the others),
-take the factored path, and every later request the assembled one.
-Against the cheaper of the two paths in hindsight, that costs at most
-about 3.5 times as much on every grid measured (1 + K/B or 1 + B/K for
-a break-even B), where K = k would cost up to 11 times.  A process that
+Measured (1 BLAS thread), a factor pays for its assembly after 22-25
+requests at N = 128 ordinary (k = 128) and 157-176 at 512 ordinary (k =
+512).  The real blocks of a symmetric grid are applied in about half the
+time of complex ones, so there a factor pays sooner: after 6-14 requests
+at N = 128 centered (k = 64), 30-61 at 512 centered (k = 256) and 64-85
+at 1024 centered (k = 512), on a shared host whose timings spread
+widely.  That is 0.09 k to 0.34 k.  The rule is the ski-rental one
+(Karlin, Manasse, Rudolph & Sleator, *Algorithmica* 3, 1988): the first
+K = ceil(k/4) requests of an ``(M, N, scheme)``, k the grid's largest
+block (ceil(N/2) on symmetric grids, N on the others), take the factored
+path, and every later request the assembled one.  Against the cheaper of
+the two paths in hindsight, that costs at most about 3.7 times as much
+on every grid measured (1 + K/B or 1 + B/K for a break-even B), where K
+= k would cost up to 11 times.  A process that
 streams new factors never assembles, and one that repeats a few factors
 assembles each of them once.  The factored path runs only where the
 decomposition's ``factored_bound`` certifies it (blocks up to k of about
@@ -74,8 +78,9 @@ Determinism: which path a call takes depends only on the sequence of
 requests, never on the cache's budget or its evictions, and each path's
 result is a function of ``(M, N, scheme, x)``.  The two paths agree to
 rounding (about 1e-15 relative), not bit for bit.  The cache holds the
-two blocks on symmetric grids (8 N^2 bytes for even N), the dense matrix
-elsewhere (16 N^2 bytes), keyed on ``(M, N, scheme value)``.  An evicted
+two real blocks on symmetric grids (4 N^2 bytes for even N), the dense
+complex matrix elsewhere (16 N^2 bytes), keyed on ``(M, N, scheme
+value)``.  An evicted
 operator is assembled again through
 :func:`~opscale.linalg.unitary_from_eig`, certified or checked as
 before, and comes back bit-identical.  The cache's and the table's locks

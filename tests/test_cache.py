@@ -1,8 +1,8 @@
 """Tests for the byte-bounded LRU cache shared by scaling operators and CDDHF bases.
 
 The scaling tests run on two grids of N = 16.  The centered grid is
-symmetric, so the cache holds the two 8 x 8 parity blocks (8 N^2
-bytes); the ordinary grid is not, so it holds the dense matrix
+symmetric, so the cache holds the two real 8 x 8 parity blocks (4 N^2
+bytes); the ordinary grid is not, so it holds the dense complex matrix
 (16 N^2 bytes).  The tests reach the cached operator through the memoized builder, whose result is
 the cached object itself, or through ``scale_signal``.  ``scale_signal``
 applies the first K requests of a factor in factored form, K a quarter
@@ -52,7 +52,7 @@ class Grid(NamedTuple):
         return rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
 
 
-BLOCKS = Grid(N, IndexScheme.CENTERED, 8 * N * N, N // 8)
+BLOCKS = Grid(N, IndexScheme.CENTERED, 4 * N * N, N // 8)
 
 
 @pytest.fixture(
@@ -86,6 +86,7 @@ def test_operator_is_charged_its_bytes(budget, grid):
     if grid is BLOCKS:
         assert isinstance(op, ParityUnitary)
         assert op.even.shape == op.odd.shape == (grid.n // 2, grid.n // 2)
+        assert op.even.dtype == op.odd.dtype == np.float64
     else:
         assert isinstance(op, np.ndarray) and op.shape == (grid.n, grid.n)
     assert op.nbytes == grid.charge

@@ -203,11 +203,20 @@ class TestParityEig:
 
     @staticmethod
     def _symmetric(n):
-        # A random Hermitian matrix made reversal-symmetric: (A + J A J)/2.
+        # i B, B a random real antisymmetric matrix made reversal-symmetric,
+        # (B + J B J)/2: Hermitian and purely imaginary, as the generator is
+        # on a symmetric grid.
         rng = np.random.default_rng(n)
-        a = _random_complex(rng, n)
-        a = a + a.conj().T
-        return (a + a[::-1, ::-1]) / 2
+        b = rng.standard_normal((n, n))
+        b = b - b.T
+        return 1j * (b + b[::-1, ::-1]) / 2
+
+    def test_rejects_a_real_part(self):
+        # Hermitian and reversal-symmetric, but not purely imaginary: its
+        # exponentials would not be real.
+        a = self._symmetric(6) + 1e-6 * np.eye(6)
+        with pytest.raises(ArithmeticError, match="purely imaginary"):
+            self._parity_eig(a)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     def test_assembly_matches_dense_assembly(self, n):
@@ -262,6 +271,43 @@ class TestParityUnitary:
     def test_dense_of_theta_zero_is_the_identity(self):
         u = unitary_from_eig(TestParityEig._parity_eig(TestParityEig._symmetric(7)), 0.0)
         assert np.max(np.abs(u.dense() - np.eye(7))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_blocks_are_real_and_keep_what_was_measured(self, n):
+        u = self._unitary(n)
+        assert u.even.dtype == u.odd.dtype == np.float64
+        assert u.nbytes == 8 * (((n + 1) // 2) ** 2 + (n // 2) ** 2)
+        for dropped in u.dropped_imaginary:
+            assert type(dropped) is float and 0.0 <= dropped < 1e-14
+        assert u.unitarity_residual == (None, None)  # small blocks are certified
+        # A real operand with a zero imaginary part comes back with one.
+        x = np.arange(n, dtype=float) - 1.5
+        assert not (u @ x).imag.any()
+
+    @pytest.mark.parametrize(
+        "n, scheme", [(1, IndexScheme.ORDINARY), (2, IndexScheme.CENTERED),
+                      (65, IndexScheme.ORDINARY), (64, IndexScheme.CENTERED),
+                      (257, IndexScheme.ORDINARY), (512, IndexScheme.CENTERED)],
+    )
+    def test_real_blocks_are_the_real_part_of_the_complex_assembly(self, n, scheme):
+        eig = operator_set(n, scheme).generator_eig
+        for theta in (2 * math.pi * math.log(0.3), 1.7, 2 * math.pi * math.log(7.0)):
+            u = unitary_from_eig(eig, theta)
+            for real, block, dropped in zip((u.even, u.odd), (eig.even, eig.odd),
+                                            u.dropped_imaginary):
+                complex_block = unitary_from_eig(block, theta)
+                assert complex_block.dtype == np.complex128
+                assert np.max(np.abs(real - complex_block.real), initial=0.0) <= 1e-14
+                assert dropped == np.max(np.abs(complex_block.imag), initial=0.0) < 1e-12
+
+    def test_a_block_that_is_not_real_is_refused(self):
+        # A decomposition built without the fold's check, of a Hermitian
+        # block with a real part: its exponential is not real.
+        rng = np.random.default_rng(8)
+        raw = _random_complex(rng, 4)
+        eig = hermitian_eig(raw + raw.conj().T)
+        with pytest.raises(ArithmeticError, match="not real"):
+            unitary_from_eig(ParityEigenDecomposition(eig, eig, 0.0), 0.7)
 
 
 def _blocks(eig):
@@ -359,33 +405,86 @@ class TestUnitarityCertificate:
         certified = operator_set(64, IndexScheme.ORDINARY).generator_eig
         assert certified.unitarity_bound < UNITARITY_TOL
         calls = []
+        check = linalg._unitarity_residual
 
-        def counting(p):
-            calls.append(p.shape)
-            return identity_residual(p)
+        def counting(m, work):
+            calls.append(m.shape)
+            return check(m, work)
 
-        monkeypatch.setattr(linalg, "identity_residual", counting)
+        monkeypatch.setattr(linalg, "_unitarity_residual", counting)
         unitary_from_eig(certified, 0.7)
         assert calls == []
         unitary_from_eig(uncertified, 0.7)
         assert calls == [(64, 64)]
 
+    @staticmethod
+    def _traced_peak(build):
+        tracemalloc.start()
+        try:
+            result = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
     def test_assembly_and_its_check_keep_one_temporary_beside_the_block(self):
-        # The block, then v p or the check's gram beside it, and half a
-        # block for |gram - I|: no k x k copy of v^H or M^H on top.
+        # The block, and beside it two buffers of 65 rows that hold the rows
+        # of v p and then the check's row blocks (1.29 times the block's
+        # bytes measured): no k x k copy of v p, v^H or M^H, and no k x k gram.
         k = 512
         rng = np.random.default_rng(k)
         q, _ = np.linalg.qr(_random_complex(rng, k))
         eig = _hand_built(q * (1 + 1e-12 * rng.choice([-1, 1], k)), np.linspace(-1.0, 1.0, k))
         assert eig.unitarity_bound >= UNITARITY_TOL  # the dense check runs
-        tracemalloc.start()
-        try:
-            m = unitary_from_eig(eig, 0.7)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        m, peak = self._traced_peak(lambda: unitary_from_eig(eig, 0.7))
         assert _unitarity_residual(m) < UNITARITY_TOL
-        assert peak < 2.75 * m.nbytes
+        assert peak < 1.3 * m.nbytes
+
+    def test_real_assembly_and_its_check_keep_one_temporary_beside_the_block(self):
+        # A real block of k = 512 with the same two buffers, which hold half
+        # its bytes (1.58 times the block's bytes measured).
+        k = 512
+        rng = np.random.default_rng(k)
+        b = rng.standard_normal((k, k))
+        lam, v = np.linalg.eigh(1j * (b - b.T))
+        eig = _hand_built(v * (1 + 1e-12 * rng.choice([-1, 1], k)), lam)
+        assert eig.unitarity_bound >= UNITARITY_TOL  # the dense check runs
+        empty = hermitian_eig(np.zeros((0, 0)))
+        u, peak = self._traced_peak(
+            lambda: unitary_from_eig(ParityEigenDecomposition(eig, empty, 0.0), 0.7))
+        assert u.even.dtype == np.float64 and u.unitarity_residual[0] is not None
+        assert u.unitarity_residual[0] == _unitarity_residual(u.even) < UNITARITY_TOL
+        assert peak < 1.6 * u.even.nbytes
+
+    def test_check_measures_the_whole_gram_from_its_upper_triangle(self):
+        rng = np.random.default_rng(29)
+        for k in (1, 2, 64, 65, 66, 130, 200):
+            q, _ = np.linalg.qr(_random_complex(rng, k))
+            m = q * (1 + 1e-9 * rng.standard_normal(k))
+            for block in (m, m.real):
+                work = np.empty((2, (linalg._ROW_BLOCK + 1) * k), dtype=complex)
+                got = linalg._unitarity_residual(block, work)
+                assert got == pytest.approx(_unitarity_residual(block), rel=1e-6, abs=1e-15)
+
+    def test_a_dropped_imaginary_part_enters_the_certificate(self, monkeypatch):
+        # i B's eigenvectors, perturbed and orthonormalized again: the block
+        # drops an imaginary part J of about 1e-5, which k max|Im|^2 adds to
+        # a bound that certifies the complex block alone.  Its real part R
+        # has R^T R - I = -J^T J, far from orthogonal, and only the dense
+        # check, which that term sets off, sees it.
+        k = 64
+        rng = np.random.default_rng(k)
+        b = rng.standard_normal((k, k))
+        lam, v = np.linalg.eigh(1j * (b - b.T))
+        q, _ = np.linalg.qr(v + 1e-5 * _random_complex(rng, k))
+        eig = _hand_built(q, lam)
+        assert eig.unitarity_bound < UNITARITY_TOL
+        parity = ParityEigenDecomposition(eig, hermitian_eig(np.zeros((0, 0))), 0.0)
+        with pytest.raises(ArithmeticError, match="not real"):
+            unitary_from_eig(parity, 0.7)
+        monkeypatch.setattr(linalg, "IMAGINARY_TOL", 1e-3)
+        with pytest.raises(ArithmeticError, match="lost unitarity"):
+            unitary_from_eig(parity, 0.7)
 
 
 def _norm_error(y, x):

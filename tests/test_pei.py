@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,3 +274,29 @@ class TestPeiScale:
     def test_rejects_matrix_input(self):
         with pytest.raises(ValueError):
             pei_scale(np.zeros((4, 4)), 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_matches_the_complex_products_of_the_bases(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        strided = x[::2]  # a strided signal is copied once, not refused
+        expected = cddhf_basis(n, 2.0).vectors @ (cddhf_basis(n, 1.0).vectors.T @ strided)
+        got = pei_scale(strided, 2.0)
+        assert got.shape == (n,) and got.dtype == np.complex128
+        assert np.max(np.abs(got - expected)) < 1e-14 * np.linalg.norm(strided)
+        assert not pei_scale(strided.real, 2.0).imag.any()  # a real signal stays real
+
+    def test_applies_the_bases_without_a_complex_copy(self):
+        # Each real basis is applied as one real product on the signal's
+        # (N, 2) float view; promoting a basis to complex would take 16 N^2
+        # bytes (1 MiB here).
+        n = 256
+        pei_scale(np.ones(n), 2.0)  # builds and caches both bases
+        x = np.random.default_rng(1).standard_normal(n) + 0j
+        tracemalloc.start()
+        try:
+            pei_scale(x, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * n

@@ -95,13 +95,17 @@ class TestScalingMatrix:
 
     @staticmethod
     def _assembled_densely(eig, theta):
-        """Each block as (V * phases) @ V^H, scattered into the N x N matrix."""
+        """Each block as one product ``conj(conj(V * phases) @ V^T)``, scattered into N x N.
+
+        On symmetric grids each block is the real part of that product.
+        """
         def block(e):
-            return (e.eigenvectors * np.exp(-1j * theta * e.eigenvalues)) @ e.eigenvectors.conj().T
+            rows = np.conjugate(e.eigenvectors * np.exp(-1j * theta * e.eigenvalues))
+            return np.conjugate(rows @ e.eigenvectors.T)
 
         if not isinstance(eig, ParityEigenDecomposition):
             return block(eig)
-        even, odd = block(eig.even), block(eig.odd)
+        even, odd = block(eig.even).real, block(eig.odd).real
         h = odd.shape[0]
         n = even.shape[0] + h
         out = np.empty((n, n), dtype=complex)
@@ -118,8 +122,9 @@ class TestScalingMatrix:
     @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 129, 256, 257, 512])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     def test_bit_identical_to_the_dense_assembly(self, n, scheme):
-        # Keeping the blocks and assembling into a preallocated array must
-        # not move a bit of the matrix that scaling_matrix returns.
+        # Assembling a block of rows at a time into a preallocated array,
+        # and keeping the real part of each parity block, must not move a
+        # bit of the matrix that scaling_matrix returns.
         eig = operator_set(n, scheme).generator_eig
         for m in (0.37, 2.0, 7.3):
             expected = self._assembled_densely(eig, 2.0 * math.pi * math.log(m))
@@ -365,6 +370,24 @@ class TestProperties:
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         gap = np.linalg.norm(_factored(spec, x) - _assembled(spec, x))
         assert gap < 1e-13 * np.linalg.norm(x)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        ln_a=ln_m,
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_real_signal_stays_real_on_the_assembled_path(self, n, ln_a, seed):
+        # Both symmetric grids: centered for even N, ordinary for odd N.  The
+        # generator is purely imaginary there, so the assembled operator is
+        # kept as real blocks, and a real signal meets no imaginary part.
+        scheme = IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY
+        spec = ScalingSpec(math.exp(ln_a), n, scheme)
+        x = np.random.default_rng(seed).standard_normal(n)
+        y = _assembled(spec, x)
+        assert y.dtype == np.complex128 and not y.imag.any()
+        norm_x = np.linalg.norm(x)
+        assert abs(np.linalg.norm(y) - norm_x) <= 1e-12 * norm_x
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     @pytest.mark.parametrize("n", [256, 257, 513, 1024])
