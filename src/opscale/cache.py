@@ -26,9 +26,10 @@ The caches keyed on the grid alone, ``dft._dft_matrix_cached``,
 ``operators.operator_set`` and ``pei._d_squared``, stay
 :func:`functools.lru_cache`: they grow with the number of distinct
 ``(N, scheme)`` grids, not with M.  An operator set holds O(N) arrays
-plus the generator's eigenvectors (16 N^2 bytes, 8 N^2 on a symmetric
-grid of even N); the N x N F and D^2 are built only by the comparison
-methods and by callers that ask for them.
+plus the generator's real eigenvectors Q (8 N^2 bytes, 4 N^2 on a
+symmetric grid of even N); the complex eigenvectors ``V = Z Q``, the N x N
+F and D^2 are built only for an assembly, by the comparison methods and
+for callers that ask for them.
 
 A lock guards the bookkeeping, and builds run outside it, so a slow build
 never holds up other callers.  Two threads that miss the same key at

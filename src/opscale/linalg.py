@@ -27,7 +27,12 @@ Z^H``, and ``conj(S) = Z conj(G) Z^H = (Z F) G (Z F)^H = S``
 :func:`_solve_real_form` solves it and certifies ``(A, V)`` from ``(S, Q)``
 in real arithmetic, with an a priori bound on the transform Z (steps 6-8
 below), so neither A nor a complex N x N product is needed for the
-checks.
+checks.  The decomposition keeps ``(lam, Q, Z)``: Q as read-only
+float64, 8 k^2 bytes a block where V would take 16, and Z as the
+transform that applies it, which holds only O(N) phases.  V is built
+only on request, 64 columns at a time into one new array
+(:attr:`HermitianEigenDecomposition.eigenvectors`), for an assembly or a
+caller that asks for it, and not kept.
 
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
 A[N-1-i, N-1-j]``) splits exactly into two blocks in the orthonormal
@@ -54,10 +59,11 @@ into the complex N x N matrix in the original index order.
 
 A block is assembled straight into its final array, 64 rows at a time:
 row block r of ``M = V P V^H`` is ``conj(conj(V[r] p) V^T)``.  ``V^T``
-is a view, so no copy of ``V^H`` is made; the temporaries are two
-buffers of 65 rows, for the rows of ``V[r] p`` and, on a real block,
-their complex product before its real part is kept (about a quarter
-of a complex block at k = 512, an eighth at k = 1024).  BLAS sums each entry
+is a view, so no copy of ``V^H`` is made; besides V itself, built from
+Q for the assembly on a real form, the temporaries are two buffers of
+65 rows, for the rows of ``V[r] p`` and, on a real block, their complex
+product before its real part is kept (about a quarter of a complex
+block at k = 512, an eighth at k = 1024).  BLAS sums each entry
 in the same order however the rows are split, so the block is the one
 product ``conj(conj(V p) V^T)``, bit for bit; a last block of one row
 joins the one before, as BLAS would take it as a vector-matrix product,
@@ -67,16 +73,24 @@ each row block r from its first row a, in the same two buffers: half the
 flops of the whole product, and no k x k gram.
 
 :func:`apply_from_eig` applies ``exp(-i*theta*A)`` to one vector
-without assembling it, in factored form ``V (p * (V^H x))``: two
-matrix-vector products per block, O(k^2) instead of the assembly's
-O(k^3), but reading V twice where an assembled block is read once.
-``V^H x`` is computed as ``conj(x^H V)``, so no copy of ``V^H`` is made.
-On a :class:`ParityEigenDecomposition` the vector is folded onto the
-parity bases, each block applied, and the results unfolded, by the same
-code as :meth:`ParityUnitary.__matmul__`.  The factored form runs only
-on a decomposition whose every block ``factored_bound`` certifies; it
-raises ``ArithmeticError`` elsewhere, where the assembled block and its
-dense check are the only path.
+without assembling it, in factored form ``Z (Q (p * (Q^T (Z^H x))))``:
+two matrix-vector products per block, O(k^2) instead of the assembly's
+O(k^3), but reading Q twice where an assembled block is read once.
+Each product with a real Q is one real product on the (k, 2) float view
+of the complex vector (:func:`_real_dot`; ``Q^T`` is a view), reading
+half the bytes of a complex V.  ``Z^H x = conj(Z conj(x))``, as Z is
+symmetric, so each side costs one transform of the whole N-vector, an
+FFT and a few pointwise products.  On a :class:`ParityEigenDecomposition`
+the transformed vector is folded onto the parity bases, each block
+applied, and the results unfolded, by the same code as
+:meth:`ParityUnitary.__matmul__`: Z commutes with reversal, so one
+whole-length transform on each side of the fold does the work of one per
+block.  A complex solve keeps V itself, and is the case Z = I of the
+same code, with ``V^H x`` computed as ``conj(x^H V)``, so no copy of
+``V^H`` is made.  The factored form runs only on a decomposition whose
+every block it certifies (``factored_certified``); it raises
+``ArithmeticError`` elsewhere, where the assembled block and its dense
+check are the only path.
 
 Each decomposition keeps the residuals its checks measured (or, for a
 real form, bounded), as plain floats: :class:`HermitianEigenDecomposition`
@@ -124,37 +138,54 @@ decomposed block.  With gram residuals of a few 1e-15 it is about
 and 2.5e-10 at k = 1024, where the dense check runs.  (Step 9 adds a
 term for a block that is kept real.)
 
-5. The factored product ``y^ = fl(V fl(p^ * fl(V^H x)))`` of
-   :func:`apply_from_eig`.  Let ``nu = sqrt(1 + k delta) >= ||V||_2``
-   (step 2) and ``a = sqrt(k) nu gamma_{k+2}``.  The conjugations are
-   exact, so ``c^ = fl(V^H x) = V^H x + e1`` with ``|e1| <= gamma_{k+2}
-   |V^H| |x|`` and, as in step 4, ``||e1|| <= a ||x||``.  The phases
-   give ``w^ = P c^ + e2`` with ``|e2| <= beta |c^|`` (step 3), so
-   ``||e2|| <= beta (nu + a) ||x||`` and ``||w^|| <= (1 + beta) (nu + a)
-   ||x||``.  The last product gives ``y^ = V w^ + e3`` with ``||e3|| <=
-   a ||w^||``.  Hence ``y^ - M x = V (P e1 + e2) + e3`` and ``||y^ - M
-   x|| <= eps ||x||``, ``eps = nu a + (nu + a) (nu beta + a (1 +
-   beta))``.  By step 2, ``||M x||^2 / ||x||^2`` lies between ``2 - (1 +
-   k delta)^2`` and ``(1 + k delta)^2``, so ``| ||y^||^2 / ||x||^2 - 1 |
-   <= (1 + k delta + eps)^2 - 1`` (for a bound below 1).  On parity
-   blocks this holds per block; the fold and unfold, sums of two samples
-   and exact halvings, add a few ``u``, as they do to an assembled
-   :class:`ParityUnitary`.
+5. The factored product ``y^ = fl(Z fl(Q fl(p^ * fl(Q^T fl(Z^H
+   x)))))`` of :func:`apply_from_eig`, for ``V = Z Q`` with Z the exact
+   unitary transform (Z = I, Q = V and ``eta = 0`` for a complex solve).
+   Let ``delta_Q`` bound ``max|Q^T Q - I|`` (step 7; delta of step 1 when
+   Q = V), ``nu = sqrt(1 + k delta_Q) >= ||Q||_2`` (step 2) and ``a =
+   sqrt(k) nu gamma_{k+2}``.  The conjugations are exact, so the first
+   transform gives ``w^ = Z^H x + e0`` with ``||e0|| <= eta ||x||`` (step
+   6).  Then ``c^ = fl(Q^T w^) = Q^T w^ + e1`` with ``|e1| <= gamma_{k+2}
+   |Q^T| |w^|`` and, as in step 4, ``||e1|| <= a ||w^||``; the phases
+   give ``d^ = P c^ + e2`` with ``||e2|| <= beta ||c^||`` (step 3); the
+   second product ``z^ = Q d^ + e3`` with ``||e3|| <= a ||d^||``; and the
+   last transform ``y^ = Z z^ + e4`` with ``||e4|| <= eta ||z^||``.  So
+   ``||c^|| <= (nu + a) (1 + eta) ||x||``, ``||d^|| <= (1 + beta)
+   ||c^||`` and ``||z^|| <= (nu + a) ||d^||``.  With ``M = Z Q P Q^T
+   Z^H``, ``y^ - M x = Z Q P Q^T e0 + Z Q P e1 + Z Q e2 + Z e3 + e4`` and
+   ``||y^ - M x|| <= eps ||x||``, ``eps = nu^2 eta + (1 + eta) (nu a +
+   (nu + a) (nu beta + a (1 + beta)) + eta (nu + a)^2 (1 + beta))``.  Z
+   is unitary, so ``(Z Q)^H (Z Q) = Q^T Q`` and by step 2 ``||M x||^2 /
+   ||x||^2`` lies between ``2 - (1 + k delta_Q)^2`` and ``(1 + k
+   delta_Q)^2``; hence ``| ||y^||^2 / ||x||^2 - 1 | <= (1 + k delta_Q +
+   eps)^2 - 1`` (for a bound below 1).  On parity blocks both transforms
+   act on the whole N-vector, and between them the fold is sqrt(2) times
+   an orthogonal map, which the final halving undoes exactly: the two
+   blocks' errors add in quadrature, and the bound holds with the larger
+   block's terms.  The fold's and unfold's sums of two samples add a few
+   ``u``, as they do to an assembled :class:`ParityUnitary`.
 
 That last quantity is ``factored_bound``, the factored apply's
-counterpart of ``unitarity_bound``: to first order ``2 k delta + 4
-sqrt(k) gamma_{k+2} + 2 beta``.  From a measured gram residual of a few
-1e-15 it stops certifying at k of about 635, a dozen sizes before
-``unitarity_bound`` does (the real form's bounds stop a little earlier,
-see below); both certify every block up to k = 512 and neither the
-dense k = 1024.  Neither bound is sounder
-than the gram residual it is given, so a hand-built decomposition must
-carry the measured ``max|V^H V - I|`` of its eigenvectors.
+counterpart of ``unitarity_bound``: to first order ``2 k delta_Q + 4
+sqrt(k) gamma_{k+2} + 2 beta + 4 eta``.  The transform enters as ``4
+eta``: it is applied to one vector, not to the k columns of Q.  The
+same step taken through V (Q = V, its ``gram_bound`` of step 7 for ``k
+delta_Q`` and ``eta = 0``) has ``4 sqrt(k) eta`` there, and that bound
+certified the factored path while V was kept; ``factored_certified``
+requires both, so the blocks certified are exactly those certified
+before.  From a measured gram residual of a few 1e-15 the bound through
+V stops certifying at k of about 635 for a complex solve, a dozen sizes
+before ``unitarity_bound`` does; both certify every block up to k = 512
+and neither the dense k = 1024.  Neither bound is sounder than the gram
+residual it is given, so a hand-built decomposition must carry the
+measured ``max|V^H V - I|`` of its eigenvectors.
 
-Steps 2-5 use ``delta`` only through ``k delta``, a bound on ``||V^H V -
-I||_2``.  A decomposition keeps that bound as ``gram_bound``; from a
-measured gram residual it is ``k delta`` of step 1.  A real-form
-decomposition bounds it without forming ``V^H V``:
+Steps 2-4 use ``delta`` only through ``k delta``, a bound on ``||V^H V
+- I||_2``, and step 5 through ``k delta_Q``, a bound on ``||Q^T Q -
+I||_2``.  A decomposition keeps them as ``gram_bound`` and
+``basis_gram_bound``; from a measured gram residual both are ``k
+delta`` of step 1.  A real-form decomposition bounds them without
+forming ``V^H V``:
 
 6. The transform (an a priori bound).  numpy (>= 2.0) computes
    ``fft`` with pocketfft, whose accuracy this module assumes as
@@ -233,21 +264,27 @@ decomposition bounds it without forming ``V^H V``:
    1/4 to 20, which adds less than 1e-23 to the bound.
 
 With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
-N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q``.
-Against the bounds from a measured complex gram, that term dominates on
-small blocks, whose bounds stay far below 1e-10 (1.2-3.9 times as large
-for k = 65-128, up to 18 times below), and adds 1.3-26 % from k = 513
-on.  Every block up to k = 512 stays certified, and k = 1024 stays
-uncertified; near the edge, ``factored_bound`` now certifies every
-whole grid up to N = 590 (some to 625; 632 before) and
-``unitarity_bound`` every one up to 600 (some to 637; 645 before).  The
-checks cost two real k x k products, ``Q^T Q`` (a symmetric rank-k
-update) and ``s Q``, instead of two complex ones.
+N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q`` in
+``gram_bound``.  Against the bounds from a measured complex gram, that
+term dominates on small blocks, whose bounds stay far below 1e-10
+(1.2-3.9 times as large for k = 65-128, up to 18 times below), and adds
+1.3-26 % from k = 513 on.  Every block up to k = 512 stays certified,
+and k = 1024 stays uncertified; near the edge, the bound through V
+certifies every whole grid up to N = 590 (some to 625; 632 from a
+complex gram) and ``unitarity_bound`` every one up to 600 (some to 637;
+645).  ``factored_bound`` alone, with ``4 eta`` in place of ``4 sqrt(k)
+eta``, would certify every one up to N = 630 (some to 632).  The checks
+cost two real k x k products, ``Q^T Q`` (a symmetric rank-k update) and
+``s Q``, instead of two complex ones, and one transform of Q, 64 columns
+at a time, for the column norms of V.
 
 Every function except :func:`identity_residual`, which overwrites the
 product it is given, and :func:`_solve_real_form`, which fills and marks
 read-only the arrays it is given, is pure and operates on immutable
 inputs, so they are safe to call concurrently from multiple threads.
+That includes the transforms a decomposition keeps, which
+:func:`apply_from_eig` runs on every call: they write only into the
+buffers they are handed or allocate per call.
 """
 
 from __future__ import annotations
@@ -255,6 +292,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -308,20 +346,24 @@ def _entry_bound(gram_residual: float, k: int) -> float:
     return (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
 
 
-def _bounds(gram_bound: float, k: int) -> tuple[float, float]:
+def _bounds(gram_bound: float, basis_gram_bound: float, eta: float, k: int) -> tuple[float, float]:
     """``unitarity_bound`` and ``factored_bound`` of a block of k eigenvectors.
 
-    ``gram_bound`` bounds ``||V^H V - I||_2``; the derivation is in the
-    module docstring (steps 2-4, then 5).
+    ``gram_bound`` bounds ``||V^H V - I||_2``, ``basis_gram_bound``
+    ``||Q^T Q - I||_2`` and ``eta`` the relative error of the transform
+    Z, ``V = Z Q``; the derivation is in the module docstring (steps 2-4,
+    then 5).
     """
     g = _gamma(k + 2)
     beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
     g_prime = g + beta * (1 + g)
     unitarity = ((1 + gram_bound) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
-    nu = math.sqrt(1 + gram_bound)
+    nu = math.sqrt(1 + basis_gram_bound)
     a = math.sqrt(k) * nu * g
-    eps = nu * a + (nu + a) * (nu * beta + a * (1 + beta))
-    return unitarity, (1 + gram_bound + eps) ** 2 - 1
+    eps = nu * nu * eta + (1 + eta) * (
+        nu * a + (nu + a) * (nu * beta + a * (1 + beta)) + eta * (nu + a) ** 2 * (1 + beta)
+    )
+    return unitarity, (1 + basis_gram_bound + eps) ** 2 - 1
 
 
 #: Assumed error of an FFT twiddle or chirp factor (step 6).
@@ -403,14 +445,19 @@ def _as_matrix(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HermitianEigenDecomposition:
-    """Validated spectral decomposition ``A = V diag(eigenvalues) V^H``.
+    """Validated spectral decomposition ``A = V diag(eigenvalues) V^H``, ``V = Z Q``.
+
+    A complex solve keeps V itself (Z = I); a real-form solve keeps the
+    real orthogonal Q and the transform Z, which applies Z with an FFT,
+    and builds V only on request (:attr:`eigenvectors`).
 
     Attributes
     ----------
     eigenvalues : numpy.ndarray
         Real eigenvalues in ascending order.
-    eigenvectors : numpy.ndarray
-        Unitary matrix whose column ``k`` pairs with ``eigenvalues[k]``.
+    basis : numpy.ndarray
+        Q, whose column ``k`` pairs with ``eigenvalues[k]``: read-only
+        float64 for a real form, the unitary V itself where Z = I.
     hermiticity_residual : float
         ``max|A - A^H|`` of the decomposed matrix.
     gram_residual : float
@@ -426,43 +473,81 @@ class HermitianEigenDecomposition:
         A bound on ``||V^H V - I||_2``: ``k`` times step 1's bound on the
         exact ``max|V^H V - I|`` when not given (or None); a real-form
         decomposition gives step 7's.
+    transform : callable or None
+        ``transform(x, out, axis)`` writes Z x along ``axis`` of the
+        complex matrix x into ``out`` and may overwrite x; None for Z = I.
+    transform_error : float
+        ``eta``, a bound on the transform's relative error on any vector
+        (step 6); 0.0 for Z = I.
+    basis_gram_bound : float
+        A bound on ``||Q^T Q - I||_2``: ``k delta_Q`` of step 7 for a real
+        form, ``gram_bound`` when not given (or None).
     unitarity_bound : float
         Derived from ``gram_bound``: an upper bound on ``max|M^H M - I|``
         of every complex block :func:`unitary_from_eig` assembles from
         this decomposition (see the module docstring); a block kept real
         adds ``k max|Im M|^2`` to it (step 9).
     factored_bound : float
-        Derived from ``gram_bound``: an upper bound on ``| ||y||^2 /
-        ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
-        computes from an ``x`` with this decomposition.
+        Derived from ``basis_gram_bound`` and ``transform_error``: an
+        upper bound on ``| ||y||^2 / ||x||^2 - 1 |`` of every ``y`` that
+        :func:`apply_from_eig` computes from an ``x`` with this
+        decomposition (step 5).
     block_size : int
         The number k of eigenvectors.
     factored_certified : bool
         Whether ``factored_bound`` is below ``UNITARITY_TOL``, so that
-        :func:`apply_from_eig` may run.
+        :func:`apply_from_eig` may run, and so is the bound that step 5
+        gives through V (from ``gram_bound``, Z = I): a real form is
+        certified on exactly the blocks where applying V was.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    basis: np.ndarray
     hermiticity_residual: float
     gram_residual: float
     reconstruction_residual: float
     realness_residual: float | None = None
     gram_bound: float | None = None
+    transform: Callable | None = None
+    transform_error: float = 0.0
+    basis_gram_bound: float | None = None
     unitarity_bound: float = field(init=False)
     factored_bound: float = field(init=False)
     block_size: int = field(init=False)
     factored_certified: bool = field(init=False)
 
     def __post_init__(self):
-        k = self.eigenvectors.shape[0]
+        k = self.basis.shape[0]
         if self.gram_bound is None:
             object.__setattr__(self, "gram_bound", k * _entry_bound(self.gram_residual, k))
-        unitarity, factored = _bounds(self.gram_bound, k)
+        if self.basis_gram_bound is None:
+            object.__setattr__(self, "basis_gram_bound", self.gram_bound)
+        unitarity, factored = _bounds(self.gram_bound, self.basis_gram_bound,
+                                      self.transform_error, k)
+        # Step 5 taken through V (Z = I): the certificate the factored path
+        # had when it applied V, which still decides where it runs.
+        through_v = _bounds(self.gram_bound, self.gram_bound, 0.0, k)[1]
         object.__setattr__(self, "unitarity_bound", unitarity)
         object.__setattr__(self, "factored_bound", factored)
         object.__setattr__(self, "block_size", k)
-        object.__setattr__(self, "factored_certified", factored < UNITARITY_TOL)
+        object.__setattr__(self, "factored_certified", max(factored, through_v) < UNITARITY_TOL)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The unitary V whose column ``k`` pairs with ``eigenvalues[k]``.
+
+        The kept V where Z = I; for a real form ``V = Z Q``, built on each
+        request as a new read-only array (:func:`_transformed_columns`)
+        and not kept.
+        """
+        if self.transform is None:
+            return self.basis
+        k = self.block_size
+        v = np.empty((k, k), dtype=complex)
+        for cols, slab in _transformed_columns(self.basis, self.transform):
+            v[:, cols] = slab
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,6 +567,11 @@ class ParityEigenDecomposition:
         basis ``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2`` (empty for N = 1).
     reversal_residual : float
         ``max|A - J A J|`` of the decomposed matrix.
+    transform : callable or None
+        Z on the whole N-vector, with the protocol and error of the
+        blocks' transforms, which are Z restricted to the parity bases (Z
+        commutes with reversal); None where the blocks keep their V.
+        :func:`apply_from_eig` applies it on each side of the fold.
     block_size : int
         The size k of the larger block, the even one.
     factored_certified : bool
@@ -491,6 +581,7 @@ class ParityEigenDecomposition:
     even: HermitianEigenDecomposition
     odd: HermitianEigenDecomposition
     reversal_residual: float
+    transform: Callable | None = None
     block_size: int = field(init=False)
     factored_certified: bool = field(init=False)
 
@@ -570,13 +661,15 @@ def _solve_real_form(
     herm_resid)`` what :func:`_hermiticity_residual` measured on A and
     ``realness_resid`` what :func:`_real_part` measured on the form.  A
     real ``eigh`` gives ``s = Q diag(lam) Q^T``; lam is written into
-    ``eigenvalues``, and ``transform(q)`` returns ``V = Z Q``, each column
-    within ``transform_error * ||q_j||`` of ``Z q_j``, and may overwrite
-    s.  The checks use only s, Q and the column norms of V, in
-    real arithmetic (module docstring, steps 6-8).  Raises
-    ``ArithmeticError`` unless the bound on ``max|V^H V - I|`` is below
-    1e-10, the bound on ``max|A V - V diag(lam)|`` below ``1e-9 * scale``,
-    and the column norms of V those of Q within the transform's error.
+    ``eigenvalues`` and Q over s, and the decomposition keeps both with
+    the transform, ``transform(x, out, axis)`` writing ``Z x`` along
+    ``axis``, each column within ``transform_error * ||x_j||`` of exact.
+    The checks use only s, Q and the column norms of ``V = Z Q``, built
+    64 columns at a time and not kept, in real arithmetic (module
+    docstring, steps 6-8).  Raises ``ArithmeticError`` unless the bound
+    on ``max|V^H V - I|`` is below 1e-10, the bound on ``max|A V - V
+    diag(lam)|`` below ``1e-9 * scale``, and the column norms of V those
+    of Q within the transform's error.
     """
     k = s.shape[0]
     eta = transform_error
@@ -608,10 +701,12 @@ def _solve_real_form(
             f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
         )
     eigenvalues[...] = lam
-    v = transform(q)
+    s[...] = q
     del q
-    parts = v.view(float).reshape(k, k, 2)
-    v_norms = np.einsum("ijc,ijc->j", parts, parts)
+    v_norms = np.empty(k)
+    for cols, slab in _transformed_columns(s, transform):
+        parts = slab.view(float).reshape(k, -1, 2)
+        v_norms[cols] = np.einsum("ijc,ijc->j", parts, parts)
     drift = float(abs(v_norms - q_norms).max(initial=0.0))
     norm_tol = (1 + eta) ** 2 * (1 + _gamma(2 * k)) / (1 - _gamma(k)) - 1
     if not drift <= norm_tol * float(q_norms.max(initial=0.0)):
@@ -622,9 +717,10 @@ def _solve_real_form(
     e = eta * math.sqrt(k * (1 + delta_q))
     gram_bound = k * delta_q + 2 * math.sqrt(1 + k * delta_q) * e + e * e
     eigenvalues.setflags(write=False)
-    v.setflags(write=False)
+    s.setflags(write=False)
     return HermitianEigenDecomposition(
-        eigenvalues, v, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound
+        eigenvalues, s, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound,
+        transform, eta, k * delta_q,
     )
 
 
@@ -724,6 +820,25 @@ def _row_blocks(k: int) -> list[slice]:
             for j in range(0, max(k - 1, 1), _ROW_BLOCK)]
 
 
+def _transformed_columns(q: np.ndarray, transform):
+    """Yield ``(cols, Z q[:, cols])``, 64 columns at a time, for a k x k q.
+
+    Each slab is transformed in two buffers of 64 columns owned by this
+    call, so no k x k complex copy of q is made, and the slab yielded is
+    overwritten by the next one.  Every column goes through the same
+    pointwise products and FFT as in a transform of the whole q, so the
+    columns are bit-identical to it.
+    """
+    k = q.shape[0]
+    work = np.empty((2, k * min(_ROW_BLOCK, k)), dtype=complex)
+    for start in range(0, k, _ROW_BLOCK):
+        cols = slice(start, min(start + _ROW_BLOCK, k))
+        shape = (k, cols.stop - start)
+        x = work[0, :shape[0] * shape[1]].reshape(shape)
+        x[...] = q[:, cols]
+        yield cols, transform(x, work[1, :x.size].reshape(shape), axis=0)
+
+
 def _unitarity_residual(m: np.ndarray, work: np.ndarray) -> float:
     """``max|M^H M - I|`` of a square block, from the upper triangle of ``M^H M``.
 
@@ -754,11 +869,12 @@ def _unitary_block(
     it (0.0 unless ``real``) and its measured ``max|M^H M - I|``, None
     where the block is certified (module docstring, step 9).
     """
-    # The result is allocated before the temporaries, so that an assembly
-    # that is kept does not sit between freed temporaries in the heap.
-    v = eig.eigenvectors
-    k = v.shape[0]
+    # The result is allocated before the temporaries, V of a real form
+    # among them, so that an assembly that is kept does not sit between
+    # freed temporaries in the heap.
+    k = eig.block_size
     out = np.empty((k, k), dtype=float if real else complex)
+    v = eig.eigenvectors
     work = np.empty((2, (_ROW_BLOCK + 1) * k), dtype=complex)
     phases = np.exp(-1j * theta * eig.eigenvalues)
     dropped = 0.0
@@ -944,12 +1060,30 @@ def unitary_from_eig(
 
 
 def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarray) -> np.ndarray:
-    v = eig.eigenvectors
-    # V^H x as conj(x^H V): no copy of V^H is made.
-    c = np.dot(x.conj(), v)
-    np.conjugate(c, out=c)
-    c *= np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
-    return np.dot(v, c)
+    """``Q (p * (Q^H x))`` with the block's kept basis Q, whatever its transform."""
+    q = eig.basis
+    phases = np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
+    if q.dtype.kind == "c":
+        # Q^H x as conj(x^H Q): no copy of Q^H is made.
+        c = np.dot(x.conj(), q)
+        np.conjugate(c, out=c)
+        c *= phases
+        return np.dot(q, c)
+    c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))  # Q^T is a view
+    c *= phases
+    return _real_dot(q, c)
+
+
+def _transformed(transform, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """``Z x``, or ``Z^H x = conj(Z conj(x))`` (Z is symmetric), for an N-vector.
+
+    The vector is taken as a 1 x N row, along whose axis 1 Z applies,
+    in buffers of this call's own; in the forward direction x, which
+    the caller owns, is overwritten.
+    """
+    row = (np.conjugate(x, dtype=complex) if adjoint else x).reshape(1, -1)
+    out = transform(row, np.empty_like(row), axis=1).reshape(-1)
+    return np.conjugate(out, out=out) if adjoint else out
 
 
 def apply_from_eig(
@@ -957,8 +1091,10 @@ def apply_from_eig(
 ) -> np.ndarray:
     """``exp(-i*theta*G) @ x`` for an N-vector, in factored form, without assembling.
 
-    Each block is applied as ``V (p * (V^H x))``, ``p = exp(-i*theta*lam)``;
-    on a :class:`ParityEigenDecomposition` through the parity fold of
+    ``Z (Q (p * (Q^T (Z^H x))))``, ``p = exp(-i*theta*lam)``: one
+    transform of the whole vector on each side (none where Z = I), and
+    in between each block's two products with its kept basis, on a
+    :class:`ParityEigenDecomposition` through the parity fold of
     :meth:`ParityUnitary.__matmul__`.  The result's relative norm error is
     within the decomposition's ``factored_bound`` (module docstring).
 
@@ -978,8 +1114,13 @@ def apply_from_eig(
     n = eig.even.block_size + eig.odd.block_size if parity else eig.block_size
     if x.shape != (n,):
         raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
+    transform = eig.transform
+    if transform is not None:
+        x = _transformed(transform, x, adjoint=True)
     if parity:
-        return _parity_apply(x, eig.odd.block_size,
-                             partial(_factored_block, eig.even, theta),
-                             partial(_factored_block, eig.odd, theta))
-    return _factored_block(eig, theta, x)
+        y = _parity_apply(x, eig.odd.block_size,
+                          partial(_factored_block, eig.even, theta),
+                          partial(_factored_block, eig.odd, theta))
+    else:
+        y = _factored_block(eig, theta, x)
+    return y if transform is None else _transformed(transform, y, adjoint=False)

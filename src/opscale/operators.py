@@ -68,10 +68,13 @@ by ``fmod``; no dense F is built.  The imaginary part of the computed S
 must be rounding, below ``1e-10 * (1 + max|G|)``: a generator that
 breaks ``G = F^H conj(G) F`` is rejected there.  The decomposition is
 certified from S and Q in real arithmetic, with an a priori bound on the
-computed Z (:mod:`opscale.linalg`, steps 6-8).
+computed Z (:mod:`opscale.linalg`, steps 6-8).  The decomposition keeps
+Q (real, 8 k^2 bytes a block) and the transform, whose O(N) phases apply
+Z at run time; ``V = Z Q`` is built only on request.
 
 An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
-each) and, once asked for, the generator's eigendecomposition.  Its
+each) and, once asked for, the generator's eigendecomposition: its
+eigenvalues, its real Q and the transform Z.  Its
 dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
 kept.  :attr:`OperatorSet.generator_eig` forms G once and drops it as
 soon as it is copied into the buffer of its transforms.
@@ -245,7 +248,11 @@ class _HalfDft:
     :class:`~opscale.linalg.ParityEigenDecomposition`, so Z restricted to
     either basis is ``(c0 +- c2) I + (c3 +- c1) F``.  :meth:`apply_block`
     unfolds each vector into an N-vector, transforms it by F and folds it
-    back, in one N-long buffer shared by every call.
+    back.
+
+    A decomposition keeps its transform to apply Z at run time, from any
+    number of threads at once, so a transform holds only its O(N) phases:
+    every buffer either method writes is the caller's or its own call's.
 
     ``error`` bounds the relative error of either on any vector: the
     FFT's (:func:`~opscale.linalg.fft_error`) plus the pointwise roundings.
@@ -259,7 +266,6 @@ class _HalfDft:
         self.post = self.pre * (
             np.exp((-2j * np.pi / n) * np.fmod(self.first * self.first, n)) / math.sqrt(n)
         )
-        self.scratch = None
 
     @cached_property
     def _whole(self) -> tuple[np.ndarray, np.ndarray, complex, np.ndarray]:
@@ -311,9 +317,7 @@ class _HalfDft:
         k = x.shape[axis]
         shape = (-1, 1) if axis == 0 else (-1,)
         across = x.shape[1 - axis]
-        if self.scratch is None:  # one buffer for every call, sized for the even block
-            self.scratch = np.empty((n - h) * n, dtype=complex)
-        full = self.scratch[:across * n].reshape((n, across) if axis == 0 else (across, n))
+        full = np.empty((n, across) if axis == 0 else (across, n), dtype=complex)
         head = x[_along(axis, slice(0, h))]
         np.multiply(head, head_phase.reshape(shape), out=full[_along(axis, slice(0, h))])
         np.multiply(head[_along(axis, slice(None, None, -1))], tail.reshape(shape),
@@ -336,13 +340,14 @@ def _real_form_eig(form, apply, error: float, kept=None) -> HermitianEigenDecomp
     may overwrite x, with relative error at most ``error`` on any vector.
     ``S = Z^H A Z`` is formed as the conjugate of ``Z conj(A Z)`` in two
     buffers allocated once, after A is copied into the first and dropped,
-    and checked to be real.  Its real part is copied into the buffer V
+    and checked to be real.  Its real part is copied into the buffer Q
     will take, and the two buffers are freed.  Z is checked to be
     symmetric on a probe pair (:func:`opscale.linalg._check_symmetric`),
     and :func:`opscale.linalg._solve_real_form` solves S, certifies it in
-    real arithmetic, and forms ``V = Z Q`` over it.
+    real arithmetic, and writes Q over it; the decomposition keeps Q and
+    ``apply``, not ``V = Z Q``.
 
-    The eigenvalues and V are written into ``kept = (eigenvalues, v)``,
+    The eigenvalues and Q are written into ``kept = (eigenvalues, q)``,
     allocated here once A is dropped when not given.  Either way they are
     allocated before the temporaries of the solve, so that the arrays a
     decomposition keeps sit below the freed temporaries in the heap, not
@@ -355,26 +360,17 @@ def _real_form_eig(form, apply, error: float, kept=None) -> HermitianEigenDecomp
     x, y = work
     x[...] = a
     del a
-    eigenvalues, v = kept or (np.empty(k), np.empty((k, k), dtype=complex))
+    eigenvalues, q = kept or (np.empty(k), np.empty((k, k)))
     apply(x, y, axis=1)  # A Z
     np.conjugate(y, out=x)
     apply(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
     s, realness_resid = _real_part(y, scale)
-    compact = v.view(float).reshape(-1)[:k * k].reshape(k, k)  # the first half of V's bytes
-    compact[...] = s
+    q[...] = s
     del work, x, y, s
     # After the transforms above, so that the probe allocates no buffer of
     # the transform's before the work buffers.
     _check_symmetric(lambda x: apply(x, np.empty_like(x), axis=0), k, error)
-
-    def eigenvectors(q):
-        zq = np.empty((k, k), dtype=complex)
-        zq[...] = q
-        return apply(zq, v, axis=0)
-
-    return _solve_real_form(
-        compact, eigenvalues, eigenvectors, error, scale, herm_resid, realness_resid
-    )
+    return _solve_real_form(q, eigenvalues, apply, error, scale, herm_resid, realness_resid)
 
 
 class OperatorSet:
@@ -458,7 +454,8 @@ class OperatorSet:
 
         G is decomposed through its real form ``S = Z^H G Z``, ``Z =
         (F^H)^(1/2)`` (module docstring): S is checked to be real, a real
-        ``eigh`` gives ``S = Q diag(lam) Q^T``, and ``V = Z Q``.  On
+        ``eigh`` gives ``S = Q diag(lam) Q^T``, and the decomposition
+        keeps Q and the transform Z, of which ``V = Z Q``.  On
         symmetric grids G is first checked to commute with index reversal
         and folded into its even and odd blocks by
         :func:`~opscale.linalg._reversal_fold`; Z commutes with reversal
@@ -466,7 +463,9 @@ class OperatorSet:
         blocks of G at half the transform cost, and each is decomposed on
         its own.  Every block passes the checks of
         :func:`~opscale.linalg._solve_real_form`, which read its S and Q,
-        not G.  Neither the generator nor its blocks are kept.
+        not G.  Neither the generator nor its blocks are kept, nor V;
+        a parity decomposition also keeps Z on the whole grid, which the
+        factored apply runs on each side of the fold.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if on a symmetric grid it does not commute
@@ -477,13 +476,14 @@ class OperatorSet:
         z = _HalfDft(self.grid)
         if self.grid_symmetric:
             *blocks, reversal_resid = _reversal_fold(self._formed_generator())
-            kept = [(np.empty(len(b)), np.empty((len(b),) * 2, dtype=complex)) for b in blocks]
+            kept = [(np.empty(len(b)), np.empty((len(b),) * 2)) for b in blocks]
             # Each block of G is handed over, and dropped once its transforms have a copy.
             take = partial(blocks.pop, 0)
             return ParityEigenDecomposition(
                 _real_form_eig(take, partial(z.apply_block, odd=False), z.error, kept[0]),
                 _real_form_eig(take, partial(z.apply_block, odd=True), z.error, kept[1]),
                 reversal_resid,
+                z.apply,
             )
         return _real_form_eig(self._formed_generator, z.apply, z.error)
 

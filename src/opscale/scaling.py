@@ -38,7 +38,7 @@ per grid and kept with its :class:`~opscale.operators.OperatorSet`; a
 factor M is then only the phases ``p = exp(-i theta lam)``, ``theta =
 2 pi ln M``.  :func:`scale_signal` has two paths to ``M_M x``:
 
-* **factored**, ``V (p * (V^H x))`` by
+* **factored**, ``Z (Q (p * (Q^T (Z^H x))))`` by
   :func:`~opscale.linalg.apply_from_eig`: two O(k^2) products per block
   of size k, nothing assembled, nothing cached;
 * **assembled**, the operator ``V diag(p) V^H``, one O(k^3) product per
@@ -50,25 +50,33 @@ Assembling costs about k^3 complex multiply-adds, and each factored
 apply about k^2 more than an assembled one, so in flops a factor pays
 for its assembly after about k requests.  In time it pays sooner: the
 assembly is a matrix-matrix product, several times faster per flop than
-the matrix-vector products of a factored apply, which read V twice.
-Measured (1 BLAS thread), a factor pays for its assembly after 22-25
-requests at N = 128 ordinary (k = 128) and 157-176 at 512 ordinary (k =
-512).  The real blocks of a symmetric grid are applied in about half the
-time of complex ones, so there a factor pays sooner: after 6-14 requests
-at N = 128 centered (k = 64), 30-61 at 512 centered (k = 256) and 64-85
-at 1024 centered (k = 512), on a shared host whose timings spread
-widely.  That is 0.09 k to 0.34 k.  The rule is the ski-rental one
+the matrix-vector products of a factored apply.  The decomposition keeps
+Q real (:mod:`opscale.linalg`), so a factored apply reads half the bytes
+it read with a complex V, plus two transforms of the whole vector, an
+FFT and a few pointwise products each, about 20 microseconds at N = 512
+whatever the block size; an assembly first builds V from Q, one more
+transform (about 5 ms at N = 512 ordinary).  Measured (1 BLAS thread,
+demo 07 four times, on a shared host whose timings spread widely), a
+factor pays for its assembly after 12-16 requests at N = 128 ordinary
+(k = 128) and 320-670 at 512 ordinary (k = 512), where the factored
+apply, about 240-300 microseconds, is barely slower than the dense
+complex one; on symmetric grids, whose assembled blocks are real, after
+6-7 requests at N = 128 centered (k = 64), 40-170 at 512 centered (k =
+256) and 165-210 at 1024 centered (k = 512).  At N = 128 the transforms
+dominate: a factored apply takes 55-100 microseconds against 7-19 for
+the assembled one.  The rule is the ski-rental one
 (Karlin, Manasse, Rudolph & Sleator, *Algorithmica* 3, 1988): the first
 K = ceil(k/4) requests of an ``(M, N, scheme)``, k the grid's largest
 block (ceil(N/2) on symmetric grids, N on the others), take the factored
 path, and every later request the assembled one.  Against the cheaper of
-the two paths in hindsight, that costs at most about 3.7 times as much
-on every grid measured (1 + K/B or 1 + B/K for a break-even B), where K
-= k would cost up to 11 times.  A process that
-streams new factors never assembles, and one that repeats a few factors
-assembles each of them once.  The factored path runs only where the
-decomposition's ``factored_bound`` certifies it (blocks up to k of about
-590: asymmetric grids to about N = 590, symmetric ones to about N =
+the two paths in hindsight, that costs at most 1 + K/B or 1 + B/K times
+as much for a break-even B: about 3.7 at N = 128 on both schemes and at
+512 centered, 2.6 at 1024 centered, and up to 6.3 at 512 ordinary,
+where B spreads widest (1 + B/K with B = 670; 3.5 at B = 320).  A
+process that streams new factors never assembles, and one that repeats a
+few factors assembles each of them once.  The factored path runs only where the
+decomposition certifies it (``factored_certified``: blocks up to k of
+about 590, asymmetric grids to about N = 590, symmetric ones to about N =
 1180); elsewhere K = 0, and every request is assembled.  The request
 counts live in a table of at most 1024 keys, guarded by a lock; the
 least recently requested key is forgotten first, and a forgotten key
@@ -77,7 +85,7 @@ starts again at request one.
 Determinism: which path a call takes depends only on the sequence of
 requests, never on the cache's budget or its evictions, and each path's
 result is a function of ``(M, N, scheme, x)``.  The two paths agree to
-rounding (about 1e-15 relative), not bit for bit.  The cache holds the
+rounding (1e-15 to 3e-14 relative, demo 07), not bit for bit.  The cache holds the
 two real blocks on symmetric grids (4 N^2 bytes for even N), the dense
 complex matrix elsewhere (16 N^2 bytes), keyed on ``(M, N, scheme
 value)``.  An evicted

@@ -1,6 +1,8 @@
 """Tests for the dense linear-algebra kernel."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import load_fixture, taylor_expm
 
-from opscale import linalg
+from opscale import ScalingSpec, linalg, scaling_matrix
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     UNITARITY_TOL,
@@ -493,7 +495,7 @@ def _norm_error(y, x):
 
 
 class TestFactoredApply:
-    """``apply_from_eig``: the operator applied as ``V (p * V^H x)``, and its certificate."""
+    """``apply_from_eig``: the operator applied as ``Z (Q (p * (Q^T (Z^H x))))``, and its certificate."""
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -572,6 +574,102 @@ class TestFactoredApply:
         with pytest.raises(ArithmeticError, match="not certified"):
             apply_from_eig(parity, 0.7, np.ones(127))
 
+
+class TestKeptRealForm:
+    """A real-form decomposition keeps ``(lam, Q, Z)`` and builds V only on request."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=1, max_value=64),
+        scheme=st.sampled_from(list(IndexScheme)),
+        ln_m=st.floats(min_value=-math.log(16.0), max_value=math.log(16.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_factored_apply_matches_the_scaling_matrix(self, n, scheme, ln_m, seed):
+        spec = ScalingSpec(math.exp(ln_m), n, scheme)
+        theta = 2 * math.pi * math.log(spec.m_factor)
+        eig = operator_set(n, scheme).generator_eig
+        matrix = scaling_matrix(spec)
+        rng = np.random.default_rng(seed)
+        wide = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        # Complex, real and strided operands, none of them overwritten.
+        for x in (wide[:n].copy(), wide[:n].real.copy(), wide[::2]):
+            before = x.copy()
+            y = apply_from_eig(eig, theta, x)
+            assert y.shape == (n,) and y.dtype == np.complex128
+            assert np.linalg.norm(y - matrix @ x) <= 1e-13 * np.linalg.norm(x)
+            assert np.array_equal(x, before)
+        for block in _blocks(eig):
+            q, k = block.basis, block.block_size
+            assert q.dtype == np.float64 and not q.flags.writeable
+            # Z on this block's basis as a dense matrix, from its transform.
+            z = block.transform(np.eye(k, dtype=complex), np.empty((k, k), dtype=complex), 0)
+            v = block.eigenvectors
+            assert v.dtype == np.complex128 and not v.flags.writeable
+            assert np.max(np.abs(v - z @ q), initial=0.0) <= 1e-13
+            # Bit for bit the transform of the whole Q at once.
+            whole = block.transform(q.astype(complex), np.empty((k, k), dtype=complex), 0)
+            assert v.tobytes() == whole.tobytes()
+            assert block.eigenvectors is not v  # built on each request, not kept
+
+    @pytest.mark.parametrize("n, scheme", [(64, IndexScheme.ORDINARY), (65, IndexScheme.CENTERED),
+                                           (64, IndexScheme.CENTERED), (65, IndexScheme.ORDINARY)])
+    def test_transform_error_enters_the_factored_bound(self, n, scheme):
+        # The same block with Z taken as exact has a smaller factored bound,
+        # by about 4 eta; the assembly's bound, from the gram of V, is kept.
+        for block in _blocks(operator_set(n, scheme).generator_eig):
+            assert block.transform_error > 0
+            exact = HermitianEigenDecomposition(
+                block.eigenvalues, block.basis, block.hermiticity_residual, block.gram_residual,
+                block.reconstruction_residual, block.realness_residual, block.gram_bound,
+                basis_gram_bound=block.basis_gram_bound)
+            assert exact.unitarity_bound == block.unitarity_bound
+            gap = block.factored_bound - exact.factored_bound
+            assert 3.9 * block.transform_error < gap < 4.1 * block.transform_error
+
+    def test_certifies_no_block_that_applying_v_did_not(self):
+        # N = 604 ordinary, one block of 604 (measured: 9.2e-11 through Q
+        # and Z, 1.1e-10 through V).  Only the bound through V, which
+        # certified the factored path when V was kept, decides the path.
+        eig = operator_set(604, IndexScheme.ORDINARY).generator_eig
+        through_v = HermitianEigenDecomposition(
+            eig.eigenvalues, np.eye(604), 0.0, eig.gram_residual, 0.0, gram_bound=eig.gram_bound)
+        assert eig.factored_bound < UNITARITY_TOL <= through_v.factored_bound
+        assert not eig.factored_certified
+
+    def test_concurrent_applies_match_the_serial_ones_bit_for_bit(self):
+        # The kept transforms run per request; they must write only buffers
+        # of their own call.  More threads than cores and a short switch
+        # interval, so that the threads interleave inside the transforms.
+        eigs = [operator_set(96, IndexScheme.CENTERED).generator_eig,  # symmetric: parity blocks
+                operator_set(96, IndexScheme.ORDINARY).generator_eig]  # asymmetric: one block
+        assert isinstance(eigs[0], ParityEigenDecomposition) and eigs[0].transform is not None
+        assert eigs[1].transform is not None
+        rng = np.random.default_rng(96)
+        x = rng.standard_normal(96) + 1j * rng.standard_normal(96)
+        thetas = [2 * math.pi * math.log(0.6 + 0.2 * i) for i in range(8)]
+        serial = {(i, j): apply_from_eig(eig, theta, x).tobytes()
+                  for i, theta in enumerate(thetas) for j, eig in enumerate(eigs)}
+        bad = []
+
+        def worker(i):
+            for _ in range(40):
+                for j, eig in enumerate(eigs):
+                    if apply_from_eig(eig, thetas[i], x).tobytes() != serial[i, j]:
+                        bad.append((i, j))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestFftErrorModel:

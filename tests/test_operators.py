@@ -457,11 +457,12 @@ class TestRealFormCertificate:
 
     def test_cold_decomposition_peaks_no_higher_than_with_the_complex_checks(self):
         # The complex checks on (G, V) peaked at 16 961 050 traced bytes
-        # (64.7 N^2) here.  S is kept in V's buffer and the work buffers
-        # freed before the checks, and the signed permutation of each
-        # transform is taken without a buffer of its own (12 759 497 bytes,
-        # 48.7 N^2, measured), so holding S through the checks or a k x k
-        # buffer in a transform would show.
+        # (64.7 N^2) here.  S is kept in the buffer Q takes and the work
+        # buffers freed before the checks, the signed permutation of each
+        # transform is taken without a buffer of its own, and V = Z Q is
+        # checked 64 columns at a time, not formed (12 733 624 bytes, 48.6
+        # N^2, measured), so holding S through the checks or a k x k buffer
+        # in a transform would show.
         ops = _fresh(512, IndexScheme.ORDINARY)
         tracemalloc.start()
         try:
@@ -470,6 +471,32 @@ class TestRealFormCertificate:
         finally:
             tracemalloc.stop()
         assert peak <= 13_000_000
+
+    @pytest.mark.parametrize("n, scheme", [(512, IndexScheme.ORDINARY),
+                                           (512, IndexScheme.CENTERED),
+                                           (511, IndexScheme.ORDINARY)])
+    def test_cold_decomposition_keeps_its_eigenvalues_and_real_basis_only(self, n, scheme):
+        # Per block, the eigenvalues and the float64 Q (8 k^2 bytes), with
+        # no complex k x k array; beside them only the transform's O(N)
+        # phases (about 80 N bytes measured) and the objects that hold them.
+        ops = _fresh(n, scheme)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            eig = ops.generator_eig
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        blocks = [eig.even, eig.odd] if isinstance(eig, ParityEigenDecomposition) else [eig]
+        for block in blocks:
+            assert block.basis.dtype == np.float64 and block.basis.shape == (block.block_size,) * 2
+        kept = sum(8 * b.block_size + 8 * b.block_size ** 2 for b in blocks)
+        assert kept <= retained <= kept + 96 * n + 8192
+        # The transform kept for the run time holds no buffer of its own.
+        transform = eig.transform.__self__
+        assert isinstance(transform, _HalfDft)
+        assert all(value.size <= n for value in vars(transform).values()
+                   if isinstance(value, np.ndarray))
 
 
 class TestOperatorSet:
