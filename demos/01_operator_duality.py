@@ -10,7 +10,7 @@ that buys — and what the obvious alternatives cost.
 
 import numpy as np
 
-from opscale import IndexScheme, coord_matrix, dft_matrix, diff_matrix, index_grid, operator_set
+from opscale import IndexScheme, diff_matrix, index_grid, operator_set
 
 N = 16
 
@@ -21,11 +21,10 @@ for scheme in IndexScheme:
     print("sample coordinates (u = n*h, h = 1/sqrt(N)):")
     print(np.round(grid.coordinates, 4))
 
-    f = dft_matrix(N, scheme)
-    u = coord_matrix(grid)
+    ops = operator_set(N, scheme)
     # D is Hermitian Toeplitz; the library builds its first column from an
     # FFT of U's diagonal, without F.
-    d = operator_set(N, scheme).d
+    f, u, d = ops.f, ops.u, ops.d
 
     # The advertised property: transforming D back to the coordinate
     # domain reproduces U exactly, so U and D are one operator seen from
@@ -37,7 +36,7 @@ for scheme in IndexScheme:
     print(f"hermiticity of D  max|D - D^H|          = {np.max(np.abs(d - d.conj().T)):.3e}")
 
     # The dense reference F^H U F agrees with it to rounding.
-    print(f"dense reference   max|D - F^H U F|      = {np.max(np.abs(d - diff_matrix(f, u))):.3e}")
+    print(f"dense reference   max|D - F^H U F|      = {np.max(np.abs(d - diff_matrix(grid))):.3e}")
 
 # ---------------------------------------------------------------------------
 # Why not the naive coordinate matrix diag(u_k)?  Substituted into the

@@ -11,12 +11,7 @@ a benchmark harness that scores all of them.
 __version__ = "0.1.0"
 
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
-from .operators import (
-    OperatorSet,
-    coord_matrix,
-    diff_matrix,
-    operator_set,
-)
+from .operators import OperatorSet, diff_matrix, operator_set
 from .scaling import ScalingSpec, scale_signal, scaling_matrix
 from .pei import (
     CddhfBasis,
@@ -43,7 +38,6 @@ __all__ = [
     "dft_matrix",
     "index_grid",
     "OperatorSet",
-    "coord_matrix",
     "diff_matrix",
     "operator_set",
     "ScalingSpec",

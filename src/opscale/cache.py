@@ -27,9 +27,13 @@ The caches keyed on the grid alone, ``dft._dft_matrix_cached``,
 :func:`functools.lru_cache`: they grow with the number of distinct
 ``(N, scheme)`` grids, not with M.  An operator set holds O(N) arrays
 plus the generator's real eigenvectors Q (8 N^2 bytes, 4 N^2 on a
-symmetric grid of even N); the complex eigenvectors ``V = Z Q``, the N x N
-F and D^2 are built only for an assembly, by the comparison methods and
-for callers that ask for them.
+symmetric grid of even N).  The complex eigenvectors ``V = Z Q`` are
+built only for an assembly, and not kept.  The N x N F, kept with its
+unitarity residual, and the real part of D^2 are built only by the
+comparison methods and for callers that ask for them.  The dense
+reference operators (``diff_matrix``, ``pei_d_squared``) and an operator
+set's dense U, D and generator are functions of the grid, built on each
+request from these caches and not kept.
 
 A lock guards the bookkeeping, and builds run outside it, so a slow build
 never holds up other callers.  Two threads that miss the same key at

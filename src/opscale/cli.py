@@ -45,9 +45,9 @@ import numpy as np
 
 from . import __version__
 from .bench import Method, emit_table, run_bench, scale_with
-from .dft import IndexScheme, as_sample_count, as_scaling_factor, dft_matrix, index_grid
+from .dft import IndexScheme, as_sample_count, as_scaling_factor, index_grid
 from .operators import operator_set
-from .pei import cddhf_basis, pei_d_squared, pei_scheme, pei_u_squared
+from .pei import cddhf_basis, pei_d_squared, pei_u_squared
 from .scaling import ScalingSpec, scaling_matrix
 from .signals import TestFunction
 
@@ -94,7 +94,7 @@ def _build_matrix(kind: str, n: int, scheme: IndexScheme, m: float | None) -> np
     if kind == "u2_pei":
         return pei_u_squared(n)
     if kind == "d2_pei":
-        return pei_d_squared(pei_u_squared(n), dft_matrix(n, pei_scheme(n)))
+        return pei_d_squared(n)
     raise UsageError(f"unknown matrix kind: {kind!r}")
 
 

@@ -18,24 +18,28 @@ by O(N^2) evaluation.  Fractional powers of the N-th root of unity are
 always evaluated in principal-value form ``exp(-2j*pi*m*n/N)`` rather
 than by repeated multiplication, eliminating branch-cut ambiguity.  The
 dense matrix is evaluated only for the callers that need F itself, the
-CDDHF method and the interpolation baseline.  Applying F to vectors does
-not need it: half-integer labels split ``n_m n_k`` into a constant, two
-label phases and the integer product ``m k``, so F is one standard FFT
-between two phase multiplications, which is how
+dense reference operators and the interpolation baseline.  Applying F
+to vectors does not need it: half-integer labels split ``n_m n_k`` into
+a constant, two label phases and the integer product ``m k``, so F is
+one standard FFT between two phase multiplications, which is how
 :mod:`opscale.operators` applies it (``_diff_column`` and ``_HalfDft``,
 each phase reduced exactly with ``fmod``).
 
 Construction is not free: the evaluation is O(N^2), but the unitarity
 check below is a dense O(N^3) product, paid once per ``(N, scheme)`` and
-cached with the matrix, together with the residual it measured.  The
-scaling construction does not need F: :mod:`opscale.operators` builds
-the differentiation matrix from an FFT of the coordinate diagonal,
-relying only on the labels being unit-spaced, and returns this cached
-matrix as ``OperatorSet.f`` when it is asked for.  F is built by the
-interpolation baseline in :mod:`opscale.bench` and by the CDDHF
-comparison method in :mod:`opscale.pei`, whose labels ``m - (N-1)/2``
+cached with the matrix, together with the residual it measured.  It is
+the package's only ``F F^H`` product.  The scaling construction does not
+need F: :mod:`opscale.operators` builds the differentiation matrix from
+an FFT of the coordinate diagonal, relying only on the labels being
+unit-spaced, and returns this cached matrix as ``OperatorSet.f`` when it
+is asked for.  F is built by the interpolation baseline in
+:mod:`opscale.bench` and for the two dense reference operators, each a
+function of its grid alone: ``F^H U F``
+(:func:`opscale.operators.diff_matrix`) and the CDDHF method's ``F U^2
+F^H`` (:func:`opscale.pei.pei_d_squared`, whose labels ``m - (N-1)/2``
 are this module's centered labels for even N and its ordinary labels for
-odd N.
+odd N).  Both take F from :func:`_unitary_dft`, which holds the kept
+residual to 1e-10 instead of measuring it again.
 
 For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so
@@ -190,7 +194,7 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
 
 @lru_cache(maxsize=None)
 def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
-    """F and the ``max|F F^H - I|`` it was checked with, kept for callers that re-check F."""
+    """F and the ``max|F F^H - I|`` it was checked with, kept for :func:`_unitary_dft`."""
     n = _scheme_indices(n_samples, scheme)
     f = np.exp((-2j * np.pi / n_samples) * np.outer(n, n)) / math.sqrt(n_samples)
     # Verify unitarity instead of assuming it; this is the load-bearing
@@ -217,3 +221,19 @@ def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     read-only; copy before mutating.
     """
     return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))[0]
+
+
+def _unitary_dft(n_samples: int, scheme: IndexScheme) -> np.ndarray:
+    """The cached F, the ``max|F F^H - I|`` it was checked with held to 1e-10.
+
+    The dense references built from F require 1e-10, tighter than the
+    ``1e-12 * N`` of construction from N = 100 on.  Raises
+    ``ArithmeticError`` beyond it.
+    """
+    f, resid = _dft_matrix_cached(n_samples, scheme)
+    if not resid < 1e-10:
+        raise ArithmeticError(
+            f"dense reference requires a unitary F: max|F F^H - I| = {resid:.3e} "
+            f"(N={n_samples}, scheme={scheme.value})"
+        )
+    return f

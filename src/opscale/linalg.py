@@ -22,14 +22,14 @@ generator G, ``G = F^H conj(G) F`` with F the unitary DFT; ``F^4 = I``,
 so ``Z = (F^H)^(1/2)`` is a cubic polynomial in F, symmetric with ``Z F =
 Z^H``, and ``conj(S) = Z conj(G) Z^H = (Z F) G (Z F)^H = S``
 (:mod:`opscale.operators` has the coefficients and the transform).
-:func:`_real_part` checks that the computed S is real to rounding,
-``max|Im S| < 1e-10 * (1 + max|A|)``, before its real part is solved.
-:func:`_solve_real_form` solves it and certifies ``(A, V)`` from ``(S, Q)``
-in real arithmetic, with an a priori bound on the transform Z (steps 6-8
-below), so neither A nor a complex N x N product is needed for the
-checks.  The decomposition keeps ``(lam, Q, Z)``: Q as read-only
-float64, 8 k^2 bytes a block where V would take 16, and Z as the
-transform that applies it, which holds only O(N) phases.  V is built
+:func:`real_form_eig` forms S, checks that it is real to rounding,
+``max|Im S| < 1e-10 * (1 + max|A|)``, solves its real part and
+certifies ``(A, V)`` from ``(S, Q)`` in real arithmetic, with an a
+priori bound on the transform Z (steps 6-8 below), so neither A nor a
+complex N x N product is needed for the checks.  The decomposition
+keeps ``(lam, Q, Z)``: Q as read-only float64, 8 k^2 bytes a block
+where V would take 16, and Z as the transform that applies it, which
+holds only O(N) phases.  V is built
 only on request, 64 columns at a time into one new array
 (:attr:`HermitianEigenDecomposition.eigenvectors`), for an assembly or a
 caller that asks for it, and not kept.
@@ -279,7 +279,7 @@ cost two real k x k products, ``Q^T Q`` (a symmetric rank-k update) and
 at a time, for the column norms of V.
 
 Every function except :func:`identity_residual`, which overwrites the
-product it is given, and :func:`_solve_real_form`, which fills and marks
+product it is given, and :func:`real_form_eig`, which fills and marks
 read-only the arrays it is given, is pure and operates on immutable
 inputs, so they are safe to call concurrently from multiple threads.
 That includes the transforms a decomposition keeps, which
@@ -302,6 +302,7 @@ __all__ = [
     "ParityUnitary",
     "apply_from_eig",
     "hermitian_eig",
+    "real_form_eig",
     "unitary_from_eig",
 ]
 
@@ -651,28 +652,55 @@ def _check_symmetric(transform, k: int, error: float) -> None:
         )
 
 
-def _solve_real_form(
-    s: np.ndarray, eigenvalues: np.ndarray, transform, transform_error: float,
-    scale: float, herm_resid: float, realness_resid: float,
+def real_form_eig(
+    form, transform, transform_error: float, kept=None,
 ) -> HermitianEigenDecomposition:
-    """Solve a real form ``s`` of a Hermitian A, and certify ``A = V diag(lam) V^H``.
+    """Decompose the Hermitian ``A = form()`` through its real form, and certify it.
 
-    ``s`` is the real part of the computed ``Z^H A Z``, ``(scale,
-    herm_resid)`` what :func:`_hermiticity_residual` measured on A and
-    ``realness_resid`` what :func:`_real_part` measured on the form.  A
-    real ``eigh`` gives ``s = Q diag(lam) Q^T``; lam is written into
-    ``eigenvalues`` and Q over s, and the decomposition keeps both with
-    the transform, ``transform(x, out, axis)`` writing ``Z x`` along
-    ``axis``, each column within ``transform_error * ||x_j||`` of exact.
-    The checks use only s, Q and the column norms of ``V = Z Q``, built
-    64 columns at a time and not kept, in real arithmetic (module
-    docstring, steps 6-8).  Raises ``ArithmeticError`` unless the bound
-    on ``max|V^H V - I|`` is below 1e-10, the bound on ``max|A V - V
-    diag(lam)|`` below ``1e-9 * scale``, and the column norms of V those
-    of Q within the transform's error.
+    ``transform(x, out, axis)`` writes ``Z x`` along ``axis`` into
+    ``out`` and may overwrite x, each column within ``transform_error *
+    ||x_j||`` of exact.  ``S = Z^H A Z`` is formed as the conjugate of ``Z
+    conj(A Z)`` in two buffers allocated once, after A is copied into the
+    first and dropped, and checked to be real (:func:`_real_part`).  Its
+    real part is copied into the buffer Q will take, the two buffers are
+    freed, and Z is checked to be symmetric on a probe pair
+    (:func:`_check_symmetric`).  A real ``eigh`` gives ``S = Q diag(lam)
+    Q^T``; the decomposition keeps lam and Q with the transform, not ``V =
+    Z Q``.  The checks use only S, Q and the column norms of V, built 64
+    columns at a time and not kept, in real arithmetic (module docstring,
+    steps 6-8).
+
+    The eigenvalues and Q are written into ``kept = (eigenvalues, q)``,
+    allocated here once A is dropped when not given, and marked
+    read-only.  Either way they are allocated before the temporaries of
+    the solve, so that the arrays a decomposition keeps sit below the
+    freed temporaries in the heap, not between them.
+
+    Raises ``ValueError`` if A is not square, finite and Hermitian within
+    ``1e-10 * (1 + max|A|)``, and ``ArithmeticError`` if S is not real
+    within that, Z fails the probe, the bound on ``max|V^H V - I|`` is not
+    below 1e-10, the bound on ``max|A V - V diag(lam)|`` not below ``1e-9 *
+    (1 + max|A|)``, or the column norms of V miss those of Q by more than
+    the transform's error.
     """
-    k = s.shape[0]
+    a = form()
+    scale, herm_resid = _hermiticity_residual(a)
+    k = a.shape[0]
     eta = transform_error
+    work = np.empty((2, k, k), dtype=complex)
+    x, y = work
+    x[...] = a
+    del a
+    eigenvalues, s = kept or (np.empty(k), np.empty((k, k)))
+    transform(x, y, axis=1)  # A Z
+    np.conjugate(y, out=x)
+    transform(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
+    real, realness_resid = _real_part(y, scale)
+    s[...] = real
+    del work, x, y, real
+    # After the transforms above, so that the probe allocates no buffer of
+    # the transform's before the work buffers.
+    _check_symmetric(lambda x: transform(x, np.empty_like(x), axis=0), k, eta)
     try:
         lam, q = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails

@@ -30,8 +30,8 @@ in O(N log N).  ``n_0*t`` is a multiple of 1/2, so the ``fmod``
 reduction is exact and the phase carries no rounding that grows with
 the label product.  :func:`operator_set` transforms the column back
 onto the labels, from the other end of the label range, and requires it
-to return u.  :func:`diff_matrix` stays the dense reference ``F^H (U F)``
-for a given F.
+to return u.  :func:`diff_matrix` builds the dense reference ``F^H (U
+F)`` of a grid from the cached F.
 
 The discrete scaling generator is the symmetrized product
 ``(U D + D U)/2``.  With U diagonal it collapses entrywise to
@@ -109,21 +109,16 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_grid
+from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_matrix, index_grid
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    _check_symmetric,
-    _hermiticity_residual,
-    _real_part,
     _reversal_fold,
-    _solve_real_form,
     fft_error,
-    identity_residual,
+    real_form_eig,
 )
 
 __all__ = [
-    "coord_matrix",
     "diff_matrix",
     "OperatorSet",
     "operator_set",
@@ -136,57 +131,16 @@ def _coord_diagonal(grid: SampleGrid) -> np.ndarray:
     return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)
 
 
-def coord_matrix(grid: SampleGrid) -> np.ndarray:
-    """Sinc-corrected coordinate-multiplication matrix for ``grid``.
+def diff_matrix(grid: SampleGrid) -> np.ndarray:
+    """Differentiation matrix ``D = F^-1 U F`` of ``grid``, the dense reference.
 
-    Returns a real diagonal N x N matrix with
-    ``U[n, n] = (sqrt(N)/pi) * sin(pi*n/N)`` for each index label n of the
-    grid; off-diagonal entries are exactly zero.
+    ``F^H (U F)`` from the cached DFT of the grid and the diagonal of U.
+    :func:`operator_set` builds D without F, and its tests compare it
+    with this.  Raises ``ArithmeticError`` if the unitarity residual kept
+    with F exceeds 1e-10.
     """
-    return np.diag(_coord_diagonal(grid))
-
-
-def _diagonal(u: np.ndarray) -> np.ndarray:
-    """The diagonal of ``u``, which must be a diagonal matrix."""
-    diag = np.diag(u)
-    if np.any(u - np.diag(diag) != 0):
-        raise ValueError("coordinate matrix must be diagonal")
-    return diag
-
-
-def diff_matrix(ops_f: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Differentiation matrix ``D = F^-1 U F`` dual to the coordinate matrix.
-
-    The dense reference ``F^H (U F)`` for a given F.  :func:`operator_set`
-    builds D without F, and its tests compare it with this.
-
-    Parameters
-    ----------
-    ops_f : numpy.ndarray
-        Unitary matrix (unitarity checked to 1e-10), normally the DFT.
-    u : numpy.ndarray
-        Real diagonal coordinate matrix, conformable with ``ops_f``.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``F^H (U F)`` (``F^-1 = F^H`` for unitary F).
-    """
-    f = np.asarray(ops_f)
-    u = np.asarray(u)
-    if f.ndim != 2 or f.shape[0] != f.shape[1]:
-        raise ValueError(f"DFT matrix must be square, got {f.shape}")
-    if u.shape != f.shape:
-        raise ValueError(f"shape mismatch: F is {f.shape}, U is {u.shape}")
-    unit_resid = identity_residual(f @ f.conj().T)
-    if unit_resid >= 1e-10:
-        raise ValueError(
-            f"diff_matrix requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
-        )
-    u_diag = _diagonal(u)
-    if np.iscomplexobj(u_diag) and np.any(u_diag.imag != 0):
-        raise ValueError("coordinate matrix must be real")
-    return f.conj().T @ (u_diag.real[:, None] * f)
+    f = _unitary_dft(grid.n_samples, grid.scheme)
+    return f.conj().T @ (_coord_diagonal(grid)[:, None] * f)
 
 
 def _label_phase(label: float, n: int) -> np.ndarray:
@@ -333,46 +287,6 @@ class _HalfDft:
         return out
 
 
-def _real_form_eig(form, apply, error: float, kept=None) -> HermitianEigenDecomposition:
-    """Decompose the Hermitian matrix ``A = form()`` through its real form.
-
-    ``apply(x, out, axis)`` writes ``Z x`` along ``axis`` into ``out`` and
-    may overwrite x, with relative error at most ``error`` on any vector.
-    ``S = Z^H A Z`` is formed as the conjugate of ``Z conj(A Z)`` in two
-    buffers allocated once, after A is copied into the first and dropped,
-    and checked to be real.  Its real part is copied into the buffer Q
-    will take, and the two buffers are freed.  Z is checked to be
-    symmetric on a probe pair (:func:`opscale.linalg._check_symmetric`),
-    and :func:`opscale.linalg._solve_real_form` solves S, certifies it in
-    real arithmetic, and writes Q over it; the decomposition keeps Q and
-    ``apply``, not ``V = Z Q``.
-
-    The eigenvalues and Q are written into ``kept = (eigenvalues, q)``,
-    allocated here once A is dropped when not given.  Either way they are
-    allocated before the temporaries of the solve, so that the arrays a
-    decomposition keeps sit below the freed temporaries in the heap, not
-    between them.
-    """
-    a = form()
-    scale, herm_resid = _hermiticity_residual(a)
-    k = a.shape[0]
-    work = np.empty((2, k, k), dtype=complex)
-    x, y = work
-    x[...] = a
-    del a
-    eigenvalues, q = kept or (np.empty(k), np.empty((k, k)))
-    apply(x, y, axis=1)  # A Z
-    np.conjugate(y, out=x)
-    apply(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
-    s, realness_resid = _real_part(y, scale)
-    q[...] = s
-    del work, x, y, s
-    # After the transforms above, so that the probe allocates no buffer of
-    # the transform's before the work buffers.
-    _check_symmetric(lambda x: apply(x, np.empty_like(x), axis=0), k, error)
-    return _solve_real_form(q, eigenvalues, apply, error, scale, herm_resid, realness_resid)
-
-
 class OperatorSet:
     """The operators ``(F, U, D, generator)`` for one ``(N, scheme)``.
 
@@ -462,7 +376,7 @@ class OperatorSet:
         too, so the blocks of S are ``Z_b^H G_b Z_b``, formed from the
         blocks of G at half the transform cost, and each is decomposed on
         its own.  Every block passes the checks of
-        :func:`~opscale.linalg._solve_real_form`, which read its S and Q,
+        :func:`~opscale.linalg.real_form_eig`, which read its S and Q,
         not G.  Neither the generator nor its blocks are kept, nor V;
         a parity decomposition also keeps Z on the whole grid, which the
         factored apply runs on each side of the fold.
@@ -480,12 +394,12 @@ class OperatorSet:
             # Each block of G is handed over, and dropped once its transforms have a copy.
             take = partial(blocks.pop, 0)
             return ParityEigenDecomposition(
-                _real_form_eig(take, partial(z.apply_block, odd=False), z.error, kept[0]),
-                _real_form_eig(take, partial(z.apply_block, odd=True), z.error, kept[1]),
+                real_form_eig(take, partial(z.apply_block, odd=False), z.error, kept[0]),
+                real_form_eig(take, partial(z.apply_block, odd=True), z.error, kept[1]),
                 reversal_resid,
                 z.apply,
             )
-        return _real_form_eig(self._formed_generator, z.apply, z.error)
+        return real_form_eig(self._formed_generator, z.apply, z.error)
 
     def __repr__(self) -> str:
         return (

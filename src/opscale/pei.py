@@ -25,7 +25,9 @@ with F the standard centered DFT matrix
 
 the cached :func:`~opscale.dft.dft_matrix` of :func:`pei_scheme` (its
 labels ``m - (N-1)/2`` are the centered scheme's for even N and the
-ordinary scheme's for odd N).
+ordinary scheme's for odd N).  :func:`pei_d_squared` builds D^2 for N
+alone from that F, whose unitarity residual :mod:`opscale.dft` measured
+when it built it and which is held to 1e-10 here, not measured again.
 
 Both S-terms are positive semidefinite and, for this F, D^2 comes out
 real symmetric (verified numerically; the imaginary rounding residue is
@@ -73,8 +75,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cache import shared
-from .dft import IndexScheme, _dft_matrix_cached, as_sample_count, as_scaling_factor, as_signal
-from .linalg import _real_dot, identity_residual
+from .dft import IndexScheme, _unitary_dft, as_sample_count, as_scaling_factor, as_signal
+from .linalg import _real_dot
 
 __all__ = [
     "CddhfBasis",
@@ -91,14 +93,17 @@ logger = logging.getLogger(__name__)
 NEAR_DEGENERACY_GAP = 1e-8
 
 
+def _u_squared_diagonal(n_samples: int) -> np.ndarray:
+    m = np.arange(n_samples, dtype=float) - (n_samples - 1) / 2.0
+    return m * m
+
+
 def pei_u_squared(n_samples: int) -> np.ndarray:
     """Diagonal squared-coordinate matrix, 0-based centered indexing.
 
     ``U^2[m, m] = (m - (N-1)/2)^2`` for m = 0..N-1.
     """
-    n_samples = as_sample_count(n_samples)
-    m = np.arange(n_samples, dtype=float) - (n_samples - 1) / 2.0
-    return np.diag(m * m)
+    return np.diag(_u_squared_diagonal(as_sample_count(n_samples)))
 
 
 def pei_scheme(n_samples: int) -> IndexScheme:
@@ -110,42 +115,25 @@ def pei_scheme(n_samples: int) -> IndexScheme:
     return IndexScheme.CENTERED if as_sample_count(n_samples) % 2 == 0 else IndexScheme.ORDINARY
 
 
-def pei_d_squared(u2: np.ndarray, f_centered: np.ndarray) -> np.ndarray:
+def pei_d_squared(n_samples: int) -> np.ndarray:
     """Squared-differentiation matrix by duality: ``D^2 = F U^2 F^-1``.
 
-    ``U^2`` must be diagonal; ``F U^2`` is then F with its columns scaled,
-    which leaves one dense product.  F comes from the caller, so its
-    unitarity is checked here, to 1e-10.
+    F is the standard centered DFT, ``dft_matrix(N, pei_scheme(N))``.
+    ``U^2`` is diagonal, so ``F U^2`` is F with its columns scaled, which
+    leaves one dense product.  The result is complex, real to rounding.
+    Raises ``ValueError`` if ``n_samples`` is not a positive integer, and
+    ``ArithmeticError`` if the unitarity residual kept with F exceeds
+    1e-10.
     """
-    u2 = np.asarray(u2)
-    f = np.asarray(f_centered)
-    if u2.shape != f.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
-        raise ValueError(f"dimension mismatch: U^2 is {u2.shape}, F is {f.shape}")
-    u2_diag = np.diag(u2)
-    if np.any(u2 != np.diag(u2_diag)):
-        raise ValueError("U^2 must be diagonal")
-    return _dual_product(u2_diag, f, identity_residual(f @ f.conj().T))
-
-
-def _dual_product(u2_diag: np.ndarray, f: np.ndarray, unit_resid: float) -> np.ndarray:
-    """``F U^2 F^H``, for an F whose ``max|F F^H - I|`` is ``unit_resid`` (below 1e-10)."""
-    if unit_resid >= 1e-10:
-        raise ValueError(
-            f"pei_d_squared requires a unitary F: max|F F^H - I| = {unit_resid:.3e}"
-        )
-    return (f * u2_diag) @ f.conj().T
+    n_samples = as_sample_count(n_samples)
+    f = _unitary_dft(n_samples, pei_scheme(n_samples))
+    return (f * _u_squared_diagonal(n_samples)) @ f.conj().T
 
 
 @lru_cache(maxsize=None)
 def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
-    """Real part of ``D^2`` and the largest magnitude of its imaginary part.
-
-    F is the cached DFT, whose unitarity residual :mod:`opscale.dft`
-    measured when it built it; that residual is held to this module's
-    1e-10 here instead of being measured again.
-    """
-    f, unit_resid = _dft_matrix_cached(n_samples, pei_scheme(n_samples))
-    d2 = _dual_product(np.diag(pei_u_squared(n_samples)), f, unit_resid)
+    """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
+    d2 = pei_d_squared(n_samples)
     d2_real = d2.real.copy()
     d2_real.setflags(write=False)
     return d2_real, float(abs(d2.imag).max())
@@ -171,10 +159,11 @@ class CddhfBasis:
     eigenvalues: np.ndarray
 
 
-def _fix_sign_largest_entry(v: np.ndarray) -> np.ndarray:
+def _largest_entry_negative(vectors: np.ndarray) -> np.ndarray:
     # argmax returns the first maximizer, which is exactly the
     # lowest-index tie-break the convention asks for.
-    return -v if v[int(np.argmax(np.abs(v)))] < 0 else v
+    largest = np.argmax(np.abs(vectors), axis=0)
+    return vectors[largest, np.arange(vectors.shape[1])] < 0
 
 
 @shared.memoize(nbytes=lambda basis: basis.vectors.nbytes + basis.eigenvalues.nbytes)
@@ -204,16 +193,11 @@ def _cddhf_basis_cached(n_samples: int, m_factor: float) -> CddhfBasis:
         )
 
     if m_factor == 1.0:
-        for p in range(n_samples):
-            vectors[:, p] = _fix_sign_largest_entry(vectors[:, p])
+        flip = _largest_entry_negative(vectors)
     else:
-        ref = cddhf_basis(n_samples, 1.0).vectors
-        for p in range(n_samples):
-            overlap = float(ref[:, p] @ vectors[:, p])
-            if abs(overlap) < 1e-12:
-                vectors[:, p] = _fix_sign_largest_entry(vectors[:, p])
-            elif overlap < 0:
-                vectors[:, p] = -vectors[:, p]
+        overlap = np.einsum("ij,ij->j", cddhf_basis(n_samples, 1.0).vectors, vectors)
+        flip = np.where(abs(overlap) < 1e-12, _largest_entry_negative(vectors), overlap < 0)
+    vectors *= np.where(flip, -1.0, 1.0)
 
     vectors.setflags(write=False)
     eigenvalues.setflags(write=False)

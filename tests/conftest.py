@@ -11,8 +11,10 @@ import cmath
 import json
 import math
 import os
+import sys
 
 import numpy as np
+import pytest
 
 FIXTURES_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -32,6 +34,23 @@ def package_env() -> dict:
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     return env
+
+
+@pytest.fixture
+def identity_residual_calls(monkeypatch) -> list:
+    """Shapes of the products any opscale module hands to ``identity_residual``."""
+    from opscale.linalg import identity_residual
+
+    calls = []
+
+    def counting(p):
+        calls.append(p.shape)
+        return identity_residual(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("opscale.") and hasattr(module, "identity_residual"):
+            monkeypatch.setattr(module, "identity_residual", counting)
+    return calls
 
 
 def load_fixture(name: str) -> dict:

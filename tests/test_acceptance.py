@@ -24,8 +24,8 @@ from conftest import (
 )
 
 from opscale.bench import Method, run_bench
-from opscale.dft import IndexScheme, dft_matrix, index_grid
-from opscale.operators import coord_matrix, diff_matrix, operator_set
+from opscale.dft import IndexScheme
+from opscale.operators import diff_matrix, operator_set
 from opscale.pei import cddhf_basis, pei_scale
 from opscale.scaling import ScalingSpec, scaling_matrix
 from opscale.signals import TestFunction
@@ -105,10 +105,9 @@ def test_criterion_03_duality():
     worst = 0.0
     for n in range(2, 129):
         for scheme in IndexScheme:
-            grid = index_grid(n, scheme)
-            f = dft_matrix(n, scheme)
-            u = coord_matrix(grid)
-            d = diff_matrix(f, u)
+            ops = operator_set(n, scheme)
+            f, u = ops.f, ops.u
+            d = diff_matrix(ops.grid)
             resid = float(np.max(np.abs(u - f @ d @ f.conj().T)))
             worst = max(worst, resid)
             if resid >= 1e-10:

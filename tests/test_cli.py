@@ -19,6 +19,8 @@ from conftest import count_sign_changes, package_env
 from opscale.bench import Method, scale_with
 from opscale.cli import main
 from opscale.dft import IndexScheme, dft_matrix, index_grid
+from opscale.operators import operator_set
+from opscale.pei import pei_d_squared
 from opscale.scaling import ScalingSpec, scale_signal
 from opscale.signals import TestFunction, sample
 
@@ -51,7 +53,7 @@ def parse_matrix_text(text):
     n = int(meta["n"])
     assert len(rows) == n * n
     labels = [rows[j][1] for j in range(n)]
-    matrix = np.array([r[2] + 1j * r[3] for r in rows]).reshape(n, n)
+    matrix = np.array([complex(r[2], r[3]) for r in rows]).reshape(n, n)
     return meta, labels, matrix
 
 
@@ -111,6 +113,19 @@ class TestGen:
         assert code == 0
         _, _, matrix = parse_matrix_text(out)
         assert np.array_equal(matrix, dft_matrix(4, IndexScheme.ORDINARY))
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 16])
+    @pytest.mark.parametrize("scheme", ["ordinary", "centered"])
+    def test_dense_operators_round_trip_the_library_matrices_exactly(self, capsys, n, scheme):
+        code, out, _ = run_cli(capsys, "gen", "--kind", "d", "--n", str(n), "--scheme", scheme)
+        assert code == 0
+        _, _, matrix = parse_matrix_text(out)
+        assert matrix.tobytes() == operator_set(n, scheme).d.tobytes()
+        code, out, _ = run_cli(capsys, "gen", "--kind", "d2_pei", "--n", str(n), "--scheme", scheme)
+        assert code == 0
+        _, labels, matrix = parse_matrix_text(out)
+        assert labels == list(range(n))
+        assert matrix.tobytes() == pei_d_squared(n).tobytes()
 
     def test_pei_kinds_use_zero_based_labels(self, capsys):
         code, out, _ = run_cli(capsys, "gen", "--kind", "u2_pei", "--n", "4")

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import explicit_summation_dual, fixture_matrix, load_fixture, package_env
 
+from opscale import dft
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.linalg import ParityEigenDecomposition, _reversal_fold, hermitian_eig
 from opscale.operators import (
     OperatorSet,
     _diff_column,
     _HalfDft,
-    coord_matrix,
     diff_matrix,
     operator_set,
 )
@@ -29,14 +29,14 @@ class TestCoordMatrix:
     def test_entries_match_scalar_formula(self):
         for n in (4, 7, 16):
             for scheme in IndexScheme:
-                grid = index_grid(n, scheme)
-                u = coord_matrix(grid)
-                for k, label in enumerate(grid.indices):
+                ops = operator_set(n, scheme)
+                u = ops.u
+                for k, label in enumerate(ops.grid.indices):
                     expected = (math.sqrt(n) / math.pi) * math.sin(math.pi * label / n)
                     assert abs(u[k, k] - expected) < 1e-15
 
     def test_is_real_diagonal(self):
-        u = coord_matrix(index_grid(12, IndexScheme.CENTERED))
+        u = operator_set(12, IndexScheme.CENTERED).u
         assert not np.iscomplexobj(u)
         assert np.count_nonzero(u - np.diag(np.diag(u))) == 0
 
@@ -47,7 +47,7 @@ class TestCoordMatrix:
         # N = 1024.
         n = 1024
         grid = index_grid(n, IndexScheme.ORDINARY)
-        u = np.diag(coord_matrix(grid))
+        u = operator_set(n, IndexScheme.ORDINARY).u_diagonal
         mask = (np.abs(grid.coordinates) <= 1.0) & (grid.indices != 0)
         rel = np.abs(u[mask] - grid.coordinates[mask]) / np.abs(grid.coordinates[mask])
         assert np.max(rel) < 1e-2
@@ -59,7 +59,7 @@ class TestCoordMatrix:
         # the center, O(1) at the grid edge.
         n_samples = 64
         grid = index_grid(n_samples, IndexScheme.ORDINARY)
-        u = np.diag(coord_matrix(grid))
+        u = operator_set(n_samples, IndexScheme.ORDINARY).u_diagonal
         gap = np.abs(grid.coordinates - u)
         bound = np.pi**2 * np.abs(grid.indices) ** 3 / (6 * n_samples**2.5)
         assert np.all(gap <= bound + 1e-15)
@@ -77,11 +77,9 @@ class TestDiffMatrix:
         assert np.max(np.abs(ops.d - expected)) < 1e-12
 
     def test_matches_live_explicit_summation(self):
-        grid = index_grid(6, IndexScheme.CENTERED)
-        f = dft_matrix(6, IndexScheme.CENTERED)
-        u = coord_matrix(grid)
-        expected = explicit_summation_dual(f, np.diag(u))
-        got = diff_matrix(f, u)
+        ops = operator_set(6, IndexScheme.CENTERED)
+        expected = explicit_summation_dual(ops.f, ops.u_diagonal)
+        got = diff_matrix(ops.grid)
         assert np.max(np.abs(got - expected)) < 1e-13
 
     @pytest.mark.parametrize("n", [3, 8, 17, 64, 89, 101])
@@ -107,20 +105,25 @@ class TestDiffMatrix:
         # D is filled from its first column, an FFT of u; the oracle sums
         # every entry of F^-1 U F on its own, so a wrong column or fill
         # shows anywhere in the matrix.
-        grid = index_grid(n, scheme)
-        expected = explicit_summation_dual(dft_matrix(n, scheme), np.diag(coord_matrix(grid)))
-        got = operator_set(n, scheme).d
+        ops = operator_set(n, scheme)
+        expected = explicit_summation_dual(dft_matrix(n, scheme), ops.u_diagonal)
+        got = ops.d
         assert got.flags.c_contiguous and not got.flags.writeable
         assert np.max(np.abs(got - expected)) < 1e-13
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     def test_column_matches_the_dense_reference(self, scheme):
         # Criterion 3's grids: the D that the scaling path uses equals the
-        # dense F^H U F that the criterion checks.
+        # dense F^H U F that the criterion checks, and that reference is
+        # F's columns scaled by u and one product with the cached F, bit
+        # for bit.
         for n in range(2, 129):
-            f = dft_matrix(n, scheme)
-            expected = diff_matrix(f, coord_matrix(index_grid(n, scheme)))
-            assert np.max(np.abs(operator_set(n, scheme).d - expected)) < 1e-12, n
+            ops = operator_set(n, scheme)
+            expected = diff_matrix(ops.grid)
+            f = ops.f
+            pinned = f.conj().T @ (ops.u_diagonal[:, None] * f)
+            assert expected.tobytes() == pinned.tobytes(), n
+            assert np.max(np.abs(ops.d - expected)) < 1e-12, n
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(min_value=1, max_value=256), scheme=st.sampled_from(list(IndexScheme)))
@@ -141,21 +144,22 @@ class TestDiffMatrix:
         shifted = grid.indices + np.r_[np.zeros(7), 0.5]
         bad = dataclasses.replace(grid, indices=shifted)
         with pytest.raises(ArithmeticError, match="transform back"):
-            _diff_column(bad, np.diag(coord_matrix(grid)))
+            _diff_column(bad, operator_set(8, IndexScheme.ORDINARY).u_diagonal)
 
-    def test_rejects_non_unitary_f(self):
-        with pytest.raises(ValueError):
-            diff_matrix(np.eye(4) * 2.0, np.eye(4))
+    @pytest.mark.parametrize("n", [7, 8, 101])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_dense_reference_reuses_the_residual_the_dft_measured(self, n, scheme, request):
+        # F was checked when it was built; diff_matrix forms no F F^H again.
+        dft_matrix(n, scheme)
+        calls = request.getfixturevalue("identity_residual_calls")
+        diff_matrix(index_grid(n, scheme))
+        assert calls == []
 
-    def test_rejects_non_diagonal_u(self):
-        f = dft_matrix(4, IndexScheme.ORDINARY)
-        with pytest.raises(ValueError):
-            diff_matrix(f, np.ones((4, 4)))
-
-    def test_rejects_complex_diagonal_u(self):
-        f = dft_matrix(4, IndexScheme.ORDINARY)
-        with pytest.raises(ValueError):
-            diff_matrix(f, np.diag([1j, 0, 0, 0]))
+    def test_dense_reference_holds_the_kept_residual_to_its_limit(self, monkeypatch):
+        f = dft_matrix(8, IndexScheme.ORDINARY)
+        monkeypatch.setattr(dft, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
+        with pytest.raises(ArithmeticError, match="requires a unitary F"):
+            diff_matrix(index_grid(8, IndexScheme.ORDINARY))
 
 
 class TestGenerator:

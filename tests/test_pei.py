@@ -9,9 +9,8 @@ import pytest
 
 from conftest import count_sign_changes
 
-from opscale import pei
+from opscale import dft, pei
 from opscale.dft import IndexScheme, dft_matrix
-from opscale.linalg import identity_residual
 from opscale.pei import (
     CddhfBasis,
     cddhf_basis,
@@ -66,17 +65,12 @@ class TestBuildingBlocks:
 
     def test_d_squared_is_real_symmetric_and_nonnegative(self):
         n = 16
-        d2 = pei_d_squared(pei_u_squared(n), pei_centered_dft(n))
+        d2 = pei_d_squared(n)
         assert np.max(np.abs(d2.imag)) < 1e-12 * np.max(np.abs(d2))
         sym = d2.real
         assert np.max(np.abs(sym - sym.T)) < 1e-12
         eigenvalues = np.linalg.eigvalsh((sym + sym.T) / 2)
         assert eigenvalues.min() > -1e-10
-
-    def test_d_squared_rejects_non_unitary_f(self):
-        n = 4
-        with pytest.raises(ValueError):
-            pei_d_squared(pei_u_squared(n), np.eye(n) * 2.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 64, 127, 128, 256, 512])
     def test_d_squared_matches_the_two_product_form_bit_for_bit(self, n):
@@ -84,41 +78,27 @@ class TestBuildingBlocks:
         # computes when U^2 is diagonal, so one product is saved exactly.
         u2, f = pei_u_squared(n), pei_centered_dft(n)
         expected = f @ u2 @ f.conj().T
-        assert pei_d_squared(u2, f).tobytes() == expected.tobytes()
+        assert pei_d_squared(n).tobytes() == expected.tobytes()
+        assert pei_d_squared(np.int64(n)).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [7, 8, 101])
-    def test_cached_d_squared_reuses_the_residual_the_dft_measured(self, monkeypatch, n):
-        # The cached F was checked when it was built; only the public
-        # pei_d_squared, whose F comes from its caller, checks F again.
-        calls = []
-
-        def counting(p):
-            calls.append(p.shape)
-            return identity_residual(p)
-
-        monkeypatch.setattr(pei, "identity_residual", counting)
+    def test_cached_d_squared_reuses_the_residual_the_dft_measured(self, n, request):
+        # The cached F was checked when it was built; neither the cached
+        # real part nor the public pei_d_squared forms F F^H again.
+        pei_centered_dft(n)
+        calls = request.getfixturevalue("identity_residual_calls")
         d2_real, d2_imag_max = pei._d_squared.__wrapped__(n)
+        d2 = pei_d_squared(n)
         assert calls == []
-        d2 = pei_d_squared(pei_u_squared(n), pei_centered_dft(n))
-        assert calls == [(n, n)]
         assert d2_real.tobytes() == d2.real.copy().tobytes()
         assert d2_imag_max == float(abs(d2.imag).max())
 
     def test_cached_d_squared_holds_the_kept_residual_to_its_limit(self, monkeypatch):
         f = pei_centered_dft(8)
-        monkeypatch.setattr(pei, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
-        with pytest.raises(ValueError, match="requires a unitary F"):
-            pei._d_squared.__wrapped__(8)
-
-    def test_d_squared_rejects_non_diagonal_u_squared(self):
-        u2 = pei_u_squared(4)
-        u2[0, 1] = 0.5
-        with pytest.raises(ValueError, match="diagonal"):
-            pei_d_squared(u2, pei_centered_dft(4))
-
-    def test_d_squared_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pei_d_squared(pei_u_squared(4), pei_centered_dft(6))
+        monkeypatch.setattr(dft, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
+        for build in (pei._d_squared.__wrapped__, pei_d_squared):
+            with pytest.raises(ArithmeticError, match="requires a unitary F"):
+                build(8)
 
 
 class TestCddhfBasis:
@@ -136,7 +116,7 @@ class TestCddhfBasis:
         # its eigensolve must come out bit for bit as when S is formed
         # from the complex D^2 and its real part taken.
         u2 = pei_u_squared(n)
-        s = (m ** 4) * pei_d_squared(u2, pei_centered_dft(n)) + u2
+        s = (m ** 4) * pei_d_squared(n) + u2
         eigenvalues, vectors = np.linalg.eigh((s.real + s.real.T) / 2.0)
         basis = cddhf_basis(n, m)
         assert np.array_equal(basis.eigenvalues, eigenvalues)
@@ -215,7 +195,7 @@ class TestCddhfBasis:
 
     @pytest.mark.parametrize("bad", [3.7, 4.9, True, "5"])
     def test_rejects_non_integral_sample_counts(self, bad):
-        for build in (pei_u_squared, pei_scheme, lambda n: cddhf_basis(n, 2.0)):
+        for build in (pei_u_squared, pei_d_squared, pei_scheme, lambda n: cddhf_basis(n, 2.0)):
             with pytest.raises(ValueError, match="must be an integer"):
                 build(bad)
 
