@@ -42,8 +42,10 @@ from . import __version__
 from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
 from .dft import as_sample_count, as_scaling_factor, as_signal
 from .pei import pei_scale
-# scale_signal stays importable from this module, for code that wraps or
-# patches it here; the sweep applies each operator once, through _scale_once.
+# The sweep applies each operator once, through _scale_once, but
+# scale_signal must stay importable here: perfbench's traced sweep patches
+# opscale.bench.scale_signal by name, and its tracer looks the name up with
+# getattr, so removing it would break ``perfbench/run.py --trace 1``.
 from .scaling import ScalingSpec, _scale_once, scale_signal  # noqa: F401
 from .signals import TestFunction, sample, scaled_reference
 

@@ -35,27 +35,29 @@ only on request, 64 columns at a time into one new array
 caller that asks for it, and not kept.
 
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
-A[N-1-i, N-1-j]``) splits exactly into two blocks in the orthonormal
-basis of reversal-even vectors ``(e_k + e_{N-1-k})/sqrt(2)`` (plus the
-middle unit vector when N is odd) and reversal-odd vectors
-``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2``.  :func:`_reversal_fold`
-checks the symmetry in O(N^2) and folds the matrix into its even block
-of size ``ceil(N/2)`` and odd block of size ``floor(N/2)``, which are
-decomposed separately into a :class:`ParityEigenDecomposition`.  The
-fold also checks that A is purely imaginary, ``max|Re A| < 1e-10 * (1 +
-max|A|)``, as the scaling generator is on a symmetric grid: then ``A =
-i B`` with B real antisymmetric, and ``exp(-i*theta*A) = exp(theta*B)``
-is real orthogonal.  From such a decomposition :func:`unitary_from_eig`
-assembles ``exp(-i*theta*A)`` one block at a time, keeps the real part
-of each (step 9 below), certifies or checks each block's unitarity, and
-returns the two real blocks as a :class:`ParityUnitary`.  Two half-size
-blocks cost about a quarter of the dense eigensolve and assembly, and
-the two real blocks a quarter of the dense complex matrix's memory.  A
-:class:`ParityUnitary` is applied to a vector blockwise, each block as
-one real product on the (k, 2) float view of the folded vector
-(:func:`_real_dot`): a quarter of the bytes of the dense complex
-matrix, read once.  :meth:`ParityUnitary.dense` scatters the blocks back
-into the complex N x N matrix in the original index order.
+A[N-1-i, N-1-j]``) splits exactly into two blocks on the reversal-parity
+basis, which :func:`_fold` and :func:`_unfold` alone lay out for the
+package: with ``h = N // 2``, the even part E has the columns ``(e_k +
+e_{N-1-k})/sqrt(2)``, ``k < h``, then ``e_h`` when N is odd, and the odd
+part O the columns ``(e_k - e_{N-1-k})/sqrt(2)``.  :func:`_reversal_fold`
+checks the symmetry in O(N^2), and that A is purely imaginary, ``max|Re
+A| < 1e-10 * (1 + max|A|)``, as the scaling generator is on a symmetric
+grid: then ``A = i B`` with B real antisymmetric, and ``exp(-i*theta*A)
+= exp(theta*B)`` is real orthogonal.  It folds A into ``E^T A E`` and
+``O^T A O``, of sizes ``ceil(N/2)`` and h, which
+:func:`parity_real_form_eig` decomposes into a
+:class:`ParityEigenDecomposition`, each through ``fold(Z unfold(x))``,
+the whole grid's Z restricted to its block (Z commutes with reversal).
+From such a decomposition :func:`unitary_from_eig` assembles
+``exp(-i*theta*A)`` one block at a time, keeps the real part of each
+(step 9 below), certifies or checks each block's unitarity, and returns
+the two real blocks as a :class:`ParityUnitary`.  Two half-size blocks
+cost about a quarter of the dense eigensolve and assembly, and the two
+real blocks a quarter of the dense complex matrix's memory.  A
+:class:`ParityUnitary` is applied to a vector by folding it, one real
+product per block on the (k, 2) float view of its part
+(:func:`_real_dot`), and unfolding: a quarter of the bytes of the dense
+complex matrix, read once.
 
 A block is assembled straight into its final array, 64 rows at a time:
 row block r of ``M = V P V^H`` is ``conj(conj(V[r] p) V^T)``.  ``V^T``
@@ -81,13 +83,12 @@ of the complex vector (:func:`_real_dot`; ``Q^T`` is a view), reading
 half the bytes of a complex V.  ``Z^H x = conj(Z conj(x))``, as Z is
 symmetric, so each side costs one transform of the whole N-vector, an
 FFT and a few pointwise products.  On a :class:`ParityEigenDecomposition`
-the transformed vector is folded onto the parity bases, each block
-applied, and the results unfolded, by the same code as
-:meth:`ParityUnitary.__matmul__`: Z commutes with reversal, so one
-whole-length transform on each side of the fold does the work of one per
-block.  A complex solve keeps V itself, and is the case Z = I of the
-same code, with ``V^H x`` computed as ``conj(x^H V)``, so no copy of
-``V^H`` is made.  The factored form runs only on a decomposition whose
+the transformed vector is folded, each block applied to its part, and
+the results unfolded, as in :meth:`ParityUnitary.__matmul__`: Z commutes
+with reversal, so one whole-length transform on each side of the fold
+does the work of one per block.  A complex solve keeps V itself, and is
+the case Z = I of the same code, with ``V^H x`` computed as ``conj(x^H
+V)``, so no copy of ``V^H`` is made.  The factored form runs only on a decomposition whose
 every block it certifies (``factored_certified``); it raises
 ``ArithmeticError`` elsewhere, where the assembled block and its dense
 check are the only path.
@@ -213,8 +214,10 @@ forming ``V^H V``:
    ``eta_fft(n)``.  The transform Z of :mod:`opscale.operators`, one FFT
    and about ten pointwise products with its coefficients and label
    phases, errs by at most ``eta = eta_fft(N) + 100u`` relative on every
-   vector.  So the computed ``V = Z Q + E`` with ``||E e_j|| <= eta
-   ||q_j||`` for each column, Z the exact unitary transform.
+   vector, and so does a block's ``fold(Z unfold(x))``, whose sums of two
+   samples and products with sqrt(2) add a few u.  So the computed ``V =
+   Z Q + E`` with ``||E e_j|| <= eta ||q_j||`` for each column, Z the
+   exact unitary transform.
 7. The gram of V.  The measured ``d_Q = max|Q^T Q - I|`` (a real product)
    bounds ``delta_Q = max|Q^T Q - I|`` as in step 1, and ``||q_j||^2 <= 1
    + delta_Q``.  ``V^H V - I = (Q^T Q - I) + Q^T Z^H E + E^H Z Q + E^H E``,
@@ -302,6 +305,7 @@ __all__ = [
     "ParityUnitary",
     "apply_from_eig",
     "hermitian_eig",
+    "parity_real_form_eig",
     "real_form_eig",
     "unitary_from_eig",
 ]
@@ -560,19 +564,19 @@ class ParityEigenDecomposition:
     Attributes
     ----------
     even : HermitianEigenDecomposition
-        Decomposition of the ``ceil(N/2)`` block on the reversal-even
-        basis ``(e_k + e_{N-1-k})/sqrt(2)``, ``k < N//2``, followed by the
-        middle unit vector ``e_{N//2}`` when N is odd.
+        Decomposition of the ``ceil(N/2)`` block on the even part of the
+        reversal-parity basis (module docstring, :func:`_fold`).
     odd : HermitianEigenDecomposition
-        Decomposition of the ``floor(N/2)`` block on the reversal-odd
-        basis ``(e_k - e_{N-1-k})/sqrt(2)``, ``k < N//2`` (empty for N = 1).
+        Decomposition of the ``floor(N/2)`` block on its odd part (empty
+        for N = 1).
     reversal_residual : float
         ``max|A - J A J|`` of the decomposed matrix.
     transform : callable or None
         Z on the whole N-vector, with the protocol and error of the
-        blocks' transforms, which are Z restricted to the parity bases (Z
-        commutes with reversal); None where the blocks keep their V.
-        :func:`apply_from_eig` applies it on each side of the fold.
+        blocks' transforms, which are derived from it as ``fold(Z
+        unfold(x))`` (Z commutes with reversal); None where the blocks
+        keep their V.  :func:`apply_from_eig` applies it on each side of
+        the fold.
     block_size : int
         The size k of the larger block, the even one.
     factored_certified : bool
@@ -799,14 +803,66 @@ def hermitian_eig(a) -> HermitianEigenDecomposition:
     return HermitianEigenDecomposition(eigenvalues, eigenvectors, herm_resid, gram_resid, recon_resid)
 
 
+_SQRT2 = math.sqrt(2.0)
+
+
+def _fold(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``(sqrt(2) E^T x, sqrt(2) O^T x)`` along ``axis``, E and O the parity basis.
+
+    With ``h = N // 2`` samples along ``axis``, E has the columns ``(e_k +
+    e_{N-1-k})/sqrt(2)``, ``k < h``, then ``e_h`` when N is odd, and O the
+    columns ``(e_k - e_{N-1-k})/sqrt(2)``.  So the even part is the head
+    plus the reversed tail, then sqrt(2) times the middle sample of an odd
+    N, and the odd part the head minus the reversed tail: new arrays.
+    """
+    along = x.swapaxes(0, axis) if axis else x  # the folded axis first, as a view
+    n = along.shape[0]
+    h = n // 2
+    head, tail = along[:h], along[:n - h - 1:-1]
+    if n % 2:
+        shape = list(x.shape)
+        shape[axis] = h + 1
+        even = np.empty(shape, dtype=np.promote_types(x.dtype, float))
+        even_along = even.swapaxes(0, axis) if axis else even
+        np.add(head, tail, out=even_along[:h])
+        even_along[h] = along[h] * _SQRT2
+    else:
+        even_along = np.add(head, tail)  # laid out as x, as is the odd part
+        even = even_along.swapaxes(0, axis) if axis else even_along
+    odd = np.subtract(head, tail)
+    return even, odd.swapaxes(0, axis) if axis else odd
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``(E even + O odd)/sqrt(2)`` along ``axis``: the exact inverse of :func:`_fold`.
+
+    Sums, differences and one halving, into a new array.  A part that is
+    absent is passed as zeros, such as a broadcast zero.
+    """
+    shape = list(even.shape)
+    h = odd.shape[axis]
+    n = shape[axis] = shape[axis] + h
+    out = np.empty(shape, dtype=np.promote_types(even.dtype, odd.dtype))
+    out_along = out.swapaxes(0, axis) if axis else out  # the unfolded axis first
+    even_along = even.swapaxes(0, axis) if axis else even
+    odd_along = odd.swapaxes(0, axis) if axis else odd
+    head = even_along[:h]
+    np.add(head, odd_along, out=out_along[:h])
+    np.subtract(head, odd_along, out=out_along[:n - h - 1:-1])
+    if n % 2:
+        out_along[h] = even_along[h] * _SQRT2
+    out *= 0.5
+    return out
+
+
 def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     """The even and odd blocks of a matrix that commutes with index reversal.
 
-    Returns ``(even, odd, max|A - J A J|)``; the blocks are new arrays on
-    the bases of :class:`ParityEigenDecomposition`.  Raises
-    ``ValueError`` if ``a`` is not square or not finite, and
-    ``ArithmeticError`` if it does not commute with reversal, or is not
-    purely imaginary, within ``1e-10 * (1 + max|a|)``.
+    Returns ``(E^T A E, O^T A O, max|A - J A J|)`` on the reversal-parity
+    basis of :func:`_fold`, each block as a new array: A is folded along
+    both axes and halved.  Raises ``ValueError`` if ``a`` is not square or
+    not finite, and ``ArithmeticError`` if it does not commute with
+    reversal, or is not purely imaginary, within ``1e-10 * (1 + max|a|)``.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -824,18 +880,59 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
             f"matrix is not purely imaginary: max|Re A| = {real_resid:.3e} "
             f"exceeds {REALNESS_RTOL * scale:.3e}"
         )
-    n = a.shape[0]
-    h = n // 2
-    p = a[:h, :h]
-    q = a[:h, n - h:][:, ::-1]  # q[i, j] = a[i, N-1-j]
-    even = p + q
-    if n % 2:
-        root2 = math.sqrt(2.0)
-        even = np.block([
-            [even, root2 * a[:h, h:h + 1]],
-            [root2 * a[h:h + 1, :h], a[h:h + 1, h:h + 1]],
-        ])
-    return even, p - q, float(reversal_resid)
+    # Columns first, each half dropped once its block is folded: a row fold
+    # buffers less than a column fold, which keeps this step within about
+    # 0.5 N^2 bytes of the reversal check's peak above (40 N^2).
+    columns = list(_fold(a, axis=1))
+    even = _fold(columns.pop(0), axis=0)[0]
+    odd = _fold(columns.pop(0), axis=0)[1]
+    even *= 0.5
+    odd *= 0.5
+    return even, odd, float(reversal_resid)
+
+
+def _parity_transform(transform, n: int, odd: bool):
+    """Z on the even (``odd=False``) or odd block of an N-grid: ``fold(Z unfold(x))``.
+
+    ``transform(x, out, axis)`` applies a Z that commutes with reversal to
+    the whole grid; the block's transform has the same protocol, and the
+    error of Z plus the few u of the fold and unfold (step 6).
+    """
+    other = n - n // 2 if odd else n // 2  # the size of the part that is zero
+
+    def block(x: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+        shape = list(x.shape)
+        shape[axis] = other
+        zero = np.broadcast_to(np.zeros((), dtype=x.dtype), shape)
+        full = _unfold(zero, x, axis) if odd else _unfold(x, zero, axis)
+        full = transform(full, np.empty_like(full), axis=axis)
+        out[...] = _fold(full, axis)[odd]
+        return out
+
+    return block
+
+
+def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigenDecomposition:
+    """:func:`real_form_eig` of each parity block of a reversal-symmetric ``A = form()``.
+
+    A is checked and folded (:func:`_reversal_fold`) and dropped, and each
+    block is handed to :func:`real_form_eig` with its transform derived
+    from the whole grid's Z (:func:`_parity_transform`), which must
+    commute with reversal and be within ``transform_error`` there too.
+    The arrays both blocks keep are allocated before either solve.
+    Raises as :func:`_reversal_fold` and :func:`real_form_eig` do.
+    """
+    blocks = list(_reversal_fold(form()))
+    reversal_resid = blocks.pop()
+    n = sum(len(b) for b in blocks)
+    kept = [(np.empty(len(b)), np.empty((len(b),) * 2)) for b in blocks]
+    take = partial(blocks.pop, 0)
+    return ParityEigenDecomposition(
+        real_form_eig(take, _parity_transform(transform, n, odd=False), transform_error, kept[0]),
+        real_form_eig(take, _parity_transform(transform, n, odd=True), transform_error, kept[1]),
+        reversal_resid,
+        transform,
+    )
 
 
 def _row_blocks(k: int) -> list[slice]:
@@ -936,38 +1033,6 @@ def _unitary_block(
     return out, dropped, resid
 
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def _parity_apply(x: np.ndarray, h: int, even, odd) -> np.ndarray:
-    """``U x`` for a U that commutes with index reversal, from its two blocks.
-
-    ``x`` is an N-vector and ``h = N // 2``; ``even`` and ``odd`` apply
-    the blocks, of sizes ``N - h`` and ``h``, to a vector.  ``x`` is
-    folded onto the parity bases (``head + reversed tail``, with sqrt(2)
-    times the middle sample for odd N, and ``head - reversed tail``),
-    each fold goes through its block, and the two results are unfolded.
-    Both folds carry a factor sqrt(2), which the final halving removes.
-    """
-    n = x.shape[0]
-    head, tail = x[:h], x[:n - h - 1:-1]  # tail: the last h samples, reversed
-    if n % 2:
-        s = np.empty(h + 1, dtype=complex)
-        np.add(head, tail, out=s[:h])
-        s[h] = _SQRT2 * x[h]
-    else:
-        s = head + tail
-    u = even(s)
-    v = odd(head - tail)
-    out = np.empty(n, dtype=u.dtype)
-    np.add(u[:h], v, out=out[:h])
-    np.subtract(u[:h], v, out=out[:n - h - 1:-1])
-    if n % 2:
-        out[h] = _SQRT2 * u[h]
-    out *= 0.5
-    return out
-
-
 #: A complex128 vector viewed as the (n, 2) float matrix of its real and imaginary parts.
 _PAIRS = np.dtype((np.float64, (2,)))
 
@@ -1014,51 +1079,37 @@ class ParityUnitary:
     dropped_imaginary: tuple[float, float]
     unitarity_residual: tuple[float | None, float | None]
 
-    def __post_init__(self):
-        # The block products, bound once: the apply runs per vector.
-        object.__setattr__(self, "_products", (partial(_real_dot, self.even),
-                                                partial(_real_dot, self.odd)))
-
     @property
     def nbytes(self) -> int:
         """Bytes held by the two blocks, about a quarter of the dense complex matrix."""
         return self.even.nbytes + self.odd.nbytes
 
     def __matmul__(self, x) -> np.ndarray:
-        """``U @ x`` for an N-vector, without forming U (:func:`_parity_apply`).
+        """``U @ x`` for an N-vector, without forming U.
 
-        Each block is applied as one real product (:func:`_real_dot`); a
-        real operand is promoted to complex, as with the dense matrix.
+        x is folded (:func:`_fold`), each block applied to its part as one
+        real product (:func:`_real_dot`), and the results unfolded; a real
+        operand is promoted to complex, as with the dense matrix.
         """
         x = np.asarray(x, dtype=complex)
-        h = self.odd.shape[0]
-        n = self.even.shape[0] + h
+        n = self.even.shape[0] + self.odd.shape[0]
         if x.shape != (n,):
             raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-        return _parity_apply(x, h, *self._products)
+        even, odd = _fold(x)
+        return _unfold(_real_dot(self.even, even), _real_dot(self.odd, odd))
 
-    dot = __matmul__  # the name scale_signal calls on either kind of operator
+    dot = __matmul__  # the name scaling._apply calls on either kind of operator
 
     def dense(self) -> np.ndarray:
-        """The N x N matrix in the original index order, as a new read-only array."""
-        even, odd = self.even, self.odd
-        h = odd.shape[0]
-        n = even.shape[0] + h
-        out = np.empty((n, n), dtype=complex)
-        plus = (even[:h, :h] + odd) / 2.0
-        minus = (even[:h, :h] - odd) / 2.0
-        out[:h, :h] = plus
-        out[:h, n - h:] = minus[:, ::-1]
-        out[n - h:, :h] = minus[::-1, :]
-        out[n - h:, n - h:] = plus[::-1, ::-1]
-        if n % 2:
-            col = even[:h, h] / _SQRT2
-            row = even[h, :h] / _SQRT2
-            out[:h, h] = col
-            out[n - h:, h] = col[::-1]
-            out[h, :h] = row
-            out[h, n - h:] = row[::-1]
-            out[h, h] = even[h, h]
+        """The N x N matrix in the original index order, as a new read-only array.
+
+        Each block unfolded along its rows, the other part zero, then both
+        down the columns: ``(E even E^T + O odd O^T)/2``, doubled exactly.
+        """
+        k, h = self.even.shape[0], self.odd.shape[0]
+        half = _unfold(_unfold(self.even, np.broadcast_to(0.0, (k, h)), axis=1),
+                       _unfold(np.broadcast_to(0.0, (h, k)), self.odd, axis=1))
+        out = np.multiply(half, 2.0, out=np.empty(half.shape, dtype=complex))
         out.setflags(write=False)
         return out
 
@@ -1146,9 +1197,8 @@ def apply_from_eig(
     if transform is not None:
         x = _transformed(transform, x, adjoint=True)
     if parity:
-        y = _parity_apply(x, eig.odd.block_size,
-                          partial(_factored_block, eig.even, theta),
-                          partial(_factored_block, eig.odd, theta))
+        even, odd = _fold(x)
+        y = _unfold(_factored_block(eig.even, theta, even), _factored_block(eig.odd, theta, odd))
     else:
         y = _factored_block(eig, theta, x)
     return y if transform is None else _transformed(transform, y, adjoint=False)

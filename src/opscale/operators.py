@@ -86,10 +86,11 @@ commutes with it too.  U real and D purely imaginary there (D is
 Hermitian Toeplitz and odd under reversal, so its column is imaginary),
 G is purely imaginary, ``G = i B`` with B real antisymmetric, and every
 ``exp(-i theta G)`` is real.  :attr:`OperatorSet.generator_eig` then
-checks both properties, folds G into its even and odd half-size blocks
-by :func:`opscale.linalg._reversal_fold`, and forms and decomposes the
-matching blocks of S, on which Z is ``(c0 +- c2) I + (c3 +- c1) F``.
-On the other grids it decomposes G whole.
+decomposes G by :func:`opscale.linalg.parity_real_form_eig`, which
+checks both properties and decomposes the blocks of S on the even and
+odd halves of the reversal-parity basis that :mod:`opscale.linalg`
+defines, through Z on the whole grid.  On the other grids it decomposes
+G whole, by :func:`opscale.linalg.real_form_eig`.
 
 The asymmetric forward-difference alternative (which is *not* symmetric,
 hence not Hermitian, hence useless as a generator) is deliberately not
@@ -105,7 +106,7 @@ are suspended there, and :class:`OperatorSet` flags them via
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -113,8 +114,8 @@ from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_mat
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
-    _reversal_fold,
     fft_error,
+    parity_real_form_eig,
     real_form_eig,
 )
 
@@ -168,10 +169,10 @@ def _diff_column(grid: SampleGrid, u: np.ndarray) -> np.ndarray:
 
 _ROOT2 = math.sqrt(2.0)
 
-#: What the pointwise roundings of :meth:`_HalfDft.apply` and
-#: :meth:`_HalfDft.apply_block` add to the FFT's relative error: about 80u
-#: and 60u to first order, counting the label phases' own rounding
-#: (:mod:`opscale.linalg`, step 6).
+#: What the pointwise roundings of :meth:`_HalfDft.apply` add to the FFT's
+#: relative error: about 80u to first order, counting the label phases' own
+#: rounding, and a few u more where :mod:`opscale.linalg` folds and unfolds
+#: it onto a parity block (step 6).
 _POINTWISE_ERROR = 100 * np.finfo(float).eps / 2
 
 #: ``(c0, c1, c2, c3)`` of ``Z = c0 I + c1 F^H + c2 F^2 + c3 F = (F^H)^(1/2)``.
@@ -183,11 +184,6 @@ _HALF_DFT = (
 )
 
 
-def _along(axis: int, index) -> tuple:
-    """The index tuple that applies ``index`` along ``axis`` of a matrix."""
-    return (index,) if axis == 0 else (slice(None), index)
-
-
 class _HalfDft:
     """``Z = (F^H)^(1/2)`` of one grid, applied along an axis of a matrix.
 
@@ -195,21 +191,18 @@ class _HalfDft:
     ``n_0^2 + n_0 m + n_0 k + m k``, and each phase is reduced exactly
     with ``fmod``.  ``F^2 x = sign * x[perm]`` sends label n to the label
     congruent to -n mod N, with sign ``(-1)^(2 n_0 q)`` when it wraps by
-    qN.  Z is symmetric, so ``x Z`` is Z applied along axis 1.
-
-    On a symmetric grid ``F^2`` is the reversal, +1 on the even and -1 on
-    the odd reversal basis of
-    :class:`~opscale.linalg.ParityEigenDecomposition`, so Z restricted to
-    either basis is ``(c0 +- c2) I + (c3 +- c1) F``.  :meth:`apply_block`
-    unfolds each vector into an N-vector, transforms it by F and folds it
-    back.
+    qN.  Z is symmetric, so ``x Z`` is Z applied along axis 1.  On a
+    symmetric grid Z commutes with reversal, and :mod:`opscale.linalg`
+    derives its restriction to either half of the reversal-parity basis
+    from :meth:`apply`.
 
     A decomposition keeps its transform to apply Z at run time, from any
     number of threads at once, so a transform holds only its O(N) phases:
-    every buffer either method writes is the caller's or its own call's.
+    every buffer :meth:`apply` writes is the caller's or its own call's.
 
-    ``error`` bounds the relative error of either on any vector: the
-    FFT's (:func:`~opscale.linalg.fft_error`) plus the pointwise roundings.
+    ``error`` bounds the relative error of Z, and of its restriction to
+    either parity block, on any vector: the FFT's
+    (:func:`~opscale.linalg.fft_error`) plus the pointwise roundings.
     """
 
     def __init__(self, grid: SampleGrid):
@@ -233,20 +226,6 @@ class _HalfDft:
         # Z x = c0 (x + s F^2 x) + c3 F (x + r F^2 x), s = c2/c0, r = c1/c3.
         return perm, sign * (c2 / c0), (c1 / c3 - c2 / c0) / (c2 / c0), self.post * c3
 
-    @cached_property
-    def _blocks(self) -> dict:
-        """``{odd: (alpha, head, tail, fold)}`` for :meth:`apply_block`."""
-        c0, c1, c2, c3 = _HALF_DFT
-        n = self.pre.shape[0]
-        h = n // 2
-        head = self.pre[:h] / _ROOT2
-        blocks = {}
-        for odd, sigma in ((False, 1.0), (True, -1.0)):
-            fold = self.post[:h if odd else n - h] * (c3 + sigma * c1)
-            fold[:h] *= _ROOT2
-            blocks[odd] = (c0 + sigma * c2, head, (sigma / _ROOT2) * self.pre[n - h:], fold)
-        return blocks
-
     def apply(self, x: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
         """``out = Z x`` along ``axis`` of the complex matrix x, which is overwritten."""
         perm, scaled_sign, ratio, post3 = self._whole
@@ -260,29 +239,6 @@ class _HalfDft:
         np.fft.fft(out, axis=axis, out=out)
         out *= post3.reshape(shape)
         x *= _HALF_DFT[0]
-        out += x
-        return out
-
-    def apply_block(self, x: np.ndarray, out: np.ndarray, axis: int, odd: bool) -> np.ndarray:
-        """:meth:`apply` on the even (``odd=False``) or odd reversal basis."""
-        alpha, head_phase, tail, fold = self._blocks[odd]
-        n = self.pre.shape[0]
-        h = n // 2
-        k = x.shape[axis]
-        shape = (-1, 1) if axis == 0 else (-1,)
-        across = x.shape[1 - axis]
-        full = np.empty((n, across) if axis == 0 else (across, n), dtype=complex)
-        head = x[_along(axis, slice(0, h))]
-        np.multiply(head, head_phase.reshape(shape), out=full[_along(axis, slice(0, h))])
-        np.multiply(head[_along(axis, slice(None, None, -1))], tail.reshape(shape),
-                    out=full[_along(axis, slice(n - h, n))])
-        if k > h:  # the middle sample of an odd N, on the even basis
-            full[_along(axis, h)] = x[_along(axis, h)] * self.pre[h]
-        elif n % 2:
-            full[_along(axis, h)] = 0.0
-        np.fft.fft(full, axis=axis, out=full)
-        np.multiply(full[_along(axis, slice(0, k))], fold.reshape(shape), out=out)
-        x *= alpha
         out += x
         return out
 
@@ -370,16 +326,13 @@ class OperatorSet:
         (F^H)^(1/2)`` (module docstring): S is checked to be real, a real
         ``eigh`` gives ``S = Q diag(lam) Q^T``, and the decomposition
         keeps Q and the transform Z, of which ``V = Z Q``.  On
-        symmetric grids G is first checked to commute with index reversal
-        and folded into its even and odd blocks by
-        :func:`~opscale.linalg._reversal_fold`; Z commutes with reversal
-        too, so the blocks of S are ``Z_b^H G_b Z_b``, formed from the
-        blocks of G at half the transform cost, and each is decomposed on
-        its own.  Every block passes the checks of
+        symmetric grids :func:`~opscale.linalg.parity_real_form_eig`
+        checks that G commutes with index reversal, folds it into its
+        even and odd blocks and decomposes each with Z restricted to its
+        block; Z on the whole grid is kept, for the factored apply on
+        each side of the fold.  Every block passes the checks of
         :func:`~opscale.linalg.real_form_eig`, which read its S and Q,
-        not G.  Neither the generator nor its blocks are kept, nor V;
-        a parity decomposition also keeps Z on the whole grid, which the
-        factored apply runs on each side of the fold.
+        not G.  Neither the generator nor its blocks are kept, nor V.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if on a symmetric grid it does not commute
@@ -388,18 +341,8 @@ class OperatorSet:
         rounding, or a decomposition fails its checks.
         """
         z = _HalfDft(self.grid)
-        if self.grid_symmetric:
-            *blocks, reversal_resid = _reversal_fold(self._formed_generator())
-            kept = [(np.empty(len(b)), np.empty((len(b),) * 2)) for b in blocks]
-            # Each block of G is handed over, and dropped once its transforms have a copy.
-            take = partial(blocks.pop, 0)
-            return ParityEigenDecomposition(
-                real_form_eig(take, partial(z.apply_block, odd=False), z.error, kept[0]),
-                real_form_eig(take, partial(z.apply_block, odd=True), z.error, kept[1]),
-                reversal_resid,
-                z.apply,
-            )
-        return real_form_eig(self._formed_generator, z.apply, z.error)
+        solve = parity_real_form_eig if self.grid_symmetric else real_form_eig
+        return solve(self._formed_generator, z.apply, z.error)
 
     def __repr__(self) -> str:
         return (

@@ -110,6 +110,23 @@ def dirichlet_kernel_value(t: float, n_samples: int, mu: float) -> complex:
     )
 
 
+def parity_basis(n: int) -> np.ndarray:
+    """Columns: the reversal-even basis vectors, then the reversal-odd ones.
+
+    Written out entry by entry: ``(e_j + e_{n-1-j})/sqrt(2)`` for
+    ``j < n//2``, then the middle unit vector when n is odd, then
+    ``(e_j - e_{n-1-j})/sqrt(2)``.
+    """
+    h, k = n // 2, n - n // 2
+    b = np.zeros((n, n))
+    for j in range(h):
+        b[j, j] = b[n - 1 - j, j] = 1 / math.sqrt(2)
+        b[j, k + j], b[n - 1 - j, k + j] = 1 / math.sqrt(2), -1 / math.sqrt(2)
+    if n % 2:
+        b[h, h] = 1.0
+    return b
+
+
 def count_sign_changes(v, rel_tol: float = 1e-8) -> int:
     """Number of strict sign alternations, ignoring negligible entries."""
     v = np.asarray(v, dtype=float)

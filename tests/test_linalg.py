@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, taylor_expm
+from conftest import load_fixture, parity_basis, taylor_expm
 
 from opscale import ScalingSpec, linalg, scaling_matrix
 from opscale.dft import IndexScheme
@@ -150,6 +150,35 @@ def test_unitary_function_matches_taylor_series():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+class TestParityFold:
+    """``_fold`` and ``_unfold``, the package's one parity layout, against the basis written out."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(min_value=1, max_value=64), axis=st.sampled_from([0, 1]),
+           across=st.integers(min_value=1, max_value=4), seed=st.integers(0, 2**32 - 1))
+    def test_fold_is_the_basis_transpose_and_unfold_its_inverse(self, n, axis, across, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n, across) if axis == 0 else (across, n)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tol = 1e-15 * np.linalg.norm(x)
+        b = parity_basis(n)
+        k = n - n // 2
+        parts = (b[:, :k], b[:, k:])  # the even basis, then the odd one
+        folded = linalg._fold(x, axis)
+        for got, basis in zip(folded, parts):
+            expected = math.sqrt(2) * (basis.T @ x if axis == 0 else x @ basis)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected), initial=0.0) <= tol
+        assert np.max(np.abs(linalg._unfold(*folded, axis) - x)) <= tol
+        # Either part alone, the other given as zeros, unfolds onto its own basis.
+        for parity, basis in enumerate(parts):
+            alone = [np.zeros_like(part) for part in folded]
+            alone[parity] = folded[parity]
+            expected = (basis @ folded[parity] if axis == 0 else folded[parity] @ basis.T)
+            got = linalg._unfold(*alone, axis)
+            assert np.max(np.abs(got - expected / math.sqrt(2))) <= tol
+
+
 class TestParityEig:
     @staticmethod
     def _parity_eig(a):
@@ -262,6 +291,15 @@ class TestParityUnitary:
     def test_rejects_operand_that_is_not_an_n_vector(self, shape):
         with pytest.raises(ValueError, match="expected"):
             self._unitary(6) @ np.zeros(shape)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 32, 33])
+    def test_dense_is_the_blocks_on_the_explicit_parity_basis(self, n):
+        u = self._unitary(n)
+        k = n - n // 2
+        blocks = np.zeros((n, n))
+        blocks[:k, :k], blocks[k:, k:] = u.even, u.odd
+        b = parity_basis(n)
+        assert np.max(np.abs(u.dense() - b @ blocks @ b.T)) < 1e-15
 
     def test_dense_is_a_new_read_only_array_each_call(self):
         u = self._unitary(5)

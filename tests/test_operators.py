@@ -11,11 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_summation_dual, fixture_matrix, load_fixture, package_env
+from conftest import (
+    explicit_summation_dual,
+    fixture_matrix,
+    load_fixture,
+    package_env,
+    parity_basis,
+)
 
 from opscale import dft
 from opscale.dft import IndexScheme, dft_matrix, index_grid
-from opscale.linalg import ParityEigenDecomposition, _reversal_fold, hermitian_eig
+from opscale.linalg import (
+    ParityEigenDecomposition,
+    _parity_transform,
+    _reversal_fold,
+    hermitian_eig,
+)
 from opscale.operators import (
     OperatorSet,
     _diff_column,
@@ -223,18 +234,6 @@ def _dense_half_dft(grid):
     return _HalfDft(grid).apply(np.eye(n, dtype=complex), np.empty((n, n), dtype=complex), 0)
 
 
-def _parity_basis(n):
-    """Columns: the reversal-even basis vectors, then the reversal-odd ones."""
-    h, k = n // 2, n - n // 2
-    b = np.zeros((n, n))
-    for j in range(h):
-        b[j, j] = b[n - 1 - j, j] = 1 / math.sqrt(2)
-        b[j, k + j], b[n - 1 - j, k + j] = 1 / math.sqrt(2), -1 / math.sqrt(2)
-    if n % 2:
-        b[h, h] = 1.0
-    return b
-
-
 class TestHalfDft:
     """``Z = (F^H)^(1/2)``, the transform that makes the generator real."""
 
@@ -277,7 +276,7 @@ class TestHalfDft:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_block_transform_is_z_on_the_parity_bases(self, n, scheme, axis):
         grid = index_grid(n, scheme)
-        b = _parity_basis(n)
+        b = parity_basis(n)
         blocks = b.T @ _dense_half_dft(grid) @ b
         k = n - n // 2
         off_diagonal = np.concatenate([blocks[:k, k:].ravel(), blocks[k:, :k].ravel()])
@@ -286,7 +285,7 @@ class TestHalfDft:
         for odd, expected in ((False, blocks[:k, :k]), (True, blocks[k:, k:])):
             size = expected.shape[0]
             eye = np.eye(size, dtype=complex)
-            got = z.apply_block(eye, np.empty_like(eye), axis, odd=odd)
+            got = _parity_transform(z.apply, n, odd)(eye, np.empty_like(eye), axis)
             assert np.max(np.abs(got - expected), initial=0.0) < 1e-13
 
     @pytest.mark.parametrize(
@@ -351,12 +350,12 @@ class TestHalfDftErrorBound:
         assert np.all(np.linalg.norm(err.astype(float), axis=0) <= z.error * np.linalg.norm(x, axis=0))
         if not operator_set(n, scheme).grid_symmetric:
             return
-        basis = _parity_basis(n).astype(np.longdouble)
+        basis = parity_basis(n).astype(np.longdouble)
         k = n - n // 2
         for odd, b in ((False, basis[:, :k]), (True, basis[:, k:])):
             xb = x[:b.shape[1], :k]  # the transform's buffer holds at most k columns
             exact = b.T @ _long_double_half_dft(grid, b @ xb)
-            got = z.apply_block(xb.copy(), np.empty_like(xb), 0, odd=odd)
+            got = _parity_transform(z.apply, n, odd)(xb.copy(), np.empty_like(xb), 0)
             err = np.linalg.norm(np.abs(got - exact).astype(float), axis=0)
             assert np.all(err <= z.error * np.linalg.norm(xb, axis=0))
 
@@ -428,19 +427,22 @@ class TestRealFormCertificate:
         (lambda k: 1 + 1e-9 * (1 + np.arange(k) / k), "transform is not"),
         # Signs flipped: unitary, S = D S D real, the column norms kept,
         # but D Z is not symmetric, so D Z Q does not diagonalize G.
+        # (On the symmetric N = 65 each block sees E^T D E, the mean of D
+        # and its reversal, and fails the same check.)
         (lambda k: np.where(np.arange(k) % 3, 1.0, -1.0), "transform is not symmetric"),
     ])
     def test_transform_times_a_real_diagonal_is_rejected(self, monkeypatch, n, scheme,
                                                          diagonal, message):
-        def scaled(apply):
-            def wrong(self, x, out, axis, **kwargs):
-                out = apply(self, x, out, axis, **kwargs)
-                out *= diagonal(out.shape[axis]).reshape((-1, 1) if axis == 0 else (-1,))
-                return out
-            return wrong
+        # Only the whole grid's Z is patched: the symmetric N = 65 derives
+        # its block transforms from it, so the one patch reaches them all.
+        apply = _HalfDft.apply
 
-        monkeypatch.setattr(_HalfDft, "apply", scaled(_HalfDft.apply))
-        monkeypatch.setattr(_HalfDft, "apply_block", scaled(_HalfDft.apply_block))
+        def wrong(self, x, out, axis):
+            out = apply(self, x, out, axis)
+            out *= diagonal(out.shape[axis]).reshape((-1, 1) if axis == 0 else (-1,))
+            return out
+
+        monkeypatch.setattr(_HalfDft, "apply", wrong)
         with pytest.raises(ArithmeticError, match=message):
             _fresh(n, scheme).generator_eig
 
@@ -475,6 +477,22 @@ class TestRealFormCertificate:
         finally:
             tracemalloc.stop()
         assert peak <= 13_000_000
+
+    def test_cold_symmetric_decomposition_peaks_at_the_whole_generator(self):
+        # On a symmetric grid the peak is set by the whole G: its fold, G
+        # and its two column halves beside one folded block (10 637 280
+        # traced bytes measured, 40.6 N^2), just above its reversal check,
+        # G and A - J A J complex beside |A - J A J| (40 N^2; 10 504 080
+        # measured when the block transforms were written out per parity).
+        # Each block transform's unfolded N-length copies stay below both.
+        ops = _fresh(512, IndexScheme.CENTERED)
+        tracemalloc.start()
+        try:
+            ops.generator_eig
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10_750_000
 
     @pytest.mark.parametrize("n, scheme", [(512, IndexScheme.ORDINARY),
                                            (512, IndexScheme.CENTERED),

@@ -13,6 +13,7 @@ from opscale import cache, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     ParityEigenDecomposition,
+    ParityUnitary,
     apply_from_eig,
     hermitian_eig,
     unitary_from_eig,
@@ -95,9 +96,12 @@ class TestScalingMatrix:
 
     @staticmethod
     def _assembled_densely(eig, theta):
-        """Each block as one product ``conj(conj(V * phases) @ V^T)``, scattered into N x N.
+        """Each block as one product ``conj(conj(V * phases) @ V^T)``, in N x N.
 
-        On symmetric grids each block is the real part of that product.
+        On symmetric grids each block is the real part of that product, and
+        the two are unfolded onto the grid by :meth:`ParityUnitary.dense`,
+        so that the comparison isolates the assembly; the unfold is checked
+        against the explicit parity basis in ``test_linalg``.
         """
         def block(e):
             rows = np.conjugate(e.eigenvectors * np.exp(-1j * theta * e.eigenvalues))
@@ -105,19 +109,8 @@ class TestScalingMatrix:
 
         if not isinstance(eig, ParityEigenDecomposition):
             return block(eig)
-        even, odd = block(eig.even).real, block(eig.odd).real
-        h = odd.shape[0]
-        n = even.shape[0] + h
-        out = np.empty((n, n), dtype=complex)
-        plus, minus = (even[:h, :h] + odd) / 2.0, (even[:h, :h] - odd) / 2.0
-        out[:h, :h], out[n - h:, n - h:] = plus, plus[::-1, ::-1]
-        out[:h, n - h:], out[n - h:, :h] = minus[:, ::-1], minus[::-1, :]
-        if n % 2:
-            col, row = even[:h, h] / math.sqrt(2.0), even[h, :h] / math.sqrt(2.0)
-            out[:h, h], out[n - h:, h] = col, col[::-1]
-            out[h, :h], out[h, n - h:] = row, row[::-1]
-            out[h, h] = even[h, h]
-        return out
+        return ParityUnitary(block(eig.even).real, block(eig.odd).real, (0.0, 0.0),
+                             (None, None)).dense()
 
     @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 129, 256, 257, 512])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
