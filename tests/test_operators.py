@@ -482,8 +482,7 @@ class TestRealFormCertificate:
         # On a symmetric grid the peak is set by the whole G: its fold, G
         # and its two column halves beside one folded block (10 637 280
         # traced bytes measured, 40.6 N^2), just above its reversal check,
-        # G and A - J A J complex beside |A - J A J| (40 N^2; 10 504 080
-        # measured when the block transforms were written out per parity).
+        # G and A - J A J complex beside |A - J A J| (40 N^2).
         # Each block transform's unfolded N-length copies stay below both.
         ops = _fresh(512, IndexScheme.CENTERED)
         tracemalloc.start()

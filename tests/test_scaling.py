@@ -13,7 +13,6 @@ from opscale import cache, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     ParityEigenDecomposition,
-    ParityUnitary,
     apply_from_eig,
     hermitian_eig,
     unitary_from_eig,
@@ -96,12 +95,12 @@ class TestScalingMatrix:
 
     @staticmethod
     def _assembled_densely(eig, theta):
-        """Each block as one product ``conj(conj(V * phases) @ V^T)``, in N x N.
+        """Each block as one product ``conj(conj(V * phases) @ V^T)``, scattered into N x N.
 
-        On symmetric grids each block is the real part of that product, and
-        the two are unfolded onto the grid by :meth:`ParityUnitary.dense`,
-        so that the comparison isolates the assembly; the unfold is checked
-        against the explicit parity basis in ``test_linalg``.
+        On symmetric grids each block is the real part of that product.  The
+        scatter rounds as the unfold of :class:`ParityUnitary` does: an entry
+        of the middle row or column of an odd N is ``sqrt(2)`` times its even
+        entry, halved, and the centre takes that twice, then is doubled.
         """
         def block(e):
             rows = np.conjugate(e.eigenvectors * np.exp(-1j * theta * e.eigenvalues))
@@ -109,8 +108,20 @@ class TestScalingMatrix:
 
         if not isinstance(eig, ParityEigenDecomposition):
             return block(eig)
-        return ParityUnitary(block(eig.even).real, block(eig.odd).real, (0.0, 0.0),
-                             (None, None)).dense()
+        even, odd = block(eig.even).real, block(eig.odd).real
+        h = odd.shape[0]
+        n = even.shape[0] + h
+        out = np.empty((n, n), dtype=complex)
+        plus, minus = (even[:h, :h] + odd) / 2.0, (even[:h, :h] - odd) / 2.0
+        out[:h, :h], out[n - h:, n - h:] = plus, plus[::-1, ::-1]
+        out[:h, n - h:], out[n - h:, :h] = minus[:, ::-1], minus[::-1, :]
+        if n % 2:
+            root = math.sqrt(2.0)
+            col, row = even[:h, h] * root * 0.5, even[h, :h] * root * 0.5
+            out[:h, h], out[n - h:, h] = col, col[::-1]
+            out[h, :h], out[h, n - h:] = row, row[::-1]
+            out[h, h] = ((even[h, h] * root * 0.5) * root * 0.5) * 2.0
+        return out
 
     @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 129, 256, 257, 512])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
