@@ -6,17 +6,21 @@ Every factor M shares the generator's decomposition G = V diag(lam) V^H,
 V = Z Q, with Q real orthogonal (kept) and Z a square root of the
 inverse DFT (applied with one FFT).  So exp(-i theta G) x can be computed
 as Z (Q (p * (Q^T (Z^H x)))) with the phases p = exp(-i theta lam):
-O(N^2) per call instead of the O(N^3) assembly of V diag(p) V^H.  An
-assembled operator is cheaper to apply again, so scale_signal applies a
-factor's first K requests in factored form, K a quarter of the largest
-block, and assembles and caches it from request K + 1 on.
+O(N^2) per call instead of the O(N^3) assembly of Z (Q P Q^T) Z^H.  On
+the symmetric grids G = i B is purely imaginary, Q pairs its columns
+into planes that B rotates, and the factored form is Q (K (Q^T x)) on
+each parity block, K the rotation by theta in each plane: no transform.
+An assembled operator is cheaper to apply again, so scale_signal applies
+a factor's first K requests in factored form, K a quarter of the
+largest block, and assembles and caches it from request K + 1 on.
 This script shows, at N = 128, 512 and 1024 on each index scheme whose
 factored path is certified: how far apart the two paths' results are,
 the factored result's norm residual against its certificate, the wall
 time of one factored apply, one assembly and one assembled apply, and
-the request at which a new factor switches paths.  The two transforms
-cost a few tens of microseconds whatever the block size, so at N = 128
-the factored apply is several times slower than the assembled one.
+the request at which a new factor switches paths.  On the asymmetric
+grids the two transforms cost a few tens of microseconds whatever the
+block size, so at N = 128 the factored apply is several times slower
+than the assembled one.
 """
 
 import math

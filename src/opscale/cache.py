@@ -28,7 +28,8 @@ The caches keyed on the grid alone, ``dft._dft_matrix_cached``,
 ``(N, scheme)`` grids, not with M.  An operator set holds O(N) arrays
 plus the generator's real eigenvectors Q (8 N^2 bytes, 4 N^2 on a
 symmetric grid of even N).  The complex eigenvectors ``V = Z Q`` are
-built only for an assembly, and not kept.  The N x N F, kept with its
+built only for a caller that asks for them, and not kept: no assembly
+builds them.  The N x N F, kept with its
 unitarity residual, and the real part of D^2 are built only by the
 comparison methods and for callers that ask for them.  The dense
 reference operators (``diff_matrix``, ``pei_d_squared``) and an operator

@@ -29,10 +29,9 @@ priori bound on the transform Z (steps 6-8 below), so neither A nor a
 complex N x N product is needed for the checks.  The decomposition
 keeps ``(lam, Q, Z)``: Q as read-only float64, 8 k^2 bytes a block
 where V would take 16, and Z as the transform that applies it, which
-holds only O(N) phases.  V is built
-only on request, 64 columns at a time into one new array
-(:attr:`HermitianEigenDecomposition.eigenvectors`), for an assembly or a
-caller that asks for it, and not kept.
+holds only O(N) phases.  No assembly and no apply builds V: it is built
+only for a caller that asks for it, 48 columns at a time into one new
+array (:attr:`HermitianEigenDecomposition.eigenvectors`), and not kept.
 
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
 A[N-1-i, N-1-j]``) splits exactly into two blocks on the reversal-parity
@@ -48,31 +47,59 @@ grid: then ``A = i B`` with B real antisymmetric, and ``exp(-i*theta*A)
 :func:`parity_real_form_eig` decomposes into a
 :class:`ParityEigenDecomposition`, each through ``fold(Z unfold(x))``,
 the whole grid's Z restricted to its block (Z commutes with reversal).
-From such a decomposition :func:`unitary_from_eig` assembles
-``exp(-i*theta*A)`` one block at a time, keeps the real part of each
-(step 9 below), certifies or checks each block's unitarity, and returns
-the two real blocks as a :class:`ParityUnitary`.  Two half-size blocks
-cost about a quarter of the dense eigensolve and assembly, and the two
-real blocks a quarter of the dense complex matrix's memory.  A
+
+On a block, ``F^2 = J`` is the identity (even) or minus it (odd), so Z
+is ``a I + b X`` with X a real symmetric involution and ``conj(a) b =
+-i/2``: ``((1+i) I + (1-i) C)/2`` with ``C = F`` on the even block,
+``(I + i Y)/sqrt(2)`` with ``Y = i F`` on the odd one, ``X = -Y``.  X
+anticommutes with the real form (``G = F^H conj(G) F`` and ``conj(G) =
+-G``), so ``X q_j`` is an eigenvector of S for ``-lam_j``: ``X q_j = s_j
+q_{j'} + d_j``, ``j' = k-1-j`` in ascending order, ``d_j`` rounding.
+:func:`real_form_eig` reads ``X q_j`` from the slabs of ``Z Q`` it
+transforms for its column-norm check (``2 Re(Z q) - q``, ``-sqrt(2)
+Im(Z q)``), and keeps the signs ``t_j = s_j``, ``j < k // 2``, as the
+block's ``pair_signs``.  Writing ``Z^H q_j`` and ``G q_j = Z S Z^H q_j``
+out in a, b and X gives ``B q_j = -t_j mu_j q_{j'} + r_j``, ``B q_{j'} =
+t_j mu_j q_j + r_{j'}``, ``mu_j = (lam_j - lam_{j'})/2``: B rotates each
+plane ``(q_j, q_{j'})`` at the rate ``mu_j``, and the middle column of
+an odd k is its kernel.  (Golub & Van Loan, *Matrix Computations*, 4th
+ed., section 7.4: this is the real Schur form of B.)  So ``exp(theta B)
+= Q K Q^T``, K the rotation by ``theta mu_j`` in each plane, ``(c_j,
+c_{j'})`` to ``(cos c_j + t_j sin c_{j'}, cos c_{j'} - t_j sin c_j)``,
+and a paired block is assembled and applied from Q and K in real
+arithmetic, with no transform and no complex phase (step 5); step 8
+bounds the residuals ``r_j``.  :func:`unitary_from_eig` returns the two
+real blocks as a :class:`ParityUnitary`.  Two half-size blocks cost
+about a quarter of the dense eigensolve and assembly, and the two real
+blocks a quarter of the dense complex matrix's memory.  A
 :class:`ParityUnitary` is applied to a vector by folding it, one real
 product per block on the (k, 2) float view of its part
 (:func:`_real_dot`), and unfolding: a quarter of the bytes of the dense
 complex matrix, read once.
 
-A block is assembled straight into its final array, 64 rows at a time:
-row block r of ``M = V P V^H`` is ``conj(conj(V[r] p) V^T)``.  ``V^T``
-is a view, so no copy of ``V^H`` is made; besides V itself, built from
-Q for the assembly on a real form, the temporaries are two buffers of
-65 rows, for the rows of ``V[r] p`` and, on a real block, their complex
-product before its real part is kept (about a quarter of a complex
-block at k = 512, an eighth at k = 1024).  BLAS sums each entry
-in the same order however the rows are split, so the block is the one
-product ``conj(conj(V p) V^T)``, bit for bit; a last block of one row
-joins the one before, as BLAS would take it as a vector-matrix product,
-which rounds differently.  Where the dense check runs, it forms only the
-upper triangle of the Hermitian ``M^H M``, ``M[:, r]^H M[:, a:]`` for
-each row block r from its first row a, in the same two buffers: half the
-flops of the whole product, and no k x k gram.
+A block is assembled straight into its final array, a row block at a
+time, with no k x k temporary:
+
+* a paired block: row block r of ``(Q K) Q^T`` is ``(Q[r] K) Q^T``, the
+  rows ``Q[r] K`` rotated in two real buffers of a row block;
+* a complex solve (Z = I): row block r of ``M = V P V^H`` is
+  ``conj(conj(V[r] p) V^T)``, in one complex buffer;
+* a real form ``M = Z Q P Q^T Z^H``: row block r of ``M^T = conj(Z) Q P
+  Q^T Z`` (Z is symmetric), the factored product of the unit vectors
+  (step 9): the rows of ``conj(Z)`` from a transform of the rows of I,
+  then Q, the phases, ``Q^T`` and Z, each real product on the real and
+  imaginary parts of the row block, in two complex and two real buffers.
+
+``Q^T`` and ``V^T`` are views, so no transposed copy is made.  Row
+blocks are 96 rows from row 0, and a last block of fewer than 48 rows
+takes 48 from the one before (:func:`_row_blocks`), so that BLAS sums
+each entry in the same order as in the whole product: each block is its
+one product, bit for bit, and so is each transform, row by row.  Where
+the dense check runs, it forms only the upper triangle of the Hermitian
+``M^H M``, ``M[:, r]^H M[:, a:]`` for each block r of 48 rows from its
+first row a, in two complex buffers of its own, allocated once the
+assembly's are freed: half the flops of the whole product, and no k x k
+gram.
 
 :func:`apply_from_eig` applies ``exp(-i*theta*A)`` to one vector
 without assembling it, in factored form ``Z (Q (p * (Q^T (Z^H x))))``:
@@ -83,13 +110,12 @@ of the complex vector (:func:`_real_dot`; ``Q^T`` is a view), reading
 half the bytes of a complex V.  ``Z^H x = conj(Z conj(x))``, as Z is
 symmetric, so each side costs one transform of the whole N-vector, an
 FFT and a few pointwise products.  On a :class:`ParityEigenDecomposition`
-the transformed vector is folded, each block applied to its part, and
-the results unfolded, as in :meth:`ParityUnitary.__matmul__`: Z commutes
-with reversal, so one whole-length transform on each side of the fold
-does the work of one per block.  A complex solve keeps V itself, and is
-the case Z = I of the same code, with ``V^H x`` computed as ``conj(x^H
-V)``, so no copy of ``V^H`` is made.  The factored form runs only on a decomposition whose
-every block it certifies (``factored_certified``); it raises
+the vector is folded, each block applied to its part as ``Q (K (Q^T
+x))``, and the results unfolded, as in :meth:`ParityUnitary.__matmul__`:
+no transform at all.  A complex solve keeps V itself, and is the case Z
+= I, with ``V^H x`` computed as ``conj(x^H V)``, so no copy of ``V^H``
+is made.  The factored form runs only on a decomposition whose every
+block it certifies (``factored_certified``); it raises
 ``ArithmeticError`` elsewhere, where the assembled block and its dense
 check are the only path.
 
@@ -97,17 +123,19 @@ Each decomposition keeps the residuals its checks measured (or, for a
 real form, bounded), as plain floats: :class:`HermitianEigenDecomposition`
 the Hermiticity, gram and reconstruction residuals,
 :class:`ParityEigenDecomposition` the reversal residual.  From a bound
-on ``||V^H V - I||_2`` it also keeps ``unitarity_bound``, an
-upper bound on ``max|M^H M - I|`` for every block ``M`` that
-:func:`unitary_from_eig` can assemble from it, whatever theta.  Where
-that bound is below ``UNITARITY_TOL`` the block is certified unitary
-and the dense O(k^3) re-check ``M^H M`` is skipped; elsewhere the check
-runs.  Either way the block is assembled by the same code, bit for bit.
+on ``||Q^T Q - I||_2`` and the error of the transform the assembly runs,
+if any, it also keeps ``unitarity_bound``, an upper bound on ``max|M^H
+M - I|`` for every block ``M`` that :func:`unitary_from_eig` can assemble
+from it, whatever theta.  Where that bound is below ``UNITARITY_TOL``
+the block is certified unitary and the dense O(k^3) re-check ``M^H M``
+is skipped; elsewhere the check runs.  Either way the block is assembled
+by the same code, bit for bit.
 
 The bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., sections 3.5-3.6; ``u`` the unit roundoff, ``gamma_n = n u/(1 - n
-u)``).  Let V be the k x k eigenvector matrix, ``E = V^H V - I`` with
-``delta = max|E|``, and let ``d`` be the computed gram residual.
+u)``).  Let V be the k x k basis an assembly multiplies (the
+eigenvectors of a complex solve, Q of a paired block), ``E = V^H V - I``
+with ``delta = max|E|``, and let ``d`` be the computed gram residual.
 
 1. The gram product, a complex inner product of length k, errs by at
    most ``gamma_{k+2} |v_i|^T |v_j| <= gamma_{k+2} (1 + delta)`` per
@@ -116,9 +144,10 @@ u)``).  Let V be the k x k eigenvector matrix, ``E = V^H V - I`` with
    ``delta <= (d (1 + gamma_3) + gamma_{k+2}) / (1 - gamma_{k+2})``.
 2. ``||E||_2 <= ||E||_F <= k delta``, so ``||V||_2^2 <= 1 + k delta``,
    and ``||V V^H - I||_2 = ||V^H V - I||_2`` for square V.  For any
-   diagonal P of unit phases, ``M = V P V^H`` has ``M^H M - I = (V V^H - I) + V P^H E
-   P V^H``, hence ``||M^H M - I||_2 <= (1 + k delta)^2 - 1`` and
-   ``||M||_2 <= 1 + k delta``.
+   unitary P (diagonal unit phases, or a paired block's rotation K), ``M
+   = V P V^H`` has ``M^H M - I = (V V^H - I) + V P^H E P V^H``, hence
+   ``||M^H M - I||_2 <= (1 + k delta)^2 - 1`` and ``||M||_2 <= 1 + k
+   delta``.
 3. The computed phases ``p^ = exp(-i theta lam)`` are the unit phases
    ``p^/|p^|`` times a modulus off 1 by at most ``gamma_4`` (cos and sin
    within two ulps each); ``v * p^`` adds a complex product's
@@ -126,18 +155,24 @@ u)``).  Let V be the k x k eigenvector matrix, ``E = V^H V - I`` with
    gamma_2`` and the conventional product's ``gamma_{k+2} |W| |V^H|``
    (W the computed ``v * p^``), the computed block is ``M^ = M + F``
    with ``|F| <= g' |V| |V^H|``, ``g' = gamma_{k+2} + beta (1 +
-   gamma_{k+2})``.
+   gamma_{k+2})``.  A rotation K^ with computed cos and sin is, in each
+   plane, the exact rotation times such a modulus, and each rotated
+   entry, ``cos c_j + t sin c_{j'}``, adds ``gamma_2`` of ``|cos c_j| +
+   |sin c_{j'}|``, at most ``sqrt(2) gamma_2`` of the pair's norm.
 4. ``|V| |V^H|`` has columns of norm ``<= || |V| ||_2 ||row_j(V)|| <=
    sqrt(k) (1 + k delta)``, since ``|| |V| ||_2 <= ||V||_F <= sqrt(k)
    ||V||_2`` and a row's norm is at most ``||V||_2``.  Each entry of
    ``M^H F``, ``F^H M`` and ``F^H F`` is an inner product of two columns,
-   so ``max|M^^H M^ - I| <= (1 + k delta)^2 (1 + sqrt(k) g')^2 - 1``.
+   so ``max|M^^H M^ - I| <= (1 + k delta)^2 (1 + sqrt(k) g')^2 - 1``.  For
+   ``(Q K^) Q^T`` the columns of F are bounded the same way, with the
+   rotated rows' ``|| Q K^ ||_F <= sqrt(k) ||Q||_2 (1 + gamma_4)`` for
+   ``|| |V| ||_2`` and their ``gamma_2`` inside ``g'``.
 
-That last quantity is ``unitarity_bound``, evaluated once per
-decomposed block.  With gram residuals of a few 1e-15 it is about
-``2 k^2 u``: 1.7e-11 at k = 256 and 6.4e-11 at k = 512, which certify,
-and 2.5e-10 at k = 1024, where the dense check runs.  (Step 9 adds a
-term for a block that is kept real.)
+That last quantity is ``unitarity_bound`` of a paired block or a complex
+solve, evaluated once per decomposed block.  With gram residuals of a
+few 1e-15 it is about ``2 k^2 u``: 1.7e-11 at k = 256 and 6.4e-11 at k
+= 512, which certify, and 2.5e-10 at k = 1024, where the dense check
+runs.  A real form is assembled otherwise, with the bound of step 9.
 
 5. The factored product ``y^ = fl(Z fl(Q fl(p^ * fl(Q^T fl(Z^H
    x)))))`` of :func:`apply_from_eig`, for ``V = Z Q`` with Z the exact
@@ -159,12 +194,14 @@ term for a block that is kept real.)
    is unitary, so ``(Z Q)^H (Z Q) = Q^T Q`` and by step 2 ``||M x||^2 /
    ||x||^2`` lies between ``2 - (1 + k delta_Q)^2`` and ``(1 + k
    delta_Q)^2``; hence ``| ||y^||^2 / ||x||^2 - 1 | <= (1 + k delta_Q +
-   eps)^2 - 1`` (for a bound below 1).  On parity blocks both transforms
-   act on the whole N-vector, and between them the fold is sqrt(2) times
-   an orthogonal map, which the final halving undoes exactly: the two
-   blocks' errors add in quadrature, and the bound holds with the larger
-   block's terms.  The fold's and unfold's sums of two samples add a few
-   ``u``, as they do to an assembled :class:`ParityUnitary`.
+   eps)^2 - 1`` (for a bound below 1).  A paired block runs no
+   transform: ``y^ = fl(Q fl(K^ fl(Q^T x)))`` is the case ``eta = 0``,
+   with the rotation in place of the phases (its ``beta`` is step 3's).
+   On parity blocks the fold is sqrt(2) times an orthogonal map, which
+   the final halving undoes exactly: the two blocks' errors add in
+   quadrature, and the bound holds with the larger block's terms.  The
+   fold's and unfold's sums of two samples add a few ``u``, as they do
+   to an assembled :class:`ParityUnitary`.
 
 That last quantity is ``factored_bound``, the factored apply's
 counterpart of ``unitarity_bound``: to first order ``2 k delta_Q + 4
@@ -173,13 +210,15 @@ eta``: it is applied to one vector, not to the k columns of Q.  The
 same step taken through V (Q = V, its ``gram_bound`` of step 7 for ``k
 delta_Q`` and ``eta = 0``) has ``4 sqrt(k) eta`` there, and that bound
 certified the factored path while V was kept; ``factored_certified``
-requires both, so the blocks certified are exactly those certified
-before.  From a measured gram residual of a few 1e-15 the bound through
-V stops certifying at k of about 635 for a complex solve, a dozen sizes
-before ``unitarity_bound`` does; both certify every block up to k = 512
-and neither the dense k = 1024.  Neither bound is sounder than the gram
-residual it is given, so a hand-built decomposition must carry the
-measured ``max|V^H V - I|`` of its eigenvectors.
+requires both on a block that is not paired, so the blocks certified
+are exactly those certified before.  A paired block applies neither V
+nor Z, and its ``factored_bound`` alone decides.  From a measured gram
+residual of a few 1e-15 the bound through V stops certifying at k of
+about 635 for a complex solve, a dozen sizes before ``unitarity_bound``
+does; both certify every block up to k = 512 and neither the dense k =
+1024.  Neither bound is sounder than the gram residual it is given, so a
+hand-built decomposition must carry the measured ``max|V^H V - I|`` of
+its eigenvectors.
 
 Steps 2-4 use ``delta`` only through ``k delta``, a bound on ``||V^H V
 - I||_2``, and step 5 through ``k delta_Q``, a bound on ``||Q^T Q -
@@ -244,42 +283,56 @@ forming ``V^H V``:
    transforms of the rows and columns of A, so it is within ``(2 eta +
    eta^2) ||A||_F`` of S in the Frobenius norm, and ``||S - s||_2 <= (2
    eta + eta^2) ||A||_F + k rho``; ``||A||_F = ||S||_F <= m_A = (||s||_F +
-   k rho) / (1 - 2 eta - eta^2)``.  ``A V - V diag(lam) = Z (S Q - Q
-   diag(lam)) + A E - E diag(lam)``, and ``S Q - Q diag(lam) = (s Q - Q
-   diag(lam)) + (S - s) Q``; the product ``s Q`` errs by ``gamma_k |s|
-   |Q|``, whose columns have norm ``<= gamma_k ||s||_F ||q_j||``.  Every
-   entry of a column is at most its norm, so ``max|A V - V diag(lam)| <=
-   sqrt(k) r / (1 - u) + sqrt(1 + delta_Q) (gamma_{k+2} ||s||_F + (3 eta
-   + eta^2) m_A + k rho + (gamma_2 + eta) max|lam|)``
-   (``reconstruction_residual``), held to the same ``1e-9 * (1 +
-   max|A|)`` as a measured one.
-
-9. The real blocks of a purely imaginary A.  The computed block ``M^ =
-   R + i J`` of a :class:`ParityEigenDecomposition` is exp(theta B) up
-   to rounding, so J is rounding; the assembly keeps R, the exact real
-   part of M^, and measures ``max|J|``, which must be below 1e-10
-   (``IMAGINARY_TOL``).  ``M^^H M^ = R^T R + J^T J + i (R^T J - J^T R)``,
-   so ``R^T R - I = Re(M^^H M^ - I) - J^T J``, and ``max|J^T J| <= k
-   max|J|^2``.  Hence ``max|R^T R - I| <= unitarity_bound + k
-   max|J|^2``: R is certified where that sum is below 1e-10, and checked
-   densely, ``R^T R`` in real arithmetic, elsewhere.  Measured, ``max|J|``
-   stays below about 1e-13 on symmetric grids up to N = 1024 for M from
-   1/4 to 20, which adds less than 1e-23 to the bound.
+   k rho) / (1 - 2 eta - eta^2)``.  ``S Q - Q diag(lam) = (s Q - Q
+   diag(lam)) + (S - s) Q``, and the product ``s Q`` errs by ``gamma_k
+   |s| |Q|``, whose columns have norm ``<= gamma_k ||s||_F ||q_j||``;
+   every entry of a column is at most its norm, so each column of ``S Q -
+   Q diag(lam)`` has norm ``<= f = sqrt(k) r / (1 - u) + sqrt(1 +
+   delta_Q) (gamma_{k+2} ||s||_F + (2 eta + eta^2) m_A + k rho)``.  ``A V
+   - V diag(lam) = Z (S Q - Q diag(lam)) + A E - E diag(lam)``, so
+   ``max|A V - V diag(lam)| <= f + sqrt(1 + delta_Q) (eta m_A + (gamma_2
+   + eta) max|lam|)`` (``reconstruction_residual``), held to the same
+   ``1e-9 * (1 + max|A|)`` as a measured one.
+   A paired block is held to the same on its rotation form, ``max|A Q -
+   i Q Omega|`` (``B Q - Q Omega`` for ``A = i B``), Omega with ``Omega
+   q_j = -t_j mu_j q_{j'}``.  The measured pair error ``p^ = max_j ||X^
+   q_j - s_j q_{j'}||`` is taken on the computed V, whose columns are
+   within ``eta ||q_j||`` of ``Z q_j``, so the exact ``d_j`` has ``||d_j||
+   <= p = p^ (1 + gamma_{k+3}) + (2 eta + 4u) sqrt(1 + delta_Q)``.
+   Expanding ``A q_j = Z S Z^H q_j`` with ``S q_j = lam_j q_j + (S q_j -
+   lam_j q_j)`` and ``X q_j = s_j q_{j'} + d_j`` gives ``||A q_j + i t_j
+   mu_j q_{j'}|| <= |nu_j| + (|lam_j| + |lam_{j'}|) p / 2 + (2 f + m_A p)
+   / sqrt(2)``, ``nu_j = (lam_j + lam_{j'})/2``; the kernel column of an
+   odd k is the case ``j = j'``, where ``mu_j = 0``.  With ``u`` terms
+   for the rounding of ``mu_j``, ``max|nu| (1 + u) + max|lam| (p + u) +
+   (2 f + m_A p) / sqrt(2)`` is the paired block's
+   ``reconstruction_residual``.
+9. The assembly of a real form, without V.  Column j of ``M = Z Q P Q^T
+   Z^H`` is M applied to the unit vector ``e_j``, and the assembly
+   computes it as the factored product of step 5: the transforms of the
+   unit vectors, then Q, the phases, ``Q^T`` and Z (row by row, as the
+   rows of ``M^T = conj(Z) Q P Q^T Z``, which round the same).  So the
+   computed ``M^ = M + F`` with ``||F e_j|| <= eps``, and ``||M e_i|| <=
+   ||M||_2 <= 1 + k delta_Q`` by step 2: each entry of ``M^^H M^ - I`` is
+   within ``(1 + k delta_Q)^2 - 1 + 2 (1 + k delta_Q) eps + eps^2``.  The
+   assembly's ``unitarity_bound`` is ``factored_bound``.  (The order ``Z
+   (Q P Q^T) Z^H`` would cost half the flops, but Z spreads each column
+   of the products' error over the whole of ``F Z^H``: the bound then
+   grows as ``k gamma_k`` in place of ``sqrt(k) gamma_k`` and stops
+   certifying blocks of about k = 470.)
 
 With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
 N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q`` in
-``gram_bound``.  Against the bounds from a measured complex gram, that
-term dominates on small blocks, whose bounds stay far below 1e-10
-(1.2-3.9 times as large for k = 65-128, up to 18 times below), and adds
-1.3-26 % from k = 513 on.  Every block up to k = 512 stays certified,
-and k = 1024 stays uncertified; near the edge, the bound through V
-certifies every whole grid up to N = 590 (some to 625; 632 from a
-complex gram) and ``unitarity_bound`` every one up to 600 (some to 637;
-645).  ``factored_bound`` alone, with ``4 eta`` in place of ``4 sqrt(k)
-eta``, would certify every one up to N = 630 (some to 632).  The checks
-cost two real k x k products, ``Q^T Q`` (a symmetric rank-k update) and
-``s Q``, instead of two complex ones, and one transform of Q, 64 columns
-at a time, for the column norms of V.
+``gram_bound`` and ``4 eta`` to ``factored_bound``.  Every block up to k
+= 512 is certified, and k = 1024 is not; near the edge, the bound
+through V certifies the factored path on every whole grid up to N = 590
+(some to 625; 632 from a complex gram), and ``factored_bound`` the
+assembly on every one up to 630 (some to 632).  A paired block's bounds carry no eta: the
+symmetric grids are certified for the factored path up to N = 1258, and
+their assemblies up to N = 1287.  The checks cost two real k x k
+products, ``Q^T Q`` (a symmetric rank-k update) and ``s Q``, instead of
+two complex ones, and one transform of Q, 48 columns at a time, for the
+column norms of V and the pair errors.
 
 Every function except :func:`identity_residual`, which overwrites the
 product it is given, and :func:`real_form_eig`, which fills and marks
@@ -330,11 +383,9 @@ REALNESS_RTOL = 1e-10
 #: Max-abs tolerance for the unitarity ``M^H M - I`` of an assembled block.
 UNITARITY_TOL = 1e-10
 
-#: Max-abs tolerance for the imaginary part dropped from a block that must be real.
-IMAGINARY_TOL = 1e-10
-
-#: Rows per product when a block is assembled or checked.
-_ROW_BLOCK = 64
+#: Rows per product when a block is assembled (:func:`_row_blocks`); half
+#: of it per product of the dense check and columns per transform.
+_ROW_BLOCK = 96
 
 #: Unit roundoff ``u`` of float64.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -351,18 +402,18 @@ def _entry_bound(gram_residual: float, k: int) -> float:
     return (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
 
 
-def _bounds(gram_bound: float, basis_gram_bound: float, eta: float, k: int) -> tuple[float, float]:
-    """``unitarity_bound`` and ``factored_bound`` of a block of k eigenvectors.
+def _bounds(basis_gram_bound: float, eta: float, k: int) -> tuple[float, float]:
+    """The bounds of steps 4 and 5 for a block of k eigenvectors.
 
-    ``gram_bound`` bounds ``||V^H V - I||_2``, ``basis_gram_bound``
-    ``||Q^T Q - I||_2`` and ``eta`` the relative error of the transform
-    Z, ``V = Z Q``; the derivation is in the module docstring (steps 2-4,
-    then 5).
+    ``basis_gram_bound`` bounds ``||Q^T Q - I||_2`` (``||V^H V - I||_2``
+    where Q = V) and ``eta`` the relative error of the transform Z that
+    the factored product runs, 0 where it runs none; the derivation is
+    in the module docstring.
     """
     g = _gamma(k + 2)
     beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
     g_prime = g + beta * (1 + g)
-    unitarity = ((1 + gram_bound) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
+    unitarity = ((1 + basis_gram_bound) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
     nu = math.sqrt(1 + basis_gram_bound)
     a = math.sqrt(k) * nu * g
     eps = nu * nu * eta + (1 + eta) * (
@@ -487,23 +538,32 @@ class HermitianEigenDecomposition:
     basis_gram_bound : float
         A bound on ``||Q^T Q - I||_2``: ``k delta_Q`` of step 7 for a real
         form, ``gram_bound`` when not given (or None).
+    pair_signs : numpy.ndarray or None
+        For a block of a purely imaginary ``A = i B``, the signs ``t_j``
+        that pair column j of Q with column ``k-1-j``, ``j < k // 2``:
+        ``B q_j = -t_j mu_j q_{k-1-j}`` with ``mu_j = (lam_j -
+        lam_{k-1-j})/2`` (step 5), so that ``exp(-i*theta*A) = Q K Q^T``
+        with K a rotation of each pair.  Such a block is assembled and
+        applied from Q and K alone, without Z.  None for any other block.
     unitarity_bound : float
-        Derived from ``gram_bound``: an upper bound on ``max|M^H M - I|``
-        of every complex block :func:`unitary_from_eig` assembles from
-        this decomposition (see the module docstring); a block kept real
-        adds ``k max|Im M|^2`` to it (step 9).
+        Derived from ``basis_gram_bound``: an upper bound on ``max|M^H M
+        - I|`` of every block :func:`unitary_from_eig` assembles from this
+        decomposition (steps 2-4 of the module docstring).  A real basis
+        that is not paired is assembled as the factored product of each
+        column, and its bound is ``factored_bound`` (step 9).
     factored_bound : float
-        Derived from ``basis_gram_bound`` and ``transform_error``: an
-        upper bound on ``| ||y||^2 / ||x||^2 - 1 |`` of every ``y`` that
-        :func:`apply_from_eig` computes from an ``x`` with this
-        decomposition (step 5).
+        Derived from ``basis_gram_bound`` and, where the apply runs the
+        transform, ``transform_error``: an upper bound on ``| ||y||^2 /
+        ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
+        computes from an ``x`` with this decomposition (step 5).
     block_size : int
         The number k of eigenvectors.
     factored_certified : bool
         Whether ``factored_bound`` is below ``UNITARITY_TOL``, so that
-        :func:`apply_from_eig` may run, and so is the bound that step 5
-        gives through V (from ``gram_bound``, Z = I): a real form is
-        certified on exactly the blocks where applying V was.
+        :func:`apply_from_eig` may run.  A block that is not paired must
+        also have the bound that step 5 gives through V (from
+        ``gram_bound``, Z = I) below it: a real form is certified on
+        exactly the blocks where applying V was.
     """
 
     eigenvalues: np.ndarray
@@ -516,6 +576,7 @@ class HermitianEigenDecomposition:
     transform: Callable | None = None
     transform_error: float = 0.0
     basis_gram_bound: float | None = None
+    pair_signs: np.ndarray | None = None
     unitarity_bound: float = field(init=False)
     factored_bound: float = field(init=False)
     block_size: int = field(init=False)
@@ -524,18 +585,26 @@ class HermitianEigenDecomposition:
     def __post_init__(self):
         k = self.basis.shape[0]
         if self.gram_bound is None:
-            object.__setattr__(self, "gram_bound", k * _entry_bound(self.gram_residual, k))
+            object.__setattr__(self, "gram_bound", float(k * _entry_bound(self.gram_residual, k)))
         if self.basis_gram_bound is None:
             object.__setattr__(self, "basis_gram_bound", self.gram_bound)
-        unitarity, factored = _bounds(self.gram_bound, self.basis_gram_bound,
-                                      self.transform_error, k)
-        # Step 5 taken through V (Z = I): the certificate the factored path
-        # had when it applied V, which still decides where it runs.
-        through_v = _bounds(self.gram_bound, self.gram_bound, 0.0, k)[1]
-        object.__setattr__(self, "unitarity_bound", unitarity)
-        object.__setattr__(self, "factored_bound", factored)
+        paired = self.pair_signs is not None
+        # A paired block runs no transform after its decomposition.
+        eta = 0.0 if paired else float(self.transform_error)
+        products, factored = _bounds(self.basis_gram_bound, eta, k)
+        # A real basis that is not paired is assembled as the factored
+        # product of each column of I (step 9).
+        unitarity = factored if not paired and self.basis.dtype.kind != "c" else products
+        certified = factored < UNITARITY_TOL
+        if not paired:
+            # Step 5 taken through V (Z = I): the certificate the factored
+            # path had when it applied V, which still decides where it runs.
+            certified = certified and _bounds(self.gram_bound, 0.0, k)[1] < UNITARITY_TOL
+        object.__setattr__(self, "transform_error", float(self.transform_error))
+        object.__setattr__(self, "unitarity_bound", float(unitarity))
+        object.__setattr__(self, "factored_bound", float(factored))
         object.__setattr__(self, "block_size", k)
-        object.__setattr__(self, "factored_certified", max(factored, through_v) < UNITARITY_TOL)
+        object.__setattr__(self, "factored_certified", bool(certified))
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -559,7 +628,8 @@ class HermitianEigenDecomposition:
 class ParityEigenDecomposition:
     """Validated block decomposition of a reversal-symmetric, purely imaginary Hermitian matrix.
 
-    Every block that :func:`unitary_from_eig` assembles from it is real.
+    Every block that :func:`unitary_from_eig` assembles from it is real:
+    both blocks must be paired (``pair_signs``), or ``ValueError`` is raised.
 
     Attributes
     ----------
@@ -571,12 +641,6 @@ class ParityEigenDecomposition:
         for N = 1).
     reversal_residual : float
         ``max|A - J A J|`` of the decomposed matrix.
-    transform : callable or None
-        Z on the whole N-vector, with the protocol and error of the
-        blocks' transforms, which are derived from it as ``fold(Z
-        unfold(x))`` (Z commutes with reversal); None where the blocks
-        keep their V.  :func:`apply_from_eig` applies it on each side of
-        the fold.
     block_size : int
         The size k of the larger block, the even one.
     factored_certified : bool
@@ -586,11 +650,12 @@ class ParityEigenDecomposition:
     even: HermitianEigenDecomposition
     odd: HermitianEigenDecomposition
     reversal_residual: float
-    transform: Callable | None = None
     block_size: int = field(init=False)
     factored_certified: bool = field(init=False)
 
     def __post_init__(self):
+        if self.even.pair_signs is None or self.odd.pair_signs is None:
+            raise ValueError("both blocks of a parity decomposition must be paired")
         certified = self.even.factored_certified and self.odd.factored_certified
         object.__setattr__(self, "block_size", self.even.block_size)
         object.__setattr__(self, "factored_certified", certified)
@@ -657,7 +722,7 @@ def _check_symmetric(transform, k: int, error: float) -> None:
 
 
 def real_form_eig(
-    form, transform, transform_error: float, kept=None,
+    form, transform, transform_error: float, kept=None, involution=None,
 ) -> HermitianEigenDecomposition:
     """Decompose the Hermitian ``A = form()`` through its real form, and certify it.
 
@@ -674,6 +739,15 @@ def real_form_eig(
     columns at a time and not kept, in real arithmetic (module docstring,
     steps 6-8).
 
+    ``involution(q, zq)``, given for a block of a purely imaginary A
+    whose Z is ``a I + b X`` with X a real symmetric involution and ``conj(a)
+    b = -i/2``, returns ``X q`` from the real columns q and their
+    transforms ``Z q``.  Each column j of Q is then paired with column
+    ``k-1-j`` by the sign of ``q_{k-1-j}^T X q_j``, the pair error ``X q_j
+    - s_j q_{k-1-j}`` is measured on the same slabs of V, and the block is
+    kept with ``pair_signs``; its reconstruction bound is then on the
+    rotation form of step 5.
+
     The eigenvalues and Q are written into ``kept = (eigenvalues, q)``,
     allocated here once A is dropped when not given, and marked
     read-only.  Either way they are allocated before the temporaries of
@@ -683,9 +757,10 @@ def real_form_eig(
     Raises ``ValueError`` if A is not square, finite and Hermitian within
     ``1e-10 * (1 + max|A|)``, and ``ArithmeticError`` if S is not real
     within that, Z fails the probe, the bound on ``max|V^H V - I|`` is not
-    below 1e-10, the bound on ``max|A V - V diag(lam)|`` not below ``1e-9 *
-    (1 + max|A|)``, or the column norms of V miss those of Q by more than
-    the transform's error.
+    below 1e-10, the column norms of V miss those of Q by more than the
+    transform's error, or the bound on ``max|A V - V diag(lam)|`` (of a
+    paired block, ``max|B Q - Q Omega|``) is not below ``1e-9 * (1 +
+    max|A|)``.
     """
     a = form()
     scale, herm_resid = _hermiticity_residual(a)
@@ -723,22 +798,20 @@ def real_form_eig(
     s_resid = float(abs(recon).max(initial=0.0))
     del recon
     s_norm = float(np.linalg.norm(s)) * (1 + _gamma(k * k + 2))
-    a_norm = (s_norm + k * realness_resid) / (1 - 2 * eta - eta * eta)
-    recon_resid = math.sqrt(k) * s_resid / (1 - _UNIT_ROUNDOFF) + math.sqrt(1 + delta_q) * (
-        _gamma(k + 2) * s_norm + (3 * eta + eta * eta) * a_norm + k * realness_resid
-        + (_gamma(2) + eta) * float(abs(lam).max(initial=0.0))
-    )
-    if not recon_resid < RESIDUAL_RTOL * scale:
-        raise ArithmeticError(
-            f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
-        )
     eigenvalues[...] = lam
     s[...] = q
     del q
     v_norms = np.empty(k)
+    signs, pair_sq = (None, None) if involution is None else (np.empty(k), np.empty(k))
     for cols, slab in _transformed_columns(s, transform):
         parts = slab.view(float).reshape(k, -1, 2)
         v_norms[cols] = np.einsum("ijc,ijc->j", parts, parts)
+        if involution is not None:
+            pair = involution(s[:, cols], slab)
+            partner = s[:, ::-1][:, cols]  # column k-1-j beside column j
+            signs[cols] = np.where(np.einsum("ij,ij->j", pair, partner) < 0, -1.0, 1.0)
+            pair -= partner * signs[cols]
+            pair_sq[cols] = np.einsum("ij,ij->j", pair, pair)
     drift = float(abs(v_norms - q_norms).max(initial=0.0))
     norm_tol = (1 + eta) ** 2 * (1 + _gamma(2 * k)) / (1 - _gamma(k)) - 1
     if not drift <= norm_tol * float(q_norms.max(initial=0.0)):
@@ -746,13 +819,35 @@ def real_form_eig(
             f"transform is not unitary: the squared column norms of Z Q and Q differ "
             f"by {drift:.3e}"
         )
+    # Step 8: the columns of S Q - Q diag(lam), S the exact form, and A's norm.
+    a_norm = (s_norm + k * realness_resid) / (1 - 2 * eta - eta * eta)
+    lam_max = float(abs(lam).max(initial=0.0))
+    root_q = math.sqrt(1 + delta_q)
+    form_resid = math.sqrt(k) * s_resid / (1 - _UNIT_ROUNDOFF) + root_q * (
+        _gamma(k + 2) * s_norm + (2 * eta + eta * eta) * a_norm + k * realness_resid
+    )
+    if involution is None:
+        recon_resid = form_resid + root_q * (eta * a_norm + (_gamma(2) + eta) * lam_max)
+    else:
+        # Step 8 on the rotation form: the exact X's pair error, from the measured one.
+        pair_err = (math.sqrt(float(pair_sq.max(initial=0.0))) * (1 + _gamma(k + 3))
+                    + (2 * eta + 4 * _UNIT_ROUNDOFF) * root_q)
+        mismatch = float(abs(lam + lam[::-1]).max(initial=0.0)) / 2
+        recon_resid = (mismatch * (1 + _UNIT_ROUNDOFF) + lam_max * (pair_err + _UNIT_ROUNDOFF)
+                       + (2 * form_resid + a_norm * pair_err) / _SQRT2)
+        signs = signs[:k // 2].copy()
+        signs.setflags(write=False)
+    if not recon_resid < RESIDUAL_RTOL * scale:
+        raise ArithmeticError(
+            f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
+        )
     e = eta * math.sqrt(k * (1 + delta_q))
     gram_bound = k * delta_q + 2 * math.sqrt(1 + k * delta_q) * e + e * e
     eigenvalues.setflags(write=False)
     s.setflags(write=False)
     return HermitianEigenDecomposition(
         eigenvalues, s, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound,
-        transform, eta, k * delta_q,
+        transform, eta, k * delta_q, signs,
     )
 
 
@@ -912,15 +1007,29 @@ def _parity_transform(transform, n: int, odd: bool):
     return block
 
 
+def _even_involution(q: np.ndarray, zq: np.ndarray) -> np.ndarray:
+    """``C q = 2 Re(Z q) - q``: Z is ``((1+i) I + (1-i) C)/2`` on the even block."""
+    return 2 * zq.real - q
+
+
+def _odd_involution(q: np.ndarray, zq: np.ndarray) -> np.ndarray:
+    """``-Y q = -sqrt(2) Im(Z q)``: Z is ``(I + i Y)/sqrt(2)`` on the odd block."""
+    return -_SQRT2 * zq.imag
+
+
 def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigenDecomposition:
     """:func:`real_form_eig` of each parity block of a reversal-symmetric ``A = form()``.
 
     A is checked and folded (:func:`_reversal_fold`) and dropped, and each
     block is handed to :func:`real_form_eig` with its transform derived
     from the whole grid's Z (:func:`_parity_transform`), which must
-    commute with reversal and be within ``transform_error`` there too.
-    The arrays both blocks keep are allocated before either solve.
-    Raises as :func:`_reversal_fold` and :func:`real_form_eig` do.
+    commute with reversal and be within ``transform_error`` there too,
+    and with its involution: Z is ``(F^H)^(1/2)`` with ``F^2 = J``, so on
+    the even block, where ``F = C`` is a real symmetric involution, it
+    is ``((1+i) I + (1-i) C)/2``, and on the odd one, where ``F = -i Y``,
+    ``(I + i Y)/sqrt(2)`` (module docstring).  The arrays both
+    blocks keep are allocated before either solve.  Raises as
+    :func:`_reversal_fold` and :func:`real_form_eig` do.
     """
     blocks = list(_reversal_fold(form()))
     reversal_resid = blocks.pop()
@@ -928,54 +1037,73 @@ def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigen
     kept = [(np.empty(len(b)), np.empty((len(b),) * 2)) for b in blocks]
     take = partial(blocks.pop, 0)
     return ParityEigenDecomposition(
-        real_form_eig(take, _parity_transform(transform, n, odd=False), transform_error, kept[0]),
-        real_form_eig(take, _parity_transform(transform, n, odd=True), transform_error, kept[1]),
+        real_form_eig(take, _parity_transform(transform, n, odd=False), transform_error, kept[0],
+                      _even_involution),
+        real_form_eig(take, _parity_transform(transform, n, odd=True), transform_error, kept[1],
+                      _odd_involution),
         reversal_resid,
-        transform,
     )
 
 
 def _row_blocks(k: int) -> list[slice]:
-    """The row blocks of a k x k product; a last block of one row joins the one before.
+    """The row blocks of a k x k product, each one product that rounds as the whole does.
 
-    BLAS would take a one-row block as a vector-matrix product, which
-    rounds differently.
+    Blocks of 96 rows from row 0; a last block of fewer than 48 rows takes
+    48 from the one before, and a product of fewer than 144 rows is one
+    block.  Each block then starts where BLAS's kernels start a group of
+    rows in the whole product (96 is a multiple of their row unrolls, 4
+    to 24), and none is so small that BLAS takes it through its kernels
+    for small products, which round differently.  Measured with the
+    OpenBLAS numpy ships, for a right operand given as is or transposed,
+    real or complex, at every k up to 1100.
     """
-    return [slice(j, j + _ROW_BLOCK if j + _ROW_BLOCK < k - 1 else k)
-            for j in range(0, max(k - 1, 1), _ROW_BLOCK)]
+    if k < 3 * _ROW_BLOCK // 2:
+        return [slice(0, k)]
+    starts = list(range(0, k, _ROW_BLOCK))
+    if k - starts[-1] < _ROW_BLOCK // 2:
+        starts[-1] -= _ROW_BLOCK // 2
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [k])]
+
+
+def _block_entries(k: int) -> int:
+    """The entries of the largest row block of a k x k product."""
+    return max(r.stop - r.start for r in _row_blocks(k)) * k
 
 
 def _transformed_columns(q: np.ndarray, transform):
-    """Yield ``(cols, Z q[:, cols])``, 64 columns at a time, for a k x k q.
+    """Yield ``(cols, Z q[:, cols])``, 48 columns at a time, for a k x k q.
 
-    Each slab is transformed in two buffers of 64 columns owned by this
+    Each slab is transformed in two buffers of 48 columns owned by this
     call, so no k x k complex copy of q is made, and the slab yielded is
     overwritten by the next one.  Every column goes through the same
     pointwise products and FFT as in a transform of the whole q, so the
     columns are bit-identical to it.
     """
     k = q.shape[0]
-    work = np.empty((2, k * min(_ROW_BLOCK, k)), dtype=complex)
-    for start in range(0, k, _ROW_BLOCK):
-        cols = slice(start, min(start + _ROW_BLOCK, k))
+    step = _ROW_BLOCK // 2
+    work = np.empty((2, k * min(step, k)), dtype=complex)
+    for start in range(0, k, step):
+        cols = slice(start, min(start + step, k))
         shape = (k, cols.stop - start)
         x = work[0, :shape[0] * shape[1]].reshape(shape)
         x[...] = q[:, cols]
         yield cols, transform(x, work[1, :x.size].reshape(shape), axis=0)
 
 
-def _unitarity_residual(m: np.ndarray, work: np.ndarray) -> float:
+def _unitarity_residual(m: np.ndarray) -> float:
     """``max|M^H M - I|`` of a square block, from the upper triangle of ``M^H M``.
 
-    ``M^H M`` is Hermitian, so row block r is formed only from its
-    diagonal on, ``M[:, r]^H M[:, a:]`` with a the first row of r, in
-    ``work``, two complex buffers of ``(_ROW_BLOCK + 1) k`` entries.
+    ``M^H M`` is Hermitian, so a block of 48 rows is formed only from its
+    diagonal on, ``M[:, r]^H M[:, a:]`` with a the first row of r, in two
+    complex buffers of 48 rows allocated here.
     """
     k = m.shape[0]
+    step = _ROW_BLOCK // 2
+    work = np.empty((2, min(step, k) * k), dtype=complex)
     resid = 0.0
-    for rows in _row_blocks(k):
-        a, n = rows.start, rows.stop - rows.start
-        left = m[:, rows].T
+    for a in range(0, k, step):
+        n = min(step, k - a)
+        left = m[:, a:a + n].T
         if m.dtype.kind == "c":
             left = np.conjugate(left, out=work[0, :n * k].reshape(n, k))
         gram = np.matmul(left, m[:, a:], out=work[1].view(m.dtype)[:n * (k - a)].reshape(n, k - a))
@@ -985,52 +1113,134 @@ def _unitarity_residual(m: np.ndarray, work: np.ndarray) -> float:
     return resid
 
 
-def _unitary_block(
-    eig: HermitianEigenDecomposition, theta: float, real: bool
-) -> tuple[np.ndarray, float, float | None]:
-    """``M = V diag(p) V^H``, ``p = exp(-i theta lam)``, certified or checked.
+def _rotation(eig: HermitianEigenDecomposition, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(cos, tsin)`` of a paired block's rotation K at the angles ``theta mu_j`` (step 5).
 
-    Returns the read-only block, the largest imaginary entry dropped from
-    it (0.0 unless ``real``) and its measured ``max|M^H M - I|``, None
-    where the block is certified (module docstring, step 9).
+    Laid out over all k entries: ``(cos_j, t_j sin_j)`` at j, ``(cos_j,
+    -t_j sin_j)`` at ``k-1-j``, and ``(1, 0)`` at the kernel entry of an
+    odd k, so that ``K c = cos * c + tsin * reversed(c)``.
     """
-    # The result is allocated before the temporaries, V of a real form
-    # among them, so that an assembly that is kept does not sit between
-    # freed temporaries in the heap.
+    lam, t = eig.eigenvalues, eig.pair_signs
+    h = len(t)
+    angles = (lam[:h] - lam[::-1][:h]) * (0.5 * theta)
+    cos, tsin = np.cos(angles), t * np.sin(angles)
+    kernel = len(lam) - 2 * h
+    return (np.concatenate([cos, np.ones(kernel), cos[::-1]]),
+            np.concatenate([tsin, np.zeros(kernel), -tsin[::-1]]))
+
+
+def _rotated(c: np.ndarray, cos: np.ndarray, tsin: np.ndarray,
+             out=None, scratch=None) -> np.ndarray:
+    """``K c = cos * c + tsin * reversed(c)`` along the last axis (:func:`_rotation`).
+
+    ``(c_j, c_{k-1-j})`` goes to ``(cos_j c_j + t_j sin_j c_{k-1-j}, cos_j
+    c_{k-1-j} - t_j sin_j c_j)``, and the kernel entry stays; ``out`` and
+    ``scratch``, when given, hold the result and the second product.
+    """
+    out = np.multiply(c, cos, out=out)
+    out += np.multiply(c[..., ::-1], tsin, out=scratch)
+    return out
+
+
+def _paired_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
+    """``out = (Q K) Q^T`` of a paired block, a row block at a time, in two real buffers."""
     k = eig.block_size
-    out = np.empty((k, k), dtype=float if real else complex)
-    v = eig.eigenvectors
-    work = np.empty((2, (_ROW_BLOCK + 1) * k), dtype=complex)
-    phases = np.exp(-1j * theta * eig.eigenvalues)
-    dropped = 0.0
+    q = eig.basis
+    cos, tsin = _rotation(eig, theta)
+    rows_of_qk = np.empty((2, _block_entries(k)))
     for rows in _row_blocks(k):
         shape = (rows.stop - rows.start, k)
-        # Row block r is conj(conj(V[r] p) V^T): V^T is a view, so no copy
-        # of V^H is made.
-        w = np.multiply(v[rows], phases, out=work[0, :shape[0] * k].reshape(shape))
+        # The rows of Q K: K^T rotates each row, t sin turned to -t sin.
+        buffers = (b[:shape[0] * k].reshape(shape) for b in rows_of_qk)
+        left = _rotated(q[rows], cos, -tsin, *buffers)
+        np.matmul(left, q.T, out=out[rows])
+
+
+def _complex_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
+    """``out = V P V^H`` of a complex basis V, a row block at a time, in one buffer of a row block.
+
+    Row block r is ``conj(conj(V[r] p) V^T)``: ``V^T`` is a view, so no
+    copy of ``V^H`` is made.
+    """
+    k = eig.block_size
+    v = eig.basis
+    phases = np.exp(-1j * theta * eig.eigenvalues)
+    rows_of_vp = np.empty(_block_entries(k), dtype=complex)
+    for rows in _row_blocks(k):
+        shape = (rows.stop - rows.start, k)
+        w = np.multiply(v[rows], phases, out=rows_of_vp[:shape[0] * k].reshape(shape))
         np.conjugate(w, out=w)
-        if real:
-            conj_rows = np.matmul(w, v.T, out=work[1, :w.size].reshape(shape))
-            out[rows] = conj_rows.real
-            imag = np.abs(conj_rows.imag, out=conj_rows.imag)
-            dropped = max(dropped, float(imag.max(initial=0.0)))
-        else:
-            np.matmul(w, v.T, out=out[rows])
-            np.conjugate(out[rows], out=out[rows])
-    if not dropped < IMAGINARY_TOL:
-        raise ArithmeticError(
-            f"block of a purely imaginary generator is not real: max|Im M| = {dropped:.3e}"
-        )
+        np.matmul(w, v.T, out=out[rows])
+        np.conjugate(out[rows], out=out[rows])
+
+
+def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
+    """``out = Z Q P Q^T Z^H`` of a real basis Q, a column block at a time, without V.
+
+    Columns j of M are rows of ``M^T = conj(Z) Q P Q^T Z`` (Z is
+    symmetric), each the factored product of step 5 applied to the unit
+    vector: the rows of ``conj(Z)``, from a transform of the rows of I,
+    times Q, the phases, ``Q^T`` and Z.  Each real product takes the real
+    and imaginary parts of a row block as two left operands of Q, in two
+    real buffers of a row block beside two complex ones; no transform runs
+    where Z = I.
+    """
+    k = eig.block_size
+    q, transform = eig.basis, eig.transform
+    phases = np.exp(-1j * theta * eig.eigenvalues)
+    work = np.empty((2, _block_entries(k)), dtype=complex)
+    parts = np.empty((2, _block_entries(k)))
+    for rows in _row_blocks(k):
+        n = rows.stop - rows.start
+        x, y = (b[:n * k].reshape(n, k) for b in work)
+        products = work[1, :n * k].view(float).reshape(2, n, k)  # y's bytes, as two real blocks
+        x[...] = 0
+        x[np.arange(n), np.arange(rows.start, rows.stop)] = 1
+        if transform is not None:
+            np.conjugate(transform(x, y, axis=1), out=x)  # rows of conj(Z)
+        for right in (q, q.T):
+            np.copyto(parts[0, :n * k].reshape(n, k), x.real)
+            np.copyto(parts[1, :n * k].reshape(n, k), x.imag)
+            for part, product in zip(parts, products):
+                np.matmul(part[:n * k].reshape(n, k), right, out=product)
+            x.real, x.imag = products
+            if right is q:
+                x *= phases
+        out[:, rows] = (x if transform is None else transform(x, y, axis=1)).T
+
+
+def _unitary_block(
+    eig: HermitianEigenDecomposition, theta: float
+) -> tuple[np.ndarray, float | None]:
+    """``M = exp(-i theta A)`` of one decomposed block, certified or checked.
+
+    A paired block is real, ``(Q K) Q^T``; a complex basis (Z = I) gives
+    ``V P V^H``; a real form ``Z (Q P Q^T) Z^H`` (module docstring).
+    Returns the read-only block and its measured ``max|M^H M - I|``, None
+    where the block is certified.
+    """
+    # The result is allocated before the temporaries, so that an assembly
+    # that is kept does not sit between freed temporaries in the heap.
+    k = eig.block_size
+    q = eig.basis
+    paired = eig.pair_signs is not None
+    out = np.empty((k, k), dtype=float if paired else complex)
+    if paired:
+        _paired_block(eig, theta, out)
+    elif q.dtype.kind == "c":
+        _complex_block(eig, theta, out)
+    else:
+        _real_form_block(eig, theta, out)
     resid = None
     # A certified block needs no dense re-check (module docstring).
-    if eig.unitarity_bound + k * dropped * dropped >= UNITARITY_TOL:
-        resid = _unitarity_residual(out, work)
+    if eig.unitarity_bound >= UNITARITY_TOL:
+        resid = _unitarity_residual(out)
         if resid >= UNITARITY_TOL:
             raise ArithmeticError(
                 f"matrix function lost unitarity: max|M^H M - I| = {resid:.3e}"
             )
     out.setflags(write=False)
-    return out, dropped, resid
+    return out, resid
 
 
 #: A complex128 vector viewed as the (n, 2) float matrix of its real and imaginary parts.
@@ -1055,8 +1265,8 @@ class ParityUnitary:
 
     :func:`unitary_from_eig` assembles it from a
     :class:`ParityEigenDecomposition`, whose generator is purely
-    imaginary, so ``exp(-i*theta*A)`` is real: each block is kept as the
-    real part of its assembly, and what was dropped is kept beside it.
+    imaginary, so ``exp(-i*theta*A)`` is real: each block is assembled
+    in real arithmetic from its paired Q.
 
     Attributes
     ----------
@@ -1066,9 +1276,6 @@ class ParityUnitary:
     odd : numpy.ndarray
         Read-only float64 ``floor(N/2)`` square block on the reversal-odd
         basis.
-    dropped_imaginary : tuple of float
-        ``(even, odd)``: the largest imaginary entry dropped from each
-        assembled block, below 1e-10.
     unitarity_residual : tuple of (float or None)
         ``(even, odd)``: ``max|R^T R - I|`` of each block where the dense
         check ran, None where the block was certified.
@@ -1076,7 +1283,6 @@ class ParityUnitary:
 
     even: np.ndarray
     odd: np.ndarray
-    dropped_imaginary: tuple[float, float]
     unitarity_residual: tuple[float | None, float | None]
 
     @property
@@ -1119,38 +1325,20 @@ def unitary_from_eig(
 ) -> np.ndarray | ParityUnitary:
     """Assemble ``exp(-i*theta*G)`` from a precomputed decomposition of G.
 
-    A :class:`HermitianEigenDecomposition` gives a read-only complex N x N
-    array.  A :class:`ParityEigenDecomposition` is assembled block by
-    block and gives a :class:`ParityUnitary` of the two read-only real
-    blocks; ``ArithmeticError`` is raised if the imaginary part a block
-    drops is not below 1e-10.  Every assembled block is unitary to 1e-10:
-    certified by its decomposition's ``unitarity_bound`` (plus ``k
-    max|Im|^2`` on a real block), or else checked with a dense product,
-    which raises ``ArithmeticError`` if it fails.
+    A :class:`HermitianEigenDecomposition` gives a read-only k x k array,
+    real for a paired block and complex otherwise.  A
+    :class:`ParityEigenDecomposition` is assembled block by block and
+    gives a :class:`ParityUnitary` of the two read-only real blocks.
+    Every assembled block is unitary to 1e-10: certified by its
+    decomposition's ``unitarity_bound``, or else checked with a dense
+    product, which raises ``ArithmeticError`` if it fails.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     if isinstance(eig, ParityEigenDecomposition):
-        (even, odd), dropped, resid = zip(
-            *(_unitary_block(block, theta, real=True) for block in (eig.even, eig.odd))
-        )
-        return ParityUnitary(even, odd, dropped, resid)
-    return _unitary_block(eig, theta, real=False)[0]
-
-
-def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarray) -> np.ndarray:
-    """``Q (p * (Q^H x))`` with the block's kept basis Q, whatever its transform."""
-    q = eig.basis
-    phases = np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
-    if q.dtype.kind == "c":
-        # Q^H x as conj(x^H Q): no copy of Q^H is made.
-        c = np.dot(x.conj(), q)
-        np.conjugate(c, out=c)
-        c *= phases
-        return np.dot(q, c)
-    c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))  # Q^T is a view
-    c *= phases
-    return _real_dot(q, c)
+        (even, odd), resid = zip(*(_unitary_block(block, theta) for block in (eig.even, eig.odd)))
+        return ParityUnitary(even, odd, resid)
+    return _unitary_block(eig, theta)[0]
 
 
 def _transformed(transform, x: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -1165,6 +1353,31 @@ def _transformed(transform, x: np.ndarray, adjoint: bool) -> np.ndarray:
     return np.conjugate(out, out=out) if adjoint else out
 
 
+def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarray) -> np.ndarray:
+    """``exp(-i theta A) x`` of one decomposed block, in factored form (module docstring, step 5).
+
+    ``Q (K (Q^T x))`` for a paired block; ``Z (Q (p * (Q^T (Z^H x))))``
+    otherwise, with no transform where there is none (Z = I).
+    """
+    q = eig.basis
+    if q.dtype.kind == "c":
+        # Q^H x as conj(x^H Q): no copy of Q^H is made.
+        c = np.dot(x.conj(), q)
+        np.conjugate(c, out=c)
+        c *= np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
+        return np.dot(q, c)
+    if eig.pair_signs is not None:
+        c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))  # Q^T is a view
+        return _real_dot(q, _rotated(c, *_rotation(eig, theta)))
+    transform = eig.transform
+    if transform is not None:
+        x = _transformed(transform, x, adjoint=True)
+    c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))
+    c *= np.exp(-1j * theta * eig.eigenvalues)
+    y = _real_dot(q, c)
+    return y if transform is None else _transformed(transform, y, adjoint=False)
+
+
 def apply_from_eig(
     eig: HermitianEigenDecomposition | ParityEigenDecomposition, theta: float, x
 ) -> np.ndarray:
@@ -1172,10 +1385,12 @@ def apply_from_eig(
 
     ``Z (Q (p * (Q^T (Z^H x))))``, ``p = exp(-i*theta*lam)``: one
     transform of the whole vector on each side (none where Z = I), and
-    in between each block's two products with its kept basis, on a
-    :class:`ParityEigenDecomposition` through the parity fold of
-    :meth:`ParityUnitary.__matmul__`.  The result's relative norm error is
-    within the decomposition's ``factored_bound`` (module docstring).
+    in between two products with the kept basis.  A
+    :class:`ParityEigenDecomposition` is applied through the parity fold
+    of :meth:`ParityUnitary.__matmul__`, each block as ``Q (K (Q^T x))``
+    with K the rotation of its pairs: no transform and no complex phase.
+    The result's relative norm error is within the decomposition's
+    ``factored_bound`` (module docstring).
 
     Raises ``ValueError`` if theta is not finite or ``x`` is not an
     N-vector, and ``ArithmeticError`` if the decomposition is not
@@ -1193,12 +1408,8 @@ def apply_from_eig(
     n = eig.even.block_size + eig.odd.block_size if parity else eig.block_size
     if x.shape != (n,):
         raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-    transform = eig.transform
-    if transform is not None:
-        x = _transformed(transform, x, adjoint=True)
     if parity:
         even, odd = _fold(x)
-        y = _unfold(_factored_block(eig.even, theta, even), _factored_block(eig.odd, theta, odd))
-    else:
-        y = _factored_block(eig, theta, x)
-    return y if transform is None else _transformed(transform, y, adjoint=False)
+        return _unfold(_factored_block(eig.even, theta, even),
+                       _factored_block(eig.odd, theta, odd))
+    return _factored_block(eig, theta, x)

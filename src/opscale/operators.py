@@ -70,7 +70,8 @@ breaks ``G = F^H conj(G) F`` is rejected there.  The decomposition is
 certified from S and Q in real arithmetic, with an a priori bound on the
 computed Z (:mod:`opscale.linalg`, steps 6-8).  The decomposition keeps
 Q (real, 8 k^2 bytes a block) and the transform, whose O(N) phases apply
-Z at run time; ``V = Z Q`` is built only on request.
+Z at run time on the asymmetric grids; ``V = Z Q`` is built only on
+request.
 
 An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition: its
@@ -89,8 +90,11 @@ G is purely imaginary, ``G = i B`` with B real antisymmetric, and every
 decomposes G by :func:`opscale.linalg.parity_real_form_eig`, which
 checks both properties and decomposes the blocks of S on the even and
 odd halves of the reversal-parity basis that :mod:`opscale.linalg`
-defines, through Z on the whole grid.  On the other grids it decomposes
-G whole, by :func:`opscale.linalg.real_form_eig`.
+defines, through Z on the whole grid.  On a block Z is ``a I + b X``,
+X the restriction of F (times -i on the odd half), which pairs the
+columns of Q into the planes that B rotates: every factor is then
+assembled and applied from Q alone, with no transform.  On the other
+grids it decomposes G whole, by :func:`opscale.linalg.real_form_eig`.
 
 The asymmetric forward-difference alternative (which is *not* symmetric,
 hence not Hermitian, hence useless as a generator) is deliberately not
@@ -173,7 +177,7 @@ _ROOT2 = math.sqrt(2.0)
 #: relative error: about 80u to first order, counting the label phases' own
 #: rounding, and a few u more where :mod:`opscale.linalg` folds and unfolds
 #: it onto a parity block (step 6).
-_POINTWISE_ERROR = 100 * np.finfo(float).eps / 2
+_POINTWISE_ERROR = 100 * float(np.finfo(float).eps) / 2
 
 #: ``(c0, c1, c2, c3)`` of ``Z = c0 I + c1 F^H + c2 F^2 + c3 F = (F^H)^(1/2)``.
 _HALF_DFT = (
@@ -196,9 +200,10 @@ class _HalfDft:
     derives its restriction to either half of the reversal-parity basis
     from :meth:`apply`.
 
-    A decomposition keeps its transform to apply Z at run time, from any
-    number of threads at once, so a transform holds only its O(N) phases:
-    every buffer :meth:`apply` writes is the caller's or its own call's.
+    A decomposition keeps its transform to apply Z at run time (on an
+    asymmetric grid) or to build V on request, from any number of threads
+    at once, so a transform holds only its O(N) phases: every buffer
+    :meth:`apply` writes is the caller's or its own call's.
 
     ``error`` bounds the relative error of Z, and of its restriction to
     either parity block, on any vector: the FFT's
@@ -329,10 +334,10 @@ class OperatorSet:
         symmetric grids :func:`~opscale.linalg.parity_real_form_eig`
         checks that G commutes with index reversal, folds it into its
         even and odd blocks and decomposes each with Z restricted to its
-        block; Z on the whole grid is kept, for the factored apply on
-        each side of the fold.  Every block passes the checks of
-        :func:`~opscale.linalg.real_form_eig`, which read its S and Q,
-        not G.  Neither the generator nor its blocks are kept, nor V.
+        block, pairing the columns of its Q.  Every block passes the
+        checks of :func:`~opscale.linalg.real_form_eig`, which read its
+        S and Q, not G.  Neither the generator nor its blocks are kept,
+        nor V.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if on a symmetric grid it does not commute

@@ -18,8 +18,8 @@ interpolation-based resampling.  Every assembly goes through
 decomposed block carries a bound on the unitarity residual of anything
 assembled from it, derived once from its eigenvectors' certified
 orthonormality, and only a block whose bound is not below 1e-10 is
-re-checked with a dense product (dense blocks from about N = 600,
-parity blocks from about N = 1200).  On symmetric grids (centered with
+re-checked with a dense product (whole-grid blocks from about N = 630,
+parity blocks from N = 1288).  On symmetric grids (centered with
 even N, ordinary with odd N) the generator commutes with index
 reversal, its decomposition comes as two half-size reversal-even and
 reversal-odd blocks (see :mod:`opscale.operators`), and so does the
@@ -40,44 +40,48 @@ factor M is then only the phases ``p = exp(-i theta lam)``, ``theta =
 
 * **factored**, ``Z (Q (p * (Q^T (Z^H x))))`` by
   :func:`~opscale.linalg.apply_from_eig`: two O(k^2) products per block
-  of size k, nothing assembled, nothing cached;
-* **assembled**, the operator ``V diag(p) V^H``, one O(k^3) product per
-  block (plus a second for the check where the block's bound leaves it
-  uncertified), kept read-only in the byte-bounded LRU cache
-  :data:`opscale.cache.shared` and applied with one O(k^2) product.
+  of size k, nothing assembled, nothing cached; on symmetric grids ``Q
+  (K (Q^T x))`` per parity block, K the rotation of Q's paired columns,
+  with no transform;
+* **assembled**, the operator ``Z Q P Q^T Z^H`` (``(Q K) Q^T`` per
+  parity block), O(k^3) per block (plus a product for the check where
+  the block's bound leaves it uncertified), kept read-only in the
+  byte-bounded LRU cache :data:`opscale.cache.shared` and applied with
+  one O(k^2) product.
 
-Assembling costs about k^3 complex multiply-adds, and each factored
-apply about k^2 more than an assembled one, so in flops a factor pays
-for its assembly after about k requests.  In time it pays sooner: the
-assembly is a matrix-matrix product, several times faster per flop than
-the matrix-vector products of a factored apply.  The decomposition keeps
-Q real (:mod:`opscale.linalg`), so a factored apply reads half the bytes
-it read with a complex V, plus two transforms of the whole vector, an
-FFT and a few pointwise products each, about 20 microseconds at N = 512
-whatever the block size; an assembly first builds V from Q, one more
-transform (about 5 ms at N = 512 ordinary).  Measured (1 BLAS thread,
-demo 07 four times, on a shared host whose timings spread widely), a
-factor pays for its assembly after 12-16 requests at N = 128 ordinary
-(k = 128) and 320-670 at 512 ordinary (k = 512), where the factored
-apply, about 240-300 microseconds, is barely slower than the dense
-complex one; on symmetric grids, whose assembled blocks are real, after
-6-7 requests at N = 128 centered (k = 64), 40-170 at 512 centered (k =
-256) and 165-210 at 1024 centered (k = 512).  At N = 128 the transforms
-dominate: a factored apply takes 55-100 microseconds against 7-19 for
-the assembled one.  The rule is the ski-rental one
-(Karlin, Manasse, Rudolph & Sleator, *Algorithmica* 3, 1988): the first
-K = ceil(k/4) requests of an ``(M, N, scheme)``, k the grid's largest
-block (ceil(N/2) on symmetric grids, N on the others), take the factored
-path, and every later request the assembled one.  Against the cheaper of
-the two paths in hindsight, that costs at most 1 + K/B or 1 + B/K times
-as much for a break-even B: about 3.7 at N = 128 on both schemes and at
-512 centered, 2.6 at 1024 centered, and up to 6.3 at 512 ordinary,
-where B spreads widest (1 + B/K with B = 670; 3.5 at B = 320).  A
-process that streams new factors never assembles, and one that repeats a
-few factors assembles each of them once.  The factored path runs only where the
-decomposition certifies it (``factored_certified``: blocks up to k of
-about 590, asymmetric grids to about N = 590, symmetric ones to about N =
-1180); elsewhere K = 0, and every request is assembled.  The request
+Assembling costs about k^3 multiply-adds, and each factored apply about
+k^2 more than an assembled one, so in flops a factor pays for its
+assembly after about k requests.  In time it pays sooner: the assembly
+is a matrix-matrix product, several times faster per flop than the
+matrix-vector products of a factored apply.  The decomposition keeps Q
+real (:mod:`opscale.linalg`), so a factored apply reads half the bytes
+a complex V would take; on the asymmetric grids it adds two transforms
+of the whole vector, an FFT and a few pointwise products each, about 20
+microseconds at N = 512 whatever the block size.  A parity block is
+assembled as one real product, a whole grid's block as four real
+products of its size with the transforms of its rows.  Measured (1 BLAS
+thread, demo 07 four times, on a shared host whose timings spread
+widely), a factor pays for its assembly after 25-29 requests at N = 128
+ordinary (k = 128) and 340-394 at 512 ordinary (k = 512), where the
+factored apply, about 250-310 microseconds, is barely slower than the
+dense complex one; on symmetric grids, whose assembled blocks are real,
+after 3 requests at N = 128 centered (k = 64), 29-40 at 512 centered (k
+= 256) and 59-67 at 1024 centered (k = 512).  At N = 128 a factored
+apply takes 61-76 microseconds against 8-19 for the assembled one.  The
+rule is the ski-rental one (Karlin, Manasse, Rudolph & Sleator,
+*Algorithmica* 3, 1988): the first K = ceil(k/4) requests of an ``(M, N,
+scheme)``, k the grid's largest block (ceil(N/2) on symmetric grids, N
+on the others), take the factored path, and every later request the
+assembled one.  Against the cheaper of the two paths in hindsight, that
+costs at most 1 + K/B or 1 + B/K times as much for a break-even B: about
+2.1-2.3 at N = 128 ordinary, 2.6-3.2 at 512 centered, 2.9-3.2 at 1024
+centered and 3.7-4.1 at 512 ordinary, and up to 6.3 at 128 centered,
+where one real assembly costs three factored requests.  A process that
+streams new factors never assembles, and one that repeats a few factors
+assembles each of them once.  The factored path runs only where the
+decomposition certifies it (``factored_certified``: asymmetric grids to
+about N = 590, symmetric ones to N = 1258); elsewhere K = 0, and every
+request is assembled.  The request
 counts live in a table of at most 1024 keys, guarded by a lock; the
 least recently requested key is forgotten first, and a forgotten key
 starts again at request one.

@@ -127,6 +127,24 @@ def parity_basis(n: int) -> np.ndarray:
     return b
 
 
+def pair_residual(b: np.ndarray, eig) -> float:
+    """``max|B Q - Q Omega|`` of a paired block decomposition of ``A = i B``.
+
+    Omega is the rotation form the decomposition stands for, written out
+    column by column: ``B q_j = -t_j mu_j q_{k-1-j}`` and ``B q_{k-1-j} =
+    t_j mu_j q_j`` with ``mu_j = (lam_j - lam_{k-1-j})/2``, ``j < k//2``,
+    and ``B q = 0`` for the middle column of an odd k.
+    """
+    q, lam, t = eig.basis, eig.eigenvalues, eig.pair_signs
+    k = q.shape[0]
+    expected = np.zeros((k, k))
+    for j in range(len(t)):
+        rate = t[j] * (lam[j] - lam[k - 1 - j]) / 2
+        expected[:, j] = -rate * q[:, k - 1 - j]
+        expected[:, k - 1 - j] = rate * q[:, j]
+    return float(np.max(np.abs(b @ q - expected), initial=0.0))
+
+
 def count_sign_changes(v, rel_tol: float = 1e-8) -> int:
     """Number of strict sign alternations, ignoring negligible entries."""
     v = np.asarray(v, dtype=float)

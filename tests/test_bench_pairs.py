@@ -84,3 +84,79 @@ def test_refuses_sides_without_a_common_run(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", str(parent), "--change", str(change),
                           "--out", str(tmp_path / "out.json")])
+
+
+def _summary(before, after, claims=()):
+    """``summarize`` of paired ``setup_s`` (lower is better) and ``ops_per_s`` runs.
+
+    ``before`` and ``after`` list ``(setup_s, ops_per_s)`` per seed.
+    """
+    def runs(values):
+        return {("apply_stream", seed): {
+            "failed": 0, "mtime": 0.0,
+            "metrics": {"setup_s": {"value": setup}, "ops_per_s": {"value": ops}}}
+            for seed, (setup, ops) in enumerate(values)}
+
+    summary = bench_pairs.summarize(runs(before), runs(after), END_TO_END, claims)
+    return {name: row["verdict"] for name, row in summary["apply_stream"]["metrics"].items()}
+
+
+PARENT = [(1.0 + 0.01 * i, 100.0 + i) for i in range(10)]  # quartiles 1.0225 and 1.0675
+
+
+class TestVerdicts:
+    def test_a_claim_met_wins_nine_pairs_in_ten_by_more_than_the_parents_spread(self):
+        after = [(s - 0.2, o) for s, o in PARENT]
+        assert _summary(PARENT, after, ["apply_stream:setup_s"])["setup_s"] == "met"
+        # The same runs, unclaimed, are only not worse.
+        assert _summary(PARENT, after)["setup_s"] == "ok"
+        # Nine wins in ten still meet it.
+        after[0] = (PARENT[0][0] + 0.05, PARENT[0][1])
+        assert _summary(PARENT, after, ["apply_stream:setup_s"])["setup_s"] == "met"
+
+    def test_a_claim_with_eight_wins_in_ten_is_not_met(self):
+        after = [(s - 0.2, o) for s, o in PARENT]
+        after[0] = after[1] = (5.0, 0.0)
+        assert _summary(PARENT, after, ["apply_stream:setup_s"])["setup_s"] == "not met"
+
+    def test_a_claim_inside_the_parents_spread_is_not_met(self):
+        # Every pair won, but the medians differ by 0.01, below the IQR of 0.045.
+        after = [(s - 0.01, o) for s, o in PARENT]
+        assert _summary(PARENT, after, ["apply_stream:setup_s"])["setup_s"] == "not met"
+
+    def test_a_median_worse_by_more_than_the_bound_is_worse(self):
+        # ops_per_s is higher-better with a bound of 25 %: -30 % is worse,
+        # -20 % is not, claimed or not.
+        after = [(s, 0.7 * o) for s, o in PARENT]
+        assert _summary(PARENT, after)["ops_per_s"] == "worse"
+        assert _summary(PARENT, after, ["apply_stream:ops_per_s"])["ops_per_s"] == "worse"
+        after = [(s, 0.8 * o) for s, o in PARENT]
+        assert _summary(PARENT, after)["ops_per_s"] == "ok"
+        assert _summary(PARENT, after, ["apply_stream:ops_per_s"])["ops_per_s"] == "not met"
+
+    def test_a_parent_spread_beyond_the_bound_is_unresolved(self):
+        # setup_s quartiles 1 and 2 around a median of 1.5: an IQR of 67 %
+        # of the median, beyond the 25 % bound.
+        before = [(1.0 + (i >= 5), 100.0) for i in range(10)]
+        for after in (before, [(s + 5.0, o) for s, o in before], [(s - 0.5, o) for s, o in before]):
+            assert _summary(before, after, ["apply_stream:setup_s"])["setup_s"] == "unresolved"
+        # Unless every run of the change is better than every run of the
+        # parent; the claim then also needs a median gap beyond the IQR.
+        after = [(0.9, o) for _, o in before]
+        assert _summary(before, after, ["apply_stream:setup_s"])["setup_s"] == "not met"
+        after = [(0.4, o) for _, o in before]
+        assert _summary(before, after, ["apply_stream:setup_s"])["setup_s"] == "met"
+        assert _summary(before, after)["setup_s"] == "ok"
+
+    def test_the_bench_file_lists_every_verdict(self, tmp_path):
+        parent = _checkout(tmp_path, "parent", SOURCE,
+                           [(i, s, o) for i, (s, o) in enumerate(PARENT)])
+        change = _checkout(tmp_path, "change", SOURCE,
+                           [(i, s - 0.2, 0.7 * o) for i, (s, o) in enumerate(PARENT)])
+        out = tmp_path / "BENCH.json"
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--out", str(out),
+                          "--claim", "apply_stream:setup_s"])
+        result = json.loads(out.read_text())
+        assert result["verdicts"] == {"apply_stream:setup_s": "met",
+                                      "apply_stream:ops_per_s": "worse"}
+        assert result["workloads"]["apply_stream"]["metrics"]["setup_s"]["verdict"] == "met"

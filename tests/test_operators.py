@@ -1,6 +1,7 @@
 """Tests for the coordinate/differentiation operator pair and the generator."""
 
 import dataclasses
+import inspect
 import math
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from conftest import (
     fixture_matrix,
     load_fixture,
     package_env,
+    pair_residual,
     parity_basis,
 )
 
@@ -402,8 +404,14 @@ class TestRealFormCertificate:
             gram = v.conj().T @ v - np.eye(k)
             assert np.max(np.abs(gram), initial=0.0) <= eig.gram_residual < 1e-10
             assert np.linalg.norm(gram) <= eig.gram_bound  # Frobenius, above the 2-norm
-            recon = np.max(np.abs(a @ v - v * eig.eigenvalues), initial=0.0)
-            assert recon <= eig.reconstruction_residual < 1e-9 * (1 + np.max(np.abs(a), initial=0.0))
+            tol = 1e-9 * (1 + np.max(np.abs(a), initial=0.0))
+            assert eig.reconstruction_residual < tol
+            if eig.pair_signs is None:
+                recon = np.max(np.abs(a @ v - v * eig.eigenvalues), initial=0.0)
+            else:
+                # A paired block's bound is on the rotation form, B Q - Q Omega.
+                recon = pair_residual(np.asarray(a).imag, eig)
+            assert recon <= eig.reconstruction_residual
 
     @pytest.mark.parametrize("n, scheme", [(64, IndexScheme.ORDINARY), (65, IndexScheme.ORDINARY)])
     def test_perturbed_eigenvectors_of_s_are_rejected(self, monkeypatch, n, scheme):
@@ -466,7 +474,7 @@ class TestRealFormCertificate:
         # (64.7 N^2) here.  S is kept in the buffer Q takes and the work
         # buffers freed before the checks, the signed permutation of each
         # transform is taken without a buffer of its own, and V = Z Q is
-        # checked 64 columns at a time, not formed (12 733 624 bytes, 48.6
+        # checked 48 columns at a time, not formed (12 733 600 bytes, 48.6
         # N^2, measured), so holding S through the checks or a k x k buffer
         # in a transform would show.
         ops = _fresh(512, IndexScheme.ORDINARY)
@@ -508,13 +516,18 @@ class TestRealFormCertificate:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        blocks = [eig.even, eig.odd] if isinstance(eig, ParityEigenDecomposition) else [eig]
+        parity = isinstance(eig, ParityEigenDecomposition)
+        blocks = [eig.even, eig.odd] if parity else [eig]
         for block in blocks:
             assert block.basis.dtype == np.float64 and block.basis.shape == (block.block_size,) * 2
-        kept = sum(8 * b.block_size + 8 * b.block_size ** 2 for b in blocks)
+        # A paired block keeps one sign per pair beside them.
+        kept = sum(8 * b.block_size + 8 * b.block_size ** 2 + 8 * (b.block_size // 2) * parity
+                   for b in blocks)
         assert kept <= retained <= kept + 96 * n + 8192
-        # The transform kept for the run time holds no buffer of its own.
-        transform = eig.transform.__self__
+        # The transform kept, which builds V on request, holds no buffer of
+        # its own; a parity block's is derived from the whole grid's.
+        transform = (inspect.getclosurevars(eig.even.transform).nonlocals["transform"]
+                     if parity else eig.transform).__self__
         assert isinstance(transform, _HalfDft)
         assert all(value.size <= n for value in vars(transform).values()
                    if isinstance(value, np.ndarray))

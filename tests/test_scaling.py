@@ -95,20 +95,40 @@ class TestScalingMatrix:
 
     @staticmethod
     def _assembled_densely(eig, theta):
-        """Each block as one product ``conj(conj(V * phases) @ V^T)``, scattered into N x N.
+        """Each block as one whole product of its formula, scattered into N x N.
 
-        On symmetric grids each block is the real part of that product.  The
+        A paired block is ``(Q K) Q^T``: column pair ``(j, k-1-j)`` of ``Q K``
+        is ``(cos q_j - t sin q_{k-1-j}, cos q_{k-1-j} + t sin q_j)`` at the
+        angle ``theta (lam_j - lam_{k-1-j})/2``.  A whole grid's block is the
+        transpose of ``conj(Z) Q P Q^T Z``: the rows of ``conj(Z)``, times Q
+        as two real products, the phases, ``Q^T`` likewise, and Z.  The
         scatter rounds as the unfold of :class:`ParityUnitary` does: an entry
         of the middle row or column of an odd N is ``sqrt(2)`` times its even
         entry, halved, and the centre takes that twice, then is doubled.
         """
         def block(e):
-            rows = np.conjugate(e.eigenvectors * np.exp(-1j * theta * e.eigenvalues))
-            return np.conjugate(rows @ e.eigenvectors.T)
+            q, lam = e.basis, e.eigenvalues
+            k = len(lam)
+            if e.pair_signs is not None:
+                h = len(e.pair_signs)
+                angles = (lam[:h] - lam[::-1][:h]) * (0.5 * theta)
+                cos, tsin = np.cos(angles), e.pair_signs * np.sin(angles)
+                qk = q.copy()
+                for j in range(h):
+                    qk[:, j] = cos[j] * q[:, j] + (-tsin[j]) * q[:, k - 1 - j]
+                    qk[:, k - 1 - j] = cos[j] * q[:, k - 1 - j] + tsin[j] * q[:, j]
+                return qk @ q.T
+            eye = np.eye(k, dtype=complex)
+            x = np.conjugate(e.transform(eye, np.empty_like(eye), axis=1))
+            for right in (q, q.T):
+                product = np.empty((k, k), dtype=complex)
+                product.real, product.imag = x.real @ right, x.imag @ right
+                x = product * np.exp(-1j * theta * lam) if right is q else product
+            return e.transform(x, np.empty_like(x), axis=1).T
 
         if not isinstance(eig, ParityEigenDecomposition):
             return block(eig)
-        even, odd = block(eig.even).real, block(eig.odd).real
+        even, odd = block(eig.even), block(eig.odd)
         h = odd.shape[0]
         n = even.shape[0] + h
         out = np.empty((n, n), dtype=complex)
@@ -126,9 +146,9 @@ class TestScalingMatrix:
     @pytest.mark.parametrize("n", list(range(1, 18)) + [64, 127, 128, 129, 256, 257, 512])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     def test_bit_identical_to_the_dense_assembly(self, n, scheme):
-        # Assembling a block of rows at a time into a preallocated array,
-        # and keeping the real part of each parity block, must not move a
-        # bit of the matrix that scaling_matrix returns.
+        # Assembling a block of rows (or columns) at a time into a
+        # preallocated array must not move a bit of the matrix that
+        # scaling_matrix returns.
         eig = operator_set(n, scheme).generator_eig
         for m in (0.37, 2.0, 7.3):
             expected = self._assembled_densely(eig, 2.0 * math.pi * math.log(m))

@@ -9,8 +9,21 @@ Each directory is a checkout in which ``perfbench/run.py`` has been run
 are paired by workload and seed.  For every end-to-end metric that
 ``BENCHMARK.json`` names, the output gives each side's median and
 quartiles, the change's median relative to the parent's, and in how many
-pairs the change was better (ties count for neither side).  Traced runs
-(``-trace1.json``) of a seed that both sides ran are listed side by side.
+pairs the change was better (ties count for neither side), and a verdict:
+
+* ``met``: a claimed metric on which the change won at least nine tenths
+  of the pairs, and whose medians differ, in the better direction, by
+  more than the parent's interquartile range;
+* ``not met``: a claimed metric that falls short of that;
+* ``worse``: a metric whose change median is worse than the parent's by
+  more than its ``BENCHMARK.json`` bound, relative to the parent's;
+* ``unresolved``: the parent's own interquartile range exceeds the bound,
+  relative to its median, so the runs spread too widely to tell, unless
+  every run of the change is better than every run of the parent;
+* ``ok``: any other metric.
+
+Traced runs (``-trace1.json``) of a seed that both sides ran are listed
+side by side.
 
 A result file records the checked-out commit, which an uncommitted change
 shares with its parent, so each side is also identified by a hash of its
@@ -80,8 +93,28 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(parent: dict, change: dict, metrics: list) -> dict:
-    """Per workload and end-to-end metric: medians, quartiles and pair wins."""
+def verdict(row: dict, bound: float, claimed: bool) -> str:
+    """The verdict of one summarized metric (module docstring)."""
+    before, after = row["parent"], row["change"]
+    sign = 1 if row["better"] == "lower" else -1
+    scale = abs(before["median"])
+    if sign > 0:
+        every_run_better = max(after["runs"]) < min(before["runs"])
+    else:
+        every_run_better = min(after["runs"]) > max(before["runs"])
+    if before["iqr"] > bound * scale and not every_run_better:
+        return "unresolved"
+    worse_by = sign * (after["median"] - before["median"])  # > 0 when the change is worse
+    if claimed and 10 * row["change_better_in"] >= 9 * len(before["runs"]) \
+            and -worse_by > before["iqr"]:
+        return "met"
+    if worse_by > bound * scale:
+        return "worse"
+    return "not met" if claimed else "ok"
+
+
+def summarize(parent: dict, change: dict, metrics: list, claims=()) -> dict:
+    """Per workload and end-to-end metric: medians, quartiles, pair wins and verdict."""
     out = {}
     for workload in sorted({w for w, _ in parent}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
@@ -105,6 +138,8 @@ def summarize(parent: dict, change: dict, metrics: list) -> dict:
                 "change_better_in": wins,
                 "ties": sum(a == b for b, a in zip(before, after)),
             }
+            rows[name]["verdict"] = verdict(rows[name], metric["bound"],
+                                            f"{workload}:{name}" in claims)
         out[workload] = {
             "seeds": seeds, "pairs": len(seeds),
             "change_ran_first": sum(c["mtime"] < p["mtime"] for p, c in pairs),
@@ -161,9 +196,12 @@ def main(argv=None) -> int:
                  "numpy": env["numpy"]},
         "parent": side(args.parent, parent),
         "change": side(args.change, change),
-        "workloads": summarize(parent, change, benchmark["end_to_end"]),
+        "workloads": summarize(parent, change, benchmark["end_to_end"], args.claim),
         "traced": traced(load_runs(args.parent, 1), load_runs(args.change, 1)),
     }
+    result["verdicts"] = {f"{workload}:{name}": row["verdict"]
+                          for workload, summary in result["workloads"].items()
+                          for name, row in summary["metrics"].items()}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
