@@ -1,7 +1,8 @@
 """One least-recently-used cache, bounded by bytes, for results keyed on M.
 
 The paper's construction yields one unitary scaling operator per factor
-M, and the CDDHF comparison method one eigenbasis per ``(N, M)``.  A
+M, kept once for M and 1/M (:mod:`opscale.scaling`), and the CDDHF
+comparison method one eigenbasis per ``(N, M)``.  A
 process that sees a stream of new factors would keep every one of them
 resident under an unbounded cache.  :data:`shared` holds both kinds
 instead: each entry is charged the bytes of its arrays, and once the

@@ -84,17 +84,19 @@ time, with no k x k temporary:
   rows ``Q[r] K`` rotated in two real buffers of a row block;
 * a complex solve (Z = I): row block r of ``M = V P V^H`` is
   ``conj(conj(V[r] p) V^T)``, in one complex buffer;
-* a real form ``M = Z Q P Q^T Z^H``: row block r of ``M^T = conj(Z) Q P
-  Q^T Z`` (Z is symmetric), the factored product of the unit vectors
-  (step 9): the rows of ``conj(Z)`` from a transform of the rows of I,
-  then Q, the phases, ``Q^T`` and Z, each real product on the real and
-  imaginary parts of the row block, in two complex and two real buffers.
+* a real form ``M = Z W Z^H``, ``W = Q P Q^T = (Q cos) Q^T - i (Q sin)
+  Q^T`` (``p = cos - i sin``; step 9): row block r of ``conj(W)`` is two
+  real products, ``(Q[r] cos) Q^T`` and ``(Q[r] sin) Q^T``, and Z
+  transforms its rows straight into the result; then Z runs down the
+  conjugated columns, 48 at a time, in place: ``M = Z conj(conj(W) Z)``,
+  as Z is symmetric.  Two complex buffers of a row block serve both.
 
 ``Q^T`` and ``V^T`` are views, so no transposed copy is made.  Row
 blocks are 96 rows from row 0, and a last block of fewer than 48 rows
 takes 48 from the one before (:func:`_row_blocks`), so that BLAS sums
-each entry in the same order as in the whole product: each block is its
-one product, bit for bit, and so is each transform, row by row.  Where
+each entry in the same order as in the whole product: with one BLAS
+thread each block is its one product, bit for bit, and each transform
+is, row by row or column by column, the whole one's.  Where
 the dense check runs, it forms only the upper triangle of the Hermitian
 ``M^H M``, ``M[:, r]^H M[:, a:]`` for each block r of 48 rows from its
 first row a, in two complex buffers of its own, allocated once the
@@ -307,32 +309,46 @@ forming ``V^H V``:
    for the rounding of ``mu_j``, ``max|nu| (1 + u) + max|lam| (p + u) +
    (2 f + m_A p) / sqrt(2)`` is the paired block's
    ``reconstruction_residual``.
-9. The assembly of a real form, without V.  Column j of ``M = Z Q P Q^T
-   Z^H`` is M applied to the unit vector ``e_j``, and the assembly
-   computes it as the factored product of step 5: the transforms of the
-   unit vectors, then Q, the phases, ``Q^T`` and Z (row by row, as the
-   rows of ``M^T = conj(Z) Q P Q^T Z``, which round the same).  So the
-   computed ``M^ = M + F`` with ``||F e_j|| <= eps``, and ``||M e_i|| <=
-   ||M||_2 <= 1 + k delta_Q`` by step 2: each entry of ``M^^H M^ - I`` is
-   within ``(1 + k delta_Q)^2 - 1 + 2 (1 + k delta_Q) eps + eps^2``.  The
-   assembly's ``unitarity_bound`` is ``factored_bound``.  (The order ``Z
-   (Q P Q^T) Z^H`` would cost half the flops, but Z spreads each column
-   of the products' error over the whole of ``F Z^H``: the bound then
-   grows as ``k gamma_k`` in place of ``sqrt(k) gamma_k`` and stops
-   certifying blocks of about k = 470.)
+9. The assembly of a real form, without V: ``M^ = fl(Z conj(fl(C^
+   Z)))``, ``C^`` the computed ``conj(W)``.  Let M and W be exact with the
+   unit phases ``p^/|p^|`` (any unit phases give a unitary M) and ``b = k
+   delta_Q`` (step 7).  An entry of ``(Q[r] cos^) Q^T`` is a real inner
+   product of k rounded products, within ``gamma_{k+1} |Q| |cos^| |Q^T|``,
+   and so is the sine's; together they err by at most ``gamma_{k+1} |Q|
+   |p^| |Q^T|`` in modulus, and ``|p^|`` is within ``gamma_4`` of 1 (step
+   3), so ``W^ = W + F_W`` with ``|F_W| <= g' |Q| |Q^T|``, g' of step 3.
+   Z spreads that error over whole columns, so only its 2-norm counts:
+   ``|| |Q| |Q^T| ||_2 <= ||Q||_F^2 <= k + b`` gives ``||F_W||_2 <= g' (k
+   + b)``, a ``k gamma_k`` where a factored product (step 5) has ``sqrt(k)
+   gamma_k``.  The row pass errs by ``E1`` with ``||E1||_F <= eta
+   ||C^||_F`` (step 6, row by row), the column pass by ``||E2||_F <= eta
+   (1 + eta) ||C^||_F``, and ``||C^||_F <= c = sqrt(k) (1 + b) + g' (k +
+   b)`` (step 2: ``||W||_2 <= 1 + b``).  So ``M^ = M + Z F_W Z^H + Z
+   conj(E1) + E2``, ``||M^ - M||_2 <= eps_W = g' (k + b) + eta (2 + eta)
+   c``, and with ``||M||_2 <= 1 + b`` and ``||M^H M - I||_2 <= (1 + b)^2 -
+   1`` (step 2), ``max|M^^H M^ - I| <= (1 + b + eps_W)^2 - 1``, a real
+   form's ``unitarity_bound``.  To first order it is ``2 b + 2 k
+   gamma_{k+2} + 4 sqrt(k) eta``, about ``4 k^2 u`` from a gram residual of
+   a few 1e-15, and it certifies blocks up to k of about 450.  (Each
+   column as the factored product of step 5 has ``factored_bound`` and
+   certifies to about k = 630, but costs four real k x k products and
+   two transforms of the rows: at k = 512 this order's two products and
+   the dense check cost about as much, and at k = 1024 30 % less.)
 
 With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
 N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q`` in
-``gram_bound`` and ``4 eta`` to ``factored_bound``.  Every block up to k
-= 512 is certified, and k = 1024 is not; near the edge, the bound
-through V certifies the factored path on every whole grid up to N = 590
-(some to 625; 632 from a complex gram), and ``factored_bound`` the
-assembly on every one up to 630 (some to 632).  A paired block's bounds carry no eta: the
-symmetric grids are certified for the factored path up to N = 1258, and
-their assemblies up to N = 1287.  The checks cost two real k x k
-products, ``Q^T Q`` (a symmetric rank-k update) and ``s Q``, instead of
-two complex ones, and one transform of Q, 48 columns at a time, for the
-column norms of V and the pair errors.
+``gram_bound``, ``4 eta`` to ``factored_bound`` and ``4 sqrt(k) eta``
+to a real form's ``unitarity_bound``.  Every block up to k = 512 is
+certified for the factored path, and k = 1024 is not; near the edge,
+the bound through V certifies it on every whole grid up to N = 590 (some
+to 625; 632 from a complex gram).  Step 9 certifies the assembly of
+every whole grid up to N = 442 (some to 459); from there the dense check
+runs, at N = 512 and 1024 among others.  A paired block's bounds carry
+no eta: the symmetric grids are certified for the factored path up to N
+= 1258, and their assemblies up to N = 1287.  The checks cost two real
+k x k products, ``Q^T Q`` (a symmetric rank-k update) and ``s Q``,
+instead of two complex ones, and one transform of Q, 48 columns at a
+time, for the column norms of V and the pair errors.
 
 Every function except :func:`identity_residual`, which overwrites the
 product it is given, and :func:`real_form_eig`, which fills and marks
@@ -402,13 +418,13 @@ def _entry_bound(gram_residual: float, k: int) -> float:
     return (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
 
 
-def _bounds(basis_gram_bound: float, eta: float, k: int) -> tuple[float, float]:
-    """The bounds of steps 4 and 5 for a block of k eigenvectors.
+def _bounds(basis_gram_bound: float, eta: float, k: int) -> tuple[float, float, float]:
+    """The bounds of steps 4, 5 and 9 for a block of k eigenvectors.
 
     ``basis_gram_bound`` bounds ``||Q^T Q - I||_2`` (``||V^H V - I||_2``
     where Q = V) and ``eta`` the relative error of the transform Z that
-    the factored product runs, 0 where it runs none; the derivation is
-    in the module docstring.
+    the factored product and a real form's assembly run, 0 where they run
+    none; the derivation is in the module docstring.
     """
     g = _gamma(k + 2)
     beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
@@ -419,7 +435,12 @@ def _bounds(basis_gram_bound: float, eta: float, k: int) -> tuple[float, float]:
     eps = nu * nu * eta + (1 + eta) * (
         nu * a + (nu + a) * (nu * beta + a * (1 + beta)) + eta * (nu + a) ** 2 * (1 + beta)
     )
-    return unitarity, (1 + basis_gram_bound + eps) ** 2 - 1
+    # Step 9: the products' error in W, which Z spreads over whole columns,
+    # and the two transforms of W's rows and columns.
+    spread = g_prime * (k + basis_gram_bound)
+    eps_w = spread + eta * (2 + eta) * (math.sqrt(k) * (1 + basis_gram_bound) + spread)
+    factored = (1 + basis_gram_bound + eps) ** 2 - 1
+    return unitarity, factored, (1 + basis_gram_bound + eps_w) ** 2 - 1
 
 
 #: Assumed error of an FFT twiddle or chirp factor (step 6).
@@ -499,6 +520,25 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _rotation_table(
+    eigenvalues: np.ndarray, pair_signs: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A paired block's rates and signs over all k entries, in the rows of the (2, k) ``out``.
+
+    ``mu_j = (lam_j - lam_{k-1-j})/2`` and ``t_j`` at j, ``mu_j`` and
+    ``-t_j`` at ``k-1-j``, zeros at the kernel entry of an odd k (step 5);
+    out is marked read-only.
+    """
+    k, h = len(eigenvalues), len(pair_signs)
+    rates, signs = out
+    rates[:h] = (eigenvalues[:h] - eigenvalues[::-1][:h]) * 0.5
+    rates[k - h:] = rates[:h][::-1]
+    signs[:h], signs[k - h:] = pair_signs, -pair_signs[::-1]
+    out[:, h:k - h] = 0.0
+    out.setflags(write=False)
+    return rates, signs
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianEigenDecomposition:
     """Validated spectral decomposition ``A = V diag(eigenvalues) V^H``, ``V = Z Q``.
@@ -545,12 +585,20 @@ class HermitianEigenDecomposition:
         lam_{k-1-j})/2`` (step 5), so that ``exp(-i*theta*A) = Q K Q^T``
         with K a rotation of each pair.  Such a block is assembled and
         applied from Q and K alone, without Z.  None for any other block.
+    rotation : tuple of numpy.ndarray or None
+        For a paired block, K's rates and signs over all k entries,
+        ``(mu_j, t_j)`` at j, ``(mu_j, -t_j)`` at ``k-1-j`` and ``(0, 0)`` at
+        the kernel entry of an odd k, as two read-only rows of one array
+        (:func:`_rotation_table`), so that an assembly or apply at theta
+        computes only ``cos`` and ``sin`` of ``theta mu``; derived from the
+        eigenvalues and ``pair_signs`` when not given.  None for a block
+        that is not paired.
     unitarity_bound : float
         Derived from ``basis_gram_bound``: an upper bound on ``max|M^H M
         - I|`` of every block :func:`unitary_from_eig` assembles from this
         decomposition (steps 2-4 of the module docstring).  A real basis
-        that is not paired is assembled as the factored product of each
-        column, and its bound is ``factored_bound`` (step 9).
+        that is not paired is assembled as ``Z W Z^H``, whose bound also
+        carries ``transform_error`` (step 9).
     factored_bound : float
         Derived from ``basis_gram_bound`` and, where the apply runs the
         transform, ``transform_error``: an upper bound on ``| ||y||^2 /
@@ -577,6 +625,7 @@ class HermitianEigenDecomposition:
     transform_error: float = 0.0
     basis_gram_bound: float | None = None
     pair_signs: np.ndarray | None = None
+    rotation: tuple[np.ndarray, np.ndarray] | None = None
     unitarity_bound: float = field(init=False)
     factored_bound: float = field(init=False)
     block_size: int = field(init=False)
@@ -589,12 +638,14 @@ class HermitianEigenDecomposition:
         if self.basis_gram_bound is None:
             object.__setattr__(self, "basis_gram_bound", self.gram_bound)
         paired = self.pair_signs is not None
+        if paired and self.rotation is None:
+            table = _rotation_table(self.eigenvalues, self.pair_signs, np.empty((2, k)))
+            object.__setattr__(self, "rotation", table)
         # A paired block runs no transform after its decomposition.
         eta = 0.0 if paired else float(self.transform_error)
-        products, factored = _bounds(self.basis_gram_bound, eta, k)
-        # A real basis that is not paired is assembled as the factored
-        # product of each column of I (step 9).
-        unitarity = factored if not paired and self.basis.dtype.kind != "c" else products
+        products, factored, real_form = _bounds(self.basis_gram_bound, eta, k)
+        # A real basis that is not paired is assembled as Z W Z^H (step 9).
+        unitarity = real_form if not paired and self.basis.dtype.kind != "c" else products
         certified = factored < UNITARITY_TOL
         if not paired:
             # Step 5 taken through V (Z = I): the certificate the factored
@@ -748,11 +799,13 @@ def real_form_eig(
     kept with ``pair_signs``; its reconstruction bound is then on the
     rotation form of step 5.
 
-    The eigenvalues and Q are written into ``kept = (eigenvalues, q)``,
-    allocated here once A is dropped when not given, and marked
+    The eigenvalues, Q and, for a paired block, the (2, k) rotation table
+    (:func:`_rotation_table`) are written into ``kept = (eigenvalues, q,
+    table)``, allocated here once A is dropped when not given, and marked
     read-only.  Either way they are allocated before the temporaries of
     the solve, so that the arrays a decomposition keeps sit below the
-    freed temporaries in the heap, not between them.
+    freed temporaries in the heap, not between them: a table allocated
+    after them raised apply_stream's peak RSS by 4.8 MiB.
 
     Raises ``ValueError`` if A is not square, finite and Hermitian within
     ``1e-10 * (1 + max|A|)``, and ``ArithmeticError`` if S is not real
@@ -770,7 +823,8 @@ def real_form_eig(
     x, y = work
     x[...] = a
     del a
-    eigenvalues, s = kept or (np.empty(k), np.empty((k, k)))
+    eigenvalues, s, table = kept or (
+        np.empty(k), np.empty((k, k)), None if involution is None else np.empty((2, k)))
     transform(x, y, axis=1)  # A Z
     np.conjugate(y, out=x)
     transform(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
@@ -837,6 +891,7 @@ def real_form_eig(
                        + (2 * form_resid + a_norm * pair_err) / _SQRT2)
         signs = signs[:k // 2].copy()
         signs.setflags(write=False)
+        table = _rotation_table(eigenvalues, signs, table)
     if not recon_resid < RESIDUAL_RTOL * scale:
         raise ArithmeticError(
             f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
@@ -847,7 +902,7 @@ def real_form_eig(
     s.setflags(write=False)
     return HermitianEigenDecomposition(
         eigenvalues, s, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound,
-        transform, eta, k * delta_q, signs,
+        transform, eta, k * delta_q, signs, table,
     )
 
 
@@ -1034,7 +1089,7 @@ def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigen
     blocks = list(_reversal_fold(form()))
     reversal_resid = blocks.pop()
     n = sum(len(b) for b in blocks)
-    kept = [(np.empty(len(b)), np.empty((len(b),) * 2)) for b in blocks]
+    kept = [(np.empty(len(b)), np.empty((len(b),) * 2), np.empty((2, len(b)))) for b in blocks]
     take = partial(blocks.pop, 0)
     return ParityEigenDecomposition(
         real_form_eig(take, _parity_transform(transform, n, odd=False), transform_error, kept[0],
@@ -1054,8 +1109,15 @@ def _row_blocks(k: int) -> list[slice]:
     rows in the whole product (96 is a multiple of their row unrolls, 4
     to 24), and none is so small that BLAS takes it through its kernels
     for small products, which round differently.  Measured with the
-    OpenBLAS numpy ships, for a right operand given as is or transposed,
-    real or complex, at every k up to 1100.
+    OpenBLAS numpy ships and one BLAS thread, for a right operand given as
+    is or transposed, real or complex, at every k up to 1100.  The
+    premise is one thread: with two, OpenBLAS splits each product among
+    them by its shape, so a row block and the whole product split, and
+    round, differently at 823 of those k (most k from 145 on that are not
+    a multiple of 8), and no block size of 32 to 512 rows avoided it.
+    The split depends only on the shapes, so at any thread count an
+    assembly is a function of its inputs and an evicted operator comes
+    back bit-identical; only the equality with the whole product is lost.
     """
     if k < 3 * _ROW_BLOCK // 2:
         return [slice(0, k)]
@@ -1116,17 +1178,14 @@ def _unitarity_residual(m: np.ndarray) -> float:
 def _rotation(eig: HermitianEigenDecomposition, theta: float) -> tuple[np.ndarray, np.ndarray]:
     """``(cos, tsin)`` of a paired block's rotation K at the angles ``theta mu_j`` (step 5).
 
-    Laid out over all k entries: ``(cos_j, t_j sin_j)`` at j, ``(cos_j,
-    -t_j sin_j)`` at ``k-1-j``, and ``(1, 0)`` at the kernel entry of an
-    odd k, so that ``K c = cos * c + tsin * reversed(c)``.
+    From the block's ``rotation`` table, over all k entries: ``(cos_j, t_j
+    sin_j)`` at j, ``(cos_j, -t_j sin_j)`` at ``k-1-j``, and ``(1, 0)`` at
+    the kernel entry of an odd k, so that ``K c = cos * c + tsin *
+    reversed(c)``.
     """
-    lam, t = eig.eigenvalues, eig.pair_signs
-    h = len(t)
-    angles = (lam[:h] - lam[::-1][:h]) * (0.5 * theta)
-    cos, tsin = np.cos(angles), t * np.sin(angles)
-    kernel = len(lam) - 2 * h
-    return (np.concatenate([cos, np.ones(kernel), cos[::-1]]),
-            np.concatenate([tsin, np.zeros(kernel), -tsin[::-1]]))
+    rates, signs = eig.rotation
+    angles = rates * theta
+    return np.cos(angles), signs * np.sin(angles)
 
 
 def _rotated(c: np.ndarray, cos: np.ndarray, tsin: np.ndarray,
@@ -1175,38 +1234,41 @@ def _complex_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarr
 
 
 def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
-    """``out = Z Q P Q^T Z^H`` of a real basis Q, a column block at a time, without V.
+    """``out = Z W Z^H``, ``W = (Q cos) Q^T - i (Q sin) Q^T``, for a real basis Q, without V.
 
-    Columns j of M are rows of ``M^T = conj(Z) Q P Q^T Z`` (Z is
-    symmetric), each the factored product of step 5 applied to the unit
-    vector: the rows of ``conj(Z)``, from a transform of the rows of I,
-    times Q, the phases, ``Q^T`` and Z.  Each real product takes the real
-    and imaginary parts of a row block as two left operands of Q, in two
-    real buffers of a row block beside two complex ones; no transform runs
-    where Z = I.
+    Row block r of ``conj(W)`` is two real products, ``(Q[r] cos) Q^T`` and
+    ``(Q[r] sin) Q^T``, whose rows Z transforms straight into ``out[r]``;
+    then Z runs down the conjugated columns of out, 48 at a time, and
+    writes them back: ``M = Z conj(conj(W) Z)``, Z symmetric (step 9).
+    Two complex buffers of a row block serve both passes; no transform
+    runs where Z = I, as for the real eigenvectors of a real symmetric
+    matrix that :func:`hermitian_eig` decomposes.
     """
     k = eig.block_size
     q, transform = eig.basis, eig.transform
-    phases = np.exp(-1j * theta * eig.eigenvalues)
+    angles = theta * eig.eigenvalues
+    cos, sin = np.cos(angles), np.sin(angles)
     work = np.empty((2, _block_entries(k)), dtype=complex)
-    parts = np.empty((2, _block_entries(k)))
     for rows in _row_blocks(k):
         n = rows.stop - rows.start
-        x, y = (b[:n * k].reshape(n, k) for b in work)
-        products = work[1, :n * k].view(float).reshape(2, n, k)  # y's bytes, as two real blocks
-        x[...] = 0
-        x[np.arange(n), np.arange(rows.start, rows.stop)] = 1
-        if transform is not None:
-            np.conjugate(transform(x, y, axis=1), out=x)  # rows of conj(Z)
-        for right in (q, q.T):
-            np.copyto(parts[0, :n * k].reshape(n, k), x.real)
-            np.copyto(parts[1, :n * k].reshape(n, k), x.imag)
-            for part, product in zip(parts, products):
-                np.matmul(part[:n * k].reshape(n, k), right, out=product)
-            x.real, x.imag = products
-            if right is q:
-                x *= phases
-        out[:, rows] = (x if transform is None else transform(x, y, axis=1)).T
+        left = work[0].view(float)[:n * k].reshape(n, k)
+        product = work[1, :n * k].view(float).reshape(2, n, k)
+        for part, phase in zip(product, (cos, sin)):
+            np.matmul(np.multiply(q[rows], phase, out=left), q.T, out=part)
+        x = work[0, :n * k].reshape(n, k)  # conj(W)[r], over the spent left operand
+        x.real, x.imag = product
+        if transform is None:
+            np.conjugate(x, out=out[rows])
+        else:
+            transform(x, out[rows], axis=1)
+    if transform is None:
+        return
+    step = min(_ROW_BLOCK // 2, k)
+    for start in range(0, k, step):
+        cols = slice(start, min(start + step, k))
+        shape = (k, cols.stop - start)
+        x = np.conjugate(out[:, cols], out=work[0, :shape[0] * shape[1]].reshape(shape))
+        out[:, cols] = transform(x, work[1, :x.size].reshape(shape), axis=0)
 
 
 def _unitary_block(
@@ -1305,6 +1367,11 @@ class ParityUnitary:
         return _unfold(_real_dot(self.even, even), _real_dot(self.odd, odd))
 
     dot = __matmul__  # the name scaling._apply calls on either kind of operator
+
+    @property
+    def T(self) -> ParityUnitary:
+        """The transpose, which is the inverse: the two blocks' transposed views, no copy."""
+        return ParityUnitary(self.even.T, self.odd.T, self.unitarity_residual)
 
     def dense(self) -> np.ndarray:
         """The N x N matrix in the original index order, as a new read-only array.

@@ -18,7 +18,7 @@ interpolation-based resampling.  Every assembly goes through
 decomposed block carries a bound on the unitarity residual of anything
 assembled from it, derived once from its eigenvectors' certified
 orthonormality, and only a block whose bound is not below 1e-10 is
-re-checked with a dense product (whole-grid blocks from about N = 630,
+re-checked with a dense product (whole-grid blocks from about N = 450,
 parity blocks from N = 1288).  On symmetric grids (centered with
 even N, ordinary with odd N) the generator commutes with index
 reversal, its decomposition comes as two half-size reversal-even and
@@ -36,18 +36,29 @@ semantics, so rejecting it is safer than inventing them.
 The generator's decomposition ``G = V diag(lam) V^H`` is computed once
 per grid and kept with its :class:`~opscale.operators.OperatorSet`; a
 factor M is then only the phases ``p = exp(-i theta lam)``, ``theta =
-2 pi ln M``.  :func:`scale_signal` has two paths to ``M_M x``:
+2 pi ln M``.  The operators form a one-parameter unitary group, so
+``M_{1/M} = M_M^{-1} = M_M^H``: a ``ScalingSpec`` is keyed on ``(|theta|,
+N, scheme value)``, only ``theta >= 0`` is ever assembled, and a factor
+``M < 1`` is served as the adjoint of the operator of ``1/M``, cached
+once for both.  Two factors share a key exactly when their thetas are
+opposite bit for bit, as for every pair of reciprocal powers of two
+(``math.log(0.5) == -math.log(2.0)``).  :func:`scale_signal` has two
+paths to ``M_M x``:
 
 * **factored**, ``Z (Q (p * (Q^T (Z^H x))))`` by
-  :func:`~opscale.linalg.apply_from_eig`: two O(k^2) products per block
-  of size k, nothing assembled, nothing cached; on symmetric grids ``Q
-  (K (Q^T x))`` per parity block, K the rotation of Q's paired columns,
-  with no transform;
-* **assembled**, the operator ``Z Q P Q^T Z^H`` (``(Q K) Q^T`` per
-  parity block), O(k^3) per block (plus a product for the check where
-  the block's bound leaves it uncertified), kept read-only in the
-  byte-bounded LRU cache :data:`opscale.cache.shared` and applied with
-  one O(k^2) product.
+  :func:`~opscale.linalg.apply_from_eig` at the signed theta: two O(k^2)
+  products per block of size k, nothing assembled, nothing cached; on
+  symmetric grids ``Q (K (Q^T x))`` per parity block, K the rotation of
+  Q's paired columns, with no transform;
+* **assembled**, the operator at ``|theta|``, ``Z W Z^H`` with ``W = Q P
+  Q^T`` (``(Q K) Q^T`` per parity block), O(k^3) per block (plus a
+  product for the check where the block's bound leaves it uncertified),
+  kept read-only in the byte-bounded LRU cache :data:`opscale.cache.shared`
+  and applied with one O(k^2) product: ``M x``, or for ``theta < 0`` ``M^H
+  x = conj(conj(x) M)`` or the transposed views of the two parity blocks,
+  with no copy of ``M^H`` (the same cost within timing noise, 1 BLAS
+  thread on a shared 2-core Xeon: 0.66-0.71 against 0.70-0.85 ms at N =
+  1024 ordinary, 0.20-0.23 against 0.19 ms at 1024 centered).
 
 Assembling costs about k^3 multiply-adds, and each factored apply about
 k^2 more than an assembled one, so in flops a factor pays for its
@@ -58,54 +69,57 @@ real (:mod:`opscale.linalg`), so a factored apply reads half the bytes
 a complex V would take; on the asymmetric grids it adds two transforms
 of the whole vector, an FFT and a few pointwise products each, about 20
 microseconds at N = 512 whatever the block size.  A parity block is
-assembled as one real product, a whole grid's block as four real
-products of its size with the transforms of its rows.  Measured (1 BLAS
-thread, demo 07 four times, on a shared host whose timings spread
-widely), a factor pays for its assembly after 25-29 requests at N = 128
-ordinary (k = 128) and 340-394 at 512 ordinary (k = 512), where the
-factored apply, about 250-310 microseconds, is barely slower than the
-dense complex one; on symmetric grids, whose assembled blocks are real,
-after 3 requests at N = 128 centered (k = 64), 29-40 at 512 centered (k
-= 256) and 59-67 at 1024 centered (k = 512).  At N = 128 a factored
-apply takes 61-76 microseconds against 8-19 for the assembled one.  The
+assembled as one real product, a whole grid's block as two real
+products of its size with the transforms of its rows and columns.
+Measured (1 BLAS thread, demo 07, on a shared host whose timings spread
+widely), a factor pays for its assembly after 12-21 requests at N = 128
+ordinary (k = 128) and 358-686 at 512 ordinary (k = 512), where the
+factored apply, about 220-310 microseconds, is barely slower than the
+dense complex one and the assembly runs the dense check; on symmetric
+grids, whose assembled blocks are real, after 4 requests at N = 128
+centered (k = 64), 30-34 at 512 centered (k = 256) and 55-78 at 1024
+centered (k = 512).  At N = 128 a factored apply takes 26-70
+microseconds against 5-17 for the assembled one.  The
 rule is the ski-rental one (Karlin, Manasse, Rudolph & Sleator,
-*Algorithmica* 3, 1988): the first K = ceil(k/4) requests of an ``(M, N,
-scheme)``, k the grid's largest block (ceil(N/2) on symmetric grids, N
-on the others), take the factored path, and every later request the
-assembled one.  Against the cheaper of the two paths in hindsight, that
-costs at most 1 + K/B or 1 + B/K times as much for a break-even B: about
-2.1-2.3 at N = 128 ordinary, 2.6-3.2 at 512 centered, 2.9-3.2 at 1024
-centered and 3.7-4.1 at 512 ordinary, and up to 6.3 at 128 centered,
-where one real assembly costs three factored requests.  A process that
+*Algorithmica* 3, 1988): the first K = ceil(k/4) requests of a key, k
+the grid's largest block (ceil(N/2) on symmetric grids, N on the
+others), take the factored path, and every later request the assembled
+one.  M and 1/M count against one key, so one assembly serves the
+requests of both.  Against the cheaper of the two paths in hindsight,
+that costs at most 1 + K/B or 1 + B/K times as much for a break-even B:
+about 2.5-3.7 at N = 128 ordinary, 2.9-3.1 at 512 centered, 2.6-3.3 at
+1024 centered and 3.8-6.4 at 512 ordinary, and 5.0 at 128 centered,
+where one real assembly costs four factored requests.  A process that
 streams new factors never assembles, and one that repeats a few factors
-assembles each of them once.  The factored path runs only where the
-decomposition certifies it (``factored_certified``: asymmetric grids to
-about N = 590, symmetric ones to N = 1258); elsewhere K = 0, and every
-request is assembled.  The request
-counts live in a table of at most 1024 keys, guarded by a lock; the
-least recently requested key is forgotten first, and a forgotten key
-starts again at request one.
+assembles each of them, or each reciprocal pair, once.  The factored
+path runs only where the decomposition certifies it
+(``factored_certified``: asymmetric grids to about N = 590, symmetric
+ones to N = 1258); elsewhere K = 0, and every request is assembled.  The request counts live in a table of at most 1024 keys,
+guarded by a lock; the least recently requested key is forgotten first,
+and a forgotten key starts again at request one.
 
 Determinism: which path a call takes depends only on the sequence of
 requests, never on the cache's budget or its evictions, and each path's
-result is a function of ``(M, N, scheme, x)``.  The two paths agree to
-rounding (1e-15 to 3e-14 relative, demo 07), not bit for bit.  The cache holds the
-two real blocks on symmetric grids (4 N^2 bytes for even N), the dense
-complex matrix elsewhere (16 N^2 bytes), keyed on ``(M, N, scheme
-value)``.  An evicted
-operator is assembled again through
-:func:`~opscale.linalg.unitary_from_eig`, certified or checked as
-before, and comes back bit-identical.  The cache's and the table's locks
-guard only their bookkeeping, so concurrent callers are safe.  The
-benchmark harness (:func:`opscale.bench.scale_with`) uses each operator
-once per test function: it takes the factored path wherever it is
-certified, outside the table, so a sweep's table depends only on its
-arguments.
+result is a function of ``(M, N, scheme, x)``: a negative theta is
+never assembled itself, so the adjoint served for ``M < 1`` is the same
+whichever of M and 1/M came first.  The two paths agree to rounding
+(1e-15 to 3e-14 relative, demo 07), not bit for bit.  The cache holds
+the two real blocks on symmetric grids (4 N^2 bytes for even N), the
+dense complex matrix elsewhere (16 N^2 bytes).  An evicted operator is
+assembled again through :func:`~opscale.linalg.unitary_from_eig`,
+certified or checked as before, and comes back bit-identical.  The
+cache's and the table's locks guard only their bookkeeping, so
+concurrent callers are safe.  The benchmark harness
+(:func:`opscale.bench.scale_with`) uses each operator once per test
+function: it takes the factored path wherever it is certified, outside
+the table, so a sweep's table depends only on its arguments.
 
-:func:`scaling_matrix` returns the cached array itself on asymmetric
-grids.  On symmetric grids it scatters the blocks into a new read-only
-N x N array on every call, bit-identical from call to call; callers
-that only apply the matrix should call :func:`scale_signal`.
+:func:`scaling_matrix` returns, for ``M >= 1`` on an asymmetric grid,
+the cached array itself, and for ``M < 1`` a new C-contiguous read-only
+array, the conjugate transpose of the cached one.  On symmetric grids it
+scatters the blocks, or their transposes for ``M < 1``, into a new
+read-only N x N array on every call, bit-identical from call to call;
+callers that only apply the matrix should call :func:`scale_signal`.
 
 ``ScalingSpec`` checks M and N, and :func:`scale_signal` the signal,
 with the helpers of :mod:`opscale.dft`: a NaN or infinite sample raises
@@ -145,20 +159,19 @@ class ScalingSpec:
         object.__setattr__(self, "m_factor", as_scaling_factor(self.m_factor))
         object.__setattr__(self, "n_samples", as_sample_count(self.n_samples))
         object.__setattr__(self, "scheme", IndexScheme(self.scheme))
-        # The key of the request table and the cache, in plain values.
-        object.__setattr__(self, "_key", (self.m_factor, self.n_samples, self.scheme.value))
-
-
-def _theta(m_factor: float) -> float:
-    return 2.0 * np.pi * math.log(m_factor)
+        theta = 2.0 * np.pi * math.log(self.m_factor)
+        object.__setattr__(self, "_theta", theta)
+        # The key of the request table and the cache, in plain values: M and
+        # 1/M share it (module docstring).
+        object.__setattr__(self, "_key", (abs(theta), self.n_samples, self.scheme.value))
 
 
 @shared.memoize(nbytes=lambda operator: operator.nbytes)
 def _scaling_operator(
-    m_factor: float, n_samples: int, scheme: str
+    theta: float, n_samples: int, scheme: str
 ) -> np.ndarray | ParityUnitary:
     # Keyed on the scheme's value: a str hashes in C, an Enum member in Python.
-    return unitary_from_eig(operator_set(n_samples, scheme).generator_eig, _theta(m_factor))
+    return unitary_from_eig(operator_set(n_samples, scheme).generator_eig, theta)
 
 
 def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
@@ -169,16 +182,24 @@ def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
     numpy.ndarray
         N x N complex128, C-contiguous, read-only unitary matrix
         (``max|M^H M - I| < 1e-10``, certified or checked per block; the
-        measured residual is far smaller).  On asymmetric grids it is the
-        cached array, shared with every caller of the same ``(M, N,
-        scheme)`` while it stays in the cache; on symmetric grids it is a
-        new array scattered from the cached parity blocks.
+        measured residual is far smaller).  For ``M >= 1`` on an asymmetric
+        grid it is the cached array, shared with every caller of the same
+        ``(M, N, scheme)`` while it stays in the cache; for ``M < 1`` it is
+        a new array, the conjugate transpose of the cached operator of
+        ``1/M``; on symmetric grids it is a new array scattered from the
+        cached parity blocks, or from their transposes for ``M < 1``.
     """
     operator = _scaling_operator(*spec._key)
-    return operator.dense() if isinstance(operator, ParityUnitary) else operator
+    if isinstance(operator, ParityUnitary):
+        return (operator.T if spec._theta < 0 else operator).dense()
+    if spec._theta < 0:
+        adjoint = np.conjugate(operator.T, out=np.empty_like(operator))
+        adjoint.setflags(write=False)
+        return adjoint
+    return operator
 
 
-_requests = OrderedDict()  # (M, N, scheme value) -> factored requests left
+_requests = OrderedDict()  # (|theta|, N, scheme value) -> factored requests left
 _requests_lock = threading.Lock()
 
 
@@ -201,19 +222,25 @@ def _factored_request(key: tuple) -> bool:
         limit = math.ceil(eig.block_size / 4) if eig.factored_certified else 0
 
 
-def _apply(vec: np.ndarray, key: tuple, factored: bool) -> np.ndarray:
-    m_factor, n_samples, scheme = key
+def _apply(vec: np.ndarray, spec: ScalingSpec, factored: bool) -> np.ndarray:
     if factored:
-        eig = operator_set(n_samples, scheme).generator_eig
-        return apply_from_eig(eig, _theta(m_factor), vec)
-    return _scaling_operator(m_factor, n_samples, scheme).dot(vec)
+        eig = operator_set(spec.n_samples, spec.scheme).generator_eig
+        return apply_from_eig(eig, spec._theta, vec)
+    operator = _scaling_operator(*spec._key)
+    if spec._theta >= 0:
+        return operator.dot(vec)
+    if isinstance(operator, ParityUnitary):
+        return operator.T.dot(vec)
+    # M^H x = conj(x^H M): no copy of M^H is made.
+    y = np.conjugate(vec) @ operator
+    return np.conjugate(y, out=y)
 
 
 def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:
     """Apply the discrete scaling matrix to a signal vector.
 
-    The first K requests of a ``(M, N, scheme)`` apply the operator in
-    factored form, later ones the cached assembled operator (module
+    The first K requests of a ``(|ln M|, N, scheme)`` apply the operator
+    in factored form, later ones the cached assembled operator (module
     docstring); either way the result equals ``scaling_matrix(spec) @
     signal`` up to rounding, and the output norm equals the input norm to
     within 1e-8 relative (unitarity).
@@ -225,7 +252,7 @@ def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:
         infinite sample.
     """
     vec = as_signal(signal, spec.n_samples)
-    return _apply(vec, spec._key, _factored_request(spec._key))
+    return _apply(vec, spec, _factored_request(spec._key))
 
 
 def _scale_once(signal, spec: ScalingSpec) -> np.ndarray:
@@ -236,4 +263,4 @@ def _scale_once(signal, spec: ScalingSpec) -> np.ndarray:
     """
     vec = as_signal(signal, spec.n_samples)
     eig = operator_set(spec.n_samples, spec.scheme).generator_eig
-    return _apply(vec, spec._key, eig.factored_certified)
+    return _apply(vec, spec, eig.factored_certified)

@@ -38,8 +38,8 @@ class Grid(NamedTuple):
         return ScalingSpec(m, self.n, self.scheme)
 
     def operator(self, m: float):
-        """The cached scaling operator for factor ``m``."""
-        return _scaling_operator(float(m), self.n, self.scheme.value)
+        """The cached scaling operator for factor ``m``: that of ``1/m`` for ``m < 1``."""
+        return _scaling_operator(*self.spec(m)._key)
 
     def assembled(self, x, m: float) -> np.ndarray:
         """``scale_signal`` past the factored requests: the first assembled result."""
@@ -102,6 +102,19 @@ def test_scale_signal_applies_the_cached_operator(budget, grid):
     assert cache.shared.info() == cache.CacheInfo(0, 0, 0, 0, 0)
     y = scale_signal(x, grid.spec(1.7))
     assert y.tobytes() == (grid.operator(1.7) @ x).tobytes()
+    assert cache.shared.info().misses == 1
+
+
+def test_reciprocal_factors_share_one_entry(budget, grid):
+    # M_{1/M} = M_M^H: one assembly, one entry and one charge serve both,
+    # whichever is asked for first.
+    half = grid.operator(0.5)
+    assert grid.operator(2.0) is half
+    info = cache.shared.info()
+    assert (info.entries, info.nbytes, info.misses, info.hits) == (1, grid.charge, 1, 1)
+    x = grid.signal(4)
+    grid.assembled(x, 2.0)
+    grid.assembled(x, 0.5)
     assert cache.shared.info().misses == 1
 
 

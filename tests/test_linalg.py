@@ -420,8 +420,28 @@ class TestUnitarityCertificate:
         eig = operator_set(n, scheme).generator_eig
         for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * math.log(1.7))):
             assert block.unitarity_bound >= _unitarity_residual(m)
-            # Blocks up to 512 are certified; the whole 1021 and 1024 are not.
-            assert (block.unitarity_bound < UNITARITY_TOL) == (eig.block_size <= 512)
+            # Paired blocks up to 512 are certified; whole blocks of 509 and
+            # more are not (step 9 certifies them up to about k = 450).
+            assert (block.unitarity_bound < UNITARITY_TOL) == (block.pair_signs is not None)
+
+    @pytest.mark.parametrize(
+        "n, scheme, certified",
+        [(128, IndexScheme.ORDINARY, True), (442, IndexScheme.ORDINARY, True),
+         (443, IndexScheme.CENTERED, False), (512, IndexScheme.ORDINARY, False),
+         (1024, IndexScheme.ORDINARY, False)],
+    )
+    def test_whole_grids_the_assembly_certifies(self, monkeypatch, n, scheme, certified):
+        # Step 9's bound grows as k gamma_k: it certifies every whole grid up
+        # to N = 442 and none from 460; the rest are checked densely.
+        eig = operator_set(n, scheme).generator_eig
+        assert eig.pair_signs is None and eig.basis.dtype == np.float64
+        assert (eig.unitarity_bound < UNITARITY_TOL) == certified
+        calls = []
+        check = linalg._unitarity_residual
+        monkeypatch.setattr(linalg, "_unitarity_residual",
+                            lambda m: calls.append(m.shape) or check(m))
+        unitary_from_eig(eig, 2 * math.pi * math.log(2.0))
+        assert calls == ([] if certified else [(n, n)])
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_bound_covers_eigenvectors_far_from_orthonormal(self, theta):
@@ -550,9 +570,13 @@ class TestFactoredApply:
         eig = operator_set(n, scheme).generator_eig
         blocks = _blocks(eig)
         assert eig.block_size == blocks[0].block_size == max(b.block_size for b in blocks)
-        assert eig.factored_certified == all(b.unitarity_bound < UNITARITY_TOL for b in blocks)
-        # N = 1024 ordinary is one dense block of 1024: neither bound certifies it.
+        assembly_certified = all(b.unitarity_bound < UNITARITY_TOL for b in blocks)
+        assert eig.factored_certified or not assembly_certified
+        # N = 1024 ordinary is one dense block of 1024: neither bound certifies
+        # it.  N = 512 ordinary is applied factored, but its assembly (step 9)
+        # is checked densely.
         assert eig.factored_certified == (n == 512 or scheme is IndexScheme.CENTERED)
+        assert assembly_certified == (scheme is IndexScheme.CENTERED)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 33])
     def test_matches_the_assembled_product(self, n):
@@ -651,9 +675,10 @@ class TestKeptRealForm:
                                            (64, IndexScheme.CENTERED), (65, IndexScheme.ORDINARY)])
     def test_transform_error_enters_the_factored_bound(self, n, scheme):
         # The same block with Z taken as exact.  Where the transforms run (a
-        # whole grid), its factored bound is smaller by about 4 eta, and so
-        # is its assembly's, the factored product of each column; a paired
-        # block runs none, so eta enters neither of its bounds.
+        # whole grid), its factored bound is smaller by about 4 eta, and its
+        # assembly's, whose two transforms each act on all k rows or columns,
+        # by about 4 sqrt(k) eta; a paired block runs none, so eta enters
+        # neither of its bounds.
         for block in _blocks(operator_set(n, scheme).generator_eig):
             eta = block.transform_error
             assert eta > 0
@@ -665,10 +690,10 @@ class TestKeptRealForm:
                 assert exact.unitarity_bound == block.unitarity_bound
                 assert exact.factored_bound == block.factored_bound
                 continue
-            assert block.unitarity_bound == block.factored_bound
             gap = block.factored_bound - exact.factored_bound
             assert 3.9 * eta < gap < 4.1 * eta
-            assert exact.unitarity_bound == exact.factored_bound
+            gap = block.unitarity_bound - exact.unitarity_bound
+            assert 3.9 * math.sqrt(n) * eta < gap < 4.1 * math.sqrt(n) * eta
 
     def test_certifies_no_block_that_applying_v_did_not(self):
         # N = 604 ordinary, one block of 604 (measured: 9.2e-11 through Q
@@ -793,8 +818,9 @@ class TestRealFormAssemblyMemory:
     """The traced peak of an assembly from a real form: no complex k x k V beside the result."""
 
     @pytest.mark.parametrize("scheme, limit", [
-        # One complex block of 1024, its columns computed a row block of
-        # 96 at a time in two complex and two real buffers (1.29 measured).
+        # One complex block of 1024, its rows computed 96 at a time, then
+        # its columns transformed 48 at a time, in two complex buffers of
+        # 96 rows (1.20 measured).
         (IndexScheme.ORDINARY, 1.35),
         # Two real blocks of 512, each assembled beside two real buffers of
         # 96 of its rows (1.22 measured).
