@@ -4,14 +4,14 @@ This module is the numerical engine for the rest of the package:
 validated Hermitian eigendecompositions and unitary matrix functions
 ``exp(-i*theta*G)`` of Hermitian generators.
 
-The heavy lifting is delegated to LAPACK through :func:`numpy.linalg.eigh`;
-what this module adds is the contract enforcement the callers rely on:
-inputs are checked for Hermiticity before the solve
-(:func:`_hermiticity_residual`), and every decomposition is verified
-(orthonormal eigenvectors, small reconstruction residual) before it is
-handed back.  :func:`hermitian_eig` measures both on ``(A, V)`` with
-complex products.  A generator that fails these checks indicates a
-construction bug upstream, and raising here localizes it.
+The heavy lifting is delegated to LAPACK's real symmetric solve,
+:func:`numpy.linalg.eigh` of a real form; what this module adds is the
+contract enforcement the callers rely on: inputs are checked for
+Hermiticity before the solve (:func:`_hermiticity_residual`), and every
+decomposition is certified (orthonormal eigenvectors, small
+reconstruction residual) before it is handed back.  A generator that
+fails these checks indicates a construction bug upstream, and raising
+here localizes it.
 
 The scaling generator is decomposed through a real form.  For a
 Hermitian A and a unitary Z with ``Z^H A Z`` real, that form ``S`` is
@@ -82,8 +82,6 @@ time, with no k x k temporary:
 
 * a paired block: row block r of ``(Q K) Q^T`` is ``(Q[r] K) Q^T``, the
   rows ``Q[r] K`` rotated in two real buffers of a row block;
-* a complex solve (Z = I): row block r of ``M = V P V^H`` is
-  ``conj(conj(V[r] p) V^T)``, in one complex buffer;
 * a real form ``M = Z W Z^H``, ``W = Q P Q^T = (Q cos) Q^T - i (Q sin)
   Q^T`` (``p = cos - i sin``; step 9): row block r of ``conj(W)`` is two
   real products, ``(Q[r] cos) Q^T`` and ``(Q[r] sin) Q^T``, and Z
@@ -91,7 +89,7 @@ time, with no k x k temporary:
   conjugated columns, 48 at a time, in place: ``M = Z conj(conj(W) Z)``,
   as Z is symmetric.  Two complex buffers of a row block serve both.
 
-``Q^T`` and ``V^T`` are views, so no transposed copy is made.  Row
+``Q^T`` is a view, so no transposed copy is made.  Row
 blocks are 96 rows from row 0, and a last block of fewer than 48 rows
 takes 48 from the one before (:func:`_row_blocks`), so that BLAS sums
 each entry in the same order as in the whole product: with one BLAS
@@ -114,10 +112,8 @@ symmetric, so each side costs one transform of the whole N-vector, an
 FFT and a few pointwise products.  On a :class:`ParityEigenDecomposition`
 the vector is folded, each block applied to its part as ``Q (K (Q^T
 x))``, and the results unfolded, as in :meth:`ParityUnitary.__matmul__`:
-no transform at all.  A complex solve keeps V itself, and is the case Z
-= I, with ``V^H x`` computed as ``conj(x^H V)``, so no copy of ``V^H``
-is made.  The factored form runs only on a decomposition whose every
-block it certifies (``factored_certified``); it raises
+no transform at all.  The factored form runs only on a decomposition
+whose every block it certifies (``factored_certified``); it raises
 ``ArithmeticError`` elsewhere, where the assembled block and its dense
 check are the only path.
 
@@ -135,15 +131,16 @@ by the same code, bit for bit.
 
 The bound (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
 ed., sections 3.5-3.6; ``u`` the unit roundoff, ``gamma_n = n u/(1 - n
-u)``).  Let V be the k x k basis an assembly multiplies (the
-eigenvectors of a complex solve, Q of a paired block), ``E = V^H V - I``
-with ``delta = max|E|``, and let ``d`` be the computed gram residual.
+u)``).  Let V be a k x k basis: the real Q that a paired block is
+assembled from, or a real form's ``V = Z Q`` (steps 5, 7 and 9); ``E =
+V^H V - I`` with ``delta = max|E|``, and ``d`` the computed gram residual.
 
-1. The gram product, a complex inner product of length k, errs by at
-   most ``gamma_{k+2} |v_i|^T |v_j| <= gamma_{k+2} (1 + delta)`` per
-   entry (the columns have squared norm ``1 + E_ii``); subtracting 1
-   and taking the modulus lose at most a factor ``1 + gamma_3``.  So
-   ``delta <= (d (1 + gamma_3) + gamma_{k+2}) / (1 - gamma_{k+2})``.
+1. The gram product of a basis that is measured, ``V = Q``, an inner
+   product of length k, errs by at most ``gamma_{k+2} |v_i|^T |v_j| <=
+   gamma_{k+2} (1 + delta)`` per entry (the columns have squared norm
+   ``1 + E_ii``); subtracting 1 and taking the modulus lose at most a
+   factor ``1 + gamma_3``.  So ``delta <= (d (1 + gamma_3) +
+   gamma_{k+2}) / (1 - gamma_{k+2})``.
 2. ``||E||_2 <= ||E||_F <= k delta``, so ``||V||_2^2 <= 1 + k delta``,
    and ``||V V^H - I||_2 = ||V^H V - I||_2`` for square V.  For any
    unitary P (diagonal unit phases, or a paired block's rotation K), ``M
@@ -170,18 +167,17 @@ with ``delta = max|E|``, and let ``d`` be the computed gram residual.
    rotated rows' ``|| Q K^ ||_F <= sqrt(k) ||Q||_2 (1 + gamma_4)`` for
    ``|| |V| ||_2`` and their ``gamma_2`` inside ``g'``.
 
-That last quantity is ``unitarity_bound`` of a paired block or a complex
-solve, evaluated once per decomposed block.  With gram residuals of a
+That last quantity is ``unitarity_bound`` of a paired block, evaluated
+once per decomposed block.  With gram residuals of a
 few 1e-15 it is about ``2 k^2 u``: 1.7e-11 at k = 256 and 6.4e-11 at k
 = 512, which certify, and 2.5e-10 at k = 1024, where the dense check
 runs.  A real form is assembled otherwise, with the bound of step 9.
 
 5. The factored product ``y^ = fl(Z fl(Q fl(p^ * fl(Q^T fl(Z^H
    x)))))`` of :func:`apply_from_eig`, for ``V = Z Q`` with Z the exact
-   unitary transform (Z = I, Q = V and ``eta = 0`` for a complex solve).
-   Let ``delta_Q`` bound ``max|Q^T Q - I|`` (step 7; delta of step 1 when
-   Q = V), ``nu = sqrt(1 + k delta_Q) >= ||Q||_2`` (step 2) and ``a =
-   sqrt(k) nu gamma_{k+2}``.  The conjugations are exact, so the first
+   unitary transform.  Let ``delta_Q`` bound ``max|Q^T Q - I|`` (step 1,
+   kept by step 7), ``nu = sqrt(1 + k delta_Q) >= ||Q||_2`` (step 2) and
+   ``a = sqrt(k) nu gamma_{k+2}``.  The conjugations are exact, so the first
    transform gives ``w^ = Z^H x + e0`` with ``||e0|| <= eta ||x||`` (step
    6).  Then ``c^ = fl(Q^T w^) = Q^T w^ + e1`` with ``|e1| <= gamma_{k+2}
    |Q^T| |w^|`` and, as in step 4, ``||e1|| <= a ||w^||``; the phases
@@ -214,20 +210,14 @@ delta_Q`` and ``eta = 0``) has ``4 sqrt(k) eta`` there, and that bound
 certified the factored path while V was kept; ``factored_certified``
 requires both on a block that is not paired, so the blocks certified
 are exactly those certified before.  A paired block applies neither V
-nor Z, and its ``factored_bound`` alone decides.  From a measured gram
-residual of a few 1e-15 the bound through V stops certifying at k of
-about 635 for a complex solve, a dozen sizes before ``unitarity_bound``
-does; both certify every block up to k = 512 and neither the dense k =
-1024.  Neither bound is sounder than the gram residual it is given, so a
-hand-built decomposition must carry the measured ``max|V^H V - I|`` of
-its eigenvectors.
+nor Z, and its ``factored_bound`` alone decides.  Neither bound is
+sounder than the gram residual it is given, so a hand-built
+decomposition must carry the measured ``max|Q^T Q - I|`` of its basis.
 
 Steps 2-4 use ``delta`` only through ``k delta``, a bound on ``||V^H V
 - I||_2``, and step 5 through ``k delta_Q``, a bound on ``||Q^T Q -
 I||_2``.  A decomposition keeps them as ``gram_bound`` and
-``basis_gram_bound``; from a measured gram residual both are ``k
-delta`` of step 1.  A real-form decomposition bounds them without
-forming ``V^H V``:
+``basis_gram_bound``, and bounds them without forming ``V^H V``:
 
 6. The transform (an a priori bound).  numpy (>= 2.0) computes
    ``fft`` with pocketfft, whose accuracy this module assumes as
@@ -341,7 +331,7 @@ N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q`` in
 to a real form's ``unitarity_bound``.  Every block up to k = 512 is
 certified for the factored path, and k = 1024 is not; near the edge,
 the bound through V certifies it on every whole grid up to N = 590 (some
-to 625; 632 from a complex gram).  Step 9 certifies the assembly of
+to 625).  Step 9 certifies the assembly of
 every whole grid up to N = 442 (some to 459); from there the dense check
 runs, at N = 512 and 1024 among others.  A paired block's bounds carry
 no eta: the symmetric grids are certified for the factored path up to N
@@ -373,7 +363,6 @@ __all__ = [
     "ParityEigenDecomposition",
     "ParityUnitary",
     "apply_from_eig",
-    "hermitian_eig",
     "parity_real_form_eig",
     "real_form_eig",
     "unitary_from_eig",
@@ -543,41 +532,37 @@ def _rotation_table(
 class HermitianEigenDecomposition:
     """Validated spectral decomposition ``A = V diag(eigenvalues) V^H``, ``V = Z Q``.
 
-    A complex solve keeps V itself (Z = I); a real-form solve keeps the
-    real orthogonal Q and the transform Z, which applies Z with an FFT,
-    and builds V only on request (:attr:`eigenvectors`).
+    :func:`real_form_eig` makes it.  It keeps the real orthogonal Q and
+    the transform Z, which applies Z with an FFT, and builds V only on
+    request (:attr:`eigenvectors`).
 
     Attributes
     ----------
     eigenvalues : numpy.ndarray
         Real eigenvalues in ascending order.
     basis : numpy.ndarray
-        Q, whose column ``k`` pairs with ``eigenvalues[k]``: read-only
-        float64 for a real form, the unitary V itself where Z = I.
+        Q, read-only float64, whose column ``k`` pairs with
+        ``eigenvalues[k]``.
     hermiticity_residual : float
         ``max|A - A^H|`` of the decomposed matrix.
     gram_residual : float
-        ``max|V^H V - I|`` of the eigenvectors, as computed; for a
-        real-form decomposition, a bound on it (module docstring, step 7).
+        A bound on ``max|V^H V - I|`` of the eigenvectors (module
+        docstring, step 7).
     reconstruction_residual : float
-        ``max|A V - V diag(eigenvalues)|``, as computed; for a real-form
-        decomposition, a bound on it (step 8).
-    realness_residual : float or None
+        A bound on ``max|A V - V diag(eigenvalues)|`` (step 8).
+    realness_residual : float
         ``max|Im(Z^H A Z)|`` of the real form the eigenvalues were solved
-        from (see :func:`_real_part`); None for a complex solve.
+        from (see :func:`_real_part`).
     gram_bound : float
-        A bound on ``||V^H V - I||_2``: ``k`` times step 1's bound on the
-        exact ``max|V^H V - I|`` when not given (or None); a real-form
-        decomposition gives step 7's.
-    transform : callable or None
+        A bound on ``||V^H V - I||_2`` (step 7).
+    transform : callable
         ``transform(x, out, axis)`` writes Z x along ``axis`` of the
-        complex matrix x into ``out`` and may overwrite x; None for Z = I.
+        complex matrix x into ``out`` and may overwrite x.
     transform_error : float
         ``eta``, a bound on the transform's relative error on any vector
-        (step 6); 0.0 for Z = I.
+        (step 6).
     basis_gram_bound : float
-        A bound on ``||Q^T Q - I||_2``: ``k delta_Q`` of step 7 for a real
-        form, ``gram_bound`` when not given (or None).
+        A bound on ``||Q^T Q - I||_2``, ``k delta_Q`` of step 7.
     pair_signs : numpy.ndarray or None
         For a block of a purely imaginary ``A = i B``, the signs ``t_j``
         that pair column j of Q with column ``k-1-j``, ``j < k // 2``:
@@ -590,14 +575,13 @@ class HermitianEigenDecomposition:
         ``(mu_j, t_j)`` at j, ``(mu_j, -t_j)`` at ``k-1-j`` and ``(0, 0)`` at
         the kernel entry of an odd k, as two read-only rows of one array
         (:func:`_rotation_table`), so that an assembly or apply at theta
-        computes only ``cos`` and ``sin`` of ``theta mu``; derived from the
-        eigenvalues and ``pair_signs`` when not given.  None for a block
-        that is not paired.
+        computes only ``cos`` and ``sin`` of ``theta mu``.  None for a
+        block that is not paired.
     unitarity_bound : float
         Derived from ``basis_gram_bound``: an upper bound on ``max|M^H M
         - I|`` of every block :func:`unitary_from_eig` assembles from this
-        decomposition (steps 2-4 of the module docstring).  A real basis
-        that is not paired is assembled as ``Z W Z^H``, whose bound also
+        decomposition (steps 2-4 of the module docstring).  A block that
+        is not paired is assembled as ``Z W Z^H``, whose bound also
         carries ``transform_error`` (step 9).
     factored_bound : float
         Derived from ``basis_gram_bound`` and, where the apply runs the
@@ -609,9 +593,9 @@ class HermitianEigenDecomposition:
     factored_certified : bool
         Whether ``factored_bound`` is below ``UNITARITY_TOL``, so that
         :func:`apply_from_eig` may run.  A block that is not paired must
-        also have the bound that step 5 gives through V (from
-        ``gram_bound``, Z = I) below it: a real form is certified on
-        exactly the blocks where applying V was.
+        also have the bound that step 5 gives through V (Q = V, from
+        ``gram_bound``) below it: a real form is certified on exactly the
+        blocks where applying V was.
     """
 
     eigenvalues: np.ndarray
@@ -619,13 +603,13 @@ class HermitianEigenDecomposition:
     hermiticity_residual: float
     gram_residual: float
     reconstruction_residual: float
-    realness_residual: float | None = None
-    gram_bound: float | None = None
-    transform: Callable | None = None
-    transform_error: float = 0.0
-    basis_gram_bound: float | None = None
-    pair_signs: np.ndarray | None = None
-    rotation: tuple[np.ndarray, np.ndarray] | None = None
+    realness_residual: float
+    gram_bound: float
+    transform: Callable
+    transform_error: float
+    basis_gram_bound: float
+    pair_signs: np.ndarray | None
+    rotation: tuple[np.ndarray, np.ndarray] | None
     unitarity_bound: float = field(init=False)
     factored_bound: float = field(init=False)
     block_size: int = field(init=False)
@@ -633,25 +617,17 @@ class HermitianEigenDecomposition:
 
     def __post_init__(self):
         k = self.basis.shape[0]
-        if self.gram_bound is None:
-            object.__setattr__(self, "gram_bound", float(k * _entry_bound(self.gram_residual, k)))
-        if self.basis_gram_bound is None:
-            object.__setattr__(self, "basis_gram_bound", self.gram_bound)
         paired = self.pair_signs is not None
-        if paired and self.rotation is None:
-            table = _rotation_table(self.eigenvalues, self.pair_signs, np.empty((2, k)))
-            object.__setattr__(self, "rotation", table)
         # A paired block runs no transform after its decomposition.
-        eta = 0.0 if paired else float(self.transform_error)
+        eta = 0.0 if paired else self.transform_error
         products, factored, real_form = _bounds(self.basis_gram_bound, eta, k)
-        # A real basis that is not paired is assembled as Z W Z^H (step 9).
-        unitarity = real_form if not paired and self.basis.dtype.kind != "c" else products
+        # A block that is not paired is assembled as Z W Z^H (step 9).
+        unitarity = products if paired else real_form
         certified = factored < UNITARITY_TOL
         if not paired:
-            # Step 5 taken through V (Z = I): the certificate the factored
+            # Step 5 taken through V (Q = V, eta = 0): the certificate the factored
             # path had when it applied V, which still decides where it runs.
             certified = certified and _bounds(self.gram_bound, 0.0, k)[1] < UNITARITY_TOL
-        object.__setattr__(self, "transform_error", float(self.transform_error))
         object.__setattr__(self, "unitarity_bound", float(unitarity))
         object.__setattr__(self, "factored_bound", float(factored))
         object.__setattr__(self, "block_size", k)
@@ -659,14 +635,11 @@ class HermitianEigenDecomposition:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """The unitary V whose column ``k`` pairs with ``eigenvalues[k]``.
+        """The unitary ``V = Z Q`` whose column ``k`` pairs with ``eigenvalues[k]``.
 
-        The kept V where Z = I; for a real form ``V = Z Q``, built on each
-        request as a new read-only array (:func:`_transformed_columns`)
-        and not kept.
+        Built on each request as a new read-only array
+        (:func:`_transformed_columns`) and not kept.
         """
-        if self.transform is None:
-            return self.basis
         k = self.block_size
         v = np.empty((k, k), dtype=complex)
         for cols, slab in _transformed_columns(self.basis, self.transform):
@@ -786,7 +759,7 @@ def real_form_eig(
     freed, and Z is checked to be symmetric on a probe pair
     (:func:`_check_symmetric`).  A real ``eigh`` gives ``S = Q diag(lam)
     Q^T``; the decomposition keeps lam and Q with the transform, not ``V =
-    Z Q``.  The checks use only S, Q and the column norms of V, built 64
+    Z Q``.  The checks use only S, Q and the column norms of V, built 48
     columns at a time and not kept, in real arithmetic (module docstring,
     steps 6-8).
 
@@ -904,53 +877,6 @@ def real_form_eig(
         eigenvalues, s, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound,
         transform, eta, k * delta_q, signs, table,
     )
-
-
-def hermitian_eig(a) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, with pre/post validation.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix, Hermitian within ``1e-10 * (1 + max|a|)``.
-
-    Returns
-    -------
-    HermitianEigenDecomposition
-        Ascending eigenvalues and orthonormal eigenvectors.
-
-    Raises
-    ------
-    ValueError
-        If ``a`` is not square, not finite, or not Hermitian within
-        tolerance.
-    ArithmeticError
-        If the solver fails to converge, the eigenvectors are not
-        orthonormal to 1e-10, or the decomposition does not reproduce
-        ``a`` within ``1e-9 * (1 + max|a|)``.
-    """
-    a = np.asarray(a)
-    scale, herm_resid = _hermiticity_residual(a)
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
-    gram_resid = identity_residual(eigenvectors.conj().T @ eigenvectors)
-    if gram_resid >= ORTHONORMALITY_TOL:
-        raise ArithmeticError(
-            f"eigenvector columns not orthonormal: max|V^H V - I| = {gram_resid:.3e}"
-        )
-    recon = a @ eigenvectors
-    recon -= eigenvectors * eigenvalues
-    recon_resid = float(abs(recon).max(initial=0.0))
-    del recon
-    if recon_resid >= RESIDUAL_RTOL * scale:
-        raise ArithmeticError(
-            f"eigendecomposition residual {recon_resid:.3e} exceeds tolerance"
-        )
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return HermitianEigenDecomposition(eigenvalues, eigenvectors, herm_resid, gram_resid, recon_resid)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -1215,24 +1141,6 @@ def _paired_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarra
         np.matmul(left, q.T, out=out[rows])
 
 
-def _complex_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
-    """``out = V P V^H`` of a complex basis V, a row block at a time, in one buffer of a row block.
-
-    Row block r is ``conj(conj(V[r] p) V^T)``: ``V^T`` is a view, so no
-    copy of ``V^H`` is made.
-    """
-    k = eig.block_size
-    v = eig.basis
-    phases = np.exp(-1j * theta * eig.eigenvalues)
-    rows_of_vp = np.empty(_block_entries(k), dtype=complex)
-    for rows in _row_blocks(k):
-        shape = (rows.stop - rows.start, k)
-        w = np.multiply(v[rows], phases, out=rows_of_vp[:shape[0] * k].reshape(shape))
-        np.conjugate(w, out=w)
-        np.matmul(w, v.T, out=out[rows])
-        np.conjugate(out[rows], out=out[rows])
-
-
 def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.ndarray) -> None:
     """``out = Z W Z^H``, ``W = (Q cos) Q^T - i (Q sin) Q^T``, for a real basis Q, without V.
 
@@ -1240,9 +1148,7 @@ def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.nda
     ``(Q[r] sin) Q^T``, whose rows Z transforms straight into ``out[r]``;
     then Z runs down the conjugated columns of out, 48 at a time, and
     writes them back: ``M = Z conj(conj(W) Z)``, Z symmetric (step 9).
-    Two complex buffers of a row block serve both passes; no transform
-    runs where Z = I, as for the real eigenvectors of a real symmetric
-    matrix that :func:`hermitian_eig` decomposes.
+    Two complex buffers of a row block serve both passes.
     """
     k = eig.block_size
     q, transform = eig.basis, eig.transform
@@ -1257,12 +1163,7 @@ def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.nda
             np.matmul(np.multiply(q[rows], phase, out=left), q.T, out=part)
         x = work[0, :n * k].reshape(n, k)  # conj(W)[r], over the spent left operand
         x.real, x.imag = product
-        if transform is None:
-            np.conjugate(x, out=out[rows])
-        else:
-            transform(x, out[rows], axis=1)
-    if transform is None:
-        return
+        transform(x, out[rows], axis=1)
     step = min(_ROW_BLOCK // 2, k)
     for start in range(0, k, step):
         cols = slice(start, min(start + step, k))
@@ -1276,21 +1177,18 @@ def _unitary_block(
 ) -> tuple[np.ndarray, float | None]:
     """``M = exp(-i theta A)`` of one decomposed block, certified or checked.
 
-    A paired block is real, ``(Q K) Q^T``; a complex basis (Z = I) gives
-    ``V P V^H``; a real form ``Z (Q P Q^T) Z^H`` (module docstring).
+    A paired block is real, ``(Q K) Q^T``, and any other block is ``Z (Q
+    P Q^T) Z^H`` (module docstring).
     Returns the read-only block and its measured ``max|M^H M - I|``, None
     where the block is certified.
     """
     # The result is allocated before the temporaries, so that an assembly
     # that is kept does not sit between freed temporaries in the heap.
     k = eig.block_size
-    q = eig.basis
     paired = eig.pair_signs is not None
     out = np.empty((k, k), dtype=float if paired else complex)
     if paired:
         _paired_block(eig, theta, out)
-    elif q.dtype.kind == "c":
-        _complex_block(eig, theta, out)
     else:
         _real_form_block(eig, theta, out)
     resid = None
@@ -1424,25 +1322,15 @@ def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarra
     """``exp(-i theta A) x`` of one decomposed block, in factored form (module docstring, step 5).
 
     ``Q (K (Q^T x))`` for a paired block; ``Z (Q (p * (Q^T (Z^H x))))``
-    otherwise, with no transform where there is none (Z = I).
+    otherwise.
     """
     q = eig.basis
-    if q.dtype.kind == "c":
-        # Q^H x as conj(x^H Q): no copy of Q^H is made.
-        c = np.dot(x.conj(), q)
-        np.conjugate(c, out=c)
-        c *= np.exp(-1j * theta * eig.eigenvalues)  # the phases _unitary_block uses
-        return np.dot(q, c)
     if eig.pair_signs is not None:
         c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))  # Q^T is a view
         return _real_dot(q, _rotated(c, *_rotation(eig, theta)))
-    transform = eig.transform
-    if transform is not None:
-        x = _transformed(transform, x, adjoint=True)
-    c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))
+    c = _real_dot(q.T, _transformed(eig.transform, x, adjoint=True))
     c *= np.exp(-1j * theta * eig.eigenvalues)
-    y = _real_dot(q, c)
-    return y if transform is None else _transformed(transform, y, adjoint=False)
+    return _transformed(eig.transform, _real_dot(q, c), adjoint=False)
 
 
 def apply_from_eig(
@@ -1451,8 +1339,8 @@ def apply_from_eig(
     """``exp(-i*theta*G) @ x`` for an N-vector, in factored form, without assembling.
 
     ``Z (Q (p * (Q^T (Z^H x))))``, ``p = exp(-i*theta*lam)``: one
-    transform of the whole vector on each side (none where Z = I), and
-    in between two products with the kept basis.  A
+    transform of the whole vector on each side, and in between two
+    products with the kept basis.  A
     :class:`ParityEigenDecomposition` is applied through the parity fold
     of :meth:`ParityUnitary.__matmul__`, each block as ``Q (K (Q^T x))``
     with K the rotation of its pairs: no transform and no complex phase.

@@ -1,8 +1,9 @@
 """Shared oracles and reporting plumbing for the test suite.
 
-The helpers here are deliberately *independent* implementations — plain
-loops and scalar math, no numpy linear algebra — so that agreement with
-the library is evidence rather than tautology.
+The oracles here are deliberately *independent* implementations — plain
+loops and scalar math, or LAPACK's complex Hermitian solve, which the
+library does not call — so that agreement with the library is evidence
+rather than tautology.
 """
 
 from __future__ import annotations
@@ -74,6 +75,16 @@ def taylor_expm(a, terms: int = 30) -> np.ndarray:
         term = term @ a / k
         total = total + term
     return total
+
+
+def eigh_unitary(a, theta: float) -> np.ndarray:
+    """``exp(-i theta A)`` of a Hermitian A, as ``V diag(exp(-i theta lam)) V^H``.
+
+    ``(lam, V)`` is :func:`numpy.linalg.eigh` of A itself, LAPACK's complex
+    solve; the library decomposes only real forms ``Z^H A Z``.
+    """
+    lam, v = np.linalg.eigh(np.asarray(a))
+    return (v * np.exp(-1j * theta * lam)) @ v.conj().T
 
 
 def explicit_summation_dual(f, u_diag) -> np.ndarray:

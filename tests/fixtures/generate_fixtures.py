@@ -8,13 +8,15 @@ neither the extra dependencies (sympy, mpmath) nor the generation time.
 
 Fixtures
 --------
-hermitian6.json
-    A seeded random 6x6 complex Hermitian matrix together with its
-    eigenvalues computed *without* any floating-point eigensolver: the
-    characteristic polynomial is formed in exact rational arithmetic
-    (sympy, entries taken as the exact binary rationals of the stored
-    doubles) and its roots are extracted with 60-digit mpmath arithmetic.
-    Validates ``linalg.hermitian_eig`` against LAPACK-independent truth.
+generator_6_7_ordinary.json
+    The scaling generators of N = 6 and N = 7 on the ordinary scheme, as
+    ``operator_set`` forms them, with their eigenvalues computed *without*
+    any floating-point eigensolver: the characteristic polynomial is
+    formed in exact rational arithmetic (sympy, entries taken as the exact
+    binary rationals of the stored doubles) and its roots are extracted
+    with 60-digit mpmath arithmetic.  Validates ``generator_eig`` against
+    LAPACK-independent truth, on one whole real-form block (N = 6) and on
+    the two paired blocks of a symmetric grid (N = 7).
 
 diff4_ordinary.json
     The 4-point ordinary-scheme differentiation matrix evaluated by
@@ -48,39 +50,31 @@ def _dump(name: str, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-def gen_hermitian6() -> None:
+def gen_generator_6_7_ordinary() -> None:
     import mpmath
     import sympy
 
-    rng = np.random.default_rng(20260817)
-    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    a = (a + a.conj().T) / 2.0
-
-    entries = [
-        [sympy.Rational(a[i, j].real) + sympy.I * sympy.Rational(a[i, j].imag) for j in range(6)]
-        for i in range(6)
-    ]
-    poly = sympy.Matrix(entries).charpoly()
-    coeffs = poly.all_coeffs()
-    assert all(sympy.im(c) == 0 for c in coeffs), "charpoly of a Hermitian matrix must be real"
+    from opscale.dft import IndexScheme
+    from opscale.operators import operator_set
 
     mpmath.mp.dps = 60
-    mp_coeffs = [mpmath.mpf(sympy.Rational(sympy.re(c)).p) / sympy.Rational(sympy.re(c)).q
-                 for c in coeffs]
-    roots = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=200)
-    assert all(abs(mpmath.im(r)) < mpmath.mpf("1e-40") for r in roots)
-    eigenvalues = sorted(float(mpmath.re(r)) for r in roots)
-
-    _dump(
-        "hermitian6.json",
-        {
-            "comment": "6x6 Hermitian; eigenvalues from exact charpoly + 60-digit roots",
-            "seed": 20260817,
-            "matrix_re": a.real.tolist(),
-            "matrix_im": a.imag.tolist(),
-            "eigenvalues": eigenvalues,
-        },
-    )
+    payload = {"comment": "G of N=6 and N=7 ordinary; eigenvalues from exact charpoly "
+                          "+ 60-digit roots"}
+    for n in (6, 7):
+        g = np.asarray(operator_set(n, IndexScheme.ORDINARY).generator)
+        entries = sympy.Matrix(n, n, lambda i, j: sympy.Rational(g[i, j].real)
+                               + sympy.I * sympy.Rational(g[i, j].imag))
+        coeffs = [sympy.expand(c) for c in entries.charpoly().all_coeffs()]
+        assert all(sympy.im(c) == 0 for c in coeffs), "charpoly of a Hermitian matrix must be real"
+        mp_coeffs = [mpmath.mpf(sympy.Rational(c).p) / sympy.Rational(c).q for c in coeffs]
+        roots = mpmath.polyroots(mp_coeffs, maxsteps=200, extraprec=200)
+        assert all(abs(mpmath.im(r)) < mpmath.mpf("1e-40") for r in roots)
+        payload[str(n)] = {
+            "re": g.real.tolist(),
+            "im": g.imag.tolist(),
+            "eigenvalues": sorted(float(mpmath.re(r)) for r in roots),
+        }
+    _dump("generator_6_7_ordinary.json", payload)
 
 
 def gen_diff4_ordinary() -> None:
@@ -150,6 +144,6 @@ def gen_delta64_m2_ordinary() -> None:
 
 
 if __name__ == "__main__":
-    gen_hermitian6()
+    gen_generator_6_7_ordinary()
     gen_diff4_ordinary()
     gen_delta64_m2_ordinary()

@@ -71,11 +71,10 @@ def test_pairs_runs_by_seed_and_counts_wins(tmp_path):
     # The same commit on both sides, told apart by the hash of src/.
     assert result["parent"]["git_commit"] == result["change"]["git_commit"]
     assert result["parent"]["src_sha256"] != result["change"]["src_sha256"]
-
-
-def test_line_counts_split_code_docstrings_comments_and_blanks(tmp_path):
-    counts = bench_pairs.line_counts(_checkout(tmp_path, "side", SOURCE, []))
-    assert counts == {"total": 10, "code": 3, "docstring": 3, "comment": 1, "blank": 3}
+    # Each side's src/ line count, split as tools/src_lines.py splits it.
+    assert result["parent"]["src_lines"] == {"total": 10, "code": 3, "docstring": 3,
+                                             "comment": 1, "blank": 3}
+    assert result["change"]["src_lines"]["code"] == 4
 
 
 def test_refuses_sides_without_a_common_run(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture, taylor_expm
+from conftest import eigh_unitary, load_fixture, taylor_expm
 
 from opscale import cache, linalg, scaling
 from opscale.dft import IndexScheme
@@ -15,8 +15,6 @@ from opscale.linalg import (
     ParityEigenDecomposition,
     ParityUnitary,
     apply_from_eig,
-    hermitian_eig,
-    unitary_from_eig,
 )
 from opscale.operators import operator_set
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
@@ -242,7 +240,7 @@ class TestScalingMatrix:
         ops = operator_set(n, scheme)
         assert not ops.grid_symmetric
         theta = 2.0 * math.pi * math.log(m)
-        expected = unitary_from_eig(hermitian_eig(ops.generator), theta)
+        expected = eigh_unitary(ops.generator, theta)
         got = scaling_matrix(ScalingSpec(m, n, scheme))
         assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -258,7 +256,7 @@ class TestScalingMatrix:
         ops = operator_set(n, scheme)
         assert isinstance(ops.generator_eig, ParityEigenDecomposition)
         theta = 2.0 * math.pi * math.log(m)
-        expected = unitary_from_eig(hermitian_eig(ops.generator), theta)
+        expected = eigh_unitary(ops.generator, theta)
         got = scaling_matrix(ScalingSpec(m, n, scheme))
         assert got.dtype == np.complex128 and got.flags.c_contiguous
         assert np.max(np.abs(got - expected)) < 1e-12

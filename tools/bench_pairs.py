@@ -29,17 +29,20 @@ A result file records the checked-out commit, which an uncommitted change
 shares with its parent, so each side is also identified by a hash of its
 ``src/`` tree, and described by its ``src/`` line count: ``wc -l`` of
 ``src/opscale/*.py`` and an AST split into code, docstring, comment and
-blank lines.
+blank lines (``tools/src_lines.py``).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import hashlib
 import json
 import statistics
+import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from src_lines import line_counts  # noqa: E402  (tools/ is not a package)
 
 RESULTS = ".perfbench_out"
 
@@ -52,28 +55,6 @@ def src_hash(checkout: Path) -> str:
             digest.update(str(path.relative_to(checkout)).encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
-
-
-def line_counts(checkout: Path) -> dict:
-    """``wc -l`` of ``src/opscale/*.py``, and its split into code, docstring, comment and blank."""
-    counts = {"total": 0, "code": 0, "docstring": 0, "comment": 0, "blank": 0}
-    for path in sorted((checkout / "src" / "opscale").glob("*.py")):
-        text = path.read_text()
-        lines = text.splitlines()
-        docstring = set()
-        for node in ast.walk(ast.parse(text)):
-            body = getattr(node, "body", None)
-            if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
-                    and isinstance(body[0].value, ast.Constant)
-                    and isinstance(body[0].value.value, str)):
-                docstring.update(range(body[0].lineno, body[0].end_lineno + 1))
-        counts["total"] += text.count("\n")
-        for number, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            kind = ("docstring" if number in docstring else "blank" if not stripped
-                    else "comment" if stripped.startswith("#") else "code")
-            counts[kind] += 1
-    return counts
 
 
 def load_runs(checkout: Path, trace: int) -> dict:
