@@ -132,7 +132,11 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
     coeffs = dft_matrix(n, grid.scheme) @ vec
     period = n * grid.spacing
     targets = grid.coordinates / m_factor
-    synth = np.exp((2j * np.pi / period) * np.outer(targets, grid.indices)) / np.sqrt(n)
+    # Built in place, so that one complex N x N array is live, not two: at
+    # N = 512 it sets a cold sweep's peak memory.
+    synth = np.outer(targets, grid.indices) * (2j * np.pi / period)
+    np.exp(synth, out=synth)
+    synth /= np.sqrt(n)
     return m_factor ** -0.5 * (synth @ coeffs)
 
 

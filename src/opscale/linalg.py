@@ -33,6 +33,22 @@ holds only O(N) phases.  No assembly and no apply builds V: it is built
 only for a caller that asks for it, 48 columns at a time into one new
 array (:attr:`HermitianEigenDecomposition.eigenvectors`), and not kept.
 
+A cold decomposition makes no N x N temporary of its own.  Every check
+of A and of S takes its maxima a row block at a time
+(:func:`_row_block_maxima`), S is formed in A's own array, 48 rows and
+then 48 columns at a time, straight into the buffer Q takes
+(:func:`_write_real_form`), and a fold writes each mirrored pair of row
+blocks straight into the blocks (:func:`_reversal_fold`).  Beside the
+arrays a decomposition keeps, allocated first, only A, its blocks, the
+solve's Q and the k x k products of the checks after it are whole: at
+N = 512 the traced peak is 29.2 N^2 bytes ordinary and 30.6 N^2
+centered (48.6 and 40.6 with whole-matrix checks and transforms;
+``tools/cold_peak.py`` measures it).  The transforms of a slab are
+those of the whole matrix, row by row or column by column, so every
+array and residual is bit-identical to the whole-matrix computation.
+The real ``eigh`` then allocates its own copy of S and its workspace,
+about 24 k^2 bytes, outside Python's view.
+
 A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
 A[N-1-i, N-1-j]``) splits exactly into two blocks on the reversal-parity
 basis, which :func:`_fold` and :func:`_unfold` alone lay out for the
@@ -42,9 +58,9 @@ part O the columns ``(e_k - e_{N-1-k})/sqrt(2)``.  :func:`_reversal_fold`
 checks the symmetry in O(N^2), and that A is purely imaginary, ``max|Re
 A| < 1e-10 * (1 + max|A|)``, as the scaling generator is on a symmetric
 grid: then ``A = i B`` with B real antisymmetric, and ``exp(-i*theta*A)
-= exp(theta*B)`` is real orthogonal.  It folds A into ``E^T A E`` and
-``O^T A O``, of sizes ``ceil(N/2)`` and h, which
-:func:`parity_real_form_eig` decomposes into a
+= exp(theta*B)`` is real orthogonal.  It folds A, a pair of mirrored row
+blocks at a time, into ``E^T A E`` and ``O^T A O``, of sizes
+``ceil(N/2)`` and h, which :func:`parity_real_form_eig` decomposes into a
 :class:`ParityEigenDecomposition`, each through ``fold(Z unfold(x))``,
 the whole grid's Z restricted to its block (Z commutes with reversal).
 
@@ -341,9 +357,10 @@ instead of two complex ones, and one transform of Q, 48 columns at a
 time, for the column norms of V and the pair errors.
 
 Every function except :func:`identity_residual`, which overwrites the
-product it is given, and :func:`real_form_eig`, which fills and marks
-read-only the arrays it is given, is pure and operates on immutable
-inputs, so they are safe to call concurrently from multiple threads.
+product it is given, and :func:`real_form_eig`, which overwrites the
+matrix its ``form()`` returns and fills and marks read-only the arrays
+it is given, is pure and operates on immutable inputs, so they are safe
+to call concurrently from multiple threads.
 That includes the transforms a decomposition keeps, which
 :func:`apply_from_eig` runs on every call: they write only into the
 buffers they are handed or allocate per call.
@@ -494,19 +511,39 @@ def identity_residual(p: np.ndarray) -> float:
     """``max|P - I|`` of a square product ``P`` that the caller owns.
 
     One is subtracted from P's diagonal in place, so P is overwritten,
-    and no identity matrix is allocated.
+    and no identity matrix is allocated; so are the moduli of a real P.
     """
     p.flat[::p.shape[0] + 1] -= 1
-    return float(abs(p).max(initial=0.0))
+    return float(np.abs(p, out=p.real).max(initial=0.0))
 
 
-def _as_matrix(a) -> np.ndarray:
+def _square_matrix(a, k: int | None = None) -> np.ndarray:
+    """a as an array, checked to be square, and k x k when k is given."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a.view(float) if a.dtype.kind == "c" else a)):
-        raise ValueError("matrix contains non-finite entries")
+    n = a.shape[0] if k is None else k
+    if a.shape != (n, n):
+        raise ValueError(f"expected a square matrix of size {n}, got {a.shape}")
     return a
+
+
+def _row_block_maxima(a: np.ndarray, *parts) -> tuple[float, ...]:
+    """``1 + max|a|``, then ``max|part(rows)|`` for each part, over the row blocks of a.
+
+    Each part maps a row block of the square matrix a (a slice) to the
+    same rows of the matrix it measures, so that no temporary is larger
+    than a row block (:func:`_row_blocks`).  Raises ``ValueError`` if a is
+    not finite.
+    """
+    big, resid = 0.0, [0.0] * len(parts)
+    for rows in _row_blocks(a.shape[0]):
+        block = float(abs(a[rows]).max(initial=0.0))
+        if not math.isfinite(block):
+            raise ValueError("matrix contains non-finite entries")
+        big = max(big, block)
+        resid = [max(r, float(abs(part(rows)).max(initial=0.0))) for r, part in zip(resid, parts)]
+    return 1.0 + big, *resid
 
 
 def _rotation_table(
@@ -552,7 +589,7 @@ class HermitianEigenDecomposition:
         A bound on ``max|A V - V diag(eigenvalues)|`` (step 8).
     realness_residual : float
         ``max|Im(Z^H A Z)|`` of the real form the eigenvalues were solved
-        from (see :func:`_real_part`).
+        from (see :func:`_write_real_form`).
     gram_bound : float
         A bound on ``||V^H V - I||_2`` (step 7).
     transform : callable
@@ -685,18 +722,18 @@ class ParityEigenDecomposition:
         object.__setattr__(self, "factored_certified", certified)
 
 
-def _hermiticity_residual(a) -> tuple[float, float]:
-    """``(1 + max|a|, max|a - a^H|)`` of a square matrix, checked.
+def _hermiticity_residual(a: np.ndarray) -> tuple[float, float]:
+    """``(1 + max|a|, max|a - a^H|)`` of a square matrix, checked a row block at a time.
 
     The first value is the scale every relative tolerance of this module
-    is taken against.  Raises ``ValueError`` if ``a`` is not square or not
-    finite, or not Hermitian within ``1e-10 * (1 + max|a|)``.
+    is taken against.  Raises ``ValueError`` if ``a`` is not finite, or
+    not Hermitian within ``1e-10 * (1 + max|a|)``.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    scale = 1.0 + float(abs(a).max(initial=0.0))
-    herm_resid = float(abs(a - a.conj().T).max(initial=0.0))
+    def gap(rows):
+        conj_t = np.conjugate(a[:, rows]).T  # rows of a^H, new also for a real a
+        return np.subtract(a[rows], conj_t, out=conj_t)
+
+    scale, herm_resid = _row_block_maxima(a, gap)
     if herm_resid >= HERMITICITY_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: max|a - a^H| = {herm_resid:.3e} "
@@ -705,23 +742,41 @@ def _hermiticity_residual(a) -> tuple[float, float]:
     return scale, herm_resid
 
 
-def _real_part(s: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    """The real part of a form ``Z^H A Z`` that should be real, checked.
+def _write_real_form(a: np.ndarray, transform, s: np.ndarray, scale: float) -> float:
+    """Write the real part of ``S = Z^H A Z`` into s, checked, overwriting the complex A.
 
-    ``s`` is that form, or its conjugate, computed in complex arithmetic
-    for a Hermitian A and a unitary Z; its imaginary part must be
-    rounding, below ``1e-10 * scale`` with ``scale = 1 + max|A|``, or
-    ``ArithmeticError`` is raised.  Returns the view ``s.real`` and
-    ``max|Im s|``.
+    S is formed as the conjugate of ``Z conj(A Z)``, with no k x k
+    temporary: Z transforms the rows of A into ``A Z`` in place, 48 at a
+    time, through one buffer of 48 rows, then the conjugated columns of
+    ``A Z`` 48 at a time (:func:`_transformed_columns`), and each slab's
+    real part goes into s.  For a Hermitian A and a unitary Z the
+    imaginary part must be rounding, ``max|Im S|`` below ``1e-10 * scale``
+    with ``scale = 1 + max|A|``, or ``ArithmeticError`` is raised.  Each
+    row and column goes through the same products and FFT as in a
+    transform of the whole matrix, so s and the returned ``max|Im S|``
+    are bit-identical to them.
     """
-    imag = s.imag
-    imag_resid = max(float(imag.max(initial=0.0)), -float(imag.min(initial=0.0)))
+    k = a.shape[0]
+    step = _ROW_BLOCK // 2
+    buffer = np.empty(min(step, k) * k, dtype=complex)
+    for start in range(0, k, step):
+        rows = a[start:start + step]
+        x = buffer[:rows.size].reshape(rows.shape)
+        x[...] = rows
+        transform(x, rows, axis=1)  # the rows of A Z
+    del buffer
+    highs, lows = [], []
+    for cols, slab in _transformed_columns(a, transform):  # Z conj(A Z): Re S and -Im S
+        s[:, cols] = slab.real
+        highs.append(float(slab.imag.max(initial=0.0)))
+        lows.append(float(slab.imag.min(initial=0.0)))
+    imag_resid = max(max(highs, default=0.0), -min(lows, default=0.0))
     if not imag_resid < REALNESS_RTOL * scale:
         raise ArithmeticError(
             f"real form is not real: max|Im(Z^H A Z)| = {imag_resid:.3e} "
             f"exceeds {REALNESS_RTOL * scale:.3e}"
         )
-    return s.real, imag_resid
+    return imag_resid
 
 
 def _check_symmetric(transform, k: int, error: float) -> None:
@@ -746,17 +801,19 @@ def _check_symmetric(transform, k: int, error: float) -> None:
 
 
 def real_form_eig(
-    form, transform, transform_error: float, kept=None, involution=None,
+    form, k: int, transform, transform_error: float, kept=None, involution=None,
 ) -> HermitianEigenDecomposition:
-    """Decompose the Hermitian ``A = form()`` through its real form, and certify it.
+    """Decompose the k x k Hermitian ``A = form()`` through its real form, and certify it.
 
+    ``form()`` returns a new array, which this function overwrites (a real
+    one is converted to complex first).  A is checked to be Hermitian a
+    row block at a time.
     ``transform(x, out, axis)`` writes ``Z x`` along ``axis`` into
     ``out`` and may overwrite x, each column within ``transform_error *
-    ||x_j||`` of exact.  ``S = Z^H A Z`` is formed as the conjugate of ``Z
-    conj(A Z)`` in two buffers allocated once, after A is copied into the
-    first and dropped, and checked to be real (:func:`_real_part`).  Its
-    real part is copied into the buffer Q will take, the two buffers are
-    freed, and Z is checked to be symmetric on a probe pair
+    ||x_j||`` of exact.  ``S = Z^H A Z`` is formed in A's own array and 48
+    rows or columns of buffer, its real part written into the buffer Q
+    will take, and checked to be real (:func:`_write_real_form`).  A is
+    then dropped, and Z is checked to be symmetric on a probe pair
     (:func:`_check_symmetric`).  A real ``eigh`` gives ``S = Q diag(lam)
     Q^T``; the decomposition keeps lam and Q with the transform, not ``V =
     Z Q``.  The checks use only S, Q and the column norms of V, built 48
@@ -774,13 +831,14 @@ def real_form_eig(
 
     The eigenvalues, Q and, for a paired block, the (2, k) rotation table
     (:func:`_rotation_table`) are written into ``kept = (eigenvalues, q,
-    table)``, allocated here once A is dropped when not given, and marked
-    read-only.  Either way they are allocated before the temporaries of
-    the solve, so that the arrays a decomposition keeps sit below the
-    freed temporaries in the heap, not between them: a table allocated
-    after them raised apply_stream's peak RSS by 4.8 MiB.
+    table)``, allocated here when not given, and marked read-only.  Either
+    way they are allocated before A is formed, so that the arrays a
+    decomposition keeps sit below A and the freed temporaries of the solve
+    in the heap, not between them: a table allocated after them raised
+    apply_stream's peak RSS by 4.8 MiB, and Q allocated after A by about
+    5 MiB.
 
-    Raises ``ValueError`` if A is not square, finite and Hermitian within
+    Raises ``ValueError`` if A is not k x k, finite and Hermitian within
     ``1e-10 * (1 + max|A|)``, and ``ArithmeticError`` if S is not real
     within that, Z fails the probe, the bound on ``max|V^H V - I|`` is not
     below 1e-10, the column norms of V miss those of Q by more than the
@@ -788,24 +846,16 @@ def real_form_eig(
     paired block, ``max|B Q - Q Omega|``) is not below ``1e-9 * (1 +
     max|A|)``.
     """
-    a = form()
-    scale, herm_resid = _hermiticity_residual(a)
-    k = a.shape[0]
-    eta = transform_error
-    work = np.empty((2, k, k), dtype=complex)
-    x, y = work
-    x[...] = a
-    del a
     eigenvalues, s, table = kept or (
         np.empty(k), np.empty((k, k)), None if involution is None else np.empty((2, k)))
-    transform(x, y, axis=1)  # A Z
-    np.conjugate(y, out=x)
-    transform(x, y, axis=0)  # Z conj(A Z): the real part of S, and -Im(S)
-    real, realness_resid = _real_part(y, scale)
-    s[...] = real
-    del work, x, y, real
+    a = _square_matrix(form(), k)
+    scale, herm_resid = _hermiticity_residual(a)
+    eta = transform_error
+    a = np.asarray(a, dtype=complex)
+    realness_resid = _write_real_form(a, transform, s, scale)
+    del a
     # After the transforms above, so that the probe allocates no buffer of
-    # the transform's before the work buffers.
+    # the transform's before their buffers.
     _check_symmetric(lambda x: transform(x, np.empty_like(x), axis=0), k, eta)
     try:
         lam, q = np.linalg.eigh(s)
@@ -821,8 +871,9 @@ def real_form_eig(
             f"eigenvector columns not orthonormal: max|V^H V - I| <= {gram_resid:.3e}"
         )
     recon = s @ q
-    recon -= q * lam
-    s_resid = float(abs(recon).max(initial=0.0))
+    for rows in _row_blocks(k):
+        recon[rows] -= q[rows] * lam
+    s_resid = float(np.abs(recon, out=recon).max(initial=0.0))
     del recon
     s_norm = float(np.linalg.norm(s)) * (1 + _gamma(k * k + 2))
     eigenvalues[...] = lam
@@ -882,31 +933,37 @@ def real_form_eig(
 _SQRT2 = math.sqrt(2.0)
 
 
-def _fold(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """``(sqrt(2) E^T x, sqrt(2) O^T x)`` along ``axis``, E and O the parity basis.
+def _fold_part(x: np.ndarray, odd: bool, axis: int = 0, out=None) -> np.ndarray:
+    """``sqrt(2) E^T x`` (``odd=False``) or ``sqrt(2) O^T x`` along ``axis``, E, O the parity basis.
 
     With ``h = N // 2`` samples along ``axis``, E has the columns ``(e_k +
     e_{N-1-k})/sqrt(2)``, ``k < h``, then ``e_h`` when N is odd, and O the
     columns ``(e_k - e_{N-1-k})/sqrt(2)``.  So the even part is the head
     plus the reversed tail, then sqrt(2) times the middle sample of an odd
-    N, and the odd part the head minus the reversed tail: new arrays.
+    N, and the odd part the head minus the reversed tail.  Written into
+    ``out`` when given, else into a new array laid out as x.
     """
     along = x.swapaxes(0, axis) if axis else x  # the folded axis first, as a view
     n = along.shape[0]
     h = n // 2
-    head, tail = along[:h], along[:n - h - 1:-1]
-    if n % 2:
+    if out is None:
         shape = list(x.shape)
-        shape[axis] = h + 1
-        even = np.empty(shape, dtype=np.promote_types(x.dtype, float))
-        even_along = even.swapaxes(0, axis) if axis else even
-        np.add(head, tail, out=even_along[:h])
-        even_along[h] = along[h] * _SQRT2
+        shape[axis] = h if odd else n - h
+        out = np.empty(shape, dtype=np.promote_types(x.dtype, float))
+    out_along = out.swapaxes(0, axis) if axis else out
+    head, tail = along[:h], along[:n - h - 1:-1]
+    if odd:
+        np.subtract(head, tail, out=out_along)
     else:
-        even_along = np.add(head, tail)  # laid out as x, as is the odd part
-        even = even_along.swapaxes(0, axis) if axis else even_along
-    odd = np.subtract(head, tail)
-    return even, odd.swapaxes(0, axis) if axis else odd
+        np.add(head, tail, out=out_along[:h])
+        if n % 2:
+            np.multiply(along[h:h + 1], _SQRT2, out=out_along[h:])
+    return out
+
+
+def _fold(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """``(sqrt(2) E^T x, sqrt(2) O^T x)`` along ``axis`` (:func:`_fold_part`), as new arrays."""
+    return _fold_part(x, False, axis), _fold_part(x, True, axis)
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -939,32 +996,42 @@ def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     both axes and halved.  Raises ``ValueError`` if ``a`` is not square or
     not finite, and ``ArithmeticError`` if it does not commute with
     reversal, or is not purely imaginary, within ``1e-10 * (1 + max|a|)``.
+    Both checks and the fold run a row block at a time, so that beside A
+    and the blocks no temporary is larger than a row block.
     """
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got {a.shape}")
-    scale = 1.0 + abs(a).max(initial=0.0)
-    reversal_resid = abs(a - a[::-1, ::-1]).max(initial=0.0)
+    a = _square_matrix(a)
+    mirrored = a[::-1]  # row N-1-i of a at i
+    scale, reversal_resid, real_resid = _row_block_maxima(
+        a, lambda rows: a[rows] - mirrored[rows, ::-1], lambda rows: a[rows].real)
     if reversal_resid >= REVERSAL_RTOL * scale:
         raise ArithmeticError(
             f"matrix does not commute with index reversal: max|A - J A J| = "
             f"{reversal_resid:.3e} exceeds {REVERSAL_RTOL * scale:.3e}"
         )
-    real_resid = float(abs(a.real).max(initial=0.0))
     if real_resid >= REALNESS_RTOL * scale:
         raise ArithmeticError(
             f"matrix is not purely imaginary: max|Re A| = {real_resid:.3e} "
             f"exceeds {REALNESS_RTOL * scale:.3e}"
         )
-    # Columns first, each half dropped once its block is folded: a row fold
-    # buffers less than a column fold, which keeps this step within about
-    # 0.5 N^2 bytes of the reversal check's peak above (40 N^2).
-    columns = list(_fold(a, axis=1))
-    even = _fold(columns.pop(0), axis=0)[0]
-    odd = _fold(columns.pop(0), axis=0)[1]
+    # Row i of a block is the column fold of row i plus (even) or minus
+    # (odd) that of row N-1-i, the sums of a fold along the columns, then
+    # the rows, in the same order: each mirrored pair of row blocks is
+    # folded along its columns, straight into the blocks.
+    n = a.shape[0]
+    h = n // 2
+    dtype = np.promote_types(a.dtype, float)
+    even, odd = np.empty((n - h, n - h), dtype), np.empty((h, h), dtype)
+    for rows in _row_blocks(h):
+        _fold_part(a[rows], False, axis=1, out=even[rows])
+        even[rows] += _fold_part(mirrored[rows], False, axis=1)
+        _fold_part(a[rows], True, axis=1, out=odd[rows])
+        odd[rows] -= _fold_part(mirrored[rows], True, axis=1)
+    if n % 2:
+        _fold_part(a[h:h + 1], False, axis=1, out=even[h:])
+        even[h] *= _SQRT2
     even *= 0.5
     odd *= 0.5
-    return even, odd, float(reversal_resid)
+    return even, odd, reversal_resid
 
 
 def _parity_transform(transform, n: int, odd: bool):
@@ -982,8 +1049,7 @@ def _parity_transform(transform, n: int, odd: bool):
         zero = np.broadcast_to(np.zeros((), dtype=x.dtype), shape)
         full = _unfold(zero, x, axis) if odd else _unfold(x, zero, axis)
         full = transform(full, np.empty_like(full), axis=axis)
-        out[...] = _fold(full, axis)[odd]
-        return out
+        return _fold_part(full, odd, axis, out=out)
 
     return block
 
@@ -998,8 +1064,9 @@ def _odd_involution(q: np.ndarray, zq: np.ndarray) -> np.ndarray:
     return -_SQRT2 * zq.imag
 
 
-def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigenDecomposition:
-    """:func:`real_form_eig` of each parity block of a reversal-symmetric ``A = form()``.
+def parity_real_form_eig(form, n: int, transform, transform_error: float
+                         ) -> ParityEigenDecomposition:
+    """:func:`real_form_eig` of each parity block of a reversal-symmetric n x n ``A = form()``.
 
     A is checked and folded (:func:`_reversal_fold`) and dropped, and each
     block is handed to :func:`real_form_eig` with its transform derived
@@ -1009,19 +1076,18 @@ def parity_real_form_eig(form, transform, transform_error: float) -> ParityEigen
     the even block, where ``F = C`` is a real symmetric involution, it
     is ``((1+i) I + (1-i) C)/2``, and on the odd one, where ``F = -i Y``,
     ``(I + i Y)/sqrt(2)`` (module docstring).  The arrays both
-    blocks keep are allocated before either solve.  Raises as
+    blocks keep are allocated before A is formed.  Raises as
     :func:`_reversal_fold` and :func:`real_form_eig` do.
     """
-    blocks = list(_reversal_fold(form()))
-    reversal_resid = blocks.pop()
-    n = sum(len(b) for b in blocks)
-    kept = [(np.empty(len(b)), np.empty((len(b),) * 2), np.empty((2, len(b)))) for b in blocks]
+    sizes = (n - n // 2, n // 2)
+    kept = [(np.empty(k), np.empty((k, k)), np.empty((2, k))) for k in sizes]
+    *blocks, reversal_resid = _reversal_fold(_square_matrix(form(), n))
     take = partial(blocks.pop, 0)
     return ParityEigenDecomposition(
-        real_form_eig(take, _parity_transform(transform, n, odd=False), transform_error, kept[0],
-                      _even_involution),
-        real_form_eig(take, _parity_transform(transform, n, odd=True), transform_error, kept[1],
-                      _odd_involution),
+        real_form_eig(take, sizes[0], _parity_transform(transform, n, odd=False),
+                      transform_error, kept[0], _even_involution),
+        real_form_eig(take, sizes[1], _parity_transform(transform, n, odd=True),
+                      transform_error, kept[1], _odd_involution),
         reversal_resid,
     )
 
@@ -1059,13 +1125,14 @@ def _block_entries(k: int) -> int:
 
 
 def _transformed_columns(q: np.ndarray, transform):
-    """Yield ``(cols, Z q[:, cols])``, 48 columns at a time, for a k x k q.
+    """Yield ``(cols, Z conj(q[:, cols]))``, 48 columns at a time, for a k x k q.
 
-    Each slab is transformed in two buffers of 48 columns owned by this
-    call, so no k x k complex copy of q is made, and the slab yielded is
-    overwritten by the next one.  Every column goes through the same
-    pointwise products and FFT as in a transform of the whole q, so the
-    columns are bit-identical to it.
+    ``Z q[:, cols]`` for a real q.  Each slab is conjugated and
+    transformed in two buffers of 48 columns owned by this call, so no k
+    x k complex copy of q is made, and the slab yielded is overwritten by
+    the next one.  Every column goes through the same pointwise products
+    and FFT as in a transform of the whole ``conj(q)``, so the columns
+    are bit-identical to it.
     """
     k = q.shape[0]
     step = _ROW_BLOCK // 2
@@ -1073,8 +1140,7 @@ def _transformed_columns(q: np.ndarray, transform):
     for start in range(0, k, step):
         cols = slice(start, min(start + step, k))
         shape = (k, cols.stop - start)
-        x = work[0, :shape[0] * shape[1]].reshape(shape)
-        x[...] = q[:, cols]
+        x = np.conjugate(q[:, cols], out=work[0, :shape[0] * shape[1]].reshape(shape))
         yield cols, transform(x, work[1, :x.size].reshape(shape), axis=0)
 
 

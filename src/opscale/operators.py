@@ -77,8 +77,10 @@ An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition: its
 eigenvalues, its real Q and the transform Z.  Its
 dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
-kept.  :attr:`OperatorSet.generator_eig` forms G once and drops it as
-soon as it is copied into the buffer of its transforms.
+kept.  :attr:`OperatorSet.generator_eig` forms G once, a row block at a
+time with no N x N temporary, after the arrays its decomposition keeps;
+the real form is then formed in G's own array, which is dropped once S
+is written.
 
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
@@ -118,6 +120,7 @@ from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_mat
 from .linalg import (
     HermitianEigenDecomposition,
     ParityEigenDecomposition,
+    _row_blocks,
     fft_error,
     parity_real_form_eig,
     real_form_eig,
@@ -296,24 +299,28 @@ class OperatorSet:
     @property
     def d(self) -> np.ndarray:
         """Differentiation matrix ``F^-1 U F``, filled from :attr:`d_column`."""
-        d = self._filled_d()
+        d = self._d_rows().copy()
         d.setflags(write=False)
         return d
 
-    def _filled_d(self) -> np.ndarray:
+    def _d_rows(self) -> np.ndarray:
+        """D as a read-only view of one ramp of 2N - 1 entries."""
         col = self.d_column
         n = col.shape[0]
         # ramp[N-1 + j - i] = D[i, j], with conj(col[j - i]) above the diagonal.
         ramp = np.concatenate([col[::-1], col[1:].conj()])
-        return np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1].copy()
+        return np.lib.stride_tricks.sliding_window_view(ramp, n)[::-1]
 
     def _formed_generator(self) -> np.ndarray:
+        """G as a new array, filled a row block at a time: no N x N temporary."""
         u = self.u_diagonal
+        d = self._d_rows()
+        g = np.empty(d.shape, dtype=complex)
         # D is exactly Hermitian and (u_m + u_n) symmetric, so G is too.
-        g = self._filled_d()
-        half_sums = np.add.outer(u, u)
-        half_sums *= 0.5
-        g *= half_sums
+        for rows in _row_blocks(len(u)):
+            half_sums = np.add.outer(u[rows], u)
+            half_sums *= 0.5
+            np.multiply(d[rows], half_sums, out=g[rows])
         return g
 
     @property
@@ -336,8 +343,11 @@ class OperatorSet:
         even and odd blocks and decomposes each with Z restricted to its
         block, pairing the columns of its Q.  Every block passes the
         checks of :func:`~opscale.linalg.real_form_eig`, which read its
-        S and Q, not G.  Neither the generator nor its blocks are kept,
-        nor V.
+        S and Q, not G.  G is formed a row block at a time, and the
+        checks, the fold and the real form run by row blocks and slabs,
+        so that beside G, its blocks and the arrays the decomposition
+        keeps no N x N temporary is made (:mod:`opscale.linalg`).
+        Neither the generator nor its blocks are kept, nor V.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if on a symmetric grid it does not commute
@@ -347,7 +357,7 @@ class OperatorSet:
         """
         z = _HalfDft(self.grid)
         solve = parity_real_form_eig if self.grid_symmetric else real_form_eig
-        return solve(self._formed_generator, z.apply, z.error)
+        return solve(self._formed_generator, self.n_samples, z.apply, z.error)
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,7 @@
 """Tests for the NMSE benchmark harness and the interpolation baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestInterpScale:
         grid = index_grid(8, IndexScheme.ORDINARY)
         with pytest.raises(ValueError):
             interp_scale(np.ones(9), grid, 2.0)
+
+    def test_synthesis_matrix_is_built_in_place(self):
+        # The complex N x N synthesis matrix beside the float outer product
+        # it is made from (6 436 448 traced bytes measured, 24.6 N^2); a
+        # second complex N x N temporary (32 N^2) would show.  F is cached
+        # by the first call.
+        n = 512
+        grid = index_grid(n, IndexScheme.ORDINARY)
+        x = np.ones(n, dtype=complex)
+        interp_scale(x, grid, 2.0)
+        tracemalloc.start()
+        try:
+            interp_scale(x, grid, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 26 * n * n
 
 
 class TestRunBench:

@@ -62,8 +62,11 @@ def _copy(x, out, axis):
 
 
 def _real_form(a):
-    """:func:`real_form_eig` of a real symmetric ``a`` with ``Z = I``: its real form is a itself."""
-    return real_form_eig(lambda: a, _copy, 0.0)
+    """:func:`real_form_eig` of a real symmetric ``a`` with ``Z = I``: its real form is a itself.
+
+    The solver overwrites the array ``form()`` returns, so it is given a copy.
+    """
+    return real_form_eig(lambda: a.copy(), len(a), _copy, 0.0)
 
 
 class TestRealFormEig:
@@ -844,6 +847,123 @@ class TestRealFormAssemblyMemory:
         u, peak = TestUnitarityCertificate._traced_peak(
             lambda: unitary_from_eig(eig, 2 * math.pi * math.log(1.7)))
         assert peak <= limit * u.nbytes
+
+
+#: Sizes about the row blocks' edges: one block below 144 rows, two from
+#: 144, and from 193 a last block of 49 rows.
+_EDGE_SIZES = [143, 144, 145, 191, 192, 193]
+
+
+def _sites(n):
+    """One entry in the last row block, one in the middle row, one off the diagonal blocks."""
+    return {"last-block": (n - 1, n - 3), "middle-row": (n // 2, 2), "off-diagonal": (1, n - 2)}
+
+
+class TestRowBlockChecks:
+    """Each check runs a row block at a time, and still sees a single bad entry anywhere."""
+
+    @staticmethod
+    def _hermitian(n):
+        rng = np.random.default_rng(n)
+        a = _random_complex(rng, n)
+        return (a + a.conj().T) / 2
+
+    @pytest.mark.parametrize("site", ["last-block", "middle-row", "off-diagonal"])
+    @pytest.mark.parametrize("n", _EDGE_SIZES)
+    def test_hermiticity(self, n, site):
+        a = self._hermitian(n)
+        a[_sites(n)[site]] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            real_form_eig(lambda: a, n, _copy, 0.0)
+
+    @pytest.mark.parametrize("site", ["last-block", "middle-row", "off-diagonal"])
+    @pytest.mark.parametrize("n", _EDGE_SIZES)
+    def test_reversal(self, n, site):
+        a = TestParityEig._symmetric(n)
+        a[_sites(n)[site]] += 1e-6j
+        with pytest.raises(ArithmeticError, match="index reversal"):
+            linalg._reversal_fold(a)
+
+    @pytest.mark.parametrize("site", ["last-block", "middle-row", "off-diagonal"])
+    @pytest.mark.parametrize("n", _EDGE_SIZES)
+    def test_purely_imaginary(self, n, site):
+        # A real part at an entry and at its mirror, so that A still commutes
+        # with reversal.
+        a = TestParityEig._symmetric(n)
+        i, j = _sites(n)[site]
+        a[i, j] += 1e-6
+        a[n - 1 - i, n - 1 - j] = a[i, j]
+        with pytest.raises(ArithmeticError, match="purely imaginary"):
+            linalg._reversal_fold(a)
+
+    @pytest.mark.parametrize("site", ["last-block", "middle-row", "off-diagonal"])
+    @pytest.mark.parametrize("n", _EDGE_SIZES)
+    def test_realness_of_the_real_form(self, n, site):
+        # With Z = I the real form is A itself: a Hermitian A with one
+        # imaginary pair is not real.
+        a = _random_symmetric(np.random.default_rng(n), n).astype(complex)
+        i, j = _sites(n)[site]
+        a[i, j] += 1e-6j
+        a[j, i] -= 1e-6j
+        with pytest.raises(ArithmeticError, match="real form is not real"):
+            real_form_eig(lambda: a, n, _copy, 0.0)
+
+
+def _whole_hermiticity_residual(a):
+    """The whole-matrix check that :func:`linalg._hermiticity_residual` runs by row blocks."""
+    return 1.0 + float(abs(a).max(initial=0.0)), float(abs(a - a.conj().T).max(initial=0.0))
+
+
+def _whole_real_form(a, transform, s, scale):
+    """``Z conj(A Z)`` by whole-matrix transforms, as :func:`linalg._write_real_form` by slabs."""
+    x, y = a.copy(), np.empty_like(a)
+    transform(x, y, axis=1)
+    np.conjugate(y, out=x)
+    transform(x, y, axis=0)
+    s[...] = y.real
+    return max(float(y.imag.max(initial=0.0)), -float(y.imag.min(initial=0.0)))
+
+
+def _whole_reversal_fold(a):
+    """The fold along the columns of the whole matrix, then the rows, and the whole check."""
+    columns = linalg._fold(a, axis=1)
+    even, odd = linalg._fold(columns[0])[0], linalg._fold(columns[1])[1]
+    even *= 0.5
+    odd *= 0.5
+    return even, odd, float(abs(a - a[::-1, ::-1]).max(initial=0.0))
+
+
+def _whole_generator(ops):
+    half_sums = np.add.outer(ops.u_diagonal, ops.u_diagonal)
+    half_sums *= 0.5
+    return ops.d * half_sums
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 127, 128, 129])
+@pytest.mark.parametrize("scheme", list(IndexScheme))
+def test_slab_decomposition_is_bit_identical_to_the_whole_matrix_recipe(monkeypatch, n, scheme):
+    # G formed, checked, folded and transformed by row blocks and slabs
+    # against the same steps on whole matrices: every array and field kept.
+    cached = operator_set(n, scheme)
+    got = OperatorSet(cached.grid, cached.u_diagonal, cached.d_column).generator_eig
+    monkeypatch.setattr(linalg, "_hermiticity_residual", _whole_hermiticity_residual)
+    monkeypatch.setattr(linalg, "_write_real_form", _whole_real_form)
+    monkeypatch.setattr(linalg, "_reversal_fold", _whole_reversal_fold)
+    monkeypatch.setattr(OperatorSet, "_formed_generator", _whole_generator)
+    want = OperatorSet(cached.grid, cached.u_diagonal, cached.d_column).generator_eig
+    assert type(got) is type(want)
+    if isinstance(got, ParityEigenDecomposition):
+        assert got.reversal_residual == want.reversal_residual
+    for g, w in zip(_blocks(got), _blocks(want)):
+        assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
+        assert g.basis.tobytes() == w.basis.tobytes()
+        for f in dataclasses.fields(g):
+            value, expected = getattr(g, f.name), getattr(w, f.name)
+            if isinstance(value, (float, int, bool)):
+                assert repr(value) == repr(expected), f.name
+        if g.rotation is not None:
+            assert np.asarray(g.rotation).tobytes() == np.asarray(w.rotation).tobytes()
+            assert g.pair_signs.tobytes() == w.pair_signs.tobytes()
 
 
 class TestSymmetricGrids:

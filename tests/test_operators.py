@@ -468,14 +468,14 @@ class TestRealFormCertificate:
                               timeout=120, env=package_env())
         assert proc.stdout.strip() == "False", proc.stderr
 
-    def test_cold_decomposition_peaks_no_higher_than_with_the_complex_checks(self):
+    def test_cold_decomposition_makes_no_whole_temporary(self):
         # The complex checks on (G, V) peaked at 16 961 050 traced bytes
-        # (64.7 N^2) here.  S is kept in the buffer Q takes and the work
-        # buffers freed before the checks, the signed permutation of each
-        # transform is taken without a buffer of its own, and V = Z Q is
-        # checked 48 columns at a time, not formed (12 733 600 bytes, 48.6
-        # N^2, measured), so holding S through the checks or a k x k buffer
-        # in a transform would show.
+        # (64.7 N^2) here, and whole-matrix checks and transforms of G at
+        # 12 733 600 (48.6 N^2).  G is formed a row block at a time beside
+        # the Q buffer, allocated first, checked by row blocks, and its real
+        # form computed in G's own array, 48 rows and then 48 columns at a
+        # time (7 647 953 bytes, 29.2 N^2, measured: G, Q and three slabs),
+        # so any N x N temporary beside them (8 N^2 at least) would show.
         ops = _fresh(512, IndexScheme.ORDINARY)
         tracemalloc.start()
         try:
@@ -483,14 +483,15 @@ class TestRealFormCertificate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 13_000_000
+        assert peak <= 7_800_000
 
     def test_cold_symmetric_decomposition_peaks_at_the_whole_generator(self):
-        # On a symmetric grid the peak is set by the whole G: its fold, G
-        # and its two column halves beside one folded block (10 637 280
-        # traced bytes measured, 40.6 N^2), just above its reversal check,
-        # G and A - J A J complex beside |A - J A J| (40 N^2).
-        # Each block transform's unfolded N-length copies stay below both.
+        # On a symmetric grid the peak is set by the whole G during its
+        # fold: G, the two Q blocks allocated first and the two folded
+        # blocks, 28 N^2, beside the fold of one row block (8 028 817
+        # traced bytes measured, 30.6 N^2; 40.6 N^2 with the whole-matrix
+        # checks and fold).  Each block's real form, in the block's own
+        # array, and its transform's unfolded N-length copies stay below.
         ops = _fresh(512, IndexScheme.CENTERED)
         tracemalloc.start()
         try:
@@ -498,7 +499,7 @@ class TestRealFormCertificate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 10_750_000
+        assert peak <= 8_200_000
 
     @pytest.mark.parametrize("n, scheme", [(512, IndexScheme.ORDINARY),
                                            (512, IndexScheme.CENTERED),
