@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from opscale import IndexScheme, OperatorSet, operator_set
-from opscale.linalg import ParityEigenDecomposition, _reversal_fold
+from opscale.linalg import _reversal_fold
 
 
 def rotation_residual(b, block):
@@ -49,11 +49,10 @@ for n in (128, 512):
         start = time.perf_counter()
         eig = ops.generator_eig
         seconds = time.perf_counter() - start
-        if isinstance(eig, ParityEigenDecomposition):
-            even, odd, _ = _reversal_fold(ops.generator)
-            blocks = [("even", even, eig.even), ("odd", odd, eig.odd)]
+        if len(eig.blocks) == 2:
+            blocks = zip(("even", "odd"), _reversal_fold(ops.generator)[:2], eig.blocks)
         else:
-            blocks = [("whole", ops.generator, eig)]
+            blocks = [("whole", ops.generator, eig.blocks[0])]
         for name, g, block in blocks:
             v = block.eigenvectors
             gram = np.abs(v.conj().T @ v - np.eye(len(v))).max()

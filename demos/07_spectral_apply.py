@@ -31,7 +31,7 @@ import numpy as np
 
 from opscale import IndexScheme, ScalingSpec, operator_set, scale_signal
 from opscale.cache import shared
-from opscale.linalg import ParityEigenDecomposition, apply_from_eig, unitary_from_eig
+from opscale.linalg import apply_from_eig, unitary_from_eig
 
 
 def median_seconds(call, repeats):
@@ -59,15 +59,14 @@ for n in (128, 512, 1024):
             print(f"{n:>5} {scheme.value:<9} {'(factored path not certified)':>22}")
             continue
         eig = operator_set(n, scheme).generator_eig  # decomposed once per grid
-        blocks = [eig.even, eig.odd] if isinstance(eig, ParityEigenDecomposition) else [eig]
         y = apply_from_eig(eig, theta, x)
         operator = unitary_from_eig(eig, theta)
-        gap = np.linalg.norm(y - operator @ x) / norm_x
+        gap = np.linalg.norm(y - operator.dot(x)) / norm_x
         norm_resid = abs(np.linalg.norm(y) - norm_x) / norm_x
-        certificate = max(block.factored_bound for block in blocks)
+        certificate = max(block.factored_bound for block in eig.blocks)
         t_factored = median_seconds(lambda: apply_from_eig(eig, theta, x), 101)
         t_assembly = median_seconds(lambda: unitary_from_eig(eig, theta), 5)
-        t_assembled = median_seconds(lambda: operator @ x, 201)
+        t_assembled = median_seconds(lambda: operator.dot(x), 201)
         # A factor never requested before: the request that first assembles it.
         spec = ScalingSpec(M * 1.01, n, scheme)
         request = 0

@@ -49,20 +49,23 @@ array and residual is bit-identical to the whole-matrix computation.
 The real ``eigh`` then allocates its own copy of S and its workspace,
 about 24 k^2 bytes, outside Python's view.
 
-A Hermitian matrix that commutes with index reversal ``J`` (``A[i, j] ==
-A[N-1-i, N-1-j]``) splits exactly into two blocks on the reversal-parity
-basis, which :func:`_fold` and :func:`_unfold` alone lay out for the
-package: with ``h = N // 2``, the even part E has the columns ``(e_k +
-e_{N-1-k})/sqrt(2)``, ``k < h``, then ``e_h`` when N is odd, and the odd
-part O the columns ``(e_k - e_{N-1-k})/sqrt(2)``.  :func:`_reversal_fold`
-checks the symmetry in O(N^2), and that A is purely imaginary, ``max|Re
-A| < 1e-10 * (1 + max|A|)``, as the scaling generator is on a symmetric
-grid: then ``A = i B`` with B real antisymmetric, and ``exp(-i*theta*A)
-= exp(theta*B)`` is real orthogonal.  It folds A, a pair of mirrored row
-blocks at a time, into ``E^T A E`` and ``O^T A O``, of sizes
-``ceil(N/2)`` and h, which :func:`parity_real_form_eig` decomposes into a
-:class:`ParityEigenDecomposition`, each through ``fold(Z unfold(x))``,
-the whole grid's Z restricted to its block (Z commutes with reversal).
+Every grid is a fold and a tuple of blocks, one decomposition per block
+(:class:`GridDecomposition`); a whole grid has the identity fold and one
+block.  A Hermitian matrix that commutes with index reversal ``J``
+(``A[i, j] == A[N-1-i, N-1-j]``) splits exactly into two blocks on the
+reversal-parity basis, which :func:`_fold` and :func:`_unfold` alone lay
+out for the package: with ``h = N // 2``, the even part E has the
+columns ``(e_k + e_{N-1-k})/sqrt(2)``, ``k < h``, then ``e_h`` when N is
+odd, and the odd part O the columns ``(e_k - e_{N-1-k})/sqrt(2)``.
+:func:`_reversal_fold` checks the symmetry in O(N^2), and that A is
+purely imaginary, ``max|Re A| < 1e-10 * (1 + max|A|)``, as the scaling
+generator is on a symmetric grid: then ``A = i B`` with B real
+antisymmetric, and ``exp(-i*theta*A) = exp(theta*B)`` is real
+orthogonal.  It folds A, a pair of mirrored row blocks at a time, into
+``E^T A E`` and ``O^T A O``, of sizes ``ceil(N/2)`` and h, which
+:func:`parity_real_form_eig` decomposes as the blocks ``(even, odd)``,
+each through ``fold(Z unfold(x))``, the whole grid's Z restricted to its
+block (Z commutes with reversal).
 
 On a block, ``F^2 = J`` is the identity (even) or minus it (odd), so Z
 is ``a I + b X`` with X a real symmetric involution and ``conj(a) b =
@@ -84,14 +87,17 @@ ed., section 7.4: this is the real Schur form of B.)  So ``exp(theta B)
 c_{j'})`` to ``(cos c_j + t_j sin c_{j'}, cos c_{j'} - t_j sin c_j)``,
 and a paired block is assembled and applied from Q and K in real
 arithmetic, with no transform and no complex phase (step 5); step 8
-bounds the residuals ``r_j``.  :func:`unitary_from_eig` returns the two
-real blocks as a :class:`ParityUnitary`.  Two half-size blocks cost
-about a quarter of the dense eigensolve and assembly, and the two real
-blocks a quarter of the dense complex matrix's memory.  A
-:class:`ParityUnitary` is applied to a vector by folding it, one real
-product per block on the (k, 2) float view of its part
-(:func:`_real_dot`), and unfolding: a quarter of the bytes of the dense
-complex matrix, read once.
+bounds the residuals ``r_j``.  Two half-size blocks cost about a
+quarter of the dense eigensolve and assembly, and the two real blocks a
+quarter of the dense complex matrix's memory.
+
+On every grid an assembly, a factored apply and the apply of an
+assembled :class:`GridUnitary` are the same steps: fold
+(:func:`_fold_into`), one call per block, unfold (:func:`_unfold_from`).
+A real block is applied as one real product on the (k, 2) float view of
+its part (:func:`_real_dot`), a quarter of the bytes of the dense
+complex matrix, and an adjoint through the transposed view, or as
+``conj(conj(x) M)`` for a complex block: no copy of ``M^H``.
 
 A block is assembled straight into its final array, a row block at a
 time, with no k x k temporary:
@@ -125,18 +131,16 @@ Each product with a real Q is one real product on the (k, 2) float view
 of the complex vector (:func:`_real_dot`; ``Q^T`` is a view), reading
 half the bytes of a complex V.  ``Z^H x = conj(Z conj(x))``, as Z is
 symmetric, so each side costs one transform of the whole N-vector, an
-FFT and a few pointwise products.  On a :class:`ParityEigenDecomposition`
-the vector is folded, each block applied to its part as ``Q (K (Q^T
-x))``, and the results unfolded, as in :meth:`ParityUnitary.__matmul__`:
-no transform at all.  The factored form runs only on a decomposition
+FFT and a few pointwise products.  A paired block is applied as ``Q (K
+(Q^T x))``: no transform at all.  The factored form runs only on a grid
 whose every block it certifies (``factored_certified``); it raises
 ``ArithmeticError`` elsewhere, where the assembled block and its dense
 check are the only path.
 
 Each decomposition keeps the residuals its checks measured (or, for a
-real form, bounded), as plain floats: :class:`HermitianEigenDecomposition`
-the Hermiticity, gram and reconstruction residuals,
-:class:`ParityEigenDecomposition` the reversal residual.  From a bound
+real form, bounded), as plain floats: each block the Hermiticity, gram
+and reconstruction residuals, a reversal fold the reversal residual, and
+a :class:`GridUnitary` each block's measured unitarity.  From a bound
 on ``||Q^T Q - I||_2`` and the error of the transform the assembly runs,
 if any, it also keeps ``unitarity_bound``, an upper bound on ``max|M^H
 M - I|`` for every block ``M`` that :func:`unitary_from_eig` can assemble
@@ -215,7 +219,7 @@ runs.  A real form is assembled otherwise, with the bound of step 9.
    the final halving undoes exactly: the two blocks' errors add in
    quadrature, and the bound holds with the larger block's terms.  The
    fold's and unfold's sums of two samples add a few ``u``, as they do
-   to an assembled :class:`ParityUnitary`.
+   to an assembled operator's apply.
 
 That last quantity is ``factored_bound``, the factored apply's
 counterpart of ``unitarity_bound``: to first order ``2 k delta_Q + 4
@@ -376,9 +380,9 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "GridDecomposition",
+    "GridUnitary",
     "HermitianEigenDecomposition",
-    "ParityEigenDecomposition",
-    "ParityUnitary",
     "apply_from_eig",
     "parity_real_form_eig",
     "real_form_eig",
@@ -686,40 +690,43 @@ class HermitianEigenDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class ParityEigenDecomposition:
-    """Validated block decomposition of a reversal-symmetric, purely imaginary Hermitian matrix.
+class GridDecomposition:
+    """Validated decomposition of a grid's Hermitian matrix: a fold and one decomposition per block.
 
-    Every block that :func:`unitary_from_eig` assembles from it is real:
-    both blocks must be paired (``pair_signs``), or ``ValueError`` is raised.
+    One block on the identity fold (a whole grid), or two paired blocks,
+    even then odd, on the reversal fold (:func:`_fold`), whose every
+    assembly is real; ``ValueError`` is raised for anything else.
 
     Attributes
     ----------
-    even : HermitianEigenDecomposition
-        Decomposition of the ``ceil(N/2)`` block on the even part of the
-        reversal-parity basis (module docstring, :func:`_fold`).
-    odd : HermitianEigenDecomposition
-        Decomposition of the ``floor(N/2)`` block on its odd part (empty
-        for N = 1).
-    reversal_residual : float
-        ``max|A - J A J|`` of the decomposed matrix.
+    blocks : tuple of HermitianEigenDecomposition
+        ``(whole,)``, or ``(even, odd)`` of sizes ``ceil(N/2)`` and
+        ``floor(N/2)`` (the odd one empty for N = 1).
+    reversal_residual : float or None
+        ``max|A - J A J|`` of a folded matrix; None on the identity fold.
+    size : int
+        N, the sum of the block sizes.
     block_size : int
-        The size k of the larger block, the even one.
+        The size k of the largest block, the first.
     factored_certified : bool
-        Whether both blocks are, so that :func:`apply_from_eig` may run.
+        Whether every block is, so that :func:`apply_from_eig` may run.
     """
 
-    even: HermitianEigenDecomposition
-    odd: HermitianEigenDecomposition
-    reversal_residual: float
+    blocks: tuple[HermitianEigenDecomposition, ...]
+    reversal_residual: float | None
+    size: int = field(init=False)
     block_size: int = field(init=False)
     factored_certified: bool = field(init=False)
 
     def __post_init__(self):
-        if self.even.pair_signs is None or self.odd.pair_signs is None:
-            raise ValueError("both blocks of a parity decomposition must be paired")
-        certified = self.even.factored_certified and self.odd.factored_certified
-        object.__setattr__(self, "block_size", self.even.block_size)
-        object.__setattr__(self, "factored_certified", certified)
+        if not (len(self.blocks) == 1 or len(self.blocks) == 2
+                and all(b.pair_signs is not None for b in self.blocks)):
+            raise ValueError("a grid is one block, or two paired blocks on the reversal fold")
+        sizes = [b.block_size for b in self.blocks]
+        object.__setattr__(self, "size", sum(sizes))
+        object.__setattr__(self, "block_size", max(sizes))
+        object.__setattr__(self, "factored_certified",
+                           all(b.factored_certified for b in self.blocks))
 
 
 def _hermiticity_residual(a: np.ndarray) -> tuple[float, float]:
@@ -988,6 +995,16 @@ def _unfold(even: np.ndarray, odd: np.ndarray, axis: int = 0) -> np.ndarray:
     return out
 
 
+def _fold_into(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """An N-vector on the fold of ``count`` blocks: ``(x,)`` for one, :func:`_fold` for two."""
+    return (x,) if count == 1 else _fold(x)
+
+
+def _unfold_from(parts) -> np.ndarray:
+    """The inverse of :func:`_fold_into`: the one part, or :func:`_unfold` of two."""
+    return parts[0] if len(parts) == 1 else _unfold(*parts)
+
+
 def _reversal_fold(a) -> tuple[np.ndarray, np.ndarray, float]:
     """The even and odd blocks of a matrix that commutes with index reversal.
 
@@ -1065,7 +1082,7 @@ def _odd_involution(q: np.ndarray, zq: np.ndarray) -> np.ndarray:
 
 
 def parity_real_form_eig(form, n: int, transform, transform_error: float
-                         ) -> ParityEigenDecomposition:
+                         ) -> GridDecomposition:
     """:func:`real_form_eig` of each parity block of a reversal-symmetric n x n ``A = form()``.
 
     A is checked and folded (:func:`_reversal_fold`) and dropped, and each
@@ -1083,13 +1100,12 @@ def parity_real_form_eig(form, n: int, transform, transform_error: float
     kept = [(np.empty(k), np.empty((k, k)), np.empty((2, k))) for k in sizes]
     *blocks, reversal_resid = _reversal_fold(_square_matrix(form(), n))
     take = partial(blocks.pop, 0)
-    return ParityEigenDecomposition(
+    return GridDecomposition((
         real_form_eig(take, sizes[0], _parity_transform(transform, n, odd=False),
                       transform_error, kept[0], _even_involution),
         real_form_eig(take, sizes[1], _parity_transform(transform, n, odd=True),
                       transform_error, kept[1], _odd_involution),
-        reversal_resid,
-    )
+    ), reversal_resid)
 
 
 def _row_blocks(k: int) -> list[slice]:
@@ -1285,91 +1301,97 @@ def _real_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a.dot(x.view(_PAIRS)).view(complex).reshape(-1)
 
 
-@dataclass(frozen=True, eq=False)
-class ParityUnitary:
-    """A real orthogonal matrix that commutes with index reversal, kept as its two blocks.
+def _block_dot(m: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """``m @ x``, or ``m^H @ x``, for an assembled block and a complex vector, copying neither.
 
-    :func:`unitary_from_eig` assembles it from a
-    :class:`ParityEigenDecomposition`, whose generator is purely
-    imaginary, so ``exp(-i*theta*A)`` is real: each block is assembled
-    in real arithmetic from its paired Q.
+    A real block is one real product (:func:`_real_dot`) with m or its
+    transposed view; a complex one ``m.dot(x)``, or ``conj(conj(x) m)``.
+    """
+    if m.dtype.kind == "f":
+        return _real_dot(m.T if adjoint else m, np.ascontiguousarray(x))
+    if not adjoint:
+        return m.dot(x)
+    y = np.conjugate(x) @ m
+    return np.conjugate(y, out=y)
+
+
+@dataclass(frozen=True, eq=False)
+class GridUnitary:
+    """``exp(-i*theta*G)`` of a grid, kept as one assembled block per block of its decomposition.
 
     Attributes
     ----------
-    even : numpy.ndarray
-        Read-only float64 ``ceil(N/2)`` square block on the reversal-even
-        basis of :class:`ParityEigenDecomposition`.
-    odd : numpy.ndarray
-        Read-only float64 ``floor(N/2)`` square block on the reversal-odd
-        basis.
+    blocks : tuple of numpy.ndarray
+        Read-only square blocks on the fold of the
+        :class:`GridDecomposition` it was assembled from: ``(whole,)``,
+        complex, or ``(even, odd)``, real.
     unitarity_residual : tuple of (float or None)
-        ``(even, odd)``: ``max|R^T R - I|`` of each block where the dense
-        check ran, None where the block was certified.
+        ``max|M^H M - I|`` of each block where the dense check ran, None
+        where the block was certified.
+    size : int
+        N, the sum of the block sizes.
     """
 
-    even: np.ndarray
-    odd: np.ndarray
-    unitarity_residual: tuple[float | None, float | None]
+    blocks: tuple[np.ndarray, ...]
+    unitarity_residual: tuple[float | None, ...]
+    size: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", sum(len(m) for m in self.blocks))
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the two blocks, about a quarter of the dense complex matrix."""
-        return self.even.nbytes + self.odd.nbytes
+        """Bytes held by the blocks: two real blocks take a quarter of the dense complex matrix."""
+        return sum(m.nbytes for m in self.blocks)
 
-    def __matmul__(self, x) -> np.ndarray:
-        """``U @ x`` for an N-vector, without forming U.
+    def dot(self, x, adjoint: bool = False) -> np.ndarray:
+        """``U @ x``, or ``U^H @ x``, for an N-vector: fold, one product per block, unfold.
 
-        x is folded (:func:`_fold`), each block applied to its part as one
-        real product (:func:`_real_dot`), and the results unfolded; a real
-        operand is promoted to complex, as with the dense matrix.
+        A real operand is promoted to complex; no block is copied.
         """
         x = np.asarray(x, dtype=complex)
-        n = self.even.shape[0] + self.odd.shape[0]
-        if x.shape != (n,):
-            raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-        even, odd = _fold(x)
-        return _unfold(_real_dot(self.even, even), _real_dot(self.odd, odd))
+        if x.shape != (self.size,):
+            raise ValueError(f"operand has shape {x.shape}, expected ({self.size},)")
+        parts = _fold_into(x, len(self.blocks))
+        return _unfold_from([_block_dot(m, part, adjoint)
+                             for m, part in zip(self.blocks, parts)])
 
-    dot = __matmul__  # the name scaling._apply calls on either kind of operator
+    def dense(self, adjoint: bool = False) -> np.ndarray:
+        """U, or ``U^H``, as a read-only N x N complex matrix in the original index order.
 
-    @property
-    def T(self) -> ParityUnitary:
-        """The transpose, which is the inverse: the two blocks' transposed views, no copy."""
-        return ParityUnitary(self.even.T, self.odd.T, self.unitarity_residual)
-
-    def dense(self) -> np.ndarray:
-        """The N x N matrix in the original index order, as a new read-only array.
-
-        Each block unfolded along its rows, the other part zero, then both
-        down the columns: ``(E even E^T + O odd O^T)/2``, doubled exactly.
+        One block is U itself, returned as kept, and its conjugate
+        transpose a new array.  Two blocks, or their transposes, are
+        unfolded along their rows, the other part zero, then down the
+        columns, ``(E even E^T + O odd O^T)/2`` doubled exactly, into a new
+        array, bit-identical from call to call.
         """
-        k, h = self.even.shape[0], self.odd.shape[0]
-        half = _unfold(_unfold(self.even, np.broadcast_to(0.0, (k, h)), axis=1),
-                       _unfold(np.broadcast_to(0.0, (h, k)), self.odd, axis=1))
-        out = np.multiply(half, 2.0, out=np.empty(half.shape, dtype=complex))
+        if len(self.blocks) == 1:
+            (m,) = self.blocks
+            if not adjoint:
+                return m
+            out = np.conjugate(m.T, out=np.empty_like(m))
+        else:
+            even, odd = (m.T for m in self.blocks) if adjoint else self.blocks
+            k, h = even.shape[0], odd.shape[0]
+            half = _unfold(_unfold(even, np.broadcast_to(0.0, (k, h)), axis=1),
+                           _unfold(np.broadcast_to(0.0, (h, k)), odd, axis=1))
+            out = np.multiply(half, 2.0, out=np.empty(half.shape, dtype=complex))
         out.setflags(write=False)
         return out
 
 
-def unitary_from_eig(
-    eig: HermitianEigenDecomposition | ParityEigenDecomposition, theta: float
-) -> np.ndarray | ParityUnitary:
-    """Assemble ``exp(-i*theta*G)`` from a precomputed decomposition of G.
+def unitary_from_eig(eig: GridDecomposition, theta: float) -> GridUnitary:
+    """Assemble ``exp(-i*theta*G)`` from a precomputed decomposition of G, block by block.
 
-    A :class:`HermitianEigenDecomposition` gives a read-only k x k array,
-    real for a paired block and complex otherwise.  A
-    :class:`ParityEigenDecomposition` is assembled block by block and
-    gives a :class:`ParityUnitary` of the two read-only real blocks.
-    Every assembled block is unitary to 1e-10: certified by its
-    decomposition's ``unitarity_bound``, or else checked with a dense
-    product, which raises ``ArithmeticError`` if it fails.
+    Each block is read-only: real for a paired block, complex otherwise.
+    Every block is unitary to 1e-10: certified by its decomposition's
+    ``unitarity_bound``, or else checked with a dense product, which
+    raises ``ArithmeticError`` if it fails.
     """
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if isinstance(eig, ParityEigenDecomposition):
-        (even, odd), resid = zip(*(_unitary_block(block, theta) for block in (eig.even, eig.odd)))
-        return ParityUnitary(even, odd, resid)
-    return _unitary_block(eig, theta)[0]
+    blocks, resid = zip(*(_unitary_block(block, theta) for block in eig.blocks))
+    return GridUnitary(blocks, resid)
 
 
 def _transformed(transform, x: np.ndarray, adjoint: bool) -> np.ndarray:
@@ -1399,18 +1421,14 @@ def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarra
     return _transformed(eig.transform, _real_dot(q, c), adjoint=False)
 
 
-def apply_from_eig(
-    eig: HermitianEigenDecomposition | ParityEigenDecomposition, theta: float, x
-) -> np.ndarray:
+def apply_from_eig(eig: GridDecomposition, theta: float, x) -> np.ndarray:
     """``exp(-i*theta*G) @ x`` for an N-vector, in factored form, without assembling.
 
-    ``Z (Q (p * (Q^T (Z^H x))))``, ``p = exp(-i*theta*lam)``: one
-    transform of the whole vector on each side, and in between two
-    products with the kept basis.  A
-    :class:`ParityEigenDecomposition` is applied through the parity fold
-    of :meth:`ParityUnitary.__matmul__`, each block as ``Q (K (Q^T x))``
-    with K the rotation of its pairs: no transform and no complex phase.
-    The result's relative norm error is within the decomposition's
+    Fold, one factored product per block, unfold: ``Z (Q (p * (Q^T (Z^H
+    x))))``, ``p = exp(-i*theta*lam)``, with one transform of the whole
+    vector on each side, or on a paired block ``Q (K (Q^T x))``, K the
+    rotation of its pairs, with no transform and no complex phase.  The
+    result's relative norm error is within the largest of the blocks'
     ``factored_bound`` (module docstring).
 
     Raises ``ValueError`` if theta is not finite or ``x`` is not an
@@ -1425,12 +1443,8 @@ def apply_from_eig(
             "the factored apply is not certified for this decomposition; assemble it"
         )
     x = np.asarray(x)
-    parity = isinstance(eig, ParityEigenDecomposition)
-    n = eig.even.block_size + eig.odd.block_size if parity else eig.block_size
-    if x.shape != (n,):
-        raise ValueError(f"operand has shape {x.shape}, expected ({n},)")
-    if parity:
-        even, odd = _fold(x)
-        return _unfold(_factored_block(eig.even, theta, even),
-                       _factored_block(eig.odd, theta, odd))
-    return _factored_block(eig, theta, x)
+    if x.shape != (eig.size,):
+        raise ValueError(f"operand has shape {x.shape}, expected ({eig.size},)")
+    parts = _fold_into(x, len(eig.blocks))
+    return _unfold_from([_factored_block(block, theta, part)
+                         for block, part in zip(eig.blocks, parts)])

@@ -96,7 +96,9 @@ defines, through Z on the whole grid.  On a block Z is ``a I + b X``,
 X the restriction of F (times -i on the odd half), which pairs the
 columns of Q into the planes that B rotates: every factor is then
 assembled and applied from Q alone, with no transform.  On the other
-grids it decomposes G whole, by :func:`opscale.linalg.real_form_eig`.
+grids the fold is the identity and G is decomposed whole, by
+:func:`opscale.linalg.real_form_eig`, as the one block of the
+:class:`~opscale.linalg.GridDecomposition` every grid gets.
 
 The asymmetric forward-difference alternative (which is *not* symmetric,
 hence not Hermitian, hence useless as a generator) is deliberately not
@@ -118,8 +120,7 @@ import numpy as np
 
 from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_matrix, index_grid
 from .linalg import (
-    HermitianEigenDecomposition,
-    ParityEigenDecomposition,
+    GridDecomposition,
     _row_blocks,
     fft_error,
     parity_real_form_eig,
@@ -331,23 +332,20 @@ class OperatorSet:
         return g
 
     @cached_property
-    def generator_eig(self) -> HermitianEigenDecomposition | ParityEigenDecomposition:
+    def generator_eig(self) -> GridDecomposition:
         """Spectral decomposition of the generator (computed once, cached).
 
-        G is decomposed through its real form ``S = Z^H G Z``, ``Z =
-        (F^H)^(1/2)`` (module docstring): S is checked to be real, a real
-        ``eigh`` gives ``S = Q diag(lam) Q^T``, and the decomposition
-        keeps Q and the transform Z, of which ``V = Z Q``.  On
-        symmetric grids :func:`~opscale.linalg.parity_real_form_eig`
-        checks that G commutes with index reversal, folds it into its
-        even and odd blocks and decomposes each with Z restricted to its
-        block, pairing the columns of its Q.  Every block passes the
-        checks of :func:`~opscale.linalg.real_form_eig`, which read its
-        S and Q, not G.  G is formed a row block at a time, and the
-        checks, the fold and the real form run by row blocks and slabs,
-        so that beside G, its blocks and the arrays the decomposition
-        keeps no N x N temporary is made (:mod:`opscale.linalg`).
-        Neither the generator nor its blocks are kept, nor V.
+        A fold and a tuple of blocks (module docstring): G whole, or on
+        symmetric grids its even and odd blocks, folded and checked by
+        :func:`~opscale.linalg.parity_real_form_eig`.  Each block is
+        decomposed through its real form ``S = Z^H G Z``, ``Z =
+        (F^H)^(1/2)`` restricted to the block, passes the checks of
+        :func:`~opscale.linalg.real_form_eig`, which read its S and Q,
+        not G, and keeps Q and the transform Z, of which ``V = Z Q``.  G
+        is formed, checked, folded and transformed by row blocks and
+        slabs, so that beside G, its blocks and the arrays kept no N x N
+        temporary is made (:mod:`opscale.linalg`).  Neither the
+        generator nor its blocks are kept, nor V.
 
         Raises ``ValueError`` if G is not Hermitian, and
         ``ArithmeticError`` if on a symmetric grid it does not commute
@@ -356,8 +354,10 @@ class OperatorSet:
         rounding, or a decomposition fails its checks.
         """
         z = _HalfDft(self.grid)
-        solve = parity_real_form_eig if self.grid_symmetric else real_form_eig
-        return solve(self._formed_generator, self.n_samples, z.apply, z.error)
+        if self.grid_symmetric:
+            return parity_real_form_eig(self._formed_generator, self.n_samples, z.apply, z.error)
+        whole = real_form_eig(self._formed_generator, self.n_samples, z.apply, z.error)
+        return GridDecomposition((whole,), None)
 
     def __repr__(self) -> str:
         return (

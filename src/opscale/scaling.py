@@ -19,14 +19,14 @@ decomposed block carries a bound on the unitarity residual of anything
 assembled from it, derived once from its eigenvectors' certified
 orthonormality, and only a block whose bound is not below 1e-10 is
 re-checked with a dense product (whole-grid blocks from about N = 450,
-parity blocks from N = 1288).  On symmetric grids (centered with
-even N, ordinary with odd N) the generator commutes with index
-reversal, its decomposition comes as two half-size reversal-even and
-reversal-odd blocks (see :mod:`opscale.operators`), and so does the
-scaling operator.  The generator is purely imaginary there, so the
-operator is real orthogonal: it is assembled, certified and kept block
-by block as two real blocks, a :class:`~opscale.linalg.ParityUnitary`,
-or applied block by block in factored form.
+parity blocks from N = 1288).  Every grid's decomposition, and so its
+operator, is a fold and a tuple of blocks (:mod:`opscale.linalg`): one
+block on the whole grid, or, on symmetric grids (centered with even N,
+ordinary with odd N), where the generator commutes with index reversal
+and is purely imaginary, two half-size real orthogonal blocks on the
+reversal-parity basis (see :mod:`opscale.operators`).  An operator is
+kept as a :class:`~opscale.linalg.GridUnitary`, and it is assembled,
+applied and adjoined block by block.
 
 ``ln(M)`` is the natural logarithm.  Only ``M > 0`` is accepted: the
 amplitude factor ``|M|**-0.5`` hints that reflected (negative-M) scaling
@@ -94,9 +94,10 @@ streams new factors never assembles, and one that repeats a few factors
 assembles each of them, or each reciprocal pair, once.  The factored
 path runs only where the decomposition certifies it
 (``factored_certified``: asymmetric grids to about N = 590, symmetric
-ones to N = 1258); elsewhere K = 0, and every request is assembled.  The request counts live in a table of at most 1024 keys,
-guarded by a lock; the least recently requested key is forgotten first,
-and a forgotten key starts again at request one.
+ones to N = 1258); elsewhere K = 0, and every request is assembled.
+The request counts live in a table of at most 1024 keys, guarded by a
+lock; the least recently requested key is forgotten first, and a
+forgotten key starts again at request one.
 
 Determinism: which path a call takes depends only on the sequence of
 requests, never on the cache's budget or its evictions, and each path's
@@ -114,12 +115,11 @@ concurrent callers are safe.  The benchmark harness
 function: it takes the factored path wherever it is certified, outside
 the table, so a sweep's table depends only on its arguments.
 
-:func:`scaling_matrix` returns, for ``M >= 1`` on an asymmetric grid,
-the cached array itself, and for ``M < 1`` a new C-contiguous read-only
-array, the conjugate transpose of the cached one.  On symmetric grids it
-scatters the blocks, or their transposes for ``M < 1``, into a new
-read-only N x N array on every call, bit-identical from call to call;
-callers that only apply the matrix should call :func:`scale_signal`.
+:func:`scaling_matrix` is the cached operator's ``dense()``, or for ``M
+< 1`` its ``dense(adjoint=True)``: for ``M >= 1`` on an asymmetric grid
+the kept array itself, else a new read-only N x N array, bit-identical
+from call to call; callers that only apply it should call
+:func:`scale_signal`.
 
 ``ScalingSpec`` checks M and N, and :func:`scale_signal` the signal,
 with the helpers of :mod:`opscale.dft`: a NaN or infinite sample raises
@@ -137,7 +137,7 @@ import numpy as np
 
 from .cache import shared
 from .dft import IndexScheme, as_sample_count, as_scaling_factor, as_signal
-from .linalg import ParityUnitary, apply_from_eig, unitary_from_eig
+from .linalg import GridUnitary, apply_from_eig, unitary_from_eig
 from .operators import operator_set
 
 __all__ = ["ScalingSpec", "scaling_matrix", "scale_signal"]
@@ -167,9 +167,7 @@ class ScalingSpec:
 
 
 @shared.memoize(nbytes=lambda operator: operator.nbytes)
-def _scaling_operator(
-    theta: float, n_samples: int, scheme: str
-) -> np.ndarray | ParityUnitary:
+def _scaling_operator(theta: float, n_samples: int, scheme: str) -> GridUnitary:
     # Keyed on the scheme's value: a str hashes in C, an Enum member in Python.
     return unitary_from_eig(operator_set(n_samples, scheme).generator_eig, theta)
 
@@ -189,14 +187,7 @@ def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
         ``1/M``; on symmetric grids it is a new array scattered from the
         cached parity blocks, or from their transposes for ``M < 1``.
     """
-    operator = _scaling_operator(*spec._key)
-    if isinstance(operator, ParityUnitary):
-        return (operator.T if spec._theta < 0 else operator).dense()
-    if spec._theta < 0:
-        adjoint = np.conjugate(operator.T, out=np.empty_like(operator))
-        adjoint.setflags(write=False)
-        return adjoint
-    return operator
+    return _scaling_operator(*spec._key).dense(adjoint=spec._theta < 0)
 
 
 _requests = OrderedDict()  # (|theta|, N, scheme value) -> factored requests left
@@ -226,14 +217,7 @@ def _apply(vec: np.ndarray, spec: ScalingSpec, factored: bool) -> np.ndarray:
     if factored:
         eig = operator_set(spec.n_samples, spec.scheme).generator_eig
         return apply_from_eig(eig, spec._theta, vec)
-    operator = _scaling_operator(*spec._key)
-    if spec._theta >= 0:
-        return operator.dot(vec)
-    if isinstance(operator, ParityUnitary):
-        return operator.T.dot(vec)
-    # M^H x = conj(x^H M): no copy of M^H is made.
-    y = np.conjugate(vec) @ operator
-    return np.conjugate(y, out=y)
+    return _scaling_operator(*spec._key).dot(vec, adjoint=spec._theta < 0)
 
 
 def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:

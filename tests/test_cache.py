@@ -20,7 +20,7 @@ import pytest
 
 from opscale import cache, scaling
 from opscale.dft import IndexScheme
-from opscale.linalg import ParityUnitary
+from opscale.linalg import GridUnitary
 from opscale.pei import cddhf_basis
 from opscale.scaling import ScalingSpec, _scaling_operator, scale_signal, scaling_matrix
 
@@ -83,12 +83,11 @@ def budget(monkeypatch):
 
 def test_operator_is_charged_its_bytes(budget, grid):
     op = grid.operator(2.0)
+    assert isinstance(op, GridUnitary)
     if grid is BLOCKS:
-        assert isinstance(op, ParityUnitary)
-        assert op.even.shape == op.odd.shape == (grid.n // 2, grid.n // 2)
-        assert op.even.dtype == op.odd.dtype == np.float64
+        assert [(m.shape, m.dtype) for m in op.blocks] == [((grid.n // 2,) * 2, np.float64)] * 2
     else:
-        assert isinstance(op, np.ndarray) and op.shape == (grid.n, grid.n)
+        assert [(m.shape, m.dtype) for m in op.blocks] == [((grid.n,) * 2, np.complex128)]
     assert op.nbytes == grid.charge
     assert cache.shared.info().nbytes == grid.charge
 
@@ -101,7 +100,7 @@ def test_scale_signal_applies_the_cached_operator(budget, grid):
         scale_signal(x, grid.spec(1.7))
     assert cache.shared.info() == cache.CacheInfo(0, 0, 0, 0, 0)
     y = scale_signal(x, grid.spec(1.7))
-    assert y.tobytes() == (grid.operator(1.7) @ x).tobytes()
+    assert y.tobytes() == grid.operator(1.7).dot(x).tobytes()
     assert cache.shared.info().misses == 1
 
 
@@ -155,8 +154,7 @@ def test_oversized_newest_entry_is_kept_alone(budget, grid):
 def test_hit_returns_the_same_read_only_object(budget, grid):
     a = grid.operator(2.5)
     assert grid.operator(2.5) is a
-    arrays = (a.even, a.odd) if isinstance(a, ParityUnitary) else (a,)
-    assert not any(arr.flags.writeable for arr in arrays)
+    assert not any(m.flags.writeable for m in a.blocks)
     grid.assembled(grid.signal(), 2.5)  # a hit through the public call, after K factored
     assert grid.operator(2.5) is a
     assert cache.shared.info().hits == 3

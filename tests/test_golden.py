@@ -1,0 +1,60 @@
+"""``tools/golden.py``: per-object hashes of two checkouts, and the mismatches between them."""
+
+import importlib.util
+import math
+import os
+import re
+import shutil
+from pathlib import Path
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "golden.py")
+spec = importlib.util.spec_from_file_location("golden", TOOL)
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+
+
+def _checkout(root: Path, name: str) -> Path:
+    """A copy of the ``src/`` tree under test, as a checkout of its own."""
+    import opscale
+
+    package = Path(opscale.__file__).resolve().parent
+    shutil.copytree(package, root / name / "src" / "opscale",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return root / name
+
+
+def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, capsys):
+    parent, same, perturbed = (_checkout(tmp_path, name) for name in ("a", "b", "c"))
+    operators = perturbed / "src" / "opscale" / "operators.py"
+    text = operators.read_text()
+    diagonal = "return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)"
+    assert text.count(diagonal) == 1
+    operators.write_text(text.replace(diagonal, diagonal + " * (1 + 1e-12)"))
+    args = ["--parent", str(parent), "--sizes", "4,5"]
+
+    assert golden.main(args + ["--change", str(same)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"objects: (\d+), identical: \1, mismatches: 0", out)
+    assert "MISMATCH" not in out
+
+    assert golden.main(args + ["--change", str(perturbed)]) == 1
+    out = capsys.readouterr().out
+    diffs = {key: float(diff) for key, diff in
+             re.findall(r"MISMATCH (\S+): max relative difference (\S+)", out)}
+    # U moves by 1e-12 relative: every operator and decomposition moves with it.
+    for n in (4, 5):
+        for scheme in ("ordinary", "centered"):
+            assert f"N={n}/{scheme}/M=2.0/scaling_matrix" in diffs
+            assert f"N={n}/{scheme}/block0/eigenvalues" in diffs
+    assert "bench_csv" in diffs
+    assert all(0 < diff < math.inf for diff in diffs.values())
+    # An eigenvector may flip its sign; the operators move by about 1e-12.
+    assert all(diff < 1e-9 for key, diff in diffs.items() if "/M=" in key)
+
+
+def test_refuses_to_compare_across_environments(monkeypatch, capsys):
+    monkeypatch.setattr(golden, "run_side", lambda checkout, config, threads: {
+        "environment": {"threads": str(checkout)}, "digests": {}})
+    assert golden.main(["--parent", "1", "--change", "2"]) == 2
+    assert "environments differ" in capsys.readouterr().out

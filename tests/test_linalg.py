@@ -26,9 +26,9 @@ from opscale import ScalingSpec, linalg, scaling_matrix
 from opscale.dft import IndexScheme
 from opscale.linalg import (
     UNITARITY_TOL,
+    GridDecomposition,
+    GridUnitary,
     HermitianEigenDecomposition,
-    ParityEigenDecomposition,
-    ParityUnitary,
     apply_from_eig,
     identity_residual,
     real_form_eig,
@@ -69,6 +69,16 @@ def _real_form(a):
     return real_form_eig(lambda: a.copy(), len(a), _copy, 0.0)
 
 
+def _whole(block):
+    """A grid of one block, on the identity fold."""
+    return GridDecomposition((block,), None)
+
+
+def _assemble(block, theta):
+    """The assembled matrix of one block, as a whole grid's operator keeps it."""
+    return unitary_from_eig(_whole(block), theta).blocks[0]
+
+
 class TestRealFormEig:
     @pytest.mark.parametrize("n", [6, 7])
     def test_generator_eigenvalues_match_exact_charpoly_roots(self, n):
@@ -80,8 +90,8 @@ class TestRealFormEig:
         ops = operator_set(n, IndexScheme.ORDINARY)
         assert np.array_equal(ops.generator, fixture_matrix(payload))
         eig = ops.generator_eig
-        assert isinstance(eig, ParityEigenDecomposition) == (n == 7)
-        got = np.sort(np.concatenate([block.eigenvalues for block in _blocks(eig)]))
+        assert len(eig.blocks) == (2 if n == 7 else 1)
+        got = np.sort(np.concatenate([block.eigenvalues for block in eig.blocks]))
         assert np.max(np.abs(got - payload["eigenvalues"])) < 1e-12
 
     def test_reconstruction_and_orthonormality(self):
@@ -131,22 +141,22 @@ class TestRealFormEig:
 
 class TestUnitaryFromEig:
     def test_theta_zero_gives_identity(self):
-        got = unitary_from_eig(_real_form(np.diag([1.0, -2.0, 3.0])), 0.0)
+        got = _assemble(_real_form(np.diag([1.0, -2.0, 3.0])), 0.0)
         assert np.max(np.abs(got - np.eye(3))) < 1e-12
 
     def test_result_is_unitary(self):
-        m = unitary_from_eig(_real_form(_random_symmetric(np.random.default_rng(3), 7)), 1.7)
+        m = _assemble(_real_form(_random_symmetric(np.random.default_rng(3), 7)), 1.7)
         assert np.max(np.abs(m @ m.conj().T - np.eye(7))) < 1e-10
 
     def test_unitary_with_degenerate_eigenvalues(self):
-        m = unitary_from_eig(_real_form(np.diag([2.0, 2.0, 5.0])), 0.9)
+        m = _assemble(_real_form(np.diag([2.0, 2.0, 5.0])), 0.9)
         assert np.max(np.abs(m @ m.conj().T - np.eye(3))) < 1e-12
 
     def test_thetas_compose_additively(self):
         eig = _real_form(_random_symmetric(np.random.default_rng(5), 5))
-        m1 = unitary_from_eig(eig, 0.4)
-        m2 = unitary_from_eig(eig, 1.1)
-        m12 = unitary_from_eig(eig, 1.5)
+        m1 = _assemble(eig, 0.4)
+        m2 = _assemble(eig, 1.1)
+        m12 = _assemble(eig, 1.5)
         assert np.max(np.abs(m1 @ m2 - m12)) < 1e-10
 
 
@@ -158,14 +168,14 @@ def test_unitary_function_matches_taylor_series(source):
     # centered, an asymmetric grid, is decomposed through its Fourier one.
     if source == "real-symmetric":
         a = _random_symmetric(np.random.default_rng(17), 5)
-        eig = _real_form(a)
+        eig = _whole(_real_form(a))
     else:
         ops = operator_set(5, IndexScheme.CENTERED)
         a, eig = np.array(ops.generator), ops.generator_eig
-        assert isinstance(eig, HermitianEigenDecomposition)
+        assert len(eig.blocks) == 1 and eig.reversal_residual is None
     theta = 0.05
     expected = taylor_expm(-1j * theta * a, terms=30)
-    got = unitary_from_eig(eig, theta)
+    got = unitary_from_eig(eig, theta).dense()
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -247,7 +257,7 @@ class TestParityEig:
     def _parity_eig(a):
         """The reversal fold of ``a``, each block paired by hand (:func:`_paired`)."""
         even, odd, reversal_resid = linalg._reversal_fold(a)
-        return ParityEigenDecomposition(_paired(even), _paired(odd), reversal_resid)
+        return GridDecomposition((_paired(even), _paired(odd)), reversal_resid)
 
     @staticmethod
     def _generator(n, scheme):
@@ -260,10 +270,10 @@ class TestParityEig:
     def test_blocks_have_the_spectrum_of_the_matrix(self, n, scheme):
         g = self._generator(n, scheme)
         eig = self._parity_eig(g)
-        assert isinstance(eig, ParityEigenDecomposition)
-        assert len(eig.even.eigenvalues) == (n + 1) // 2
-        assert len(eig.odd.eigenvalues) == n // 2
-        blocks = np.sort(np.concatenate([eig.even.eigenvalues, eig.odd.eigenvalues]))
+        even, odd = eig.blocks
+        assert len(even.eigenvalues) == (n + 1) // 2 and len(odd.eigenvalues) == n // 2
+        assert eig.size == n and eig.block_size == len(even.eigenvalues)
+        blocks = np.sort(np.concatenate([even.eigenvalues, odd.eigenvalues]))
         assert np.max(np.abs(blocks - np.linalg.eigvalsh(g))) < 1e-12
 
     @pytest.mark.parametrize("n, scheme", [(8, IndexScheme.CENTERED), (7, IndexScheme.ORDINARY)])
@@ -316,93 +326,132 @@ class TestParityEig:
     def test_assembly_matches_dense_assembly(self, n):
         a = self._symmetric(n)
         got = unitary_from_eig(self._parity_eig(a), 0.7)
-        assert isinstance(got, ParityUnitary)
-        assert got.even.shape == ((n + 1) // 2,) * 2 and got.odd.shape == (n // 2,) * 2
-        assert not got.even.flags.writeable and not got.odd.flags.writeable
-        assert got.nbytes == got.even.nbytes + got.odd.nbytes
+        assert isinstance(got, GridUnitary)
+        even, odd = got.blocks
+        assert even.shape == ((n + 1) // 2,) * 2 and odd.shape == (n // 2,) * 2
+        assert not even.flags.writeable and not odd.flags.writeable
+        assert got.nbytes == even.nbytes + odd.nbytes
         dense = got.dense()
         assert dense.dtype == np.complex128 and dense.flags.c_contiguous
         assert np.max(np.abs(dense - eigh_unitary(a, 0.7))) < 1e-13
 
 
-class TestParityUnitary:
-    @staticmethod
-    def _unitary(n):
-        return unitary_from_eig(TestParityEig._parity_eig(TestParityEig._symmetric(n)), 0.7)
+class TestGridUnitary:
+    """An assembled operator on both folds: two real parity blocks, or one whole block."""
 
+    @staticmethod
+    def _unitary(n, kind="parity", theta=0.7):
+        if kind == "parity":
+            eig = TestParityEig._parity_eig(TestParityEig._symmetric(n))
+        else:
+            eig = _whole(_real_form(_random_symmetric(np.random.default_rng(n), n)))
+        return unitary_from_eig(eig, theta)
+
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 32, 33])
-    def test_blockwise_product_matches_dense_product(self, n):
-        u = self._unitary(n)
-        dense = u.dense()
+    def test_blockwise_product_matches_dense_product(self, n, kind):
+        u = self._unitary(n, kind)
         rng = np.random.default_rng(100 + n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        y = u @ x
-        assert y.shape == (n,) and y.dtype == np.complex128
-        assert np.max(np.abs(y - dense @ x)) < 1e-14 * np.linalg.norm(x)
-        # A real operand is promoted, as with the dense matrix.
-        assert np.max(np.abs(u @ x.real - dense @ x.real)) < 1e-14 * np.linalg.norm(x)
+        for adjoint in (False, True):
+            dense = u.dense(adjoint=adjoint)
+            y = u.dot(x, adjoint=adjoint)
+            assert y.shape == (n,) and y.dtype == np.complex128
+            assert np.max(np.abs(y - dense @ x)) < 1e-14 * np.linalg.norm(x)
+            # A real operand is promoted, as with the dense matrix.
+            got = u.dot(x.real, adjoint=adjoint)
+            assert np.max(np.abs(got - dense @ x.real)) < 1e-14 * np.linalg.norm(x)
+        assert np.array_equal(u.dense(adjoint=True), u.dense().conj().T)
 
-    def test_blockwise_product_leaves_its_operand_alone(self):
-        u = self._unitary(6)
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
+    def test_blockwise_product_leaves_its_operand_alone(self, kind):
+        u = self._unitary(6, kind)
         x = np.arange(6, dtype=complex)
         x.setflags(write=False)
-        u @ x
+        u.dot(x)
+        u.dot(x, adjoint=True)
         assert np.array_equal(x, np.arange(6))
 
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
+    def test_adjoint_product_copies_no_block(self, kind):
+        # The adjoint runs on the transposed views, or as conj(conj(x) M):
+        # beside its vectors it allocates nothing near a block's bytes.
+        u = self._unitary(256, kind)
+        x = np.ones(256, dtype=complex)
+        u.dot(x, adjoint=True)  # any one-time allocations outside the trace
+        _, peak = TestUnitarityCertificate._traced_peak(lambda: u.dot(x, adjoint=True))
+        assert peak < min(m.nbytes for m in u.blocks) / 4
+
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
     @pytest.mark.parametrize("shape", [(5,), (7,), (6, 2), ()])
-    def test_rejects_operand_that_is_not_an_n_vector(self, shape):
+    def test_rejects_operand_that_is_not_an_n_vector(self, shape, kind):
         with pytest.raises(ValueError, match="expected"):
-            self._unitary(6) @ np.zeros(shape)
+            self._unitary(6, kind).dot(np.zeros(shape))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 32, 33])
     def test_dense_is_the_blocks_on_the_explicit_parity_basis(self, n):
         u = self._unitary(n)
         k = n - n // 2
         blocks = np.zeros((n, n))
-        blocks[:k, :k], blocks[k:, k:] = u.even, u.odd
+        blocks[:k, :k], blocks[k:, k:] = u.blocks
         b = parity_basis(n)
         assert np.max(np.abs(u.dense() - b @ blocks @ b.T)) < 1e-15
+        assert np.max(np.abs(u.dense(adjoint=True) - b @ blocks.T @ b.T)) < 1e-15
 
-    def test_dense_is_a_new_read_only_array_each_call(self):
-        u = self._unitary(5)
-        first = u.dense()
-        assert not first.flags.writeable
-        assert u.dense() is not first
-        assert u.dense().tobytes() == first.tobytes()
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
+    def test_dense_is_read_only_and_bit_identical_each_call(self, kind):
+        u = self._unitary(5, kind)
+        for adjoint in (False, True):
+            first = u.dense(adjoint=adjoint)
+            assert not first.flags.writeable
+            assert first.dtype == np.complex128 and first.flags.c_contiguous
+            assert u.dense(adjoint=adjoint).tobytes() == first.tobytes()
+        # One block is the operator itself; any other dense matrix is new.
+        assert (u.dense() is u.dense()) == (kind == "whole")
+        assert u.dense(adjoint=True) is not u.dense(adjoint=True)
 
-    def test_dense_of_theta_zero_is_the_identity(self):
-        u = unitary_from_eig(TestParityEig._parity_eig(TestParityEig._symmetric(7)), 0.0)
-        assert np.max(np.abs(u.dense() - np.eye(7))) < 1e-13
+    @pytest.mark.parametrize("kind", ["parity", "whole"])
+    def test_dense_of_theta_zero_is_the_identity(self, kind):
+        u = self._unitary(7, kind, theta=0.0)
+        for adjoint in (False, True):
+            assert np.max(np.abs(u.dense(adjoint=adjoint) - np.eye(7))) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8])
     def test_blocks_are_real_and_keep_what_was_measured(self, n):
         u = self._unitary(n)
-        assert u.even.dtype == u.odd.dtype == np.float64
+        assert all(m.dtype == np.float64 for m in u.blocks)
         assert u.nbytes == 8 * (((n + 1) // 2) ** 2 + (n // 2) ** 2)
         assert u.unitarity_residual == (None, None)  # small blocks are certified
         # A real operand with a zero imaginary part comes back with one.
         x = np.arange(n, dtype=float) - 1.5
-        assert not (u @ x).imag.any()
+        assert not u.dot(x).imag.any() and not u.dot(x, adjoint=True).imag.any()
+        whole = self._unitary(n, "whole")
+        assert whole.blocks[0].dtype == np.complex128 and whole.nbytes == 16 * n * n
+        assert whole.unitarity_residual == (None,)
+
+    @pytest.mark.parametrize("n, scheme, checked", [
+        # Step 9 certifies whole grids only up to N = 442: at 512 the dense
+        # check runs, and its residual is kept.
+        (512, IndexScheme.ORDINARY, (True,)),
+        (128, IndexScheme.ORDINARY, (False,)),
+        (512, IndexScheme.CENTERED, (False, False)),
+    ])
+    def test_keeps_each_blocks_measured_unitarity(self, n, scheme, checked):
+        u = unitary_from_eig(operator_set(n, scheme).generator_eig, 2 * math.pi * math.log(2.0))
+        assert tuple(r is not None for r in u.unitarity_residual) == checked
+        for m, resid in zip(u.blocks, u.unitarity_residual):
+            if resid is not None:
+                assert type(resid) is float
+                assert resid == linalg._unitarity_residual(m) < 1e-10
 
     def test_unpaired_blocks_are_refused(self):
-        # A whole block has no rotation form, so a parity decomposition,
-        # whose blocks are assembled real, refuses it.
+        # A whole block has no rotation form, so the reversal fold, whose
+        # blocks are assembled real, refuses it; so does any third block.
         paired = _paired(TestParityEig._symmetric(4)[:2, :2])
-        with pytest.raises(ValueError, match="paired"):
-            ParityEigenDecomposition(_real_form(np.eye(2)), paired, 0.0)
-        with pytest.raises(ValueError, match="paired"):
-            ParityEigenDecomposition(paired, _real_form(np.eye(2)), 0.0)
-
-
-def _blocks(eig):
-    if isinstance(eig, ParityEigenDecomposition):
-        return [eig.even, eig.odd]
-    return [eig]
-
-
-def _assembled(eig, theta):
-    out = unitary_from_eig(eig, theta)
-    return [out.even, out.odd] if isinstance(out, ParityUnitary) else [out]
+        for blocks in ((_real_form(np.eye(2)), paired), (paired, _real_form(np.eye(2))),
+                       (paired, paired, paired), ()):
+            with pytest.raises(ValueError, match="paired"):
+                GridDecomposition(blocks, 0.0)
 
 
 def _unitarity_residual(block):
@@ -436,7 +485,7 @@ class TestUnitarityCertificate:
     )
     def test_bound_covers_the_measured_residual(self, n, scheme, ln_m):
         eig = operator_set(n, scheme).generator_eig
-        for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * ln_m)):
+        for block, m in zip(eig.blocks, unitary_from_eig(eig, 2 * math.pi * ln_m).blocks):
             assert block.unitarity_bound >= _unitarity_residual(m)
             assert block.unitarity_bound < UNITARITY_TOL
 
@@ -446,7 +495,7 @@ class TestUnitarityCertificate:
         # The primes run their FFTs through Bluestein's plan, whose bound
         # the real form's transform error carries.
         eig = operator_set(n, scheme).generator_eig
-        for block, m in zip(_blocks(eig), _assembled(eig, 2 * math.pi * math.log(1.7))):
+        for block, m in zip(eig.blocks, unitary_from_eig(eig, 2 * math.pi * math.log(1.7)).blocks):
             assert block.unitarity_bound >= _unitarity_residual(m)
             # Paired blocks up to 512 are certified; whole blocks of 509 and
             # more are not (step 9 certifies them up to about k = 450).
@@ -462,8 +511,9 @@ class TestUnitarityCertificate:
         # Step 9's bound grows as k gamma_k: it certifies every whole grid up
         # to N = 442 and none from 460; the rest are checked densely.
         eig = operator_set(n, scheme).generator_eig
-        assert eig.pair_signs is None and eig.basis.dtype == np.float64
-        assert (eig.unitarity_bound < UNITARITY_TOL) == certified
+        (block,) = eig.blocks
+        assert block.pair_signs is None and block.basis.dtype == np.float64
+        assert (block.unitarity_bound < UNITARITY_TOL) == certified
         calls = []
         check = linalg._unitarity_residual
         monkeypatch.setattr(linalg, "_unitarity_residual",
@@ -477,7 +527,7 @@ class TestUnitarityCertificate:
         # A paired block's bound is that of steps 2-4, a whole block's step 9's.
         eig = _concentrated(64, 1e-13, paired)
         assert eig.unitarity_bound < UNITARITY_TOL
-        (m,) = _assembled(eig, theta)
+        m = _assemble(eig, theta)
         assert m.dtype == (np.float64 if paired else np.complex128)
         assert eig.unitarity_bound >= _unitarity_residual(m) > 50 * eig.gram_residual
 
@@ -492,13 +542,13 @@ class TestUnitarityCertificate:
 
     def test_empty_block_has_a_zero_bound(self):
         eig = operator_set(1, IndexScheme.ORDINARY).generator_eig
-        assert eig.odd.unitarity_bound == 0.0
+        assert eig.blocks[1].unitarity_bound == 0.0
 
     def test_uncertified_block_runs_the_full_check_and_raises(self):
         eig = _concentrated(64, 1e-12)
         assert eig.unitarity_bound >= UNITARITY_TOL
         with pytest.raises(ArithmeticError, match="lost unitarity"):
-            unitary_from_eig(eig, 0.0)
+            _assemble(eig, 0.0)
 
     def test_full_check_runs_only_on_uncertified_blocks(self, monkeypatch):
         rng = np.random.default_rng(23)
@@ -508,7 +558,7 @@ class TestUnitarityCertificate:
         uncertified = _hand_built(q * (1 + 1e-12 * rng.choice([-1, 1], 64)), np.arange(64.0))
         assert uncertified.unitarity_bound >= UNITARITY_TOL
         certified = operator_set(64, IndexScheme.ORDINARY).generator_eig
-        assert certified.unitarity_bound < UNITARITY_TOL
+        assert certified.blocks[0].unitarity_bound < UNITARITY_TOL
         calls = []
         check = linalg._unitarity_residual
 
@@ -519,7 +569,7 @@ class TestUnitarityCertificate:
         monkeypatch.setattr(linalg, "_unitarity_residual", counting)
         unitary_from_eig(certified, 0.7)
         assert calls == []
-        unitary_from_eig(uncertified, 0.7)
+        _assemble(uncertified, 0.7)
         assert calls == [(64, 64)]
 
     @staticmethod
@@ -543,10 +593,11 @@ class TestUnitarityCertificate:
         assert eig.unitarity_bound >= UNITARITY_TOL  # the dense check runs
         empty = _paired(np.zeros((0, 0)))
         u, peak = self._traced_peak(
-            lambda: unitary_from_eig(ParityEigenDecomposition(eig, empty, 0.0), 0.7))
-        assert u.even.dtype == np.float64 and u.unitarity_residual[0] is not None
-        assert u.unitarity_residual[0] == _unitarity_residual(u.even) < UNITARITY_TOL
-        assert peak < 1.6 * u.even.nbytes
+            lambda: unitary_from_eig(GridDecomposition((eig, empty), 0.0), 0.7))
+        even = u.blocks[0]
+        assert even.dtype == np.float64 and u.unitarity_residual[0] is not None
+        assert u.unitarity_residual[0] == _unitarity_residual(even) < UNITARITY_TOL
+        assert peak < 1.6 * even.nbytes
 
     def test_check_measures_the_whole_gram_from_its_upper_triangle(self):
         rng = np.random.default_rng(29)
@@ -579,14 +630,14 @@ class TestFactoredApply:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = apply_from_eig(eig, 2 * math.pi * ln_m, x)
-        assert max(b.factored_bound for b in _blocks(eig)) >= _norm_error(y, x)
-        assert all(b.factored_bound < UNITARITY_TOL for b in _blocks(eig))
+        assert max(b.factored_bound for b in eig.blocks) >= _norm_error(y, x)
+        assert all(b.factored_bound < UNITARITY_TOL for b in eig.blocks)
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     @pytest.mark.parametrize("n", [512, 1024])
     def test_certifies_the_blocks_the_assembly_certifies(self, n, scheme):
         eig = operator_set(n, scheme).generator_eig
-        blocks = _blocks(eig)
+        blocks = eig.blocks
         assert eig.block_size == blocks[0].block_size == max(b.block_size for b in blocks)
         assembly_certified = all(b.unitarity_bound < UNITARITY_TOL for b in blocks)
         assert eig.factored_certified or not assembly_certified
@@ -600,14 +651,15 @@ class TestFactoredApply:
     def test_matches_the_assembled_product(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for eig in (_real_form(_random_symmetric(rng, n)),
+        for eig in (_whole(_real_form(_random_symmetric(rng, n))),
                     TestParityEig._parity_eig(TestParityEig._symmetric(n))):
             y = apply_from_eig(eig, 0.7, x)
             assert y.shape == (n,) and y.dtype == np.complex128
-            assert np.max(np.abs(y - unitary_from_eig(eig, 0.7) @ x)) < 1e-14 * np.linalg.norm(x)
+            operator = unitary_from_eig(eig, 0.7)
+            assert np.max(np.abs(y - operator.dot(x))) < 1e-14 * np.linalg.norm(x)
             # A real operand is promoted, as with the assembled operator.
             got = apply_from_eig(eig, 0.7, x.real)
-            assert np.max(np.abs(got - unitary_from_eig(eig, 0.7) @ x.real)) < 1e-14 * n
+            assert np.max(np.abs(got - operator.dot(x.real))) < 1e-14 * n
 
     def test_leaves_its_operand_alone(self):
         eig = TestParityEig._parity_eig(TestParityEig._symmetric(6))
@@ -618,14 +670,14 @@ class TestFactoredApply:
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (6, 2), ()])
     def test_rejects_operand_that_is_not_an_n_vector(self, shape):
-        for eig in (_real_form(_random_symmetric(np.random.default_rng(6), 6)),
+        for eig in (_whole(_real_form(_random_symmetric(np.random.default_rng(6), 6))),
                     TestParityEig._parity_eig(TestParityEig._symmetric(6))):
             with pytest.raises(ValueError, match="expected"):
                 apply_from_eig(eig, 0.7, np.zeros(shape))
 
     def test_rejects_non_finite_theta(self):
         with pytest.raises(ValueError, match="finite"):
-            apply_from_eig(_real_form(np.eye(2)), math.inf, np.ones(2))
+            apply_from_eig(_whole(_real_form(np.eye(2))), math.inf, np.ones(2))
 
     @pytest.mark.parametrize("paired", [True, False], ids=["paired", "whole"])
     @pytest.mark.parametrize("theta", [0.0, 0.7])
@@ -635,19 +687,19 @@ class TestFactoredApply:
         # x along the column of Q Q^T - I that H gathers the error into.
         x = np.zeros(64, dtype=complex)
         x[0] = 1.0
-        y = apply_from_eig(eig, theta, x)
+        y = apply_from_eig(_whole(eig), theta, x)
         assert eig.factored_bound >= _norm_error(y, x) > 50 * eig.gram_residual
 
     def test_uncertified_block_is_refused(self):
         eig = _concentrated(64, 1e-12)
         assert eig.factored_bound >= UNITARITY_TOL and not eig.factored_certified
         with pytest.raises(ArithmeticError, match="not certified"):
-            apply_from_eig(eig, 0.7, np.ones(64))
+            apply_from_eig(_whole(eig), 0.7, np.ones(64))
         rng = np.random.default_rng(64)
         b = rng.standard_normal((64, 64))
         uncertified = _paired(1j * (b - b.T), scale=1 + 1e-12 * rng.choice([-1, 1], 64))
         assert not uncertified.factored_certified
-        parity = ParityEigenDecomposition(uncertified, _paired(1j * (b - b.T)[1:, 1:]), 0.0)
+        parity = GridDecomposition((uncertified, _paired(1j * (b - b.T)[1:, 1:])), 0.0)
         assert not parity.factored_certified
         with pytest.raises(ArithmeticError, match="not certified"):
             apply_from_eig(parity, 0.7, np.ones(127))
@@ -677,7 +729,7 @@ class TestKeptRealForm:
             assert y.shape == (n,) and y.dtype == np.complex128
             assert np.linalg.norm(y - matrix @ x) <= 1e-13 * np.linalg.norm(x)
             assert np.array_equal(x, before)
-        for block in _blocks(eig):
+        for block in eig.blocks:
             q, k = block.basis, block.block_size
             assert q.dtype == np.float64 and not q.flags.writeable
             # Z on this block's basis as a dense matrix, from its transform.
@@ -698,7 +750,7 @@ class TestKeptRealForm:
         # assembly's, whose two transforms each act on all k rows or columns,
         # by about 4 sqrt(k) eta; a paired block runs none, so eta enters
         # neither of its bounds.
-        for block in _blocks(operator_set(n, scheme).generator_eig):
+        for block in operator_set(n, scheme).generator_eig.blocks:
             eta = block.transform_error
             assert eta > 0
             exact = dataclasses.replace(block, transform_error=0.0)
@@ -715,11 +767,12 @@ class TestKeptRealForm:
         # N = 604 ordinary, one block of 604 (measured: 9.2e-11 through Q
         # and Z, 1.1e-10 through V).  Only the bound through V, which
         # certified the factored path when V was kept, decides the path.
-        eig = operator_set(604, IndexScheme.ORDINARY).generator_eig
+        grid = operator_set(604, IndexScheme.ORDINARY).generator_eig
+        (eig,) = grid.blocks
         # Step 5 with V for Q: gram_bound for basis_gram_bound, and no transform.
         through_v = dataclasses.replace(eig, basis_gram_bound=eig.gram_bound, transform_error=0.0)
         assert eig.factored_bound < UNITARITY_TOL <= through_v.factored_bound
-        assert not eig.factored_certified
+        assert not eig.factored_certified and not grid.factored_certified
 
     def test_concurrent_applies_match_the_serial_ones_bit_for_bit(self):
         # The kept transforms run per request; they must write only buffers
@@ -727,8 +780,8 @@ class TestKeptRealForm:
         # interval, so that the threads interleave inside the transforms.
         eigs = [operator_set(96, IndexScheme.CENTERED).generator_eig,  # symmetric: parity blocks
                 operator_set(96, IndexScheme.ORDINARY).generator_eig]  # asymmetric: one block
-        assert isinstance(eigs[0], ParityEigenDecomposition) and eigs[0].even.pair_signs is not None
-        assert eigs[1].transform is not None
+        assert len(eigs[0].blocks) == 2 and eigs[0].blocks[0].pair_signs is not None
+        assert len(eigs[1].blocks) == 1 and eigs[1].blocks[0].transform is not None
         rng = np.random.default_rng(96)
         x = rng.standard_normal(96) + 1j * rng.standard_normal(96)
         thetas = [2 * math.pi * math.log(0.6 + 0.2 * i) for i in range(8)]
@@ -802,23 +855,25 @@ _CERTIFICATE = ("hermiticity_residual", "gram_residual", "reconstruction_residua
 
 
 def _certificate(eig):
-    """Every certificate field of a decomposition, and of each of its blocks."""
-    if isinstance(eig, ParityEigenDecomposition):
-        return {"reversal_residual": eig.reversal_residual, "block_size": eig.block_size,
-                "factored_certified": eig.factored_certified,
-                "even": _certificate(eig.even), "odd": _certificate(eig.odd)}
-    return {name: getattr(eig, name) for name in _CERTIFICATE}
+    """Every certificate field of a grid's decomposition, and of each of its blocks."""
+    return {"reversal_residual": eig.reversal_residual, "size": eig.size,
+            "block_size": eig.block_size, "factored_certified": eig.factored_certified,
+            "blocks": [{name: getattr(b, name) for name in _CERTIFICATE} for b in eig.blocks]}
 
 
 def _leaves(tree):
     for value in tree.values():
-        yield from _leaves(value) if isinstance(value, dict) else [value]
+        if isinstance(value, list):
+            for block in value:
+                yield from _leaves(block)
+        else:
+            yield value
 
 
 @pytest.mark.parametrize("build", [
     lambda: operator_set(64, IndexScheme.CENTERED).generator_eig,  # symmetric: parity blocks
     lambda: operator_set(64, IndexScheme.ORDINARY).generator_eig,  # asymmetric: one real form
-    lambda: _hand_built(np.eye(3), np.arange(3.0)),
+    lambda: _whole(_hand_built(np.eye(3), np.arange(3.0))),
     lambda: TestParityEig._parity_eig(TestParityEig._symmetric(7)),
 ], ids=["symmetric", "asymmetric", "hand-built", "hand-built-parity"])
 def test_every_certificate_field_is_a_plain_json_value(build):
@@ -951,10 +1006,9 @@ def test_slab_decomposition_is_bit_identical_to_the_whole_matrix_recipe(monkeypa
     monkeypatch.setattr(linalg, "_reversal_fold", _whole_reversal_fold)
     monkeypatch.setattr(OperatorSet, "_formed_generator", _whole_generator)
     want = OperatorSet(cached.grid, cached.u_diagonal, cached.d_column).generator_eig
-    assert type(got) is type(want)
-    if isinstance(got, ParityEigenDecomposition):
-        assert got.reversal_residual == want.reversal_residual
-    for g, w in zip(_blocks(got), _blocks(want)):
+    assert len(got.blocks) == len(want.blocks)
+    assert repr(got.reversal_residual) == repr(want.reversal_residual)
+    for g, w in zip(got.blocks, want.blocks):
         assert g.eigenvalues.tobytes() == w.eigenvalues.tobytes()
         assert g.basis.tobytes() == w.basis.tobytes()
         for f in dataclasses.fields(g):
@@ -978,16 +1032,16 @@ class TestSymmetricGrids:
         # Even N is symmetric on the centered scheme, odd N on the ordinary one.
         ops = operator_set(n, IndexScheme.CENTERED if n % 2 == 0 else IndexScheme.ORDINARY)
         eig = ops.generator_eig
-        assert isinstance(eig, ParityEigenDecomposition)
+        assert len(eig.blocks) == 2
         theta_a, theta_b = 2 * math.pi * ln_a, 2 * math.pi * ln_b
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u_a = unitary_from_eig(eig, theta_a)
         y = apply_from_eig(eig, theta_a, x)
-        assert np.linalg.norm(y - u_a @ x) <= 1e-13 * np.linalg.norm(x)
+        assert np.linalg.norm(y - u_a.dot(x)) <= 1e-13 * np.linalg.norm(x)
         u_b, u_ab = unitary_from_eig(eig, theta_b), unitary_from_eig(eig, theta_a + theta_b)
-        for m_a, m_b, m_ab in zip((u_a.even, u_a.odd), (u_b.even, u_b.odd), (u_ab.even, u_ab.odd)):
+        for m_a, m_b, m_ab in zip(u_a.blocks, u_b.blocks, u_ab.blocks):
             assert np.max(np.abs(m_a @ m_b - m_ab), initial=0.0) <= 1e-12
         even, odd, _ = linalg._reversal_fold(ops.generator)
-        for block, decomposed in ((even, eig.even), (odd, eig.odd)):
+        for block, decomposed in zip((even, odd), eig.blocks):
             assert pair_residual(block.imag, decomposed) <= decomposed.reconstruction_residual

@@ -24,7 +24,6 @@ from conftest import (
 from opscale import dft
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.linalg import (
-    ParityEigenDecomposition,
     _parity_transform,
     _reversal_fold,
 )
@@ -202,7 +201,7 @@ class TestGenerator:
 
     def test_generator_eig_reconstructs(self):
         ops = operator_set(32, IndexScheme.ORDINARY)
-        eig = ops.generator_eig
+        (eig,) = ops.generator_eig.blocks
         recon = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
         assert np.max(np.abs(recon - ops.generator)) < 1e-12
 
@@ -370,10 +369,9 @@ def _fresh(n, scheme):
 def _eig_blocks(ops):
     """``(block of G, its decomposition)`` pairs: the folded blocks on symmetric grids."""
     eig = ops.generator_eig
-    if isinstance(eig, ParityEigenDecomposition):
-        even, odd, _ = _reversal_fold(ops.generator)
-        return [(even, eig.even), (odd, eig.odd)]
-    return [(np.array(ops.generator), eig)]
+    if len(eig.blocks) == 2:
+        return list(zip(_reversal_fold(ops.generator)[:2], eig.blocks))
+    return [(np.array(ops.generator), eig.blocks[0])]
 
 
 class TestRealFormCertificate:
@@ -516,18 +514,18 @@ class TestRealFormCertificate:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        parity = isinstance(eig, ParityEigenDecomposition)
-        blocks = [eig.even, eig.odd] if parity else [eig]
-        for block in blocks:
+        parity = len(eig.blocks) == 2
+        for block in eig.blocks:
             assert block.basis.dtype == np.float64 and block.basis.shape == (block.block_size,) * 2
         # A paired block keeps one sign per pair beside them.
         kept = sum(8 * b.block_size + 8 * b.block_size ** 2 + 8 * (b.block_size // 2) * parity
-                   for b in blocks)
+                   for b in eig.blocks)
         assert kept <= retained <= kept + 96 * n + 8192
         # The transform kept, which builds V on request, holds no buffer of
         # its own; a parity block's is derived from the whole grid's.
-        transform = (inspect.getclosurevars(eig.even.transform).nonlocals["transform"]
-                     if parity else eig.transform).__self__
+        transform = eig.blocks[0].transform
+        transform = (inspect.getclosurevars(transform).nonlocals["transform"]
+                     if parity else transform).__self__
         assert isinstance(transform, _HalfDft)
         assert all(value.size <= n for value in vars(transform).values()
                    if isinstance(value, np.ndarray))

@@ -11,11 +11,7 @@ from conftest import eigh_unitary, load_fixture, taylor_expm
 
 from opscale import cache, linalg, scaling
 from opscale.dft import IndexScheme
-from opscale.linalg import (
-    ParityEigenDecomposition,
-    ParityUnitary,
-    apply_from_eig,
-)
+from opscale.linalg import GridUnitary, apply_from_eig
 from opscale.operators import operator_set
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
 
@@ -103,7 +99,7 @@ class TestScalingMatrix:
         lam_{k-1-j})/2``.  A whole grid's block is ``Z W Z^H``, ``W = (Q cos)
         Q^T - i (Q sin) Q^T``: two whole real products, Z along the rows of
         ``conj(W)``, then along the columns of the conjugate.  The scatter
-        rounds as the unfold of :class:`ParityUnitary` does: an entry of the
+        rounds as the reversal fold's unfold does: an entry of the
         middle row or column of an odd N is ``sqrt(2)`` times its even
         entry, halved, and the centre takes that twice, then is doubled.
         """
@@ -128,9 +124,9 @@ class TestScalingMatrix:
             m = e.transform(y, np.empty_like(y), axis=0)
             return m.conj().T if theta < 0 else m
 
-        if not isinstance(eig, ParityEigenDecomposition):
-            return block(eig)
-        even, odd = block(eig.even), block(eig.odd)
+        if len(eig.blocks) == 1:
+            return block(eig.blocks[0])
+        even, odd = (block(b) for b in eig.blocks)
         h = odd.shape[0]
         n = even.shape[0] + h
         out = np.empty((n, n), dtype=complex)
@@ -154,8 +150,7 @@ class TestScalingMatrix:
         a row block's product among its threads otherwise than the whole
         product's, and round it otherwise.
         """
-        blocks = (eig.even, eig.odd) if isinstance(eig, ParityEigenDecomposition) else (eig,)
-        for block in blocks:
+        for block in eig.blocks:
             q = block.basis
             whole = q @ q.T
             if any((q[rows] @ q.T).tobytes() != whole[rows].tobytes()
@@ -190,22 +185,19 @@ class TestScalingMatrix:
     def test_reciprocal_factor_is_the_adjoint_bit_for_bit(self, n, scheme):
         # Only |theta| is assembled: M = 0.5 is served from the operator of
         # M = 2, as its conjugate transpose (a new array), or on symmetric
-        # grids from the transposes of its two real blocks, views of them.
+        # grids scattered from the transposes of its two real blocks.
         up = scaling_matrix(ScalingSpec(2.0, n, scheme))
         down = scaling_matrix(ScalingSpec(0.5, n, scheme))
         assert down.dtype == np.complex128 and down.flags.c_contiguous
         assert not down.flags.writeable
         operator = scaling._scaling_operator(*ScalingSpec(2.0, n, scheme)._key)
-        if isinstance(operator, ParityUnitary):
-            transposed = operator.T
-            for block, view in ((operator.even, transposed.even), (operator.odd, transposed.odd)):
-                assert view.base is block and np.array_equal(view, block.T)
-            copied = ParityUnitary(np.ascontiguousarray(operator.even.T),
-                                   np.ascontiguousarray(operator.odd.T), (None, None))
+        if len(operator.blocks) == 2:
+            copied = GridUnitary(tuple(np.ascontiguousarray(m.T) for m in operator.blocks),
+                                 (None, None))
             assert down.tobytes() == copied.dense().tobytes()
             assert down.tobytes() == np.ascontiguousarray(up.T).tobytes()
         else:
-            assert up is operator and down is not operator
+            assert up is operator.blocks[0] and down is not operator.blocks[0]
             assert down.tobytes() == np.ascontiguousarray(up.conj().T).tobytes()
 
     @pytest.mark.parametrize(
@@ -254,7 +246,7 @@ class TestScalingMatrix:
         # Symmetric grids assemble from the even/odd blocks; the reference
         # decomposes the whole generator and assembles it densely.
         ops = operator_set(n, scheme)
-        assert isinstance(ops.generator_eig, ParityEigenDecomposition)
+        assert len(ops.generator_eig.blocks) == 2
         theta = 2.0 * math.pi * math.log(m)
         expected = eigh_unitary(ops.generator, theta)
         got = scaling_matrix(ScalingSpec(m, n, scheme))
