@@ -29,8 +29,9 @@ from opscale.linalg import _reversal_fold
 
 def rotation_residual(b, block):
     """``max|B Q - Q Omega|``: ``B q_j = -t_j mu_j q_{k-1-j}``, ``B q_{k-1-j} = t_j mu_j q_j``."""
-    q, lam, t = block.basis, block.eigenvalues, block.pair_signs
-    h = len(t)
+    q, lam = block.basis, block.eigenvalues
+    h = len(lam) // 2
+    t = block.rotation[1][:h]  # the signs t_j, j < k // 2
     rate = t * (lam[:h] - lam[::-1][:h]) / 2
     omega_q = np.zeros_like(q)
     omega_q[:, :h] = -rate * q[:, ::-1][:, :h]
@@ -56,13 +57,14 @@ for n in (128, 512):
         for name, g, block in blocks:
             v = block.eigenvectors
             gram = np.abs(v.conj().T @ v - np.eye(len(v))).max()
-            if block.pair_signs is None:
+            if block.rotation is None:
                 recon = np.abs(g @ v - v * block.eigenvalues).max()
             else:
                 recon = rotation_residual(g.imag, block)
-            print(f"{n:>5} {scheme.value:<9} {name:<5} {block.realness_residual:>10.2e} "
-                  f"{block.gram_residual:>11.2e} {gram:>11.2e} "
-                  f"{block.reconstruction_residual:>11.2e} {recon:>11.2e} {seconds:>8.3f}s")
+            residuals = block.residuals
+            print(f"{n:>5} {scheme.value:<9} {name:<5} {residuals['realness_residual']:>10.2e} "
+                  f"{residuals['gram_residual']:>11.2e} {gram:>11.2e} "
+                  f"{residuals['reconstruction_residual']:>11.2e} {recon:>11.2e} {seconds:>8.3f}s")
 
 # The realness check rejects max|Im S| >= 1e-10 * (1 + max|G|); the values
 # above are rounding, about six orders of magnitude below it.  The bounds

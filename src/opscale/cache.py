@@ -18,7 +18,10 @@ vectors plus its eigenvalues (8 N^2 + 8 N bytes).  A scaling operator is cached 
 once it repeats: :func:`opscale.scaling.scale_signal` applies a factor's
 first K requests (a quarter of the grid's largest block) in factored form,
 without assembling it, and a benchmark sweep never assembles a certified
-one, so a factor used once is never built or cached.
+one, so a factor used once is never built or cached.  The factored path
+is certified on whole grids up to N = 629 (to 632 with one BLAS thread)
+and on symmetric grids up to N = 1258; elsewhere every request
+assembles and caches.
 
 An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.

@@ -76,8 +76,8 @@ anticommutes with the real form (``G = F^H conj(G) F`` and ``conj(G) =
 q_{j'} + d_j``, ``j' = k-1-j`` in ascending order, ``d_j`` rounding.
 :func:`real_form_eig` reads ``X q_j`` from the slabs of ``Z Q`` it
 transforms for its column-norm check (``2 Re(Z q) - q``, ``-sqrt(2)
-Im(Z q)``), and keeps the signs ``t_j = s_j``, ``j < k // 2``, as the
-block's ``pair_signs``.  Writing ``Z^H q_j`` and ``G q_j = Z S Z^H q_j``
+Im(Z q)``), and keeps the signs ``t_j = s_j``, ``j < k // 2``, in the
+block's ``rotation``.  Writing ``Z^H q_j`` and ``G q_j = Z S Z^H q_j``
 out in a, b and X gives ``B q_j = -t_j mu_j q_{j'} + r_j``, ``B q_{j'} =
 t_j mu_j q_j + r_{j'}``, ``mu_j = (lam_j - lam_{j'})/2``: B rotates each
 plane ``(q_j, q_{j'})`` at the rate ``mu_j``, and the middle column of
@@ -138,9 +138,11 @@ whose every block it certifies (``factored_certified``); it raises
 check are the only path.
 
 Each decomposition keeps the residuals its checks measured (or, for a
-real form, bounded), as plain floats: each block the Hermiticity, gram
-and reconstruction residuals, a reversal fold the reversal residual, and
-a :class:`GridUnitary` each block's measured unitarity.  From a bound
+real form, bounded), as plain floats: each block the Hermiticity, gram,
+reconstruction and realness residuals in its read-only ``residuals``, a
+reversal fold the reversal residual, and a :class:`GridUnitary` each
+block's measured unitarity.  No code path reads a block's
+``residuals``; what decides a path is kept beside them.  From a bound
 on ``||Q^T Q - I||_2`` and the error of the transform the assembly runs,
 if any, it also keeps ``unitarity_bound``, an upper bound on ``max|M^H
 M - I|`` for every block ``M`` that :func:`unitary_from_eig` can assemble
@@ -224,20 +226,15 @@ runs.  A real form is assembled otherwise, with the bound of step 9.
 That last quantity is ``factored_bound``, the factored apply's
 counterpart of ``unitarity_bound``: to first order ``2 k delta_Q + 4
 sqrt(k) gamma_{k+2} + 2 beta + 4 eta``.  The transform enters as ``4
-eta``: it is applied to one vector, not to the k columns of Q.  The
-same step taken through V (Q = V, its ``gram_bound`` of step 7 for ``k
-delta_Q`` and ``eta = 0``) has ``4 sqrt(k) eta`` there, and that bound
-certified the factored path while V was kept; ``factored_certified``
-requires both on a block that is not paired, so the blocks certified
-are exactly those certified before.  A paired block applies neither V
-nor Z, and its ``factored_bound`` alone decides.  Neither bound is
-sounder than the gram residual it is given, so a hand-built
-decomposition must carry the measured ``max|Q^T Q - I|`` of its basis.
+eta``: it is applied to one vector, not to the k columns of Q.  A block
+is ``factored_certified`` exactly where its ``factored_bound`` is below
+``UNITARITY_TOL``.  The bound is no sounder than the gram residual it is
+given, so a hand-built decomposition must carry the measured ``max|Q^T
+Q - I|`` of its basis.
 
-Steps 2-4 use ``delta`` only through ``k delta``, a bound on ``||V^H V
-- I||_2``, and step 5 through ``k delta_Q``, a bound on ``||Q^T Q -
-I||_2``.  A decomposition keeps them as ``gram_bound`` and
-``basis_gram_bound``, and bounds them without forming ``V^H V``:
+Steps 2-5 and 9 use ``delta`` only through ``k delta_Q``, a bound on
+``||Q^T Q - I||_2`` (V = Q in steps 2-4), which a decomposition keeps as
+``basis_gram_bound``; steps 6-8 bound V without forming ``V^H V``:
 
 6. The transform (an a priori bound).  numpy (>= 2.0) computes
    ``fft`` with pocketfft, whose accuracy this module assumes as
@@ -273,21 +270,17 @@ I||_2``.  A decomposition keeps them as ``gram_bound`` and
    bounds ``delta_Q = max|Q^T Q - I|`` as in step 1, and ``||q_j||^2 <= 1
    + delta_Q``.  ``V^H V - I = (Q^T Q - I) + Q^T Z^H E + E^H Z Q + E^H E``,
    so each entry is within ``delta_V = delta_Q + (2 eta + eta^2) (1 +
-   delta_Q)`` (``gram_residual``) and, with ``||E||_F <= eta sqrt(k (1 +
-   delta_Q))`` and ``||Z Q||_2 = ||Q||_2``, ``||V^H V - I||_2 <= k delta_Q
-   + 2 sqrt(1 + k delta_Q) e + e^2``, ``e = eta sqrt(k (1 + delta_Q))``
-   (``gram_bound``).  The transform enters as ``sqrt(k) eta``, not ``k
-   eta``.  Eta is assumed, not measured, so two runtime checks test what
-   it rests on.  The computed column norms ``||v_j||^2`` must equal
-   ``||q_j||^2`` to ``(1 + eta)^2 (1 + gamma_{2k}) / (1 - gamma_k) - 1``
-   relative: that catches a transform that is not unitary, such as one
-   that scales its output.  And the derivation uses that Z is symmetric:
-   the form is computed as ``conj(Z conj(A Z^T)) = (Z^T)^H A Z^T`` (the
-   row transforms apply Z^T), and ``V = Z Q`` diagonalizes A only if
-   ``Z^T Q = Z Q``.  A probe pair checks it, ``|r^T Z p - p^T Z r| <= (2
-   eta + 2 gamma_{k+2} (1 + eta)) ||p|| ||r||``, which catches a
-   transform that is unitary but not symmetric, such as one that flips
-   the signs of some outputs.
+   delta_Q)`` (``gram_residual``).  Eta is assumed, not measured, so two
+   runtime checks test what it rests on.  The computed column norms
+   ``||v_j||^2`` must equal ``||q_j||^2`` to ``(1 + eta)^2 (1 +
+   gamma_{2k}) / (1 - gamma_k) - 1`` relative: that catches a transform
+   that is not unitary, such as one that scales its output.  And the
+   derivation uses that Z is symmetric: the form is computed as ``conj(Z
+   conj(A Z^T)) = (Z^T)^H A Z^T`` (the row transforms apply Z^T), and
+   ``V = Z Q`` diagonalizes A only if ``Z^T Q = Z Q``.  A probe pair
+   checks it, ``|r^T Z p - p^T Z r| <= (2 eta + 2 gamma_{k+2} (1 + eta))
+   ||p|| ||r||``, which catches a transform that is unitary but not
+   symmetric, such as one that flips the signs of some outputs.
 8. The reconstruction.  Let ``S = Z^H A Z`` exactly (Hermitian; real
    only to the extent that A has the Fourier symmetry), ``s`` the real
    part of the computed form, ``rho`` its measured ``max|Im|`` and ``r =
@@ -346,16 +339,16 @@ I||_2``.  A decomposition keeps them as ``gram_bound`` and
    the dense check cost about as much, and at k = 1024 30 % less.)
 
 With ``eta`` about 3e-14 (Cooley-Tukey, N = 1024) to 1.6e-13 (Bluestein,
-N = 1021), the transform adds ``2 sqrt(k) eta`` to ``k delta_Q`` in
-``gram_bound``, ``4 eta`` to ``factored_bound`` and ``4 sqrt(k) eta``
-to a real form's ``unitarity_bound``.  Every block up to k = 512 is
-certified for the factored path, and k = 1024 is not; near the edge,
-the bound through V certifies it on every whole grid up to N = 590 (some
-to 625).  Step 9 certifies the assembly of
-every whole grid up to N = 442 (some to 459); from there the dense check
-runs, at N = 512 and 1024 among others.  A paired block's bounds carry
-no eta: the symmetric grids are certified for the factored path up to N
-= 1258, and their assemblies up to N = 1287.  The checks cost two real
+N = 1021), the transform adds ``4 eta`` to ``factored_bound`` and ``4
+sqrt(k) eta`` to a real form's ``unitarity_bound``.  Every block up to k
+= 512 is certified for the factored path, and k = 1024 is not; near the
+edge, every whole grid up to N = 629 is, and with one BLAS thread also
+N = 630 and 632 (the measured gram residual moves with the thread
+count).  Step 9 certifies
+the assembly of every whole grid up to N = 442 (some to 459); from there
+the dense check runs, at N = 512 and 1024 among others.  A paired
+block's bounds carry no eta: the symmetric grids are certified for the
+factored path up to N = 1258, and their assemblies up to N = 1287.  The checks cost two real
 k x k products, ``Q^T Q`` (a symmetric rank-k update) and ``s Q``,
 instead of two complex ones, and one transform of Q, 48 columns at a
 time, for the column norms of V and the pair errors.
@@ -375,7 +368,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -426,31 +420,6 @@ def _entry_bound(gram_residual: float, k: int) -> float:
     """Step 1: a bound on the exact ``max|V^H V - I|`` from the computed one."""
     g = _gamma(k + 2)
     return (gram_residual * (1 + _gamma(3)) + g) / (1 - g)
-
-
-def _bounds(basis_gram_bound: float, eta: float, k: int) -> tuple[float, float, float]:
-    """The bounds of steps 4, 5 and 9 for a block of k eigenvectors.
-
-    ``basis_gram_bound`` bounds ``||Q^T Q - I||_2`` (``||V^H V - I||_2``
-    where Q = V) and ``eta`` the relative error of the transform Z that
-    the factored product and a real form's assembly run, 0 where they run
-    none; the derivation is in the module docstring.
-    """
-    g = _gamma(k + 2)
-    beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
-    g_prime = g + beta * (1 + g)
-    unitarity = ((1 + basis_gram_bound) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
-    nu = math.sqrt(1 + basis_gram_bound)
-    a = math.sqrt(k) * nu * g
-    eps = nu * nu * eta + (1 + eta) * (
-        nu * a + (nu + a) * (nu * beta + a * (1 + beta)) + eta * (nu + a) ** 2 * (1 + beta)
-    )
-    # Step 9: the products' error in W, which Z spreads over whole columns,
-    # and the two transforms of W's rows and columns.
-    spread = g_prime * (k + basis_gram_bound)
-    eps_w = spread + eta * (2 + eta) * (math.sqrt(k) * (1 + basis_gram_bound) + spread)
-    factored = (1 + basis_gram_bound + eps) ** 2 - 1
-    return unitarity, factored, (1 + basis_gram_bound + eps_w) ** 2 - 1
 
 
 #: Assumed error of an FFT twiddle or chirp factor (step 6).
@@ -573,9 +542,9 @@ def _rotation_table(
 class HermitianEigenDecomposition:
     """Validated spectral decomposition ``A = V diag(eigenvalues) V^H``, ``V = Z Q``.
 
-    :func:`real_form_eig` makes it.  It keeps the real orthogonal Q and
-    the transform Z, which applies Z with an FFT, and builds V only on
-    request (:attr:`eigenvectors`).
+    :func:`real_form_eig` makes it, through :func:`_certified`.  It keeps
+    the real orthogonal Q and the transform Z, which applies Z with an
+    FFT, and builds V only on request (:attr:`eigenvectors`).
 
     Attributes
     ----------
@@ -584,95 +553,49 @@ class HermitianEigenDecomposition:
     basis : numpy.ndarray
         Q, read-only float64, whose column ``k`` pairs with
         ``eigenvalues[k]``.
-    hermiticity_residual : float
-        ``max|A - A^H|`` of the decomposed matrix.
-    gram_residual : float
-        A bound on ``max|V^H V - I|`` of the eigenvectors (module
-        docstring, step 7).
-    reconstruction_residual : float
-        A bound on ``max|A V - V diag(eigenvalues)|`` (step 8).
-    realness_residual : float
-        ``max|Im(Z^H A Z)|`` of the real form the eigenvalues were solved
-        from (see :func:`_write_real_form`).
-    gram_bound : float
-        A bound on ``||V^H V - I||_2`` (step 7).
     transform : callable
         ``transform(x, out, axis)`` writes Z x along ``axis`` of the
         complex matrix x into ``out`` and may overwrite x.
-    transform_error : float
-        ``eta``, a bound on the transform's relative error on any vector
-        (step 6).
-    basis_gram_bound : float
-        A bound on ``||Q^T Q - I||_2``, ``k delta_Q`` of step 7.
-    pair_signs : numpy.ndarray or None
-        For a block of a purely imaginary ``A = i B``, the signs ``t_j``
-        that pair column j of Q with column ``k-1-j``, ``j < k // 2``:
-        ``B q_j = -t_j mu_j q_{k-1-j}`` with ``mu_j = (lam_j -
-        lam_{k-1-j})/2`` (step 5), so that ``exp(-i*theta*A) = Q K Q^T``
-        with K a rotation of each pair.  Such a block is assembled and
-        applied from Q and K alone, without Z.  None for any other block.
     rotation : tuple of numpy.ndarray or None
-        For a paired block, K's rates and signs over all k entries,
-        ``(mu_j, t_j)`` at j, ``(mu_j, -t_j)`` at ``k-1-j`` and ``(0, 0)`` at
-        the kernel entry of an odd k, as two read-only rows of one array
-        (:func:`_rotation_table`), so that an assembly or apply at theta
-        computes only ``cos`` and ``sin`` of ``theta mu``.  None for a
-        block that is not paired.
+        For a block of a purely imaginary ``A = i B`` whose column j of Q
+        pairs with column ``k-1-j``, ``B q_j = -t_j mu_j q_{k-1-j}`` with
+        ``mu_j = (lam_j - lam_{k-1-j})/2`` (step 5), so that
+        ``exp(-i*theta*A) = Q K Q^T``, K a rotation of each pair: K's rates
+        and signs over all k entries, ``(mu_j, t_j)`` at j, ``(mu_j, -t_j)``
+        at ``k-1-j`` and ``(0, 0)`` at the kernel entry of an odd k, as two
+        read-only rows of one array (:func:`_rotation_table`).  Such a
+        block is assembled and applied from Q and K alone, without Z.  None
+        exactly when the block is not paired.
+    residuals : mapping of str to float
+        Read-only, for reports and tests: ``hermiticity_residual``
+        (``max|A - A^H|``), ``gram_residual`` (a bound on ``max|V^H V -
+        I|``, step 7), ``reconstruction_residual`` (a bound on ``max|A V -
+        V diag(eigenvalues)|``, step 8), ``realness_residual``
+        (``max|Im(Z^H A Z)|``, :func:`_write_real_form`),
+        ``transform_error`` (``eta`` of step 6), ``basis_gram_bound`` (a
+        bound on ``||Q^T Q - I||_2``, ``k delta_Q`` of step 7) and
+        ``factored_bound`` (a bound on ``| ||y||^2 / ||x||^2 - 1 |`` of
+        every ``y`` that :func:`apply_from_eig` computes from an ``x``,
+        step 5).
     unitarity_bound : float
-        Derived from ``basis_gram_bound``: an upper bound on ``max|M^H M
-        - I|`` of every block :func:`unitary_from_eig` assembles from this
-        decomposition (steps 2-4 of the module docstring).  A block that
-        is not paired is assembled as ``Z W Z^H``, whose bound also
-        carries ``transform_error`` (step 9).
-    factored_bound : float
-        Derived from ``basis_gram_bound`` and, where the apply runs the
-        transform, ``transform_error``: an upper bound on ``| ||y||^2 /
-        ||x||^2 - 1 |`` of every ``y`` that :func:`apply_from_eig`
-        computes from an ``x`` with this decomposition (step 5).
-    block_size : int
-        The number k of eigenvectors.
+        An upper bound on ``max|M^H M - I|`` of every block
+        :func:`unitary_from_eig` assembles from this decomposition (steps
+        2-4; step 9 for a block that is not paired).
     factored_certified : bool
         Whether ``factored_bound`` is below ``UNITARITY_TOL``, so that
-        :func:`apply_from_eig` may run.  A block that is not paired must
-        also have the bound that step 5 gives through V (Q = V, from
-        ``gram_bound``) below it: a real form is certified on exactly the
-        blocks where applying V was.
+        :func:`apply_from_eig` may run.
+    block_size : int
+        The number k of eigenvectors.
     """
 
     eigenvalues: np.ndarray
     basis: np.ndarray
-    hermiticity_residual: float
-    gram_residual: float
-    reconstruction_residual: float
-    realness_residual: float
-    gram_bound: float
     transform: Callable
-    transform_error: float
-    basis_gram_bound: float
-    pair_signs: np.ndarray | None
     rotation: tuple[np.ndarray, np.ndarray] | None
-    unitarity_bound: float = field(init=False)
-    factored_bound: float = field(init=False)
-    block_size: int = field(init=False)
-    factored_certified: bool = field(init=False)
-
-    def __post_init__(self):
-        k = self.basis.shape[0]
-        paired = self.pair_signs is not None
-        # A paired block runs no transform after its decomposition.
-        eta = 0.0 if paired else self.transform_error
-        products, factored, real_form = _bounds(self.basis_gram_bound, eta, k)
-        # A block that is not paired is assembled as Z W Z^H (step 9).
-        unitarity = products if paired else real_form
-        certified = factored < UNITARITY_TOL
-        if not paired:
-            # Step 5 taken through V (Q = V, eta = 0): the certificate the factored
-            # path had when it applied V, which still decides where it runs.
-            certified = certified and _bounds(self.gram_bound, 0.0, k)[1] < UNITARITY_TOL
-        object.__setattr__(self, "unitarity_bound", float(unitarity))
-        object.__setattr__(self, "factored_bound", float(factored))
-        object.__setattr__(self, "block_size", k)
-        object.__setattr__(self, "factored_certified", bool(certified))
+    residuals: Mapping[str, float]
+    unitarity_bound: float
+    factored_certified: bool
+    block_size: int
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -687,6 +610,43 @@ class HermitianEigenDecomposition:
             v[:, cols] = slab
         v.setflags(write=False)
         return v
+
+
+def _certified(eigenvalues, basis, transform, rotation, **residuals) -> HermitianEigenDecomposition:
+    """A block's decomposition, with the bounds of steps 4, 5 and 9 derived from its residuals.
+
+    ``residuals`` holds the block's residuals, among them
+    ``basis_gram_bound``, b, and ``transform_error``, eta; the
+    ``factored_bound`` derived here is added, or replaces one given.  A
+    paired block (``rotation`` given) runs no transform after its
+    decomposition and is assembled as ``(Q K) Q^T`` (step 4), any other
+    as ``Z W Z^H`` (step 9).  The derivation is in the module docstring.
+    """
+    k = basis.shape[0]
+    b = residuals["basis_gram_bound"]
+    eta = 0.0 if rotation is not None else residuals["transform_error"]
+    g = _gamma(k + 2)
+    beta = _gamma(4) + (1 + _gamma(4)) * math.sqrt(2.0) * _gamma(2)
+    g_prime = g + beta * (1 + g)
+    nu = math.sqrt(1 + b)
+    a = math.sqrt(k) * nu * g
+    eps = nu * nu * eta + (1 + eta) * (
+        nu * a + (nu + a) * (nu * beta + a * (1 + beta)) + eta * (nu + a) ** 2 * (1 + beta)
+    )
+    factored = (1 + b + eps) ** 2 - 1
+    if rotation is not None:
+        unitarity = ((1 + b) * (1 + math.sqrt(k) * g_prime)) ** 2 - 1
+    else:
+        # Step 9: the products' error in W, which Z spreads over whole columns,
+        # and the two transforms of W's rows and columns.
+        spread = g_prime * (k + b)
+        eps_w = spread + eta * (2 + eta) * (math.sqrt(k) * (1 + b) + spread)
+        unitarity = (1 + b + eps_w) ** 2 - 1
+    report = {name: float(value) for name, value in residuals.items()}
+    report["factored_bound"] = float(factored)
+    return HermitianEigenDecomposition(eigenvalues, basis, transform, rotation,
+                                       MappingProxyType(report), float(unitarity),
+                                       factored < UNITARITY_TOL, k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -720,7 +680,7 @@ class GridDecomposition:
 
     def __post_init__(self):
         if not (len(self.blocks) == 1 or len(self.blocks) == 2
-                and all(b.pair_signs is not None for b in self.blocks)):
+                and all(b.rotation is not None for b in self.blocks)):
             raise ValueError("a grid is one block, or two paired blocks on the reversal fold")
         sizes = [b.block_size for b in self.blocks]
         object.__setattr__(self, "size", sum(sizes))
@@ -833,7 +793,7 @@ def real_form_eig(
     transforms ``Z q``.  Each column j of Q is then paired with column
     ``k-1-j`` by the sign of ``q_{k-1-j}^T X q_j``, the pair error ``X q_j
     - s_j q_{k-1-j}`` is measured on the same slabs of V, and the block is
-    kept with ``pair_signs``; its reconstruction bound is then on the
+    kept with its ``rotation``; its reconstruction bound is then on the
     rotation form of step 5.
 
     The eigenvalues, Q and, for a paired block, the (2, k) rotation table
@@ -920,20 +880,17 @@ def real_form_eig(
         mismatch = float(abs(lam + lam[::-1]).max(initial=0.0)) / 2
         recon_resid = (mismatch * (1 + _UNIT_ROUNDOFF) + lam_max * (pair_err + _UNIT_ROUNDOFF)
                        + (2 * form_resid + a_norm * pair_err) / _SQRT2)
-        signs = signs[:k // 2].copy()
-        signs.setflags(write=False)
-        table = _rotation_table(eigenvalues, signs, table)
+        table = _rotation_table(eigenvalues, signs[:k // 2], table)
     if not recon_resid < RESIDUAL_RTOL * scale:
         raise ArithmeticError(
             f"eigendecomposition residual bound {recon_resid:.3e} exceeds tolerance"
         )
-    e = eta * math.sqrt(k * (1 + delta_q))
-    gram_bound = k * delta_q + 2 * math.sqrt(1 + k * delta_q) * e + e * e
     eigenvalues.setflags(write=False)
     s.setflags(write=False)
-    return HermitianEigenDecomposition(
-        eigenvalues, s, herm_resid, gram_resid, recon_resid, realness_resid, gram_bound,
-        transform, eta, k * delta_q, signs, table,
+    return _certified(
+        eigenvalues, s, transform, table, hermiticity_residual=herm_resid,
+        gram_residual=gram_resid, reconstruction_residual=recon_resid,
+        realness_residual=realness_resid, transform_error=eta, basis_gram_bound=k * delta_q,
     )
 
 
@@ -1267,7 +1224,7 @@ def _unitary_block(
     # The result is allocated before the temporaries, so that an assembly
     # that is kept does not sit between freed temporaries in the heap.
     k = eig.block_size
-    paired = eig.pair_signs is not None
+    paired = eig.rotation is not None
     out = np.empty((k, k), dtype=float if paired else complex)
     if paired:
         _paired_block(eig, theta, out)
@@ -1413,7 +1370,7 @@ def _factored_block(eig: HermitianEigenDecomposition, theta: float, x: np.ndarra
     otherwise.
     """
     q = eig.basis
-    if eig.pair_signs is not None:
+    if eig.rotation is not None:
         c = _real_dot(q.T, np.ascontiguousarray(x, dtype=complex))  # Q^T is a view
         return _real_dot(q, _rotated(c, *_rotation(eig, theta)))
     c = _real_dot(q.T, _transformed(eig.transform, x, adjoint=True))

@@ -144,10 +144,12 @@ def pair_residual(b: np.ndarray, eig) -> float:
     Omega is the rotation form the decomposition stands for, written out
     column by column: ``B q_j = -t_j mu_j q_{k-1-j}`` and ``B q_{k-1-j} =
     t_j mu_j q_j`` with ``mu_j = (lam_j - lam_{k-1-j})/2``, ``j < k//2``,
-    and ``B q = 0`` for the middle column of an odd k.
+    and ``B q = 0`` for the middle column of an odd k; the signs ``t_j``
+    are read from the block's ``rotation``.
     """
-    q, lam, t = eig.basis, eig.eigenvalues, eig.pair_signs
+    q, lam = eig.basis, eig.eigenvalues
     k = q.shape[0]
+    t = eig.rotation[1][:k // 2]
     expected = np.zeros((k, k))
     for j in range(len(t)):
         rate = t[j] * (lam[j] - lam[k - 1 - j]) / 2

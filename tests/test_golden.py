@@ -47,6 +47,8 @@ def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, ca
         for scheme in ("ordinary", "centered"):
             assert f"N={n}/{scheme}/M=2.0/scaling_matrix" in diffs
             assert f"N={n}/{scheme}/block0/eigenvalues" in diffs
+            # Each scalar of the certificate is an object of its own.
+            assert f"N={n}/{scheme}/block0/reconstruction_residual" in diffs
     assert "bench_csv" in diffs
     assert all(0 < diff < math.inf for diff in diffs.values())
     # An eigenvector may flip its sign; the operators move by about 1e-12.

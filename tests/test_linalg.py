@@ -6,7 +6,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,14 +121,13 @@ class TestRealFormEig:
         a = _random_symmetric(np.random.default_rng(19), 9)
         a[0, 1] += 1e-13  # a Hermiticity residual the check still accepts
         eig = _real_form(a)
-        v, lam = eig.eigenvectors, eig.eigenvalues
-        assert eig.hermiticity_residual == abs(a - a.T).max() > 0
-        assert eig.realness_residual == 0.0  # the real form of a real matrix
+        v, lam, residuals = eig.eigenvectors, eig.eigenvalues, eig.residuals
+        assert residuals["hermiticity_residual"] == abs(a - a.T).max() > 0
+        assert residuals["realness_residual"] == 0.0  # the real form of a real matrix
         # The gram and reconstruction residuals are bounds on the measured ones.
-        assert identity_residual(v.conj().T @ v) <= eig.gram_residual
-        assert abs(a @ v - v * lam).max() <= eig.reconstruction_residual
-        for resid in (eig.hermiticity_residual, eig.gram_residual, eig.reconstruction_residual,
-                      eig.realness_residual, eig.unitarity_bound):
+        assert identity_residual(v.conj().T @ v) <= residuals["gram_residual"]
+        assert abs(a @ v - v * lam).max() <= residuals["reconstruction_residual"]
+        for resid in (*residuals.values(), eig.unitarity_bound):
             assert type(resid) is float
 
     def test_decomposition_is_frozen(self):
@@ -137,6 +135,8 @@ class TestRealFormEig:
         assert isinstance(eig, HermitianEigenDecomposition)
         with pytest.raises(AttributeError):
             eig.eigenvalues = np.zeros(2)
+        with pytest.raises(TypeError):
+            eig.residuals["gram_residual"] = 0.0
 
 
 class TestUnitaryFromEig:
@@ -211,18 +211,20 @@ class TestParityFold:
 def _hand_built(q, eigenvalues, reconstruction=0.0, pair_signs=None):
     """A decomposition of a given real basis Q, carrying Q's measured gram residual.
 
-    Z is the identity (``_copy``), exact; both gram bounds are ``k`` times
-    step 1's bound from the measured residual.  A paired block (``pair_signs``
-    given) gets its rotation table.
+    Z is the identity (``_copy``), exact; ``basis_gram_bound`` is ``k``
+    times step 1's bound from the measured residual.  A paired block
+    (``pair_signs`` given) gets its rotation table.  The bounds are
+    derived where :func:`real_form_eig` derives them (``linalg._certified``).
     """
     k = len(eigenvalues)
     q.setflags(write=False)
     gram = identity_residual(q.T @ q)
-    bound = k * linalg._entry_bound(gram, k)
     table = (None if pair_signs is None
              else linalg._rotation_table(eigenvalues, pair_signs, np.empty((2, k))))
-    return HermitianEigenDecomposition(eigenvalues, q, 0.0, gram, reconstruction, 0.0, bound,
-                                       _copy, 0.0, bound, pair_signs, table)
+    return linalg._certified(
+        eigenvalues, q, _copy, table, hermiticity_residual=0.0, gram_residual=gram,
+        reconstruction_residual=reconstruction, realness_residual=0.0, transform_error=0.0,
+        basis_gram_bound=k * linalg._entry_bound(gram, k))
 
 
 def _paired(a, scale=None):
@@ -248,7 +250,7 @@ def _paired(a, scale=None):
         q *= scale
     lam.setflags(write=False)
     signs = np.ones(h)
-    recon = pair_residual(a.imag, SimpleNamespace(basis=q, eigenvalues=lam, pair_signs=signs))
+    recon = pair_residual(a.imag, _hand_built(q, lam, pair_signs=signs))
     return _hand_built(q, lam, recon, signs)
 
 
@@ -499,7 +501,7 @@ class TestUnitarityCertificate:
             assert block.unitarity_bound >= _unitarity_residual(m)
             # Paired blocks up to 512 are certified; whole blocks of 509 and
             # more are not (step 9 certifies them up to about k = 450).
-            assert (block.unitarity_bound < UNITARITY_TOL) == (block.pair_signs is not None)
+            assert (block.unitarity_bound < UNITARITY_TOL) == (block.rotation is not None)
 
     @pytest.mark.parametrize(
         "n, scheme, certified",
@@ -512,7 +514,7 @@ class TestUnitarityCertificate:
         # to N = 442 and none from 460; the rest are checked densely.
         eig = operator_set(n, scheme).generator_eig
         (block,) = eig.blocks
-        assert block.pair_signs is None and block.basis.dtype == np.float64
+        assert block.rotation is None and block.basis.dtype == np.float64
         assert (block.unitarity_bound < UNITARITY_TOL) == certified
         calls = []
         check = linalg._unitarity_residual
@@ -529,7 +531,7 @@ class TestUnitarityCertificate:
         assert eig.unitarity_bound < UNITARITY_TOL
         m = _assemble(eig, theta)
         assert m.dtype == (np.float64 if paired else np.complex128)
-        assert eig.unitarity_bound >= _unitarity_residual(m) > 50 * eig.gram_residual
+        assert eig.unitarity_bound >= _unitarity_residual(m) > 50 * eig.residuals["gram_residual"]
 
     def test_bound_covers_the_rounding_of_the_gram_residual(self):
         # Even a measured residual of 0 leaves the exact one up to gamma_{k+2}.
@@ -537,7 +539,7 @@ class TestUnitarityCertificate:
         u = np.finfo(float).eps / 2
         gamma = (k + 2) * u / (1 - (k + 2) * u)
         eig = _hand_built(np.eye(k), np.zeros(k))
-        assert eig.gram_residual == 0.0
+        assert eig.residuals["gram_residual"] == 0.0
         assert eig.unitarity_bound >= (1 + k * gamma) ** 2 - 1
 
     def test_empty_block_has_a_zero_bound(self):
@@ -630,8 +632,9 @@ class TestFactoredApply:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = apply_from_eig(eig, 2 * math.pi * ln_m, x)
-        assert max(b.factored_bound for b in eig.blocks) >= _norm_error(y, x)
-        assert all(b.factored_bound < UNITARITY_TOL for b in eig.blocks)
+        bounds = [b.residuals["factored_bound"] for b in eig.blocks]
+        assert max(bounds) >= _norm_error(y, x)
+        assert all(bound < UNITARITY_TOL for bound in bounds)
 
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     @pytest.mark.parametrize("n", [512, 1024])
@@ -688,11 +691,12 @@ class TestFactoredApply:
         x = np.zeros(64, dtype=complex)
         x[0] = 1.0
         y = apply_from_eig(_whole(eig), theta, x)
-        assert eig.factored_bound >= _norm_error(y, x) > 50 * eig.gram_residual
+        residuals = eig.residuals
+        assert residuals["factored_bound"] >= _norm_error(y, x) > 50 * residuals["gram_residual"]
 
     def test_uncertified_block_is_refused(self):
         eig = _concentrated(64, 1e-12)
-        assert eig.factored_bound >= UNITARITY_TOL and not eig.factored_certified
+        assert eig.residuals["factored_bound"] >= UNITARITY_TOL and not eig.factored_certified
         with pytest.raises(ArithmeticError, match="not certified"):
             apply_from_eig(_whole(eig), 0.7, np.ones(64))
         rng = np.random.default_rng(64)
@@ -751,28 +755,46 @@ class TestKeptRealForm:
         # by about 4 sqrt(k) eta; a paired block runs none, so eta enters
         # neither of its bounds.
         for block in operator_set(n, scheme).generator_eig.blocks:
-            eta = block.transform_error
+            residuals = block.residuals
+            eta = residuals["transform_error"]
             assert eta > 0
-            exact = dataclasses.replace(block, transform_error=0.0)
-            if block.pair_signs is not None:
+            exact = linalg._certified(block.eigenvalues, block.basis, block.transform,
+                                      block.rotation, **{**residuals, "transform_error": 0.0})
+            if block.rotation is not None:
                 assert exact.unitarity_bound == block.unitarity_bound
-                assert exact.factored_bound == block.factored_bound
+                assert exact.residuals["factored_bound"] == residuals["factored_bound"]
                 continue
-            gap = block.factored_bound - exact.factored_bound
+            gap = residuals["factored_bound"] - exact.residuals["factored_bound"]
             assert 3.9 * eta < gap < 4.1 * eta
             gap = block.unitarity_bound - exact.unitarity_bound
             assert 3.9 * math.sqrt(n) * eta < gap < 4.1 * math.sqrt(n) * eta
 
-    def test_certifies_no_block_that_applying_v_did_not(self):
-        # N = 604 ordinary, one block of 604 (measured: 9.2e-11 through Q
-        # and Z, 1.1e-10 through V).  Only the bound through V, which
-        # certified the factored path when V was kept, decides the path.
-        grid = operator_set(604, IndexScheme.ORDINARY).generator_eig
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_one_bound_decides_the_factored_path(self, scheme):
+        for n in range(1, 65):
+            grid = operator_set(n, scheme).generator_eig
+            for block in grid.blocks:
+                assert block.factored_certified == (
+                    block.residuals["factored_bound"] < UNITARITY_TOL)
+            assert grid.factored_certified == all(b.factored_certified for b in grid.blocks)
+
+    @pytest.mark.parametrize("n, scheme", [(596, IndexScheme.ORDINARY),
+                                           (597, IndexScheme.CENTERED),
+                                           (604, IndexScheme.ORDINARY)])
+    def test_applies_the_whole_grids_its_bound_certifies_near_the_edge(self, n, scheme):
+        # One block of N whose factored bound is just below 1e-10, 8.9e-11
+        # to 9.2e-11 (one or two BLAS threads): such a grid is applied
+        # factored, within that bound.
+        grid = operator_set(n, scheme).generator_eig
         (eig,) = grid.blocks
-        # Step 5 with V for Q: gram_bound for basis_gram_bound, and no transform.
-        through_v = dataclasses.replace(eig, basis_gram_bound=eig.gram_bound, transform_error=0.0)
-        assert eig.factored_bound < UNITARITY_TOL <= through_v.factored_bound
-        assert not eig.factored_certified and not grid.factored_certified
+        bound = eig.residuals["factored_bound"]
+        assert bound < UNITARITY_TOL and eig.factored_certified and grid.factored_certified
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        theta = 2 * math.pi * math.log(1.7)
+        y = apply_from_eig(grid, theta, x)
+        assert np.linalg.norm(y - unitary_from_eig(grid, theta).dot(x)) <= 1e-12 * np.linalg.norm(x)
+        assert _norm_error(y, x) <= bound
 
     def test_concurrent_applies_match_the_serial_ones_bit_for_bit(self):
         # The kept transforms run per request; they must write only buffers
@@ -780,7 +802,7 @@ class TestKeptRealForm:
         # interval, so that the threads interleave inside the transforms.
         eigs = [operator_set(96, IndexScheme.CENTERED).generator_eig,  # symmetric: parity blocks
                 operator_set(96, IndexScheme.ORDINARY).generator_eig]  # asymmetric: one block
-        assert len(eigs[0].blocks) == 2 and eigs[0].blocks[0].pair_signs is not None
+        assert len(eigs[0].blocks) == 2 and eigs[0].blocks[0].rotation is not None
         assert len(eigs[1].blocks) == 1 and eigs[1].blocks[0].transform is not None
         rng = np.random.default_rng(96)
         x = rng.standard_normal(96) + 1j * rng.standard_normal(96)
@@ -849,16 +871,15 @@ class TestFftErrorModel:
         assert linalg.fft_error(1024) < linalg.fft_error(1021) < 20 * linalg.fft_error(1024)
 
 
-_CERTIFICATE = ("hermiticity_residual", "gram_residual", "reconstruction_residual",
-                "realness_residual", "gram_bound", "transform_error", "basis_gram_bound",
-                "unitarity_bound", "factored_bound", "block_size", "factored_certified")
+_DECISIONS = ("unitarity_bound", "block_size", "factored_certified")
 
 
 def _certificate(eig):
-    """Every certificate field of a grid's decomposition, and of each of its blocks."""
+    """Every certificate value of a grid's decomposition, and of each of its blocks."""
     return {"reversal_residual": eig.reversal_residual, "size": eig.size,
             "block_size": eig.block_size, "factored_certified": eig.factored_certified,
-            "blocks": [{name: getattr(b, name) for name in _CERTIFICATE} for b in eig.blocks]}
+            "blocks": [{**{name: getattr(b, name) for name in _DECISIONS}, **b.residuals}
+                       for b in eig.blocks]}
 
 
 def _leaves(tree):
@@ -879,10 +900,15 @@ def _leaves(tree):
 def test_every_certificate_field_is_a_plain_json_value(build):
     # numpy scalars are not the float and bool the fields promise, and
     # json.dumps refuses numpy.bool.
-    certificate = _certificate(build())
+    eig = build()
+    certificate = _certificate(eig)
     assert json.loads(json.dumps(certificate)) == certificate
     for value in _leaves(certificate):
         assert type(value) in (float, bool, int, type(None)), (value, type(value))
+    for block in eig.blocks:
+        residuals = dict(block.residuals)
+        assert json.loads(json.dumps(residuals)) == residuals
+        assert all(type(value) is float for value in residuals.values())
 
 
 class TestRealFormAssemblyMemory:
@@ -1015,9 +1041,10 @@ def test_slab_decomposition_is_bit_identical_to_the_whole_matrix_recipe(monkeypa
             value, expected = getattr(g, f.name), getattr(w, f.name)
             if isinstance(value, (float, int, bool)):
                 assert repr(value) == repr(expected), f.name
+        assert {name: repr(v) for name, v in g.residuals.items()} == {
+            name: repr(v) for name, v in w.residuals.items()}
         if g.rotation is not None:
             assert np.asarray(g.rotation).tobytes() == np.asarray(w.rotation).tobytes()
-            assert g.pair_signs.tobytes() == w.pair_signs.tobytes()
 
 
 class TestSymmetricGrids:
@@ -1044,4 +1071,5 @@ class TestSymmetricGrids:
             assert np.max(np.abs(m_a @ m_b - m_ab), initial=0.0) <= 1e-12
         even, odd, _ = linalg._reversal_fold(ops.generator)
         for block, decomposed in zip((even, odd), eig.blocks):
-            assert pair_residual(block.imag, decomposed) <= decomposed.reconstruction_residual
+            assert (pair_residual(block.imag, decomposed)
+                    <= decomposed.residuals["reconstruction_residual"])

@@ -107,10 +107,10 @@ class TestScalingMatrix:
             q, lam = e.basis, e.eigenvalues
             k = len(lam)
             angle = abs(theta)
-            if e.pair_signs is not None:
-                h = len(e.pair_signs)
+            if e.rotation is not None:
+                h = k // 2
                 angles = (lam[:h] - lam[::-1][:h]) * (0.5 * angle)
-                cos, tsin = np.cos(angles), e.pair_signs * np.sin(angles)
+                cos, tsin = np.cos(angles), e.rotation[1][:h] * np.sin(angles)
                 qk = q.copy()
                 for j in range(h):
                     qk[:, j] = cos[j] * q[:, j] + (-tsin[j]) * q[:, k - 1 - j]

@@ -13,9 +13,11 @@ with ``--threads`` BLAS threads, and writes one sha256 per object:
 * every ``HermitianEigenDecomposition`` reachable from the grid's
   ``generator_eig``, depth first over dataclass fields and tuples (so
   that any layout of the blocks gives the same sequence): its
-  eigenvalues, basis, ``eigenvectors``, other array fields and its
-  float, int and bool fields, and the decomposition's
-  ``reversal_residual`` where it has one;
+  eigenvalues, basis, ``eigenvectors`` and other array fields, and each
+  scalar of its float, int and bool fields and of its ``residuals``
+  mapping as an object of its own, ``N=…/<scheme>/block<i>/<name>``
+  (so that a field that is removed is one missing object), and the
+  decomposition's ``reversal_residual`` where it has one;
 * the CSV of the default ``run_bench`` sweep.
 
 The two sides record the numpy version, the BLAS numpy was built with
@@ -90,17 +92,14 @@ for n in config["sizes"]:
         if getattr(eig, "reversal_residual", None) is not None:
             put(f"{grid}/reversal_residual", np.float64(eig.reversal_residual))
         for i, block in enumerate(blocks(eig)):
-            numbers = {}
-            for f in dataclasses.fields(block):
-                value = getattr(block, f.name)
+            values = {f.name: getattr(block, f.name) for f in dataclasses.fields(block)}
+            values.update(values.pop("residuals", {}))
+            for name, value in values.items():
                 if isinstance(value, (bool, int, float)):
-                    numbers[f.name] = float(value)
-                elif isinstance(value, np.ndarray):
-                    put(f"{grid}/block{i}/{f.name}", value)
-                elif isinstance(value, tuple):
-                    put(f"{grid}/block{i}/{f.name}", np.asarray(value))
+                    put(f"{grid}/block{i}/{name}", np.float64(value))
+                elif isinstance(value, (np.ndarray, tuple)):
+                    put(f"{grid}/block{i}/{name}", np.asarray(value))
             put(f"{grid}/block{i}/eigenvectors", block.eigenvectors)
-            put(f"{grid}/block{i}/fields", np.array([numbers[k] for k in sorted(numbers)]))
         rng = np.random.default_rng(n)
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for m in config["factors"]:
