@@ -22,9 +22,14 @@ Methods:
   is genuinely not preserved.
 
 ``run_bench`` sweeps the Cartesian product of its parameter lists and is
-deterministic: records are produced in the canonical sort order
+deterministic: records are listed in the canonical sort order
 (function, method, M, N, scheme) and two identical runs emit identical
-bytes.  Its N and M lists are checked up front by :mod:`opscale.dft`'s
+bytes.  The cells are run in groups of one (method, M, N, scheme), the
+test functions innermost, so that the ``INTERP`` cells of a group share
+one synthesis matrix; the method stays outermost, so every cold build
+(a grid's F, its operators, a CDDHF basis) comes in the order a loop in
+canonical order makes it, which a cold sweep's peak memory depends on.
+Its N and M lists are checked up front by :mod:`opscale.dft`'s
 helpers; failures of individual cells are recorded as NaN entries with
 a note rather than aborting the sweep.  Numbers are serialized with 17
 significant digits — exact round-trip for IEEE doubles.
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,15 +106,38 @@ class BenchTable:
 
 
 def nmse_percent(reference, candidate) -> float:
-    """Normalized mean-square error, in percent, of candidate vs reference."""
+    """Normalized mean-square error, in percent, of candidate vs reference.
+
+    ``ValueError`` if the two are not vectors of one length, either has a
+    NaN or infinite entry, or the reference is zero.
+    """
     ref = np.asarray(reference, dtype=complex)
     cand = np.asarray(candidate, dtype=complex)
     if ref.shape != cand.shape or ref.ndim != 1:
         raise ValueError(f"length mismatch: reference {ref.shape}, candidate {cand.shape}")
+    if not (np.isfinite(ref).all() and np.isfinite(cand).all()):
+        raise ValueError("reference or candidate contains non-finite samples")
     denom = np.linalg.norm(ref) ** 2
     if denom == 0.0:
         raise ValueError("reference vector has zero norm")
     return float(100.0 * np.linalg.norm(ref - cand) ** 2 / denom)
+
+
+def _synthesis(grid: SampleGrid, m_factor: float) -> np.ndarray:
+    """The N x N matrix ``exp(2 pi i t_k n_j / period) / sqrt(N)``, ``t = u / M``.
+
+    Row k evaluates the grid's Fourier exponentials, labels n_j, at the
+    compressed coordinate t_k.  Built in place, so that one complex N x N
+    array is live, not two: at N = 512 it sets a cold sweep's peak
+    memory.
+    """
+    n = grid.n_samples
+    period = n * grid.spacing
+    targets = grid.coordinates / m_factor
+    synth = np.outer(targets, grid.indices) * (2j * np.pi / period)
+    np.exp(synth, out=synth)
+    synth /= np.sqrt(n)
+    return synth
 
 
 def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
@@ -120,24 +149,32 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
     ``M**-0.5``.  With M = 1 the interpolation property makes this the
     identity.
 
+    ``signal`` is one signal of N samples, or an (N, K) array whose K
+    columns are signals, scaled into the columns of the result.  The N x
+    N synthesis matrix (:func:`_synthesis`) depends only on the grid and
+    M, so it is built once for all of them.  Each column still goes
+    through its own products ``F @ x`` and ``synth @ coeffs``, so its
+    result is bit-identical to a call with that column alone; one (N, K)
+    product rounds differently.
+
     Raises
     ------
     ValueError
-        If ``m_factor`` is not positive and finite, or the signal does not
+        If ``m_factor`` is not positive and finite, or a signal does not
         match the grid or has a NaN or infinite sample.
     """
     m_factor = as_scaling_factor(m_factor)
-    vec = as_signal(signal, grid.n_samples)
     n = grid.n_samples
-    coeffs = dft_matrix(n, grid.scheme) @ vec
-    period = n * grid.spacing
-    targets = grid.coordinates / m_factor
-    # Built in place, so that one complex N x N array is live, not two: at
-    # N = 512 it sets a cold sweep's peak memory.
-    synth = np.outer(targets, grid.indices) * (2j * np.pi / period)
-    np.exp(synth, out=synth)
-    synth /= np.sqrt(n)
-    return m_factor ** -0.5 * (synth @ coeffs)
+    signals = np.asarray(signal, dtype=complex)
+    # Each column copied out contiguous, as a signal of its own would be.
+    columns = np.array(signals.T) if signals.ndim == 2 else [signals]
+    f = dft_matrix(n, grid.scheme)
+    coeffs = [f @ as_signal(x, n) for x in columns]
+    synth = _synthesis(grid, m_factor)
+    out = np.empty((n, len(coeffs)), dtype=complex)
+    for j, c in enumerate(coeffs):
+        out[:, j] = m_factor ** -0.5 * (synth @ c)
+    return out.reshape(signals.shape)
 
 
 def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
@@ -153,6 +190,46 @@ def scale_with(method: Method, signal, grid: SampleGrid, m_factor: float) -> np.
     if method is Method.CDDHF:
         return pei_scale(signal, m_factor)
     return interp_scale(signal, grid, m_factor)
+
+
+def _failed(exc: Exception) -> tuple[float, str]:
+    """The NaN score and the note of a cell that raised ``exc``."""
+    return float("nan"), f"{type(exc).__name__}: {exc}"
+
+
+def _score_group(
+    method: Method, grid: SampleGrid, m_factor: float, functions: list, amplitude_factor: bool
+) -> dict:
+    """``{function: (nmse_percent, note)}`` for the cells of one ``(method, M, N, scheme)``.
+
+    Every function is sampled before any cell is scaled, so that the
+    ``INTERP`` cells are scaled in one call of :func:`interp_scale`, the
+    group's signals the columns of one array; an exception of that call
+    is each of their notes.  A cell that raises at any step is scored NaN
+    with its exception as its note, and the other cells go on.
+    """
+    scores, cells = {}, {}
+    for function in functions:
+        try:
+            signal = sample(function, grid)
+            cells[function] = signal, scaled_reference(function, grid, m_factor, amplitude_factor)
+        except Exception as exc:  # record the cell, keep sweeping
+            scores[function] = _failed(exc)
+    batch = None
+    if method is Method.INTERP and cells:
+        try:
+            batch = interp_scale(np.stack([x for x, _ in cells.values()], axis=1), grid, m_factor)
+        except Exception as exc:  # each cell's note
+            batch = exc
+    for j, (function, (signal, reference)) in enumerate(cells.items()):
+        try:
+            if isinstance(batch, Exception):
+                raise batch
+            out = scale_with(method, signal, grid, m_factor) if batch is None else batch[:, j]
+            scores[function] = nmse_percent(reference, out), ""
+        except Exception as exc:  # record the cell, keep sweeping
+            scores[function] = _failed(exc)
+    return scores
 
 
 def _chosen(name: str, values, default) -> list:
@@ -181,6 +258,11 @@ def run_bench(
     parameter tuple, in canonical order; per-cell failures become NaN
     records and the sweep continues.  An empty list, or an invalid N or M
     in the lists, raises ``ValueError`` before any cell runs.
+
+    The cells are run a group ``(method, M, N, scheme)`` at a time, with
+    the functions innermost (:func:`_score_group`), so that each group's
+    ``INTERP`` cells make one :func:`interp_scale` call and one synthesis
+    matrix, which is dropped with the group.
     """
     functions = sorted(
         {TestFunction(f) for f in _chosen("functions", functions, TestFunction)},
@@ -201,29 +283,19 @@ def run_bench(
         key=lambda s: s.value,
     )
 
-    records = []
-    for function in functions:
-        for method in methods:
-            for m_factor in m_factors:
-                for n_samples in n_values:
-                    for scheme in schemes:
-                        try:
-                            grid = index_grid(n_samples, scheme)
-                            signal = sample(function, grid)
-                            reference = scaled_reference(
-                                function, grid, m_factor, amplitude_factor
-                            )
-                            out = scale_with(method, signal, grid, m_factor)
-                            score = nmse_percent(reference, out)
-                            note = ""
-                        except Exception as exc:  # record the cell, keep sweeping
-                            score = float("nan")
-                            note = f"{type(exc).__name__}: {exc}"
-                        records.append(
-                            MseRecord(
-                                function, method, m_factor, n_samples, scheme, score, note
-                            )
-                        )
+    scores = {}
+    for method in methods:
+        for m_factor in m_factors:
+            for n_samples in n_values:
+                for scheme in schemes:
+                    grid = index_grid(n_samples, scheme)
+                    group = _score_group(method, grid, m_factor, functions, amplitude_factor)
+                    for function, score in group.items():
+                        scores[function, method, m_factor, n_samples, scheme] = score
+    records = [
+        MseRecord(*key, *scores[key])
+        for key in product(functions, methods, m_factors, n_values, schemes)
+    ]
     metadata = {
         "functions": [f.value for f in functions],
         "methods": [m.value for m in methods],

@@ -33,10 +33,10 @@ The caches keyed on the grid alone, ``dft._dft_matrix_cached``,
 plus the generator's real eigenvectors Q (8 N^2 bytes, 4 N^2 on a
 symmetric grid of even N).  The complex eigenvectors ``V = Z Q`` are
 built only for a caller that asks for them, and not kept: no assembly
-builds them.  The N x N F, kept with its
-unitarity residual, and the real part of D^2 are built only by the
-comparison methods and for callers that ask for them.  The dense
-reference operators (``diff_matrix``, ``pei_d_squared``) and an operator
+builds them.  The N x N F, built in place and kept with the unitarity
+residual of its one-triangle check, and the real part of D^2 are built
+only by the comparison methods and for callers that ask for them.  The
+dense reference operators (``diff_matrix``, ``pei_d_squared``) and an operator
 set's dense U, D and generator are functions of the grid, built on each
 request from these caches and not kept.
 

@@ -27,12 +27,16 @@ each phase reduced exactly with ``fmod``).
 
 Construction is not free: the evaluation is O(N^2), but the unitarity
 check below is a dense O(N^3) product, paid once per ``(N, scheme)`` and
-cached with the matrix, together with the residual it measured.  It is
-the package's only ``F F^H`` product.  The scaling construction does not
-need F: :mod:`opscale.operators` builds the differentiation matrix from
-an FFT of the coordinate diagonal, relying only on the labels being
-unit-spaced, and returns this cached matrix as ``OperatorSet.f`` when it
-is asked for.  F is built by the interpolation baseline in
+cached with the matrix, together with the residual it measured.  F is
+evaluated in its own array, with no N x N temporary, and, as it is
+exactly symmetric, the check forms only the upper triangle of ``F^H F``,
+48 rows at a time (:func:`opscale.linalg._unitarity_residual`): half the
+flops of the whole product, and a cold build's traced peak is about 1.2
+times F's bytes.  It is the package's only product of F with itself.
+The scaling construction does not need F: :mod:`opscale.operators`
+builds the differentiation matrix from an FFT of the coordinate
+diagonal, relying only on the labels being unit-spaced, and returns
+this cached matrix as ``OperatorSet.f`` when it is asked for.  F is built by the interpolation baseline in
 :mod:`opscale.bench` and for the two dense reference operators, each a
 function of its grid alone: ``F^H U F``
 (:func:`opscale.operators.diff_matrix`) and the CDDHF method's ``F U^2
@@ -62,7 +66,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import identity_residual
+from .linalg import _unitarity_residual
 
 __all__ = ["IndexScheme", "SampleGrid", "index_grid", "dft_matrix"]
 
@@ -194,16 +198,27 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
 
 @lru_cache(maxsize=None)
 def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
-    """F and the ``max|F F^H - I|`` it was checked with, kept for :func:`_unitary_dft`."""
+    """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`.
+
+    F is written into its own array by the ufuncs of ``exp((-2j pi / N)
+    outer(n, n)) / sqrt(N)``, in that order, so it is bit-identical to
+    that expression without its two N x N temporaries.
+    """
     n = _scheme_indices(n_samples, scheme)
-    f = np.exp((-2j * np.pi / n_samples) * np.outer(n, n)) / math.sqrt(n_samples)
+    f = np.empty((n_samples, n_samples), dtype=complex)
+    np.outer(n, n, out=f.real)
+    f.imag = 0.0
+    np.multiply(-2j * np.pi / n_samples, f, out=f)
+    np.exp(f, out=f)
+    np.true_divide(f, math.sqrt(n_samples), out=f)
     # Verify unitarity instead of assuming it; this is the load-bearing
     # property for everything downstream, and for odd-N centered grids it
-    # is not a textbook fact.
-    resid = identity_residual(f @ f.conj().T)
+    # is not a textbook fact.  F is exactly symmetric, as outer(n, n) is,
+    # so F^H F is the conjugate of F F^H and one triangle of it suffices.
+    resid = _unitarity_residual(f)
     if resid >= 1e-12 * n_samples:
         raise ArithmeticError(
-            f"DFT matrix failed unitarity check: max|F F^H - I| = {resid:.3e} "
+            f"DFT matrix failed unitarity check: max|F^H F - I| = {resid:.3e} "
             f"(N={n_samples}, scheme={scheme.value})"
         )
     f.setflags(write=False)
@@ -224,7 +239,7 @@ def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
 
 
 def _unitary_dft(n_samples: int, scheme: IndexScheme) -> np.ndarray:
-    """The cached F, the ``max|F F^H - I|`` it was checked with held to 1e-10.
+    """The cached F, the ``max|F^H F - I|`` it was checked with held to 1e-10.
 
     The dense references built from F require 1e-10, tighter than the
     ``1e-12 * N`` of construction from N = 100 on.  Raises
@@ -233,7 +248,7 @@ def _unitary_dft(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     f, resid = _dft_matrix_cached(n_samples, scheme)
     if not resid < 1e-10:
         raise ArithmeticError(
-            f"dense reference requires a unitary F: max|F F^H - I| = {resid:.3e} "
+            f"dense reference requires a unitary F: max|F^H F - I| = {resid:.3e} "
             f"(N={n_samples}, scheme={scheme.value})"
         )
     return f

@@ -767,6 +767,19 @@ def _check_symmetric(transform, k: int, error: float) -> None:
         )
 
 
+def _largest_entry_negative(q: np.ndarray) -> np.ndarray:
+    """Whether each column's largest-magnitude entry, the first on ties, is negative.
+
+    Read from the column maxima and minima; only a column where the two
+    tie in magnitude is searched, so no k x k temporary is made.
+    """
+    high, low = q.max(axis=0, initial=0.0), q.min(axis=0, initial=0.0)
+    negative = -low > high
+    for j in np.flatnonzero(-low == high):
+        negative[j] = q[np.argmax(abs(q[:, j])), j] < 0
+    return negative
+
+
 def real_form_eig(
     form, k: int, transform, transform_error: float, kept=None, involution=None,
 ) -> HermitianEigenDecomposition:
@@ -782,8 +795,10 @@ def real_form_eig(
     will take, and checked to be real (:func:`_write_real_form`).  A is
     then dropped, and Z is checked to be symmetric on a probe pair
     (:func:`_check_symmetric`).  A real ``eigh`` gives ``S = Q diag(lam)
-    Q^T``; the decomposition keeps lam and Q with the transform, not ``V =
-    Z Q``.  The checks use only S, Q and the column norms of V, built 48
+    Q^T``, each column of Q then negated where its largest-magnitude entry
+    is negative (:func:`_largest_entry_negative`), as the CDDHF basis is;
+    the decomposition keeps lam and Q with the transform, not ``V = Z
+    Q``.  The checks use only S, Q and the column norms of V, built 48
     columns at a time and not kept, in real arithmetic (module docstring,
     steps 6-8).
 
@@ -828,6 +843,10 @@ def real_form_eig(
         lam, q = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise ArithmeticError(f"eigensolver did not converge: {exc}") from exc
+    # Each column's sign fixed, not left to LAPACK.  Negation is exact, and
+    # a column's sign cancels in Q P Q^T, in every product below and in
+    # the pair sign that follows it, so no operator or residual moves.
+    q *= np.where(_largest_entry_negative(q), -1.0, 1.0)
     gram = q.T @ q
     q_norms = gram.diagonal().copy()
     delta_q = _entry_bound(identity_residual(gram), k)

@@ -76,7 +76,7 @@ import numpy as np
 
 from .cache import shared
 from .dft import IndexScheme, _unitary_dft, as_sample_count, as_scaling_factor, as_signal
-from .linalg import _real_dot
+from .linalg import _largest_entry_negative, _real_dot
 
 __all__ = [
     "CddhfBasis",
@@ -157,13 +157,6 @@ class CddhfBasis:
     m_factor: float
     vectors: np.ndarray
     eigenvalues: np.ndarray
-
-
-def _largest_entry_negative(vectors: np.ndarray) -> np.ndarray:
-    # argmax returns the first maximizer, which is exactly the
-    # lowest-index tie-break the convention asks for.
-    largest = np.argmax(np.abs(vectors), axis=0)
-    return vectors[largest, np.arange(vectors.shape[1])] < 0
 
 
 @shared.memoize(nbytes=lambda basis: basis.vectors.nbytes + basis.eigenvalues.nbytes)

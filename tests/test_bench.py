@@ -9,6 +9,7 @@ import pytest
 from conftest import dirichlet_kernel_value
 
 import opscale
+from opscale import bench
 from opscale.bench import (
     DEFAULT_M_FACTORS,
     DEFAULT_N_VALUES,
@@ -22,7 +23,7 @@ from opscale.bench import (
     scale_with,
 )
 from opscale.dft import IndexScheme, index_grid
-from opscale.signals import TestFunction, evaluate
+from opscale.signals import TestFunction, evaluate, sample, scaled_reference
 
 
 class TestNmse:
@@ -38,6 +39,13 @@ class TestNmse:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             nmse_percent([1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            nmse_percent([1.0, bad], [1.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            nmse_percent([1.0, 0.0], [1.0, bad])
 
 
 @pytest.mark.parametrize("scheme", list(IndexScheme))
@@ -111,6 +119,28 @@ class TestInterpScale:
         with pytest.raises(ValueError):
             interp_scale(np.ones(9), grid, 2.0)
 
+    @pytest.mark.parametrize("n", [7, 16, 129])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_columns_match_one_signal_calls_bit_for_bit(self, n, scheme):
+        grid = index_grid(n, scheme)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        out = interp_scale(x, grid, 2.0)
+        assert out.shape == (n, 3)
+        for j in range(3):
+            assert out[:, j].tobytes() == interp_scale(x[:, j], grid, 2.0).tobytes()
+
+    def test_columns_are_checked_like_signals(self):
+        grid = index_grid(8, IndexScheme.CENTERED)
+        x = np.ones((8, 2), dtype=complex)
+        x[3, 1] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            interp_scale(x, grid, 2.0)
+        with pytest.raises(ValueError, match="does not match"):
+            interp_scale(np.ones((9, 2)), grid, 2.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            interp_scale(np.ones((8, 2, 1)), grid, 2.0)
+
     def test_synthesis_matrix_is_built_in_place(self):
         # The complex N x N synthesis matrix beside the float outer product
         # it is made from (6 436 448 traced bytes measured, 24.6 N^2); a
@@ -163,6 +193,64 @@ class TestRunBench:
         for record in table.records:
             assert math.isnan(record.nmse_percent)
             assert "zero norm" in record.note
+
+    def test_microscopic_m_leaves_no_silent_nan(self):
+        # At M = 1e-300, u / M overflows u^2: the chirp's reference was NaN
+        # there, and its cells NaN with no note.
+        table = run_bench(methods=list(Method), n_values=[2, 3], m_factors=[1e-300])
+        assert len(table.records) == 24
+        for record in table.records:
+            assert math.isnan(record.nmse_percent) == (record.note != "")
+        chirp = [r for r in table.records if r.function is TestFunction.CHIRPED_PULSE]
+        assert all(math.isfinite(r.nmse_percent) for r in chirp
+                   if r.scheme is IndexScheme.ORDINARY)
+
+    def test_one_synthesis_per_interp_group(self, monkeypatch):
+        # The default sweep's 18 groups (M, N, scheme) of two functions each.
+        built = []
+        synthesis = bench._synthesis
+
+        def counting(grid, m):
+            built.append((m, grid.n_samples, grid.scheme))
+            return synthesis(grid, m)
+
+        monkeypatch.setattr(bench, "_synthesis", counting)
+        table = run_bench(methods=[Method.INTERP])
+        assert len(table.records) == 36
+        assert len(built) == len(set(built)) == 18
+        # Each record is its cell scored alone, bit for bit.
+        for r in table.records:
+            grid = index_grid(r.n_samples, r.scheme)
+            out = interp_scale(sample(r.function, grid), grid, r.m_factor)
+            reference = scaled_reference(r.function, grid, r.m_factor)
+            assert r.nmse_percent == nmse_percent(reference, out)
+            assert r.note == ""
+
+    def test_a_failing_cell_keeps_its_own_note(self, monkeypatch):
+        reference = bench.scaled_reference
+
+        def failing(function, grid, m, amplitude_factor=True):
+            if function is TestFunction.TRAPEZOID and grid.n_samples == 17:
+                raise RuntimeError(f"no reference at N = {grid.n_samples}")
+            return reference(function, grid, m, amplitude_factor)
+
+        monkeypatch.setattr(bench, "scaled_reference", failing)
+        table = run_bench(methods=list(Method), m_factors=[2.0], n_values=[16, 17])
+        for r in table.records:
+            failed = r.function is TestFunction.TRAPEZOID and r.n_samples == 17
+            assert math.isnan(r.nmse_percent) == failed
+            assert r.note == ("RuntimeError: no reference at N = 17" if failed else "")
+
+    def test_a_failing_interp_call_is_each_cells_note(self, monkeypatch):
+        def failing(signal, grid, m):
+            raise ArithmeticError(f"no synthesis at N = {grid.n_samples}")
+
+        monkeypatch.setattr(bench, "interp_scale", failing)
+        table = run_bench(methods=list(Method), m_factors=[2.0], n_values=[16])
+        for r in table.records:
+            failed = r.method is Method.INTERP
+            assert math.isnan(r.nmse_percent) == failed
+            assert r.note == ("ArithmeticError: no synthesis at N = 16" if failed else "")
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from opscale import dft
 from opscale.bench import interp_scale, run_bench
 from opscale.dft import (
     IndexScheme,
@@ -18,7 +20,7 @@ from opscale.dft import (
     dft_matrix,
     index_grid,
 )
-from opscale.linalg import identity_residual
+from opscale.linalg import _unitarity_residual, identity_residual
 from opscale.pei import cddhf_basis, pei_scale
 from opscale.scaling import ScalingSpec
 from opscale.signals import TestFunction, scaled_reference
@@ -267,6 +269,39 @@ class TestDftMatrix:
     @pytest.mark.parametrize("n", [1, 7, 100, 101])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
     def test_cache_keeps_the_unitarity_residual_it_checked(self, n, scheme):
+        # The check takes max|F^H F - I| from one triangle; F is exactly
+        # symmetric, so it is max|F F^H - I| up to the rounding of the
+        # products (which differs at N = 101).
         f, resid = _dft_matrix_cached(n, scheme)
         assert f is dft_matrix(n, scheme)
-        assert resid == identity_residual(f @ f.conj().T)
+        assert np.array_equal(f, f.T)
+        assert resid == _unitarity_residual(f)
+        assert resid == pytest.approx(identity_residual(f @ f.conj().T), rel=0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_built_in_place_bit_identical_to_the_closed_form(self, n, scheme):
+        labels = index_grid(n, scheme).indices
+        expected = np.exp((-2j * np.pi / n) * np.outer(labels, labels)) / math.sqrt(n)
+        assert dft_matrix(n, scheme).tobytes() == expected.tobytes()
+
+    def test_cold_build_and_check_keep_one_temporary_beside_f(self):
+        # F (16 N^2 bytes) beside the check's two buffers of 48 rows: the
+        # closed form and a full F F^H product peaked at 3.0 times F.
+        n = 512
+        tracemalloc.start()
+        try:
+            f, _ = _dft_matrix_cached.__wrapped__(n, IndexScheme.CENTERED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * f.nbytes
+
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_a_perturbed_f_fails_the_check(self, monkeypatch, scheme):
+        # Labels stretched by 1e-9 leave max|F^H F - I| at about 2e-7, far
+        # past the check's 1e-12 N.
+        labels = dft._scheme_indices
+        monkeypatch.setattr(dft, "_scheme_indices", lambda n, s: labels(n, s) * (1 + 1e-9))
+        with pytest.raises(ArithmeticError, match=r"failed unitarity check: max\|F\^H F - I\|"):
+            _dft_matrix_cached.__wrapped__(100, scheme)

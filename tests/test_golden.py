@@ -1,6 +1,8 @@
 """``tools/golden.py``: per-object hashes of two checkouts, and the mismatches between them."""
 
+import functools
 import importlib.util
+import json
 import math
 import os
 import re
@@ -24,13 +26,30 @@ def _checkout(root: Path, name: str) -> Path:
     return root / name
 
 
-def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, capsys):
-    parent, same, perturbed = (_checkout(tmp_path, name) for name in ("a", "b", "c"))
-    operators = perturbed / "src" / "opscale" / "operators.py"
-    text = operators.read_text()
-    diagonal = "return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)"
-    assert text.count(diagonal) == 1
-    operators.write_text(text.replace(diagonal, diagonal + " * (1 + 1e-12)"))
+def _perturb(checkout: Path, module: str, line: str) -> None:
+    """Scale the value of ``line``, found once in ``module``, by 1 + 1e-12."""
+    path = checkout / "src" / "opscale" / module
+    text = path.read_text()
+    assert text.count(line) == 1
+    path.write_text(text.replace(line, line + " * (1 + 1e-12)"))
+
+
+def _mismatches(out: str) -> dict:
+    return {key: float(diff) for key, diff in
+            re.findall(r"MISMATCH (\S+): max relative difference (\S+)", out)}
+
+
+def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, capsys, monkeypatch):
+    # The parent's first run is the same in all three comparisons: made once.
+    fresh = golden.run_side
+    run_side = functools.cache(
+        lambda checkout, config, threads: fresh(checkout, json.loads(config), threads))
+    monkeypatch.setattr(golden, "run_side", lambda checkout, config, threads: run_side(
+        checkout, json.dumps(config, sort_keys=True), threads))
+    parent, same, perturbed, interp = (_checkout(tmp_path, name) for name in "abcd")
+    _perturb(perturbed, "operators.py",
+             "return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)")
+    _perturb(interp, "bench.py", "synth /= np.sqrt(n)")
     args = ["--parent", str(parent), "--sizes", "4,5"]
 
     assert golden.main(args + ["--change", str(same)]) == 0
@@ -39,9 +58,7 @@ def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, ca
     assert "MISMATCH" not in out
 
     assert golden.main(args + ["--change", str(perturbed)]) == 1
-    out = capsys.readouterr().out
-    diffs = {key: float(diff) for key, diff in
-             re.findall(r"MISMATCH (\S+): max relative difference (\S+)", out)}
+    diffs = _mismatches(capsys.readouterr().out)
     # U moves by 1e-12 relative: every operator and decomposition moves with it.
     for n in (4, 5):
         for scheme in ("ordinary", "centered"):
@@ -49,10 +66,22 @@ def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, ca
             assert f"N={n}/{scheme}/block0/eigenvalues" in diffs
             # Each scalar of the certificate is an object of its own.
             assert f"N={n}/{scheme}/block0/reconstruction_residual" in diffs
-    assert "bench_csv" in diffs
+            assert f"N={n}/{scheme}/block0/basis" in diffs
+    assert {"bench_csv", "sweep_csv", "N=4/centered/block0/rotation"} <= set(diffs)
     assert all(0 < diff < math.inf for diff in diffs.values())
-    # An eigenvector may flip its sign; the operators move by about 1e-12.
-    assert all(diff < 1e-9 for key, diff in diffs.items() if "/M=" in key)
+    # Every eigenvector has a fixed sign, so the bases, the rotation
+    # tables and V move by about 1e-12 with the operators instead of
+    # flipping.  The certificate's residuals and bounds measure rounding,
+    # which moves by its own size.
+    values = {key: diff for key, diff in diffs.items() if not key.endswith(("_residual", "_bound"))}
+    assert all(diff < 1e-9 for diff in values.values())
+
+    # Only the interpolation baseline's cells move, and only the sweep
+    # that runs it sees them.
+    assert golden.main(args + ["--change", str(interp)]) == 1
+    diffs = _mismatches(capsys.readouterr().out)
+    assert set(diffs) == {"sweep_csv"}
+    assert 0 < diffs["sweep_csv"] < math.inf
 
 
 def test_refuses_to_compare_across_environments(monkeypatch, capsys):

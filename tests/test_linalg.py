@@ -130,6 +130,39 @@ class TestRealFormEig:
         for resid in (*residuals.values(), eig.unitarity_bound):
             assert type(resid) is float
 
+    @pytest.mark.parametrize("n", [4, 5, 64, 97, 200])
+    @pytest.mark.parametrize("scheme", list(IndexScheme))
+    def test_each_column_has_its_largest_entry_positive(self, n, scheme):
+        for block in operator_set(n, scheme).generator_eig.blocks:
+            q = block.basis
+            largest = np.argmax(np.abs(q), axis=0)  # the first one on ties
+            assert (q[largest, np.arange(q.shape[1])] > 0).all()
+
+    def test_signs_are_the_only_change_to_the_solvers_basis(self):
+        a = _random_symmetric(np.random.default_rng(29), 150)
+        lam, q = np.linalg.eigh(a)
+        flip = q[np.argmax(np.abs(q), axis=0), np.arange(150)] < 0
+        assert flip.any() and not flip.all()
+        q[:, flip] *= -1
+        eig = _real_form(a)
+        assert eig.eigenvalues.tobytes() == lam.tobytes()
+        assert eig.basis.tobytes() == q.tobytes()
+
+    def test_largest_entry_sign_is_read_without_a_k_by_k_temporary(self):
+        q = np.random.default_rng(31).standard_normal((400, 400))
+        q[:, :100] = np.round(q[:, :100])  # entries of equal magnitude: ties
+        q[:, 100] = 0.0
+        largest = np.argmax(np.abs(q), axis=0)  # the first maximizer
+        expected = q[largest, np.arange(400)] < 0
+        tracemalloc.start()
+        try:
+            negative = linalg._largest_entry_negative(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert negative.tolist() == expected.tolist()
+        assert peak < q.nbytes / 4
+
     def test_decomposition_is_frozen(self):
         eig = _real_form(np.diag([1.0, 2.0]))
         assert isinstance(eig, HermitianEigenDecomposition)

@@ -63,6 +63,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(TestFunction.CHIRPED_PULSE, np.inf)
 
+    def test_chirp_is_zero_where_u_squared_overflows(self):
+        # |u| from about 1.3e154 on: u^2 is infinite, and the chirp's limit is 0.
+        u = np.array([1.3e154, -1e200, 1.7e308, 1e154, 0.5])
+        with np.errstate(all="raise"):
+            out = evaluate(TestFunction.CHIRPED_PULSE, u)
+            assert evaluate(TestFunction.CHIRPED_PULSE, -1e160) == 0
+        assert out[:3].tolist() == [0, 0, 0]
+        # Every finite u^2 keeps the bits of the closed form.
+        finite = u[3:]
+        with np.errstate(over="ignore"):  # pi u^2 overflows at u = 1e154
+            expected = np.exp(-np.pi * finite ** 2 - 1j * np.pi * finite ** 2)
+        assert out[3:].tobytes() == expected.tobytes()
+
+    def test_chirp_reference_is_finite_at_a_microscopic_m(self):
+        grid = index_grid(3, IndexScheme.ORDINARY)
+        ref = scaled_reference(TestFunction.CHIRPED_PULSE, grid, 1e-300)
+        assert ref.tolist() == [0, 1e150, 0]
+
 
 class TestSampleAndReference:
     def test_sample_evaluates_at_grid_coordinates(self):

@@ -4,7 +4,8 @@
         [--sizes 1-64,127-129] [--factors 0.37,2,7.3] [--threads 1]
 
 For each checkout a fresh interpreter imports opscale from its ``src/``,
-with ``--threads`` BLAS threads, and writes one sha256 per object:
+with ``--threads`` BLAS threads, and writes one sha256 per object (the
+two interpreters run side by side):
 
 * ``scaling_matrix`` for every factor, N and scheme;
 * ``scaling._apply(x, spec, factored)`` on a complex and a real input, on
@@ -18,7 +19,11 @@ with ``--threads`` BLAS threads, and writes one sha256 per object:
   mapping as an object of its own, ``N=…/<scheme>/block<i>/<name>``
   (so that a field that is removed is one missing object), and the
   decomposition's ``reversal_residual`` where it has one;
-* the CSV of the default ``run_bench`` sweep.
+* ``dft_matrix(n, scheme)`` for every N and scheme;
+* the CSV of the default ``run_bench`` sweep, and that of the command
+  line's ``bench --methods operator,cddhf,interp`` (``sweep_csv``);
+* the vectors and eigenvalues of ``cddhf_basis(n, m)`` at that sweep's N
+  and M, and at M = 1, the analysis basis of every CDDHF cell.
 
 The two sides record the numpy version, the BLAS numpy was built with
 and the thread count, and are not compared if these differ.  Every
@@ -38,16 +43,19 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 CHILD = r'''
-import dataclasses, hashlib, json, os, sys
+import contextlib, dataclasses, hashlib, io, json, os, sys
 from pathlib import Path
 import numpy as np
-from opscale import bench, linalg, scaling
+from opscale import bench, cli, linalg, scaling
+from opscale.dft import dft_matrix
 from opscale.operators import operator_set
+from opscale.pei import cddhf_basis
 
 config = json.loads(sys.argv[1])
 dump = {key: i for i, key in enumerate(config["dump"])}
@@ -88,6 +96,7 @@ def blocks(obj):
 for n in config["sizes"]:
     for scheme in ("ordinary", "centered"):
         grid = f"N={n}/{scheme}"
+        put(f"{grid}/dft_matrix", dft_matrix(n, scheme))
         eig = operator_set(n, scheme).generator_eig
         if getattr(eig, "reversal_residual", None) is not None:
             put(f"{grid}/reversal_residual", np.float64(eig.reversal_residual))
@@ -111,6 +120,15 @@ for n in config["sizes"]:
                     y = scaling._apply(x, spec, path == "factored")
                     put(f"{grid}/M={m}/apply_{path}/{kind}", y)
 put("bench_csv", bench.emit_table(bench.run_bench()))
+sweep = io.StringIO()
+with contextlib.redirect_stdout(sweep):
+    cli.main(["bench", "--methods", "operator,cddhf,interp"])
+put("sweep_csv", sweep.getvalue())
+for n in bench.DEFAULT_N_VALUES:
+    for m in (1.0, *bench.DEFAULT_M_FACTORS):
+        basis = cddhf_basis(n, m)
+        put(f"cddhf/N={n}/M={m}/vectors", basis.vectors)
+        put(f"cddhf/N={n}/M={m}/eigenvalues", basis.eigenvalues)
 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 env = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
        "threads": os.environ.get("OPENBLAS_NUM_THREADS")}
@@ -128,6 +146,14 @@ def run_side(checkout: Path, config: dict, threads: int) -> dict:
     if proc.returncode:
         raise SystemExit(f"{checkout}: the child failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def both_sides(checkouts: dict, config, threads: int) -> dict:
+    """``run_side`` of each named checkout with ``config(name)``, the two side by side."""
+    with ThreadPoolExecutor(len(checkouts)) as pool:
+        runs = {name: pool.submit(run_side, path, config(name), threads)
+                for name, path in checkouts.items()}
+        return {name: run.result() for name, run in runs.items()}
 
 
 def max_relative_difference(a: np.ndarray, b: np.ndarray) -> float:
@@ -157,8 +183,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     config = {"sizes": args.sizes, "factors": args.factors, "dump": [], "out": ""}
-    sides = {name: run_side(path, config, args.threads)
-             for name, path in (("parent", args.parent), ("change", args.change))}
+    checkouts = {"parent": args.parent, "change": args.change}
+    sides = both_sides(checkouts, lambda name: config, args.threads)
     envs = {name: side["environment"] for name, side in sides.items()}
     if envs["parent"] != envs["change"]:
         print(f"environments differ, not compared: {json.dumps(envs)}")
@@ -171,12 +197,11 @@ def main(argv=None) -> int:
           f"mismatches: {len(differ)}")
     if differ:
         with tempfile.TemporaryDirectory() as tmp:
-            saved = {}
-            for name, path in (("parent", args.parent), ("change", args.change)):
-                out = Path(tmp) / name
+            saved = {name: Path(tmp) / name for name in checkouts}
+            for out in saved.values():
                 out.mkdir()
-                run_side(path, dict(config, dump=differ, out=str(out)), args.threads)
-                saved[name] = out
+            both_sides(checkouts, lambda name: dict(config, dump=differ, out=str(saved[name])),
+                       args.threads)
             for i, key in enumerate(differ):
                 files = [saved[name] / f"{i}.npy" for name in ("parent", "change")]
                 if not all(f.exists() for f in files):
