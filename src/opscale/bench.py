@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .dft import IndexScheme, SampleGrid, dft_matrix, index_grid
+from .dft import IndexScheme, SampleGrid, _exp_outer, dft_matrix, index_grid
 from .dft import as_sample_count, as_scaling_factor, as_signal
 from .pei import pei_scale
 # The sweep applies each operator once, through _scale_once, but
@@ -127,17 +127,12 @@ def _synthesis(grid: SampleGrid, m_factor: float) -> np.ndarray:
     """The N x N matrix ``exp(2 pi i t_k n_j / period) / sqrt(N)``, ``t = u / M``.
 
     Row k evaluates the grid's Fourier exponentials, labels n_j, at the
-    compressed coordinate t_k.  Built in place, so that one complex N x N
-    array is live, not two: at N = 512 it sets a cold sweep's peak
-    memory.
+    compressed coordinate t_k.  Built in place (:func:`opscale.dft._exp_outer`),
+    so that one N x N array is live: at N = 512 it sets a cold sweep's
+    peak memory.
     """
-    n = grid.n_samples
-    period = n * grid.spacing
-    targets = grid.coordinates / m_factor
-    synth = np.outer(targets, grid.indices) * (2j * np.pi / period)
-    np.exp(synth, out=synth)
-    synth /= np.sqrt(n)
-    return synth
+    period = grid.n_samples * grid.spacing
+    return _exp_outer(grid.coordinates / m_factor, grid.indices, 2j * np.pi / period)
 
 
 def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
@@ -215,17 +210,16 @@ def _score_group(
             cells[function] = signal, scaled_reference(function, grid, m_factor, amplitude_factor)
         except Exception as exc:  # record the cell, keep sweeping
             scores[function] = _failed(exc)
-    batch = None
+    columns = {}
     if method is Method.INTERP and cells:
         try:
             batch = interp_scale(np.stack([x for x, _ in cells.values()], axis=1), grid, m_factor)
-        except Exception as exc:  # each cell's note
-            batch = exc
-    for j, (function, (signal, reference)) in enumerate(cells.items()):
+        except Exception as exc:  # the note of each of the group's cells
+            return scores | dict.fromkeys(cells, _failed(exc))
+        columns = dict(zip(cells, batch.T))
+    for function, (signal, reference) in cells.items():
         try:
-            if isinstance(batch, Exception):
-                raise batch
-            out = scale_with(method, signal, grid, m_factor) if batch is None else batch[:, j]
+            out = columns[function] if columns else scale_with(method, signal, grid, m_factor)
             scores[function] = nmse_percent(reference, out), ""
         except Exception as exc:  # record the cell, keep sweeping
             scores[function] = _failed(exc)

@@ -28,15 +28,17 @@ each phase reduced exactly with ``fmod``).
 Construction is not free: the evaluation is O(N^2), but the unitarity
 check below is a dense O(N^3) product, paid once per ``(N, scheme)`` and
 cached with the matrix, together with the residual it measured.  F is
-evaluated in its own array, with no N x N temporary, and, as it is
-exactly symmetric, the check forms only the upper triangle of ``F^H F``,
-48 rows at a time (:func:`opscale.linalg._unitarity_residual`): half the
-flops of the whole product, and a cold build's traced peak is about 1.2
-times F's bytes.  It is the package's only product of F with itself.
-The scaling construction does not need F: :mod:`opscale.operators`
-builds the differentiation matrix from an FFT of the coordinate
-diagonal, relying only on the labels being unit-spaced, and returns
-this cached matrix as ``OperatorSet.f`` when it is asked for.  F is built by the interpolation baseline in
+evaluated in its own array, with no N x N temporary (:func:`_exp_outer`,
+which also builds :mod:`opscale.bench`'s synthesis matrices), and, as it
+is exactly symmetric, the check forms only the upper triangle of ``F^H
+F``, 48 rows at a time (:func:`opscale.linalg._unitarity_residual`):
+half the flops of the whole product, and a cold build's traced peak is
+about 1.2 times F's bytes.  It is the package's only product of F with
+itself.  The scaling construction does not need F:
+:mod:`opscale.operators` builds the differentiation matrix from an FFT
+of the coordinate diagonal, relying only on the labels being
+unit-spaced, and returns this cached matrix as ``OperatorSet.f`` when
+it is asked for.  F is built by the interpolation baseline in
 :mod:`opscale.bench` and for the two dense reference operators, each a
 function of its grid alone: ``F^H U F``
 (:func:`opscale.operators.diff_matrix`) and the CDDHF method's ``F U^2
@@ -196,21 +198,26 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
     return SampleGrid(n_samples, scheme, indices, spacing, coordinates)
 
 
+def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex) -> np.ndarray:
+    """``exp(factor * outer(rows, cols)) / sqrt(len(cols))``, in one complex array.
+
+    The ufuncs of that expression, in its order, each written into the
+    result: bit-identical to it, without its two N x N temporaries.
+    """
+    out = np.empty((len(rows), len(cols)), dtype=complex)
+    np.outer(rows, cols, out=out.real)
+    out.imag = 0.0
+    np.multiply(factor, out, out=out)
+    np.exp(out, out=out)
+    np.true_divide(out, math.sqrt(len(cols)), out=out)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
-    """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`.
-
-    F is written into its own array by the ufuncs of ``exp((-2j pi / N)
-    outer(n, n)) / sqrt(N)``, in that order, so it is bit-identical to
-    that expression without its two N x N temporaries.
-    """
+    """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`."""
     n = _scheme_indices(n_samples, scheme)
-    f = np.empty((n_samples, n_samples), dtype=complex)
-    np.outer(n, n, out=f.real)
-    f.imag = 0.0
-    np.multiply(-2j * np.pi / n_samples, f, out=f)
-    np.exp(f, out=f)
-    np.true_divide(f, math.sqrt(n_samples), out=f)
+    f = _exp_outer(n, n, -2j * np.pi / n_samples)
     # Verify unitarity instead of assuming it; this is the load-bearing
     # property for everything downstream, and for odd-N centered grids it
     # is not a textbook fact.  F is exactly symmetric, as outer(n, n) is,

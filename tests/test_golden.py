@@ -1,8 +1,6 @@
 """``tools/golden.py``: per-object hashes of two checkouts, and the mismatches between them."""
 
-import functools
 import importlib.util
-import json
 import math
 import os
 import re
@@ -39,17 +37,11 @@ def _mismatches(out: str) -> dict:
             re.findall(r"MISMATCH (\S+): max relative difference (\S+)", out)}
 
 
-def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, capsys, monkeypatch):
-    # The parent's first run is the same in all three comparisons: made once.
-    fresh = golden.run_side
-    run_side = functools.cache(
-        lambda checkout, config, threads: fresh(checkout, json.loads(config), threads))
-    monkeypatch.setattr(golden, "run_side", lambda checkout, config, threads: run_side(
-        checkout, json.dumps(config, sort_keys=True), threads))
+def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, capsys):
     parent, same, perturbed, interp = (_checkout(tmp_path, name) for name in "abcd")
     _perturb(perturbed, "operators.py",
              "return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)")
-    _perturb(interp, "bench.py", "synth /= np.sqrt(n)")
+    _perturb(interp, "bench.py", "out[:, j] = m_factor ** -0.5 * (synth @ c)")
     args = ["--parent", str(parent), "--sizes", "4,5"]
 
     assert golden.main(args + ["--change", str(same)]) == 0

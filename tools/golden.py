@@ -4,8 +4,7 @@
         [--sizes 1-64,127-129] [--factors 0.37,2,7.3] [--threads 1]
 
 For each checkout a fresh interpreter imports opscale from its ``src/``,
-with ``--threads`` BLAS threads, and writes one sha256 per object (the
-two interpreters run side by side):
+with ``--threads`` BLAS threads, and writes one sha256 per object:
 
 * ``scaling_matrix`` for every factor, N and scheme;
 * ``scaling._apply(x, spec, factored)`` on a complex and a real input, on
@@ -29,7 +28,8 @@ The two sides record the numpy version, the BLAS numpy was built with
 and the thread count, and are not compared if these differ.  Every
 object whose hash differs, or that one side lacks, is printed with its
 maximum relative difference, ``max|a - b| / max|a|``, read back from a
-second run of both sides that saves just those objects.  CHANGE_DIR
+second run of both sides that saves just those objects and makes only
+the sections (a grid, a CSV, the CDDHF bases) that hold one.  CHANGE_DIR
 defaults to the checkout that holds this tool.  The exit status is 0
 when every object matches, 1 when some differ and 2 when the
 environments differ.
@@ -43,7 +43,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +81,11 @@ def put(key, value):
         np.save(Path(config["out"]) / f"{dump[key]}.npy", array)
 
 
+def wanted(section):
+    """Whether this run makes ``section``: every section, or those holding a saved object."""
+    return not dump or any(key.startswith(section) for key in dump)
+
+
 def blocks(obj):
     if isinstance(obj, linalg.HermitianEigenDecomposition):
         yield obj
@@ -96,6 +100,8 @@ def blocks(obj):
 for n in config["sizes"]:
     for scheme in ("ordinary", "centered"):
         grid = f"N={n}/{scheme}"
+        if not wanted(grid + "/"):
+            continue
         put(f"{grid}/dft_matrix", dft_matrix(n, scheme))
         eig = operator_set(n, scheme).generator_eig
         if getattr(eig, "reversal_residual", None) is not None:
@@ -119,16 +125,19 @@ for n in config["sizes"]:
                 for kind, x in (("complex", z), ("real", z.real.astype(complex))):
                     y = scaling._apply(x, spec, path == "factored")
                     put(f"{grid}/M={m}/apply_{path}/{kind}", y)
-put("bench_csv", bench.emit_table(bench.run_bench()))
-sweep = io.StringIO()
-with contextlib.redirect_stdout(sweep):
-    cli.main(["bench", "--methods", "operator,cddhf,interp"])
-put("sweep_csv", sweep.getvalue())
-for n in bench.DEFAULT_N_VALUES:
-    for m in (1.0, *bench.DEFAULT_M_FACTORS):
-        basis = cddhf_basis(n, m)
-        put(f"cddhf/N={n}/M={m}/vectors", basis.vectors)
-        put(f"cddhf/N={n}/M={m}/eigenvalues", basis.eigenvalues)
+if wanted("bench_csv"):
+    put("bench_csv", bench.emit_table(bench.run_bench()))
+if wanted("sweep_csv"):
+    sweep = io.StringIO()
+    with contextlib.redirect_stdout(sweep):
+        cli.main(["bench", "--methods", "operator,cddhf,interp"])
+    put("sweep_csv", sweep.getvalue())
+if wanted("cddhf/"):
+    for n in bench.DEFAULT_N_VALUES:
+        for m in (1.0, *bench.DEFAULT_M_FACTORS):
+            basis = cddhf_basis(n, m)
+            put(f"cddhf/N={n}/M={m}/vectors", basis.vectors)
+            put(f"cddhf/N={n}/M={m}/eigenvalues", basis.eigenvalues)
 blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
 env = {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
        "threads": os.environ.get("OPENBLAS_NUM_THREADS")}
@@ -146,14 +155,6 @@ def run_side(checkout: Path, config: dict, threads: int) -> dict:
     if proc.returncode:
         raise SystemExit(f"{checkout}: the child failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
-
-
-def both_sides(checkouts: dict, config, threads: int) -> dict:
-    """``run_side`` of each named checkout with ``config(name)``, the two side by side."""
-    with ThreadPoolExecutor(len(checkouts)) as pool:
-        runs = {name: pool.submit(run_side, path, config(name), threads)
-                for name, path in checkouts.items()}
-        return {name: run.result() for name, run in runs.items()}
 
 
 def max_relative_difference(a: np.ndarray, b: np.ndarray) -> float:
@@ -183,8 +184,8 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     config = {"sizes": args.sizes, "factors": args.factors, "dump": [], "out": ""}
-    checkouts = {"parent": args.parent, "change": args.change}
-    sides = both_sides(checkouts, lambda name: config, args.threads)
+    sides = {name: run_side(path, config, args.threads)
+             for name, path in (("parent", args.parent), ("change", args.change))}
     envs = {name: side["environment"] for name, side in sides.items()}
     if envs["parent"] != envs["change"]:
         print(f"environments differ, not compared: {json.dumps(envs)}")
@@ -197,11 +198,12 @@ def main(argv=None) -> int:
           f"mismatches: {len(differ)}")
     if differ:
         with tempfile.TemporaryDirectory() as tmp:
-            saved = {name: Path(tmp) / name for name in checkouts}
-            for out in saved.values():
+            saved = {}
+            for name, path in (("parent", args.parent), ("change", args.change)):
+                out = Path(tmp) / name
                 out.mkdir()
-            both_sides(checkouts, lambda name: dict(config, dump=differ, out=str(saved[name])),
-                       args.threads)
+                run_side(path, dict(config, dump=differ, out=str(out)), args.threads)
+                saved[name] = out
             for i, key in enumerate(differ):
                 files = [saved[name] / f"{i}.npy" for name in ("parent", "change")]
                 if not all(f.exists() for f in files):
