@@ -99,6 +99,29 @@ its part (:func:`_real_dot`), a quarter of the bytes of the dense
 complex matrix, and an adjoint through the transposed view, or as
 ``conj(conj(x) M)`` for a complex block: no copy of ``M^H``.
 
+Above ``_SPLIT_BYTES`` (2 MiB) of blocks, and where the process may run
+on two CPUs or more (``os.sched_getaffinity``), :meth:`GridUnitary.dot`
+shares its products with the module's one helper thread
+(:class:`_Helper`): on two blocks, one block per thread; on one complex
+block, two slabs of its product, ``M[r] x`` by rows forward and
+``conj(conj(x) M[:, c])`` by columns for the adjoint, cut at ``k // 2``
+rounded down to a multiple of 64, each written straight into its part of
+the result (:func:`_split_jobs`).  A caller posts its second job only if
+the helper is idle; otherwise it does all the work itself, so no caller
+waits on another's job.  The premise is that of :func:`_row_blocks`:
+with one BLAS thread each entry of a slab is summed as in the whole
+product, so the result is bit-identical to the unshared one (measured
+for complex blocks of 513 to 1100 rows).  A real block is never cut, as its product,
+one real product with two columns, rounds otherwise by row slabs from k =
+709 on.  numpy's ``matmul``, which the complex adjoint runs, keeps the
+GIL for a result of 500 entries or fewer, so the caller's slab of an
+adjoint takes 512 columns at least.  With more BLAS threads the split
+does not pay, and a shared result differs from an unshared one at
+rounding level.  A forked child has none of its parent's threads: an
+``os.register_at_fork`` hook drops the helper there, and the child's
+first shared apply starts its own.  The helper is a daemon thread, so it
+never holds an exiting interpreter open.
+
 A block is assembled straight into its final array, a row block at a
 time, with no k x k temporary:
 
@@ -360,12 +383,15 @@ it is given, is pure and operates on immutable inputs, so they are safe
 to call concurrently from multiple threads.
 That includes the transforms a decomposition keeps, which
 :func:`apply_from_eig` runs on every call: they write only into the
-buffers they are handed or allocate per call.
+buffers they are handed or allocate per call, and the helper thread,
+which runs one caller's job at a time into that caller's own arrays.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from types import MappingProxyType
@@ -1265,30 +1291,155 @@ def _unitary_block(
 _PAIRS = np.dtype((np.float64, (2,)))
 
 
-def _real_dot(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _real_dot(a: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     """``a @ x`` for a real matrix a and a C-contiguous complex128 vector x.
 
     The real and imaginary parts of x are the two columns of its (n, 2)
     float view, so the product is one real product with two columns,
     viewed back as a complex vector: no complex copy of a is made, and a
     vector with a zero imaginary part comes back with a zero imaginary
-    part.
+    part.  ``out``, when given, is a C-contiguous complex vector that
+    takes the product through its own (n, 2) view.
     """
-    return a.dot(x.view(_PAIRS)).view(complex).reshape(-1)
+    if out is None:
+        return a.dot(x.view(_PAIRS)).view(complex).reshape(-1)
+    a.dot(x.view(_PAIRS), out=out.view(_PAIRS))
+    return out
 
 
-def _block_dot(m: np.ndarray, x: np.ndarray, adjoint: bool) -> np.ndarray:
+def _block_dot(m: np.ndarray, x: np.ndarray, adjoint: bool, out=None) -> np.ndarray:
     """``m @ x``, or ``m^H @ x``, for an assembled block and a complex vector, copying neither.
 
     A real block is one real product (:func:`_real_dot`) with m or its
     transposed view; a complex one ``m.dot(x)``, or ``conj(conj(x) m)``.
+    m may be a slab of a block, rows for ``m @ x`` and columns for ``m^H
+    @ x``; ``out``, when given, is the C-contiguous vector that takes the
+    result.
     """
     if m.dtype.kind == "f":
-        return _real_dot(m.T if adjoint else m, np.ascontiguousarray(x))
+        return _real_dot(m.T if adjoint else m, np.ascontiguousarray(x), out)
     if not adjoint:
-        return m.dot(x)
-    y = np.conjugate(x) @ m
+        return m.dot(x, out=out)
+    y = np.matmul(np.conjugate(x), m, out=out)
     return np.conjugate(y, out=y)
+
+
+#: Bytes of assembled blocks above which :meth:`GridUnitary.dot` shares
+#: its products with the helper thread (module docstring).
+_SPLIT_BYTES = 2 << 20
+
+#: One complex block's product is cut at a multiple of this many rows.
+_SPLIT_ALIGN = 64
+
+#: The fewest columns of a complex adjoint's slab for which numpy's
+#: ``matmul`` releases the GIL (it keeps it for 500 result entries or fewer).
+_GIL_FREE_COLUMNS = 512
+
+
+class _Helper:
+    """A daemon thread that runs one job at a time beside the caller that posted it.
+
+    ``idle`` is acquired, without waiting, by a caller that posts a job,
+    and released by the thread once the job has run, so a caller never
+    waits on another caller's job: it finds ``idle`` held and does all
+    its work itself.
+    """
+
+    def __init__(self):
+        self.idle = threading.Lock()
+        self._posted = threading.Semaphore(0)
+        self._job = None
+        threading.Thread(target=self._serve, name="opscale.linalg helper", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self._posted.acquire()
+            work, done, errors = self._job
+            try:
+                work()
+            except BaseException as exc:  # handed to the caller, which raises it
+                errors.append(exc)
+            self.idle.release()
+            done.release()
+
+    def run(self, work: Callable[[], object], here: Callable[[], object]) -> None:
+        """``work()`` on the thread while ``here()`` runs on the caller, which holds ``idle``."""
+        done, errors = threading.Lock(), []
+        done.acquire()
+        self._job = (work, done, errors)
+        self._posted.release()
+        try:
+            here()
+        finally:
+            done.acquire()  # the thread's half writes into the caller's arrays
+        if errors:
+            raise errors[0]
+
+
+_helper: _Helper | None = None
+_helper_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _idle_helper() -> _Helper | None:
+    """The process's helper thread, its ``idle`` acquired; None if it is busy or one CPU is usable."""
+    global _helper
+    if _usable_cpus() < 2:
+        return None
+    if _helper is None:
+        with _helper_lock:
+            if _helper is None:
+                _helper = _Helper()
+    return _helper if _helper.idle.acquire(blocking=False) else None
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no thread but the one that forked: start afresh."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has no forked child
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _share(jobs) -> None:
+    """Run one or two jobs: the second on the helper thread if it is idle, else every one here."""
+    helper = _idle_helper() if len(jobs) == 2 else None
+    if helper is None:
+        for job in jobs:
+            job()
+    else:
+        helper.run(jobs[1], jobs[0])
+
+
+def _split_jobs(blocks, parts, outs, adjoint: bool) -> list:
+    """Jobs that write the blocks' products into ``outs``: one per block, or two slabs of one.
+
+    A complex block's product is cut in two slabs of rows of its result,
+    the rows of m, or for ``m^H @ x`` the columns of m, at ``k // 2``
+    rounded down to a multiple of 64, and for ``m^H @ x`` at 512 at least
+    (module docstring).  A block that would leave a slab of fewer than 64
+    rows is one job: a slab of one row is an inner product, which rounds
+    otherwise.
+    """
+    if len(blocks) == 2:
+        return [partial(_block_dot, m, x, adjoint, out) for m, x, out in zip(blocks, parts, outs)]
+    (m,), (x,), (out,) = blocks, parts, outs
+    cut = len(m) // 2 // _SPLIT_ALIGN * _SPLIT_ALIGN
+    if adjoint:
+        cut = max(cut, _GIL_FREE_COLUMNS)
+    if m.dtype.kind != "c" or not _SPLIT_ALIGN <= cut <= len(m) - _SPLIT_ALIGN:
+        return [partial(_block_dot, m, x, adjoint, out)]
+    return [partial(_block_dot, m[:, rows] if adjoint else m[rows], x, adjoint, out[rows])
+            for rows in (slice(0, cut), slice(cut, None))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -1306,31 +1457,37 @@ class GridUnitary:
         where the block was certified.
     size : int
         N, the sum of the block sizes.
+    nbytes : int
+        Bytes held by the blocks: two real blocks take a quarter of the
+        dense complex matrix.
     """
 
     blocks: tuple[np.ndarray, ...]
     unitarity_residual: tuple[float | None, ...]
     size: int = field(init=False)
+    nbytes: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "size", sum(len(m) for m in self.blocks))
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the blocks: two real blocks take a quarter of the dense complex matrix."""
-        return sum(m.nbytes for m in self.blocks)
+        object.__setattr__(self, "nbytes", sum(m.nbytes for m in self.blocks))
 
     def dot(self, x, adjoint: bool = False) -> np.ndarray:
         """``U @ x``, or ``U^H @ x``, for an N-vector: fold, one product per block, unfold.
 
-        A real operand is promoted to complex; no block is copied.
+        A real operand is promoted to complex; no block is copied.  Above
+        ``_SPLIT_BYTES`` of blocks the products are shared with the
+        helper thread, each entry still one product's (module docstring).
         """
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.size,):
             raise ValueError(f"operand has shape {x.shape}, expected ({self.size},)")
         parts = _fold_into(x, len(self.blocks))
-        return _unfold_from([_block_dot(m, part, adjoint)
-                             for m, part in zip(self.blocks, parts)])
+        if self.nbytes <= _SPLIT_BYTES:
+            return _unfold_from([_block_dot(m, part, adjoint)
+                                 for m, part in zip(self.blocks, parts)])
+        outs = [np.empty(len(m), dtype=complex) for m in self.blocks]
+        _share(_split_jobs(self.blocks, parts, outs, adjoint))
+        return _unfold_from(outs)
 
     def dense(self, adjoint: bool = False) -> np.ndarray:
         """U, or ``U^H``, as a read-only N x N complex matrix in the original index order.

@@ -58,7 +58,10 @@ paths to ``M_M x``:
   x = conj(conj(x) M)`` or the transposed views of the two parity blocks,
   with no copy of ``M^H`` (the same cost within timing noise, 1 BLAS
   thread on a shared 2-core Xeon: 0.66-0.71 against 0.70-0.85 ms at N =
-  1024 ordinary, 0.20-0.23 against 0.19 ms at 1024 centered).
+  1024 ordinary, 0.20-0.23 against 0.19 ms at 1024 centered).  Above 2
+  MiB of blocks, on two CPUs, the product is shared with
+  :mod:`opscale.linalg`'s helper thread, bit for bit: 0.40 ms at N = 1024
+  ordinary, 0.12-0.15 ms at 1024 centered.
 
 Assembling costs about k^3 multiply-adds, and each factored apply about
 k^2 more than an assembled one, so in flops a factor pays for its
@@ -73,7 +76,7 @@ assembled as one real product, a whole grid's block as two real
 products of its size with the transforms of its rows and columns.
 Measured (1 BLAS thread, two consecutive runs of demo 07, each the
 median of 21 rounds, quoted only where the two runs' quartiles
-overlap), a factor pays for its assembly after 17 requests at N = 128
+overlap, each product on one thread), a factor pays for its assembly after 17 requests at N = 128
 ordinary (k = 128), 359-392 at 512 ordinary (k = 512), 381-392 at 596
 ordinary and 504-571 at 630 ordinary, where the factored apply, 300-560
 microseconds, takes 1.4-2 times the dense complex one and the assembly
