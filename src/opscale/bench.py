@@ -33,21 +33,43 @@ Its N and M lists are checked up front by :mod:`opscale.dft`'s
 helpers; failures of individual cells are recorded as NaN entries with
 a note rather than aborting the sweep.  Numbers are serialized with 17
 significant digits — exact round-trip for IEEE doubles.
+
+A sweep knows every (N, M, scheme) before its first cell, so where the
+process may run on two CPUs, its environment pins BLAS to one thread
+(:func:`_one_blas_thread`) and :mod:`opscale.linalg`'s helper thread is
+idle, ``run_bench`` hands the helper the sweep's independent cold builds, the
+CDDHF bases of the later M and the generator decompositions
+(:func:`_cold_builds`), while the caller runs the cells in canonical
+order.  Both threads go through the same cached builders, whose caches
+build a key two threads miss at once only once (:mod:`opscale.cache`),
+so every object is the one the caller would have built, and with one
+BLAS thread the table is bit-identical.  A build that raises on the
+helper is dropped: the cell that needs it builds it again and records
+the note.  The helper stops once the cells are done; elsewhere the sweep
+runs on the caller alone.  With BLAS on two threads already, the helper's
+builds contend with the caller's for the same cores: the CLI sweep took
+0.63 s with the helper against 0.55 s without it, and 1.1 MiB more
+memory (``OPENBLAS_NUM_THREADS=2``, six interpreters each, on a 2-core
+Xeon).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linalg
 from .dft import IndexScheme, SampleGrid, _exp_outer, dft_matrix, index_grid
 from .dft import as_sample_count, as_scaling_factor, as_signal
-from .pei import pei_scale
+from .operators import operator_set
+from .pei import cddhf_basis, pei_scale
 # The sweep applies each operator once, through _scale_once, but
 # scale_signal must stay importable here: perfbench's traced sweep patches
 # opscale.bench.scale_signal by name, and its tracer looks the name up with
@@ -123,16 +145,41 @@ def nmse_percent(reference, candidate) -> float:
     return float(100.0 * np.linalg.norm(ref - cand) ** 2 / denom)
 
 
-def _synthesis(grid: SampleGrid, m_factor: float) -> np.ndarray:
-    """The N x N matrix ``exp(2 pi i t_k n_j / period) / sqrt(N)``, ``t = u / M``.
+#: The synthesis matrix is built and applied this many rows at a time.
+_SLAB_ROWS = 64
 
-    Row k evaluates the grid's Fourier exponentials, labels n_j, at the
-    compressed coordinate t_k.  Built in place (:func:`opscale.dft._exp_outer`),
-    so that one N x N array is live: at N = 512 it sets a cold sweep's
-    peak memory.
+
+def _slabs(n: int) -> list[slice]:
+    """Slabs of ``_SLAB_ROWS`` rows from row 0, a last one of fewer merged into the one before.
+
+    A slab of one row is an inner product, which BLAS rounds otherwise
+    than a row of the whole product; no slab here has fewer than 64 rows
+    unless N itself is below 64.
     """
-    period = grid.n_samples * grid.spacing
-    return _exp_outer(grid.coordinates / m_factor, grid.indices, 2j * np.pi / period)
+    starts = list(range(0, n, _SLAB_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _SLAB_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _synthesis(grid: SampleGrid, m_factor: float):
+    """Yield ``(rows, synth[rows])`` for the slabs of the synthesis matrix, top to bottom.
+
+    ``synth`` is the N x N matrix ``exp(2 pi i t_k n_j / period) /
+    sqrt(N)``, ``t = u / M``: row k evaluates the grid's Fourier
+    exponentials, labels n_j, at the compressed coordinate t_k.  Each slab
+    is built in place (:func:`opscale.dft._exp_outer`) in one buffer,
+    which the next slab overwrites, so that a slab is live and not the N x
+    N matrix, which at N = 512 set a cold sweep's peak memory.
+    """
+    n = grid.n_samples
+    period = n * grid.spacing
+    t = grid.coordinates / m_factor
+    slabs = _slabs(n)
+    buffer = np.empty(max(r.stop - r.start for r in slabs) * n, dtype=complex)
+    for rows in slabs:
+        out = buffer[:(rows.stop - rows.start) * n].reshape(-1, n)
+        yield rows, _exp_outer(t[rows], grid.indices, 2j * np.pi / period, out)
 
 
 def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
@@ -145,12 +192,15 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
     identity.
 
     ``signal`` is one signal of N samples, or an (N, K) array whose K
-    columns are signals, scaled into the columns of the result.  The N x
-    N synthesis matrix (:func:`_synthesis`) depends only on the grid and
-    M, so it is built once for all of them.  Each column still goes
-    through its own products ``F @ x`` and ``synth @ coeffs``, so its
-    result is bit-identical to a call with that column alone; one (N, K)
-    product rounds differently.
+    columns are signals, scaled into the columns of the result.  The
+    synthesis matrix (:func:`_synthesis`) depends only on the grid and M,
+    so it is built once for all of them, a slab of rows at a time.  Each
+    column still goes through its own products ``F @ x`` and ``synth @
+    coeffs``, and with one BLAS thread each slab's product rounds as
+    those rows of the whole product (:func:`_slabs`; measured at N =
+    1-299, 383-385, 511-513, 577, 640, 1000 and 1023-1025), so its result
+    is bit-identical to a call with that column alone and the whole
+    matrix; one (N, K) product rounds differently.
 
     Raises
     ------
@@ -165,10 +215,10 @@ def interp_scale(signal, grid: SampleGrid, m_factor: float) -> np.ndarray:
     columns = np.array(signals.T) if signals.ndim == 2 else [signals]
     f = dft_matrix(n, grid.scheme)
     coeffs = [f @ as_signal(x, n) for x in columns]
-    synth = _synthesis(grid, m_factor)
     out = np.empty((n, len(coeffs)), dtype=complex)
-    for j, c in enumerate(coeffs):
-        out[:, j] = m_factor ** -0.5 * (synth @ c)
+    for rows, synth in _synthesis(grid, m_factor):
+        for j, c in enumerate(coeffs):
+            out[rows, j] = m_factor ** -0.5 * (synth @ c)
     return out.reshape(signals.shape)
 
 
@@ -236,6 +286,54 @@ def _chosen(name: str, values, default) -> list:
     return values
 
 
+def _cold_builds(methods, m_factors, n_values, schemes) -> list:
+    """The cold builds of a sweep that :func:`run_bench` hands to the helper thread, in order.
+
+    For each N, the CDDHF basis of M = 1, which the caller's first cell
+    of that N builds too (whichever thread comes second waits for it),
+    then the bases of the M the caller reaches only in a later pass, all
+    but the first M.  Then the generator decompositions: first the one
+    the caller needs last, of the largest N, so that its transients come
+    while the sweep holds the least memory, then every other in the order
+    the caller needs them, so that the caller finds each built or waits
+    for it rather than making one beside the helper's.  Each is the
+    cached public builder the cells call, with the same arguments.
+    """
+    builds = []
+    if Method.CDDHF in methods:
+        later = [m for m in m_factors[1:] if m != 1.0]
+        builds += [partial(cddhf_basis, n, m) for n in n_values for m in [1.0, *later]]
+    if Method.OPERATOR in methods:
+        grids = list(product(n_values, schemes))
+        builds += [partial(_generator_eig, n, scheme) for n, scheme in grids[-1:] + grids[:-1]]
+    return builds
+
+
+def _generator_eig(n_samples: int, scheme: IndexScheme) -> None:
+    operator_set(n_samples, scheme).generator_eig
+
+
+#: The variables OpenBLAS, numpy's usual BLAS, takes its thread count
+#: from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> bool:
+    """Whether the first of ``_BLAS_THREAD_VARS`` set to a positive integer is 1.
+
+    Without one, BLAS runs a thread per CPU, and :func:`run_bench` keeps
+    the sweep on the caller (module docstring).
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
 def run_bench(
     functions: Iterable[TestFunction] | None = None,
     methods: Iterable[Method] | None = None,
@@ -256,7 +354,9 @@ def run_bench(
     The cells are run a group ``(method, M, N, scheme)`` at a time, with
     the functions innermost (:func:`_score_group`), so that each group's
     ``INTERP`` cells make one :func:`interp_scale` call and one synthesis
-    matrix, which is dropped with the group.
+    matrix, which is dropped with the group.  The cold builds of later
+    cells run meanwhile on the helper thread, where BLAS is pinned to one
+    thread and two CPUs are usable (module docstring).
     """
     functions = sorted(
         {TestFunction(f) for f in _chosen("functions", functions, TestFunction)},
@@ -278,14 +378,35 @@ def run_bench(
     )
 
     scores = {}
-    for method in methods:
-        for m_factor in m_factors:
-            for n_samples in n_values:
-                for scheme in schemes:
-                    grid = index_grid(n_samples, scheme)
-                    group = _score_group(method, grid, m_factor, functions, amplitude_factor)
-                    for function, score in group.items():
-                        scores[function, method, m_factor, n_samples, scheme] = score
+    builds = _cold_builds(methods, m_factors, n_values, schemes)
+    finished = threading.Event()
+
+    def run_groups():
+        try:
+            for method, m_factor, n_samples, scheme in product(
+                methods, m_factors, n_values, schemes
+            ):
+                grid = index_grid(n_samples, scheme)
+                group = _score_group(method, grid, m_factor, functions, amplitude_factor)
+                for function, score in group.items():
+                    scores[function, method, m_factor, n_samples, scheme] = score
+        finally:
+            finished.set()
+
+    def prefetch():
+        for build in builds:
+            if finished.is_set():
+                return
+            try:
+                build()
+            except Exception:  # the cell that needs it builds it again and records the note
+                pass
+
+    helper = linalg._idle_helper() if builds and _one_blas_thread() else None
+    if helper is None:
+        run_groups()
+    else:
+        helper.run(prefetch, run_groups)
     records = [
         MseRecord(*key, *scores[key])
         for key in product(functions, methods, m_factors, n_values, schemes)

@@ -64,10 +64,10 @@ import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
+from .cache import ByteBoundedLRU
 from .linalg import _unitarity_residual
 
 __all__ = ["IndexScheme", "SampleGrid", "index_grid", "dft_matrix"]
@@ -198,13 +198,15 @@ def index_grid(n_samples: int, scheme: IndexScheme) -> SampleGrid:
     return SampleGrid(n_samples, scheme, indices, spacing, coordinates)
 
 
-def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex) -> np.ndarray:
+def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex, out=None) -> np.ndarray:
     """``exp(factor * outer(rows, cols)) / sqrt(len(cols))``, in one complex array.
 
     The ufuncs of that expression, in its order, each written into the
     result: bit-identical to it, without its two N x N temporaries.
+    ``out``, when given, is the C-contiguous complex array that takes it.
     """
-    out = np.empty((len(rows), len(cols)), dtype=complex)
+    if out is None:
+        out = np.empty((len(rows), len(cols)), dtype=complex)
     np.outer(rows, cols, out=out.real)
     out.imag = 0.0
     np.multiply(factor, out, out=out)
@@ -213,7 +215,7 @@ def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex) -> np.ndarra
     return out
 
 
-@lru_cache(maxsize=None)
+@ByteBoundedLRU().memoize()
 def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
     """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`."""
     n = _scheme_indices(n_samples, scheme)

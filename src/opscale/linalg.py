@@ -113,14 +113,18 @@ with one BLAS thread each entry of a slab is summed as in the whole
 product, so the result is bit-identical to the unshared one (measured
 for complex blocks of 513 to 1100 rows).  A real block is never cut, as its product,
 one real product with two columns, rounds otherwise by row slabs from k =
-709 on.  numpy's ``matmul``, which the complex adjoint runs, keeps the
-GIL for a result of 500 entries or fewer, so the caller's slab of an
-adjoint takes 512 columns at least.  With more BLAS threads the split
+709 on.  numpy's ``matmul``, which the adjoint of a column slab runs,
+keeps the GIL for a result of 500 entries or fewer, so the caller's slab
+of an adjoint takes 512 columns at least; a whole block's adjoint runs
+``np.dot``, which releases it at every size.  With more BLAS threads the split
 does not pay, and a shared result differs from an unshared one at
 rounding level.  A forked child has none of its parent's threads: an
 ``os.register_at_fork`` hook drops the helper there, and the child's
 first shared apply starts its own.  The helper is a daemon thread, so it
-never holds an exiting interpreter open.
+never holds an exiting interpreter open.  :func:`opscale.bench.run_bench`
+posts it one job too, the cold builds of a sweep, through the same
+``idle`` rule (:meth:`_Helper.run`), where the environment pins BLAS to
+one thread.
 
 A block is assembled straight into its final array, a row block at a
 time, with no k x k temporary:
@@ -1314,13 +1318,17 @@ def _block_dot(m: np.ndarray, x: np.ndarray, adjoint: bool, out=None) -> np.ndar
     transposed view; a complex one ``m.dot(x)``, or ``conj(conj(x) m)``.
     m may be a slab of a block, rows for ``m @ x`` and columns for ``m^H
     @ x``; ``out``, when given, is the C-contiguous vector that takes the
-    result.
+    result.  The adjoint of a whole block is ``np.dot``, which releases
+    the GIL at every size; that of a column slab is ``np.matmul``, as
+    ``np.dot`` would copy the slab.  The two are bit-identical (measured
+    at 273 sizes from 1 to 1100, one and two BLAS threads).
     """
     if m.dtype.kind == "f":
         return _real_dot(m.T if adjoint else m, np.ascontiguousarray(x), out)
     if not adjoint:
         return m.dot(x, out=out)
-    y = np.matmul(np.conjugate(x), m, out=out)
+    product = np.dot if m.flags.c_contiguous else np.matmul
+    y = product(np.conjugate(x), m, out=out)
     return np.conjugate(y, out=y)
 
 

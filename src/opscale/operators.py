@@ -114,10 +114,14 @@ are suspended there, and :class:`OperatorSet` flags them via
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+import os
+import threading
+import weakref
+from functools import cached_property
 
 import numpy as np
 
+from .cache import ByteBoundedLRU
 from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_matrix, index_grid
 from .linalg import (
     GridDecomposition,
@@ -252,6 +256,49 @@ class _HalfDft:
         return out
 
 
+class _built_once:
+    """A cached property built once per instance, under the instance's own lock.
+
+    The first access builds the value while holding ``_build_lock`` and
+    stores it in the instance's ``__dict__``, where every later access
+    finds it without reaching this descriptor.  Two threads asking one
+    instance at once make one build, and instances never wait on each
+    other: ``functools.cached_property`` locks every instance together on
+    Python 3.8-3.11 and does not lock at all from 3.12.  A build that
+    raises stores nothing, and the next access builds again.  A forked
+    child gives every set a new lock (:func:`_after_fork_in_child`), as a
+    lock its parent held during a build would never be released there.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        with instance._build_lock:
+            if self.name not in instance.__dict__:
+                instance.__dict__[self.name] = self.build(instance)
+        return instance.__dict__[self.name]
+
+
+#: Every :class:`OperatorSet`, for the fork hook.
+_live_sets = weakref.WeakSet()
+
+
+def _after_fork_in_child() -> None:
+    for ops in list(_live_sets):
+        ops._build_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has no forked child
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 class OperatorSet:
     """The operators ``(F, U, D, generator)`` for one ``(N, scheme)``.
 
@@ -284,6 +331,8 @@ class OperatorSet:
         self.grid_symmetric = bool(
             np.array_equal(np.sort(-grid.indices), grid.indices)
         )
+        self._build_lock = threading.Lock()
+        _live_sets.add(self)
 
     @property
     def f(self) -> np.ndarray:
@@ -331,7 +380,7 @@ class OperatorSet:
         g.setflags(write=False)
         return g
 
-    @cached_property
+    @_built_once
     def generator_eig(self) -> GridDecomposition:
         """Spectral decomposition of the generator (computed once, cached).
 
@@ -380,7 +429,10 @@ def operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
     return _operator_set(as_sample_count(n_samples), IndexScheme(scheme))
 
 
-@lru_cache(maxsize=None)
+_sets = ByteBoundedLRU()
+
+
+@_sets.memoize()
 def _operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
     grid = index_grid(n_samples, scheme)
     u = _coord_diagonal(grid)
@@ -391,4 +443,4 @@ def _operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
 
 
 # Build counts stay readable as ``operator_set.cache_info()``.
-operator_set.cache_info = _operator_set.cache_info
+operator_set.cache_info = _sets.info

@@ -55,14 +55,15 @@ metadata):
   M = 1 and M != 1 bases.  Near-degeneracies (gap < 1e-8) are logged, as
   pairing-by-position is the one place where they could matter.
 
-``D^2`` does not depend on M, so it is built once per N (an
-``lru_cache`` keyed on N) and shared by the bases of every M.  The bases
-themselves are kept, read-only, in the byte-bounded LRU cache
-:data:`opscale.cache.shared` that also holds the scaling operators, keyed
-on ``(N, M)`` and charged for their vectors plus eigenvalues.  An
-evicted basis is rebuilt by the same ``eigh`` and sign fixing and comes
-back bit-identical.  The cache's lock guards only its bookkeeping, so
-concurrent callers are safe.  N, M and the signal are checked by the
+``D^2`` does not depend on M, so it is built once per N (a cache keyed
+on N that evicts nothing, :mod:`opscale.cache`) and shared by the bases
+of every M.  The bases themselves are kept, read-only, in the
+byte-bounded LRU cache :data:`opscale.cache.shared` that also holds the
+scaling operators, keyed on ``(N, M)`` and charged for their vectors
+plus eigenvalues.  An evicted basis is rebuilt by the same ``eigh`` and
+sign fixing and comes back bit-identical.  The caches' locks guard only
+their bookkeeping, so concurrent callers are safe, and a key two threads
+miss at once is built once.  N, M and the signal are checked by the
 helpers of :mod:`opscale.dft`; signals must be finite.
 """
 
@@ -70,11 +71,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .cache import shared
+from .cache import ByteBoundedLRU, shared
 from .dft import IndexScheme, _unitary_dft, as_sample_count, as_scaling_factor, as_signal
 from .linalg import _largest_entry_negative, _real_dot
 
@@ -120,23 +120,36 @@ def pei_d_squared(n_samples: int) -> np.ndarray:
 
     F is the standard centered DFT, ``dft_matrix(N, pei_scheme(N))``.
     ``U^2`` is diagonal, so ``F U^2`` is F with its columns scaled, which
-    leaves one dense product.  The result is complex, real to rounding.
+    leaves one dense product.  F is exactly symmetric, so ``F^-1 = F^H =
+    conj(F)`` and the product is ``conj(conj(F U^2) F)``, both
+    conjugations in place, the second as ``0 - Im``, which leaves an
+    exactly zero imaginary part +0, as the product with ``F^H`` does:
+    bit-identical to ``(F U^2) @ F^H``, without an N x N copy of ``F^H``.
+    The result is complex, real to rounding.
     Raises ``ValueError`` if ``n_samples`` is not a positive integer, and
     ``ArithmeticError`` if the unitarity residual kept with F exceeds
     1e-10.
     """
     n_samples = as_sample_count(n_samples)
     f = _unitary_dft(n_samples, pei_scheme(n_samples))
-    return (f * _u_squared_diagonal(n_samples)) @ f.conj().T
+    scaled = f * _u_squared_diagonal(n_samples)
+    d2 = np.conjugate(scaled, out=scaled) @ f
+    np.subtract(0.0, d2.imag, out=d2.imag)
+    return d2
 
 
-@lru_cache(maxsize=None)
+#: The cache of :func:`_d_squared`, keyed on N.
+_grids = ByteBoundedLRU()
+
+
+@_grids.memoize()
 def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
     """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
     d2 = pei_d_squared(n_samples)
     d2_real = d2.real.copy()
     d2_real.setflags(write=False)
-    return d2_real, float(abs(d2.imag).max())
+    imag = d2.imag
+    return d2_real, float(max(imag.max(), -imag.min()))
 
 
 @dataclass(frozen=True, eq=False)

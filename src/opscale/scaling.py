@@ -74,27 +74,29 @@ of the whole vector, an FFT and a few pointwise products each, about 20
 microseconds at N = 512 whatever the block size.  A parity block is
 assembled as one real product, a whole grid's block as two real
 products of its size with the transforms of its rows and columns.
-Measured (1 BLAS thread, two consecutive runs of demo 07, each the
-median of 21 rounds, quoted only where the two runs' quartiles
-overlap, each product on one thread), a factor pays for its assembly after 17 requests at N = 128
-ordinary (k = 128), 359-392 at 512 ordinary (k = 512), 381-392 at 596
-ordinary and 504-571 at 630 ordinary, where the factored apply, 300-560
-microseconds, takes 1.4-2 times the dense complex one and the assembly
-runs the dense check; on symmetric grids, whose assembled blocks are
-real, after 5 requests at N = 128 centered (k = 64), 44-49 at 596
-centered (k = 298) and 52-53 at 1024 centered (k = 512).  At N = 128 a
-factored apply takes 30-72 microseconds against 9-14 for the assembled
-one.  The rule is the ski-rental one (Karlin, Manasse, Rudolph & Sleator,
-*Algorithmica* 3, 1988): the first K = ceil(k/4) requests of a key, k
-the grid's largest block (ceil(N/2) on symmetric grids, N on the
-others), take the factored path, and every later request the assembled
-one.  M and 1/M count against one key, so one assembly serves the
-requests of both.  Against the cheaper of the two paths in hindsight,
-that costs at most 1 + K/B or 1 + B/K times as much for a break-even B:
-about 2.9 at N = 128 ordinary, 3.8-4.1 at 512 ordinary, 3.6 at 596
-ordinary, 4.2-4.6 at 630 ordinary, 2.5-2.7 at 596 centered, 3.4-3.5 at
-1024 centered and 4.2 at 128 centered, where one real assembly costs
-five factored requests.  A process that streams new factors never
+Measured (1 BLAS thread, four consecutive runs of demo 07 on a shared
+2-core Xeon, each the median of 21 rounds, given as the range of the
+four medians; an assembled apply above 2 MiB of blocks shared with the
+helper thread), a factor pays for its assembly after 14-17 requests at
+N = 128 ordinary (k = 128), 197-311 at 512 ordinary (k = 512), 288-471
+at 596 ordinary and 305-594 at 630 ordinary, where the factored apply,
+290-490 microseconds, takes 1.3-2.4 times the dense complex one and the
+assembly runs the dense check; on symmetric grids, whose assembled
+blocks are real, after 4-5 requests at N = 128 centered (k = 64), 32-34
+at 512 centered (k = 256), 38-51 at 596 centered (k = 298) and 46-53 at
+1024 centered (k = 512).  At N = 128 a factored apply takes 28-75
+microseconds against 6-22 for the assembled one.  The rule is the
+ski-rental one (Karlin, Manasse, Rudolph & Sleator, *Algorithmica* 3,
+1988): the first K = ceil(k/4) requests of a key, k the grid's largest
+block (ceil(N/2) on symmetric grids, N on the others), take the factored
+path, and every later request the assembled one.  M and 1/M count
+against one key, so one assembly serves the requests of both.  Against
+the cheaper of the two paths in hindsight, that costs at most 1 + K/B or
+1 + B/K times as much for a break-even B: about 2.9-3.3 at N = 128
+ordinary, 2.5-3.4 at 512 ordinary, 2.9-4.2 at 596 ordinary, 2.9-4.8 at
+630 ordinary, 2.9-3.0 at 512 centered, 2.5-3.0 at 596 centered, 3.4-3.8
+at 1024 centered and 4.2-5.0 at 128 centered, where one real assembly
+costs four or five factored requests.  A process that streams new factors never
 assembles, and one that repeats a few factors assembles each of them,
 or each reciprocal pair, once.  The factored path runs only where the
 decomposition certifies it (``factored_certified``: asymmetric grids up

@@ -37,6 +37,32 @@ def package_env() -> dict:
     return env
 
 
+def forked_exit_code(child, timeout: float = 30) -> int:
+    """Fork, run ``child()`` in the child and exit 0 if it returns True; the child's exit code.
+
+    A child still running after ``timeout`` seconds is killed and the
+    test fails: what it waited on would never have come.
+    """
+    import time
+
+    pid = os.fork()
+    if pid == 0:  # the child leaves through os._exit, whatever happens
+        code = 3
+        try:
+            code = 0 if child() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    os.kill(pid, 9)
+    os.waitpid(pid, 0)
+    pytest.fail(f"the forked child did not finish in {timeout} s")
+
+
 @pytest.fixture
 def identity_residual_calls(monkeypatch) -> list:
     """Shapes of the products any opscale module hands to ``identity_residual``."""

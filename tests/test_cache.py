@@ -11,14 +11,18 @@ assembles and caches the operator from request K + 1 on; the tests that
 reach the cache through it make K + 1 requests of each factor.
 """
 
+import os
 import sys
 import threading
+import time
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from opscale import cache, scaling
+from conftest import forked_exit_code
+
+from opscale import cache, pei, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import GridUnitary
 from opscale.pei import cddhf_basis
@@ -270,3 +274,125 @@ def test_concurrent_callers_keep_the_bookkeeping_exact(monkeypatch):
     info = lru.info()
     assert info.hits + info.misses == threads_n * calls
     assert info.nbytes == 800 * info.entries <= 3 * 800
+
+
+def _on_eight_threads(call) -> list:
+    """``call()`` on eight threads released together; their results or exceptions."""
+    barrier, results = threading.Barrier(8), [None] * 8
+
+    def run(i):
+        barrier.wait()
+        try:
+            results[i] = call()
+        except Exception as exc:  # returned for the test to inspect
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads), "a thread is stuck"
+    return results
+
+
+def test_threads_missing_one_key_make_one_build():
+    lru = cache.ByteBoundedLRU()
+    builds = []
+
+    @lru.memoize(nbytes=lambda value: value.nbytes)
+    def build(k):
+        builds.append(k)
+        time.sleep(0.05)  # the other threads miss the key while it is built
+        return np.full(4, float(k))
+
+    results = _on_eight_threads(lambda: build(7))
+    assert builds == [7]
+    assert all(r is results[0] for r in results)
+    assert lru.info() == cache.CacheInfo(hits=7, misses=1, evictions=0, entries=1, nbytes=32)
+
+
+def test_a_build_that_raises_leaves_its_waiters_to_build_again():
+    lru = cache.ByteBoundedLRU()
+    builds = []
+
+    @lru.memoize(nbytes=lambda value: value.nbytes)
+    def build(k):
+        builds.append(k)
+        time.sleep(0.05)
+        if len(builds) == 1:
+            raise RuntimeError("first build")
+        return np.full(4, float(k))
+
+    results = _on_eight_threads(lambda: build(3))
+    failed = [r for r in results if isinstance(r, RuntimeError)]
+    built = [r for r in results if not isinstance(r, Exception)]
+    assert len(failed) == 1 and len(built) == 7 and builds == [3, 3]
+    assert all(r is built[0] for r in built)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_during_a_build_builds_the_key_again():
+    # A thread of the parent is inside the build of key 5 when the parent
+    # forks.  The child has no such thread: it must build the key itself,
+    # not wait for a build that no thread of it will finish.
+    lru = cache.ByteBoundedLRU()
+    entered, release = threading.Event(), threading.Event()
+
+    @lru.memoize(nbytes=lambda value: value.nbytes)
+    def build(k):
+        if threading.current_thread() is not threading.main_thread():
+            entered.set()
+            release.wait(30)
+        return np.full(4, float(k))
+
+    held = threading.Thread(target=build, args=(5,))
+    held.start()
+    try:
+        assert entered.wait(30)
+        code = forked_exit_code(lambda: build(5)[0] == 5.0 and lru.info().entries == 1)
+    finally:
+        release.set()
+        held.join(timeout=30)
+    assert code == 0
+    assert lru.info() == cache.CacheInfo(hits=0, misses=1, evictions=0, entries=1, nbytes=32)
+
+
+def test_values_charged_nothing_are_kept_past_the_budget(monkeypatch):
+    # An instance whose values are charged 0 never evicts, whatever the
+    # budget; a hit takes no lock.
+    monkeypatch.setattr(cache, "BUDGET_BYTES", 0)
+    lru = cache.ByteBoundedLRU()
+
+    @lru.memoize()
+    def build(k):
+        return np.full(100, float(k))
+
+    first = [build(k) for k in range(5)]
+    with lru._lock:  # a hit on a kept value does not wait for the lock
+        again = [build(k) for k in range(5)]
+    assert all(a is b for a, b in zip(first, again))
+    assert lru.info() == cache.CacheInfo(hits=5, misses=5, evictions=0, entries=5, nbytes=0)
+
+
+def test_eight_threads_asking_for_one_new_basis_make_one_build(budget, monkeypatch):
+    # With both caches emptied, D^2, the M = 1 basis and the M = 1.2345
+    # basis are each built once, by whichever thread comes first.
+    pei._grids.clear()
+    d_squared, u_squared, sizes = pei.pei_d_squared, pei.pei_u_squared, []
+
+    def d_counting(n):
+        sizes.append(("D^2", n))
+        return d_squared(n)
+
+    monkeypatch.setattr(pei, "pei_d_squared", d_counting)
+
+    def u_counting(n):
+        sizes.append(("U^2", n))
+        return u_squared(n)
+
+    monkeypatch.setattr(pei, "pei_u_squared", u_counting)
+    results = _on_eight_threads(lambda: cddhf_basis(47, 1.2345))
+    assert sizes == [("D^2", 47), ("U^2", 47), ("U^2", 47)]
+    assert all(r is results[0] for r in results)
+    assert pei._grids.info().misses == 1

@@ -1,4 +1,4 @@
-"""``tools/cold_peak.py``: the memory of one cold decomposition per grid, in fresh interpreters."""
+"""``tools/cold_peak.py``: the memory of one cold decomposition per grid, and of the cold sweep, in fresh interpreters."""
 
 import importlib.util
 import os
@@ -23,3 +23,15 @@ def test_prints_the_traced_peak_and_the_rss_rise_of_each_grid(capsys):
         assert int(peak) >= 16 * 64**2  # at least the complex generator itself
         assert float(per_n2) == round(int(peak) / 64**2, 2)
         assert int(rise) >= 0
+
+
+def test_the_sweep_target_prints_the_peak_and_wall_time_with_and_without_the_helper(capsys):
+    import opscale
+
+    checkout = Path(opscale.__file__).resolve().parent.parent.parent
+    assert cold_peak.main(["sweep", "--checkout", str(checkout)]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["sweep", "helper", "maxrss_kib", "wall_s"]
+    assert [row[:2] for row in rows] == [["sweep", "on"], ["sweep", "off"]]
+    for _, _, maxrss, wall in rows:
+        assert int(maxrss) > 0 and float(wall) > 0

@@ -41,7 +41,7 @@ def test_identical_trees_match_and_a_perturbed_function_is_reported(tmp_path, ca
     parent, same, perturbed, interp = (_checkout(tmp_path, name) for name in "abcd")
     _perturb(perturbed, "operators.py",
              "return (np.sqrt(big_n) / np.pi) * np.sin(np.pi * n / big_n)")
-    _perturb(interp, "bench.py", "out[:, j] = m_factor ** -0.5 * (synth @ c)")
+    _perturb(interp, "bench.py", "out[rows, j] = m_factor ** -0.5 * (synth @ c)")
     args = ["--parent", str(parent), "--sizes", "4,5"]
 
     assert golden.main(args + ["--change", str(same)]) == 0

@@ -3,8 +3,11 @@
 import dataclasses
 import inspect
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    forked_exit_code,
     explicit_summation_dual,
     fixture_matrix,
     load_fixture,
@@ -21,11 +25,12 @@ from conftest import (
     parity_basis,
 )
 
-from opscale import dft
+from opscale import dft, operators
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.linalg import (
     _parity_transform,
     _reversal_fold,
+    real_form_eig,
 )
 from opscale.operators import (
     OperatorSet,
@@ -592,6 +597,85 @@ class TestOperatorSet:
 
     def test_repr_names_the_scheme(self):
         assert "centered" in repr(operator_set(4, IndexScheme.CENTERED))
+
+    def test_threads_asking_one_set_for_its_decomposition_make_one_build(self, monkeypatch):
+        ops, sizes = _fresh(40, IndexScheme.ORDINARY), []
+
+        def counting(form, n, *args):
+            sizes.append(n)
+            time.sleep(0.05)  # the other threads ask while it is built
+            return real_form_eig(form, n, *args)
+
+        monkeypatch.setattr(operators, "real_form_eig", counting)
+        results = [None] * 8
+        threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, ops.generator_eig))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert sizes == [40]
+        assert all(r is results[0] for r in results)
+
+    def test_two_sets_build_their_decompositions_side_by_side(self, monkeypatch):
+        # The first set's build is held until the second's has finished:
+        # a lock shared by the two (functools.cached_property's before
+        # Python 3.12) would keep the second waiting.
+        first, second = _fresh(40, IndexScheme.ORDINARY), _fresh(41, IndexScheme.CENTERED)
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(form, n, *args):
+            if n == 40:
+                entered.set()
+                release.wait(30)
+            return real_form_eig(form, n, *args)
+
+        monkeypatch.setattr(operators, "real_form_eig", gated)
+        held = threading.Thread(target=lambda: first.generator_eig)
+        held.start()
+        try:
+            assert entered.wait(30)
+            other = threading.Thread(target=lambda: second.generator_eig)
+            other.start()
+            other.join(timeout=30)
+            assert not other.is_alive(), "the second set waited on the first"
+        finally:
+            release.set()
+            held.join(timeout=30)
+        assert "generator_eig" in vars(first) and "generator_eig" in vars(second)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_during_a_decomposition_builds_it_again(self, monkeypatch):
+        # A thread of the parent holds the set's lock, building, when the
+        # parent forks: the child's lock must not be the held one.
+        ops = _fresh(40, IndexScheme.ORDINARY)
+        entered, release = threading.Event(), threading.Event()
+
+        def gated(form, n, *args):
+            if threading.current_thread() is not threading.main_thread():
+                entered.set()
+                release.wait(30)
+            return real_form_eig(form, n, *args)
+
+        monkeypatch.setattr(operators, "real_form_eig", gated)
+        held = threading.Thread(target=lambda: ops.generator_eig)
+        held.start()
+        try:
+            assert entered.wait(30)
+            code = forked_exit_code(lambda: len(ops.generator_eig.blocks[0].eigenvalues) == 40)
+        finally:
+            release.set()
+            held.join(timeout=30)
+        assert code == 0
+        assert "generator_eig" in vars(ops)
+
+    def test_a_built_decomposition_is_a_plain_attribute(self):
+        # Once built it is read from the instance's __dict__: the
+        # descriptor has no __set__, so it is not consulted again.
+        ops = operator_set(32, IndexScheme.CENTERED)
+        eig = ops.generator_eig
+        assert vars(ops)["generator_eig"] is eig
+        assert not hasattr(type(vars(OperatorSet)["generator_eig"]), "__set__")
 
 
 class TestRejectedConstructions:

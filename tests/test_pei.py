@@ -81,6 +81,16 @@ class TestBuildingBlocks:
         assert pei_d_squared(n).tobytes() == expected.tobytes()
         assert pei_d_squared(np.int64(n)).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 127, 128, 129, 255, 256, 257, 512, 513])
+    def test_d_squared_without_a_conjugate_copy_matches_the_one_product_form(self, n):
+        # conj(conj(F U^2) F), F exactly symmetric, is (F U^2) F^H bit for
+        # bit, the signs of exactly zero imaginary parts included.
+        f = pei_centered_dft(n)
+        expected = (f * np.diag(pei_u_squared(n))) @ f.conj().T
+        assert pei_d_squared(n).tobytes() == expected.tobytes()
+        d2_real, d2_imag_max = pei._d_squared(n)
+        assert d2_imag_max == float(abs(expected.imag).max())
+
     @pytest.mark.parametrize("n", [7, 8, 101])
     def test_cached_d_squared_reuses_the_residual_the_dft_measured(self, n, request):
         # The cached F was checked when it was built; neither the cached

@@ -6,7 +6,9 @@ helper thread when it is idle.  Each entry of the result is still one
 BLAS product's, so with one BLAS thread the result is bit-identical to
 the whole product.  That premise, and the bit-identity of a split apply,
 are checked in child interpreters with one BLAS thread, as the test
-process may run BLAS on more.
+process may run BLAS on more.  So is the cold sweep, whose independent
+builds :func:`opscale.bench.run_bench` hands to the same helper: its
+table must not change with it.
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ import pytest
 
 from conftest import package_env
 
-from opscale import bench, linalg, scaling
+from opscale import bench, cache, linalg, pei, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import GridUnitary
 from opscale.scaling import ScalingSpec, scale_signal
@@ -246,15 +248,108 @@ def test_a_child_forked_after_a_split_apply_applies_again(two_cpus):
     assert os.waitstatus_to_exitcode(status) == 0
 
 
-def test_the_cold_sweep_and_new_factors_never_share(monkeypatch):
-    # The default run_bench sweep and a stream of new factors at N = 512
-    # apply each operator in factored form: neither reaches the helper.
+SWEEP = r"""
+import json, os, tempfile
+from opscale import bench, cli, linalg
+
+linalg._usable_cpus = lambda: 2  # the helper runs even on a one-CPU host
+idle_helper, shared = linalg._idle_helper, []
+if MODE == "serial":
+    linalg._idle_helper = lambda: None
+else:
+    def counting():
+        helper = idle_helper()
+        shared.append(helper is not None)
+        return helper
+    linalg._idle_helper = counting
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "sweep.csv")
+    code = cli.main(["bench", "--methods", "operator,cddhf,interp", "--out", out])
+    with open(out) as fh:
+        csv = fh.read()
+failing = bench.run_bench(methods=list(bench.Method), m_factors=[1e-300], n_values=[2, 3])
+print(json.dumps({
+    "code": code, "csv": csv, "failing": bench.emit_table(failing),
+    "notes": [r.note for r in failing.records], "shared": shared,
+}))
+"""
+
+
+def test_the_cold_sweep_reads_the_same_with_and_without_the_helper():
+    # The reference sweep, and a sweep whose cells fail, each cold in its
+    # own one-BLAS-thread interpreter: the helper's builds of bases and
+    # decompositions change nothing in the table, notes included.
+    alone = _one_blas_thread_child('MODE = "serial"' + SWEEP)
+    helped = _one_blas_thread_child('MODE = "helped"' + SWEEP)
+    assert alone["code"] == helped["code"] == 0
+    assert alone["shared"] == [] and True in helped["shared"]
+    assert helped["csv"] == alone["csv"]
+    assert helped["failing"] == alone["failing"]
+    assert helped["notes"] == alone["notes"]
+    assert "ValueError: reference vector has zero norm" in alone["notes"]
+
+
+def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeypatch):
+    # Every CDDHF basis at N = 17 raises: the helper drops its failed
+    # builds, and each cell that needs one builds it again and records
+    # the same note as a sweep without the helper.
+    u_squared = pei.pei_u_squared
+
+    def failing(n):
+        if n == 17:
+            raise RuntimeError("no basis at N = 17")
+        return u_squared(n)
+
+    monkeypatch.setattr(pei, "pei_u_squared", failing)
+    monkeypatch.setattr(bench, "_one_blas_thread", lambda: True)
+    cache.shared.clear()  # no N = 17 basis is left from another test
+    kwargs = dict(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16, 17])
+    helped = bench.run_bench(**kwargs)
+    monkeypatch.setattr(linalg, "_idle_helper", lambda: None)
+    alone = bench.run_bench(**kwargs)
+    assert bench.emit_table(helped) == bench.emit_table(alone)
+    assert [r.note for r in helped.records] == [r.note for r in alone.records]
+    assert {r.note for r in alone.records if r.n_samples == 17} == {
+        "RuntimeError: no basis at N = 17"}
+
+
+def test_the_sweep_keeps_to_the_caller_unless_blas_has_one_thread(two_cpus, monkeypatch):
+    # With BLAS free to run a thread per CPU the helper's builds would
+    # contend with the caller's products, so the sweep never asks for it.
     def refuses():
         raise AssertionError("the helper was asked for")
 
     monkeypatch.setattr(linalg, "_idle_helper", refuses)
-    table = bench.run_bench()
-    assert len(table.records) == 36
+    monkeypatch.setattr(bench, "_one_blas_thread", lambda: False)
+    table = bench.run_bench(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16])
+    assert len(table.records) == 8
+
+
+@pytest.mark.parametrize("env, one", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, True),
+    ({"MKL_NUM_THREADS": "1"}, False),
+])
+def test_blas_is_one_thread_where_the_variable_openblas_reads_first_says_so(
+        monkeypatch, env, one):
+    for var in (*bench._BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert bench._one_blas_thread() is one
+
+
+def test_new_factors_never_share(monkeypatch):
+    # A stream of new factors at N = 512 applies each operator in
+    # factored form: it never reaches the helper.
+    def refuses():
+        raise AssertionError("the helper was asked for")
+
+    monkeypatch.setattr(linalg, "_idle_helper", refuses)
     rng = np.random.default_rng(512)
     for i, m in enumerate(np.exp(rng.uniform(np.log(0.25), np.log(4.0), 64))):
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
