@@ -34,10 +34,10 @@ helpers; failures of individual cells are recorded as NaN entries with
 a note rather than aborting the sweep.  Numbers are serialized with 17
 significant digits — exact round-trip for IEEE doubles.
 
-A sweep knows every (N, M, scheme) before its first cell, so where the
-process may run on two CPUs, its environment pins BLAS to one thread
-(:func:`_one_blas_thread`) and :mod:`opscale.linalg`'s helper thread is
-idle, ``run_bench`` hands the helper the sweep's independent cold builds, the
+A sweep knows every (N, M, scheme) before its first cell, so where
+:mod:`opscale.linalg`'s helper thread is idle and its rule lets it run
+(two CPUs, BLAS pinned to one thread: :func:`opscale.linalg._idle_helper`),
+``run_bench`` hands the helper the sweep's independent cold builds, the
 CDDHF bases of the later M and the generator decompositions
 (:func:`_cold_builds`), while the caller runs the cells in canonical
 order.  Both threads go through the same cached builders, whose caches
@@ -55,7 +55,6 @@ Xeon).
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -313,27 +312,6 @@ def _generator_eig(n_samples: int, scheme: IndexScheme) -> None:
     operator_set(n_samples, scheme).generator_eig
 
 
-#: The variables OpenBLAS, numpy's usual BLAS, takes its thread count
-#: from, in the order it reads them.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _one_blas_thread() -> bool:
-    """Whether the first of ``_BLAS_THREAD_VARS`` set to a positive integer is 1.
-
-    Without one, BLAS runs a thread per CPU, and :func:`run_bench` keeps
-    the sweep on the caller (module docstring).
-    """
-    for var in _BLAS_THREAD_VARS:
-        try:
-            threads = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads == 1
-    return False
-
-
 def run_bench(
     functions: Iterable[TestFunction] | None = None,
     methods: Iterable[Method] | None = None,
@@ -402,7 +380,7 @@ def run_bench(
             except Exception:  # the cell that needs it builds it again and records the note
                 pass
 
-    helper = linalg._idle_helper() if builds and _one_blas_thread() else None
+    helper = linalg._idle_helper() if builds else None
     if helper is None:
         run_groups()
     else:

@@ -99,32 +99,38 @@ its part (:func:`_real_dot`), a quarter of the bytes of the dense
 complex matrix, and an adjoint through the transposed view, or as
 ``conj(conj(x) M)`` for a complex block: no copy of ``M^H``.
 
-Above ``_SPLIT_BYTES`` (2 MiB) of blocks, and where the process may run
-on two CPUs or more (``os.sched_getaffinity``), :meth:`GridUnitary.dot`
-shares its products with the module's one helper thread
-(:class:`_Helper`): on two blocks, one block per thread; on one complex
-block, two slabs of its product, ``M[r] x`` by rows forward and
-``conj(conj(x) M[:, c])`` by columns for the adjoint, cut at ``k // 2``
-rounded down to a multiple of 64, each written straight into its part of
-the result (:func:`_split_jobs`).  A caller posts its second job only if
-the helper is idle; otherwise it does all the work itself, so no caller
-waits on another's job.  The premise is that of :func:`_row_blocks`:
-with one BLAS thread each entry of a slab is summed as in the whole
-product, so the result is bit-identical to the unshared one (measured
-for complex blocks of 513 to 1100 rows).  A real block is never cut, as its product,
-one real product with two columns, rounds otherwise by row slabs from k =
-709 on.  numpy's ``matmul``, which the adjoint of a column slab runs,
-keeps the GIL for a result of 500 entries or fewer, so the caller's slab
-of an adjoint takes 512 columns at least; a whole block's adjoint runs
-``np.dot``, which releases it at every size.  With more BLAS threads the split
-does not pay, and a shared result differs from an unshared one at
-rounding level.  A forked child has none of its parent's threads: an
-``os.register_at_fork`` hook drops the helper there, and the child's
-first shared apply starts its own.  The helper is a daemon thread, so it
-never holds an exiting interpreter open.  :func:`opscale.bench.run_bench`
-posts it one job too, the cold builds of a sweep, through the same
-``idle`` rule (:meth:`_Helper.run`), where the environment pins BLAS to
-one thread.
+The module has one helper thread (:class:`_Helper`), and one rule for
+it: it runs only where BLAS is pinned to one thread and the process may
+run on two CPUs or more (:func:`_idle_helper`).  A caller posts it a job
+only if it is idle; otherwise it does all the work itself, so no caller
+waits on another's job.  Three kinds of work share it:
+
+* :meth:`GridUnitary.dot`, above ``_SPLIT_BYTES`` (2 MiB) of blocks: on
+  two blocks, one block per thread; on one complex block, two slabs of
+  its product, ``M[r] x`` by rows forward and ``conj(conj(x) M[:, c])``
+  by columns for the adjoint, cut at ``k // 2`` rounded down to a
+  multiple of 64 (:func:`_split_jobs`).  A real block is never cut, as
+  its product, one real product with two columns, rounds otherwise by row
+  slabs from k = 709 on.  numpy's ``matmul``, which the adjoint of a
+  column slab runs, keeps the GIL for a result of 500 entries or fewer,
+  so the caller's slab of an adjoint takes 512 columns at least.
+* the slab loops of a build of k > 512, where a real k x k array is above
+  ``_SPLIT_BYTES`` (:func:`_dealt`): the row and column passes of
+  :func:`_write_real_form` and :func:`_real_form_block`, the triangle
+  slabs of :func:`_unitarity_residual`, and in :func:`real_form_eig` the
+  row blocks of ``s Q`` for k up to ``_ROW_BLOCKS_MEASURED`` (one
+  product where not shared) and the slabs of V.  Each thread takes the next
+  slab until none is left, in its own buffers.  ``Q^T Q`` stays one
+  product, and the solve one ``eigh``.
+* :func:`opscale.bench.run_bench`'s cold builds of a sweep (:meth:`_Helper.run`).
+
+The premise is that of :func:`_row_blocks`: with one BLAS thread each
+slab is summed as in the whole product or transform, so every result is
+bit-identical to the unshared one.  With more BLAS threads sharing does
+not pay, and a shared result would differ at rounding level.  A forked
+child has none of its parent's threads: an ``os.register_at_fork`` hook
+drops the helper there, and the child starts its own.  The helper is a
+daemon thread, so it never holds an exiting interpreter open.
 
 A block is assembled straight into its final array, a row block at a
 time, with no k x k temporary:
@@ -136,7 +142,8 @@ time, with no k x k temporary:
   real products, ``(Q[r] cos) Q^T`` and ``(Q[r] sin) Q^T``, and Z
   transforms its rows straight into the result; then Z runs down the
   conjugated columns, 48 at a time, in place: ``M = Z conj(conj(W) Z)``,
-  as Z is symmetric.  Two complex buffers of a row block serve both.
+  as Z is symmetric.  The two products are written into the result's
+  own rows, and one complex buffer of a row block serves both passes.
 
 ``Q^T`` is a view, so no transposed copy is made.  Row
 blocks are 96 rows from row 0, and a last block of fewer than 48 rows
@@ -437,6 +444,10 @@ UNITARITY_TOL = 1e-10
 #: of it per product of the dense check and columns per transform.
 _ROW_BLOCK = 96
 
+#: The largest k at which row blocks were measured to sum as the whole
+#: product at every k (:func:`_row_blocks`).
+_ROW_BLOCKS_MEASURED = 1100
+
 #: Unit roundoff ``u`` of float64.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
@@ -631,13 +642,14 @@ class HermitianEigenDecomposition:
     def eigenvectors(self) -> np.ndarray:
         """The unitary ``V = Z Q`` whose column ``k`` pairs with ``eigenvalues[k]``.
 
-        Built on each request as a new read-only array
-        (:func:`_transformed_columns`) and not kept.
+        Built on each request as a new read-only array, 48 columns at a
+        time (:func:`_transformed_slab`), and not kept.
         """
         k = self.block_size
         v = np.empty((k, k), dtype=complex)
-        for cols, slab in _transformed_columns(self.basis, self.transform):
-            v[:, cols] = slab
+        work = _slab_work(k)
+        for cols in _column_slabs(k):
+            v[:, cols] = _transformed_slab(self.basis, cols, self.transform, work)
         v.setflags(write=False)
         return v
 
@@ -754,20 +766,23 @@ def _write_real_form(a: np.ndarray, transform, s: np.ndarray, scale: float) -> f
     are bit-identical to them.
     """
     k = a.shape[0]
-    step = _ROW_BLOCK // 2
-    buffer = np.empty(min(step, k) * k, dtype=complex)
-    for start in range(0, k, step):
-        rows = a[start:start + step]
-        x = buffer[:rows.size].reshape(rows.shape)
-        x[...] = rows
-        transform(x, rows, axis=1)  # the rows of A Z
-    del buffer
-    highs, lows = [], []
-    for cols, slab in _transformed_columns(a, transform):  # Z conj(A Z): Re S and -Im S
+    slabs = _column_slabs(k)
+
+    def rows_of_az(rows, buffer):
+        part = a[rows]
+        x = buffer[:part.size].reshape(part.shape)
+        x[...] = part
+        transform(x, part, axis=1)  # the rows of A Z
+
+    def real_part(cols, work):  # Z conj(A Z): Re S and -Im S
+        slab = _transformed_slab(a, cols, transform, work)
         s[:, cols] = slab.real
-        highs.append(float(slab.imag.max(initial=0.0)))
-        lows.append(float(slab.imag.min(initial=0.0)))
-    imag_resid = max(max(highs, default=0.0), -min(lows, default=0.0))
+        return max(float(slab.imag.max(initial=0.0)), -float(slab.imag.min(initial=0.0)))
+
+    row_buffer = partial(np.empty, min(_ROW_BLOCK // 2, k) * k, dtype=complex)
+    _dealt(slabs, rows_of_az, row_buffer(), row_buffer)
+    imag_resid = max(_dealt(slabs, real_part, _slab_work(k), partial(_slab_work, k)),
+                     default=0.0)
     if not imag_resid < REALNESS_RTOL * scale:
         raise ArithmeticError(
             f"real form is not real: max|Im(Z^H A Z)| = {imag_resid:.3e} "
@@ -886,7 +901,12 @@ def real_form_eig(
         raise ArithmeticError(
             f"eigenvector columns not orthonormal: max|V^H V - I| <= {gram_resid:.3e}"
         )
-    recon = s @ q
+    # s Q: one product on one thread, which is faster than row blocks; row
+    # blocks where shared, only as far as they are known to sum as the whole.
+    recon = np.empty((k, k))
+    _dealt(_row_blocks(k) if k <= _ROW_BLOCKS_MEASURED else [],
+           lambda rows, _: np.matmul(s[rows], q, out=recon[rows]), None,
+           lambda: None, whole=lambda: np.matmul(s, q, out=recon))
     for rows in _row_blocks(k):
         recon[rows] -= q[rows] * lam
     s_resid = float(np.abs(recon, out=recon).max(initial=0.0))
@@ -897,7 +917,9 @@ def real_form_eig(
     del q
     v_norms = np.empty(k)
     signs, pair_sq = (None, None) if involution is None else (np.empty(k), np.empty(k))
-    for cols, slab in _transformed_columns(s, transform):
+
+    def columns_of_v(cols, work):
+        slab = _transformed_slab(s, cols, transform, work)
         parts = slab.view(float).reshape(k, -1, 2)
         v_norms[cols] = np.einsum("ijc,ijc->j", parts, parts)
         if involution is not None:
@@ -906,6 +928,8 @@ def real_form_eig(
             signs[cols] = np.where(np.einsum("ij,ij->j", pair, partner) < 0, -1.0, 1.0)
             pair -= partner * signs[cols]
             pair_sq[cols] = np.einsum("ij,ij->j", pair, pair)
+
+    _dealt(_column_slabs(k), columns_of_v, _slab_work(k), partial(_slab_work, k))
     drift = float(abs(v_norms - q_norms).max(initial=0.0))
     norm_tol = (1 + eta) ** 2 * (1 + _gamma(2 * k)) / (1 - _gamma(k)) - 1
     if not drift <= norm_tol * float(q_norms.max(initial=0.0)):
@@ -1146,24 +1170,29 @@ def _block_entries(k: int) -> int:
     return max(r.stop - r.start for r in _row_blocks(k)) * k
 
 
-def _transformed_columns(q: np.ndarray, transform):
-    """Yield ``(cols, Z conj(q[:, cols]))``, 48 columns at a time, for a k x k q.
-
-    ``Z q[:, cols]`` for a real q.  Each slab is conjugated and
-    transformed in two buffers of 48 columns owned by this call, so no k
-    x k complex copy of q is made, and the slab yielded is overwritten by
-    the next one.  Every column goes through the same pointwise products
-    and FFT as in a transform of the whole ``conj(q)``, so the columns
-    are bit-identical to it.
-    """
-    k = q.shape[0]
+def _column_slabs(k: int) -> list[slice]:
+    """The slabs of 48 columns (or rows) of a k x k matrix, from the first."""
     step = _ROW_BLOCK // 2
-    work = np.empty((2, k * min(step, k)), dtype=complex)
-    for start in range(0, k, step):
-        cols = slice(start, min(start + step, k))
-        shape = (k, cols.stop - start)
-        x = np.conjugate(q[:, cols], out=work[0, :shape[0] * shape[1]].reshape(shape))
-        yield cols, transform(x, work[1, :x.size].reshape(shape), axis=0)
+    return [slice(start, min(start + step, k)) for start in range(0, k, step)]
+
+
+def _slab_work(k: int) -> np.ndarray:
+    """Two complex buffers of one slab of a k x k matrix (:func:`_column_slabs`)."""
+    return np.empty((2, k * min(_ROW_BLOCK // 2, k)), dtype=complex)
+
+
+def _transformed_slab(q: np.ndarray, cols: slice, transform, work: np.ndarray) -> np.ndarray:
+    """``Z conj(q[:, cols])`` for a k x k q, in the buffers ``work`` (:func:`_slab_work`).
+
+    ``Z q[:, cols]`` for a real q.  The slab is conjugated into the first
+    buffer and transformed into the second, which the result is a view
+    of, so no k x k complex copy of q is made.  Every column goes through
+    the same pointwise products and FFT as in a transform of the whole
+    ``conj(q)``, so the columns are bit-identical to it.
+    """
+    shape = (q.shape[0], cols.stop - cols.start)
+    x = np.conjugate(q[:, cols], out=work[0][:shape[0] * shape[1]].reshape(shape))
+    return transform(x, work[1][:x.size].reshape(shape), axis=0)
 
 
 def _unitarity_residual(m: np.ndarray) -> float:
@@ -1171,22 +1200,21 @@ def _unitarity_residual(m: np.ndarray) -> float:
 
     ``M^H M`` is Hermitian, so a block of 48 rows is formed only from its
     diagonal on, ``M[:, r]^H M[:, a:]`` with a the first row of r, in two
-    complex buffers of 48 rows allocated here.
+    complex buffers of 48 rows allocated here (:func:`_dealt`).
     """
     k = m.shape[0]
-    step = _ROW_BLOCK // 2
-    work = np.empty((2, min(step, k) * k), dtype=complex)
-    resid = 0.0
-    for a in range(0, k, step):
-        n = min(step, k - a)
-        left = m[:, a:a + n].T
+
+    def block(rows, work):
+        a, n = rows.start, rows.stop - rows.start
+        left = m[:, rows].T
         if m.dtype.kind == "c":
             left = np.conjugate(left, out=work[0, :n * k].reshape(n, k))
         gram = np.matmul(left, m[:, a:], out=work[1].view(m.dtype)[:n * (k - a)].reshape(n, k - a))
         gram.reshape(-1)[:n * (k - a + 1):k - a + 1] -= 1
         mag = np.abs(gram, out=work[0].view(float)[:gram.size].reshape(gram.shape))
-        resid = max(resid, float(mag.max(initial=0.0)))
-    return resid
+        return float(mag.max(initial=0.0))
+
+    return max([0.0, *_dealt(_column_slabs(k), block, _slab_work(k), partial(_slab_work, k))])
 
 
 def _rotation(eig: HermitianEigenDecomposition, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1236,28 +1264,34 @@ def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.nda
     ``(Q[r] sin) Q^T``, whose rows Z transforms straight into ``out[r]``;
     then Z runs down the conjugated columns of out, 48 at a time, and
     writes them back: ``M = Z conj(conj(W) Z)``, Z symmetric (step 9).
-    Two complex buffers of a row block serve both passes.
+    The two products are written into ``out[r]``'s float view, and
+    ``conj(W)[r]`` is formed over the spent left operand in one complex
+    buffer, which also holds both of a column slab's buffers; each thread
+    that shares the passes (:func:`_dealt`) has one.
     """
     k = eig.block_size
     q, transform = eig.basis, eig.transform
     angles = theta * eig.eigenvalues
     cos, sin = np.cos(angles), np.sin(angles)
-    work = np.empty((2, _block_entries(k)), dtype=complex)
-    for rows in _row_blocks(k):
+    slab = k * min(_ROW_BLOCK // 2, k)
+
+    def rows_of_m(rows, work):
         n = rows.stop - rows.start
-        left = work[0].view(float)[:n * k].reshape(n, k)
-        product = work[1, :n * k].view(float).reshape(2, n, k)
+        left = work.view(float)[:n * k].reshape(n, k)
+        product = out[rows].view(float).reshape(2, n, k)
         for part, phase in zip(product, (cos, sin)):
             np.matmul(np.multiply(q[rows], phase, out=left), q.T, out=part)
-        x = work[0, :n * k].reshape(n, k)  # conj(W)[r], over the spent left operand
+        x = work[:n * k].reshape(n, k)  # conj(W)[r], over the spent left operand
         x.real, x.imag = product
         transform(x, out[rows], axis=1)
-    step = min(_ROW_BLOCK // 2, k)
-    for start in range(0, k, step):
-        cols = slice(start, min(start + step, k))
-        shape = (k, cols.stop - start)
-        x = np.conjugate(out[:, cols], out=work[0, :shape[0] * shape[1]].reshape(shape))
-        out[:, cols] = transform(x, work[1, :x.size].reshape(shape), axis=0)
+
+    def columns_of_m(cols, work):
+        out[:, cols] = _transformed_slab(out, cols, transform, work[:2 * slab].reshape(2, slab))
+
+    buffer = partial(np.empty, max(_block_entries(k), 2 * slab), dtype=complex)
+    work = buffer()
+    _dealt(_row_blocks(k), rows_of_m, work, buffer)
+    _dealt(_column_slabs(k), columns_of_m, work, buffer)
 
 
 def _unitary_block(
@@ -1333,7 +1367,8 @@ def _block_dot(m: np.ndarray, x: np.ndarray, adjoint: bool, out=None) -> np.ndar
 
 
 #: Bytes of assembled blocks above which :meth:`GridUnitary.dot` shares
-#: its products with the helper thread (module docstring).
+#: its products with the helper thread, and of a real k x k array above
+#: which a build's slab loops do (:func:`_dealt`; module docstring).
 _SPLIT_BYTES = 2 << 20
 
 #: One complex block's product is cut at a multiple of this many rows.
@@ -1363,10 +1398,12 @@ class _Helper:
         while True:
             self._posted.acquire()
             work, done, errors = self._job
+            self._job = None
             try:
                 work()
             except BaseException as exc:  # handed to the caller, which raises it
                 errors.append(exc)
+            del work, errors  # nothing of a finished job is kept alive here
             self.idle.release()
             done.release()
 
@@ -1396,10 +1433,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+#: The variables OpenBLAS, numpy's usual BLAS, takes its thread count
+#: from, in the order it reads them.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _one_blas_thread() -> bool:
+    """Whether the first of ``_BLAS_THREAD_VARS`` set to a positive integer is 1.
+
+    Without one, BLAS runs a thread per CPU, and the helper thread is
+    never used (:func:`_idle_helper`).
+    """
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads == 1
+    return False
+
+
 def _idle_helper() -> _Helper | None:
-    """The process's helper thread, its ``idle`` acquired; None if it is busy or one CPU is usable."""
+    """The process's helper thread, its ``idle`` acquired.
+
+    None unless BLAS is pinned to one thread (:func:`_one_blas_thread`)
+    and two CPUs are usable, or if the helper is busy.
+    """
     global _helper
-    if _usable_cpus() < 2:
+    if not _one_blas_thread() or _usable_cpus() < 2:
         return None
     if _helper is None:
         with _helper_lock:
@@ -1416,6 +1478,31 @@ def _forget_helper() -> None:
 
 if hasattr(os, "register_at_fork"):  # a platform without fork has no forked child
     os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _dealt(slabs: list, body, buffers, spare, whole=None) -> list:
+    """``[body(slab, buffers) for slab in slabs]``, or ``whole()``, shared with the helper where it pays.
+
+    Where a real k x k array, k the end of the last slab, is above
+    ``_SPLIT_BYTES`` and the helper is idle (:func:`_idle_helper`), the
+    caller and the helper each take the next slab from one list until
+    none is left, the helper in the buffers ``spare()`` allocates, and the
+    results come back in slab order; each body writes only its slab's
+    part of the caller's arrays.  Otherwise the caller runs the loop alone
+    as it stands: ``whole()`` when given, else every slab in order.
+    """
+    helper = _idle_helper() if slabs and 8 * slabs[-1].stop ** 2 > _SPLIT_BYTES else None
+    if helper is None:
+        return whole() if whole is not None else [body(slab, buffers) for slab in slabs]
+    results = [None] * len(slabs)
+    queue = enumerate(slabs)  # each next() hands out one slab, under the GIL
+
+    def drain(work):
+        for i, slab in queue:
+            results[i] = body(slab, work)
+
+    helper.run(lambda: drain(spare()), partial(drain, buffers))
+    return results
 
 
 def _share(jobs) -> None:

@@ -59,8 +59,8 @@ paths to ``M_M x``:
   with no copy of ``M^H`` (the same cost within timing noise, 1 BLAS
   thread on a shared 2-core Xeon: 0.66-0.71 against 0.70-0.85 ms at N =
   1024 ordinary, 0.20-0.23 against 0.19 ms at 1024 centered).  Above 2
-  MiB of blocks, on two CPUs, the product is shared with
-  :mod:`opscale.linalg`'s helper thread, bit for bit: 0.40 ms at N = 1024
+  MiB of blocks, on two CPUs with BLAS pinned to one thread, the product
+  is shared with :mod:`opscale.linalg`'s helper thread, bit for bit: 0.40 ms at N = 1024
   ordinary, 0.12-0.15 ms at 1024 centered.
 
 Assembling costs about k^3 multiply-adds, and each factored apply about

@@ -64,6 +64,30 @@ def forked_exit_code(child, timeout: float = 30) -> int:
 
 
 @pytest.fixture
+def two_cpus(monkeypatch):
+    """linalg's helper thread runs wherever asked, even on one CPU or without the BLAS pin."""
+    from opscale import linalg
+
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(linalg, "_one_blas_thread", lambda: True)
+
+
+@pytest.fixture
+def helper_posts(monkeypatch) -> list:
+    """One entry per job posted to linalg's helper thread."""
+    from opscale import linalg
+
+    posts, run = [], linalg._Helper.run
+
+    def counting(self, work, here):
+        posts.append(1)
+        return run(self, work, here)
+
+    monkeypatch.setattr(linalg._Helper, "run", counting)
+    return posts
+
+
+@pytest.fixture
 def identity_residual_calls(monkeypatch) -> list:
     """Shapes of the products any opscale module hands to ``identity_residual``."""
     from opscale.linalg import identity_residual

@@ -1,4 +1,4 @@
-"""``tools/cold_peak.py``: the memory of one cold decomposition per grid, and of the cold sweep, in fresh interpreters."""
+"""``tools/cold_peak.py``: the memory of one cold decomposition per grid, of the cold sweep and of a cold first request, in fresh interpreters."""
 
 import importlib.util
 import os
@@ -34,4 +34,18 @@ def test_the_sweep_target_prints_the_peak_and_wall_time_with_and_without_the_hel
     assert header == ["sweep", "helper", "maxrss_kib", "wall_s"]
     assert [row[:2] for row in rows] == [["sweep", "on"], ["sweep", "off"]]
     for _, _, maxrss, wall in rows:
+        assert int(maxrss) > 0 and float(wall) > 0
+
+
+def test_the_first_target_prints_the_peak_and_wall_time_of_a_cold_request_at_n_1024(capsys):
+    import opscale
+
+    checkout = Path(opscale.__file__).resolve().parent.parent.parent
+    assert cold_peak.main(["first", "--checkout", str(checkout)]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["first", "n", "scheme", "helper", "maxrss_kib", "wall_s"]
+    assert [row[:4] for row in rows] == [["first", "1024", scheme, helper]
+                                         for scheme in ("ordinary", "centered")
+                                         for helper in ("on", "off")]
+    for *_, maxrss, wall in rows:
         assert int(maxrss) > 0 and float(wall) > 0

@@ -949,9 +949,9 @@ class TestRealFormAssemblyMemory:
 
     @pytest.mark.parametrize("scheme, limit", [
         # One complex block of 1024, its rows computed 96 at a time, then
-        # its columns transformed 48 at a time, in two complex buffers of
-        # 96 rows (1.20 measured).
-        (IndexScheme.ORDINARY, 1.35),
+        # its columns transformed 48 at a time, in one complex buffer of
+        # 96 rows (1.10 measured).
+        (IndexScheme.ORDINARY, 1.15),
         # Two real blocks of 512, each assembled beside two real buffers of
         # 96 of its rows (1.22 measured).
         (IndexScheme.CENTERED, 1.4),
@@ -961,6 +961,22 @@ class TestRealFormAssemblyMemory:
         u, peak = TestUnitarityCertificate._traced_peak(
             lambda: unitary_from_eig(eig, 2 * math.pi * math.log(1.7)))
         assert peak <= limit * u.nbytes
+
+    @pytest.mark.parametrize("scheme, limit", [
+        # The helper takes one complex buffer of 96 rows beside the
+        # caller's for each pass, and two of 48 rows for the dense check
+        # (1.21 measured).
+        (IndexScheme.ORDINARY, 1.25),
+        # Paired blocks, certified: nothing is shared (1.22 measured).
+        (IndexScheme.CENTERED, 1.4),
+    ])
+    def test_assembly_at_n_1024_shared_with_the_helper_keeps_the_limit(
+            self, two_cpus, helper_posts, scheme, limit):
+        eig = operator_set(1024, scheme).generator_eig
+        u, peak = TestUnitarityCertificate._traced_peak(
+            lambda: unitary_from_eig(eig, 2 * math.pi * math.log(1.7)))
+        assert peak <= limit * u.nbytes
+        assert bool(helper_posts) == (scheme is IndexScheme.ORDINARY)
 
 
 #: Sizes about the row blocks' edges: one block below 144 rows, two from

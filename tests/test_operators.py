@@ -504,6 +504,23 @@ class TestRealFormCertificate:
             tracemalloc.stop()
         assert peak <= 8_200_000
 
+    @pytest.mark.parametrize("scheme, limit", [(IndexScheme.ORDINARY, 7_800_000),
+                                               (IndexScheme.CENTERED, 8_200_000)])
+    def test_cold_decomposition_with_the_helper_keeps_the_limit(
+            self, two_cpus, helper_posts, scheme, limit):
+        # The two pins above, with the helper thread available: a real
+        # 512 x 512 array is not above linalg._SPLIT_BYTES, so no slab loop
+        # is shared and no second set of buffers is made.
+        ops = _fresh(512, scheme)
+        tracemalloc.start()
+        try:
+            ops.generator_eig
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+        assert helper_posts == []
+
     @pytest.mark.parametrize("n, scheme", [(512, IndexScheme.ORDINARY),
                                            (512, IndexScheme.CENTERED),
                                            (511, IndexScheme.ORDINARY)])

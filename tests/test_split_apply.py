@@ -1,4 +1,4 @@
-"""Tests for the assembled apply shared with ``linalg``'s helper thread.
+"""Tests for the work shared with ``linalg``'s helper thread.
 
 Above ``linalg._SPLIT_BYTES`` of blocks, :meth:`GridUnitary.dot` runs one
 block per thread, or two slabs of one block's product, the second on a
@@ -6,9 +6,12 @@ helper thread when it is idle.  Each entry of the result is still one
 BLAS product's, so with one BLAS thread the result is bit-identical to
 the whole product.  That premise, and the bit-identity of a split apply,
 are checked in child interpreters with one BLAS thread, as the test
-process may run BLAS on more.  So is the cold sweep, whose independent
-builds :func:`opscale.bench.run_bench` hands to the same helper: its
-table must not change with it.
+process may run BLAS on more.  So are a build's slab loops, which
+``linalg._dealt`` deals between the caller and the helper, and the cold
+sweep, whose independent builds :func:`opscale.bench.run_bench` hands to
+the same helper: no result may change with it.  The helper runs only
+where BLAS is pinned to one thread; the ``two_cpus`` fixture takes the
+pin as set.
 """
 
 import dataclasses
@@ -18,6 +21,8 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -51,12 +56,6 @@ def _blocks(kind: str, n: int, seed: int = 0) -> GridUnitary:
     for m in blocks:
         m.setflags(write=False)
     return GridUnitary(blocks, (None,) * len(blocks))
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The helper runs wherever it is asked to, even on a one-CPU host."""
-    monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
 
 
 PREMISE = r"""
@@ -289,6 +288,105 @@ def test_the_cold_sweep_reads_the_same_with_and_without_the_helper():
     assert "ValueError: reference vector has zero norm" in alone["notes"]
 
 
+BUILDS = r"""
+import hashlib, json, math
+from opscale import linalg
+from opscale.operators import operator_set
+
+linalg._usable_cpus = lambda: 2  # the helper runs even on a one-CPU host
+if MODE == "serial":
+    linalg._idle_helper = lambda: None
+else:
+    linalg._SPLIT_BYTES = 0  # every build shares its slab loops, whatever its size
+posted, run = [], linalg._Helper.run
+def counting(self, work, here):
+    posted.append(1)
+    return run(self, work, here)
+linalg._Helper.run = counting
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+objects = {}
+for n in (143, 144, 145, 191, 192, 193, 512, 630, 1024):
+    for scheme in ("ordinary", "centered"):
+        eig = operator_set(n, scheme).generator_eig
+        u = linalg.unitary_from_eig(eig, 2 * math.pi * math.log(1.7))
+        for i, (block, m) in enumerate(zip(eig.blocks, u.blocks)):
+            residuals = sorted((k, v.hex()) for k, v in block.residuals.items())
+            objects.update({
+                f"{n} {scheme} {i} eigenvalues": digest(block.eigenvalues.tobytes()),
+                f"{n} {scheme} {i} basis": digest(block.basis.tobytes()),
+                f"{n} {scheme} {i} residuals": digest(residuals, block.unitarity_bound.hex()),
+                f"{n} {scheme} {i} factored_certified": block.factored_certified,
+                f"{n} {scheme} {i} assembled": digest(m.tobytes()),
+            })
+        objects[f"{n} {scheme} unitarity_residual"] = [
+            None if r is None else r.hex() for r in u.unitarity_residual]
+        objects[f"{n} {scheme} factored_certified"] = eig.factored_certified
+print(json.dumps({"objects": objects, "posted": len(posted)}))
+"""
+
+
+def test_builds_are_bit_identical_with_and_without_the_helper():
+    # Each build of both schemes about the row blocks' edges and at
+    # N = 512, 630 and 1024, cold in its own one-BLAS-thread interpreter:
+    # the slab loops dealt between the caller and the helper give the
+    # serial loops' eigenvalues, bases, residuals, certificates, assembled
+    # blocks and measured unitarity, bit for bit.
+    alone = _one_blas_thread_child('MODE = "serial"' + BUILDS)
+    helped = _one_blas_thread_child('MODE = "helped"' + BUILDS)
+    assert alone["posted"] == 0 and helped["posted"] > 0
+    assert helped["objects"].keys() == alone["objects"].keys()
+    differ = [key for key, value in alone["objects"].items() if helped["objects"][key] != value]
+    assert differ == []
+    checked = [key for key, value in alone["objects"].items()
+               if key.endswith("unitarity_residual") and value != [None]]
+    assert checked  # the dense check ran, shared, on some grids
+
+
+def test_concurrent_dealt_loops_run_every_slab_once_in_slab_order(
+        two_cpus, helper_posts, monkeypatch):
+    # Eight callers at once, with a short switch interval: whichever of
+    # them holds the helper deals it slabs from one list, the others run
+    # alone, and every call still runs each slab once, each in one
+    # thread's own buffer, with its results in slab order.
+    monkeypatch.setattr(linalg, "_SPLIT_BYTES", 0)
+    slabs = [slice(start, start + 3) for start in range(0, 120, 3)]
+    errors = []
+
+    def body(slab, buffer):
+        buffer[0] = slab.start
+        np.dot(np.ones((32, 32)), np.ones(32))  # releases the GIL
+        return buffer[0] * 2
+
+    def caller():
+        try:
+            for _ in range(40):
+                done = linalg._dealt(slabs, body, np.zeros(1), partial(np.zeros, 1))
+                if done != [2 * slab.start for slab in slabs]:
+                    errors.append(done)
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < len(helper_posts) < 8 * 40
+
+
 def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeypatch):
     # Every CDDHF basis at N = 17 raises: the helper drops its failed
     # builds, and each cell that needs one builds it again and records
@@ -301,7 +399,6 @@ def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeyp
         return u_squared(n)
 
     monkeypatch.setattr(pei, "pei_u_squared", failing)
-    monkeypatch.setattr(bench, "_one_blas_thread", lambda: True)
     cache.shared.clear()  # no N = 17 basis is left from another test
     kwargs = dict(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16, 17])
     helped = bench.run_bench(**kwargs)
@@ -313,16 +410,37 @@ def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeyp
         "RuntimeError: no basis at N = 17"}
 
 
-def test_the_sweep_keeps_to_the_caller_unless_blas_has_one_thread(two_cpus, monkeypatch):
+def test_the_sweep_keeps_to_the_caller_unless_blas_has_one_thread(
+        two_cpus, helper_posts, monkeypatch):
     # With BLAS free to run a thread per CPU the helper's builds would
-    # contend with the caller's products, so the sweep never asks for it.
-    def refuses():
-        raise AssertionError("the helper was asked for")
-
-    monkeypatch.setattr(linalg, "_idle_helper", refuses)
-    monkeypatch.setattr(bench, "_one_blas_thread", lambda: False)
+    # contend with the caller's products, so the sweep never posts to it.
+    monkeypatch.setattr(linalg, "_one_blas_thread", lambda: False)
     table = bench.run_bench(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16])
     assert len(table.records) == 8
+    assert helper_posts == []
+
+
+def test_no_apply_or_build_shares_unless_blas_has_one_thread(two_cpus, helper_posts, monkeypatch):
+    # One rule for every use of the helper: unpinned, a shared apply is
+    # slower than BLAS's own two threads, and a build's loops would run
+    # two BLAS threads per product on two CPUs.
+    monkeypatch.setattr(linalg, "_one_blas_thread", lambda: False)
+    assert linalg._idle_helper() is None
+    u = _blocks("whole", 1024)
+    x = np.random.default_rng(3).standard_normal(1024) + 0j
+    assert np.max(np.abs(u.dot(x) - u.dense() @ x)) <= 1e-12 * 1024 * np.linalg.norm(x)
+    assert linalg._unitarity_residual(u.blocks[0]) > 0
+    assert helper_posts == []
+
+
+def test_a_finished_job_is_not_kept_alive_by_the_helper(two_cpus):
+    big = np.ones(2 << 20)  # 16 MiB, referenced only by the job below
+    alive = weakref.ref(big)
+    job = partial(np.sum, big)
+    del big
+    linalg._share([lambda: None, job])
+    del job
+    assert alive() is None
 
 
 @pytest.mark.parametrize("env, one", [
@@ -336,11 +454,11 @@ def test_the_sweep_keeps_to_the_caller_unless_blas_has_one_thread(two_cpus, monk
 ])
 def test_blas_is_one_thread_where_the_variable_openblas_reads_first_says_so(
         monkeypatch, env, one):
-    for var in (*bench._BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
+    for var in (*linalg._BLAS_THREAD_VARS, "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert bench._one_blas_thread() is one
+    assert linalg._one_blas_thread() is one
 
 
 def test_new_factors_never_share(monkeypatch):

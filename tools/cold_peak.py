@@ -2,6 +2,7 @@
 
     python3 tools/cold_peak.py N:SCHEME [N:SCHEME ...] [--checkout DIR]
     python3 tools/cold_peak.py sweep [--checkout DIR]
+    python3 tools/cold_peak.py first [--checkout DIR]
 
 For each grid, such as ``512:ordinary`` or ``1024:centered``, a fresh
 interpreter imports opscale from ``src/`` of the checkout (by default the
@@ -23,6 +24,15 @@ with the helper thread that builds its bases and decompositions
 run gives whether the helper was available, the interpreter's
 ``ru_maxrss`` at exit in KiB, and the sweep's wall time in seconds.  The
 helper runs only where the process may use two CPUs or more.
+
+The ``first`` target times the first ``scale_signal`` request at N =
+1024, ordinary and then centered, each in a fresh interpreter with one
+BLAS thread, with the helper thread that shares the slab loops of its
+decomposition and assembly and then without it.  The request builds
+the grid's operators and decomposition and, on the ordinary grid,
+assembles the operator and checks it.  One line per run gives the grid,
+whether the helper was available, ``ru_maxrss`` at exit in KiB and the
+request's wall time in seconds.
 """
 
 from __future__ import annotations
@@ -68,6 +78,26 @@ print(json.dumps({"code": code, "maxrss_kib": maxrss, "wall_s": wall}))
 """
 
 
+FIRST_CHILD = """
+import json, resource, sys, time
+import numpy as np
+from opscale import ScalingSpec, linalg, scale_signal
+
+n, scheme = int(sys.argv[1]), sys.argv[2]
+if sys.argv[3] == "off":
+    linalg._idle_helper = lambda: None
+x = np.cos(0.37 * np.arange(n)) + 1j * np.sin(0.11 * np.arange(n))
+start = time.perf_counter()
+scale_signal(x, ScalingSpec(2.0, n, scheme))
+wall = time.perf_counter() - start
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"maxrss_kib": maxrss, "wall_s": wall}))
+"""
+
+#: The grid of the ``first`` target.
+FIRST_N = 1024
+
+
 def _child(code: str, args: list, checkout: Path) -> dict:
     """The JSON a fresh one-BLAS-thread interpreter running ``code`` prints."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -91,8 +121,13 @@ def measure_sweep(helper: bool, checkout: Path) -> dict:
     return result
 
 
+def measure_first(scheme: str, helper: bool, checkout: Path) -> dict:
+    """``ru_maxrss`` and wall time of the first request at N = 1024, in a fresh interpreter."""
+    return _child(FIRST_CHILD, [str(FIRST_N), scheme, "on" if helper else "off"], checkout)
+
+
 def _grid(text: str) -> tuple[int, str] | str:
-    if text == "sweep":
+    if text in ("sweep", "first"):
         return text
     n, _, scheme = text.partition(":")
     if not n.isdigit() or int(n) < 1 or scheme not in ("ordinary", "centered"):
@@ -102,10 +137,10 @@ def _grid(text: str) -> tuple[int, str] | str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("grids", nargs="+", type=_grid, metavar="N:SCHEME or sweep")
+    parser.add_argument("grids", nargs="+", type=_grid, metavar="N:SCHEME, sweep or first")
     parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
-    grids = [g for g in args.grids if g != "sweep"]
+    grids = [g for g in args.grids if g not in ("sweep", "first")]
     if grids:
         print(f"{'n':>6} {'scheme':<9} {'traced_peak':>12} {'per_n2':>7} {'maxrss_rise_kib':>16}")
     for n, scheme in grids:
@@ -118,6 +153,13 @@ def main(argv=None) -> int:
             r = measure_sweep(helper, args.checkout)
             print(f"{'sweep':<6} {'on' if helper else 'off':<6} {r['maxrss_kib']:>10} "
                   f"{r['wall_s']:>7.3f}")
+    if "first" in args.grids:
+        print(f"{'first':<6} {'n':>5} {'scheme':<9} {'helper':<6} {'maxrss_kib':>10} {'wall_s':>7}")
+        for scheme in ("ordinary", "centered"):
+            for helper in (True, False):
+                r = measure_first(scheme, helper, args.checkout)
+                print(f"{'first':<6} {FIRST_N:>5} {scheme:<9} {'on' if helper else 'off':<6} "
+                      f"{r['maxrss_kib']:>10} {r['wall_s']:>7.3f}")
     return 0
 
 
