@@ -27,30 +27,37 @@ An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.
 
 The caches keyed on the grid alone, ``dft._dft_matrix_cached``,
-``operators.operator_set`` and ``pei._d_squared``, are instances of their
-own whose values are charged 0 bytes, which are never evicted: they
-grow with the number of distinct ``(N, scheme)`` grids, not with M.  An
-operator set holds O(N) arrays plus the generator's real eigenvectors Q
-(8 N^2 bytes, 4 N^2 on a symmetric grid of even N).  The complex
-eigenvectors ``V = Z Q`` are built only for a caller that asks for them,
-and not kept: no assembly builds them.  The N x N F, built in place and kept with the unitarity
+``operators.operator_set`` and ``pei._d_squared``, are instances of
+their own whose values are charged 0 bytes, which are never evicted:
+they grow with the number of distinct ``(N, scheme)`` grids, not with M.
+An operator set holds O(N) arrays plus the generator's real eigenvectors
+Q (8 N^2 bytes, 4 N^2 on a symmetric grid of even N).  It builds that
+decomposition through an instance of its own, with one key charged 0
+bytes: the decomposition goes with its set, and a set built by hand
+decomposes its own arrays.  The complex eigenvectors ``V = Z Q`` are
+built only for a caller that asks for them, and not kept: no assembly
+builds them.  The N x N F, built in place and kept with the unitarity
 residual of its one-triangle check, and the real part of D^2 are built
 only by the comparison methods and for callers that ask for them.  The
-dense reference operators (``diff_matrix``, ``pei_d_squared``) and an operator
-set's dense U, D and generator are functions of the grid, built on each
-request from these caches and not kept.
+dense reference operators (``diff_matrix``, ``pei_d_squared``) and an
+operator set's dense U, D and generator are functions of the grid,
+built on each request from these caches and not kept.
 
-A lock guards the bookkeeping, and builds run outside it, so a slow build
-never holds up callers of other keys.  A thread that misses a key another
-thread is building waits for that build and returns its result, counted
-as a hit, so no key is built twice at once (a cold sweep builds on two
-threads, :func:`opscale.bench.run_bench`).  If that build raises, the
-waiter builds the key itself.  A value charged 0 bytes is found without
-the lock, as the hit of an ``operator_set`` lookup is on the path of
-every :func:`opscale.scaling.scale_signal` call.  A forked child has
-only the thread that forked, so an ``os.register_at_fork`` hook gives
-each instance a new lock and forgets the builds in progress, which no
-thread of the child would finish; the child builds those keys again.
+This class is the package's one way to build a value once: every cached
+value, the decompositions included, is built through it.  A lock guards
+the bookkeeping, and builds run outside it, so a slow build never holds
+up callers of other keys or of other instances.  A thread that misses a
+key another thread is building waits for that build and returns its
+result, counted as a hit, so no key is built twice at once (a cold sweep
+builds on two threads, :func:`opscale.bench.run_bench`).  A build that
+raises stores nothing: a waiter then builds the key itself, and so does
+the next call.  A value charged 0 bytes is found without the lock, as
+the hits of an ``operator_set`` lookup and of its decomposition are on
+the path of every :func:`opscale.scaling.scale_signal` call.  A forked
+child has only the thread that forked, so an ``os.register_at_fork``
+hook gives each instance a new lock and forgets the builds in progress,
+which no thread of the child would finish; the child builds those keys
+again.
 """
 
 from __future__ import annotations

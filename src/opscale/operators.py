@@ -77,10 +77,11 @@ An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
 each) and, once asked for, the generator's eigendecomposition: its
 eigenvalues, its real Q and the transform Z.  Its
 dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
-kept.  :attr:`OperatorSet.generator_eig` forms G once, a row block at a
-time with no N x N temporary, after the arrays its decomposition keeps;
-the real form is then formed in G's own array, which is dropped once S
-is written.
+kept.  :attr:`OperatorSet.generator_eig` is built once per set, through
+the set's own :class:`opscale.cache.ByteBoundedLRU`.  The build forms G
+once, a row block at a time with no N x N temporary, after the arrays
+its decomposition keeps; the real form is then formed in G's own array,
+which is dropped once S is written.
 
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
@@ -114,10 +115,6 @@ are suspended there, and :class:`OperatorSet` flags them via
 from __future__ import annotations
 
 import math
-import os
-import threading
-import weakref
-from functools import cached_property
 
 import numpy as np
 
@@ -210,8 +207,9 @@ class _HalfDft:
 
     A decomposition keeps its transform to apply Z at run time (on an
     asymmetric grid) or to build V on request, from any number of threads
-    at once, so a transform holds only its O(N) phases: every buffer
-    :meth:`apply` writes is the caller's or its own call's.
+    at once, so a transform holds only the O(N) tables it makes when
+    built: every buffer :meth:`apply` writes is the caller's or its own
+    call's.
 
     ``error`` bounds the relative error of Z, and of its restriction to
     either parity block, on any vector: the FFT's
@@ -221,82 +219,33 @@ class _HalfDft:
     def __init__(self, grid: SampleGrid):
         n = grid.n_samples
         self.error = fft_error(n) + _POINTWISE_ERROR
-        self.first = grid.indices[0]
-        self.pre = _label_phase(-self.first, n)
-        self.post = self.pre * (
-            np.exp((-2j * np.pi / n) * np.fmod(self.first * self.first, n)) / math.sqrt(n)
-        )
-
-    @cached_property
-    def _whole(self) -> tuple[np.ndarray, np.ndarray, complex, np.ndarray]:
-        """``(perm, s * sign, (r - s)/s, c3 * post)`` for :meth:`apply`."""
+        first = grid.indices[0]
+        self.pre = _label_phase(-first, n)
+        post = self.pre * (np.exp((-2j * np.pi / n) * np.fmod(first * first, n)) / math.sqrt(n))
         c0, c1, c2, c3 = _HALF_DFT
-        n = self.pre.shape[0]
-        twice = int(2 * self.first)
+        twice = int(2 * first)
         negated = -twice - np.arange(n)  # index of the label -n_m, before wrapping
-        perm = negated % n
-        sign = np.where(twice * ((perm - negated) // n) % 2, -1.0, 1.0)
+        self.perm = negated % n
+        sign = np.where(twice * ((self.perm - negated) // n) % 2, -1.0, 1.0)
         # Z x = c0 (x + s F^2 x) + c3 F (x + r F^2 x), s = c2/c0, r = c1/c3.
-        return perm, sign * (c2 / c0), (c1 / c3 - c2 / c0) / (c2 / c0), self.post * c3
+        self.scaled_sign = sign * (c2 / c0)
+        self.ratio = (c1 / c3 - c2 / c0) / (c2 / c0)
+        self.post3 = post * c3
 
     def apply(self, x: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
         """``out = Z x`` along ``axis`` of the complex matrix x, which is overwritten."""
-        perm, scaled_sign, ratio, post3 = self._whole
         shape = (-1, 1) if axis == 0 else (-1,)
-        np.take(x, perm, axis=axis, out=out, mode="wrap")  # every index is valid: no buffer
-        out *= scaled_sign.reshape(shape)  # s F^2 x
+        np.take(x, self.perm, axis=axis, out=out, mode="wrap")  # every index is valid: no buffer
+        out *= self.scaled_sign.reshape(shape)  # s F^2 x
         x += out
-        out *= ratio
+        out *= self.ratio
         out += x  # x + r F^2 x
         out *= self.pre.reshape(shape)
         np.fft.fft(out, axis=axis, out=out)
-        out *= post3.reshape(shape)
+        out *= self.post3.reshape(shape)
         x *= _HALF_DFT[0]
         out += x
         return out
-
-
-class _built_once:
-    """A cached property built once per instance, under the instance's own lock.
-
-    The first access builds the value while holding ``_build_lock`` and
-    stores it in the instance's ``__dict__``, where every later access
-    finds it without reaching this descriptor.  Two threads asking one
-    instance at once make one build, and instances never wait on each
-    other: ``functools.cached_property`` locks every instance together on
-    Python 3.8-3.11 and does not lock at all from 3.12.  A build that
-    raises stores nothing, and the next access builds again.  A forked
-    child gives every set a new lock (:func:`_after_fork_in_child`), as a
-    lock its parent held during a build would never be released there.
-    """
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        with instance._build_lock:
-            if self.name not in instance.__dict__:
-                instance.__dict__[self.name] = self.build(instance)
-        return instance.__dict__[self.name]
-
-
-#: Every :class:`OperatorSet`, for the fork hook.
-_live_sets = weakref.WeakSet()
-
-
-def _after_fork_in_child() -> None:
-    for ops in list(_live_sets):
-        ops._build_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # a platform without fork has no forked child
-    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 class OperatorSet:
@@ -304,7 +253,9 @@ class OperatorSet:
 
     Instances are built through :func:`operator_set`, which memoizes them
     per ``(n_samples, scheme)``.  An instance keeps O(N) arrays and the
-    generator's decomposition; the dense matrices are built on request,
+    generator's decomposition, which it builds from its own ``u_diagonal``
+    and ``d_column`` in its own memo, so a set built by hand from other
+    arrays decomposes those; the dense matrices are built on request,
     as new read-only arrays that are bit-identical from call to call.
 
     Attributes
@@ -331,8 +282,7 @@ class OperatorSet:
         self.grid_symmetric = bool(
             np.array_equal(np.sort(-grid.indices), grid.indices)
         )
-        self._build_lock = threading.Lock()
-        _live_sets.add(self)
+        self._decomposition = ByteBoundedLRU().memoize()(self._decompose)
 
     @property
     def f(self) -> np.ndarray:
@@ -380,9 +330,14 @@ class OperatorSet:
         g.setflags(write=False)
         return g
 
-    @_built_once
+    @property
     def generator_eig(self) -> GridDecomposition:
-        """Spectral decomposition of the generator (computed once, cached).
+        """Spectral decomposition of the generator, built once and kept.
+
+        It is built on first access through the set's own memo of
+        :class:`~opscale.cache.ByteBoundedLRU`: threads that ask at once
+        make one build, sets build side by side, a build that raises
+        keeps nothing, and a forked child builds again.
 
         A fold and a tuple of blocks (module docstring): G whole, or on
         symmetric grids its even and odd blocks, folded and checked by
@@ -402,6 +357,9 @@ class OperatorSet:
         (1 + max|G|)``), its real form has an imaginary part beyond
         rounding, or a decomposition fails its checks.
         """
+        return self._decomposition()
+
+    def _decompose(self) -> GridDecomposition:
         z = _HalfDft(self.grid)
         if self.grid_symmetric:
             return parity_real_form_eig(self._formed_generator, self.n_samples, z.apply, z.error)

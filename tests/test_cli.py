@@ -117,10 +117,11 @@ class TestGen:
     @pytest.mark.parametrize("n", [1, 4, 7, 16])
     @pytest.mark.parametrize("scheme", ["ordinary", "centered"])
     def test_dense_operators_round_trip_the_library_matrices_exactly(self, capsys, n, scheme):
-        code, out, _ = run_cli(capsys, "gen", "--kind", "d", "--n", str(n), "--scheme", scheme)
-        assert code == 0
-        _, _, matrix = parse_matrix_text(out)
-        assert matrix.tobytes() == operator_set(n, scheme).d.tobytes()
+        for kind in ("d", "generator"):
+            code, out, _ = run_cli(capsys, "gen", "--kind", kind, "--n", str(n), "--scheme", scheme)
+            assert code == 0
+            _, _, matrix = parse_matrix_text(out)
+            assert matrix.tobytes() == getattr(operator_set(n, scheme), kind).tobytes()
         code, out, _ = run_cli(capsys, "gen", "--kind", "d2_pei", "--n", str(n), "--scheme", scheme)
         assert code == 0
         _, labels, matrix = parse_matrix_text(out)
@@ -275,6 +276,31 @@ class TestScale:
         )
         assert code == 2 and f"{path}:2: non-finite value" in err
         assert not target.exists()
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        path, _, _ = self._chirp_file(tmp_path, n=8)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        code, out, _ = run_cli(capsys, "scale", "--in", str(path), "--m", "2")
+        assert code == 0
+        assert run_cli(capsys, "scale", "--in", str(spaced), "--m", "2") == (0, out, "")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# scheme,diagonal\nindex,re,im\n-0.5,1,0\n", ":1: unknown scheme in header"),
+        ("# opscale-signal\n# n,two\nindex,re,im\n-0.5,1,0\n", ":2: bad n in header"),
+        ("# n,2\n\n", ": missing 'index,re,im' header row"),
+        ("# scheme,centered\nindex,re,im\n\n", ": no data rows"),
+    ], ids=["unknown-scheme", "bad-n", "missing-header", "no-data-rows"])
+    def test_malformed_signal_file_exits_2_with_its_message(self, capsys, tmp_path, text,
+                                                            message):
+        path = tmp_path / "malformed.csv"
+        path.write_text(text)
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "scale", "--in", str(path), "--m", "2", "--out", str(target)
+        )
+        assert code == 2 and f"{path}{message}" in err
+        assert out == "" and not target.exists()
 
     def test_declared_n_mismatch_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "wrong_n.csv"

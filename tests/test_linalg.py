@@ -138,6 +138,14 @@ class TestRealFormEig:
             largest = np.argmax(np.abs(q), axis=0)  # the first one on ties
             assert (q[largest, np.arange(q.shape[1])] > 0).all()
 
+    def test_a_reconstruction_bound_over_the_tolerance_is_refused(self, monkeypatch):
+        # Eigenvalues off by 1e-6: Q is still orthonormal and its transform
+        # keeps its column norms, so only the bound on max|A V - V lam| fails.
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda s: (eigh(s)[0] + 1e-6, eigh(s)[1]))
+        with pytest.raises(ArithmeticError, match="residual bound .* exceeds tolerance"):
+            _real_form(_random_symmetric(np.random.default_rng(31), 9))
+
     def test_signs_are_the_only_change_to_the_solvers_basis(self):
         a = _random_symmetric(np.random.default_rng(29), 150)
         lam, q = np.linalg.eigh(a)
@@ -712,8 +720,11 @@ class TestFactoredApply:
                 apply_from_eig(eig, 0.7, np.zeros(shape))
 
     def test_rejects_non_finite_theta(self):
+        eig = _whole(_real_form(np.eye(2)))
         with pytest.raises(ValueError, match="finite"):
-            apply_from_eig(_whole(_real_form(np.eye(2))), math.inf, np.ones(2))
+            apply_from_eig(eig, math.inf, np.ones(2))
+        with pytest.raises(ValueError, match="theta must be finite"):
+            unitary_from_eig(eig, math.nan)
 
     @pytest.mark.parametrize("paired", [True, False], ids=["paired", "whole"])
     @pytest.mark.parametrize("theta", [0.0, 0.7])
@@ -956,7 +967,10 @@ class TestRealFormAssemblyMemory:
         # 96 of its rows (1.22 measured).
         (IndexScheme.CENTERED, 1.4),
     ])
-    def test_assembly_at_n_1024_keeps_no_complex_eigenvectors(self, scheme, limit):
+    def test_assembly_at_n_1024_keeps_no_complex_eigenvectors(self, monkeypatch, scheme, limit):
+        # Unshared: with BLAS pinned to one thread on two CPUs the helper
+        # would take part, and its buffers are pinned by the test below.
+        monkeypatch.setattr(linalg, "_idle_helper", lambda: None)
         eig = operator_set(1024, scheme).generator_eig
         u, peak = TestUnitarityCertificate._traced_peak(
             lambda: unitary_from_eig(eig, 2 * math.pi * math.log(1.7)))

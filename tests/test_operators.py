@@ -313,6 +313,9 @@ class TestHalfDft:
         assert np.max(np.abs(f.conj().T @ g.conj() @ f - g)) > 1e-7
         with pytest.raises(ArithmeticError, match="real form is not real"):
             tampered.generator_eig
+        # The raising build kept nothing: a second access builds, and fails, again.
+        with pytest.raises(ArithmeticError, match="real form is not real"):
+            tampered.generator_eig
 
 
 def _long_double_half_dft(grid, x):
@@ -587,7 +590,6 @@ class TestOperatorSet:
         ops = operator_set(n, scheme)
         ops.generator_eig
         held = {**vars(ops), **vars(ops.grid)}
-        del held["generator_eig"]
         for name, value in held.items():
             assert not (isinstance(value, np.ndarray) and value.ndim > 1), name
 
@@ -640,42 +642,49 @@ class TestOperatorSet:
         # Python 3.12) would keep the second waiting.
         first, second = _fresh(40, IndexScheme.ORDINARY), _fresh(41, IndexScheme.CENTERED)
         entered, release = threading.Event(), threading.Event()
+        sizes, results = [], {}
 
         def gated(form, n, *args):
+            sizes.append(n)
             if n == 40:
                 entered.set()
                 release.wait(30)
             return real_form_eig(form, n, *args)
 
         monkeypatch.setattr(operators, "real_form_eig", gated)
-        held = threading.Thread(target=lambda: first.generator_eig)
+        held = threading.Thread(target=lambda: results.__setitem__(1, first.generator_eig))
         held.start()
         try:
             assert entered.wait(30)
-            other = threading.Thread(target=lambda: second.generator_eig)
+            other = threading.Thread(target=lambda: results.__setitem__(2, second.generator_eig))
             other.start()
             other.join(timeout=30)
             assert not other.is_alive(), "the second set waited on the first"
         finally:
             release.set()
             held.join(timeout=30)
-        assert "generator_eig" in vars(first) and "generator_eig" in vars(second)
+        # Each set kept its own build: warm accesses return it and build nothing.
+        assert first.generator_eig is results[1] and second.generator_eig is results[2]
+        assert sorted(sizes) == [40, 41]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_child_forked_during_a_decomposition_builds_it_again(self, monkeypatch):
-        # A thread of the parent holds the set's lock, building, when the
-        # parent forks: the child's lock must not be the held one.
+        # A thread of the parent is building the decomposition when the
+        # parent forks: the child must build it itself, not wait for a
+        # build that no thread of the child will finish.
         ops = _fresh(40, IndexScheme.ORDINARY)
         entered, release = threading.Event(), threading.Event()
+        sizes, results = [], []
 
         def gated(form, n, *args):
+            sizes.append(n)
             if threading.current_thread() is not threading.main_thread():
                 entered.set()
                 release.wait(30)
             return real_form_eig(form, n, *args)
 
         monkeypatch.setattr(operators, "real_form_eig", gated)
-        held = threading.Thread(target=lambda: ops.generator_eig)
+        held = threading.Thread(target=lambda: results.append(ops.generator_eig))
         held.start()
         try:
             assert entered.wait(30)
@@ -684,15 +693,20 @@ class TestOperatorSet:
             release.set()
             held.join(timeout=30)
         assert code == 0
-        assert "generator_eig" in vars(ops)
+        # The parent's build finished and was kept; the child's was its own.
+        assert ops.generator_eig is results[0]
+        assert sizes == [40]
 
-    def test_a_built_decomposition_is_a_plain_attribute(self):
-        # Once built it is read from the instance's __dict__: the
-        # descriptor has no __set__, so it is not consulted again.
-        ops = operator_set(32, IndexScheme.CENTERED)
+    def test_a_warm_access_builds_nothing_and_returns_the_same_object(self, monkeypatch):
+        ops = _fresh(32, IndexScheme.CENTERED)
         eig = ops.generator_eig
-        assert vars(ops)["generator_eig"] is eig
-        assert not hasattr(type(vars(OperatorSet)["generator_eig"]), "__set__")
+
+        def refused(*args):
+            raise AssertionError("a warm access built the decomposition again")
+
+        monkeypatch.setattr(operators, "parity_real_form_eig", refused)
+        monkeypatch.setattr(operators, "_HalfDft", refused)
+        assert ops.generator_eig is eig
 
 
 class TestRejectedConstructions:

@@ -137,6 +137,12 @@ class TestCddhfBasis:
         basis = cddhf_basis(16, 3.0)
         assert not np.iscomplexobj(basis.vectors)
 
+    def test_a_matrix_with_an_imaginary_part_beyond_rounding_is_refused(self, monkeypatch):
+        d2_real, _ = pei._d_squared(13)
+        monkeypatch.setattr(pei, "_d_squared", lambda n: (d2_real, 1e-3))
+        with pytest.raises(ArithmeticError, match="CDDHF matrix is not numerically real"):
+            cddhf_basis(13, 1.3125)
+
     def test_eigenvalues_ascend(self):
         basis = cddhf_basis(32, 2.0)
         assert np.all(np.diff(basis.eigenvalues) >= 0)
