@@ -67,7 +67,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cache import ByteBoundedLRU
+from .cache import grids
 from .linalg import _unitarity_residual
 
 __all__ = ["IndexScheme", "SampleGrid", "index_grid", "dft_matrix"]
@@ -215,7 +215,7 @@ def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex, out=None) ->
     return out
 
 
-@ByteBoundedLRU().memoize()
+@grids.memoize(nbytes=lambda kept: kept[0].nbytes)
 def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
     """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`."""
     n = _scheme_indices(n_samples, scheme)

@@ -74,14 +74,14 @@ Z at run time on the asymmetric grids; ``V = Z Q`` is built only on
 request.
 
 An :class:`OperatorSet` keeps only the grid, u and the column of D (O(N)
-each) and, once asked for, the generator's eigendecomposition: its
-eigenvalues, its real Q and the transform Z.  Its
-dense ``f``, ``u``, ``d`` and ``generator`` are built on request and not
-kept.  :attr:`OperatorSet.generator_eig` is built once per set, through
-the set's own :class:`opscale.cache.ByteBoundedLRU`.  The build forms G
-once, a row block at a time with no N x N temporary, after the arrays
-its decomposition keeps; the real form is then formed in G's own array,
-which is dropped once S is written.
+each).  Its dense ``f``, ``u``, ``d`` and ``generator`` are built on
+request and not kept.  :attr:`OperatorSet.generator_eig`, the
+generator's eigendecomposition (its eigenvalues, its real Q and the
+transform Z), is kept in :data:`opscale.cache.grids`, keyed on the set,
+beside the sets themselves, and built again, bit-identical, once
+evicted.  The build forms G once, a row block at a time with no N x N
+temporary, after the arrays its decomposition keeps; the real form is
+then formed in G's own array, which is dropped once S is written.
 
 On symmetric grids (index set closed under negation: centered with even
 N, ordinary with odd N) U is odd and D is odd under index reversal, so
@@ -118,7 +118,7 @@ import math
 
 import numpy as np
 
-from .cache import ByteBoundedLRU
+from .cache import grids
 from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_matrix, index_grid
 from .linalg import (
     GridDecomposition,
@@ -252,11 +252,11 @@ class OperatorSet:
     """The operators ``(F, U, D, generator)`` for one ``(N, scheme)``.
 
     Instances are built through :func:`operator_set`, which memoizes them
-    per ``(n_samples, scheme)``.  An instance keeps O(N) arrays and the
-    generator's decomposition, which it builds from its own ``u_diagonal``
-    and ``d_column`` in its own memo, so a set built by hand from other
-    arrays decomposes those; the dense matrices are built on request,
-    as new read-only arrays that are bit-identical from call to call.
+    per ``(n_samples, scheme)``.  An instance keeps O(N) arrays.  Its
+    generator's decomposition is built from its own ``u_diagonal`` and
+    ``d_column``, so a set built by hand from other arrays decomposes
+    those; the dense matrices are built on request, as new read-only
+    arrays that are bit-identical from call to call.
 
     Attributes
     ----------
@@ -282,7 +282,6 @@ class OperatorSet:
         self.grid_symmetric = bool(
             np.array_equal(np.sort(-grid.indices), grid.indices)
         )
-        self._decomposition = ByteBoundedLRU().memoize()(self._decompose)
 
     @property
     def f(self) -> np.ndarray:
@@ -332,11 +331,10 @@ class OperatorSet:
 
     @property
     def generator_eig(self) -> GridDecomposition:
-        """Spectral decomposition of the generator, built once and kept.
+        """Spectral decomposition of the generator, kept in :data:`opscale.cache.grids`.
 
-        It is built on first access through the set's own memo of
-        :class:`~opscale.cache.ByteBoundedLRU`: threads that ask at once
-        make one build, sets build side by side, a build that raises
+        It is built on first access, keyed on the set: threads that ask at
+        once make one build, sets build side by side, a build that raises
         keeps nothing, and a forked child builds again.
 
         A fold and a tuple of blocks (module docstring): G whole, or on
@@ -357,20 +355,22 @@ class OperatorSet:
         (1 + max|G|)``), its real form has an imaginary part beyond
         rounding, or a decomposition fails its checks.
         """
-        return self._decomposition()
-
-    def _decompose(self) -> GridDecomposition:
-        z = _HalfDft(self.grid)
-        if self.grid_symmetric:
-            return parity_real_form_eig(self._formed_generator, self.n_samples, z.apply, z.error)
-        whole = real_form_eig(self._formed_generator, self.n_samples, z.apply, z.error)
-        return GridDecomposition((whole,), None)
+        return _decomposition(self)
 
     def __repr__(self) -> str:
         return (
             f"OperatorSet(n_samples={self.n_samples}, "
             f"scheme={self.scheme.value!r}, grid_symmetric={self.grid_symmetric})"
         )
+
+
+@grids.memoize(nbytes=lambda eig: sum(b.basis.nbytes + b.eigenvalues.nbytes for b in eig.blocks))
+def _decomposition(ops: OperatorSet) -> GridDecomposition:
+    z = _HalfDft(ops.grid)
+    if ops.grid_symmetric:
+        return parity_real_form_eig(ops._formed_generator, ops.n_samples, z.apply, z.error)
+    whole = real_form_eig(ops._formed_generator, ops.n_samples, z.apply, z.error)
+    return GridDecomposition((whole,), None)
 
 
 def operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
@@ -384,14 +384,13 @@ def operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
     ``ArithmeticError`` if the column of D, transformed back onto the
     labels, misses the diagonal of U by ``1e-10 * (1 + max|u|)``.
     """
-    return _operator_set(as_sample_count(n_samples), IndexScheme(scheme))
+    return _operator_set(as_sample_count(n_samples), IndexScheme(scheme).value)
 
 
-_sets = ByteBoundedLRU()
-
-
-@_sets.memoize()
-def _operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
+@grids.memoize(nbytes=lambda ops: ops.grid.indices.nbytes + ops.u_diagonal.nbytes
+               + ops.d_column.nbytes)
+def _operator_set(n_samples: int, scheme: str) -> OperatorSet:
+    # Keyed on the scheme's value: a str hashes in C, an Enum member in Python.
     grid = index_grid(n_samples, scheme)
     u = _coord_diagonal(grid)
     col = _diff_column(grid, u)
@@ -400,5 +399,5 @@ def _operator_set(n_samples: int, scheme: IndexScheme) -> OperatorSet:
     return OperatorSet(grid, u, col)
 
 
-# Build counts stay readable as ``operator_set.cache_info()``.
-operator_set.cache_info = _sets.info
+# The grid cache's counts stay readable as ``operator_set.cache_info()``.
+operator_set.cache_info = grids.info

@@ -55,13 +55,13 @@ metadata):
   M = 1 and M != 1 bases.  Near-degeneracies (gap < 1e-8) are logged, as
   pairing-by-position is the one place where they could matter.
 
-``D^2`` does not depend on M, so it is built once per N (a cache keyed
-on N that evicts nothing, :mod:`opscale.cache`) and shared by the bases
-of every M.  The bases themselves are kept, read-only, in the
-byte-bounded LRU cache :data:`opscale.cache.shared` that also holds the
-scaling operators, keyed on ``(N, M)`` and charged for their vectors
-plus eigenvalues.  An evicted basis is rebuilt by the same ``eigh`` and
-sign fixing and comes back bit-identical.  The caches' locks guard only
+``D^2`` does not depend on M, so it is kept per N, charged its bytes,
+in the LRU cache :data:`opscale.cache.grids`, and shared by the bases of
+every M.  The bases themselves are kept, read-only, in the LRU cache
+:data:`opscale.cache.shared` that also holds the scaling operators,
+keyed on ``(N, M)`` and charged for their vectors plus eigenvalues.  An
+evicted D^2 or basis is rebuilt by the same products, ``eigh`` and sign
+fixing and comes back bit-identical.  The caches' locks guard only
 their bookkeeping, so concurrent callers are safe, and a key two threads
 miss at once is built once.  N, M and the signal are checked by the
 helpers of :mod:`opscale.dft`; signals must be finite.
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import ByteBoundedLRU, shared
+from .cache import grids, shared
 from .dft import IndexScheme, _unitary_dft, as_sample_count, as_scaling_factor, as_signal
 from .linalg import _largest_entry_negative, _real_dot
 
@@ -138,11 +138,7 @@ def pei_d_squared(n_samples: int) -> np.ndarray:
     return d2
 
 
-#: The cache of :func:`_d_squared`, keyed on N.
-_grids = ByteBoundedLRU()
-
-
-@_grids.memoize()
+@grids.memoize(nbytes=lambda kept: kept[0].nbytes)
 def _d_squared(n_samples: int) -> tuple[np.ndarray, float]:
     """Real part of ``D^2`` and the largest magnitude of its imaginary part."""
     d2 = pei_d_squared(n_samples)

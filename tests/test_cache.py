@@ -1,20 +1,25 @@
-"""Tests for the byte-bounded LRU cache shared by scaling operators and CDDHF bases.
+"""Tests for the byte-bounded LRU caches: ``shared``, which holds scaling
+operators and CDDHF bases, and ``grids``, which holds F, D^2, operator sets
+and decompositions.  ``BUDGET_BYTES`` bounds each of them.
 
 The scaling tests run on two grids of N = 16.  The centered grid is
 symmetric, so the cache holds the two real 8 x 8 parity blocks (4 N^2
 bytes); the ordinary grid is not, so it holds the dense complex matrix
-(16 N^2 bytes).  The tests reach the cached operator through the memoized builder, whose result is
-the cached object itself, or through ``scale_signal``.  ``scale_signal``
-applies the first K requests of a factor in factored form, K a quarter
-of the largest block size (2 on the symmetric grid, 4 on the other), and
-assembles and caches the operator from request K + 1 on; the tests that
-reach the cache through it make K + 1 requests of each factor.
+(16 N^2 bytes).  The tests reach the cached operator through the
+memoized builder, whose result is the cached object itself, or through
+``scale_signal``.  ``scale_signal`` applies the first K requests of a
+factor in factored form, K a quarter of the largest block size (2 on the
+symmetric grid, 4 on the other), and assembles and caches the operator
+from request K + 1 on; the tests that reach the cache through it make
+K + 1 requests of each factor.
 """
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -23,8 +28,9 @@ import pytest
 from conftest import forked_exit_code
 
 from opscale import cache, pei, scaling
-from opscale.dft import IndexScheme
+from opscale.dft import IndexScheme, dft_matrix
 from opscale.linalg import GridUnitary
+from opscale.operators import OperatorSet, operator_set
 from opscale.pei import cddhf_basis
 from opscale.scaling import ScalingSpec, _scaling_operator, scale_signal, scaling_matrix
 
@@ -358,27 +364,70 @@ def test_a_child_forked_during_a_build_builds_the_key_again():
     assert lru.info() == cache.CacheInfo(hits=0, misses=1, evictions=0, entries=1, nbytes=32)
 
 
-def test_values_charged_nothing_are_kept_past_the_budget(monkeypatch):
-    # An instance whose values are charged 0 never evicts, whatever the
-    # budget; a hit takes no lock.
-    monkeypatch.setattr(cache, "BUDGET_BYTES", 0)
-    lru = cache.ByteBoundedLRU()
+def _decomposition_state(eig) -> tuple:
+    """What a decomposition holds and reports, in bytes and plain values."""
+    blocks = [(b.eigenvalues.tobytes(), b.basis.tobytes(), dict(b.residuals),
+               b.factored_certified, b.unitarity_bound) for b in eig.blocks]
+    return blocks, eig.reversal_residual, eig.factored_certified
 
-    @lru.memoize()
-    def build(k):
-        return np.full(100, float(k))
 
-    first = [build(k) for k in range(5)]
-    with lru._lock:  # a hit on a kept value does not wait for the lock
-        again = [build(k) for k in range(5)]
-    assert all(a is b for a, b in zip(first, again))
-    assert lru.info() == cache.CacheInfo(hits=5, misses=5, evictions=0, entries=5, nbytes=0)
+def test_grid_values_stay_within_budget_and_come_back_bit_identical(budget):
+    # F, D^2, operator sets and decompositions of many distinct grids share
+    # cache.grids.  After every request the bytes held are within the
+    # budget, or one entry is held alone over it: never more than the
+    # budget plus the newest entry.
+    cache.grids.clear()
+    budget(64 * 1024)
+    first = 20
+    kept = {}
+    for scheme in IndexScheme:
+        ops, f = operator_set(first, scheme), dft_matrix(first, scheme)
+        kept[scheme] = (ops, ops.generator_eig, _decomposition_state(ops.generator_eig),
+                        ops.u_diagonal.tobytes(), ops.d_column.tobytes(), f, f.tobytes())
+    d2 = pei._d_squared(first)
+    d2_kept = (d2[0].tobytes(), d2[1])
+    for n in range(first, first + 24):
+        for scheme in IndexScheme:
+            for request in (lambda: scale_signal(np.ones(n), ScalingSpec(2.0, n, scheme)),
+                            lambda: dft_matrix(n, scheme),
+                            lambda: cddhf_basis(n, 1.0)):
+                request()
+                info = cache.grids.info()
+                assert info.nbytes <= cache.BUDGET_BYTES or info.entries == 1
+    assert cache.grids.info().evictions > 0
+    for scheme, (ops, eig, state, u, col, f, f_bytes) in kept.items():
+        again = operator_set(first, scheme)
+        assert again is not ops
+        assert (again.u_diagonal.tobytes(), again.d_column.tobytes()) == (u, col)
+        assert ops.generator_eig is not eig
+        assert _decomposition_state(ops.generator_eig) == state
+        assert _decomposition_state(again.generator_eig) == state
+        assert dft_matrix(first, scheme) is not f
+        assert dft_matrix(first, scheme).tobytes() == f_bytes
+    d2_again = pei._d_squared(first)
+    assert d2_again is not d2 and (d2_again[0].tobytes(), d2_again[1]) == d2_kept
+    cache.grids.clear()
+
+
+def test_a_hand_built_sets_decomposition_is_freed_when_the_cache_drops_it():
+    # No reference cycle holds a decomposition: with the cycle collector
+    # off, it is freed as soon as cache.grids lets it go.
+    ops = operator_set(64, IndexScheme.ORDINARY)
+    hand = OperatorSet(ops.grid, ops.u_diagonal, ops.d_column)
+    gc.disable()
+    try:
+        eig = weakref.ref(hand.generator_eig)
+        assert eig() is hand.generator_eig
+        cache.grids.clear()
+        assert eig() is None
+    finally:
+        gc.enable()
 
 
 def test_eight_threads_asking_for_one_new_basis_make_one_build(budget, monkeypatch):
-    # With both caches emptied, D^2, the M = 1 basis and the M = 1.2345
+    # With both caches emptied, F, D^2, the M = 1 basis and the M = 1.2345
     # basis are each built once, by whichever thread comes first.
-    pei._grids.clear()
+    cache.grids.clear()
     d_squared, u_squared, sizes = pei.pei_d_squared, pei.pei_u_squared, []
 
     def d_counting(n):
@@ -395,4 +444,4 @@ def test_eight_threads_asking_for_one_new_basis_make_one_build(budget, monkeypat
     results = _on_eight_threads(lambda: cddhf_basis(47, 1.2345))
     assert sizes == [("D^2", 47), ("U^2", 47), ("U^2", 47)]
     assert all(r is results[0] for r in results)
-    assert pei._grids.info().misses == 1
+    assert cache.grids.info().misses == 2  # D^2 and the F it is built from
