@@ -35,8 +35,8 @@ a note rather than aborting the sweep.  Numbers are serialized with 17
 significant digits — exact round-trip for IEEE doubles.
 
 A sweep knows every (N, M, scheme) before its first cell, so where
-:mod:`opscale.linalg`'s helper thread is idle and its rule lets it run
-(two CPUs, BLAS pinned to one thread: :func:`opscale.linalg._idle_helper`),
+:mod:`opscale.linalg`'s helper thread takes part (two CPUs, BLAS pinned
+to one thread, the helper idle: :func:`opscale.linalg._beside`),
 ``run_bench`` hands the helper the sweep's independent cold builds, the
 CDDHF bases of the later M and the generator decompositions
 (:func:`_cold_builds`), while the caller runs the cells in canonical
@@ -380,11 +380,8 @@ def run_bench(
             except Exception:  # the cell that needs it builds it again and records the note
                 pass
 
-    helper = linalg._idle_helper() if builds else None
-    if helper is None:
+    if not (builds and linalg._beside(run_groups, prefetch)):
         run_groups()
-    else:
-        helper.run(prefetch, run_groups)
     records = [
         MseRecord(*key, *scores[key])
         for key in product(functions, methods, m_factors, n_values, schemes)

@@ -99,10 +99,12 @@ its part (:func:`_real_dot`), a quarter of the bytes of the dense
 complex matrix, and an adjoint through the transposed view, or as
 ``conj(conj(x) M)`` for a complex block: no copy of ``M^H``.
 
-The module has one helper thread (:class:`_Helper`), and one rule for
-it: it runs only where BLAS is pinned to one thread and the process may
-run on two CPUs or more (:func:`_idle_helper`).  A caller posts it a job
-only if it is idle; otherwise it does all the work itself, so no caller
+The module has one helper thread, and one call onto it,
+``_beside(here, there)``: where BLAS is pinned to one thread, the
+process may run on two CPUs or more and no other caller holds the
+helper, it runs ``there()`` on the helper while ``here()`` runs on the
+caller, waits for both and returns True; otherwise it runs nothing and
+returns False, and the caller does all the work itself, so no caller
 waits on another's job.  Three kinds of work share it:
 
 * :meth:`GridUnitary.dot`, above ``_SPLIT_BYTES`` (2 MiB) of blocks: on
@@ -122,15 +124,16 @@ waits on another's job.  Three kinds of work share it:
   product where not shared) and the slabs of V.  Each thread takes the next
   slab until none is left, in its own buffers.  ``Q^T Q`` stays one
   product, and the solve one ``eigh``.
-* :func:`opscale.bench.run_bench`'s cold builds of a sweep (:meth:`_Helper.run`).
+* :func:`opscale.bench.run_bench`'s cold builds of a sweep.
 
 The premise is that of :func:`_row_blocks`: with one BLAS thread each
 slab is summed as in the whole product or transform, so every result is
 bit-identical to the unshared one.  With more BLAS threads sharing does
 not pay, and a shared result would differ at rounding level.  A forked
 child has none of its parent's threads: an ``os.register_at_fork`` hook
-drops the helper there, and the child starts its own.  The helper is a
-daemon thread, so it never holds an exiting interpreter open.
+drops the helper there, and the lock that marks it busy, which another
+of the parent's threads may hold; the child starts its own.  The helper
+is a daemon thread, so it never holds an exiting interpreter open.
 
 A block is assembled straight into its final array, a row block at a
 time, with no k x k temporary:
@@ -405,6 +408,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import partial
+from queue import SimpleQueue
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -1379,50 +1383,23 @@ _SPLIT_ALIGN = 64
 _GIL_FREE_COLUMNS = 512
 
 
-class _Helper:
-    """A daemon thread that runs one job at a time beside the caller that posted it.
+#: The helper thread's job queue, None until :func:`_beside` first starts it.
+_helper: SimpleQueue | None = None
 
-    ``idle`` is acquired, without waiting, by a caller that posts a job,
-    and released by the thread once the job has run, so a caller never
-    waits on another caller's job: it finds ``idle`` held and does all
-    its work itself.
-    """
+#: Held by the caller whose job the helper runs (:func:`_beside`).
+_idle = threading.Lock()
 
-    def __init__(self):
-        self.idle = threading.Lock()
-        self._posted = threading.Semaphore(0)
-        self._job = None
-        threading.Thread(target=self._serve, name="opscale.linalg helper", daemon=True).start()
 
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            work, done, errors = self._job
-            self._job = None
-            try:
-                work()
-            except BaseException as exc:  # handed to the caller, which raises it
-                errors.append(exc)
-            del work, errors  # nothing of a finished job is kept alive here
-            self.idle.release()
-            done.release()
-
-    def run(self, work: Callable[[], object], here: Callable[[], object]) -> None:
-        """``work()`` on the thread while ``here()`` runs on the caller, which holds ``idle``."""
-        done, errors = threading.Lock(), []
-        done.acquire()
-        self._job = (work, done, errors)
-        self._posted.release()
+def _serve(jobs: SimpleQueue) -> None:
+    """The helper thread: runs each ``(work, done, errors)`` job, then releases ``done``."""
+    while True:
+        work, done, errors = jobs.get()
         try:
-            here()
-        finally:
-            done.acquire()  # the thread's half writes into the caller's arrays
-        if errors:
-            raise errors[0]
-
-
-_helper: _Helper | None = None
-_helper_lock = threading.Lock()
+            work()
+        except BaseException as exc:  # handed to the caller, which raises it
+            errors.append(exc)
+        del work, errors  # nothing of a finished job is kept alive here
+        done.release()
 
 
 def _usable_cpus() -> int:
@@ -1442,7 +1419,7 @@ def _one_blas_thread() -> bool:
     """Whether the first of ``_BLAS_THREAD_VARS`` set to a positive integer is 1.
 
     Without one, BLAS runs a thread per CPU, and the helper thread is
-    never used (:func:`_idle_helper`).
+    never used (:func:`_beside`).
     """
     for var in _BLAS_THREAD_VARS:
         try:
@@ -1454,26 +1431,42 @@ def _one_blas_thread() -> bool:
     return False
 
 
-def _idle_helper() -> _Helper | None:
-    """The process's helper thread, its ``idle`` acquired.
+def _beside(here: Callable[[], object], there: Callable[[], object]) -> bool:
+    """``there()`` on the helper thread while ``here()`` runs on the caller; whether it did.
 
-    None unless BLAS is pinned to one thread (:func:`_one_blas_thread`)
-    and two CPUs are usable, or if the helper is busy.
+    False, with nothing run, unless BLAS is pinned to one thread
+    (:func:`_one_blas_thread`), two CPUs are usable and no other caller
+    holds the helper.  Otherwise it returns once both have finished, as
+    ``there()`` writes into the caller's arrays, and raises ``here()``'s
+    exception, else ``there()``'s.
     """
     global _helper
-    if not _one_blas_thread() or _usable_cpus() < 2:
-        return None
-    if _helper is None:
-        with _helper_lock:
-            if _helper is None:
-                _helper = _Helper()
-    return _helper if _helper.idle.acquire(blocking=False) else None
+    if not _one_blas_thread() or _usable_cpus() < 2 or not _idle.acquire(blocking=False):
+        return False
+    try:
+        if _helper is None:  # kept only once its thread has started
+            jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="opscale.linalg helper",
+                             daemon=True).start()
+            _helper = jobs
+        done, errors = threading.Lock(), []
+        done.acquire()
+        _helper.put((there, done, errors))
+        try:
+            here()
+        finally:
+            done.acquire()
+    finally:
+        _idle.release()
+    if errors:
+        raise errors[0]
+    return True
 
 
 def _forget_helper() -> None:
     """In a forked child, which has no thread but the one that forked: start afresh."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
+    global _helper, _idle
+    _helper, _idle = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # a platform without fork has no forked child
@@ -1484,35 +1477,24 @@ def _dealt(slabs: list, body, buffers, spare, whole=None) -> list:
     """``[body(slab, buffers) for slab in slabs]``, or ``whole()``, shared with the helper where it pays.
 
     Where a real k x k array, k the end of the last slab, is above
-    ``_SPLIT_BYTES`` and the helper is idle (:func:`_idle_helper`), the
+    ``_SPLIT_BYTES`` and the helper takes part (:func:`_beside`), the
     caller and the helper each take the next slab from one list until
     none is left, the helper in the buffers ``spare()`` allocates, and the
     results come back in slab order; each body writes only its slab's
     part of the caller's arrays.  Otherwise the caller runs the loop alone
     as it stands: ``whole()`` when given, else every slab in order.
     """
-    helper = _idle_helper() if slabs and 8 * slabs[-1].stop ** 2 > _SPLIT_BYTES else None
-    if helper is None:
-        return whole() if whole is not None else [body(slab, buffers) for slab in slabs]
-    results = [None] * len(slabs)
-    queue = enumerate(slabs)  # each next() hands out one slab, under the GIL
+    if slabs and 8 * slabs[-1].stop ** 2 > _SPLIT_BYTES:
+        results = [None] * len(slabs)
+        left = enumerate(slabs)  # each next() hands out one slab, under the GIL
 
-    def drain(work):
-        for i, slab in queue:
-            results[i] = body(slab, work)
+        def drain(work):
+            for i, slab in left:
+                results[i] = body(slab, work)
 
-    helper.run(lambda: drain(spare()), partial(drain, buffers))
-    return results
-
-
-def _share(jobs) -> None:
-    """Run one or two jobs: the second on the helper thread if it is idle, else every one here."""
-    helper = _idle_helper() if len(jobs) == 2 else None
-    if helper is None:
-        for job in jobs:
-            job()
-    else:
-        helper.run(jobs[1], jobs[0])
+        if _beside(partial(drain, buffers), lambda: drain(spare())):
+            return results
+    return whole() if whole is not None else [body(slab, buffers) for slab in slabs]
 
 
 def _split_jobs(blocks, parts, outs, adjoint: bool) -> list:
@@ -1581,7 +1563,10 @@ class GridUnitary:
             return _unfold_from([_block_dot(m, part, adjoint)
                                  for m, part in zip(self.blocks, parts)])
         outs = [np.empty(len(m), dtype=complex) for m in self.blocks]
-        _share(_split_jobs(self.blocks, parts, outs, adjoint))
+        jobs = _split_jobs(self.blocks, parts, outs, adjoint)
+        if not (len(jobs) == 2 and _beside(*jobs)):
+            for job in jobs:
+                job()
         return _unfold_from(outs)
 
     def dense(self, adjoint: bool = False) -> np.ndarray:

@@ -34,8 +34,10 @@ could be defined, but nothing in this construction pins down its
 semantics, so rejecting it is safer than inventing them.
 
 The generator's decomposition ``G = V diag(lam) V^H`` is computed once
-per grid and kept with its :class:`~opscale.operators.OperatorSet`; a
-factor M is then only the phases ``p = exp(-i theta lam)``, ``theta =
+per grid and kept in the byte-bounded cache :data:`opscale.cache.grids`,
+keyed on the grid's :class:`~opscale.operators.OperatorSet`, as its real
+Q rather than V (:mod:`opscale.linalg`); an evicted one is built again.
+A factor M is then only the phases ``p = exp(-i theta lam)``, ``theta =
 2 pi ln M``.  The operators form a one-parameter unitary group, so
 ``M_{1/M} = M_M^{-1} = M_M^H``: a ``ScalingSpec`` is keyed on ``(|theta|,
 N, scheme value)``, only ``theta >= 0`` is ever assembled, and a factor
@@ -144,8 +146,8 @@ import numpy as np
 
 from .cache import shared
 from .dft import IndexScheme, as_sample_count, as_scaling_factor, as_signal
-from .linalg import GridUnitary, apply_from_eig, unitary_from_eig
-from .operators import operator_set
+from .linalg import GridDecomposition, GridUnitary, apply_from_eig, unitary_from_eig
+from .operators import _operator_set
 
 __all__ = ["ScalingSpec", "scaling_matrix", "scale_signal"]
 
@@ -176,7 +178,7 @@ class ScalingSpec:
 @shared.memoize(nbytes=lambda operator: operator.nbytes)
 def _scaling_operator(theta: float, n_samples: int, scheme: str) -> GridUnitary:
     # Keyed on the scheme's value: a str hashes in C, an Enum member in Python.
-    return unitary_from_eig(operator_set(n_samples, scheme).generator_eig, theta)
+    return unitary_from_eig(_operator_set(n_samples, scheme).generator_eig, theta)
 
 
 def scaling_matrix(spec: ScalingSpec) -> np.ndarray:
@@ -216,15 +218,18 @@ def _factored_request(key: tuple) -> bool:
                 return left > 0
         # A new key: K = ceil(k/4) comes from the grid's decomposition,
         # which may have to be built, so it is looked up outside the lock.
-        eig = operator_set(key[1], key[2]).generator_eig
+        eig = _operator_set(*key[1:]).generator_eig
         limit = math.ceil(eig.block_size / 4) if eig.factored_certified else 0
 
 
-def _apply(vec: np.ndarray, spec: ScalingSpec, factored: bool) -> np.ndarray:
-    if factored:
-        eig = operator_set(spec.n_samples, spec.scheme).generator_eig
-        return apply_from_eig(eig, spec._theta, vec)
-    return _scaling_operator(*spec._key).dot(vec, adjoint=spec._theta < 0)
+def _apply(vec: np.ndarray, spec: ScalingSpec, factored: bool,
+           eig: GridDecomposition | None = None) -> np.ndarray:
+    # spec's N and scheme are validated: the grid's memo is looked up directly.
+    if not factored:
+        return _scaling_operator(*spec._key).dot(vec, adjoint=spec._theta < 0)
+    if eig is None:
+        eig = _operator_set(*spec._key[1:]).generator_eig
+    return apply_from_eig(eig, spec._theta, vec)
 
 
 def scale_signal(signal, spec: ScalingSpec) -> np.ndarray:
@@ -253,5 +258,5 @@ def _scale_once(signal, spec: ScalingSpec) -> np.ndarray:
     operator, so the result depends only on the arguments.
     """
     vec = as_signal(signal, spec.n_samples)
-    eig = operator_set(spec.n_samples, spec.scheme).generator_eig
-    return _apply(vec, spec, eig.factored_certified)
+    eig = _operator_set(*spec._key[1:]).generator_eig
+    return _apply(vec, spec, eig.factored_certified, eig)

@@ -74,16 +74,18 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def helper_posts(monkeypatch) -> list:
-    """One entry per job posted to linalg's helper thread."""
+    """One entry per job run on linalg's helper thread: per call of ``_beside`` that returned True."""
     from opscale import linalg
 
-    posts, run = [], linalg._Helper.run
+    posts, beside = [], linalg._beside
 
-    def counting(self, work, here):
-        posts.append(1)
-        return run(self, work, here)
+    def counting(here, there):
+        shared = beside(here, there)
+        if shared:
+            posts.append(1)
+        return shared
 
-    monkeypatch.setattr(linalg._Helper, "run", counting)
+    monkeypatch.setattr(linalg, "_beside", counting)
     return posts
 
 

@@ -970,7 +970,7 @@ class TestRealFormAssemblyMemory:
     def test_assembly_at_n_1024_keeps_no_complex_eigenvectors(self, monkeypatch, scheme, limit):
         # Unshared: with BLAS pinned to one thread on two CPUs the helper
         # would take part, and its buffers are pinned by the test below.
-        monkeypatch.setattr(linalg, "_idle_helper", lambda: None)
+        monkeypatch.setattr(linalg, "_beside", lambda here, there: False)
         eig = operator_set(1024, scheme).generator_eig
         u, peak = TestUnitarityCertificate._traced_peak(
             lambda: unitary_from_eig(eig, 2 * math.pi * math.log(1.7)))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import eigh_unitary, load_fixture, taylor_expm
 
-from opscale import cache, linalg, scaling
-from opscale.dft import IndexScheme
+from opscale import bench, cache, linalg, operators, scaling
+from opscale.dft import IndexScheme, index_grid
 from opscale.linalg import GridUnitary, apply_from_eig
 from opscale.operators import operator_set
 from opscale.scaling import ScalingSpec, scale_signal, scaling_matrix
@@ -400,6 +400,27 @@ class TestRequestTable:
         before_hot = keys[:9_501][-(scaling._REQUEST_KEYS - 1 - len(after_hot)):]
         assert list(scaling._requests) == before_hot + [hot._key] + after_hot
         assert cache.shared.info().misses == 1  # only the hot factor was assembled
+
+    def test_a_checked_spec_reaches_its_grid_without_checking_it_again(
+        self, fresh_requests, monkeypatch
+    ):
+        # A ScalingSpec holds N and the scheme checked, so neither path of
+        # scale_signal, nor a sweep's operator cell, checks them again.
+        spec = ScalingSpec(1.3, 16, IndexScheme.ORDINARY)  # K = 4
+        x = np.random.default_rng(13).standard_normal(16) + 1j
+        factored, assembled = _factored(spec, x).tobytes(), _assembled(spec, x).tobytes()
+        cache.shared.clear()  # the assembly runs again below
+
+        def refuses(n_samples):
+            raise AssertionError("N checked again")
+
+        monkeypatch.setattr(operators, "as_sample_count", refuses)
+        for _ in range(4):
+            assert scale_signal(x, spec).tobytes() == factored
+        assert scale_signal(x, spec).tobytes() == assembled
+        assert cache.shared.info().misses == 1
+        grid = index_grid(16, IndexScheme.ORDINARY)
+        assert bench.scale_with(bench.Method.OPERATOR, x, grid, 1.3).tobytes() == factored
 
 
 class TestProperties:

@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import package_env
+from conftest import forked_exit_code, package_env
 
 from opscale import bench, cache, linalg, pei, scaling
 from opscale.dft import IndexScheme
@@ -124,11 +124,12 @@ linalg._SPLIT_BYTES = split_bytes
 serial = {(i, j): apply(s, x).tobytes() for i, s in enumerate(specs) for j, x in enumerate(xs)}
 
 shared = [0]
-run = linalg._Helper.run
-def counted(self, work, here):
-    shared[0] += 1
-    return run(self, work, here)
-linalg._Helper.run = counted
+beside = linalg._beside
+def counted(here, there):
+    took_part = beside(here, there)
+    shared[0] += took_part
+    return took_part
+linalg._beside = counted
 
 bad, errors = [], []
 def worker(t):
@@ -178,7 +179,7 @@ def test_a_caller_never_waits_on_another_callers_half(two_cpus, kind, adjoint):
         started.set()
         gate.wait()
 
-    other = threading.Thread(target=linalg._share, args=([lambda: None, held],))
+    other = threading.Thread(target=linalg._beside, args=(lambda: None, held))
     other.start()
     try:
         assert started.wait(30)  # the helper now runs another caller's half
@@ -198,11 +199,35 @@ def test_an_error_in_the_helpers_half_reaches_its_caller(two_cpus):
         raise ZeroDivisionError("helper half")
 
     with pytest.raises(ZeroDivisionError, match="helper half"):
-        linalg._share([lambda: None, fails])
+        linalg._beside(lambda: None, fails)
     # The helper is idle again for the next caller.
     done = []
-    linalg._share([lambda: done.append("here"), lambda: done.append("helper")])
+    assert linalg._beside(lambda: done.append("here"), lambda: done.append("helper"))
     assert sorted(done) == ["helper", "here"]
+
+
+def test_an_error_in_the_callers_half_waits_for_the_helpers_half(two_cpus):
+    # The helper's half may still be writing into the caller's arrays:
+    # the caller's exception surfaces only once that half has finished,
+    # and it wins over the helper's own.
+    finished = []
+
+    def fails():
+        raise ZeroDivisionError("caller half")
+
+    def slow(error=None):
+        time.sleep(0.05)
+        finished.append(True)
+        if error:
+            raise error
+
+    with pytest.raises(ZeroDivisionError, match="caller half"):
+        linalg._beside(fails, slow)
+    assert finished == [True]
+    with pytest.raises(ZeroDivisionError, match="caller half"):
+        linalg._beside(fails, partial(slow, KeyError("helper half")))
+    assert finished == [True, True]
+    assert linalg._beside(lambda: None, lambda: None)
 
 
 @pytest.mark.parametrize("kind", ["whole", "parity"])
@@ -224,27 +249,47 @@ def test_a_child_forked_after_a_split_apply_applies_again(two_cpus):
     x = np.random.default_rng(2).standard_normal(1024) + 0j
     expected = u.dot(x)
     assert linalg._helper is not None
-    pid = os.fork()
-    if pid == 0:  # the child leaves through os._exit, whatever happens
-        code = 3
-        try:
-            parent_helper = linalg._helper is not None
-            y = u.dot(x)
-            code = 0 if (not parent_helper and linalg._helper is not None
-                         and np.max(np.abs(y - expected)) <= 1e-12 * np.linalg.norm(x)) else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while time.monotonic() < deadline:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        time.sleep(0.01)
-    else:
-        os.kill(pid, 9)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split apply did not finish in 30 s")
-    assert os.waitstatus_to_exitcode(status) == 0
+
+    def child():
+        parent_helper = linalg._helper is not None
+        y = u.dot(x)
+        return (not parent_helper and linalg._helper is not None
+                and np.max(np.abs(y - expected)) <= 1e-12 * np.linalg.norm(x))
+
+    assert forked_exit_code(child) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_while_another_thread_holds_the_helper_shares_again(two_cpus):
+    # Another thread of the parent is inside _beside, its half held on
+    # the helper.  The child has neither thread, so the helper is not
+    # taken there: its own calls share again, and a large apply finishes.
+    u = _blocks("whole", 1024)
+    x = np.random.default_rng(4).standard_normal(1024) + 0j
+    expected = u.dense() @ x
+    gate, started = threading.Event(), threading.Event()
+
+    def held():
+        started.set()
+        gate.wait()
+
+    def child():
+        shared = []
+        took_part = linalg._beside(lambda: shared.append("here"), lambda: shared.append("helper"))
+        y = u.dot(x)
+        return (took_part and sorted(shared) == ["helper", "here"]
+                and np.max(np.abs(y - expected)) <= 1e-12 * 1024 * np.linalg.norm(x))
+
+    other = threading.Thread(target=linalg._beside, args=(lambda: None, held))
+    other.start()
+    try:
+        assert started.wait(30)
+        assert not linalg._beside(lambda: None, lambda: None)  # taken in the parent
+        code = forked_exit_code(child)
+    finally:
+        gate.set()
+        other.join(timeout=30)
+    assert code == 0
 
 
 SWEEP = r"""
@@ -252,15 +297,14 @@ import json, os, tempfile
 from opscale import bench, cli, linalg
 
 linalg._usable_cpus = lambda: 2  # the helper runs even on a one-CPU host
-idle_helper, shared = linalg._idle_helper, []
+beside, shared = linalg._beside, []
 if MODE == "serial":
-    linalg._idle_helper = lambda: None
+    linalg._beside = lambda here, there: False
 else:
-    def counting():
-        helper = idle_helper()
-        shared.append(helper is not None)
-        return helper
-    linalg._idle_helper = counting
+    def counting(here, there):
+        shared.append(beside(here, there))
+        return shared[-1]
+    linalg._beside = counting
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "sweep.csv")
     code = cli.main(["bench", "--methods", "operator,cddhf,interp", "--out", out])
@@ -295,14 +339,15 @@ from opscale.operators import operator_set
 
 linalg._usable_cpus = lambda: 2  # the helper runs even on a one-CPU host
 if MODE == "serial":
-    linalg._idle_helper = lambda: None
+    linalg._beside = lambda here, there: False
 else:
     linalg._SPLIT_BYTES = 0  # every build shares its slab loops, whatever its size
-posted, run = [], linalg._Helper.run
-def counting(self, work, here):
-    posted.append(1)
-    return run(self, work, here)
-linalg._Helper.run = counting
+posted, beside = [0], linalg._beside
+def counting(here, there):
+    took_part = beside(here, there)
+    posted[0] += took_part
+    return took_part
+linalg._beside = counting
 
 def digest(*parts):
     h = hashlib.sha256()
@@ -327,7 +372,7 @@ for n in (143, 144, 145, 191, 192, 193, 512, 630, 1024):
         objects[f"{n} {scheme} unitarity_residual"] = [
             None if r is None else r.hex() for r in u.unitarity_residual]
         objects[f"{n} {scheme} factored_certified"] = eig.factored_certified
-print(json.dumps({"objects": objects, "posted": len(posted)}))
+print(json.dumps({"objects": objects, "posted": posted[0]}))
 """
 
 
@@ -402,7 +447,7 @@ def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeyp
     cache.shared.clear()  # no N = 17 basis is left from another test
     kwargs = dict(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16, 17])
     helped = bench.run_bench(**kwargs)
-    monkeypatch.setattr(linalg, "_idle_helper", lambda: None)
+    monkeypatch.setattr(linalg, "_beside", lambda here, there: False)
     alone = bench.run_bench(**kwargs)
     assert bench.emit_table(helped) == bench.emit_table(alone)
     assert [r.note for r in helped.records] == [r.note for r in alone.records]
@@ -425,7 +470,9 @@ def test_no_apply_or_build_shares_unless_blas_has_one_thread(two_cpus, helper_po
     # slower than BLAS's own two threads, and a build's loops would run
     # two BLAS threads per product on two CPUs.
     monkeypatch.setattr(linalg, "_one_blas_thread", lambda: False)
-    assert linalg._idle_helper() is None
+    ran = []
+    assert not linalg._beside(lambda: ran.append("here"), lambda: ran.append("helper"))
+    assert ran == []
     u = _blocks("whole", 1024)
     x = np.random.default_rng(3).standard_normal(1024) + 0j
     assert np.max(np.abs(u.dot(x) - u.dense() @ x)) <= 1e-12 * 1024 * np.linalg.norm(x)
@@ -438,7 +485,7 @@ def test_a_finished_job_is_not_kept_alive_by_the_helper(two_cpus):
     alive = weakref.ref(big)
     job = partial(np.sum, big)
     del big
-    linalg._share([lambda: None, job])
+    assert linalg._beside(lambda: None, job)
     del job
     assert alive() is None
 
@@ -464,10 +511,10 @@ def test_blas_is_one_thread_where_the_variable_openblas_reads_first_says_so(
 def test_new_factors_never_share(monkeypatch):
     # A stream of new factors at N = 512 applies each operator in
     # factored form: it never reaches the helper.
-    def refuses():
+    def refuses(here, there):
         raise AssertionError("the helper was asked for")
 
-    monkeypatch.setattr(linalg, "_idle_helper", refuses)
+    monkeypatch.setattr(linalg, "_beside", refuses)
     rng = np.random.default_rng(512)
     for i, m in enumerate(np.exp(rng.uniform(np.log(0.25), np.log(4.0), 64))):
         x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
