@@ -26,19 +26,18 @@ cached.  The factored path is certified on whole grids up to N = 629 (to
 632 with one BLAS thread) and on symmetric grids up to N = 1258;
 elsewhere every request assembles and caches.
 
-:data:`grids` holds F (``dft._dft_matrix_cached``, 16 N^2 bytes, kept
-with the unitarity residual of its one-triangle check), the real part of
-D^2 (``pei._d_squared``, 8 N^2 bytes), the operator sets
-(``operators._operator_set``, O(N) arrays) and each set's decomposition
-(``operators._decomposition``, keyed on the set, so a set built by hand
-decomposes its own arrays), charged for its eigenvalues and real
-eigenvectors Q (8 N^2 bytes, 4 N^2 on a symmetric grid of even N).  The
-complex eigenvectors ``V = Z Q`` are built only for a caller that asks for
-them, and not kept: no assembly builds them.  F and D^2 are built only by
-the comparison methods and for callers that ask for them.  The dense
-reference operators (``diff_matrix``, ``pei_d_squared``) and an operator
-set's dense U, D and generator are built on each request from these
-caches and not kept.
+:data:`grids` holds F (``dft._dft_matrix_cached``, 16 N^2 bytes, checked
+once when built), the real part of D^2 (``pei._d_squared``, 8 N^2
+bytes), the operator sets (``operators._operator_set``, O(N) arrays) and
+each set's decomposition (``operators._decomposition``, keyed on the
+set, so a set built by hand decomposes its own arrays), charged for its
+eigenvalues and real eigenvectors Q (8 N^2 bytes, 4 N^2 on a symmetric
+grid of even N).  The complex eigenvectors ``V = Z Q`` are built only
+for a caller that asks for them, and not kept: no assembly builds them.
+F and D^2 are built only by the comparison methods and for callers that
+ask for them.  The dense reference operators (``diff_matrix``,
+``pei_d_squared``) and an operator set's dense U, D and generator are
+built on each request from these caches and not kept.
 
 An evicted entry is rebuilt by the same function that built it, through
 every check that function runs; the rebuild is bit-identical.

@@ -26,12 +26,13 @@ one standard FFT between two phase multiplications, which is how
 each phase reduced exactly with ``fmod``).
 
 Construction is not free: the evaluation is O(N^2), but the unitarity
-check below is a dense O(N^3) product, paid once per ``(N, scheme)`` and
-cached with the matrix, together with the residual it measured.  F is
-evaluated in its own array, with no N x N temporary (:func:`_exp_outer`,
-which also builds :mod:`opscale.bench`'s synthesis matrices), and, as it
-is exactly symmetric, the check forms only the upper triangle of ``F^H
-F``, 48 rows at a time (:func:`opscale.linalg._unitarity_residual`):
+check below is a dense O(N^3) product, paid once per ``(N, scheme)`` when
+the matrix is built and cached; it raises unless ``max|F^H F - I|`` is
+below ``min(1e-12 * N, 1e-10)``.  F is evaluated in its own array, with
+no N x N temporary (:func:`_exp_outer`, which also builds
+:mod:`opscale.bench`'s synthesis matrices), and, as it is exactly
+symmetric, the check forms only the upper triangle of ``F^H F``, 48 rows
+at a time (:func:`opscale.linalg._unitarity_residual`):
 half the flops of the whole product, and a cold build's traced peak is
 about 1.2 times F's bytes.  It is the package's only product of F with
 itself.  The scaling construction does not need F:
@@ -44,8 +45,7 @@ function of its grid alone: ``F^H U F``
 (:func:`opscale.operators.diff_matrix`) and the CDDHF method's ``F U^2
 F^H`` (:func:`opscale.pei.pei_d_squared`, whose labels ``m - (N-1)/2``
 are this module's centered labels for even N and its ordinary labels for
-odd N).  Both take F from :func:`_unitary_dft`, which holds the kept
-residual to 1e-10 instead of measuring it again.
+odd N).  Both take F from :func:`dft_matrix`, checked once when built.
 
 For the centered scheme with odd N the half-integer index interval is
 asymmetric; unitarity is not obviously inherited from the even case, so
@@ -215,9 +215,8 @@ def _exp_outer(rows: np.ndarray, cols: np.ndarray, factor: complex, out=None) ->
     return out
 
 
-@grids.memoize(nbytes=lambda kept: kept[0].nbytes)
-def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray, float]:
-    """F and the ``max|F^H F - I|`` it was checked with, kept for :func:`_unitary_dft`."""
+@grids.memoize(nbytes=lambda f: f.nbytes)
+def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     n = _scheme_indices(n_samples, scheme)
     f = _exp_outer(n, n, -2j * np.pi / n_samples)
     # Verify unitarity instead of assuming it; this is the load-bearing
@@ -225,13 +224,13 @@ def _dft_matrix_cached(n_samples: int, scheme: IndexScheme) -> tuple[np.ndarray,
     # is not a textbook fact.  F is exactly symmetric, as outer(n, n) is,
     # so F^H F is the conjugate of F F^H and one triangle of it suffices.
     resid = _unitarity_residual(f)
-    if resid >= 1e-12 * n_samples:
+    if resid >= min(1e-12 * n_samples, 1e-10):
         raise ArithmeticError(
             f"DFT matrix failed unitarity check: max|F^H F - I| = {resid:.3e} "
             f"(N={n_samples}, scheme={scheme.value})"
         )
     f.setflags(write=False)
-    return f, resid
+    return f
 
 
 def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
@@ -242,22 +241,7 @@ def dft_matrix(n_samples: int, scheme: IndexScheme) -> np.ndarray:
     ``index_grid(n_samples, scheme)``.
 
     The returned array is cached per ``(n_samples, scheme)`` and marked
-    read-only; copy before mutating.
+    read-only; copy before mutating.  Raises ``ArithmeticError`` if
+    ``max|F^H F - I|`` is not below ``min(1e-12 * N, 1e-10)``.
     """
-    return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))[0]
-
-
-def _unitary_dft(n_samples: int, scheme: IndexScheme) -> np.ndarray:
-    """The cached F, the ``max|F^H F - I|`` it was checked with held to 1e-10.
-
-    The dense references built from F require 1e-10, tighter than the
-    ``1e-12 * N`` of construction from N = 100 on.  Raises
-    ``ArithmeticError`` beyond it.
-    """
-    f, resid = _dft_matrix_cached(n_samples, scheme)
-    if not resid < 1e-10:
-        raise ArithmeticError(
-            f"dense reference requires a unitary F: max|F^H F - I| = {resid:.3e} "
-            f"(N={n_samples}, scheme={scheme.value})"
-        )
-    return f
+    return _dft_matrix_cached(as_sample_count(n_samples), IndexScheme(scheme))

@@ -42,8 +42,7 @@ blocks straight into the blocks (:func:`_reversal_fold`).  Beside the
 arrays a decomposition keeps, allocated first, only A, its blocks, the
 solve's Q and the k x k products of the checks after it are whole: at
 N = 512 the traced peak is 29.2 N^2 bytes ordinary and 30.6 N^2
-centered (48.6 and 40.6 with whole-matrix checks and transforms;
-``tools/cold_peak.py`` measures it).  The transforms of a slab are
+centered (``tools/cold_peak.py`` measures it).  The transforms of a slab are
 those of the whole matrix, row by row or column by column, so every
 array and residual is bit-identical to the whole-matrix computation.
 The real ``eigh`` then allocates its own copy of S and its workspace,
@@ -120,10 +119,9 @@ waits on another's job.  Three kinds of work share it:
   ``_SPLIT_BYTES`` (:func:`_dealt`): the row and column passes of
   :func:`_write_real_form` and :func:`_real_form_block`, the triangle
   slabs of :func:`_unitarity_residual`, and in :func:`real_form_eig` the
-  row blocks of ``s Q`` for k up to ``_ROW_BLOCKS_MEASURED`` (one
-  product where not shared) and the slabs of V.  Each thread takes the next
-  slab until none is left, in its own buffers.  ``Q^T Q`` stays one
-  product, and the solve one ``eigh``.
+  row blocks of ``s Q``, shared or not, and the slabs of V.  Each thread
+  takes the next slab until none is left, in its own buffers.  ``Q^T Q``
+  stays one product, and the solve one ``eigh``.
 * :func:`opscale.bench.run_bench`'s cold builds of a sweep.
 
 The premise is that of :func:`_row_blocks`: with one BLAS thread each
@@ -146,7 +144,7 @@ time, with no k x k temporary:
   transforms its rows straight into the result; then Z runs down the
   conjugated columns, 48 at a time, in place: ``M = Z conj(conj(W) Z)``,
   as Z is symmetric.  The two products are written into the result's
-  own rows, and one complex buffer of a row block serves both passes.
+  own rows, and one complex buffer of a row block serves each pass.
 
 ``Q^T`` is a view, so no transposed copy is made.  Row
 blocks are 96 rows from row 0, and a last block of fewer than 48 rows
@@ -447,10 +445,6 @@ UNITARITY_TOL = 1e-10
 #: Rows per product when a block is assembled (:func:`_row_blocks`); half
 #: of it per product of the dense check and columns per transform.
 _ROW_BLOCK = 96
-
-#: The largest k at which row blocks were measured to sum as the whole
-#: product at every k (:func:`_row_blocks`).
-_ROW_BLOCKS_MEASURED = 1100
 
 #: Unit roundoff ``u`` of float64.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
@@ -783,10 +777,8 @@ def _write_real_form(a: np.ndarray, transform, s: np.ndarray, scale: float) -> f
         s[:, cols] = slab.real
         return max(float(slab.imag.max(initial=0.0)), -float(slab.imag.min(initial=0.0)))
 
-    row_buffer = partial(np.empty, min(_ROW_BLOCK // 2, k) * k, dtype=complex)
-    _dealt(slabs, rows_of_az, row_buffer(), row_buffer)
-    imag_resid = max(_dealt(slabs, real_part, _slab_work(k), partial(_slab_work, k)),
-                     default=0.0)
+    _dealt(slabs, rows_of_az, partial(np.empty, min(_ROW_BLOCK // 2, k) * k, dtype=complex))
+    imag_resid = max(_dealt(slabs, real_part, partial(_slab_work, k)), default=0.0)
     if not imag_resid < REALNESS_RTOL * scale:
         raise ArithmeticError(
             f"real form is not real: max|Im(Z^H A Z)| = {imag_resid:.3e} "
@@ -905,12 +897,8 @@ def real_form_eig(
         raise ArithmeticError(
             f"eigenvector columns not orthonormal: max|V^H V - I| <= {gram_resid:.3e}"
         )
-    # s Q: one product on one thread, which is faster than row blocks; row
-    # blocks where shared, only as far as they are known to sum as the whole.
-    recon = np.empty((k, k))
-    _dealt(_row_blocks(k) if k <= _ROW_BLOCKS_MEASURED else [],
-           lambda rows, _: np.matmul(s[rows], q, out=recon[rows]), None,
-           lambda: None, whole=lambda: np.matmul(s, q, out=recon))
+    recon = np.empty((k, k))  # s Q, by row blocks, shared or not
+    _dealt(_row_blocks(k), lambda rows, _: np.matmul(s[rows], q, out=recon[rows]), lambda: None)
     for rows in _row_blocks(k):
         recon[rows] -= q[rows] * lam
     s_resid = float(np.abs(recon, out=recon).max(initial=0.0))
@@ -933,7 +921,7 @@ def real_form_eig(
             pair -= partner * signs[cols]
             pair_sq[cols] = np.einsum("ij,ij->j", pair, pair)
 
-    _dealt(_column_slabs(k), columns_of_v, _slab_work(k), partial(_slab_work, k))
+    _dealt(_column_slabs(k), columns_of_v, partial(_slab_work, k))
     drift = float(abs(v_norms - q_norms).max(initial=0.0))
     norm_tol = (1 + eta) ** 2 * (1 + _gamma(2 * k)) / (1 - _gamma(k)) - 1
     if not drift <= norm_tol * float(q_norms.max(initial=0.0)):
@@ -1218,7 +1206,7 @@ def _unitarity_residual(m: np.ndarray) -> float:
         mag = np.abs(gram, out=work[0].view(float)[:gram.size].reshape(gram.shape))
         return float(mag.max(initial=0.0))
 
-    return max([0.0, *_dealt(_column_slabs(k), block, _slab_work(k), partial(_slab_work, k))])
+    return max([0.0, *_dealt(_column_slabs(k), block, partial(_slab_work, k))])
 
 
 def _rotation(eig: HermitianEigenDecomposition, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -1270,8 +1258,8 @@ def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.nda
     writes them back: ``M = Z conj(conj(W) Z)``, Z symmetric (step 9).
     The two products are written into ``out[r]``'s float view, and
     ``conj(W)[r]`` is formed over the spent left operand in one complex
-    buffer, which also holds both of a column slab's buffers; each thread
-    that shares the passes (:func:`_dealt`) has one.
+    buffer, of a size that also holds both of a column slab's buffers;
+    each thread that takes part in a pass (:func:`_dealt`) has one.
     """
     k = eig.block_size
     q, transform = eig.basis, eig.transform
@@ -1293,9 +1281,8 @@ def _real_form_block(eig: HermitianEigenDecomposition, theta: float, out: np.nda
         out[:, cols] = _transformed_slab(out, cols, transform, work[:2 * slab].reshape(2, slab))
 
     buffer = partial(np.empty, max(_block_entries(k), 2 * slab), dtype=complex)
-    work = buffer()
-    _dealt(_row_blocks(k), rows_of_m, work, buffer)
-    _dealt(_column_slabs(k), columns_of_m, work, buffer)
+    _dealt(_row_blocks(k), rows_of_m, buffer)
+    _dealt(_column_slabs(k), columns_of_m, buffer)
 
 
 def _unitary_block(
@@ -1473,28 +1460,28 @@ if hasattr(os, "register_at_fork"):  # a platform without fork has no forked chi
     os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _dealt(slabs: list, body, buffers, spare, whole=None) -> list:
-    """``[body(slab, buffers) for slab in slabs]``, or ``whole()``, shared with the helper where it pays.
+def _dealt(slabs: list, body, buffer) -> list:
+    """``[body(slab, work) for slab in slabs]``, ``work = buffer()``, shared where it pays.
 
     Where a real k x k array, k the end of the last slab, is above
     ``_SPLIT_BYTES`` and the helper takes part (:func:`_beside`), the
     caller and the helper each take the next slab from one list until
-    none is left, the helper in the buffers ``spare()`` allocates, and the
-    results come back in slab order; each body writes only its slab's
-    part of the caller's arrays.  Otherwise the caller runs the loop alone
-    as it stands: ``whole()`` when given, else every slab in order.
+    none is left, and the results come back in slab order; each body
+    writes only its slab's part of the caller's arrays.  Otherwise the
+    caller runs every slab in order alone.  Each thread that takes slabs
+    calls ``buffer()`` once, for its own work buffers.
     """
-    if slabs and 8 * slabs[-1].stop ** 2 > _SPLIT_BYTES:
-        results = [None] * len(slabs)
-        left = enumerate(slabs)  # each next() hands out one slab, under the GIL
+    results = [None] * len(slabs)
+    left = enumerate(slabs)  # each next() hands out one slab, under the GIL
 
-        def drain(work):
-            for i, slab in left:
-                results[i] = body(slab, work)
+    def drain():
+        work = buffer()
+        for i, slab in left:
+            results[i] = body(slab, work)
 
-        if _beside(partial(drain, buffers), lambda: drain(spare())):
-            return results
-    return whole() if whole is not None else [body(slab, buffers) for slab in slabs]
+    if not (slabs and 8 * slabs[-1].stop ** 2 > _SPLIT_BYTES and _beside(drain, drain)):
+        drain()
+    return results
 
 
 def _split_jobs(blocks, parts, outs, adjoint: bool) -> list:

@@ -119,7 +119,7 @@ import math
 import numpy as np
 
 from .cache import grids
-from .dft import IndexScheme, SampleGrid, _unitary_dft, as_sample_count, dft_matrix, index_grid
+from .dft import IndexScheme, SampleGrid, as_sample_count, dft_matrix, index_grid
 from .linalg import (
     GridDecomposition,
     _row_blocks,
@@ -146,10 +146,10 @@ def diff_matrix(grid: SampleGrid) -> np.ndarray:
 
     ``F^H (U F)`` from the cached DFT of the grid and the diagonal of U.
     :func:`operator_set` builds D without F, and its tests compare it
-    with this.  Raises ``ArithmeticError`` if the unitarity residual kept
-    with F exceeds 1e-10.
+    with this.  Raises ``ArithmeticError`` if F fails its unitarity check
+    (:func:`~opscale.dft.dft_matrix`).
     """
-    f = _unitary_dft(grid.n_samples, grid.scheme)
+    f = dft_matrix(grid.n_samples, grid.scheme)
     return f.conj().T @ (_coord_diagonal(grid)[:, None] * f)
 
 

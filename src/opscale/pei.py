@@ -26,8 +26,8 @@ with F the standard centered DFT matrix
 the cached :func:`~opscale.dft.dft_matrix` of :func:`pei_scheme` (its
 labels ``m - (N-1)/2`` are the centered scheme's for even N and the
 ordinary scheme's for odd N).  :func:`pei_d_squared` builds D^2 for N
-alone from that F, whose unitarity residual :mod:`opscale.dft` measured
-when it built it and which is held to 1e-10 here, not measured again.
+alone from that F, whose unitarity :mod:`opscale.dft` checked when it
+built it, not measured again.
 
 Both S-terms are positive semidefinite and, for this F, D^2 comes out
 real symmetric (verified numerically; the imaginary rounding residue is
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import grids, shared
-from .dft import IndexScheme, _unitary_dft, as_sample_count, as_scaling_factor, as_signal
+from .dft import IndexScheme, as_sample_count, as_scaling_factor, as_signal, dft_matrix
 from .linalg import _largest_entry_negative, _real_dot
 
 __all__ = [
@@ -127,11 +127,10 @@ def pei_d_squared(n_samples: int) -> np.ndarray:
     bit-identical to ``(F U^2) @ F^H``, without an N x N copy of ``F^H``.
     The result is complex, real to rounding.
     Raises ``ValueError`` if ``n_samples`` is not a positive integer, and
-    ``ArithmeticError`` if the unitarity residual kept with F exceeds
-    1e-10.
+    ``ArithmeticError`` if F fails its unitarity check.
     """
     n_samples = as_sample_count(n_samples)
-    f = _unitary_dft(n_samples, pei_scheme(n_samples))
+    f = dft_matrix(n_samples, pei_scheme(n_samples))
     scaled = f * _u_squared_diagonal(n_samples)
     d2 = np.conjugate(scaled, out=scaled) @ f
     np.subtract(0.0, d2.imag, out=d2.imag)
@@ -172,7 +171,8 @@ class CddhfBasis:
 def _cddhf_basis_cached(n_samples: int, m_factor: float) -> CddhfBasis:
     d2_real, d2_imag_max = _d_squared(n_samples)
     m4 = m_factor ** 4
-    s = m4 * d2_real + pei_u_squared(n_samples)
+    s = m4 * d2_real
+    s.reshape(-1)[::n_samples + 1] += _u_squared_diagonal(n_samples)
     # The imaginary part of S is M^4 Im(D^2) and must be pure rounding
     # residue.  The bound scales with the matrix magnitude: at large N and
     # M the entries reach ~1e6 and their roundoff legitimately exceeds any

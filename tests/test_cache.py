@@ -426,9 +426,10 @@ def test_a_hand_built_sets_decomposition_is_freed_when_the_cache_drops_it():
 
 def test_eight_threads_asking_for_one_new_basis_make_one_build(budget, monkeypatch):
     # With both caches emptied, F, D^2, the M = 1 basis and the M = 1.2345
-    # basis are each built once, by whichever thread comes first.
+    # basis are each built once, by whichever thread comes first; D^2 and
+    # each basis take the diagonal of U^2 once.
     cache.grids.clear()
-    d_squared, u_squared, sizes = pei.pei_d_squared, pei.pei_u_squared, []
+    d_squared, u_squared, sizes = pei.pei_d_squared, pei._u_squared_diagonal, []
 
     def d_counting(n):
         sizes.append(("D^2", n))
@@ -440,8 +441,8 @@ def test_eight_threads_asking_for_one_new_basis_make_one_build(budget, monkeypat
         sizes.append(("U^2", n))
         return u_squared(n)
 
-    monkeypatch.setattr(pei, "pei_u_squared", u_counting)
+    monkeypatch.setattr(pei, "_u_squared_diagonal", u_counting)
     results = _on_eight_threads(lambda: cddhf_basis(47, 1.2345))
-    assert sizes == [("D^2", 47), ("U^2", 47), ("U^2", 47)]
+    assert sizes == [("D^2", 47), ("U^2", 47), ("U^2", 47), ("U^2", 47)]
     assert all(r is results[0] for r in results)
     assert cache.grids.info().misses == 2  # D^2 and the F it is built from

@@ -4,6 +4,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+import pytest
+
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                     "tools", "cold_peak.py")
 spec = importlib.util.spec_from_file_location("cold_peak", TOOL)
@@ -49,3 +51,18 @@ def test_the_first_target_prints_the_peak_and_wall_time_of_a_cold_request_at_n_1
                                          for helper in ("on", "off")]
     for *_, maxrss, wall in rows:
         assert int(maxrss) > 0 and float(wall) > 0
+
+
+@pytest.mark.parametrize("target", ["sweep", "first"])
+def test_a_checkout_without_the_helper_switch_is_refused(tmp_path, capsys, target):
+    # An opscale whose linalg has no _beside would run its "off" rows with
+    # the helper: the tool exits non-zero, naming _beside, and prints no row.
+    package = tmp_path / "src" / "opscale"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("ScalingSpec = scale_signal = None\n")
+    (package / "cli.py").write_text("def main(argv):\n    return 0\n")
+    (package / "linalg.py").write_text("_idle_helper = None\n")
+    with pytest.raises(SystemExit, match="no _beside") as exc:
+        cold_peak.main([target, "--checkout", str(tmp_path)])
+    assert exc.value.code != 0
+    assert capsys.readouterr().out.splitlines()[1:] == []

@@ -4,11 +4,12 @@ import cmath
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
-from opscale import dft
+from opscale import cache, dft
 from opscale.bench import interp_scale, run_bench
 from opscale.dft import (
     IndexScheme,
@@ -21,7 +22,8 @@ from opscale.dft import (
     index_grid,
 )
 from opscale.linalg import _unitarity_residual, identity_residual
-from opscale.pei import cddhf_basis, pei_scale
+from opscale.operators import diff_matrix
+from opscale.pei import cddhf_basis, pei_d_squared, pei_scale
 from opscale.scaling import ScalingSpec
 from opscale.signals import TestFunction, scaled_reference
 
@@ -268,14 +270,15 @@ class TestDftMatrix:
 
     @pytest.mark.parametrize("n", [1, 7, 100, 101])
     @pytest.mark.parametrize("scheme", list(IndexScheme))
-    def test_cache_keeps_the_unitarity_residual_it_checked(self, n, scheme):
+    def test_cached_f_passes_the_one_triangle_check_within_its_limit(self, n, scheme):
         # The check takes max|F^H F - I| from one triangle; F is exactly
         # symmetric, so it is max|F F^H - I| up to the rounding of the
         # products (which differs at N = 101).
-        f, resid = _dft_matrix_cached(n, scheme)
-        assert f is dft_matrix(n, scheme)
+        f = dft_matrix(n, scheme)
+        assert f is _dft_matrix_cached(n, scheme)
         assert np.array_equal(f, f.T)
-        assert resid == _unitarity_residual(f)
+        resid = _unitarity_residual(f)
+        assert resid < min(1e-12 * n, 1e-10)
         assert resid == pytest.approx(identity_residual(f @ f.conj().T), rel=0.5, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 101])
@@ -291,7 +294,7 @@ class TestDftMatrix:
         n = 512
         tracemalloc.start()
         try:
-            f, _ = _dft_matrix_cached.__wrapped__(n, IndexScheme.CENTERED)
+            f = _dft_matrix_cached.__wrapped__(n, IndexScheme.CENTERED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -305,3 +308,18 @@ class TestDftMatrix:
         monkeypatch.setattr(dft, "_scheme_indices", lambda n, s: labels(n, s) * (1 + 1e-9))
         with pytest.raises(ArithmeticError, match=r"failed unitarity check: max\|F\^H F - I\|"):
             _dft_matrix_cached.__wrapped__(100, scheme)
+
+    def test_a_residual_of_1_5e_10_is_refused_at_n_200_by_f_and_its_dense_references(
+            self, monkeypatch):
+        # Below 1e-12 N = 2e-10, but F is held to 1e-10 from N = 100 on,
+        # once, when it is built: dft_matrix refuses it, and so does every
+        # dense reference built from it.
+        cache.grids.clear()  # no F at N = 200 is left from another test
+        monkeypatch.setattr(dft, "_unitarity_residual", lambda f: 1.5e-10)
+        builds = [partial(pei_d_squared, 200)]
+        for scheme in IndexScheme:
+            builds += [partial(dft_matrix, 200, scheme),
+                       partial(diff_matrix, index_grid(200, scheme))]
+        for build in builds:
+            with pytest.raises(ArithmeticError, match=r"max\|F\^H F - I\| = 1\.500e-10"):
+                build()

@@ -25,7 +25,7 @@ from conftest import (
     parity_basis,
 )
 
-from opscale import dft, operators
+from opscale import cache, dft, operators
 from opscale.dft import IndexScheme, dft_matrix, index_grid
 from opscale.linalg import (
     _parity_transform,
@@ -171,10 +171,11 @@ class TestDiffMatrix:
         diff_matrix(index_grid(n, scheme))
         assert calls == []
 
-    def test_dense_reference_holds_the_kept_residual_to_its_limit(self, monkeypatch):
-        f = dft_matrix(8, IndexScheme.ORDINARY)
-        monkeypatch.setattr(dft, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
-        with pytest.raises(ArithmeticError, match="requires a unitary F"):
+    def test_dense_reference_refuses_an_f_at_its_unitarity_limit(self, monkeypatch):
+        # 1e-12 N at N = 8: F is refused when built, and so is D.
+        cache.grids.clear()  # no F at N = 8 is left from another test
+        monkeypatch.setattr(dft, "_unitarity_residual", lambda f: 8e-12)
+        with pytest.raises(ArithmeticError, match="failed unitarity check"):
             diff_matrix(index_grid(8, IndexScheme.ORDINARY))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import count_sign_changes
 
-from opscale import dft, pei
+from opscale import cache, dft, pei
 from opscale.dft import IndexScheme, dft_matrix
 from opscale.pei import (
     CddhfBasis,
@@ -103,11 +103,12 @@ class TestBuildingBlocks:
         assert d2_real.tobytes() == d2.real.copy().tobytes()
         assert d2_imag_max == float(abs(d2.imag).max())
 
-    def test_cached_d_squared_holds_the_kept_residual_to_its_limit(self, monkeypatch):
-        f = pei_centered_dft(8)
-        monkeypatch.setattr(dft, "_dft_matrix_cached", lambda n, scheme: (f, 1e-10))
+    def test_cached_d_squared_refuses_an_f_at_its_unitarity_limit(self, monkeypatch):
+        # 1e-12 N at N = 8: F is refused when built, and so is D^2.
+        cache.grids.clear()  # no F at N = 8 is left from another test
+        monkeypatch.setattr(dft, "_unitarity_residual", lambda f: 8e-12)
         for build in (pei._d_squared.__wrapped__, pei_d_squared):
-            with pytest.raises(ArithmeticError, match="requires a unitary F"):
+            with pytest.raises(ArithmeticError, match="failed unitarity check"):
                 build(8)
 
 

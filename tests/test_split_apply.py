@@ -32,6 +32,7 @@ from conftest import forked_exit_code, package_env
 from opscale import bench, cache, linalg, pei, scaling
 from opscale.dft import IndexScheme
 from opscale.linalg import GridUnitary
+from opscale.operators import OperatorSet, operator_set
 from opscale.scaling import ScalingSpec, scale_signal
 
 
@@ -411,7 +412,7 @@ def test_concurrent_dealt_loops_run_every_slab_once_in_slab_order(
     def caller():
         try:
             for _ in range(40):
-                done = linalg._dealt(slabs, body, np.zeros(1), partial(np.zeros, 1))
+                done = linalg._dealt(slabs, body, partial(np.zeros, 1))
                 if done != [2 * slab.start for slab in slabs]:
                     errors.append(done)
         except Exception as exc:
@@ -432,18 +433,45 @@ def test_concurrent_dealt_loops_run_every_slab_once_in_slab_order(
     assert 0 < len(helper_posts) < 8 * 40
 
 
+def test_a_decomposition_above_k_1100_shares_its_s_q_pass_bit_identically(
+        two_cpus, helper_posts, monkeypatch):
+    # One block of k = 1102: every slab loop of the decomposition is dealt
+    # to the helper, the row blocks of s Q included, and the block reads as
+    # the one built alone, residuals included.
+    ops = operator_set(1102, IndexScheme.ORDINARY)
+    dealt, deal = [], linalg._dealt
+
+    def recording(slabs, *args):
+        dealt.append(slabs)
+        return deal(slabs, *args)
+
+    def cold_block():
+        return OperatorSet(ops.grid, ops.u_diagonal, ops.d_column).generator_eig.blocks[0]
+
+    monkeypatch.setattr(linalg, "_dealt", recording)
+    helped = cold_block()
+    assert linalg._row_blocks(1102) in dealt
+    assert len(helper_posts) == len(dealt)
+    monkeypatch.setattr(linalg, "_beside", lambda here, there: False)
+    alone = cold_block()
+    assert helped.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+    assert helped.basis.tobytes() == alone.basis.tobytes()
+    assert helped.residuals == alone.residuals
+    assert helped.unitarity_bound == alone.unitarity_bound
+
+
 def test_a_failed_prefetch_build_leaves_its_cell_the_same_note(two_cpus, monkeypatch):
     # Every CDDHF basis at N = 17 raises: the helper drops its failed
     # builds, and each cell that needs one builds it again and records
     # the same note as a sweep without the helper.
-    u_squared = pei.pei_u_squared
+    u_squared = pei._u_squared_diagonal
 
     def failing(n):
         if n == 17:
             raise RuntimeError("no basis at N = 17")
         return u_squared(n)
 
-    monkeypatch.setattr(pei, "pei_u_squared", failing)
+    monkeypatch.setattr(pei, "_u_squared_diagonal", failing)
     cache.shared.clear()  # no N = 17 basis is left from another test
     kwargs = dict(methods=[bench.Method.CDDHF], m_factors=[0.5, 2.0], n_values=[16, 17])
     helped = bench.run_bench(**kwargs)

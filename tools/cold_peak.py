@@ -33,6 +33,9 @@ the grid's operators and decomposition and, on the ordinary grid,
 assembles the operator and checks it.  One line per run gives the grid,
 whether the helper was available, ``ru_maxrss`` at exit in KiB and the
 request's wall time in seconds.
+
+Both targets turn the helper off through ``opscale.linalg._beside``; a
+checkout without it is refused, with a message and a non-zero exit.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ SWEEP_CHILD = """
 import json, os, resource, sys, tempfile, time
 from opscale import cli, linalg
 
+if not hasattr(linalg, "_beside"):  # the switch below would turn nothing off
+    sys.exit("opscale.linalg of this checkout has no _beside to turn the helper off with")
 if sys.argv[1] == "off":
     linalg._beside = lambda here, there: False
 with tempfile.TemporaryDirectory() as tmp:
@@ -84,6 +89,8 @@ import numpy as np
 from opscale import ScalingSpec, linalg, scale_signal
 
 n, scheme = int(sys.argv[1]), sys.argv[2]
+if not hasattr(linalg, "_beside"):  # the switch below would turn nothing off
+    sys.exit("opscale.linalg of this checkout has no _beside to turn the helper off with")
 if sys.argv[3] == "off":
     linalg._beside = lambda here, there: False
 x = np.cos(0.37 * np.arange(n)) + 1j * np.sin(0.11 * np.arange(n))
@@ -104,7 +111,9 @@ def _child(code: str, args: list, checkout: Path) -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(checkout / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(proc.stderr.strip())  # the child's message or traceback
     return json.loads(proc.stdout)
 
 
